@@ -66,11 +66,11 @@ def build_Q(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> lis
     ]
 
 
-def relabel_choice(tau: Permutation, choice: CycleTupleChoice) -> CycleTupleChoice:
-    """Push every chosen cycle through tau and re-canonicalize."""
-    timg = tau.images
+def relabel_choice(timg: Sequence[int], choice: CycleTupleChoice) -> CycleTupleChoice:
+    """Push every chosen cycle through the permutation with image tuple timg
+    and re-canonicalize."""
     return tuple(
-        (k, tuple(canonical_cycle(tuple(timg[a] for a in cyc)) for cyc in cycles))
+        (k, tuple([canonical_cycle([timg[a] for a in cyc]) for cyc in cycles]))
         for k, cycles in choice
     )
 
@@ -80,20 +80,27 @@ def q_action(tau: Permutation, d: DecoratedPermutation) -> DecoratedPermutation:
     to the corresponding cycles of the conjugate."""
     if tau.degree != d.sigma.degree:
         raise ValueError(f"degree mismatch: {tau.degree} vs {d.sigma.degree}")
-    return DecoratedPermutation(conjugate_permutation(d.sigma, tau), relabel_choice(tau, d.choice))
+    return DecoratedPermutation(conjugate_permutation(d.sigma, tau), relabel_choice(tau.images, d.choice))
 
 
 def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:
-    """The symmetric group of degree n acting on the decorated permutations."""
-    carrier = build_Q(n, p, cap)
-    index = {d: i for i, d in enumerate(carrier)}
+    """The symmetric group of degree n acting on the decorated permutations,
+    indexed in build_Q order. Acts on (image tuple, choice) keys through the
+    S_n image table, as q_action does on objects: tau sends sigma to
+    tau sigma tau^-1 and relabels the chosen cycles."""
+    keys = [(d.sigma.images, d.choice) for d in build_Q(n, p, cap)]
+    index = {key: i for i, key in enumerate(keys)}
     group = make_symmetric(n)
-    taus = [group.permutation_at(g) for g in group.elements()]
+    taus = [group.images_at(g) for g in group.elements()]
+    inverses = [taus[group.inv(g)] for g in group.elements()]
 
     def act(g: int, s: int) -> int:
-        return index[q_action(taus[g], carrier[s])]
+        timg = taus[g]
+        simg, choice = keys[s]
+        conjugated = tuple([timg[simg[j]] for j in inverses[g]])
+        return index[(conjugated, relabel_choice(timg, choice))]
 
-    return GroupAction(group=group, carrier_size=len(carrier), act=act, name=f"S{n} on Q{list(p)}")
+    return GroupAction(group=group, carrier_size=len(keys), act=act, name=f"S{n} on Q{list(p)}")
 
 
 def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:

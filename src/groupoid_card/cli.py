@@ -293,7 +293,7 @@ def cmd_theorem_general(args) -> int:
     if args.functor is not None:
         with open(args.functor, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        functor = functor_from_json(data)
+        functor = functor_from_json(data, cap=cap)
         report_validation = validate_functor(functor)
         if not report_validation.ok:
             raise FunctorValidationError(report_validation)

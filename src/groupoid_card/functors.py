@@ -9,12 +9,14 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .categorified import relabel_choice
-from .groups import FiniteGroup, from_cayley_json, make_symmetric
+from .groups import FiniteGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
     DEFAULT_CHECK_CAP,
     DEFAULT_SAMPLE_BUDGET,
@@ -23,6 +25,7 @@ from .groupoids import (
     Orbit,
     cardinality,
     cardinality_via_outdegrees,
+    first_law_failure,
     orbit_decomposition,
     rational_str,
     skeleton_from_orbits,
@@ -112,9 +115,10 @@ def validate_functor(
     composition law transport(h2, h1 g h1^-1) o transport(h1, g) =
     transport(h2 h1, g).
 
-    The first two run exhaustively. Composition runs over all (h2, h1, g) in
-    lexicographic order when |G|^2 * total fiber size fits under check_cap,
-    otherwise over a seeded deterministic sample. Results are cached on the
+    The first two run exhaustively. Composition runs over all (h2, h1, g) when
+    |G|^2 * total fiber size fits under check_cap, otherwise over a seeded
+    deterministic sample. An exhaustive failure is witnessed by the lowest
+    failing (h2, h1, g) in lexicographic order. Results are cached on the
     functor."""
     if functor._validation is not None:
         return functor._validation
@@ -177,54 +181,42 @@ def validate_functor(
             return None
 
         if checks + composition_cost <= check_cap:
-            # Same (h2, h1, g) coverage as the literal triple loop, reordered
-            # so the h1-dependent pieces are computed once per (h1, g).
-            transport_of = functor.transport_cached
-            conj = group.conjugate
-            mul = group.mul
-            for h1 in range(order):
-                mul_with_h1 = [mul(h2, h1) for h2 in range(order)]
-                for g in nonempty:
-                    try:
-                        first = transport_of(h1, g)
-                        mid = conj(g, h1)
-                        size = sizes[g]
-                        for h2 in range(order):
-                            second = transport_of(h2, mid)
-                            combined = transport_of(mul_with_h1[h2], g)
-                            checks += size
-                            for x in range(size):
-                                if combined[x] != second[first[x]]:
-                                    failure = (
-                                        "composition",
-                                        (h2, h1, g),
-                                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}",
-                                    )
-                                    break
-                            if failure:
-                                break
-                    except ValueError as exc:
-                        failure = ("bijection", (h1, g), str(exc))
+            # Row h is the category-of-elements action of h: it sends
+            # offsets[g] + x to offsets[h g h^-1] + transport(h, g)[x]. The
+            # composition law for every (h2, h1, g, x) is then row h2 after
+            # row h1 = row h2 h1, checked by the shared row kernel.
+            offsets = list(itertools.accumulate(sizes, initial=0))
+            try:
+                rows = []
+                for h in range(order):
+                    row: list[int] = []
+                    for g in nonempty:
+                        base = offsets[group.conjugate(g, h)]
+                        row.extend([base + t for t in functor.transport_cached(h, g)])
+                    rows.append(row)
+            except ValueError:
+                rows = None
+            if rows is None:
+                # Some transport is not a bijection, so no rows exist: scan
+                # the triples in lexicographic order for the lowest witness.
+                for h2, h1, g in itertools.product(range(order), range(order), nonempty):
+                    checks += sizes[g]
+                    failure = composition_ok(h2, h1, g)
                     if failure:
                         break
-                if failure:
-                    break
-            if failure is not None:
-                # Re-locate the canonical witness: lowest (h2, h1, g) in
-                # lexicographic order. Failures are exceptional, so the
-                # second scan only runs on broken data.
-                for h2 in range(order):
-                    located = None
-                    for h1 in range(order):
-                        for g in nonempty:
-                            located = composition_ok(h2, h1, g)
-                            if located:
-                                break
-                        if located:
-                            break
-                    if located:
-                        failure = located
-                        break
+            else:
+                witness = first_law_failure(rows, group.mul)
+                if witness is None:
+                    checks += composition_cost
+                else:
+                    h2, h1, s = witness
+                    g = bisect.bisect_right(offsets, s) - 1
+                    checks += (h2 * order + h1) * total + offsets[g + 1]
+                    failure = (
+                        "composition",
+                        (h2, h1, g),
+                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {s - offsets[g]}",
+                    )
         else:
             mode = "sampled validation"
             rng = SplitMix64(seed)
@@ -357,11 +349,11 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     group = make_symmetric(n)
     fixed: list[tuple[int, ...]] = []
     for g in group.elements():
-        images = group.permutation_at(g).images
+        images = group.images_at(g)
         fixed.append(tuple(i for i in range(n) if images[i] == i))
 
     def transport(h: int, g: int) -> tuple[int, ...]:
-        himg = group.permutation_at(h).images
+        himg = group.images_at(h)
         target = fixed[group.conjugate(g, h)]
         position = {v: i for i, v in enumerate(target)}
         return tuple(position[himg[v]] for v in fixed[g])
@@ -393,9 +385,9 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
         return table
 
     def transport(h: int, g: int) -> tuple[int, ...]:
-        tau = group.permutation_at(h)
+        timg = group.images_at(h)
         target = index_of(group.conjugate(g, h))
-        return tuple(target[relabel_choice(tau, choice)] for choice in choices[g])
+        return tuple(target[relabel_choice(timg, choice)] for choice in choices[g])
 
     return EquivariantFunctor(
         group=group,
@@ -405,13 +397,15 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
     )
 
 
-def functor_from_json(data: dict) -> EquivariantFunctor:
+def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
     """Ingest {"group": <cayley json or "S<n>">, "fibers": {g: size},
     "transports": {h: {g: [images]}}}.
 
     Every fiber size must be listed, and a transport must be listed for every
     (h, g) with a nonempty fiber at g; the empty bijection out of an empty
-    fiber is the only omission allowed (it is forced, not inferred)."""
+    fiber is the only omission allowed (it is forced, not inferred). The
+    shape is checked here, so malformed input raises ValueError; "S<n>" is
+    capped at degree cap like every enumeration."""
     if not isinstance(data, dict):
         raise ValueError("functor JSON must be an object")
     for key in ("group", "fibers", "transports"):
@@ -422,24 +416,33 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     if isinstance(spec, str):
         if not (spec.startswith("S") and spec[1:].isdigit()):
             raise ValueError(f'group spec {spec!r} is not "S<n>" or a Cayley table object')
-        group: FiniteGroup = make_symmetric(int(spec[1:]))
+        n = int(spec[1:])
+        if n > cap:
+            raise CapExceededError(f"group {spec} exceeds enumeration cap {cap}")
+        group: FiniteGroup = make_symmetric(n)
     else:
         group = from_cayley_json(spec)
 
-    sizes = [0] * group.order
     fibers = data["fibers"]
+    if not isinstance(fibers, dict):
+        raise ValueError('"fibers" must be an object mapping elements to sizes')
+    sizes = [0] * group.order
     for g in range(group.order):
         key = str(g)
         if key not in fibers:
             raise ValueError(f"fiber size for element {g} is missing")
-        sizes[g] = int(fibers[key])
+        sizes[g] = json_int(fibers[key], f"fiber size for element {g}")
         if sizes[g] < 0:
             raise ValueError(f"fiber size for element {g} is negative")
 
     transports = data["transports"]
+    if not isinstance(transports, dict):
+        raise ValueError('"transports" must be an object mapping h to {g: images}')
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     for h in range(group.order):
         per_h = transports.get(str(h), {})
+        if not isinstance(per_h, dict):
+            raise ValueError(f"transports for h={h} must be an object mapping g to images")
         for g in range(group.order):
             entry = per_h.get(str(g))
             if entry is None:
@@ -447,7 +450,9 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
                     table[(h, g)] = ()
                     continue
                 raise ValueError(f"transport for (h={h}, g={g}) is omitted; transports may not be inferred")
-            table[(h, g)] = tuple(int(x) for x in entry)
+            if not isinstance(entry, list):
+                raise ValueError(f"transport for (h={h}, g={g}) must be a list of indices")
+            table[(h, g)] = tuple(json_int(x, f"transport entry for (h={h}, g={g})") for x in entry)
 
     return EquivariantFunctor(
         group=group,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .groups import FiniteGroup
 from .permutations import all_cycle_types
@@ -138,12 +138,40 @@ class ActionValidationError(ValueError):
     """An action failed its law checks and cannot be quotiented."""
 
 
+def first_law_failure(rows: Sequence[Sequence[int]], mul: Callable[[int, int], int]) -> Optional[tuple[int, int, int]]:
+    """The lowest (g, h, s), in lexicographic order, at which the images
+    rows[g][s] of g acting on s break compatibility: rows[h][s] falls outside
+    the carrier, or rows[g][rows[h][s]] != rows[mul(g, h)][s].
+
+    Each (g, h) pair is checked as one compare of whole rows; only a pair
+    that mismatches, or whose row h leaves the carrier, is scanned point by
+    point to find its first failing s."""
+    order = len(rows)
+    size = len(rows[0]) if order else 0
+    if not size:
+        return None
+    in_range = [0 <= min(row) and max(row) < size for row in rows]
+    for g in range(order):
+        row_g = rows[g]
+        for h in range(order):
+            row_h = rows[h]
+            row_gh = rows[mul(g, h)]
+            if in_range[h] and [row_g[t] for t in row_h] == row_gh:
+                continue
+            for s in range(size):
+                t = row_h[s]
+                if not 0 <= t < size or row_g[t] != row_gh[s]:
+                    return g, h, s
+    return None
+
+
 @dataclass(eq=False)
 class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
 
-    Immutable once built; act results are memoized since orbit scans and law
-    checks revisit the same pairs.
+    Immutable once built. Exhaustive validation evaluates act once per pair
+    and keeps the images as one row per group element; otherwise act results
+    are memoized, since orbit scans and sampled law checks revisit pairs.
     """
 
     group: FiniteGroup
@@ -151,9 +179,13 @@ class GroupAction:
     act: Callable[[int, int], int]
     name: str = "action"
     _act_memo: dict = field(default_factory=dict, repr=False)
+    _rows: Optional[list] = field(default=None, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, repr=False)
 
     def act_cached(self, g: int, s: int) -> int:
+        rows = self._rows
+        if rows is not None:
+            return rows[g][s]
         key = g * self.carrier_size + s
         memo = self._act_memo
         t = memo.get(key)
@@ -172,9 +204,11 @@ class GroupAction:
         """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s).
 
         The identity law is always exhaustive. Compatibility runs over all
-        |G|^2 |S| triples when that fits under check_cap, otherwise over a
-        seeded deterministic sample, reported as "sampled validation".
-        The first validation result is cached.
+        |G|^2 |S| triples when that fits under check_cap, as whole-row
+        compares (first_law_failure), otherwise over a seeded deterministic
+        sample, reported as "sampled validation". Either way a failure names
+        the first failing triple in the order checked. The first validation
+        result is cached.
         """
         if self._validation is not None:
             return self._validation
@@ -190,34 +224,30 @@ class GroupAction:
             if t != s:
                 failure = f"identity law fails at s={s}: act(e, s) = {t}"
                 break
-            if not 0 <= t < size:
-                failure = f"act(e, {s}) = {t} is outside the carrier"
-                break
 
         compat_total = order * order * size
         mode = "exhaustive"
         if failure is None:
             if checks + compat_total <= check_cap:
-                for g in range(order):
-                    for h in range(order):
-                        gh = group.mul(g, h)
-                        for s in range(size):
-                            checks += 1
-                            t = self.act_cached(h, s)
-                            if not 0 <= t < size:
-                                failure = f"act({h}, {s}) = {t} is outside the carrier"
-                                break
-                            if self.act_cached(g, t) != self.act_cached(gh, s):
-                                failure = (
-                                    f"compatibility fails at (g={g}, h={h}, s={s}): "
-                                    f"act(g, act(h, s)) = {self.act_cached(g, t)} "
-                                    f"but act(g*h, s) = {self.act_cached(gh, s)}"
-                                )
-                                break
-                        if failure:
-                            break
-                    if failure:
-                        break
+                act = self.act
+                rows = [list(range(size)) if g == e else [act(g, s) for s in range(size)] for g in range(order)]
+                self._rows = rows
+                self._act_memo.clear()
+                witness = first_law_failure(rows, group.mul)
+                if witness is None:
+                    checks += compat_total
+                else:
+                    g, h, s = witness
+                    checks += (g * order + h) * size + s + 1
+                    t = rows[h][s]
+                    if not 0 <= t < size:
+                        failure = f"act({h}, {s}) = {t} is outside the carrier"
+                    else:
+                        failure = (
+                            f"compatibility fails at (g={g}, h={h}, s={s}): "
+                            f"act(g, act(h, s)) = {rows[g][t]} "
+                            f"but act(g*h, s) = {rows[group.mul(g, h)][s]}"
+                        )
             else:
                 mode = "sampled validation"
                 rng = SplitMix64(seed)
@@ -227,7 +257,7 @@ class GroupAction:
                     s = rng.below(size)
                     checks += 1
                     t = self.act_cached(h, s)
-                    if not 0 <= t < size or self.act_cached(g, t) != self.act_cached(gh := group.mul(g, h), s):
+                    if not 0 <= t < size or self.act_cached(g, t) != self.act_cached(group.mul(g, h), s):
                         failure = f"compatibility fails at sampled (g={g}, h={h}, s={s})"
                         break
 
@@ -253,23 +283,29 @@ class Orbit:
 
 def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     """Orbits in order of their smallest carrier index, with the stabilizer
-    order of that representative found by direct scan."""
+    order of that representative found by direct scan.
+
+    Every image is bounds-checked: a sampled validation can pass an action
+    whose images leave the carrier, and such an action has no quotient."""
     _require_valid(action)
-    seen = bytearray(action.carrier_size)
+    size = action.carrier_size
+    act = action.act_cached
+    elements = action.group.elements()
+    seen = bytearray(size)
     orbits: list[Orbit] = []
-    for s in range(action.carrier_size):
+    for s in range(size):
         if seen[s]:
             continue
-        stabilizer = 0
-        members = set()
-        for g in action.group.elements():
-            t = action.act_cached(g, s)
-            members.add(t)
-            if t == s:
-                stabilizer += 1
+        images = [act(g, s) for g in elements]
+        if min(images) < 0 or max(images) >= size:
+            g = next(g for g, t in enumerate(images) if not 0 <= t < size)
+            raise ActionValidationError(
+                f"invalid action {action.name!r}: act({g}, {s}) = {images[g]} is outside the carrier"
+            )
+        members = set(images)
         for t in members:
             seen[t] = 1
-        orbits.append(Orbit(representative=s, size=len(members), stabilizer_order=stabilizer))
+        orbits.append(Orbit(representative=s, size=len(members), stabilizer_order=images.count(s)))
     return orbits
 
 

@@ -131,12 +131,16 @@ class SymmetricGroup(FiniteGroup):
             self._rank_of = {images: i for i, images in enumerate(self._images)}
         return self._images, self._rank_of
 
-    def permutation_at(self, a: int) -> Permutation:
+    def images_at(self, a: int) -> tuple[int, ...]:
+        """The image tuple of element a, without building a Permutation."""
         a = self.check_element(a)
         images, _ = self._tables()
         if images is not None:
-            return Permutation(images[a])
-        return Permutation(lex_unrank(self.n, a))
+            return images[a]
+        return lex_unrank(self.n, a)
+
+    def permutation_at(self, a: int) -> Permutation:
+        return Permutation(self.images_at(a))
 
     def index_of(self, perm: Permutation) -> int:
         if perm.degree != self.n:
@@ -285,13 +289,27 @@ def from_cayley_table(table: Sequence[Sequence[int]], *, max_order: int = DEFAUL
     return CayleyGroup(tbl, identity, tuple(inverses))
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer (not a bool, float or string), or a ValueError naming what it is."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_cayley_json(data: dict, **kwargs) -> CayleyGroup:
-    """Ingest {"order": m, "table": [[...]]} and validate it as a group."""
+    """Ingest {"order": m, "table": [[...]]} and validate it as a group.
+    Anything but a list of lists of integers is rejected before validation."""
     if not isinstance(data, dict) or "order" not in data or "table" not in data:
         raise ValueError('Cayley JSON must be an object with "order" and "table" keys')
+    order = json_int(data["order"], "Cayley order")
     table = data["table"]
-    if len(table) != int(data["order"]):
-        raise ValueError(f'declared order {data["order"]} does not match table size {len(table)}')
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError("Cayley table must be a list of rows, each a list of element indices")
+    if len(table) != order:
+        raise ValueError(f"declared order {order} does not match table size {len(table)}")
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            json_int(x, f"Cayley table entry [{i}][{j}]")
     return from_cayley_table(table, **kwargs)
 
 

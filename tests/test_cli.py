@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupoid_card.cli import main
 from groupoid_card.functors import make_fixed_point_functor
@@ -186,6 +193,106 @@ def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
 
     code, _, err = run_cli(["theorem-general"], capsys)
     assert code == 2
+
+
+def _base_functors():
+    cayley = {
+        "group": to_cayley_json(make_cyclic(2)),
+        "fibers": {"0": 1, "1": 1},
+        "transports": {str(h): {str(g): [0] for g in range(2)} for h in range(2)},
+        "name": "trivial-z2",
+    }
+    symmetric = copy.deepcopy(cayley)
+    symmetric["group"] = "S2"
+    return [cayley, symmetric]
+
+
+def _json_paths(node, path=()):
+    """Every path below node (node included), skipping the free-form name."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "name":
+                yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, path + (i,))
+
+
+def _get(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(node)
+    _get(out, path[:-1])[path[-1]] = value
+    return out
+
+
+# Replacements of the wrong kind for each kind of JSON value in a functor file:
+# none of them can leave a well-formed functor behind.
+_WRONG_KIND = {
+    int: [None, "1", 1.0, True, [0], {"0": 0}],
+    str: [None, 5, [], {}, "", "S", "S99", "S-1", "Z2", "S100000000000000000000"],
+    list: [None, 5, "0", {}, {"0": 0}],
+    dict: [None, 5, "x", [], [[0]]],
+}
+
+
+@st.composite
+def malformed_functor_json(draw):
+    base = draw(st.sampled_from(_base_functors()))
+    path = draw(st.sampled_from(list(_json_paths(base))))
+    value = draw(st.sampled_from(_WRONG_KIND[type(_get(base, path))]))
+    return _replaced(base, path, value)
+
+
+def _run_functor_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "functor.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["theorem-general", "--functor", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_base_functor_files_are_valid():
+    for data in _base_functors():
+        code, out, _ = _run_functor_file(data)
+        assert code == 0
+        assert json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("transports",), []),
+        (("group", "table"), 5),
+        (("transports", "1", "0"), 5),
+        (("group",), "S99"),
+    ],
+)
+def test_reported_malformed_functor_files_exit_2(path, value):
+    code, out, err = _run_functor_file(_replaced(_base_functors()[0], path, value))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@given(malformed_functor_json())
+def test_malformed_functor_json_exits_2(data):
+    code, out, err = _run_functor_file(data)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("error: ", "functor validation failed"))
+    assert "Traceback" not in err
 
 
 def test_enumeration_cap_env_override(capsys, monkeypatch):

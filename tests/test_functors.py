@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupoid_card.categorified import build_Q, c_groupoid_skeleton
 from groupoid_card.functors import (
+    DEFAULT_FUNCTOR_VALIDATION_SEED,
     EquivariantFunctor,
+    FunctorValidation,
     FunctorValidationError,
     category_of_elements,
     expected_size,
@@ -16,8 +20,15 @@ from groupoid_card.functors import (
     verify_general_theorem,
 )
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric, to_cayley_json
-from groupoid_card.groupoids import cardinality, skeletons_equivalent, weak_quotient
+from groupoid_card.groupoids import (
+    DEFAULT_CHECK_CAP,
+    DEFAULT_SAMPLE_BUDGET,
+    cardinality,
+    skeletons_equivalent,
+    weak_quotient,
+)
 from groupoid_card.permutations import CapExceededError
+from groupoid_card.rng import SplitMix64
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -226,3 +237,129 @@ def test_functor_json_allows_empty_fiber_omission():
 def test_fiber_sizes_must_cover_group():
     with pytest.raises(ValueError):
         EquivariantFunctor(make_cyclic(3), (1, 1), lambda h, g: (0,))
+
+
+def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
+                                 sample_budget=DEFAULT_SAMPLE_BUDGET, seed=DEFAULT_FUNCTOR_VALIDATION_SEED):
+    """Literal per-triple validator: fiber sizes, identities, then every
+    (h2, h1, g) in lexicographic order (or the seeded sample beyond check_cap)."""
+    group, sizes = functor.group, functor.fiber_sizes
+    order = group.order
+    checks = 0
+
+    def failed(mode, law, witness, message):
+        return FunctorValidation(False, mode, checks, failing_law=law, witness=witness, message=message)
+
+    for h in range(order):
+        for g in range(order):
+            checks += 1
+            target = group.conjugate(g, h)
+            if sizes[g] != sizes[target]:
+                return failed("exhaustive", "fiber_size", (h, g),
+                              f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
+    e = group.identity
+    for g in range(order):
+        checks += 1
+        try:
+            arr = functor.transport_cached(e, g)
+        except ValueError as exc:
+            return failed("exhaustive", "bijection", (e, g), str(exc))
+        if arr != tuple(range(sizes[g])):
+            return failed("exhaustive", "identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
+
+    def composition(h2, h1, g):
+        try:
+            first = functor.transport_cached(h1, g)
+            second = functor.transport_cached(h2, group.conjugate(g, h1))
+            combined = functor.transport_cached(group.mul(h2, h1), g)
+        except ValueError as exc:
+            return "bijection", (h2, h1, g), str(exc)
+        for x in range(sizes[g]):
+            if combined[x] != second[first[x]]:
+                return ("composition", (h2, h1, g),
+                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
+        return None
+
+    nonempty = [g for g in range(order) if sizes[g] > 0]
+    if not nonempty:
+        return FunctorValidation(True, "exhaustive", checks)
+    if checks + order * order * sum(sizes) <= check_cap:
+        mode = "exhaustive"
+        triples = [(h2, h1, g) for h2 in range(order) for h1 in range(order) for g in nonempty]
+    else:
+        mode = "sampled validation"
+        rng = SplitMix64(seed)
+        triples = [(rng.below(order), rng.below(order), nonempty[rng.below(len(nonempty))])
+                   for _ in range(sample_budget)]
+    for h2, h1, g in triples:
+        checks += sizes[g]
+        failure = composition(h2, h1, g)
+        if failure:
+            return failed(mode, *failure)
+    return FunctorValidation(True, mode, checks)
+
+
+def centralizer_transports(group):
+    """F(g) = the centralizer of g (sorted), transported by conjugation."""
+    order = group.order
+    cent = [[x for x in range(order) if group.mul(g, x) == group.mul(x, g)] for g in range(order)]
+    position = [{x: i for i, x in enumerate(c)} for c in cent]
+    return {
+        (h, g): tuple(position[group.conjugate(g, h)][group.conjugate(x, h)] for x in cent[g])
+        for h in range(order)
+        for g in range(order)
+    }
+
+
+def functor_tables(group):
+    """Fiber sizes and transport tables of a few genuine functors on the group."""
+    order = group.order
+    trivial = {(h, g): (0,) for h in range(order) for g in range(order)}
+    centralizer = centralizer_transports(group)
+    tables = [trivial, centralizer]
+    if group.name in ("S3", "S4"):
+        fixed = make_fixed_point_functor(int(group.name[1:]))
+        tables.append({(h, g): tuple(fixed.transport(h, g)) for h in range(order) for g in range(order)})
+    return [(tuple(len(table[(group.identity, g)]) for g in range(order)), table) for table in tables]
+
+
+@st.composite
+def corrupted_functors(draw):
+    group = draw(st.sampled_from([make_cyclic(k) for k in range(1, 6)] + [
+        make_symmetric(3),
+        make_symmetric(4),
+        make_product(make_cyclic(2), make_cyclic(2)),
+        make_product(make_cyclic(2), make_symmetric(3)),
+    ]))
+    sizes, table = draw(st.sampled_from(functor_tables(group)))
+    sizes, table = list(sizes), dict(table)
+    corruption = draw(st.sampled_from(["none", "swap", "entry", "fiber"]))
+    populated = sorted(key for key, arr in table.items() if arr)
+    if corruption == "swap":
+        key = draw(st.sampled_from(populated))
+        arr = list(table[key])
+        i, j = draw(st.integers(0, len(arr) - 1)), draw(st.integers(0, len(arr) - 1))
+        arr[i], arr[j] = arr[j], arr[i]
+        table[key] = tuple(arr)
+    elif corruption == "entry":
+        key = draw(st.sampled_from(populated))
+        arr = list(table[key])
+        i = draw(st.integers(0, len(arr) - 1))
+        arr[i] = draw(st.integers(-1, len(arr)).filter(lambda t: t != arr[i]))
+        table[key] = tuple(arr)
+    elif corruption == "fiber":
+        g = draw(st.integers(0, group.order - 1))
+        sizes[g] = draw(st.integers(0, sizes[g] + 1).filter(lambda k: k != sizes[g]))
+    check_cap = draw(st.sampled_from([DEFAULT_CHECK_CAP, 200]))
+    return group, tuple(sizes), table, check_cap
+
+
+@given(corrupted_functors())
+def test_functor_validation_matches_reference(case):
+    group, sizes, table, check_cap = case
+
+    def build():
+        return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
+
+    expected = reference_functor_validation(build(), check_cap=check_cap)
+    assert validate_functor(build(), check_cap=check_cap) == expected

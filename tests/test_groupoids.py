@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
 from groupoid_card.groupoids import (
+    DEFAULT_CHECK_CAP,
+    DEFAULT_SAMPLE_BUDGET,
+    DEFAULT_VALIDATION_SEED,
     EMPTY_SKELETON,
+    ActionValidation,
     ActionValidationError,
     GroupAction,
     GroupoidSkeleton,
@@ -26,6 +30,7 @@ from groupoid_card.groupoids import (
     skeletons_equivalent,
     weak_quotient,
 )
+from groupoid_card.rng import SplitMix64
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -154,6 +159,21 @@ def test_action_validation_sampled_mode():
     assert report.checks <= 10 + 200 + 4
 
 
+def test_orbit_decomposition_rejects_images_outside_the_carrier():
+    # Trivial S4 action on many points with one image sent to -1. A small
+    # check cap forces sampling, which misses the broken pair; the quotient
+    # must still refuse it instead of writing seen[-1].
+    def act(g, s):
+        return -1 if (g, s) == (5, 0) else s
+
+    action = GroupAction(make_symmetric(4), 2_000, act, name="one-bad-image")
+    report = action.validate(check_cap=1_000, sample_budget=200)
+    assert report.ok
+    assert report.mode == "sampled validation"
+    with pytest.raises(ActionValidationError, match=r"act\(5, 0\) = -1 is outside the carrier"):
+        orbit_decomposition(action)
+
+
 def test_weak_quotient_trivial_group():
     quotient = weak_quotient(trivial_action(4))
     assert quotient.aut_orders() == (1, 1, 1, 1)
@@ -263,3 +283,82 @@ def test_skeleton_json():
         ]
     }
     assert label_to_json((("a", 1), None)) == [["a", 1], None]
+
+
+def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP,
+                                sample_budget=DEFAULT_SAMPLE_BUDGET, seed=DEFAULT_VALIDATION_SEED):
+    """Literal per-triple validator: the identity law, then every (g, h, s)
+    in lexicographic order (or the seeded sample beyond check_cap)."""
+    order = group.order
+    checks = 0
+    for s in range(size):
+        checks += 1
+        t = act(group.identity, s)
+        if t != s:
+            return ActionValidation(False, "exhaustive", checks, f"identity law fails at s={s}: act(e, s) = {t}")
+    if checks + order * order * size > check_cap:
+        rng = SplitMix64(seed)
+        for _ in range(sample_budget):
+            g, h, s = rng.below(order), rng.below(order), rng.below(size)
+            checks += 1
+            t = act(h, s)
+            if not 0 <= t < size or act(g, t) != act(group.mul(g, h), s):
+                return ActionValidation(False, "sampled validation", checks,
+                                        f"compatibility fails at sampled (g={g}, h={h}, s={s})")
+        return ActionValidation(True, "sampled validation", checks)
+    for g in range(order):
+        for h in range(order):
+            gh = group.mul(g, h)
+            for s in range(size):
+                checks += 1
+                t = act(h, s)
+                if not 0 <= t < size:
+                    return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier")
+                if act(g, t) != act(gh, s):
+                    return ActionValidation(
+                        False, "exhaustive", checks,
+                        f"compatibility fails at (g={g}, h={h}, s={s}): "
+                        f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
+                    )
+    return ActionValidation(True, "exhaustive", checks)
+
+
+SMALL_GROUPS = [make_cyclic(k) for k in range(1, 6)] + [
+    make_symmetric(3),
+    make_symmetric(4),
+    make_product(make_cyclic(2), make_cyclic(2)),
+    make_product(make_cyclic(2), make_cyclic(3)),
+    make_product(make_cyclic(2), make_symmetric(3)),
+]
+
+
+def action_tables(group):
+    """Image tables of a few genuine actions of the group."""
+    order = group.order
+    conj = [[group.conjugate(s, g) for s in range(order)] for g in range(order)]
+    left = [[group.mul(g, s) for s in range(order)] for g in range(order)]
+    trivial = [list(range(3)) for _ in range(order)]
+    both = [conj[g] + [order + t for t in left[g]] for g in range(order)]
+    return [conj, left, trivial, both]
+
+
+@st.composite
+def corrupted_actions(draw):
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    table = [list(row) for row in draw(st.sampled_from(action_tables(group)))]
+    size = len(table[0])
+    if draw(st.booleans()):
+        g = draw(st.integers(0, group.order - 1))
+        s = draw(st.integers(0, size - 1))
+        table[g][s] = draw(st.integers(-1, size).filter(lambda t: t != table[g][s]))
+    check_cap = draw(st.sampled_from([DEFAULT_CHECK_CAP, 50]))
+    return group, table, check_cap
+
+
+@given(corrupted_actions())
+def test_action_validation_matches_reference(case):
+    group, table, check_cap = case
+    size = len(table[0])
+    act = lambda g, s: table[g][s]
+    expected = reference_action_validation(group, size, act, check_cap=check_cap)
+    assert GroupAction(group, size, act).validate(check_cap=check_cap) == expected
