@@ -24,6 +24,7 @@ from .cycle_stats import (
     METHOD_MONTE_CARLO,
     MomentReport,
     cll_rhs,
+    cycle_count_histogram,
     expected_product_brute,
     expected_product_by_type,
     expected_total_cycles,
@@ -100,6 +101,7 @@ from .permutations import (
     cycle_counts,
     cycle_decomposition,
     cycle_type,
+    cycle_type_table,
     enumerate_permutations,
     falling_power,
     iter_pvectors,

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .categorified import verify_categorified
 from .cycle_stats import (
@@ -79,12 +79,13 @@ def _sweep_pvectors(args) -> list[tuple[int, ...]]:
     return list(iter_pvectors(args.n, max_entry=args.max_entry, max_weight=max_weight))
 
 
-def _emit(payload: dict, rows: list[dict], fmt: str, text_lines: list[str]) -> None:
+def _emit(payload: dict, fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
+    """Print payload as JSON, or build and print only the CSV rows or the
+    text lines that fmt asks for."""
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
-        if not rows:
-            rows = [payload]
+        rows = rows() or [payload]
         fieldnames: list[str] = []
         for row in rows:
             for key in row:
@@ -97,7 +98,7 @@ def _emit(payload: dict, rows: list[dict], fmt: str, text_lines: list[str]) -> N
             writer.writerow(row)
         sys.stdout.write(buf.getvalue())
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -120,8 +121,8 @@ def cmd_verify_lemma(args) -> int:
     failures = [r for r in reports if not r.equal]
     if len(reports) == 1 and not args.all_p:
         payload = {"command": "verify-lemma", **reports[0].to_json_dict()}
-        rows = [_moment_row(reports[0])]
-        text = [
+        rows = lambda: [_moment_row(reports[0])]
+        text = lambda: [
             f"n={args.n} p={list(reports[0].p)} method={method}",
             f"expectation = {rational_str(reports[0].lhs)}",
             f"closed form = {rational_str(reports[0].rhs)}",
@@ -136,10 +137,23 @@ def cmd_verify_lemma(args) -> int:
             "all_equal": not failures,
             "failures": [list(r.p) for r in failures],
         }
-        rows = [_moment_row(r) for r in reports]
-        text = [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all equal" if not failures else f"{len(failures)} failures")]
-    _emit(payload, rows, args.format, text)
+        rows = lambda: [_moment_row(r) for r in reports]
+        text = lambda: [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all equal" if not failures else f"{len(failures)} failures")]
+    _emit(payload, args.format, rows, text)
     return 1 if failures else 0
+
+
+def _categorified_row(report) -> dict:
+    return {
+        "n": report.n,
+        "p": ",".join(str(x) for x in report.p),
+        "equivalent": report.equivalent,
+        "lhs_card": rational_str(report.lhs_card),
+        "rhs_card": rational_str(report.rhs_card),
+        "bridge_check": report.bridge_check,
+        "q_size": report.q_size,
+        "orbit_count": len(report.orbits),
+    }
 
 
 def cmd_verify_categorified(args) -> int:
@@ -155,17 +169,7 @@ def cmd_verify_categorified(args) -> int:
     if len(reports) == 1 and not args.all_p:
         report = reports[0]
         payload = {"command": "verify-categorified", **report.to_json_dict()}
-        rows = [{
-            "n": report.n,
-            "p": ",".join(str(x) for x in report.p),
-            "equivalent": report.equivalent,
-            "lhs_card": rational_str(report.lhs_card),
-            "rhs_card": rational_str(report.rhs_card),
-            "bridge_check": report.bridge_check,
-            "q_size": report.q_size,
-            "orbit_count": len(report.orbits),
-        }]
-        text = [
+        text = lambda: [
             f"n={report.n} p={list(report.p)}",
             f"quotient aut orders = {list(report.lhs_skeleton.aut_orders())}",
             f"product aut orders  = {list(report.rhs_skeleton.aut_orders())}",
@@ -180,18 +184,9 @@ def cmd_verify_categorified(args) -> int:
             "all_ok": not failures,
             "failures": [list(r.p) for r in failures],
         }
-        rows = [{
-            "n": r.n,
-            "p": ",".join(str(x) for x in r.p),
-            "equivalent": r.equivalent,
-            "lhs_card": rational_str(r.lhs_card),
-            "rhs_card": rational_str(r.rhs_card),
-            "bridge_check": r.bridge_check,
-            "q_size": r.q_size,
-            "orbit_count": len(r.orbits),
-        } for r in reports]
-        text = [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all ok" if not failures else f"{len(failures)} failures")]
-    _emit(payload, rows, args.format, text)
+        text = lambda: [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all ok" if not failures else f"{len(failures)} failures")]
+    rows = lambda: [_categorified_row(r) for r in reports]
+    _emit(payload, args.format, rows, text)
     return 1 if failures else 0
 
 
@@ -204,11 +199,11 @@ def cmd_skeleton(args) -> int:
         **skeleton.to_json_dict(),
         "cardinality": rational_str(card),
     }
-    rows = [{"n": args.n, "aut_order": c.aut_order, "label": json.dumps(list(c.label) if isinstance(c.label, tuple) else c.label)} for c in skeleton.components]
-    text = [f"degree {args.n}: {len(skeleton.components)} components, cardinality {rational_str(card)}"]
-    for c in skeleton.components:
-        text.append(f"  partition {list(c.label)}: aut order {c.aut_order}")
-    _emit(payload, rows, args.format, text)
+    rows = lambda: [{"n": args.n, "aut_order": c.aut_order, "label": json.dumps(list(c.label) if isinstance(c.label, tuple) else c.label)} for c in skeleton.components]
+    text = lambda: [f"degree {args.n}: {len(skeleton.components)} components, cardinality {rational_str(card)}"] + [
+        f"  partition {list(c.label)}: aut order {c.aut_order}" for c in skeleton.components
+    ]
+    _emit(payload, args.format, rows, text)
     return 0
 
 
@@ -237,12 +232,13 @@ def cmd_stats(args) -> int:
         "total_equal": total_ok,
         "all_equal": ok and total_ok,
     }
-    rows = [{"n": args.n, **entry} for entry in per_k]
-    text = [f"expected k-cycle counts at n={args.n}:"]
-    for entry in per_k:
-        text.append(f"  k={entry['k']}: {entry['expected']} (target {entry['target']})")
-    text.append(f"total expected cycles: {rational_str(total)} (harmonic {rational_str(harmonic)})")
-    _emit(payload, rows, args.format, text)
+    rows = lambda: [{"n": args.n, **entry} for entry in per_k]
+    text = lambda: (
+        [f"expected k-cycle counts at n={args.n}:"]
+        + [f"  k={entry['k']}: {entry['expected']} (target {entry['target']})" for entry in per_k]
+        + [f"total expected cycles: {rational_str(total)} (harmonic {rational_str(harmonic)})"]
+    )
+    _emit(payload, args.format, rows, text)
     return 0 if ok and total_ok else 1
 
 
@@ -277,14 +273,14 @@ def cmd_montecarlo(args) -> int:
         "z": z,
         "within_4se": within,
     }
-    rows = [{**_moment_row(report), "target": rational_str(target), "z": z, "within_4se": within}]
-    text = [
+    rows = lambda: [{**_moment_row(report), "target": rational_str(target), "z": z, "within_4se": within}]
+    text = lambda: [
         f"n={args.n} p={list(p)} samples={args.samples} seed={args.seed}",
         f"estimate = {report.estimate} +- {report.standard_error}",
         f"target   = {rational_str(target)}",
         f"z = {z} ({'within' if within else 'OUTSIDE'} 4 standard errors)",
     ]
-    _emit(payload, rows, args.format, text)
+    _emit(payload, args.format, rows, text)
     return 0 if within else 1
 
 
@@ -309,20 +305,20 @@ def cmd_theorem_general(args) -> int:
         raise UsageError("provide --functor FILE or --builtin {fixed-points,cycle-tuples}")
     report = verify_general_theorem(functor)
     payload = {"command": "theorem-general", **report.to_json_dict()}
-    rows = [{
+    rows = lambda: [{
         "functor": report.functor_name,
         "group": report.group_name,
         "expected_size": rational_str(report.expected),
         "elements_cardinality": rational_str(report.elements_cardinality),
         "equal": report.equal,
     }]
-    text = [
+    text = lambda: [
         f"functor {report.functor_name} on {report.group_name} (order {report.group_order})",
         f"average fiber size    = {rational_str(report.expected)}",
         f"groupoid cardinality  = {rational_str(report.elements_cardinality)}",
         f"equal: {report.equal}",
     ]
-    _emit(payload, rows, args.format, text)
+    _emit(payload, args.format, rows, text)
     return 0 if report.equal else 1
 
 

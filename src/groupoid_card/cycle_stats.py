@@ -10,7 +10,10 @@ shuffle, so every report is reproducible from (n, p, samples, seed).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,10 +23,9 @@ from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PARTITION_CAP,
     CapExceededError,
-    all_cycle_types,
-    cycle_counts,
-    enumerate_permutations,
+    cycle_type_table,
     falling_power,
+    image_cycle_counts,
     validate_pvector,
     weight,
 )
@@ -32,11 +34,6 @@ from .rng import SplitMix64
 METHOD_BRUTE = "brute"
 METHOD_CYCLE_TYPE = "cycle_type"
 METHOD_MONTE_CARLO = "monte_carlo"
-
-# Raw cycle-count vectors are cached per degree up to here; brute-force sums
-# stay literal sums over all n! entries either way.
-_VECTOR_CACHE_MAX_DEGREE = 8
-_VECTOR_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,13 @@ class MomentReport:
         return out
 
 
-def _cycle_count_vectors(n: int, cap: int):
-    if n > cap:
-        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
-    if n <= _VECTOR_CACHE_MAX_DEGREE:
-        vectors = _VECTOR_CACHE.get(n)
-        if vectors is None:
-            vectors = [cycle_counts(sigma) for sigma in enumerate_permutations(n, cap)]
-            _VECTOR_CACHE[n] = vectors
-        return vectors
-    return (cycle_counts(sigma) for sigma in enumerate_permutations(n, cap))
+@functools.cache
+def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle-count vector, number of permutations with it) for every vector
+    that occurs at degree n. Each of the n! image tuples is enumerated and
+    its cycles walked; no count comes from a cycle-type formula. Cached per
+    degree; callers check the enumeration cap first."""
+    return tuple(Counter(map(image_cycle_counts, itertools.permutations(range(n)))).items())
 
 
 def _product_of_falling(counts: Sequence[int], p: Sequence[int]) -> int:
@@ -98,11 +92,12 @@ def _product_of_falling(counts: Sequence[int], p: Sequence[int]) -> int:
 
 
 def expected_product_brute(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
-    """Exact expectation by summing over every permutation of degree n."""
+    """Exact expectation over every permutation of degree n, each one
+    enumerated and counted into the degree's cycle-count histogram."""
     pvec = validate_pvector(n, p)
-    total = 0
-    for counts in _cycle_count_vectors(n, cap):
-        total += _product_of_falling(counts, pvec)
+    if n > cap:
+        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
+    total = sum(count * _product_of_falling(counts, pvec) for counts, count in cycle_count_histogram(n))
     return Fraction(total, math.factorial(n))
 
 
@@ -113,12 +108,13 @@ def expected_product_by_type(n: int, p: Sequence[int], partition_cap: int = DEFA
     pvec = validate_pvector(n, p)
     if n > partition_cap:
         raise CapExceededError(f"degree {n} exceeds partition cap {partition_cap}")
-    total = Fraction(0)
-    for lam in all_cycle_types(n):
-        term = _product_of_falling(lam.multiplicities, pvec)
+    n_factorial = math.factorial(n)
+    total = 0
+    for mult, z, _ in cycle_type_table(n):
+        term = _product_of_falling(mult, pvec)
         if term:
-            total += Fraction(term, lam.centralizer_order())
-    return total
+            total += term * (n_factorial // z)
+    return Fraction(total, n_factorial)
 
 
 def cll_rhs(n: int, p: Sequence[int]) -> Fraction:

@@ -132,9 +132,10 @@ def validate_functor(
     for h in range(order):
         if failure:
             break
+        conj_row = group.conjugation_row(h)
         for g in range(order):
             checks += 1
-            target = group.conjugate(g, h)
+            target = conj_row[g]
             if sizes[g] != sizes[target]:
                 failure = (
                     "fiber_size",
@@ -189,9 +190,10 @@ def validate_functor(
             try:
                 rows = []
                 for h in range(order):
+                    conj_row = group.conjugation_row(h)
                     row: list[int] = []
                     for g in nonempty:
-                        base = offsets[group.conjugate(g, h)]
+                        base = offsets[conj_row[g]]
                         row.extend([base + t for t in functor.transport_cached(h, g)])
                     rows.append(row)
             except ValueError:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .groups import FiniteGroup
-from .permutations import all_cycle_types
+from .permutations import cycle_type_table
 from .rng import SplitMix64
 
 Rational = Fraction
@@ -348,8 +348,5 @@ def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:
     centralizer order. Empty for n < 0; cardinality 1 for n >= 0."""
     if n < 0:
         return EMPTY_SKELETON
-    comps = tuple(
-        SkeletonComponent(lam.centralizer_order(), label=lam.partition())
-        for lam in all_cycle_types(n)
-    )
+    comps = tuple(SkeletonComponent(z, label=partition) for _, z, partition in cycle_type_table(n))
     return GroupoidSkeleton(comps)

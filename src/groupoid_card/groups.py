@@ -68,6 +68,15 @@ class FiniteGroup:
             return table[h * self.order + g]
         return self.mul(self.mul(h, g), self.inv(h))
 
+    def conjugation_row(self, h: int) -> list[int]:
+        """[h g h^-1 for g in 0..order-1], sliced from the conjugation table
+        when the group has one."""
+        h = self.check_element(h)
+        table = self._conjugation_table()
+        if table is not None:
+            return table[h * self.order : (h + 1) * self.order]
+        return [self.conjugate(g, h) for g in range(self.order)]
+
     def _conjugation_table(self) -> list[int] | None:
         if not self._conj_table_built:
             self._conj_table_built = True

@@ -106,9 +106,30 @@ def cycle_count(sigma: Permutation, k: int) -> int:
 
 def cycle_counts(sigma: Permutation) -> tuple[int, ...]:
     """All cycle counts at once: entry k-1 is the number of k-cycles."""
-    counts = [0] * sigma.degree
-    for cyc in cycle_decomposition(sigma):
-        counts[len(cyc) - 1] += 1
+    return image_cycle_counts(sigma.images)
+
+
+def image_cycle_counts(images: Sequence[int]) -> tuple[int, ...]:
+    """cycle_counts of a tuple of images that is already known to be a
+    bijection of 0..n-1; it is not checked."""
+    n = len(images)
+    counts = [0] * n
+    seen = [False] * n
+    left = n
+    for start in range(n):
+        if seen[start]:
+            continue
+        # Starts only move forward, so start itself need not be marked.
+        length = 1
+        entry = images[start]
+        while entry != start:
+            seen[entry] = True
+            entry = images[entry]
+            length += 1
+        counts[length - 1] += 1
+        left -= length
+        if not left:
+            break
     return tuple(counts)
 
 
@@ -147,25 +168,62 @@ def cycle_type(sigma: Permutation) -> CycleType:
     return CycleType(cycle_counts(sigma))
 
 
+def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every cycle type of degree n as (multiplicities, centralizer order,
+    partition), with multiplicities of length n and the partition's parts
+    weakly decreasing. Partitions come in reverse lexicographic order, by
+    Knuth, TAOCP Vol. 4A, 7.2.1.4, Algorithm P. The centralizer order
+    prod_k k^{m_k} m_k! is taken over the distinct parts only. Nothing for
+    n < 0; one empty type for n = 0."""
+    if n < 0:
+        return
+    if n == 0:
+        yield (), 1, ()
+        return
+    factorials = [math.factorial(m) for m in range(n + 1)]
+
+    def entry(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        mult = [0] * n
+        for k in parts:
+            mult[k - 1] += 1
+        z = 1
+        for k in set(parts):
+            mk = mult[k - 1]
+            z *= k**mk * factorials[mk]
+        return tuple(mult), z, parts
+
+    # a[1..m] is the current partition; a[0] = 0 stops the scan for a 2, and
+    # q indexes the last part greater than 1.
+    a = [0] * (n + 1)
+    m, rest = 1, n
+    while True:
+        a[m] = rest
+        q = m - (rest == 1)
+        while True:
+            yield entry(tuple(a[1 : m + 1]))
+            if a[q] != 2:
+                break
+            a[q] = 1
+            q -= 1
+            m += 1
+            a[m] = 1
+        if q == 0:
+            return
+        x = a[q] - 1
+        a[q] = x
+        rest = m - q + 1
+        m = q + 1
+        while rest > x:
+            a[m] = x
+            m += 1
+            rest -= x
+
+
 def all_cycle_types(n: int) -> Iterator[CycleType]:
     """All cycle types of degree n, i.e. integer partitions of n, as
     length-n multiplicity vectors. Parts are generated largest-first."""
-    if n < 0:
-        return
-
-    def parts_gen(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in parts_gen(remaining - part, part):
-                yield (part,) + rest
-
-    for parts in parts_gen(n, n):
-        mult = [0] * n
-        for part in parts:
-            mult[part - 1] += 1
-        yield CycleType(tuple(mult))
+    for mult, _, _ in cycle_type_table(n):
+        yield CycleType(mult)
 
 
 def count_with_cycle_type(lam: CycleType) -> int:

@@ -1,14 +1,18 @@
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupoid_card import cycle_stats, permutations
 from groupoid_card.cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
     cll_rhs,
+    cycle_count_histogram,
     expected_product_brute,
     expected_product_by_type,
     expected_total_cycles,
@@ -18,7 +22,17 @@ from groupoid_card.cycle_stats import (
     uncorrelated_check,
     verify_cll,
 )
-from groupoid_card.permutations import CapExceededError, iter_pvectors, weight
+from groupoid_card.groupoids import cardinality, perm_groupoid_skeleton
+from groupoid_card.permutations import (
+    CapExceededError,
+    CycleType,
+    Permutation,
+    cycle_decomposition,
+    enumerate_permutations,
+    falling_power,
+    iter_pvectors,
+    weight,
+)
 from groupoid_card.rng import SplitMix64
 
 
@@ -205,3 +219,84 @@ def test_sampled_permutations_are_valid(n, seed):
     rng = SplitMix64(seed)
     images = sample_permutation(n, rng)
     assert sorted(images) == list(range(n))
+
+
+def pvectors_up_to_weight(n, max_weight):
+    """Every p-vector of length n with weight at most max_weight."""
+
+    def rest(k, budget):
+        if k > n:
+            yield ()
+            return
+        for pk in range(budget // k + 1):
+            for tail in rest(k + 1, budget - k * pk):
+                yield (pk,) + tail
+
+    return rest(1, max_weight)
+
+
+def reference_brute(n, p):
+    """Literal sum over every Permutation object, cycles from cycle_decomposition."""
+    total = 0
+    for sigma in enumerate_permutations(n):
+        lengths = [len(cycle) for cycle in cycle_decomposition(sigma)]
+        term = 1
+        for k, pk in enumerate(p, start=1):
+            term *= falling_power(lengths.count(k), pk)
+        total += term
+    return Fraction(total, math.factorial(n))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_brute_matches_literal_permutation_sum(n):
+    # Weight n + 1 is included so that the vanishing side is covered too.
+    for p in pvectors_up_to_weight(n, n + 1):
+        assert expected_product_brute(n, p) == reference_brute(n, p), p
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cycle_count_histogram_counts_every_permutation(n):
+    histogram = cycle_count_histogram(n)
+    assert sum(count for _, count in histogram) == math.factorial(n)
+    vectors = [counts for counts, _ in histogram]
+    assert len(set(vectors)) == len(vectors)
+    assert all(len(counts) == n and weight(counts) == n for counts in vectors)
+
+
+def forbid(monkeypatch, *originals):
+    """Make every package-level binding of the given functions raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("this route must not be used")
+
+    for name, module in list(sys.modules.items()):
+        if name == "groupoid_card" or name.startswith("groupoid_card."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    return refuse
+
+
+def test_brute_never_reads_cycle_types(monkeypatch):
+    refuse = forbid(monkeypatch, permutations.cycle_type_table, permutations.all_cycle_types,
+                    permutations.count_with_cycle_type)
+    monkeypatch.setattr(CycleType, "centralizer_order", refuse)
+    monkeypatch.setattr(CycleType, "partition", refuse)
+    cycle_count_histogram.cache_clear()
+    for n in range(7):
+        for p in iter_pvectors(n, max_entry=2, max_weight=n + 1):
+            assert expected_product_brute(n, p) == cll_rhs(n, p)
+    with pytest.raises(AssertionError):
+        expected_product_by_type(3, (1, 0, 0))
+
+
+def test_cycle_type_route_never_enumerates(monkeypatch):
+    refuse = forbid(monkeypatch, cycle_stats.cycle_count_histogram, permutations.enumerate_permutations,
+                    permutations.image_cycle_counts, permutations.cycle_counts)
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    for n in range(13):
+        for p in iter_pvectors(n, max_entry=2, max_weight=n + 1):
+            assert expected_product_by_type(n, p) == cll_rhs(n, p)
+        assert cardinality(perm_groupoid_skeleton(n)) == 1
+    with pytest.raises(AssertionError):
+        expected_product_brute(3, (1, 0, 0))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupoid_card import groups
 from groupoid_card.categorified import build_Q, c_groupoid_skeleton
 from groupoid_card.functors import (
     DEFAULT_FUNCTOR_VALIDATION_SEED,
@@ -363,3 +364,22 @@ def test_functor_validation_matches_reference(case):
 
     expected = reference_functor_validation(build(), check_cap=check_cap)
     assert validate_functor(build(), check_cap=check_cap) == expected
+
+
+@pytest.mark.parametrize("with_table", [True, False])
+def test_fiber_size_check_same_with_or_without_conjugation_table(monkeypatch, with_table):
+    if not with_table:
+        monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+    # Fresh instances: the make_* constructors hand out cached groups whose tables may exist.
+    for group in (groups.SymmetricGroup(3), groups.SymmetricGroup(4),
+                  groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))):
+        sizes, table = functor_tables(group)[1]
+        for g in range(group.order):
+            corrupted = list(sizes)
+            corrupted[g] += 1
+
+            def build():
+                return EquivariantFunctor(group, tuple(corrupted), lambda h, x: table[(h, x)])
+
+            assert validate_functor(build()) == reference_functor_validation(build())
+        assert (group._conjugation_table() is not None) == with_table

@@ -17,6 +17,7 @@ from groupoid_card.permutations import (
     cycle_counts,
     cycle_decomposition,
     cycle_type,
+    cycle_type_table,
     enumerate_permutations,
     falling_power,
     iter_pvectors,
@@ -281,3 +282,36 @@ def test_count_with_cycle_type_matches_enumeration(n):
 @pytest.mark.parametrize("n", range(11))
 def test_cycle_type_counts_sum_to_factorial(n):
     assert sum(count_with_cycle_type(lam) for lam in all_cycle_types(n)) == math.factorial(n)
+
+
+def recursive_cycle_types(n):
+    """The recursive largest-part-first partition generator the iterative
+    table replaced, with multiplicities and z = prod_k k^{m_k} m_k! computed
+    literally per partition."""
+
+    def parts_gen(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in parts_gen(remaining - part, part):
+                yield (part,) + rest
+
+    for parts in parts_gen(n, n):
+        mult = [0] * n
+        for part in parts:
+            mult[part - 1] += 1
+        z = 1
+        for k, mk in enumerate(mult, start=1):
+            z *= k**mk * math.factorial(mk)
+        yield tuple(mult), z, parts
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_cycle_type_table_matches_recursive_generator(n):
+    assert list(cycle_type_table(n)) == list(recursive_cycle_types(n))
+
+
+def test_cycle_type_table_negative_degree_is_empty():
+    assert list(cycle_type_table(-1)) == []
+    assert list(all_cycle_types(-3)) == []
