@@ -207,7 +207,7 @@ def validate_functor(
                     if failure:
                         break
             else:
-                witness = first_law_failure(rows, group.mul)
+                witness = first_law_failure(rows, group.multiplication_row)
                 if witness is None:
                     checks += composition_cost
                 else:

@@ -10,7 +10,9 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -79,8 +81,11 @@ EMPTY_SKELETON = GroupoidSkeleton(())
 
 
 def cardinality(skeleton: GroupoidSkeleton) -> Fraction:
-    """Sum of 1/aut_order over components; 0 for the empty groupoid."""
-    return sum((Fraction(1, c.aut_order) for c in skeleton.components), Fraction(0))
+    """Sum of 1/aut_order over components; 0 for the empty groupoid.
+    The sum is taken over the common denominator, normalised once."""
+    components = skeleton.components
+    denominator = functools.reduce(math.lcm, (c.aut_order for c in components), 1)
+    return Fraction(sum(denominator // c.aut_order for c in components), denominator)
 
 
 def delooping(group: FiniteGroup, label: Any = None) -> GroupoidSkeleton:
@@ -138,10 +143,13 @@ class ActionValidationError(ValueError):
     """An action failed its law checks and cannot be quotiented."""
 
 
-def first_law_failure(rows: Sequence[Sequence[int]], mul: Callable[[int, int], int]) -> Optional[tuple[int, int, int]]:
+def first_law_failure(
+    rows: Sequence[Sequence[int]], multiplication_row: Callable[[int], Sequence[int]]
+) -> Optional[tuple[int, int, int]]:
     """The lowest (g, h, s), in lexicographic order, at which the images
     rows[g][s] of g acting on s break compatibility: rows[h][s] falls outside
-    the carrier, or rows[g][rows[h][s]] != rows[mul(g, h)][s].
+    the carrier, or rows[g][rows[h][s]] != rows[g h][s], where g h is
+    multiplication_row(g)[h].
 
     Each (g, h) pair is checked as one compare of whole rows; only a pair
     that mismatches, or whose row h leaves the carrier, is scanned point by
@@ -153,9 +161,10 @@ def first_law_failure(rows: Sequence[Sequence[int]], mul: Callable[[int, int], i
     in_range = [0 <= min(row) and max(row) < size for row in rows]
     for g in range(order):
         row_g = rows[g]
+        products = multiplication_row(g)
         for h in range(order):
             row_h = rows[h]
-            row_gh = rows[mul(g, h)]
+            row_gh = rows[products[h]]
             if in_range[h] and [row_g[t] for t in row_h] == row_gh:
                 continue
             for s in range(size):
@@ -233,7 +242,7 @@ class GroupAction:
                 rows = [list(range(size)) if g == e else [act(g, s) for s in range(size)] for g in range(order)]
                 self._rows = rows
                 self._act_memo.clear()
-                witness = first_law_failure(rows, group.mul)
+                witness = first_law_failure(rows, group.multiplication_row)
                 if witness is None:
                     checks += compat_total
                 else:

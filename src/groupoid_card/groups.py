@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .permutations import CapExceededError, Permutation, lex_rank, lex_unrank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
-# Flat h*order+g conjugation tables are materialized lazily up to this size.
+# The flat h*order+g conjugation table and the flat g*order+x multiplication
+# table are each built lazily, from generator rows, when order^2 is at most
+# this. The cap keeps the order below 1096, so the tables are 16-bit arrays.
 _CONJ_TABLE_MAX_ENTRIES = 1_200_000
 # Symmetric groups cache their element tuples up to this order.
 _SYM_ELEMENT_CACHE_MAX_ORDER = 100_000
@@ -37,8 +40,11 @@ class FiniteGroup:
     order = 1
 
     def __init__(self) -> None:
-        self._conj_table: list[int] | None = None
+        self._conj_table: Sequence[int] | None = None
         self._conj_table_built = False
+        self._mul_table: Sequence[int] | None = None
+        self._mul_table_built = False
+        self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
 
     @property
     def identity(self) -> int:
@@ -68,26 +74,102 @@ class FiniteGroup:
             return table[h * self.order + g]
         return self.mul(self.mul(h, g), self.inv(h))
 
-    def conjugation_row(self, h: int) -> list[int]:
-        """[h g h^-1 for g in 0..order-1], sliced from the conjugation table
-        when the group has one."""
+    def conjugation_row(self, h: int) -> Sequence[int]:
+        """h g h^-1 for g in 0..order-1: a slice of the conjugation table when
+        the group has one, else a list."""
         h = self.check_element(h)
         table = self._conjugation_table()
         if table is not None:
             return table[h * self.order : (h + 1) * self.order]
         return [self.conjugate(g, h) for g in range(self.order)]
 
-    def _conjugation_table(self) -> list[int] | None:
+    def multiplication_row(self, g: int) -> Sequence[int]:
+        """g x for x in 0..order-1: a slice of the multiplication table when
+        the group has one, else a list."""
+        g = self.check_element(g)
+        table = self._multiplication_table()
+        if table is not None:
+            return table[g * self.order : (g + 1) * self.order]
+        return [self.mul(g, x) for x in range(self.order)]
+
+    def spanning_tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Greedy generators and a spanning tree of the group over them.
+
+        Elements are taken in index order; each one not yet reached becomes
+        a generator, and the set reached from the identity is closed again
+        under left multiplication by the generators. Each generator at least
+        doubles the reached subgroup, so there are at most log2(order) of
+        them, and each element is multiplied once by each generator.
+        Returns the generators and the edges (child, generator, parent),
+        child = generator * parent, in the order reached; the identity is
+        the root and has no edge."""
+        if self._tree is None:
+            mul = self.mul
+            reached = [self.identity]
+            seen = bytearray(self.order)
+            seen[self.identity] = 1
+            generators: list[int] = []
+            edges: list[tuple[int, int, int]] = []
+            for a in range(self.order):
+                if seen[a]:
+                    continue
+                generators.append(a)
+                # Elements reached before a are closed under the earlier
+                # generators already; later ones need every generator.
+                known = len(reached)
+                i = 0
+                while i < len(reached):
+                    parent = reached[i]
+                    for s in generators[-1:] if i < known else generators:
+                        child = mul(s, parent)
+                        if not seen[child]:
+                            seen[child] = 1
+                            reached.append(child)
+                            edges.append((child, s, parent))
+                    i += 1
+            self._tree = (generators, edges)
+        return self._tree
+
+    def _table_from_generator_rows(self, generator_row: Callable[[int], list[int]]) -> Sequence[int] | None:
+        """The flat 16-bit table of a homomorphism G -> Sym(G), given the row
+        of each generator, or None above the table cap. The row of s * x is the row
+        of s after the row of x, so every other row is composed along the
+        spanning tree."""
+        order = self.order
+        if order * order > _CONJ_TABLE_MAX_ENTRIES:
+            return None
+        # Imported here, so that a run which builds no table does not load it.
+        from array import array
+
+        generators, edges = self.spanning_tree()
+        rows = {s: generator_row(s) for s in generators}
+        table = array("H", [0]) * (order * order)
+        e = self.identity
+        table[e * order : (e + 1) * order] = array("H", range(order))
+        # Edges exist only for order >= 2, so itemgetter returns a tuple.
+        for child, s, parent in edges:
+            start = parent * order
+            table[child * order : (child + 1) * order] = array("H", itemgetter(*table[start : start + order])(rows[s]))
+        return table
+
+    def _conjugation_table(self) -> Sequence[int] | None:
         if not self._conj_table_built:
             self._conj_table_built = True
-            if self.order * self.order <= _CONJ_TABLE_MAX_ENTRIES:
-                mul, inv, order = self.mul, self.inv, self.order
-                table = []
-                for h in range(order):
-                    hinv = inv(h)
-                    table.extend(mul(mul(h, g), hinv) for g in range(order))
-                self._conj_table = table
+            mul, inv, order = self.mul, self.inv, self.order
+
+            def generator_row(s: int) -> list[int]:
+                sinv = inv(s)
+                return [mul(mul(s, g), sinv) for g in range(order)]
+
+            self._conj_table = self._table_from_generator_rows(generator_row)
         return self._conj_table
+
+    def _multiplication_table(self) -> Sequence[int] | None:
+        if not self._mul_table_built:
+            self._mul_table_built = True
+            mul, order = self.mul, self.order
+            self._mul_table = self._table_from_generator_rows(lambda s: [mul(s, x) for x in range(order)])
+        return self._mul_table
 
     def element_repr(self, a: int) -> str:
         return str(self.check_element(a))
@@ -163,10 +245,12 @@ class SymmetricGroup(FiniteGroup):
         images, rank_of = self._tables()
         if images is not None:
             fa, fb = images[a], images[b]
-            return rank_of[tuple(fa[i] for i in fb)]
-        fa = lex_unrank(self.n, a)
-        fb = lex_unrank(self.n, b)
-        return lex_rank(tuple(fa[i] for i in fb))
+        else:
+            fa, fb = lex_unrank(self.n, a), lex_unrank(self.n, b)
+        # itemgetter of one index returns a bare item, not a tuple; below
+        # degree 2 the only permutation is the identity, so fa is the product.
+        product = itemgetter(*fb)(fa) if self.n > 1 else fa
+        return rank_of[product] if rank_of is not None else lex_rank(product)
 
     def inv(self, a: int) -> int:
         images, rank_of = self._tables()

@@ -383,3 +383,44 @@ def test_fiber_size_check_same_with_or_without_conjugation_table(monkeypatch, wi
 
             assert validate_functor(build()) == reference_functor_validation(build())
         assert (group._conjugation_table() is not None) == with_table
+
+
+def test_functor_validation_same_with_or_without_group_tables(monkeypatch):
+    """The composition rows and the kernel's g*h come from the group tables
+    when they exist and from mul otherwise; the reports must not differ."""
+
+    def reports():
+        group = groups.SymmetricGroup(4)  # fresh, so its tables follow the cap in force
+        out = []
+        for sizes, table in functor_tables(group):
+            populated = sorted(key for key, arr in table.items() if len(arr) > 1)
+            corruptions = [None] + [(key, kind) for key in populated[:: max(1, len(populated) // 4)]
+                                    for kind in ("swap", "entry")]
+            for corruption in corruptions:
+                corrupted = dict(table)
+                if corruption:
+                    key, kind = corruption
+                    arr = list(corrupted[key])
+                    if kind == "swap":
+                        arr[0], arr[-1] = arr[-1], arr[0]
+                    else:
+                        arr[0] = len(arr)
+                    corrupted[key] = tuple(arr)
+
+                def build(corrupted=corrupted):
+                    return EquivariantFunctor(group, sizes, lambda h, g: corrupted[(h, g)])
+
+                report = validate_functor(build())
+                assert report == reference_functor_validation(build())
+                assert report.mode == "exhaustive"
+                out.append(report)
+        return group, out
+
+    with_tables, expected = reports()
+    assert with_tables._multiplication_table() is not None
+    monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+    without_tables, got = reports()
+    assert without_tables._multiplication_table() is None
+    assert without_tables._conjugation_table() is None
+    assert got == expected
+    assert sum(report.failing_law == "composition" for report in got) >= 4

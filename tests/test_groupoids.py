@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupoid_card import groups
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
@@ -362,3 +363,35 @@ def test_action_validation_matches_reference(case):
     act = lambda g, s: table[g][s]
     expected = reference_action_validation(group, size, act, check_cap=check_cap)
     assert GroupAction(group, size, act).validate(check_cap=check_cap) == expected
+
+
+def test_action_validation_same_with_or_without_group_tables(monkeypatch):
+    """The exhaustive kernel reads g*h from the multiplication table when the
+    group has one and from mul otherwise; the reports must not differ."""
+
+    def reports():
+        group = groups.SymmetricGroup(4)  # fresh, so its tables follow the cap in force
+        out = []
+        for table in action_tables(group):
+            size = len(table[0])
+            corruptions = [None] + [(g, s, t) for g, s in ((0, 0), (5, size - 1), (23, size // 2))
+                                    for t in (-1, size, (table[g][s] + 1) % size)]
+            for corruption in corruptions:
+                rows = [list(row) for row in table]
+                if corruption:
+                    g, s, t = corruption
+                    rows[g][s] = t
+                act = lambda g, s, rows=rows: rows[g][s]
+                report = GroupAction(group, size, act).validate()
+                assert report == reference_action_validation(group, size, act)
+                assert report.mode == "exhaustive"
+                out.append(report)
+        return group, out
+
+    with_tables, expected = reports()
+    assert with_tables._multiplication_table() is not None
+    monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+    without_tables, got = reports()
+    assert without_tables._multiplication_table() is None
+    assert got == expected
+    assert sum(not r.ok for r in got) >= 30

@@ -2,8 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupoid_card import groups
 from groupoid_card.groups import (
+    CayleyGroup,
+    CyclicGroup,
     GroupValidationError,
+    ProductGroup,
+    SymmetricGroup,
     conjugate,
     from_cayley_json,
     from_cayley_table,
@@ -217,3 +222,119 @@ def test_cyclic_group_laws(k):
     for a in range(0, k, max(1, k // 6)):
         assert g.mul(a, g.inv(a)) == 0
         assert g.mul(0, a) == a
+
+
+# Fresh instances: make_* hand out cached groups whose tables may already exist.
+def table_test_groups():
+    symmetric = [SymmetricGroup(n) for n in range(7)]
+    return symmetric + [
+        CyclicGroup(1),
+        CyclicGroup(7),
+        ProductGroup(CyclicGroup(2), SymmetricGroup(4)),
+        ProductGroup(SymmetricGroup(3), SymmetricGroup(3)),
+    ]
+
+
+def cayley_copy(group, seed=None):
+    """The group's Cayley table as a new group; with a seed, its elements are
+    relabelled by a seeded shuffle that moves the identity off index 0."""
+    import random
+
+    order = group.order
+    relabel = list(range(order))
+    if seed is not None:
+        rnd = random.Random(seed)
+        while relabel[group.identity] == 0 and order > 1:
+            rnd.shuffle(relabel)
+    table = [[0] * order for _ in range(order)]
+    for a in range(order):
+        for b in range(order):
+            table[relabel[a]][relabel[b]] = relabel[group.mul(a, b)]
+    if order <= 48:
+        copy = from_cayley_table(table)
+    else:
+        # Above order 48 the O(m^3) associativity scan is too slow for a unit
+        # test; the table is a group by construction.
+        inverses = [0] * order
+        for a in range(order):
+            inverses[relabel[a]] = relabel[group.inv(a)]
+        copy = CayleyGroup(tuple(map(tuple, table)), relabel[group.identity], tuple(inverses))
+    assert copy.identity == relabel[group.identity]
+    assert seed is None or order == 1 or copy.identity != 0
+    return copy
+
+
+def table_cases():
+    cases = []
+    for group in table_test_groups():
+        cases.append(pytest.param(lambda group=group: group, id=group.name))
+        cases.append(pytest.param(lambda group=group: cayley_copy(group), id=f"cayley({group.name})"))
+        for seed in (1, 2):
+            cases.append(pytest.param(lambda group=group, seed=seed: cayley_copy(group, seed),
+                                      id=f"relabelled({group.name}#{seed})"))
+    return cases
+
+
+@pytest.mark.parametrize("make", table_cases())
+def test_tables_from_generator_rows_match_literal_products(make):
+    group = make()
+    order = group.order
+    literal_conj = [group.mul(group.mul(h, g), group.inv(h)) for h in range(order) for g in range(order)]
+    literal_mul = group.multiplication_table()
+    assert list(group._conjugation_table()) == literal_conj
+    for h in range(order):
+        assert list(group.conjugation_row(h)) == literal_conj[h * order : (h + 1) * order]
+    for g in range(order):
+        assert list(group.multiplication_row(g)) == literal_mul[g]
+    for g in range(order):
+        for h in range(order):
+            assert group.conjugate(g, h) == literal_conj[h * order + g]
+
+
+@pytest.mark.parametrize("make", table_cases())
+def test_spanning_tree_reaches_every_element_once(make):
+    group = make()
+    order = group.order
+    calls = [0]
+    mul = group.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    group.mul = counted
+    generators, edges = group.spanning_tree()
+    k = len(generators)
+    assert k <= order.bit_length() - 1  # floor(log2 |G|)
+    assert calls[0] <= order * k
+    children = [child for child, _, _ in edges]
+    assert sorted([group.identity] + children) == list(range(order))
+    position = {group.identity: 0, **{child: i + 1 for i, child in enumerate(children)}}
+    for child, s, parent in edges:
+        assert s in generators
+        assert mul(s, parent) == child
+        assert position[parent] < position[child]
+    assert [parent for child, _, parent in edges if child in generators] == [group.identity] * k
+
+    # The tables add only the generator rows: s g s^-1 costs two products
+    # per entry, s x one.
+    calls[0] = 0
+    group._conjugation_table()
+    assert calls[0] <= 2 * order * k
+    calls[0] = 0
+    group._multiplication_table()
+    assert calls[0] <= order * k
+
+
+def test_tables_fall_back_to_mul_above_the_cap(monkeypatch):
+    monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 23)
+    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))
+    assert group._conjugation_table() is None
+    assert group._multiplication_table() is None
+    order = group.order
+    assert [group.multiplication_row(g) for g in range(order)] == group.multiplication_table()
+    assert group.conjugation_row(5) == [group.mul(group.mul(5, g), group.inv(5)) for g in range(order)]
+    small = SymmetricGroup(3)  # 36 entries, still over the patched cap
+    assert small._conjugation_table() is None
+    with pytest.raises(ValueError):
+        group.multiplication_row(order)
