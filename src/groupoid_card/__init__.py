@@ -54,7 +54,6 @@ from .groups import (
     GroupValidationError,
     ProductGroup,
     SymmetricGroup,
-    conjugate,
     from_cayley_json,
     from_cayley_table,
     make_cyclic,

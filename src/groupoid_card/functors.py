@@ -74,7 +74,7 @@ class EquivariantFunctor:
         arr = self._transport_memo.get(key)
         if arr is None:
             arr = tuple(self.transport(h, g))
-            target = self.group.conjugate(g, h)
+            target = self.group.conjugator()(g, h)
             if len(arr) != self.fiber_sizes[g] or sorted(arr) != list(range(self.fiber_sizes[target])):
                 raise ValueError(
                     f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
@@ -163,11 +163,12 @@ def validate_functor(
     nonempty = [g for g in range(order) if sizes[g] > 0]
     if failure is None and nonempty:
         composition_cost = order * order * total
+        conjugate = group.conjugator()
 
         def composition_ok(h2: int, h1: int, g: int) -> Optional[tuple[str, tuple, str]]:
             try:
                 first = functor.transport_cached(h1, g)
-                mid = group.conjugate(g, h1)
+                mid = conjugate(g, h1)
                 second = functor.transport_cached(h2, mid)
                 combined = functor.transport_cached(group.mul(h2, h1), g)
             except ValueError as exc:
@@ -267,11 +268,12 @@ def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
         total += size
         obj_g.extend([g] * size)
         obj_x.extend(range(size))
+    conjugate = group.conjugator()
+    transport = functor.transport_cached
 
     def act(h: int, s: int) -> int:
-        g, x = obj_g[s], obj_x[s]
-        target = group.conjugate(g, h)
-        return offsets[target] + functor.transport_cached(h, g)[x]
+        g = obj_g[s]
+        return offsets[conjugate(g, h)] + transport(h, g)[obj_x[s]]
 
     return GroupAction(group=group, carrier_size=total, act=act, name=f"elements({functor.name})")
 
@@ -353,10 +355,11 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     for g in group.elements():
         images = group.images_at(g)
         fixed.append(tuple(i for i in range(n) if images[i] == i))
+    conjugate = group.conjugator()
 
     def transport(h: int, g: int) -> tuple[int, ...]:
         himg = group.images_at(h)
-        target = fixed[group.conjugate(g, h)]
+        target = fixed[conjugate(g, h)]
         position = {v: i for i, v in enumerate(target)}
         return tuple(position[himg[v]] for v in fixed[g])
 
@@ -386,9 +389,11 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
             index[g] = table
         return table
 
+    conjugate = group.conjugator()
+
     def transport(h: int, g: int) -> tuple[int, ...]:
         timg = group.images_at(h)
-        target = index_of(group.conjugate(g, h))
+        target = index_of(conjugate(g, h))
         return tuple(target[relabel_choice(timg, choice)] for choice in choices[g])
 
     return EquivariantFunctor(

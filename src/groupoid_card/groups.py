@@ -8,6 +8,7 @@ operations are pure.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -45,6 +46,7 @@ class FiniteGroup:
         self._mul_table: Sequence[int] | None = None
         self._mul_table_built = False
         self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
+        self._conjugator: Callable[[int, int], int] | None = None
 
     @property
     def identity(self) -> int:
@@ -67,12 +69,21 @@ class FiniteGroup:
 
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1, the result of conjugating g by h."""
-        g = self.check_element(g)
-        h = self.check_element(h)
-        table = self._conjugation_table()
-        if table is not None:
-            return table[h * self.order + g]
-        return self.mul(self.mul(h, g), self.inv(h))
+        return self.conjugator()(self.check_element(g), self.check_element(h))
+
+    def conjugator(self) -> Callable[[int, int], int]:
+        """conjugate without the index checks, for callers that conjugate
+        valid indices many times: one read of the conjugation table when the
+        group has one, else two products."""
+        if self._conjugator is None:
+            table = self._conjugation_table()
+            if table is not None:
+                order = self.order
+                self._conjugator = lambda g, h: table[h * order + g]
+            else:
+                mul, inv = self.mul, self.inv
+                self._conjugator = lambda g, h: mul(mul(h, g), inv(h))
+        return self._conjugator
 
     def conjugation_row(self, h: int) -> Sequence[int]:
         """h g h^-1 for g in 0..order-1: a slice of the conjugation table when
@@ -81,7 +92,8 @@ class FiniteGroup:
         table = self._conjugation_table()
         if table is not None:
             return table[h * self.order : (h + 1) * self.order]
-        return [self.conjugate(g, h) for g in range(self.order)]
+        conjugate = self.conjugator()
+        return [conjugate(g, h) for g in range(self.order)]
 
     def multiplication_row(self, g: int) -> Sequence[int]:
         """g x for x in 0..order-1: a slice of the multiplication table when
@@ -138,9 +150,6 @@ class FiniteGroup:
         order = self.order
         if order * order > _CONJ_TABLE_MAX_ENTRIES:
             return None
-        # Imported here, so that a run which builds no table does not load it.
-        from array import array
-
         generators, edges = self.spanning_tree()
         rows = {s: generator_row(s) for s in generators}
         table = array("H", [0]) * (order * order)
@@ -410,7 +419,3 @@ def to_cayley_json(group: FiniteGroup) -> dict:
     """Export any group's multiplication table in the ingestible JSON shape."""
     return {"order": group.order, "table": group.multiplication_table()}
 
-
-def conjugate(group: FiniteGroup, g: int, h: int) -> int:
-    """h g h^-1 inside the given group."""
-    return group.conjugate(g, h)

@@ -1,10 +1,72 @@
-"""Deterministic pseudo-random generation for reproducible sampling runs."""
+"""Deterministic pseudo-random generation for reproducible sampling runs.
+
+SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based: after m draws
+the state is seed + m·γ mod 2^64, and each draw is a fixed mixing function of
+its state alone. `SplitMix64.shuffle` uses this to compute the draws of a
+Fisher-Yates pass together, in blocks of up to `_LANES_MAX`. A block's
+counters go into 128-bit slots of one Python int. The mixer's three xor-shifts
+and two 64-bit multiplies then run on all slots at once, with an AND by a
+repeated 64-bit mask around each multiply: a 64 x 64-bit product fills at most
+its own slot, so no slot spills into the next. The draws are unpacked with
+`int.to_bytes` and `array`.
+
+The unbiased draw below a bound rejects a draw only when it is at least
+2^64 - (2^64 mod bound), which is above 2^64 - b for every bound up to b. So a
+block that holds a draw at or above 2^64 - b, b the largest bound it serves
+(n for the first block of a pass over n items), is not used: the pass goes on
+from the state before that block by calling `below(i + 1)` once per step,
+which consumes exactly the draws it needs, rejections included. Either way the
+images and the final state are those of calling `below(i + 1)` for i = n-1
+down to 1, on every platform and Python version.
+"""
 
 from __future__ import annotations
+
+import sys
+from array import array
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO64 = 1 << 64
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Bytes per lane: a 64-bit draw plus room for its 64 x 64-bit products.
+_SLOT_BYTES = 16
+# Longer passes run block after block of this many draws, so that transient
+# memory does not grow with the number of items.
+_LANES_MAX = 1024
+
+
+@lru_cache(maxsize=8)
+def _lane_constants(lanes: int) -> tuple[int, int, int, int]:
+    """For a block of lanes draws: 1, 2^64 - 1 and 2^64 in every slot, and the
+    counter offset (m+1)·γ mod 2^64 in slot m."""
+    ones = int.from_bytes((b"\x01" + bytes(_SLOT_BYTES - 1)) * lanes, "little")
+    pad = bytes(_SLOT_BYTES - 8)
+    offsets = b"".join(((m * _GAMMA) & _MASK64).to_bytes(8, "little") + pad for m in range(1, lanes + 1))
+    return ones, ones * _MASK64, ones << 64, int.from_bytes(offsets, "little")
+
+
+def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
+    """The lanes draws that follow state, or None when one of them is at least
+    2^64 - bound, so that an unbiased draw below some bound up to this one
+    might reject it."""
+    ones, mask, carries, offsets = _lane_constants(lanes)
+    z = (state * ones + offsets) & mask
+    z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
+    z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
+    # The last shift leaves the next slot's low 31 bits in bits 97 to 127 of
+    # each slot and bits 64 to 96 clear. So a slot carries into its bit 64
+    # exactly when its draw is at least 2^64 - bound, and the unpacking below
+    # reads the low 64 bits only.
+    z ^= z >> 31
+    if (z + bound * ones) & carries:
+        return None
+    words = array("Q", z.to_bytes(_SLOT_BYTES * lanes, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[:: _SLOT_BYTES // 8]
 
 
 class SplitMix64:
@@ -20,8 +82,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -35,7 +97,22 @@ class SplitMix64:
                 return u % bound
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates in place, decreasing index, one unbiased draw per step."""
-        for i in range(len(items) - 1, 0, -1):
+        """Fisher-Yates in place, decreasing index, one unbiased draw per step:
+        the same images and final state as swapping items[i] with
+        items[below(i + 1)] for i = len(items)-1 down to 1."""
+        state = self._state
+        top = len(items) - 1
+        while top > 0:
+            lanes = min(top, _LANES_MAX)
+            draws = _lane_draws(state, lanes, top + 1)
+            if draws is None:
+                break
+            for i, j in zip(range(top, top - lanes, -1), draws):
+                j %= i + 1
+                items[i], items[j] = items[j], items[i]
+            state = (state + lanes * _GAMMA) & _MASK64
+            top -= lanes
+        self._state = state
+        for i in range(top, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupoid_card import cycle_stats, permutations
+from groupoid_card import rng as rng_module
 from groupoid_card.cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
@@ -212,6 +213,112 @@ def test_shuffle_uniformity():
     sigma = math.sqrt(draws * (1 / 24) * (23 / 24))
     for images, count in counts.items():
         assert abs(count - expected) <= 5 * sigma, (images, count)
+
+
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_shuffle(rng, items):
+    """Literal decreasing-index Fisher-Yates, one `below` draw per step."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def assert_shuffle_matches_reference(n, seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    rng.shuffle(items)
+    reference_shuffle(ref, expected)
+    assert items == expected, (n, seed)
+    assert rng._state == ref._state, (n, seed)
+
+
+# Seeds just below 2^64, and seeds that put some lane's counter
+# state + (m+1)·γ within 3 of a multiple of 2^64, so that lane wraps.
+EDGE_SEEDS = [2**64 - d for d in range(1, 4)] + [(d - (m + 1) * GAMMA) & MASK64 for m in (0, 1, 5, 98, 129) for d in (-3, 0, 3)]
+
+
+@pytest.mark.parametrize("n", range(131))
+def test_shuffle_matches_reference_at_edge_seeds(n):
+    for seed in EDGE_SEEDS:
+        assert_shuffle_matches_reference(n, seed)
+
+
+@given(st.integers(0, 130), st.one_of(st.integers(0, MASK64), st.integers(1, 130 * GAMMA).map(lambda d: -d & MASK64)))
+def test_shuffle_matches_reference(n, seed):
+    assert_shuffle_matches_reference(n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 0xC0FFEE])
+def test_shuffle_matches_reference_across_blocks(seed):
+    # Longer passes run in several blocks, the last one short.
+    assert_shuffle_matches_reference(2 * rng_module._LANES_MAX + 7, seed)
+
+
+@pytest.mark.parametrize("lanes", [1, 6, 99, rng_module._LANES_MAX])
+def test_lane_draws_are_the_stream(lanes):
+    # The lane-packed block is the next `lanes` outputs of next_u64, and is
+    # withheld exactly when one of them is at least 2^64 - bound.
+    for seed in EDGE_SEEDS:
+        ref = SplitMix64(seed)
+        expected = [ref.next_u64() for _ in range(lanes)]
+        draws = rng_module._lane_draws(seed, lanes, 1)
+        assert draws is not None and list(draws) == expected, seed
+        bound = 2**64 - max(expected)
+        assert rng_module._lane_draws(seed, lanes, bound) is None
+        assert list(rng_module._lane_draws(seed, lanes, bound - 1)) == expected
+
+
+def unxorshift(y, shift):
+    """The x with x ^ (x >> shift) = y, recovered from the top bits down."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix(z):
+    """The counter whose SplitMix64 output is z: the finalizer run backwards."""
+    z = unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & MASK64
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK64
+    return unxorshift(z, 30)
+
+
+def test_unmix_inverts_the_finalizer():
+    for z in (0, 1, MASK64, 0x0123456789ABCDEF):
+        assert SplitMix64((unmix(z) - GAMMA) & MASK64).next_u64() == z
+
+
+# (n, m): draw m of a pass over n items, whose bound is n - m, is made 2^64 - 1
+# and, where that bound rejects anything, the smallest draw it rejects. The pass
+# then takes exactly one extra draw. The cases cover short passes, the first, a
+# middle and the last lane of a block, bounds that are powers of two (nothing
+# rejected, the block still set aside), bound 86 (whose smallest rejected draw, 2^64 - 84, is the lowest of
+# any bound up to 100) and a lane of a second block.
+REJECTION_CASES = [(4, 0), (4, 1), (7, 0), (7, 3), (100, 0), (100, 36),
+                   (100, 14), (100, 50), (100, 97), (100, 98), (rng_module._LANES_MAX + 21, rng_module._LANES_MAX - 1),
+                   (rng_module._LANES_MAX + 21, rng_module._LANES_MAX + 6)]
+
+
+@pytest.mark.parametrize("n, m", REJECTION_CASES)
+def test_shuffle_matches_reference_on_a_rejected_draw(n, m):
+    bound = n - m
+    smallest_rejected = 2**64 - 2**64 % bound
+    for draw in {MASK64, min(smallest_rejected, MASK64)}:
+        seed = (unmix(draw) - (m + 1) * GAMMA) & MASK64
+        probe = SplitMix64(seed)
+        for _ in range(m):
+            probe.next_u64()
+        assert probe.next_u64() == draw
+        assert_shuffle_matches_reference(n, seed)
+        extra = 1 if draw >= smallest_rejected else 0
+        rng = SplitMix64(seed)
+        rng.shuffle(list(range(n)))
+        assert rng._state == (seed + (n - 1 + extra) * GAMMA) & MASK64
 
 
 @given(st.integers(0, 30), st.integers(0, 2**63 - 1))

@@ -133,6 +133,13 @@ def test_action_validation_passes_and_caches():
     assert action.validate() is report
 
 
+def test_conjugation_action_checks_its_arguments():
+    act = conjugation_action(make_symmetric(3)).act
+    for h, s in ((0, 6), (6, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            act(h, s)
+
+
 def test_action_validation_identity_failure():
     bad = GroupAction(make_cyclic(2), 3, lambda g, s: (s + 1) % 3 if g == 0 else s)
     report = bad.validate()

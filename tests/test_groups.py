@@ -9,7 +9,6 @@ from groupoid_card.groups import (
     GroupValidationError,
     ProductGroup,
     SymmetricGroup,
-    conjugate,
     from_cayley_json,
     from_cayley_table,
     make_cyclic,
@@ -180,21 +179,37 @@ def test_conjugate_examples():
     g = s3.index_of(Permutation((1, 0, 2)))  # (01)
     h = s3.index_of(Permutation((0, 2, 1)))  # (12)
     expected = s3.index_of(Permutation((2, 1, 0)))  # (02)
-    assert conjugate(s3, g, h) == expected
+    assert s3.conjugate(g, h) == expected
     # Brute-force cross-check over all of S3.
     for h_idx in s3.elements():
         direct = s3.mul(s3.mul(h_idx, g), s3.inv(h_idx))
-        assert conjugate(s3, g, h_idx) == direct
+        assert s3.conjugate(g, h_idx) == direct
 
-    assert conjugate(s3, g, s3.identity) == g
+    assert s3.conjugate(g, s3.identity) == g
 
     z6 = make_cyclic(6)
     for a in z6.elements():
         for h_idx in z6.elements():
-            assert conjugate(z6, a, h_idx) == a
+            assert z6.conjugate(a, h_idx) == a
 
     with pytest.raises(ValueError):
-        conjugate(s3, 99, 0)
+        s3.conjugate(99, 0)
+    with pytest.raises(ValueError):
+        s3.conjugate(0, -1)
+
+
+@pytest.mark.parametrize("with_table", [True, False])
+def test_conjugator_is_conjugate_without_the_checks(monkeypatch, with_table):
+    if not with_table:
+        monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))  # fresh, so its table follows the cap
+    conjugate = group.conjugator()
+    assert (group._conjugation_table() is not None) == with_table
+    for h in group.elements():
+        assert [conjugate(g, h) for g in group.elements()] == list(group.conjugation_row(h))
+        for g in group.elements():
+            assert conjugate(g, h) == group.conjugate(g, h) == group.mul(group.mul(h, g), group.inv(h))
+    assert group.conjugator() is conjugate
 
 
 @pytest.mark.parametrize(
