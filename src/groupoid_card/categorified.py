@@ -38,6 +38,7 @@ from .permutations import (
     Permutation,
     canonical_cycle,
     conjugate_permutation,
+    cycle_decomposition,
     enumerate_permutations,
     list_cycle_tuples,
     validate_pvector,
@@ -83,24 +84,57 @@ def q_action(tau: Permutation, d: DecoratedPermutation) -> DecoratedPermutation:
     return DecoratedPermutation(conjugate_permutation(d.sigma, tau), relabel_choice(tau.images, d.choice))
 
 
+def _cycle_minima(sigma: Permutation) -> tuple[int, ...]:
+    """Entry x is the smallest point of the cycle of sigma through x."""
+    minima = [0] * sigma.degree
+    for cyc in cycle_decomposition(sigma):
+        for x in cyc:
+            minima[x] = cyc[0]
+    return tuple(minima)
+
+
+def _marked_points(choice: CycleTupleChoice) -> tuple[int, ...]:
+    """The smallest point of each chosen cycle, in choice order."""
+    return tuple([cyc[0] for _, cycles in choice for cyc in cycles])
+
+
 def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:
     """The symmetric group of degree n acting on the decorated permutations,
-    indexed in build_Q order. Acts on (image tuple, choice) keys through the
-    S_n image table, as q_action does on objects: tau sends sigma to
-    tau sigma tau^-1 and relabels the chosen cycles."""
-    keys = [(d.sigma.images, d.choice) for d in build_Q(n, p, cap)]
-    index = {key: i for i, key in enumerate(keys)}
+    indexed in build_Q order, on marked points rather than cycle tuples.
+
+    A chosen cycle of sigma is fixed by sigma and any one point on it, so a
+    decorated permutation is stored as the image tuple of sigma and the
+    smallest point of each chosen cycle, in choice order. tau sends sigma to
+    sigma' = tau sigma tau^-1, computed from the S_n image table, and a marked
+    point a to the smallest point of the cycle of sigma' through tau(a). Each
+    sigma with a nonempty fiber keeps that "smallest point of my cycle" array
+    and one dict from marks to carrier index; both are found by sigma's image
+    tuple. No cycle is rebuilt or re-canonicalized, and no conjugation table
+    is built. q_action and make_cycle_tuple_functor's transport relabel
+    canonical cycles instead, so the routes the acceptance suite compares
+    stay independent."""
+    pvec = validate_pvector(n, p)
+    points: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    fibers: dict[tuple[int, ...], tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
+    for sigma in enumerate_permutations(n, cap):
+        local: dict[tuple[int, ...], int] = {}
+        for choice in list_cycle_tuples(sigma, pvec):
+            marks = _marked_points(choice)
+            local[marks] = len(points)
+            points.append((sigma.images, marks))
+        if local:
+            fibers[sigma.images] = (_cycle_minima(sigma), local)
     group = make_symmetric(n)
     taus = [group.images_at(g) for g in group.elements()]
     inverses = [taus[group.inv(g)] for g in group.elements()]
 
     def act(g: int, s: int) -> int:
         timg = taus[g]
-        simg, choice = keys[s]
-        conjugated = tuple([timg[simg[j]] for j in inverses[g]])
-        return index[(conjugated, relabel_choice(timg, choice))]
+        simg, marks = points[s]
+        minima, local = fibers[tuple([timg[simg[j]] for j in inverses[g]])]
+        return local[tuple([minima[timg[a]] for a in marks])]
 
-    return GroupAction(group=group, carrier_size=len(keys), act=act, name=f"S{n} on Q{list(p)}")
+    return GroupAction(group=group, carrier_size=len(points), act=act, name=f"S{n} on Q{list(p)}")
 
 
 def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:

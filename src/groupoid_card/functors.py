@@ -41,6 +41,20 @@ from .rng import SplitMix64
 DEFAULT_FUNCTOR_VALIDATION_SEED = 0xF4C702
 
 
+def _is_bijection_onto(arr: tuple[int, ...], size: int) -> bool:
+    """Whether arr lists every index 0..size-1 exactly once: one mark pass.
+    Negative entries are refused first, since they would index from the end."""
+    if len(arr) != size or (arr and min(arr) < 0):
+        return False
+    seen = bytearray(size)
+    try:
+        for x in arr:
+            seen[x] = 1
+    except IndexError:
+        return False
+    return 0 not in seen
+
+
 @dataclass(eq=False)
 class EquivariantFunctor:
     """Extensional functor data: fiber sizes per element plus a transport map.
@@ -75,7 +89,7 @@ class EquivariantFunctor:
         if arr is None:
             arr = tuple(self.transport(h, g))
             target = self.group.conjugator()(g, h)
-            if len(arr) != self.fiber_sizes[g] or sorted(arr) != list(range(self.fiber_sizes[target])):
+            if len(arr) != self.fiber_sizes[g] or not _is_bijection_onto(arr, self.fiber_sizes[target]):
                 raise ValueError(
                     f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
                     f"{self.fiber_sizes[g]} onto one of size {self.fiber_sizes[target]}"
@@ -117,9 +131,10 @@ def validate_functor(
 
     The first two run exhaustively. Composition runs over all (h2, h1, g) when
     |G|^2 * total fiber size fits under check_cap, otherwise over a seeded
-    deterministic sample. An exhaustive failure is witnessed by the lowest
-    failing (h2, h1, g) in lexicographic order. Results are cached on the
-    functor."""
+    deterministic sample of triples drawn in lane-packed blocks
+    (SplitMix64.below_repeating). An exhaustive failure is witnessed by the
+    lowest failing (h2, h1, g) in lexicographic order. Results are cached on
+    the functor."""
     if functor._validation is not None:
         return functor._validation
     group = functor.group
@@ -222,12 +237,9 @@ def validate_functor(
                     )
         else:
             mode = "sampled validation"
-            rng = SplitMix64(seed)
-            count_nonempty = len(nonempty)
-            for _ in range(sample_budget):
-                h2 = rng.below(order)
-                h1 = rng.below(order)
-                g = nonempty[rng.below(count_nonempty)]
+            draws = iter(SplitMix64(seed).below_repeating((order, order, len(nonempty)), 3 * sample_budget))
+            for h2, h1, i in zip(draws, draws, draws):
+                g = nonempty[i]
                 checks += sizes[g]
                 failure = composition_ok(h2, h1, g)
                 if failure:

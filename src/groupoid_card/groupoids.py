@@ -215,9 +215,10 @@ class GroupAction:
         The identity law is always exhaustive. Compatibility runs over all
         |G|^2 |S| triples when that fits under check_cap, as whole-row
         compares (first_law_failure), otherwise over a seeded deterministic
-        sample, reported as "sampled validation". Either way a failure names
-        the first failing triple in the order checked. The first validation
-        result is cached.
+        sample whose triples are drawn in lane-packed blocks
+        (SplitMix64.below_repeating), reported as "sampled validation".
+        Either way a failure names the first failing triple in the order
+        checked. The first validation result is cached.
         """
         if self._validation is not None:
             return self._validation
@@ -259,11 +260,8 @@ class GroupAction:
                         )
             else:
                 mode = "sampled validation"
-                rng = SplitMix64(seed)
-                for _ in range(sample_budget):
-                    g = rng.below(order)
-                    h = rng.below(order)
-                    s = rng.below(size)
+                draws = iter(SplitMix64(seed).below_repeating((order, order, size), 3 * sample_budget))
+                for g, h, s in zip(draws, draws, draws):
                     checks += 1
                     t = self.act_cached(h, s)
                     if not 0 <= t < size or self.act_cached(g, t) != self.act_cached(group.mul(g, h), s):

@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,3 +11,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """forbid(*functions) makes every package-level binding of the given
+    functions raise, and returns the raising stand-in."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("this route must not be used")
+
+    def forbid_(*originals):
+        for name, module in list(sys.modules.items()):
+            if name == "groupoid_card" or name.startswith("groupoid_card."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is original for original in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        return refuse
+
+    return forbid_

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from groupoid_card import categorified, permutations
 from groupoid_card.categorified import (
     DecoratedPermutation,
     build_Q,
@@ -13,6 +14,8 @@ from groupoid_card.categorified import (
     verify_categorified,
 )
 from groupoid_card.cycle_stats import cll_rhs, expected_product_brute
+from groupoid_card.functors import make_cycle_tuple_functor, verify_general_theorem
+from groupoid_card.groups import make_symmetric
 from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, skeletons_equivalent
 from groupoid_card.permutations import (
     CapExceededError,
@@ -177,3 +180,40 @@ def test_report_json_schema():
     assert data["rhs_skeleton"]["components"][0]["aut_order"] == 2
     assert data["orbit_count"] == 1
     assert data["orbits"] == [{"representative": 0, "size": 3, "stabilizer_order": 2}]
+
+
+# Every p-vector up to n = 4, so n = 0, n = 1 and empty carriers (weight(p) > n)
+# are included, and a few at n = 5.
+KERNEL_CASES = [(n, p) for n in range(5) for p in iter_pvectors(n, max_entry=2, max_weight=n + 1)] + [
+    (5, (2, 1, 0, 0, 0)), (5, (1, 0, 1, 0, 0)), (5, (0, 1, 1, 0, 0)), (5, (1, 2, 0, 0, 0)), (5, (0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("n, p", KERNEL_CASES)
+def test_cycle_tuple_action_rows_match_q_action(n, p):
+    q = build_Q(n, p)
+    index = {d: i for i, d in enumerate(q)}
+    action = cycle_tuple_action(n, p)
+    assert action.carrier_size == len(q)
+    group = make_symmetric(n)
+    for g in group.elements():
+        tau = group.permutation_at(g)
+        assert [action.act(g, s) for s in range(len(q))] == [index[q_action(tau, d)] for d in q]
+
+
+INDEPENDENCE_CASES = [(3, (0, 1, 0)), (4, (1, 1, 0, 0)), (4, (0, 2, 0, 0)), (5, (2, 1, 0, 0, 0)), (5, (0, 1, 1, 0, 0))]
+
+
+def test_q_action_route_never_relabels_cycles(forbid):
+    expected = [verify_categorified(n, p) for n, p in INDEPENDENCE_CASES]
+    forbid(categorified.relabel_choice, permutations.canonical_cycle)
+    with pytest.raises(AssertionError):
+        q_action(Permutation.identity(3), build_Q(3, (0, 1, 0))[0])
+    assert [verify_categorified(n, p) for n, p in INDEPENDENCE_CASES] == expected
+
+
+def test_elements_route_never_reads_the_kernel(forbid):
+    expected = [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES]
+    forbid(categorified._cycle_minima, categorified._marked_points)
+    with pytest.raises(AssertionError):
+        cycle_tuple_action(3, (0, 1, 0))
+    assert [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES] == expected

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from groupoid_card.cycle_stats import (
     uncorrelated_check,
     verify_cll,
 )
-from groupoid_card.groupoids import cardinality, perm_groupoid_skeleton
+from groupoid_card.groupoids import DEFAULT_VALIDATION_SEED, cardinality, perm_groupoid_skeleton
 from groupoid_card.permutations import (
     CapExceededError,
     CycleType,
@@ -321,6 +320,53 @@ def test_shuffle_matches_reference_on_a_rejected_draw(n, m):
         assert rng._state == (seed + (n - 1 + extra) * GAMMA) & MASK64
 
 
+def reference_below_repeating(rng, bounds, count):
+    return [rng.below(bounds[i % len(bounds)]) for i in range(count)]
+
+
+BOUND_PATTERNS = [(720, 720, 300), (120, 120, 1), (7,), (1,), (8, 3), (2**63 + 1, 5), (2**64,)]
+
+
+@pytest.mark.parametrize("bounds", BOUND_PATTERNS)
+@pytest.mark.parametrize("count", [0, 1, 2, 5, rng_module._LANES_MAX - 1, rng_module._LANES_MAX,
+                                   rng_module._LANES_MAX + 1, 3 * rng_module._LANES_MAX + 2])
+def test_below_repeating_matches_sequential_below(bounds, count):
+    for seed in EDGE_SEEDS[:6] + [0, 0xC0FFEE, DEFAULT_VALIDATION_SEED]:
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.below_repeating(bounds, count) == reference_below_repeating(ref, bounds, count)
+        assert rng._state == ref._state
+
+
+# (bounds, m): draw m of the run is made 2^64 - 1. It falls in the first lane,
+# a middle lane or the last lane of the first block (1 023 lanes for a period
+# of 3), or in a later block. Every bound but a power of two rejects it, so
+# the run takes one extra draw; either way the block holding it is drawn
+# again by sequential below calls.
+REPEATING_REJECTION_CASES = [((720, 720, 7), 0), ((720, 720, 7), 500), ((720, 720, 7), 1022),
+                             ((720, 720, 7), 1023 + 5), ((5, 8), 1), ((5, 8), 2 * rng_module._LANES_MAX + 3)]
+
+
+@pytest.mark.parametrize("bounds, m", REPEATING_REJECTION_CASES)
+def test_below_repeating_on_a_rejected_draw(bounds, m):
+    count = 3 * rng_module._LANES_MAX + 10
+    seed = (unmix(MASK64) - (m + 1) * GAMMA) & MASK64
+    probe = SplitMix64(seed)
+    for _ in range(m):
+        probe.next_u64()
+    assert probe.next_u64() == MASK64
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.below_repeating(bounds, count) == reference_below_repeating(ref, bounds, count)
+    bound = bounds[m % len(bounds)]
+    extra = 0 if bound & (bound - 1) == 0 else 1
+    assert rng._state == ref._state == (seed + (count + extra) * GAMMA) & MASK64
+
+
+def test_below_repeating_rejects_bad_bounds():
+    for bounds in [(), (5, 0), (-1,), (3, 2**64 + 1)]:
+        with pytest.raises(ValueError):
+            SplitMix64(1).below_repeating(bounds, 3)
+
+
 @given(st.integers(0, 30), st.integers(0, 2**63 - 1))
 def test_sampled_permutations_are_valid(n, seed):
     rng = SplitMix64(seed)
@@ -370,21 +416,8 @@ def test_cycle_count_histogram_counts_every_permutation(n):
     assert all(len(counts) == n and weight(counts) == n for counts in vectors)
 
 
-def forbid(monkeypatch, *originals):
-    """Make every package-level binding of the given functions raise."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("this route must not be used")
-
-    for name, module in list(sys.modules.items()):
-        if name == "groupoid_card" or name.startswith("groupoid_card."):
-            for attr, value in list(vars(module).items()):
-                if any(value is original for original in originals):
-                    monkeypatch.setattr(module, attr, refuse)
-    return refuse
-
-
-def test_brute_never_reads_cycle_types(monkeypatch):
-    refuse = forbid(monkeypatch, permutations.cycle_type_table, permutations.all_cycle_types,
+def test_brute_never_reads_cycle_types(monkeypatch, forbid):
+    refuse = forbid(permutations.cycle_type_table, permutations.all_cycle_types,
                     permutations.count_with_cycle_type)
     monkeypatch.setattr(CycleType, "centralizer_order", refuse)
     monkeypatch.setattr(CycleType, "partition", refuse)
@@ -396,8 +429,8 @@ def test_brute_never_reads_cycle_types(monkeypatch):
         expected_product_by_type(3, (1, 0, 0))
 
 
-def test_cycle_type_route_never_enumerates(monkeypatch):
-    refuse = forbid(monkeypatch, cycle_stats.cycle_count_histogram, permutations.enumerate_permutations,
+def test_cycle_type_route_never_enumerates(monkeypatch, forbid):
+    refuse = forbid(cycle_stats.cycle_count_histogram, permutations.enumerate_permutations,
                     permutations.image_cycle_counts, permutations.cycle_counts)
     monkeypatch.setattr(itertools, "permutations", refuse)
     monkeypatch.setattr(Permutation, "__post_init__", refuse)

@@ -151,11 +151,16 @@ def test_fiber_size_invariance_violation():
 
 
 def test_malformed_bijection_is_caught():
+    # Repeated, out-of-range and negative indices, and wrong lengths.
     group = make_cyclic(3)
-    functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: (0, 0), name="collapsing")
-    report = validate_functor(functor)
-    assert not report.ok
-    assert report.failing_law == "bijection"
+    for images in [(0, 0), (0, 2), (1, -1), (0,), (0, 1, 2)]:
+        functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed")
+        report = validate_functor(functor)
+        assert not report.ok
+        assert report.failing_law == "bijection"
+        assert report.message == (
+            f"transport(0, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
+        )
 
 
 def test_sampled_validation_mode():
