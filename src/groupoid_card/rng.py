@@ -92,9 +92,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection sampling."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound), unbiased via rejection sampling.
+        The bound must lie in 1..2^64: above 2^64 every draw would be
+        rejected."""
+        if not 0 < bound <= _TWO64:
+            raise ValueError(f"bound must lie in 1..2^64, got {bound}")
         limit = _TWO64 - (_TWO64 % bound)
         while True:
             u = self.next_u64()

@@ -1,0 +1,61 @@
+"""Groups and generator cosets shared by the law-check differential tests.
+
+Groups are built by name, fresh, so that their lazily built tables follow the
+table cap in force where the test builds them (`table_cap`)."""
+
+import contextlib
+import random
+from unittest import mock
+
+from groupoid_card import groups
+
+
+def relabelled_cayley(group, seed=7):
+    """The group's Cayley table with its elements relabelled by a seeded
+    permutation that moves the identity off index 0."""
+    table = group.multiplication_table()
+    m = len(table)
+    relabel = list(range(m))
+    random.Random(seed).shuffle(relabel)
+    assert relabel[group.identity] != 0
+    relabelled = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            relabelled[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return groups.from_cayley_table(relabelled)
+
+
+LAW_GROUPS = {
+    **{f"Z{k}": (lambda k=k: groups.CyclicGroup(k)) for k in range(1, 6)},
+    "S3": lambda: groups.SymmetricGroup(3),
+    "S4": lambda: groups.SymmetricGroup(4),
+    "Z2xZ2": lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.CyclicGroup(2)),
+    "Z2xZ3": lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.CyclicGroup(3)),
+    "Z2xS3": lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3)),
+    "cayley(Z2xS3)": lambda: relabelled_cayley(groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))),
+}
+
+
+def table_cap(tables):
+    """A context in which new groups build their multiplication and
+    conjugation tables (tables=True) or compute every entry with mul."""
+    return contextlib.nullcontext() if tables else mock.patch.object(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+
+
+def last_generator_coset(group):
+    """(H, r): the subgroup H generated by every greedy generator of
+    FiniteGroup.spanning_tree() but the last, as a set, and that last
+    generator r, which lies outside H; None below two generators."""
+    generators = group.spanning_tree()[0]
+    if len(generators) < 2:
+        return None
+    subgroup = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in generators[:-1]:
+            y = group.mul(s, x)
+            if y not in subgroup:
+                subgroup.add(y)
+                frontier.append(y)
+    return subgroup, generators[-1]

@@ -161,6 +161,24 @@ def test_bridge_identity_small_sweep(n):
         assert Fraction(q_size, math.factorial(n)) == expected_product_brute(n, p)
 
 
+@pytest.mark.parametrize("n, p, mode", [(5, (0, 1, 1, 0, 0), "exhaustive"),
+                                         (6, (0, 0, 0, 0, 0, 1), "sampled validation")])
+def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
+    """The exhaustive gate reads |Q| + |G|^2 |Q|, not the generator count:
+    at n=6, |Q| + 5 |G| |Q| = 432 120 would fit under the 10^7 cap."""
+    built = []
+
+    def recording(*args):
+        built.append(cycle_tuple_action(*args))
+        return built[-1]
+
+    monkeypatch.setattr(categorified, "cycle_tuple_action", recording)
+    assert verify_categorified(n, p).ok
+    (action,) = built
+    assert action._validation.ok
+    assert action._validation.mode == mode
+
+
 def test_cycle_tuple_action_is_valid():
     action = cycle_tuple_action(4, (1, 1, 0, 0))
     report = action.validate()

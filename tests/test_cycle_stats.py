@@ -367,6 +367,18 @@ def test_below_repeating_rejects_bad_bounds():
             SplitMix64(1).below_repeating(bounds, 3)
 
 
+def test_below_refuses_bounds_above_two_to_the_64_before_drawing():
+    # Above 2^64 the rejection limit is 0, so a draw would never be accepted.
+    for bound in (2**64 + 1, 2**70, 0, -3):
+        rng = SplitMix64(0xC0FFEE)
+        with pytest.raises(ValueError, match=r"1\.\.2\^64"):
+            rng.below(bound)
+        assert rng._state == 0xC0FFEE
+    rng, ref = SplitMix64(0xC0FFEE), SplitMix64(0xC0FFEE)
+    assert rng.below(2**64) == ref.next_u64()
+    assert rng._state == ref._state
+
+
 @given(st.integers(0, 30), st.integers(0, 2**63 - 1))
 def test_sampled_permutations_are_valid(n, seed):
     rng = SplitMix64(seed)

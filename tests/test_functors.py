@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import groups
@@ -30,6 +30,7 @@ from groupoid_card.groupoids import (
 )
 from groupoid_card.permutations import CapExceededError
 from groupoid_card.rng import SplitMix64
+from law_cases import LAW_GROUPS, last_generator_coset, table_cap
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -170,6 +171,33 @@ def test_sampled_validation_mode():
     assert report.mode == "sampled validation"
 
 
+def test_n6_fixed_point_functor_stays_sampled():
+    # Over the 5 generators of S6 the exhaustive count would be 2.6 M, under
+    # the 10^7 cap; the gate reads the per-pair count, 373 M, so it samples.
+    report = validate_functor(make_fixed_point_functor(6))
+    assert report.ok
+    assert report.mode == "sampled validation"
+
+
+def test_passing_functor_reads_one_row_per_generator(monkeypatch):
+    """Fiber sizes are compared under the k generators' conjugation rows,
+    and composition over their multiplication rows; the only other rows
+    read place each h's transports, one conjugation row per h."""
+    group = make_symmetric(5)
+    generators = group.spanning_tree()[0]
+    assert len(generators) == 4
+    read = {"multiplication_row": [], "conjugation_row": []}
+    for method in read:
+        original = getattr(group, method)
+        monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
+    functor = make_fixed_point_functor(5)
+    total = functor.total_size
+    assert total == 120
+    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 4 * 120 + 120 + 4 * 120 * total)
+    assert read["multiplication_row"] == generators
+    assert read["conjugation_row"] == generators + list(range(120))
+
+
 def test_validation_result_is_cached():
     functor = make_fixed_point_functor(3)
     first = validate_functor(functor)
@@ -263,6 +291,8 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
             if sizes[g] != sizes[target]:
                 return failed("exhaustive", "fiber_size", (h, g),
                               f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
+    k = len(group.spanning_tree()[0])
+    checks = k * order
     e = group.identity
     for g in range(order):
         checks += 1
@@ -289,7 +319,7 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
     nonempty = [g for g in range(order) if sizes[g] > 0]
     if not nonempty:
         return FunctorValidation(True, "exhaustive", checks)
-    if checks + order * order * sum(sizes) <= check_cap:
+    if order * order + order + order * order * sum(sizes) <= check_cap:
         mode = "exhaustive"
         triples = [(h2, h1, g) for h2 in range(order) for h1 in range(order) for g in nonempty]
     else:
@@ -302,7 +332,7 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
         failure = composition(h2, h1, g)
         if failure:
             return failed(mode, *failure)
-    return FunctorValidation(True, mode, checks)
+    return FunctorValidation(True, mode, checks if mode != "exhaustive" else k * order + order + k * order * sum(sizes))
 
 
 def centralizer_transports(group):
@@ -329,46 +359,77 @@ def functor_tables(group):
     return [(tuple(len(table[(group.identity, g)]) for g in range(order)), table) for table in tables]
 
 
-@st.composite
-def corrupted_functors(draw):
-    group = draw(st.sampled_from([make_cyclic(k) for k in range(1, 6)] + [
-        make_symmetric(3),
-        make_symmetric(4),
-        make_product(make_cyclic(2), make_cyclic(2)),
-        make_product(make_cyclic(2), make_symmetric(3)),
-    ]))
-    sizes, table = draw(st.sampled_from(functor_tables(group)))
-    sizes, table = list(sizes), dict(table)
-    corruption = draw(st.sampled_from(["none", "swap", "entry", "fiber"]))
-    populated = sorted(key for key, arr in table.items() if arr)
-    if corruption == "swap":
-        key = draw(st.sampled_from(populated))
-        arr = list(table[key])
-        i, j = draw(st.integers(0, len(arr) - 1)), draw(st.integers(0, len(arr) - 1))
-        arr[i], arr[j] = arr[j], arr[i]
-        table[key] = tuple(arr)
-    elif corruption == "entry":
-        key = draw(st.sampled_from(populated))
-        arr = list(table[key])
-        i = draw(st.integers(0, len(arr) - 1))
-        arr[i] = draw(st.integers(-1, len(arr)).filter(lambda t: t != arr[i]))
-        table[key] = tuple(arr)
-    elif corruption == "fiber":
-        g = draw(st.integers(0, group.order - 1))
-        sizes[g] = draw(st.integers(0, sizes[g] + 1).filter(lambda k: k != sizes[g]))
-    check_cap = draw(st.sampled_from([DEFAULT_CHECK_CAP, 200]))
-    return group, tuple(sizes), table, check_cap
+def twist_last_coset(group, sizes, table, c):
+    """The transports of the coset H r (law_cases.last_generator_coset)
+    into fiber c changed: transport(h, g) with r g r^-1 = c becomes
+    transport(h r^-1, c) after a swap of the first two points of fiber c
+    after transport(r, g). Composition with h2 in H still holds, so only the
+    last generator's row compares can see the change."""
+    subgroup, r = last_generator_coset(group)
+    rinv = group.inv(r)
+    swap = list(range(sizes[c]))
+    swap[0], swap[1] = 1, 0
+    twisted = dict(table)
+    for h in range(group.order):
+        hr = group.mul(h, rinv)
+        if hr in subgroup:
+            for g in range(group.order):
+                if group.conjugate(g, r) == c:
+                    twisted[(h, g)] = tuple(table[(hr, c)][swap[t]] for t in table[(r, g)])
+    return twisted
 
 
-@given(corrupted_functors())
-def test_functor_validation_matches_reference(case):
-    group, sizes, table, check_cap = case
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(LAW_GROUPS)), st.booleans(), st.data())
+def test_functor_validation_matches_reference(name, tables, data):
+    """One transport of a genuine functor corrupted anywhere (swapped, or
+    made non-bijective by an entry that repeats or leaves the fiber), one
+    fiber size changed, fiber sizes raised on one conjugacy class of the
+    subgroup H of all generators but the last, or transports twisted so that
+    composition breaks only at the last generator; with and without the
+    group tables, and with a check cap at the generator count, which must
+    still sample."""
+    with table_cap(tables):
+        group = LAW_GROUPS[name]()
+        order = group.order
+        sizes, table = data.draw(st.sampled_from(functor_tables(group)))
+        sizes, table = list(sizes), dict(table)
+        corruption = data.draw(st.sampled_from(["none", "swap", "entry", "fiber", "fiber_class", "twist"]))
+        populated = sorted(key for key, arr in table.items() if arr)
+        coset = last_generator_coset(group)
+        if corruption == "swap":
+            key = data.draw(st.sampled_from(populated))
+            arr = list(table[key])
+            i, j = data.draw(st.integers(0, len(arr) - 1)), data.draw(st.integers(0, len(arr) - 1))
+            arr[i], arr[j] = arr[j], arr[i]
+            table[key] = tuple(arr)
+        elif corruption == "entry":
+            key = data.draw(st.sampled_from(populated))
+            arr = list(table[key])
+            i = data.draw(st.integers(0, len(arr) - 1))
+            arr[i] = data.draw(st.integers(-1, len(arr)).filter(lambda t: t != arr[i]))
+            table[key] = tuple(arr)
+        elif corruption == "fiber":
+            g = data.draw(st.integers(0, order - 1))
+            sizes[g] = data.draw(st.integers(0, sizes[g] + 1).filter(lambda k: k != sizes[g]))
+        elif corruption == "fiber_class" and coset:
+            x = data.draw(st.integers(0, order - 1))
+            for y in {group.conjugate(x, h) for h in coset[0]}:
+                sizes[y] += 1
+        elif corruption == "twist" and coset and max(sizes) > 1:
+            c = data.draw(st.sampled_from([g for g in range(order) if sizes[g] > 1]))
+            table = twist_last_coset(group, sizes, table, c)
+        sizes = tuple(sizes)
+        k = len(group.spanning_tree()[0])
+        generator_checks = k * order + order + k * order * sum(sizes)
+        check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 200, generator_checks]))
 
-    def build():
-        return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
+        def build():
+            return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
 
-    expected = reference_functor_validation(build(), check_cap=check_cap)
-    assert validate_functor(build(), check_cap=check_cap) == expected
+        expected = reference_functor_validation(build(), check_cap=check_cap)
+        assert validate_functor(build(), check_cap=check_cap) == expected
+        assert (group._conjugation_table() is not None) == tables
 
 
 @pytest.mark.parametrize("with_table", [True, False])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import groups
@@ -21,6 +21,7 @@ from groupoid_card.groupoids import (
     conjugation_action,
     coproduct,
     delooping,
+    first_law_failure,
     label_to_json,
     orbit_decomposition,
     parse_rational,
@@ -32,6 +33,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.rng import SplitMix64
+from law_cases import LAW_GROUPS, last_generator_coset, table_cap
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -328,16 +330,7 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP,
                         f"compatibility fails at (g={g}, h={h}, s={s}): "
                         f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
                     )
-    return ActionValidation(True, "exhaustive", checks)
-
-
-SMALL_GROUPS = [make_cyclic(k) for k in range(1, 6)] + [
-    make_symmetric(3),
-    make_symmetric(4),
-    make_product(make_cyclic(2), make_cyclic(2)),
-    make_product(make_cyclic(2), make_cyclic(3)),
-    make_product(make_cyclic(2), make_symmetric(3)),
-]
+    return ActionValidation(True, "exhaustive", size + len(group.spanning_tree()[0]) * order * size)
 
 
 def action_tables(group):
@@ -350,26 +343,97 @@ def action_tables(group):
     return [conj, left, trivial, both]
 
 
-@st.composite
-def corrupted_actions(draw):
-    group = draw(st.sampled_from(SMALL_GROUPS))
-    table = [list(row) for row in draw(st.sampled_from(action_tables(group)))]
-    size = len(table[0])
-    if draw(st.booleans()):
-        g = draw(st.integers(0, group.order - 1))
-        s = draw(st.integers(0, size - 1))
-        table[g][s] = draw(st.integers(-1, size).filter(lambda t: t != table[g][s]))
-    check_cap = draw(st.sampled_from([DEFAULT_CHECK_CAP, 50]))
-    return group, table, check_cap
+def twist_last_coset(group, table, a, b):
+    """The rows of the coset H r (law_cases.last_generator_coset) changed
+    to row g r^-1 after the swap of points a and b after row r. For s in H,
+    row s h = row s after row h still holds for every h, so only the compares
+    of the last generator can see the change."""
+    subgroup, r = last_generator_coset(group)
+    rinv = group.inv(r)
+    swap = list(range(len(table[0])))
+    swap[a], swap[b] = b, a
+    rows = [list(row) for row in table]
+    for g in range(group.order):
+        h = group.mul(g, rinv)
+        if h in subgroup:
+            rows[g] = [table[h][swap[t]] for t in table[r]]
+    return rows
 
 
-@given(corrupted_actions())
-def test_action_validation_matches_reference(case):
-    group, table, check_cap = case
-    size = len(table[0])
-    act = lambda g, s: table[g][s]
-    expected = reference_action_validation(group, size, act, check_cap=check_cap)
-    assert GroupAction(group, size, act).validate(check_cap=check_cap) == expected
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(LAW_GROUPS)), st.booleans(), st.data())
+def test_action_validation_matches_reference(name, tables, data):
+    """One entry of a genuine action corrupted anywhere (out of the carrier
+    too), or a coset twisted so that the law breaks only at the last
+    generator; with and without the group tables, and with a check cap at
+    the generator count, which must still sample."""
+    with table_cap(tables):
+        group = LAW_GROUPS[name]()
+        order = group.order
+        table = [list(row) for row in data.draw(st.sampled_from(action_tables(group)))]
+        size = len(table[0])
+        corruption = data.draw(st.sampled_from(["none", "entry", "twist"]))
+        if corruption == "entry":
+            g = data.draw(st.integers(0, order - 1))
+            s = data.draw(st.integers(0, size - 1))
+            table[g][s] = data.draw(st.integers(-1, size).filter(lambda t: t != table[g][s]))
+        elif corruption == "twist" and last_generator_coset(group):
+            a, b = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+            table = twist_last_coset(group, table, a, b)
+        generator_checks = size + len(group.spanning_tree()[0]) * order * size
+        check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
+        act = lambda g, s: table[g][s]
+        expected = reference_action_validation(group, size, act, check_cap=check_cap)
+        assert GroupAction(group, size, act).validate(check_cap=check_cap) == expected
+        assert (group._multiplication_table() is not None) == tables
+
+
+def lowest_law_witness(group, rows):
+    """Literal scan: the lowest (g, h, s) whose image rows[h][s] leaves the
+    carrier or breaks rows[g][rows[h][s]] = rows[g h][s]."""
+    size = len(rows[0])
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul(g, h)
+            for s in range(size):
+                t = rows[h][s]
+                if not 0 <= t < size or rows[g][t] != rows[gh][s]:
+                    return g, h, s
+    return None
+
+
+@given(st.sampled_from(sorted(LAW_GROUPS)), st.data())
+def test_first_law_failure_names_the_lowest_witness_for_any_generators(name, data):
+    """Any generating set, in any order, gives the lowest witness. (With the
+    greedy generators in index order the first failing generator compare
+    already names it, so the callers cannot tell the full scan is run.)"""
+    group = LAW_GROUPS[name]()
+    order = group.order
+    rows = [list(row) for row in data.draw(st.sampled_from(action_tables(group)))]
+    size = len(rows[0])
+    if order > 1 and data.draw(st.booleans()):
+        g = data.draw(st.integers(0, order - 1).filter(lambda g: g != group.identity))
+        s = data.draw(st.integers(0, size - 1))
+        rows[g][s] = data.draw(st.integers(-1, size).filter(lambda t: t != rows[g][s]))
+    extra = data.draw(st.lists(st.integers(0, order - 1), max_size=3))
+    generators = data.draw(st.permutations(group.spanning_tree()[0] + extra))
+    assert first_law_failure(rows, group.multiplication_row, generators) == lowest_law_witness(group, rows)
+
+
+def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
+    """A passing exhaustive check compares row s after row h with row s h
+    for the k generators s only, and reports those |S| + k |G| |S| checks."""
+    group = groups.SymmetricGroup(5)
+    generators = group.spanning_tree()[0]
+    assert len(generators) == 4
+    read = {"multiplication_row": [], "conjugation_row": []}
+    for method in read:
+        original = getattr(group, method)
+        monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
+    action = conjugation_action(group)
+    report = action.validate()
+    assert report == ActionValidation(True, "exhaustive", 120 + 4 * 120 * 120)
+    assert read == {"multiplication_row": generators, "conjugation_row": []}
 
 
 def test_action_validation_same_with_or_without_group_tables(monkeypatch):
