@@ -22,6 +22,7 @@ from .cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
     METHOD_MONTE_CARLO,
+    MONTE_CARLO_MAX_N,
     MomentReport,
     cll_rhs,
     cycle_count_histogram,
@@ -29,6 +30,7 @@ from .cycle_stats import (
     expected_product_by_type,
     expected_total_cycles,
     monte_carlo_moment,
+    monte_carlo_moments,
     poisson_factorial_moment,
     uncorrelated_check,
     verify_cll,

@@ -20,10 +20,11 @@ from .categorified import verify_categorified
 from .cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
+    check_monte_carlo_degree,
     cll_rhs,
     expected_product_by_type,
     expected_total_cycles,
-    monte_carlo_moment,
+    monte_carlo_moments,
     verify_cll,
 )
 from .functors import (
@@ -242,46 +243,58 @@ def cmd_stats(args) -> int:
     return 0 if ok and total_ok else 1
 
 
+def _montecarlo_pvector(flag: str, text: str, n: int) -> tuple[int, ...]:
+    if flag == "--p":
+        return _parse_pvector(text, n)
+    if not text.startswith("k="):
+        raise UsageError(f'--p-one expects "k=<cycle length>", got {text!r}')
+    try:
+        k = int(text[2:])
+    except ValueError:
+        raise UsageError(f'--p-one expects "k=<cycle length>", got {text!r}')
+    if not 1 <= k <= n:
+        raise UsageError(f"--p-one cycle length {k} out of range 1..{n}")
+    return tuple(1 if m == k else 0 for m in range(1, n + 1))
+
+
 def cmd_montecarlo(args) -> int:
     if args.samples < 2:
         raise UsageError(f"--samples must be at least 2, got {args.samples}")
-    if args.p_one is not None:
-        if not args.p_one.startswith("k="):
-            raise UsageError(f'--p-one expects "k=<cycle length>", got {args.p_one!r}')
-        try:
-            k = int(args.p_one[2:])
-        except ValueError:
-            raise UsageError(f'--p-one expects "k=<cycle length>", got {args.p_one!r}')
-        if not 1 <= k <= args.n:
-            raise UsageError(f"--p-one cycle length {k} out of range 1..{args.n}")
-        p = tuple(1 if m == k else 0 for m in range(1, args.n + 1))
-    elif args.p is not None:
-        p = _parse_pvector(args.p, args.n)
-    else:
+    check_monte_carlo_degree(args.n)
+    if not args.statistics:
         raise UsageError("provide --p or --p-one")
-    report = monte_carlo_moment(args.n, p, args.samples, args.seed)
-    target = cll_rhs(args.n, p)
-    if report.standard_error > 0:
-        z = (report.estimate - float(target)) / report.standard_error
+    pvectors = [_montecarlo_pvector(flag, text, args.n) for flag, text in args.statistics]
+    reports = monte_carlo_moments(args.n, pvectors, args.samples, args.seed)
+    rows, outputs = [], []
+    for report in reports:
+        target = cll_rhs(args.n, report.p)
+        if report.standard_error > 0:
+            z = (report.estimate - float(target)) / report.standard_error
+        else:
+            z = 0.0 if report.estimate == float(target) else math.inf
+        within = abs(z) <= 4.0
+        rows.append({**_moment_row(report), "target": rational_str(target), "z": z, "within_4se": within})
+        payload = {
+            "command": "montecarlo",
+            **report.to_json_dict(),
+            "target": rational_str(target),
+            # JSON has no infinity: a zero standard error off target reads null.
+            "z": z if math.isfinite(z) else None,
+            "within_4se": within,
+        }
+        text = [
+            f"n={args.n} p={list(report.p)} samples={args.samples} seed={args.seed}",
+            f"estimate = {report.estimate} +- {report.standard_error}",
+            f"target   = {rational_str(target)}",
+            f"z = {z} ({'within' if within else 'OUTSIDE'} 4 standard errors)",
+        ]
+        outputs.append((payload, text))
+    if args.format == "csv":
+        _emit({}, "csv", lambda: rows, list)
     else:
-        z = 0.0 if report.estimate == float(target) else math.inf
-    within = abs(z) <= 4.0
-    payload = {
-        "command": "montecarlo",
-        **report.to_json_dict(),
-        "target": rational_str(target),
-        "z": z,
-        "within_4se": within,
-    }
-    rows = lambda: [{**_moment_row(report), "target": rational_str(target), "z": z, "within_4se": within}]
-    text = lambda: [
-        f"n={args.n} p={list(p)} samples={args.samples} seed={args.seed}",
-        f"estimate = {report.estimate} +- {report.standard_error}",
-        f"target   = {rational_str(target)}",
-        f"z = {z} ({'within' if within else 'OUTSIDE'} 4 standard errors)",
-    ]
-    _emit(payload, args.format, rows, text)
-    return 0 if within else 1
+        for payload, text in outputs:
+            _emit(payload, args.format, list, lambda: text)
+    return 0 if all(row["within_4se"] for row in rows) else 1
 
 
 def cmd_theorem_general(args) -> int:
@@ -363,10 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("montecarlo", help="seeded sampling estimate of a falling-power moment")
+    p = sub.add_parser("montecarlo", help="seeded sampling estimates of falling-power moments, all from one stream")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=str, default=None)
-    p.add_argument("--p-one", type=str, default=None, help='single cycle length, e.g. "k=2"')
+    # Both flags append to one list, so the reports follow command-line order.
+    p.add_argument("--p", dest="statistics", action="append", type=lambda text: ("--p", text), metavar="P", help="comma-separated p-vector of length n; repeatable")
+    p.add_argument("--p-one", dest="statistics", action="append", type=lambda text: ("--p-one", text), metavar="P_ONE", help='single cycle length, e.g. "k=2"; repeatable')
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)

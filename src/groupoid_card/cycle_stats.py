@@ -34,6 +34,9 @@ from .rng import SplitMix64
 METHOD_BRUTE = "brute"
 METHOD_CYCLE_TYPE = "cycle_type"
 METHOD_MONTE_CARLO = "monte_carlo"
+# Largest degree the Monte Carlo route samples: each sample holds an image
+# list and a mark list of this length.
+MONTE_CARLO_MAX_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -181,50 +184,73 @@ def sample_permutation(n: int, rng: SplitMix64) -> list[int]:
     return images
 
 
-def monte_carlo_moment(n: int, p: Sequence[int], samples: int, seed: int) -> MomentReport:
-    """Sample mean and standard error of prod_k c_k^(p_k falling) over uniform
-    permutations. Deterministic given (n, p, samples, seed)."""
-    pvec = validate_pvector(n, p)
+def check_monte_carlo_degree(n: int) -> None:
+    """Refuse a degree above MONTE_CARLO_MAX_N, before anything of that length
+    is built."""
+    if n > MONTE_CARLO_MAX_N:
+        raise CapExceededError(f"degree {n} exceeds Monte Carlo cap {MONTE_CARLO_MAX_N}")
+
+
+def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed: int) -> list[MomentReport]:
+    """Sample mean and standard error of prod_k c_k^(p_k falling), one report
+    per p-vector in ps, all read from one stream of uniform permutations.
+
+    Each sample re-shuffles the previous sample's images in place, and each
+    report's sums are exact integers, so every report equals the one a run
+    with its p-vector alone gives. Deterministic given (n, ps, samples, seed).
+    """
+    check_monte_carlo_degree(n)
+    pvecs = [validate_pvector(n, p) for p in ps]
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    needed = {k for k, pk in enumerate(pvec, start=1) if pk}
-    rng = SplitMix64(seed)
+    needs = [[(k, pk) for k, pk in enumerate(pvec, start=1) if pk] for pvec in pvecs]
+    longest = max((k for need in needs for k, _ in need), default=0)
+    shuffle = SplitMix64(seed).shuffle
     images = list(range(n))
-    total = 0
-    total_sq = 0
-    for _ in range(samples):
-        rng.shuffle(images)
-        counts: dict[int, int] = {}
-        seen = bytearray(n)
+    # A point is visited in this sample when its mark holds the sample's stamp,
+    # so one list serves every sample without clearing.
+    mark = [0] * n
+    totals = [0] * len(pvecs)
+    totals_sq = [0] * len(pvecs)
+    for stamp in range(1, samples + 1):
+        shuffle(images)
+        counts = [0] * (longest + 1)
         for start in range(n):
-            if seen[start]:
+            if mark[start] == stamp:
                 continue
-            length = 1
-            seen[start] = 1
+            mark[start] = stamp
             entry = images[start]
+            length = 1
             while entry != start:
-                seen[entry] = 1
+                mark[entry] = stamp
                 entry = images[entry]
                 length += 1
-            if length in needed:
-                counts[length] = counts.get(length, 0) + 1
-        value = 1
-        for k in needed:
-            value *= falling_power(counts.get(k, 0), pvec[k - 1])
-            if value == 0:
-                break
-        total += value
-        total_sq += value * value
-    mean = total / samples
-    variance = (total_sq - total * total / samples) / (samples - 1)
-    std_error = math.sqrt(max(variance, 0.0) / samples)
-    return MomentReport(
-        n=n,
-        p=pvec,
-        method=METHOD_MONTE_CARLO,
-        rhs=cll_rhs(n, pvec),
-        estimate=mean,
-        standard_error=std_error,
-        samples=samples,
-        seed=seed,
-    )
+            if length <= longest:
+                counts[length] += 1
+        for i, need in enumerate(needs):
+            value = 1
+            for k, pk in need:
+                value *= falling_power(counts[k], pk)
+                if value == 0:
+                    break
+            totals[i] += value
+            totals_sq[i] += value * value
+    reports = []
+    for pvec, total, total_sq in zip(pvecs, totals, totals_sq):
+        variance = (total_sq - total * total / samples) / (samples - 1)
+        reports.append(MomentReport(
+            n=n,
+            p=pvec,
+            method=METHOD_MONTE_CARLO,
+            rhs=cll_rhs(n, pvec),
+            estimate=total / samples,
+            standard_error=math.sqrt(max(variance, 0.0) / samples),
+            samples=samples,
+            seed=seed,
+        ))
+    return reports
+
+
+def monte_carlo_moment(n: int, p: Sequence[int], samples: int, seed: int) -> MomentReport:
+    """The Monte Carlo report for one p-vector: `monte_carlo_moments` with ps = [p]."""
+    return monte_carlo_moments(n, [p], samples, seed)[0]

@@ -121,11 +121,8 @@ def power(a: GroupoidSkeleton, p: int) -> GroupoidSkeleton:
     return GroupoidSkeleton(tuple(comps))
 
 
-def skeletons_equivalent(a: GroupoidSkeleton, b: GroupoidSkeleton, strict: bool = False) -> bool:
-    """Multiset equality of aut orders (with labels too in strict mode)."""
-    if strict:
-        key = lambda c: (c.aut_order, repr(c.label))
-        return sorted(a.components, key=key) == sorted(b.components, key=key)
+def skeletons_equivalent(a: GroupoidSkeleton, b: GroupoidSkeleton) -> bool:
+    """Multiset equality of aut orders; labels are not compared."""
     return a.aut_orders() == b.aut_orders()
 
 

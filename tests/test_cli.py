@@ -313,6 +313,62 @@ def test_enumeration_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_montecarlo_degree_cap_exits_2(capsys):
+    # Refused before the --p-one vector of length n is built.
+    code, out, err = run_cli(["montecarlo", "--n", "1000000000", "--p-one", "k=1", "--samples", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds Monte Carlo cap 100000" in err
+    code, _, err = run_cli(["montecarlo", "--n", "100001", "--p", "1", "--samples", "2"], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_montecarlo_infinite_z_is_null_in_json(capsys):
+    # No 10-cycle shows in two samples, so the standard error is 0 off target.
+    args = ["montecarlo", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1", "--samples", "2", "--seed", "2"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 1
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["standard_error"] == 0.0
+    assert payload["z"] is None
+    assert payload["within_4se"] is False
+    code, out, _ = run_cli(args + ["--format", "text"], capsys)
+    assert code == 1
+    assert "z = inf (OUTSIDE 4 standard errors)" in out
+    code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 1
+    assert out.splitlines()[1].endswith(",inf,False")
+
+
+MC_STATISTICS = [["--p-one", "k=2"], ["--p", "1,1,0,0,0,0,0,0,0,0"], ["--p-one", "k=1"], ["--p-one", "k=2"]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_montecarlo_statistics_share_one_pass(capsys, fmt):
+    common = ["montecarlo", "--n", "10", "--samples", "300", "--seed", "11", "--format", fmt]
+    single = [run_cli(common + statistic, capsys) for statistic in MC_STATISTICS]
+    code, out, _ = run_cli(common + [arg for statistic in MC_STATISTICS for arg in statistic], capsys)
+    assert code == 0 and all(c == 0 for c, _, _ in single)
+    if fmt == "csv":
+        header = single[0][1].splitlines()[0]
+        assert out.splitlines() == [header] + [o.splitlines()[1] for _, o, _ in single]
+    else:
+        assert out == "".join(o for _, o, _ in single)
+
+
+def test_montecarlo_exits_1_if_any_statistic_is_outside(capsys):
+    common = ["montecarlo", "--n", "10", "--samples", "2", "--seed", "2", "--p-one", "k=1"]
+    assert run_cli(common, capsys)[0] == 0
+    code, out, _ = run_cli(common + ["--p-one", "k=10"], capsys)
+    assert code == 1
+    assert [json.loads(line)["within_4se"] for line in out.splitlines()] == [True, False]
+
+
 def test_text_and_csv_formats(capsys):
     code, out, _ = run_cli(["skeleton", "--n", "3", "--format", "text"], capsys)
     assert code == 0

@@ -16,7 +16,10 @@ from groupoid_card.cycle_stats import (
     expected_product_brute,
     expected_product_by_type,
     expected_total_cycles,
+    MONTE_CARLO_MAX_N,
+    MomentReport,
     monte_carlo_moment,
+    monte_carlo_moments,
     poisson_factorial_moment,
     sample_permutation,
     uncorrelated_check,
@@ -196,6 +199,68 @@ def test_monte_carlo_report_fields():
     data = report.to_json_dict()
     assert data["generator"] == "splitmix64"
     assert data["rhs"] == "1/2"
+
+
+def literal_monte_carlo(n, p, samples, seed):
+    """The Monte Carlo report written out directly: each sample shuffles the
+    previous sample's images again, and its cycles are counted by
+    `cycle_decomposition`."""
+    rng = SplitMix64(seed)
+    images = list(range(n))
+    total = total_sq = 0
+    for _ in range(samples):
+        rng.shuffle(images)
+        lengths = [len(c) for c in cycle_decomposition(Permutation(tuple(images)))]
+        value = math.prod(falling_power(lengths.count(k), pk) for k, pk in enumerate(p, start=1))
+        total += value
+        total_sq += value * value
+    variance = (total_sq - total * total / samples) / (samples - 1)
+    return MomentReport(
+        n=n, p=tuple(p), method="monte_carlo", rhs=cll_rhs(n, p), estimate=total / samples,
+        standard_error=math.sqrt(max(variance, 0.0) / samples), samples=samples, seed=seed,
+    )
+
+
+MIXED_PVECTORS_30 = [
+    unit(30, 1),
+    unit(30, 2),
+    tuple(1 if m in (1, 2) else 0 for m in range(1, 31)),  # a pair
+    tuple(2 if m == 1 else 0 for m in range(1, 31)),  # a falling square
+    tuple(1 if m in (29, 2) else 0 for m in range(1, 31)),  # weight 31 > 30
+    unit(30, 1),  # a repeat
+    (0,) * 30,
+    unit(30, 30),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260810, 2**64 - 1])
+def test_monte_carlo_moments_equal_per_p_reports(seed):
+    reports = monte_carlo_moments(30, MIXED_PVECTORS_30, 300, seed)
+    assert reports == [monte_carlo_moment(30, p, 300, seed) for p in MIXED_PVECTORS_30]
+    assert reports[4].estimate == 0.0 and reports[4].rhs == 0
+    assert reports[6].estimate == 1.0 and reports[6].standard_error == 0.0
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 2])
+def test_monte_carlo_matches_literal_walk(seed):
+    for p in MIXED_PVECTORS_30[:5]:
+        assert monte_carlo_moment(30, p, 120, seed) == literal_monte_carlo(30, p, 120, seed)
+    assert monte_carlo_moment(1, (1,), 2, seed) == literal_monte_carlo(1, (1,), 2, seed)
+
+
+def test_monte_carlo_moments_edge_cases():
+    assert monte_carlo_moments(30, [], 10, seed=1) == []
+    assert monte_carlo_moments(0, [()], 2, seed=1)[0].estimate == 1.0
+    with pytest.raises(ValueError):
+        monte_carlo_moments(5, [unit(5, 1), (1, 0)], 10, seed=0)
+
+
+def test_monte_carlo_degree_cap():
+    # Refused before any list of the degree is built.
+    with pytest.raises(CapExceededError):
+        monte_carlo_moments(MONTE_CARLO_MAX_N + 1, [], 2, seed=0)
+    with pytest.raises(CapExceededError):
+        monte_carlo_moment(10**9, (), 2, seed=0)
 
 
 def test_shuffle_uniformity():
