@@ -52,7 +52,7 @@ class UsageError(ValueError):
 
 
 def _enumeration_cap(args) -> int:
-    if getattr(args, "max_n", None) is not None:
+    if args.max_n is not None:
         return args.max_n
     env = os.environ.get(ENV_MAX_N)
     if env is not None:
@@ -342,10 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_format=True):
-        if with_format:
-            p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--max-n", type=int, default=None, help=f"enumeration cap override (or set {ENV_MAX_N})")
+    def add_common(p, enumerates):
+        """--format everywhere; --max-n only where it caps an enumeration."""
+        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        if enumerates:
+            p.add_argument("--max-n", type=int, default=None, help=f"enumeration cap override (or set {ENV_MAX_N})")
 
     p = sub.add_parser("verify-lemma", help="check the expectation of falling-power products against the closed form")
     p.add_argument("--n", type=int, required=True)
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entry", type=int, default=2)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--method", choices=["brute", "cycle-type"], default="brute")
-    add_common(p)
+    add_common(p, enumerates=True)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("verify-categorified", help="compare the decorated-permutation quotient against the product skeleton")
@@ -363,17 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-p", action="store_true")
     p.add_argument("--max-entry", type=int, default=2)
     p.add_argument("--max-weight", type=int, default=None)
-    add_common(p)
+    add_common(p, enumerates=True)
     p.set_defaults(func=cmd_verify_categorified)
 
     p = sub.add_parser("skeleton", help="print the permutation-groupoid skeleton for a degree")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, with_format=True)
+    add_common(p, enumerates=False)
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("stats", help="exact expected k-cycle counts and their harmonic total")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, enumerates=False)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("montecarlo", help="seeded sampling estimates of falling-power moments, all from one stream")
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-one", dest="statistics", action="append", type=lambda text: ("--p-one", text), metavar="P_ONE", help='single cycle length, e.g. "k=2"; repeatable')
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, enumerates=False)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("theorem-general", help="check average fiber size against the category-of-elements cardinality")
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=str, default=None)
     p.add_argument("--functor", type=str, default=None, help="path to a functor JSON file")
-    add_common(p)
+    add_common(p, enumerates=True)
     p.set_defaults(func=cmd_theorem_general)
 
     return parser

@@ -9,7 +9,6 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,6 +69,7 @@ class EquivariantFunctor:
     name: str = "functor"
     _transport_memo: dict = field(default_factory=dict, repr=False)
     _validation: Optional["FunctorValidation"] = field(default=None, repr=False)
+    _rows: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.fiber_sizes)
@@ -96,6 +96,26 @@ class EquivariantFunctor:
                 )
             self._transport_memo[key] = arr
         return arr
+
+
+def _elements_carrier(
+    functor: EquivariantFunctor,
+) -> tuple[list[int], list[tuple[int, int]], Callable[[int, int], int]]:
+    """The carrier of the category of elements, fiber after fiber: the
+    offsets (offsets[g] + x is the point of (g, x in F(g)), with the total
+    last), each point's (g, x), and the action act(h, s), which sends
+    (g, x) to (h g h^-1, transport(h, g)(x))."""
+    sizes = functor.fiber_sizes
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    points = [(g, x) for g, size in enumerate(sizes) for x in range(size)]
+    conjugate = functor.group.conjugator()
+    transport = functor.transport_cached
+
+    def act(h: int, s: int) -> int:
+        g, x = points[s]
+        return offsets[conjugate(g, h)] + transport(h, g)[x]
+
+    return offsets, points, act
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,8 @@ def validate_functor(
     gate reads the per-pair counts above, so the mode does not depend on k.
     A failure is witnessed by the lowest failing (h, g) or (h2, h1, g) in
     lexicographic order, found by the full per-pair scan, with the checks up
-    to it. Results are cached on the functor."""
+    to it. Results are cached on the functor, and so are the exhaustive
+    check's rows, which category_of_elements hands to its action."""
     if functor._validation is not None:
         return functor._validation
     group = functor.group
@@ -217,21 +238,12 @@ def validate_functor(
         # The gate reads the per-pair counts of all three laws, not the
         # generator counts made above, so no input changes mode with k.
         if order * order + order + composition_cost <= check_cap:
-            # Row h is the category-of-elements action of h: it sends
-            # offsets[g] + x to offsets[h g h^-1] + transport(h, g)[x]. The
-            # composition law for every (h2, h1, g, x) is then row h2 after
-            # row h1 = row h2 h1, checked by the shared row kernel with h2 a
-            # generator.
-            offsets = list(itertools.accumulate(sizes, initial=0))
+            # Row h is the category-of-elements action of h. The composition
+            # law for every (h2, h1, g, x) is then row h2 after row h1 =
+            # row h2 h1, checked by the shared row kernel with h2 a generator.
+            offsets, points, act = _elements_carrier(functor)
             try:
-                rows = []
-                for h in range(order):
-                    conj_row = group.conjugation_row(h)
-                    row: list[int] = []
-                    for g in nonempty:
-                        base = offsets[conj_row[g]]
-                        row.extend([base + t for t in functor.transport_cached(h, g)])
-                    rows.append(row)
+                rows = [[act(h, s) for s in range(total)] for h in range(order)]
             except ValueError:
                 rows = None
             if rows is None:
@@ -243,17 +255,18 @@ def validate_functor(
                     if failure:
                         break
             else:
+                functor._rows = rows
                 witness = first_law_failure(rows, group.multiplication_row, generators)
                 if witness is None:
                     checks += len(generators) * order * total
                 else:
                     h2, h1, s = witness
-                    g = bisect.bisect_right(offsets, s) - 1
+                    g, x = points[s]
                     checks += (h2 * order + h1) * total + offsets[g + 1]
                     failure = (
                         "composition",
                         (h2, h1, g),
-                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {s - offsets[g]}",
+                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}",
                     )
         else:
             mode = "sampled validation"
@@ -288,26 +301,18 @@ def expected_size(functor: EquivariantFunctor) -> Fraction:
 
 def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
     """The group acting on all pairs (g, x in F(g)): h sends (g, x) to
-    (h g h^-1, transport(h, g)(x)). Carrier size is the total fiber size."""
+    (h g h^-1, transport(h, g)(x)). Carrier size is the total fiber size.
+    After an exhaustive validate_functor the action starts from the rows that
+    check built; its own validate still runs every law over them."""
     _require_valid(functor)
-    group = functor.group
-    offsets = []
-    total = 0
-    obj_g: list[int] = []
-    obj_x: list[int] = []
-    for g, size in enumerate(functor.fiber_sizes):
-        offsets.append(total)
-        total += size
-        obj_g.extend([g] * size)
-        obj_x.extend(range(size))
-    conjugate = group.conjugator()
-    transport = functor.transport_cached
-
-    def act(h: int, s: int) -> int:
-        g = obj_g[s]
-        return offsets[conjugate(g, h)] + transport(h, g)[obj_x[s]]
-
-    return GroupAction(group=group, carrier_size=total, act=act, name=f"elements({functor.name})")
+    act = _elements_carrier(functor)[2]
+    return GroupAction(
+        group=functor.group,
+        carrier_size=functor.total_size,
+        act=act,
+        name=f"elements({functor.name})",
+        _rows=functor._rows,
+    )
 
 
 @dataclass(frozen=True)
@@ -387,12 +392,12 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     for g in group.elements():
         images = group.images_at(g)
         fixed.append(tuple(i for i in range(n) if images[i] == i))
+    positions = [{v: i for i, v in enumerate(f)} for f in fixed]
     conjugate = group.conjugator()
 
     def transport(h: int, g: int) -> tuple[int, ...]:
         himg = group.images_at(h)
-        target = fixed[conjugate(g, h)]
-        position = {v: i for i, v in enumerate(target)}
+        position = positions[conjugate(g, h)]
         return tuple(position[himg[v]] for v in fixed[g])
 
     return EquivariantFunctor(
@@ -412,20 +417,12 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
         raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
     group = make_symmetric(n)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
-    index: dict[int, dict] = {}
-
-    def index_of(g: int) -> dict:
-        table = index.get(g)
-        if table is None:
-            table = {choice: i for i, choice in enumerate(choices[g])}
-            index[g] = table
-        return table
-
+    index = [{choice: i for i, choice in enumerate(c)} for c in choices]
     conjugate = group.conjugator()
 
     def transport(h: int, g: int) -> tuple[int, ...]:
         timg = group.images_at(h)
-        target = index_of(conjugate(g, h))
+        target = index[conjugate(g, h)]
         return tuple(target[relabel_choice(timg, choice)] for choice in choices[g])
 
     return EquivariantFunctor(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .groups import FiniteGroup
-from .permutations import cycle_type_table
+from .permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table
 from .rng import SplitMix64
 
 Rational = Fraction
@@ -195,30 +195,21 @@ def first_law_failure(
 class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
 
-    Immutable once built. Exhaustive validation evaluates act once per pair
-    and keeps the images as one row per group element; otherwise act results
-    are memoized, since orbit scans and sampled law checks revisit pairs.
+    Immutable once built. The images are kept as one row per group element,
+    rows[g][s] = act(g, s), when a builder passes them in or exhaustive
+    validation evaluates them; otherwise act is called on every lookup.
     """
 
     group: FiniteGroup
     carrier_size: int
     act: Callable[[int, int], int]
     name: str = "action"
-    _act_memo: dict = field(default_factory=dict, repr=False)
     _rows: Optional[list] = field(default=None, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, repr=False)
 
     def act_cached(self, g: int, s: int) -> int:
         rows = self._rows
-        if rows is not None:
-            return rows[g][s]
-        key = g * self.carrier_size + s
-        memo = self._act_memo
-        t = memo.get(key)
-        if t is None:
-            t = self.act(g, s)
-            memo[key] = t
-        return t
+        return self.act(g, s) if rows is None else rows[g][s]
 
     def validate(
         self,
@@ -233,12 +224,13 @@ class GroupAction:
         when |S| + |G|^2 |S| fits under check_cap, otherwise it runs over a
         seeded deterministic sample whose triples are drawn in lane-packed
         blocks (SplitMix64.below_repeating), reported as "sampled
-        validation". The exhaustive check evaluates act once per (g, s) and
-        compares whole rows over the k generators of
-        FiniteGroup.spanning_tree() (first_law_failure): by induction on word
-        length, act(s g, x) = act(s, act(g, x)) for each generator s and
-        every g, with the identity law, gives the law for every pair (Holt,
-        Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+        validation". The exhaustive check reads the rows passed in, or else
+        evaluates act once per (g, s), and compares whole rows over the k
+        generators of FiniteGroup.spanning_tree() (first_law_failure): by
+        induction on word length, act(s g, x) = act(s, act(g, x)) for each
+        generator s and every g, with the identity law, gives the law for
+        every pair (Holt, Eick & O'Brien, Handbook of Computational Group
+        Theory, 2005, ch. 4).
         A passing check reports the compares made, |S| + k |G| |S|; the gate
         still reads the per-triple count, so the mode does not depend on k.
         Either way a failure names the first failing triple in lexicographic
@@ -264,10 +256,11 @@ class GroupAction:
         mode = "exhaustive"
         if failure is None:
             if checks + compat_total <= check_cap:
-                act = self.act
-                rows = [list(range(size)) if g == e else [act(g, s) for s in range(size)] for g in range(order)]
-                self._rows = rows
-                self._act_memo.clear()
+                rows = self._rows
+                if rows is None:
+                    act = self.act
+                    rows = [list(range(size)) if g == e else [act(g, s) for s in range(size)] for g in range(order)]
+                    self._rows = rows
                 generators = group.spanning_tree()[0]
                 witness = first_law_failure(rows, group.multiplication_row, generators)
                 if witness is None:
@@ -378,8 +371,11 @@ def conjugation_action(group: FiniteGroup) -> GroupAction:
 def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:
     """Skeleton of the groupoid of n-element sets with a permutation: one
     component per cycle type, labeled by its partition, with aut order the
-    centralizer order. Empty for n < 0; cardinality 1 for n >= 0."""
+    centralizer order. Empty for n < 0; cardinality 1 for n >= 0. Degrees
+    above DEFAULT_PARTITION_CAP raise CapExceededError."""
     if n < 0:
         return EMPTY_SKELETON
+    if n > DEFAULT_PARTITION_CAP:
+        raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
     comps = tuple(SkeletonComponent(z, label=partition) for _, z, partition in cycle_type_table(n))
     return GroupoidSkeleton(comps)

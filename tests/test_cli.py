@@ -102,6 +102,28 @@ def test_skeleton_output(capsys):
     assert payload["cardinality"] == "0/1"
 
 
+def test_skeleton_degree_cap_exits_2(capsys):
+    code, out, err = run_cli(["skeleton", "--n", "41"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "partition cap 40" in err
+    assert "Traceback" not in err
+
+
+def test_max_n_only_on_enumerating_subcommands(capsys):
+    for argv in (["stats", "--n", "5"], ["skeleton", "--n", "5"],
+                 ["montecarlo", "--n", "5", "--p-one", "k=1", "--samples", "2"]):
+        code, out, err = run_cli(argv + ["--max-n", "2"], capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert "--max-n" in err
+    code, _, _ = run_cli(["theorem-general", "--builtin", "fixed-points", "--n", "3", "--max-n", "3"], capsys)
+    assert code == 0
+    code, _, err = run_cli(["verify-categorified", "--n", "3", "--p", "0,1,0", "--max-n", "2"], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
 def test_stats(capsys):
     code, out, _ = run_cli(["stats", "--n", "6"], capsys)
     assert code == 0

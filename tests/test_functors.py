@@ -24,11 +24,13 @@ from groupoid_card.groups import make_cyclic, make_product, make_symmetric, to_c
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
     DEFAULT_SAMPLE_BUDGET,
+    GroupAction,
     cardinality,
+    orbit_decomposition,
     skeletons_equivalent,
     weak_quotient,
 )
-from groupoid_card.permutations import CapExceededError
+from groupoid_card.permutations import CapExceededError, iter_pvectors
 from groupoid_card.rng import SplitMix64
 from law_cases import LAW_GROUPS, last_generator_coset, table_cap
 
@@ -181,8 +183,8 @@ def test_n6_fixed_point_functor_stays_sampled():
 
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     """Fiber sizes are compared under the k generators' conjugation rows,
-    and composition over their multiplication rows; the only other rows
-    read place each h's transports, one conjugation row per h."""
+    and composition over their multiplication rows; the row build places
+    points through conjugator(), so no other row is read."""
     group = make_symmetric(5)
     generators = group.spanning_tree()[0]
     assert len(generators) == 4
@@ -195,7 +197,7 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     assert total == 120
     assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 4 * 120 + 120 + 4 * 120 * total)
     assert read["multiplication_row"] == generators
-    assert read["conjugation_row"] == generators + list(range(120))
+    assert read["conjugation_row"] == generators
 
 
 def test_validation_result_is_cached():
@@ -490,3 +492,54 @@ def test_functor_validation_same_with_or_without_group_tables(monkeypatch):
     assert without_tables._conjugation_table() is None
     assert got == expected
     assert sum(report.failing_law == "composition" for report in got) >= 4
+
+
+def exhaustively_validated_functors():
+    yield make_trivial_functor(make_symmetric(3))
+    for n in range(1, 6):
+        yield make_fixed_point_functor(n)
+    for p in iter_pvectors(4, max_entry=4, max_weight=4):
+        yield make_cycle_tuple_functor(4, p)
+    for name in ("S3", "S4", "Z2xS3", "cayley(Z2xS3)"):
+        group = LAW_GROUPS[name]()
+        for sizes, table in functor_tables(group):
+            yield EquivariantFunctor(group, sizes, lambda h, g, table=table: table[(h, g)], name=name)
+
+
+def test_elements_action_reuses_exhaustive_rows():
+    """After an exhaustive validate_functor, the category of elements starts
+    from the rows that check built: each row entry is the action's own act,
+    and validating and quotienting it evaluate act no more, with the same
+    report and orbits as an action that evaluates every image itself."""
+    count = 0
+    for functor in exhaustively_validated_functors():
+        assert validate_functor(functor).mode == "exhaustive", functor.name
+        action = category_of_elements(functor)
+        act, order, size = action.act, action.group.order, action.carrier_size
+        assert action._rows == [[act(h, s) for s in range(size)] for h in range(order)], functor.name
+
+        def forbidden(h, s):
+            raise AssertionError("act evaluated although the rows exist")
+
+        action.act = forbidden
+        fresh = GroupAction(group=action.group, carrier_size=size, act=act, name=action.name)
+        report = action.validate()
+        assert report == fresh.validate()
+        assert report.ok and report.mode == "exhaustive"
+        assert orbit_decomposition(action) == orbit_decomposition(fresh)
+        count += 1
+    # trivial, fixed points, twelve p-vectors, and 3, 3, 2, 2 table functors
+    assert count == 1 + 5 + 12 + 10
+
+
+def test_elements_action_after_sampled_validation_has_no_rows():
+    functor = make_cycle_tuple_functor(4, (0, 1, 0, 0))
+    report = validate_functor(functor, check_cap=1000)
+    assert report.ok and report.mode == "sampled validation"
+    action = category_of_elements(functor)
+    assert action._rows is None
+    fresh = GroupAction(group=action.group, carrier_size=action.carrier_size, act=action.act)
+    orbits = orbit_decomposition(action)
+    assert orbits == orbit_decomposition(fresh)
+    exhaustive = make_cycle_tuple_functor(4, (0, 1, 0, 0))
+    assert orbit_decomposition(category_of_elements(exhaustive)) == orbits

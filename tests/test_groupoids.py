@@ -32,6 +32,7 @@ from groupoid_card.groupoids import (
     skeletons_equivalent,
     weak_quotient,
 )
+from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError
 from groupoid_card.rng import SplitMix64
 from law_cases import LAW_GROUPS, last_generator_coset, table_cap
 
@@ -266,6 +267,11 @@ def test_perm_groupoid_skeleton_examples():
     assert three.aut_orders() == (2, 3, 6)
     by_label = {c.label: c.aut_order for c in three.components}
     assert by_label == {(1, 1, 1): 6, (2, 1): 2, (3,): 3}
+
+
+def test_perm_groupoid_skeleton_degree_cap():
+    with pytest.raises(CapExceededError, match="partition cap 40"):
+        perm_groupoid_skeleton(DEFAULT_PARTITION_CAP + 1)
 
 
 @pytest.mark.parametrize("n", range(9))
