@@ -22,7 +22,6 @@ from .groupoids import (
     GroupoidSkeleton,
     Orbit,
     cardinality,
-    cardinality_via_outdegrees,
     delooping,
     orbit_decomposition,
     perm_groupoid_skeleton,
@@ -174,7 +173,6 @@ class CategorifiedReport:
     bridge_check: bool
     q_size: int
     group_order: int
-    outdegree_card: Fraction
     orbits: tuple[Orbit, ...]
 
     @property
@@ -223,6 +221,5 @@ def verify_categorified(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION
         bridge_check=bridge,
         q_size=action.carrier_size,
         group_order=action.group.order,
-        outdegree_card=cardinality_via_outdegrees(action),
         orbits=tuple(orbits),
     )

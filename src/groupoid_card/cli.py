@@ -32,7 +32,6 @@ from .functors import (
     functor_from_json,
     make_cycle_tuple_functor,
     make_fixed_point_functor,
-    validate_functor,
     verify_general_theorem,
 )
 from .groups import GroupValidationError
@@ -75,9 +74,17 @@ def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
     return p
 
 
-def _sweep_pvectors(args) -> list[tuple[int, ...]]:
-    max_weight = args.max_weight if args.max_weight is not None else args.n
-    return list(iter_pvectors(args.n, max_entry=args.max_entry, max_weight=max_weight))
+def _selected_pvectors(args) -> list[tuple[int, ...]]:
+    """The p-vectors a sweeping subcommand checks: every one within
+    --max-entry and --max-weight (default n) for --all-p, else the --p one."""
+    for flag, bound in (("--max-entry", args.max_entry), ("--max-weight", args.max_weight)):
+        if bound is not None and bound < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {bound}")
+    if args.all_p:
+        return list(iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight))
+    if args.p is None:
+        raise UsageError("provide --p or --all-p")
+    return [_parse_pvector(args.p, args.n)]
 
 
 def _emit(payload: dict, fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
@@ -112,13 +119,7 @@ def _moment_row(report) -> dict:
 def cmd_verify_lemma(args) -> int:
     cap = _enumeration_cap(args)
     method = METHOD_CYCLE_TYPE if args.method == "cycle-type" else METHOD_BRUTE
-    if args.all_p:
-        pvectors = _sweep_pvectors(args)
-    else:
-        if args.p is None:
-            raise UsageError("provide --p or --all-p")
-        pvectors = [_parse_pvector(args.p, args.n)]
-    reports = [verify_cll(args.n, p, method=method, cap=cap) for p in pvectors]
+    reports = [verify_cll(args.n, p, method=method, cap=cap) for p in _selected_pvectors(args)]
     failures = [r for r in reports if not r.equal]
     if len(reports) == 1 and not args.all_p:
         payload = {"command": "verify-lemma", **reports[0].to_json_dict()}
@@ -159,13 +160,7 @@ def _categorified_row(report) -> dict:
 
 def cmd_verify_categorified(args) -> int:
     cap = _enumeration_cap(args)
-    if args.all_p:
-        pvectors = _sweep_pvectors(args)
-    else:
-        if args.p is None:
-            raise UsageError("provide --p or --all-p")
-        pvectors = [_parse_pvector(args.p, args.n)]
-    reports = [verify_categorified(args.n, p, cap=cap) for p in pvectors]
+    reports = [verify_categorified(args.n, p, cap=cap) for p in _selected_pvectors(args)]
     failures = [r for r in reports if not r.ok]
     if len(reports) == 1 and not args.all_p:
         report = reports[0]
@@ -303,9 +298,6 @@ def cmd_theorem_general(args) -> int:
         with open(args.functor, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         functor = functor_from_json(data, cap=cap)
-        report_validation = validate_functor(functor)
-        if not report_validation.ok:
-            raise FunctorValidationError(report_validation)
     elif args.builtin == "fixed-points":
         if args.n is None:
             raise UsageError("--builtin fixed-points requires --n")
@@ -342,6 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_sweep(p):
+        """The p-vector selection shared by the sweeping subcommands."""
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=str, default=None, help="comma-separated p-vector of length n")
+        p.add_argument("--all-p", action="store_true", help="sweep all bounded p-vectors")
+        p.add_argument("--max-entry", type=int, default=2)
+        p.add_argument("--max-weight", type=int, default=None, help="weight bound of the sweep (default n)")
+
     def add_common(p, enumerates):
         """--format everywhere; --max-n only where it caps an enumeration."""
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -349,21 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-n", type=int, default=None, help=f"enumeration cap override (or set {ENV_MAX_N})")
 
     p = sub.add_parser("verify-lemma", help="check the expectation of falling-power products against the closed form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=str, default=None, help="comma-separated p-vector of length n")
-    p.add_argument("--all-p", action="store_true", help="sweep all bounded p-vectors")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--max-weight", type=int, default=None)
+    add_sweep(p)
     p.add_argument("--method", choices=["brute", "cycle-type"], default="brute")
     add_common(p, enumerates=True)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("verify-categorified", help="compare the decorated-permutation quotient against the product skeleton")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=str, default=None)
-    p.add_argument("--all-p", action="store_true")
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--max-weight", type=int, default=None)
+    add_sweep(p)
     add_common(p, enumerates=True)
     p.set_defaults(func=cmd_verify_categorified)
 

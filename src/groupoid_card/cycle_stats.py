@@ -104,13 +104,14 @@ def expected_product_brute(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERAT
     return Fraction(total, math.factorial(n))
 
 
-def expected_product_by_type(n: int, p: Sequence[int], partition_cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
+def expected_product_by_type(n: int, p: Sequence[int]) -> Fraction:
     """Exact expectation by summing over cycle types: each type contributes
     its falling-power product weighted by 1/centralizer_order. Independent of
-    the enumeration route."""
+    the enumeration route. Degrees above DEFAULT_PARTITION_CAP raise
+    CapExceededError."""
     pvec = validate_pvector(n, p)
-    if n > partition_cap:
-        raise CapExceededError(f"degree {n} exceeds partition cap {partition_cap}")
+    if n > DEFAULT_PARTITION_CAP:
+        raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
     n_factorial = math.factorial(n)
     total = 0
     for mult, z, _ in cycle_type_table(n):
@@ -132,13 +133,13 @@ def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
     return Fraction(1, denom)
 
 
-def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP, partition_cap: int = DEFAULT_PARTITION_CAP) -> MomentReport:
+def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
     """Compare one exact method against the closed form, as exact rationals."""
     pvec = validate_pvector(n, p)
     if method == METHOD_BRUTE:
         lhs = expected_product_brute(n, pvec, cap)
     elif method == METHOD_CYCLE_TYPE:
-        lhs = expected_product_by_type(n, pvec, partition_cap)
+        lhs = expected_product_by_type(n, pvec)
     else:
         raise ValueError(f"unknown exact method {method!r}")
     rhs = cll_rhs(n, pvec)

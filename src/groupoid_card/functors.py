@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .categorified import relabel_choice
+from . import groupoids
 from .groups import FiniteGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
-    DEFAULT_CHECK_CAP,
-    DEFAULT_SAMPLE_BUDGET,
     GroupAction,
     GroupoidSkeleton,
     Orbit,
@@ -138,21 +137,18 @@ class FunctorValidationError(ValueError):
         self.report = report
 
 
-def validate_functor(
-    functor: EquivariantFunctor,
-    *,
-    check_cap: int = DEFAULT_CHECK_CAP,
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-    seed: int = DEFAULT_FUNCTOR_VALIDATION_SEED,
-) -> FunctorValidation:
+def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     """Check fiber-size conjugation invariance, identity transports, and the
     composition law transport(h2, h1 g h1^-1) o transport(h1, g) =
     transport(h2 h1, g).
 
     The first two run exhaustively. Composition is exhaustive when
-    |G|^2 + |G| + |G|^2 * total fiber size fits under check_cap, otherwise it
-    runs over a seeded deterministic sample of triples drawn in lane-packed
-    blocks (SplitMix64.below_repeating).
+    |G|^2 + |G| + |G|^2 * total fiber size fits under
+    groupoids.DEFAULT_CHECK_CAP, otherwise it runs over
+    groupoids.DEFAULT_SAMPLE_BUDGET triples drawn from
+    DEFAULT_FUNCTOR_VALIDATION_SEED in lane-packed blocks
+    (SplitMix64.below_repeating). Action checks read the same cap and
+    budget, and every constant is read at call time.
 
     The exhaustive checks run over the k generators s of
     FiniteGroup.spanning_tree(). Conjugation by s h is conjugation by h, then
@@ -237,7 +233,7 @@ def validate_functor(
 
         # The gate reads the per-pair counts of all three laws, not the
         # generator counts made above, so no input changes mode with k.
-        if order * order + order + composition_cost <= check_cap:
+        if order * order + order + composition_cost <= groupoids.DEFAULT_CHECK_CAP:
             # Row h is the category-of-elements action of h. The composition
             # law for every (h2, h1, g, x) is then row h2 after row h1 =
             # row h2 h1, checked by the shared row kernel with h2 a generator.
@@ -270,7 +266,8 @@ def validate_functor(
                     )
         else:
             mode = "sampled validation"
-            draws = iter(SplitMix64(seed).below_repeating((order, order, len(nonempty)), 3 * sample_budget))
+            rng = SplitMix64(DEFAULT_FUNCTOR_VALIDATION_SEED)
+            draws = iter(rng.below_repeating((order, order, len(nonempty)), 3 * groupoids.DEFAULT_SAMPLE_BUDGET))
             for h2, h1, i in zip(draws, draws, draws):
                 g = nonempty[i]
                 checks += sizes[g]

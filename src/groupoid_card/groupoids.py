@@ -66,10 +66,6 @@ class GroupoidSkeleton:
         ordered = tuple(sorted(self.components, key=lambda c: (c.aut_order, repr(c.label))))
         object.__setattr__(self, "components", ordered)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
-
     def aut_orders(self) -> tuple[int, ...]:
         return tuple(c.aut_order for c in self.components)
 
@@ -211,26 +207,20 @@ class GroupAction:
         rows = self._rows
         return self.act(g, s) if rows is None else rows[g][s]
 
-    def validate(
-        self,
-        *,
-        check_cap: int = DEFAULT_CHECK_CAP,
-        sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-        seed: int = DEFAULT_VALIDATION_SEED,
-    ) -> ActionValidation:
+    def validate(self) -> ActionValidation:
         """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s).
 
         The identity law is always exhaustive. Compatibility is exhaustive
-        when |S| + |G|^2 |S| fits under check_cap, otherwise it runs over a
-        seeded deterministic sample whose triples are drawn in lane-packed
-        blocks (SplitMix64.below_repeating), reported as "sampled
-        validation". The exhaustive check reads the rows passed in, or else
-        evaluates act once per (g, s), and compares whole rows over the k
-        generators of FiniteGroup.spanning_tree() (first_law_failure): by
-        induction on word length, act(s g, x) = act(s, act(g, x)) for each
-        generator s and every g, with the identity law, gives the law for
-        every pair (Holt, Eick & O'Brien, Handbook of Computational Group
-        Theory, 2005, ch. 4).
+        when |S| + |G|^2 |S| fits under DEFAULT_CHECK_CAP, otherwise it runs
+        over DEFAULT_SAMPLE_BUDGET triples drawn from DEFAULT_VALIDATION_SEED
+        in lane-packed blocks (SplitMix64.below_repeating), reported as
+        "sampled validation"; the constants are read at call time. The
+        exhaustive check reads the rows passed in, or else evaluates act once
+        per (g, s), and compares whole rows over the k generators of
+        FiniteGroup.spanning_tree() (first_law_failure): by induction on word
+        length, act(s g, x) = act(s, act(g, x)) for each generator s and
+        every g, with the identity law, gives the law for every pair (Holt,
+        Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
         A passing check reports the compares made, |S| + k |G| |S|; the gate
         still reads the per-triple count, so the mode does not depend on k.
         Either way a failure names the first failing triple in lexicographic
@@ -255,7 +245,7 @@ class GroupAction:
         compat_total = order * order * size
         mode = "exhaustive"
         if failure is None:
-            if checks + compat_total <= check_cap:
+            if checks + compat_total <= DEFAULT_CHECK_CAP:
                 rows = self._rows
                 if rows is None:
                     act = self.act
@@ -279,7 +269,7 @@ class GroupAction:
                         )
             else:
                 mode = "sampled validation"
-                draws = iter(SplitMix64(seed).below_repeating((order, order, size), 3 * sample_budget))
+                draws = iter(SplitMix64(DEFAULT_VALIDATION_SEED).below_repeating((order, order, size), 3 * DEFAULT_SAMPLE_BUDGET))
                 for g, h, s in zip(draws, draws, draws):
                     checks += 1
                     t = self.act_cached(h, s)

@@ -341,18 +341,18 @@ def make_product(left: FiniteGroup, right: FiniteGroup) -> ProductGroup:
     return ProductGroup(left, right)
 
 
-def from_cayley_table(table: Sequence[Sequence[int]], *, max_order: int = DEFAULT_CAYLEY_ORDER_CAP, force: bool = False) -> CayleyGroup:
+def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
     """Build a group from an m x m table of element indices, checking closure,
     associativity (all m^3 triples), a two-sided identity and inverses.
 
     Raises GroupValidationError naming the first failing axiom and a witness.
-    The O(m^3) associativity scan is capped at max_order unless force is set.
+    The O(m^3) associativity scan refuses orders above DEFAULT_CAYLEY_ORDER_CAP.
     """
     m = len(table)
     if m == 0:
         raise GroupValidationError("shape", None, "a group table cannot be empty")
-    if m > max_order and not force:
-        raise CapExceededError(f"table order {m} exceeds associativity validation cap {max_order} (pass force=True to override)")
+    if m > DEFAULT_CAYLEY_ORDER_CAP:
+        raise CapExceededError(f"table order {m} exceeds associativity validation cap {DEFAULT_CAYLEY_ORDER_CAP}")
     rows: list[tuple[int, ...]] = []
     for i, row in enumerate(table):
         entries = tuple(int(x) for x in row)
@@ -398,7 +398,7 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def from_cayley_json(data: dict, **kwargs) -> CayleyGroup:
+def from_cayley_json(data: dict) -> CayleyGroup:
     """Ingest {"order": m, "table": [[...]]} and validate it as a group.
     Anything but a list of lists of integers is rejected before validation."""
     if not isinstance(data, dict) or "order" not in data or "table" not in data:
@@ -412,7 +412,7 @@ def from_cayley_json(data: dict, **kwargs) -> CayleyGroup:
     for i, row in enumerate(table):
         for j, x in enumerate(row):
             json_int(x, f"Cayley table entry [{i}][{j}]")
-    return from_cayley_table(table, **kwargs)
+    return from_cayley_table(table)
 
 
 def to_cayley_json(group: FiniteGroup) -> dict:

@@ -304,12 +304,25 @@ def weight(p: Sequence[int]) -> int:
 
 def iter_pvectors(n: int, max_entry: int = 2, max_weight: int | None = None) -> Iterator[tuple[int, ...]]:
     """All p-vectors of length n with entries <= max_entry and weight <= max_weight
-    (default n), in lexicographic order."""
+    (default n), in lexicographic order. The coordinates are walked in order,
+    p_k bounded by the weight still left, so no vector over the weight is built."""
+    if n < 0:
+        raise ValueError(f"p-vector length must be nonnegative, got {n}")
     if max_weight is None:
         max_weight = n
-    for p in itertools.product(range(max_entry + 1), repeat=n):
-        if weight(p) <= max_weight:
-            yield p
+    if max_weight < 0:
+        return
+    p = [0] * n
+
+    def walk(k: int, left: int) -> Iterator[tuple[int, ...]]:
+        if k > n:
+            yield tuple(p)
+            return
+        for pk in range(min(max_entry, left // k) + 1):
+            p[k - 1] = pk
+            yield from walk(k + 1, left - k * pk)
+
+    yield from walk(1, max_weight)
 
 
 # For each k with p_k > 0: (k, ordered tuple of p_k distinct canonical cycles).

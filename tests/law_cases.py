@@ -1,13 +1,14 @@
 """Groups and generator cosets shared by the law-check differential tests.
 
 Groups are built by name, fresh, so that their lazily built tables follow the
-table cap in force where the test builds them (`table_cap`)."""
+table cap in force where the test builds them (`table_cap`); `law_caps` moves
+the law checks between exhaustive and sampled mode."""
 
 import contextlib
 import random
 from unittest import mock
 
-from groupoid_card import groups
+from groupoid_card import groupoids, groups
 
 
 def relabelled_cayley(group, seed=7):
@@ -40,6 +41,13 @@ def table_cap(tables):
     """A context in which new groups build their multiplication and
     conjugation tables (tables=True) or compute every entry with mul."""
     return contextlib.nullcontext() if tables else mock.patch.object(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
+
+
+def law_caps(check_cap, sample_budget=groupoids.DEFAULT_SAMPLE_BUDGET):
+    """A context in which action and functor law checks read this check cap
+    and sample budget in place of the groupoids constants. A validation
+    caches its first report, so the check to be moved must run inside."""
+    return mock.patch.multiple(groupoids, DEFAULT_CHECK_CAP=check_cap, DEFAULT_SAMPLE_BUDGET=sample_budget)
 
 
 def last_generator_coset(group):

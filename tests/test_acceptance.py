@@ -409,7 +409,8 @@ def test_criterion_10_property_suites(
         if Fraction(carrier, group_order) != cardinality(skeleton_from_orbits(orbits)):
             ok = False
     for report in categorified_reports.values():
-        if report.outdegree_card != report.lhs_card:
+        # Every element of the group labels one morphism out of each of the q_size objects.
+        if Fraction(report.q_size, report.group_order) != report.lhs_card:
             ok = False
     for report in list(cycle_tuple_theorem_reports.values()) + list(fixed_point_reports.values()) + trivial_theorem_reports:
         if report.outdegree_cardinality != report.elements_cardinality:

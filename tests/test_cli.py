@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given
@@ -45,6 +46,27 @@ def test_verify_lemma_sweep(capsys):
     assert payload["all_equal"] is True
     assert payload["count"] > 1
     assert payload["failures"] == []
+
+
+def test_verify_lemma_sweep_walks_only_bounded_vectors(capsys):
+    # Degree 16 has 3^16 vectors with entries at most 2, and 405 of weight at most 16.
+    start = time.perf_counter()
+    code, out, _ = run_cli(["verify-lemma", "--n", "16", "--all-p", "--method", "cycle-type"], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == 405
+    assert payload["all_equal"] is True
+
+
+@pytest.mark.parametrize("subcommand", ["verify-lemma", "verify-categorified"])
+@pytest.mark.parametrize("flag", ["--max-entry", "--max-weight"])
+def test_negative_sweep_bound_exits_2(capsys, subcommand, flag):
+    code, out, err = run_cli([subcommand, "--n", "3", "--all-p", flag, "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 def test_verify_lemma_cycle_type_method(capsys):

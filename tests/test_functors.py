@@ -32,7 +32,7 @@ from groupoid_card.groupoids import (
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
 from groupoid_card.rng import SplitMix64
-from law_cases import LAW_GROUPS, last_generator_coset, table_cap
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -168,9 +168,23 @@ def test_malformed_bijection_is_caught():
 
 def test_sampled_validation_mode():
     functor = make_fixed_point_functor(4)
-    report = validate_functor(functor, check_cap=10, sample_budget=300)
+    with law_caps(10, sample_budget=300):
+        report = validate_functor(functor)
     assert report.ok
     assert report.mode == "sampled validation"
+
+
+def test_law_caps_switch_both_validators():
+    """Both validators read the check cap from groupoids at call time, so
+    one patch moves both to sampling, and it ends with the context."""
+
+    def reports():
+        functor = make_fixed_point_functor(4)
+        return validate_functor(functor).mode, category_of_elements(functor).validate().mode
+
+    with law_caps(10, sample_budget=300):
+        assert reports() == ("sampled validation", "sampled validation")
+    assert reports() == ("exhaustive", "exhaustive")
 
 
 def test_n6_fixed_point_functor_stays_sampled():
@@ -430,7 +444,8 @@ def test_functor_validation_matches_reference(name, tables, data):
             return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
 
         expected = reference_functor_validation(build(), check_cap=check_cap)
-        assert validate_functor(build(), check_cap=check_cap) == expected
+        with law_caps(check_cap):
+            assert validate_functor(build()) == expected
         assert (group._conjugation_table() is not None) == tables
 
 
@@ -534,7 +549,8 @@ def test_elements_action_reuses_exhaustive_rows():
 
 def test_elements_action_after_sampled_validation_has_no_rows():
     functor = make_cycle_tuple_functor(4, (0, 1, 0, 0))
-    report = validate_functor(functor, check_cap=1000)
+    with law_caps(1000):
+        report = validate_functor(functor)
     assert report.ok and report.mode == "sampled validation"
     action = category_of_elements(functor)
     assert action._rows is None

@@ -34,7 +34,7 @@ from groupoid_card.groupoids import (
 )
 from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError
 from groupoid_card.rng import SplitMix64
-from law_cases import LAW_GROUPS, last_generator_coset, table_cap
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -162,7 +162,8 @@ def test_action_validation_compatibility_failure():
 
 def test_action_validation_sampled_mode():
     action = GroupAction(make_cyclic(4), 4, lambda g, s: (g + s) % 4)
-    report = action.validate(check_cap=10, sample_budget=200)
+    with law_caps(10, sample_budget=200):
+        report = action.validate()
     assert report.ok
     assert report.mode == "sampled validation"
     assert report.checks <= 10 + 200 + 4
@@ -176,7 +177,8 @@ def test_orbit_decomposition_rejects_images_outside_the_carrier():
         return -1 if (g, s) == (5, 0) else s
 
     action = GroupAction(make_symmetric(4), 2_000, act, name="one-bad-image")
-    report = action.validate(check_cap=1_000, sample_budget=200)
+    with law_caps(1_000, sample_budget=200):
+        report = action.validate()
     assert report.ok
     assert report.mode == "sampled validation"
     with pytest.raises(ActionValidationError, match=r"act\(5, 0\) = -1 is outside the carrier"):
@@ -388,7 +390,8 @@ def test_action_validation_matches_reference(name, tables, data):
         check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
         act = lambda g, s: table[g][s]
         expected = reference_action_validation(group, size, act, check_cap=check_cap)
-        assert GroupAction(group, size, act).validate(check_cap=check_cap) == expected
+        with law_caps(check_cap):
+            assert GroupAction(group, size, act).validate() == expected
         assert (group._multiplication_table() is not None) == tables
 
 

@@ -155,11 +155,13 @@ def test_cayley_shape_and_closure_errors():
     assert exc.value.witness == (0, 1)
 
 
-def test_cayley_order_cap_and_override():
+def test_cayley_order_cap_and_override(monkeypatch):
     z5_table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    monkeypatch.setattr(groups, "DEFAULT_CAYLEY_ORDER_CAP", 4)
     with pytest.raises(CapExceededError):
-        from_cayley_table(z5_table, max_order=4)
-    assert from_cayley_table(z5_table, max_order=4, force=True).order == 5
+        from_cayley_table(z5_table)
+    monkeypatch.setattr(groups, "DEFAULT_CAYLEY_ORDER_CAP", 5)
+    assert from_cayley_table(z5_table).order == 5
 
 
 def test_cayley_json_round_trip():

@@ -202,6 +202,20 @@ def test_iter_pvectors():
     assert (2, 1, 0) not in vecs  # weight 4
 
 
+def test_iter_pvectors_equals_the_filtered_box():
+    """The bounded walk yields exactly the vectors of the full box of entries
+    0..max_entry whose weight is within max_weight, in the same order;
+    a negative bound yields nothing, at n = 0 too."""
+    for n in range(8):
+        for max_entry in range(-1, 4):
+            for max_weight in (None, -1, 0, 1, n, n + 2):
+                bound = n if max_weight is None else max_weight
+                box = [p for p in itertools.product(range(max_entry + 1), repeat=n) if weight(p) <= bound]
+                assert list(iter_pvectors(n, max_entry=max_entry, max_weight=max_weight)) == box
+    with pytest.raises(ValueError):
+        list(iter_pvectors(-1))
+
+
 def test_canonical_cycle():
     assert canonical_cycle((2, 0, 1)) == (0, 1, 2)
     assert canonical_cycle((3,)) == (3,)
