@@ -133,7 +133,7 @@ def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_
         minima, local = fibers[tuple([timg[simg[j]] for j in inverses[g]])]
         return local[tuple([minima[timg[a]] for a in marks])]
 
-    return GroupAction(group=group, carrier_size=len(points), act=act, name=f"S{n} on Q{list(p)}")
+    return GroupAction(group=group, carrier_size=len(points), act=act, name=f"S{n} on Q{list(p)}", _presented=True)
 
 
 def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:

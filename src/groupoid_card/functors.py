@@ -9,6 +9,7 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,23 +35,6 @@ from .permutations import (
     list_cycle_tuples,
     validate_pvector,
 )
-from .rng import SplitMix64
-
-DEFAULT_FUNCTOR_VALIDATION_SEED = 0xF4C702
-
-
-def _is_bijection_onto(arr: tuple[int, ...], size: int) -> bool:
-    """Whether arr lists every index 0..size-1 exactly once: one mark pass.
-    Negative entries are refused first, since they would index from the end."""
-    if len(arr) != size or (arr and min(arr) < 0):
-        return False
-    seen = bytearray(size)
-    try:
-        for x in arr:
-            seen[x] = 1
-    except IndexError:
-        return False
-    return 0 not in seen
 
 
 @dataclass(eq=False)
@@ -58,15 +42,16 @@ class EquivariantFunctor:
     """Extensional functor data: fiber sizes per element plus a transport map.
 
     transport(h, g) must return the image array of a bijection
-    F(g) -> F(h g h^-1). Arrays are checked for well-formedness on first use
-    and memoized.
+    F(g) -> F(h g h^-1); validate_functor checks each array it reads. A
+    constructor whose transport is a formula passes _presented=True, as
+    GroupAction's constructors do.
     """
 
     group: FiniteGroup
     fiber_sizes: tuple[int, ...]
     transport: Callable[[int, int], tuple[int, ...]]
     name: str = "functor"
-    _transport_memo: dict = field(default_factory=dict, repr=False)
+    _presented: bool = field(default=False, repr=False)
     _validation: Optional["FunctorValidation"] = field(default=None, repr=False)
     _rows: Optional[list] = field(default=None, repr=False)
 
@@ -82,39 +67,18 @@ class EquivariantFunctor:
     def total_size(self) -> int:
         return sum(self.fiber_sizes)
 
-    def transport_cached(self, h: int, g: int) -> tuple[int, ...]:
-        key = h * self.group.order + g
-        arr = self._transport_memo.get(key)
-        if arr is None:
-            arr = tuple(self.transport(h, g))
-            target = self.group.conjugator()(g, h)
-            if len(arr) != self.fiber_sizes[g] or not _is_bijection_onto(arr, self.fiber_sizes[target]):
-                raise ValueError(
-                    f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
-                    f"{self.fiber_sizes[g]} onto one of size {self.fiber_sizes[target]}"
-                )
-            self._transport_memo[key] = arr
-        return arr
 
-
-def _elements_carrier(
-    functor: EquivariantFunctor,
-) -> tuple[list[int], list[tuple[int, int]], Callable[[int, int], int]]:
-    """The carrier of the category of elements, fiber after fiber: the
-    offsets (offsets[g] + x is the point of (g, x in F(g)), with the total
-    last), each point's (g, x), and the action act(h, s), which sends
-    (g, x) to (h g h^-1, transport(h, g)(x))."""
+def _transport(functor: EquivariantFunctor, h: int, g: int, target: int) -> tuple[int, ...] | ValueError:
+    """transport(h, g), or a ValueError (returned) unless it lists each
+    index of F(target), target = h g h^-1, once and F(g) is that size."""
+    arr = tuple(functor.transport(h, g))
     sizes = functor.fiber_sizes
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    points = [(g, x) for g, size in enumerate(sizes) for x in range(size)]
-    conjugate = functor.group.conjugator()
-    transport = functor.transport_cached
-
-    def act(h: int, s: int) -> int:
-        g, x = points[s]
-        return offsets[conjugate(g, h)] + transport(h, g)[x]
-
-    return offsets, points, act
+    if len(arr) == sizes[g] and sorted(arr) == list(range(sizes[target])):
+        return arr
+    return ValueError(
+        f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
+        f"{sizes[g]} onto one of size {sizes[target]}"
+    )
 
 
 @dataclass(frozen=True)
@@ -122,7 +86,7 @@ class FunctorValidation:
     """Outcome of the functor law checks, with the first failure witnessed."""
 
     ok: bool
-    mode: str  # "exhaustive" or "sampled validation"
+    mode: str  # always "exhaustive": every transport a report rests on is read
     checks: int
     failing_law: Optional[str] = None
     witness: Optional[tuple] = None
@@ -140,148 +104,121 @@ class FunctorValidationError(ValueError):
 def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     """Check fiber-size conjugation invariance, identity transports, and the
     composition law transport(h2, h1 g h1^-1) o transport(h1, g) =
-    transport(h2 h1, g).
+    transport(h2 h1, g), from every transport the check rests on.
 
-    The first two run exhaustively. Composition is exhaustive when
-    |G|^2 + |G| + |G|^2 * total fiber size fits under
-    groupoids.DEFAULT_CHECK_CAP, otherwise it runs over
-    groupoids.DEFAULT_SAMPLE_BUDGET triples drawn from
-    DEFAULT_FUNCTOR_VALIDATION_SEED in lane-packed blocks
-    (SplitMix64.below_repeating). Action checks read the same cap and
-    budget, and every constant is read at call time.
+    Composition is the compatibility law of the category-of-elements action,
+    whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)), so the
+    routes of GroupAction.validate apply, with the same cap and the same
+    handling of a failed relation. Over the k generators s either way, fiber
+    sizes are compared under their conjugation rows: conjugation by s h is
+    conjugation by h, then by s. The relator check reads the generators'
+    transports and checks every relation on their rows, k |G| + (k + L) *
+    total reads for L letters and total fiber size; identity transports
+    hold by construction. The row compare reads the identity transports and
+    every transport and runs first_law_failure with h2 a generator,
+    (k + 1) |G| (1 + total) reads; a pass reports k |G| + |G| + k |G| *
+    total checks. A failure is witnessed by the lowest failing (h, g) or
+    (h2, h1, g) in lexicographic order, with the checks up to it. The result
+    is cached on the functor, and so are the rows the check built, which
+    category_of_elements hands to its action."""
+    if functor._validation is None:
+        presentation = functor.group.presentation() if functor._presented else None
+        report = None if presentation is None else _check(functor, *presentation)
+        if report is None or not report.ok and _row_compare_cost(functor) <= groupoids.DEFAULT_CHECK_CAP:
+            report = _check(functor, functor.group.spanning_tree()[0], None)
+        functor._validation = report
+    return functor._validation
 
-    The exhaustive checks run over the k generators s of
-    FiniteGroup.spanning_tree(). Conjugation by s h is conjugation by h, then
-    by s, so fiber sizes invariant under each generator are invariant under
-    every h: k |G| compares. Composition is the compatibility law of the
-    category-of-elements action, checked with h2 a generator by
-    groupoids.first_law_failure, whose induction on word length (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4) gives it
-    for every h2: k |G| row compares covering k |G| * total fiber elements.
-    A passing check reports those counts, k |G| + |G| + k |G| * total; the
-    gate reads the per-pair counts above, so the mode does not depend on k.
-    A failure is witnessed by the lowest failing (h, g) or (h2, h1, g) in
-    lexicographic order, found by the full per-pair scan, with the checks up
-    to it. Results are cached on the functor, and so are the exhaustive
-    check's rows, which category_of_elements hands to its action."""
-    if functor._validation is not None:
-        return functor._validation
+
+def _row_compare_cost(functor: EquivariantFunctor) -> int:
     group = functor.group
-    order = group.order
-    sizes = functor.fiber_sizes
-    failure: Optional[tuple[str, tuple, str]] = None
+    return (len(group.spanning_tree()[0]) + 1) * group.order * (1 + functor.total_size)
 
-    generators = group.spanning_tree()[0]
-    listed = list(sizes)
+
+def _check(functor: EquivariantFunctor, generators: list[int], relations: Optional[list]) -> FunctorValidation:
+    """The relator check of the relations, or the row compare when they are None."""
+    group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
+    order = group.order
     checks = len(generators) * order
-    if any([sizes[t] for t in group.conjugation_row(s)] != listed for s in generators):
-        # Some conjugation moves a fiber size: scan every (h, g) in
-        # lexicographic order for the lowest witness.
+
+    def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
+        return FunctorValidation(False, "exhaustive", checks, law, witness, message)
+
+    targets = {s: group.conjugation_row(s) for s in generators}
+    listed = list(sizes)
+    if any([sizes[t] for t in targets[s]] != listed for s in generators):
+        # Some conjugation moves a fiber size: scan the generators, or for
+        # the lowest witness every (h, g), in lexicographic order.
         checks = 0
-        for h in range(order):
-            if failure:
-                break
+        for h in range(order) if relations is None else generators:
             conj_row = group.conjugation_row(h)
             for g in range(order):
                 checks += 1
                 target = conj_row[g]
                 if sizes[g] != sizes[target]:
-                    failure = (
-                        "fiber_size",
-                        (h, g),
-                        f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}",
-                    )
-                    break
+                    return failed("fiber_size", (h, g),
+                                  f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
 
-    identity = group.identity
-    if failure is None:
+    # The composition law is vacuous on empty fibers, so only populated ones count.
+    nonempty = [g for g in range(order) if sizes[g]]
+    hs = generators
+    if relations is None:
         for g in range(order):
             checks += 1
-            try:
-                arr = functor.transport_cached(identity, g)
-            except ValueError as exc:
-                failure = ("bijection", (identity, g), str(exc))
-                break
+            arr = _transport(functor, group.identity, g, g)
+            if isinstance(arr, ValueError):
+                return failed("bijection", (group.identity, g), str(arr))
             if arr != tuple(range(sizes[g])):
-                failure = ("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
-                break
-
-    mode = "exhaustive"
-    total = functor.total_size
-    # The composition law is vacuous on empty fibers, so only populated ones count.
-    nonempty = [g for g in range(order) if sizes[g] > 0]
-    if failure is None and nonempty:
-        composition_cost = order * order * total
-        conjugate = group.conjugator()
-
-        def composition_ok(h2: int, h1: int, g: int) -> Optional[tuple[str, tuple, str]]:
-            try:
-                first = functor.transport_cached(h1, g)
-                mid = conjugate(g, h1)
-                second = functor.transport_cached(h2, mid)
-                combined = functor.transport_cached(group.mul(h2, h1), g)
-            except ValueError as exc:
-                return ("bijection", (h2, h1, g), str(exc))
+                return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
+        if not nonempty:
+            return FunctorValidation(True, "exhaustive", checks)
+        hs = range(order)
+        groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
+        targets = {h: group.conjugation_row(h) for h in hs}
+    else:
+        letters = groupoids._letter_count(relations)
+        groupoids._refuse_above_cap(repr(functor.name), checks + (len(generators) + letters) * total)
+    transports = {(h, g): _transport(functor, h, g, targets[h][g]) for h in hs for g in nonempty}
+    broken = [key for key, arr in transports.items() if isinstance(arr, ValueError)]
+    if broken and relations is not None:
+        return failed("bijection", broken[0], str(transports[broken[0]]))
+    if broken:
+        # No rows exist: scan the triples in lexicographic order for the lowest witness.
+        for h2, h1, g in itertools.product(range(order), range(order), nonempty):
+            checks += sizes[g]
+            first, second = transports[h1, g], transports[h2, targets[h1][g]]
+            combined = transports[group.mul(h2, h1), g]
+            for arr in (first, second, combined):
+                if isinstance(arr, ValueError):
+                    return failed("bijection", (h2, h1, g), str(arr))
             for x in range(sizes[g]):
                 if combined[x] != second[first[x]]:
-                    return (
-                        "composition",
-                        (h2, h1, g),
-                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}",
-                    )
-            return None
+                    return failed("composition", (h2, h1, g),
+                                  f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
 
-        # The gate reads the per-pair counts of all three laws, not the
-        # generator counts made above, so no input changes mode with k.
-        if order * order + order + composition_cost <= groupoids.DEFAULT_CHECK_CAP:
-            # Row h is the category-of-elements action of h. The composition
-            # law for every (h2, h1, g, x) is then row h2 after row h1 =
-            # row h2 h1, checked by the shared row kernel with h2 a generator.
-            offsets, points, act = _elements_carrier(functor)
-            try:
-                rows = [[act(h, s) for s in range(total)] for h in range(order)]
-            except ValueError:
-                rows = None
-            if rows is None:
-                # Some transport is not a bijection, so no rows exist: scan
-                # the triples in lexicographic order for the lowest witness.
-                for h2, h1, g in itertools.product(range(order), range(order), nonempty):
-                    checks += sizes[g]
-                    failure = composition_ok(h2, h1, g)
-                    if failure:
-                        break
-            else:
-                functor._rows = rows
-                witness = first_law_failure(rows, group.multiplication_row, generators)
-                if witness is None:
-                    checks += len(generators) * order * total
-                else:
-                    h2, h1, s = witness
-                    g, x = points[s]
-                    checks += (h2 * order + h1) * total + offsets[g + 1]
-                    failure = (
-                        "composition",
-                        (h2, h1, g),
-                        f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}",
-                    )
-        else:
-            mode = "sampled validation"
-            rng = SplitMix64(DEFAULT_FUNCTOR_VALIDATION_SEED)
-            draws = iter(rng.below_repeating((order, order, len(nonempty)), 3 * groupoids.DEFAULT_SAMPLE_BUDGET))
-            for h2, h1, i in zip(draws, draws, draws):
-                g = nonempty[i]
-                checks += sizes[g]
-                failure = composition_ok(h2, h1, g)
-                if failure:
-                    break
-
-    if failure is None:
-        report = FunctorValidation(ok=True, mode=mode, checks=checks)
-    else:
-        law, witness, message = failure
-        report = FunctorValidation(ok=False, mode=mode, checks=checks, failing_law=law, witness=witness, message=message)
-    functor._validation = report
-    return report
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    rows: list = [None] * order
+    for h in hs:
+        rows[h] = [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]]
+    functor._rows = rows
+    if relations is not None:
+        checks += len(generators) * total
+        witness = groupoids.first_relation_failure(rows, relations, total)
+        if witness is None:
+            return FunctorValidation(True, "exhaustive", checks + letters * total)
+        i, point = witness
+        checks += groupoids._letter_count(relations[: i + 1]) * total
+        g = bisect.bisect_right(offsets, point) - 1
+        return failed("relation", (*relations[i], g),
+                      f"{groupoids._relation_str(relations[i])} fails at fiber element {point - offsets[g]} of F({g})")
+    witness = first_law_failure(rows, group.multiplication_row, generators)
+    if witness is None:
+        return FunctorValidation(True, "exhaustive", checks + len(generators) * order * total)
+    h2, h1, point = witness
+    g = bisect.bisect_right(offsets, point) - 1
+    checks += (h2 * order + h1) * total + offsets[g + 1]
+    return failed("composition", (h2, h1, g),
+                  f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {point - offsets[g]}")
 
 
 def _require_valid(functor: EquivariantFunctor) -> None:
@@ -297,18 +234,27 @@ def expected_size(functor: EquivariantFunctor) -> Fraction:
 
 
 def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
-    """The group acting on all pairs (g, x in F(g)): h sends (g, x) to
-    (h g h^-1, transport(h, g)(x)). Carrier size is the total fiber size.
-    After an exhaustive validate_functor the action starts from the rows that
-    check built; its own validate still runs every law over them."""
+    """The group acting on all pairs (g, x in F(g)), fiber after fiber: h
+    sends (g, x) to (h g h^-1, transport(h, g)(x)). Carrier size is the total
+    fiber size. The action starts from the rows validate_functor built, all
+    of them or the generators' only, and takes the functor's route; its own
+    validate still runs the laws over them."""
     _require_valid(functor)
-    act = _elements_carrier(functor)[2]
+    offsets = list(itertools.accumulate(functor.fiber_sizes, initial=0))
+    conjugate = functor.group.conjugator()
+    transport = functor.transport
+
+    def act(h: int, s: int) -> int:
+        g = bisect.bisect_right(offsets, s) - 1
+        return offsets[conjugate(g, h)] + transport(h, g)[s - offsets[g]]
+
     return GroupAction(
         group=functor.group,
         carrier_size=functor.total_size,
         act=act,
         name=f"elements({functor.name})",
         _rows=functor._rows,
+        _presented=functor._presented,
     )
 
 
@@ -376,6 +322,7 @@ def make_trivial_functor(group: FiniteGroup) -> EquivariantFunctor:
         fiber_sizes=(1,) * group.order,
         transport=lambda h, g: (0,),
         name=f"trivial({group.name})",
+        _presented=True,
     )
 
 
@@ -402,6 +349,7 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
         fiber_sizes=tuple(len(f) for f in fixed),
         transport=transport,
         name=f"fixed-points(S{n})",
+        _presented=True,
     )
 
 
@@ -427,6 +375,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
         fiber_sizes=tuple(len(c) for c in choices),
         transport=transport,
         name=f"cycle-tuples(S{n}, p={list(pvec)})",
+        _presented=True,
     )
 
 

@@ -19,13 +19,10 @@ from typing import Any, Callable, Optional, Sequence
 
 from .groups import FiniteGroup
 from .permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table
-from .rng import SplitMix64
 
 Rational = Fraction
 
 DEFAULT_CHECK_CAP = 10_000_000
-DEFAULT_SAMPLE_BUDGET = 5_000
-DEFAULT_VALIDATION_SEED = 0x0AC710
 
 
 def rational_str(q: Fraction) -> str:
@@ -127,7 +124,7 @@ class ActionValidation:
     """Outcome of checking the identity and compatibility laws of an action."""
 
     ok: bool
-    mode: str  # "exhaustive" or "sampled validation"
+    mode: str  # always "exhaustive": every image a report rests on is read
     checks: int
     failure: Optional[str] = None
 
@@ -147,19 +144,18 @@ def first_law_failure(
     multiplication_row(g)[h]; None when there is none.
 
     The generators must generate the group (FiniteGroup.spanning_tree()
-    gives at most log2 |G| of them), and the caller has checked that the
-    identity's row is the identity map. Then, once every row lies inside the
-    carrier, it is enough that row s after row h is row s h for each
-    generator s and every h. Write g = s_1 ... s_m in the generators;
-    induction on m gives row g h = row s_1 after ... after row s_m after
-    row h for every h, and h = e gives row g = row s_1 after ... after
-    row s_m, so row g after row h is row g h (Holt, Eick & O'Brien, Handbook
-    of Computational Group Theory, 2005, ch. 4). A passing check thus
-    compares k |G| whole rows, not |G|^2. Only when a row leaves the carrier
-    or a generator compare fails is every (g, h) pair compared in
-    lexicographic order, and the first pair that mismatches, or whose row h
-    leaves the carrier, scanned point by point, so the witness is the lowest
-    failing triple whatever the generators."""
+    gives them), and the caller has checked that the identity's row is the
+    identity map. Then, once every row lies inside the carrier, it is enough
+    that row s after row h is row s h for each generator s and every h.
+    Write g = s_1 ... s_m in the generators; induction on m gives row g h =
+    row s_1 after ... after row s_m after row h for every h, and h = e gives
+    row g = row s_1 after ... after row s_m, so row g after row h is row g h
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 4). A passing check thus compares k |G| whole rows, not |G|^2. Only
+    when a row leaves the carrier or a generator compare fails is every
+    (g, h) pair compared in lexicographic order, and the first pair that
+    mismatches, or whose row h leaves the carrier, scanned point by point, so
+    the witness is the lowest failing triple whatever the generators."""
     order = len(rows)
     size = len(rows[0]) if order else 0
     if not size:
@@ -187,13 +183,57 @@ def first_law_failure(
     return None
 
 
+def _word_row(rows: Sequence[Optional[Sequence[int]]], word: Sequence[int], size: int) -> list[int]:
+    """The images of the product s_1 ... s_m of a word in the generators:
+    row s_1 after ... after row s_m, for rows inside the carrier 0..size-1."""
+    row: Sequence[int] = range(size)
+    for s in reversed(word):
+        row = list(map(rows[s].__getitem__, row))
+    return list(row)
+
+
+def first_relation_failure(
+    rows: Sequence[Optional[Sequence[int]]],
+    relations: Sequence[tuple[Sequence[int], Sequence[int]]],
+    size: int,
+) -> Optional[tuple[int, int]]:
+    """The first relation, in presentation order, whose two sides differ
+    when composed from the generators' rows rows[s] (each inside the carrier
+    0..size-1), and the lowest point where they do; None when every relation
+    holds. Then the generator rows extend to exactly one action of the
+    presented group (von Dyck's theorem), so no other row needs reading: a
+    passing check reads (number of letters) * size images."""
+    for i, (lhs, rhs) in enumerate(relations):
+        left, right = _word_row(rows, lhs, size), _word_row(rows, rhs, size)
+        if left != right:
+            return i, next(s for s in range(size) if left[s] != right[s])
+    return None
+
+
+def _relation_str(relation: tuple[Sequence[int], Sequence[int]]) -> str:
+    return "relation " + " = ".join("*".join(map(str, word)) or "e" for word in relation)
+
+
+def _letter_count(relations: Sequence[tuple[Sequence[int], Sequence[int]]]) -> int:
+    return sum(len(lhs) + len(rhs) for lhs, rhs in relations)
+
+
+def _refuse_above_cap(what: str, cost: int) -> None:
+    """Raise CapExceededError when a law check would read more than
+    DEFAULT_CHECK_CAP images, read at call time."""
+    if cost > DEFAULT_CHECK_CAP:
+        raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
+
+
 @dataclass(eq=False)
 class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
 
     Immutable once built. The images are kept as one row per group element,
-    rows[g][s] = act(g, s), when a builder passes them in or exhaustive
-    validation evaluates them; otherwise act is called on every lookup.
+    rows[g][s] = act(g, s), or None for a row not read; a constructor may
+    pass rows in. A constructor whose act is a formula passes
+    _presented=True, so that validate reads only the generators' rows when
+    the group has a presentation.
     """
 
     group: FiniteGroup
@@ -201,85 +241,88 @@ class GroupAction:
     act: Callable[[int, int], int]
     name: str = "action"
     _rows: Optional[list] = field(default=None, repr=False)
+    _presented: bool = field(default=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, repr=False)
 
-    def act_cached(self, g: int, s: int) -> int:
-        rows = self._rows
-        return self.act(g, s) if rows is None else rows[g][s]
+    def _row(self, g: int) -> list:
+        """Row g, read from the rows kept or else evaluated once and kept."""
+        if self._rows is None:
+            self._rows = [None] * self.group.order
+        row = self._rows[g]
+        if row is None:
+            act = self.act
+            row = self._rows[g] = [act(g, s) for s in range(self.carrier_size)]
+        return row
 
     def validate(self) -> ActionValidation:
-        """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s).
+        """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s),
+        from every image the check rests on; the first result is cached.
 
-        The identity law is always exhaustive. Compatibility is exhaustive
-        when |S| + |G|^2 |S| fits under DEFAULT_CHECK_CAP, otherwise it runs
-        over DEFAULT_SAMPLE_BUDGET triples drawn from DEFAULT_VALIDATION_SEED
-        in lane-packed blocks (SplitMix64.below_repeating), reported as
-        "sampled validation"; the constants are read at call time. The
-        exhaustive check reads the rows passed in, or else evaluates act once
-        per (g, s), and compares whole rows over the k generators of
-        FiniteGroup.spanning_tree() (first_law_failure): by induction on word
-        length, act(s g, x) = act(s, act(g, x)) for each generator s and
-        every g, with the identity law, gives the law for every pair (Holt,
-        Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
-        A passing check reports the compares made, |S| + k |G| |S|; the gate
-        still reads the per-triple count, so the mode does not depend on k.
-        Either way a failure names the first failing triple in lexicographic
-        (exhaustive) or drawn (sampled) order, with the checks up to it. The
-        first validation result is cached.
+        The relator check, for a _presented action of a group with a
+        presentation: the k generators' rows lie in the carrier and satisfy
+        every relation (first_relation_failure), (k + L) |S| reads for L
+        letters. They then extend to exactly one action (von Dyck), the one
+        validated. The row compare, for every other action: the identity law,
+        then every row, compared over the k generators of
+        FiniteGroup.spanning_tree() (first_law_failure), |S| + (k + 1) |G| |S|
+        reads; a pass reports the |S| + k |G| |S| checks made.
+
+        A check of more reads than DEFAULT_CHECK_CAP, read at call time,
+        raises CapExceededError (the row compare after its identity law). A
+        failed relation is never refused: the row compare then names the
+        lowest failing triple when it fits under the cap, else the relation
+        is named.
         """
-        if self._validation is not None:
-            return self._validation
+        if self._validation is None:
+            presentation = self.group.presentation() if self._presented else None
+            report = None if presentation is None else self._check_relations(*presentation)
+            if report is None or not report.ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
+                report = self._compare_rows()
+            self._validation = report
+        return self._validation
+
+    def _row_compare_cost(self) -> int:
+        size = self.carrier_size
+        return size + (len(self.group.spanning_tree()[0]) + 1) * self.group.order * size
+
+    def _check_relations(self, generators: list[int], relations: list) -> ActionValidation:
+        size = self.carrier_size
+        _refuse_above_cap(repr(self.name), (len(generators) + _letter_count(relations)) * size)
+        rows = [self._row(s) for s in generators]
+        checks = len(generators) * size
+        for s, row in zip(generators, rows):
+            t = next((t for t in row if not 0 <= t < size), None)
+            if t is not None:
+                return ActionValidation(False, "exhaustive", checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
+        witness = first_relation_failure(self._rows, relations, size)
+        if witness is None:
+            return ActionValidation(True, "exhaustive", checks + _letter_count(relations) * size)
+        i, s = witness
+        return ActionValidation(False, "exhaustive", checks + _letter_count(relations[: i + 1]) * size,
+                                f"{_relation_str(relations[i])} fails at s={s}")
+
+    def _compare_rows(self) -> ActionValidation:
         group, size = self.group, self.carrier_size
         order = group.order
-        checks = 0
-        failure = None
-
-        e = group.identity
-        for s in range(size):
-            checks += 1
-            t = self.act_cached(e, s)
+        for s, t in enumerate(self._row(group.identity)):
             if t != s:
-                failure = f"identity law fails at s={s}: act(e, s) = {t}"
-                break
-
-        compat_total = order * order * size
-        mode = "exhaustive"
-        if failure is None:
-            if checks + compat_total <= DEFAULT_CHECK_CAP:
-                rows = self._rows
-                if rows is None:
-                    act = self.act
-                    rows = [list(range(size)) if g == e else [act(g, s) for s in range(size)] for g in range(order)]
-                    self._rows = rows
-                generators = group.spanning_tree()[0]
-                witness = first_law_failure(rows, group.multiplication_row, generators)
-                if witness is None:
-                    checks += len(generators) * order * size
-                else:
-                    g, h, s = witness
-                    checks += (g * order + h) * size + s + 1
-                    t = rows[h][s]
-                    if not 0 <= t < size:
-                        failure = f"act({h}, {s}) = {t} is outside the carrier"
-                    else:
-                        failure = (
-                            f"compatibility fails at (g={g}, h={h}, s={s}): "
-                            f"act(g, act(h, s)) = {rows[g][t]} "
-                            f"but act(g*h, s) = {rows[group.mul(g, h)][s]}"
-                        )
-            else:
-                mode = "sampled validation"
-                draws = iter(SplitMix64(DEFAULT_VALIDATION_SEED).below_repeating((order, order, size), 3 * DEFAULT_SAMPLE_BUDGET))
-                for g, h, s in zip(draws, draws, draws):
-                    checks += 1
-                    t = self.act_cached(h, s)
-                    if not 0 <= t < size or self.act_cached(g, t) != self.act_cached(group.mul(g, h), s):
-                        failure = f"compatibility fails at sampled (g={g}, h={h}, s={s})"
-                        break
-
-        result = ActionValidation(ok=failure is None, mode=mode, checks=checks, failure=failure)
-        self._validation = result
-        return result
+                return ActionValidation(False, "exhaustive", s + 1, f"identity law fails at s={s}: act(e, s) = {t}")
+        _refuse_above_cap(repr(self.name), self._row_compare_cost())
+        rows = [self._row(g) for g in range(order)]
+        generators = group.spanning_tree()[0]
+        witness = first_law_failure(rows, group.multiplication_row, generators)
+        if witness is None:
+            return ActionValidation(True, "exhaustive", size + len(generators) * order * size)
+        g, h, s = witness
+        checks = size + (g * order + h) * size + s + 1
+        t = rows[h][s]
+        if not 0 <= t < size:
+            return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier")
+        return ActionValidation(
+            False, "exhaustive", checks,
+            f"compatibility fails at (g={g}, h={h}, s={s}): "
+            f"act(g, act(h, s)) = {rows[g][t]} but act(g*h, s) = {rows[group.mul(g, h)][s]}",
+        )
 
 
 def _require_valid(action: GroupAction) -> None:
@@ -298,26 +341,28 @@ class Orbit:
 
 
 def orbit_decomposition(action: GroupAction) -> list[Orbit]:
-    """Orbits in order of their smallest carrier index, with the stabilizer
-    order of that representative found by direct scan.
+    """Orbits in order of their smallest carrier index.
 
-    Every image is bounds-checked: a sampled validation can pass an action
-    whose images leave the carrier, and such an action has no quotient."""
+    The images of each representative under every group element are read
+    along the group's spanning tree from the validated generator rows: the
+    image under child = s * parent is row s applied to the image under
+    parent, |G| reads and no act call. The orbit size is the number of
+    distinct images, and the stabilizer order a direct count of the images
+    equal to the representative."""
     _require_valid(action)
-    size = action.carrier_size
-    act = action.act_cached
-    elements = action.group.elements()
-    seen = bytearray(size)
+    group = action.group
+    rows = action._rows
+    edges = [(child, rows[s], parent) for child, s, parent in group.spanning_tree()[1]]
+    images = [0] * group.order
+    e = group.identity
+    seen = bytearray(action.carrier_size)
     orbits: list[Orbit] = []
-    for s in range(size):
+    for s in range(action.carrier_size):
         if seen[s]:
             continue
-        images = [act(g, s) for g in elements]
-        if min(images) < 0 or max(images) >= size:
-            g = next(g for g, t in enumerate(images) if not 0 <= t < size)
-            raise ActionValidationError(
-                f"invalid action {action.name!r}: act({g}, {s}) = {images[g]} is outside the carrier"
-            )
+        images[e] = s
+        for child, row, parent in edges:
+            images[child] = row[images[parent]]
         members = set(images)
         for t in members:
             seen[t] = 1

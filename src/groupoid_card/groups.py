@@ -22,6 +22,8 @@ DEFAULT_CAYLEY_ORDER_CAP = 256
 _CONJ_TABLE_MAX_ENTRIES = 1_200_000
 # Symmetric groups cache their element tuples up to this order.
 _SYM_ELEMENT_CACHE_MAX_ORDER = 100_000
+# Generators, and relations as pairs of words in them (FiniteGroup.presentation).
+_Presentation = tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
 
 class GroupValidationError(ValueError):
@@ -92,8 +94,8 @@ class FiniteGroup:
         table = self._conjugation_table()
         if table is not None:
             return table[h * self.order : (h + 1) * self.order]
-        conjugate = self.conjugator()
-        return [conjugate(g, h) for g in range(self.order)]
+        mul, hinv = self.mul, self.inv(h)
+        return [mul(mul(h, g), hinv) for g in range(self.order)]
 
     def multiplication_row(self, g: int) -> Sequence[int]:
         """g x for x in 0..order-1: a slice of the multiplication table when
@@ -104,31 +106,38 @@ class FiniteGroup:
             return table[g * self.order : (g + 1) * self.order]
         return [self.mul(g, x) for x in range(self.order)]
 
-    def spanning_tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """Greedy generators and a spanning tree of the group over them.
+    def presentation(self) -> _Presentation | None:
+        """Generators and defining relations, or None for a group known
+        only by its table. A relation is a pair of words in the generators
+        (element indices), the word s_1 ... s_m standing for that product;
+        the empty word is the identity. Any assignment of permutations to
+        the generators that satisfies every relation extends to exactly one
+        homomorphism from the group (von Dyck's theorem)."""
+        return None
 
-        Elements are taken in index order; each one not yet reached becomes
-        a generator, and the set reached from the identity is closed again
-        under left multiplication by the generators. Each generator at least
-        doubles the reached subgroup, so there are at most log2(order) of
-        them, and each element is multiplied once by each generator.
-        Returns the generators and the edges (child, generator, parent),
-        child = generator * parent, in the order reached; the identity is
-        the root and has no edge."""
+    def spanning_tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Generators and a breadth-first spanning tree of the group over them.
+
+        A group with a presentation takes its generators. A group known by
+        its table takes greedy ones: elements are taken in index order, each
+        one not yet reached becomes a generator, and the set reached from the
+        identity is closed again under left multiplication by the
+        generators. Each greedy generator at least doubles the reached
+        subgroup, so there are at most log2(order) of them. Either way each
+        element is multiplied once by each generator. Returns the generators
+        and the edges (child, generator, parent), child = generator * parent,
+        in the order reached; the identity is the root and has no edge, and
+        every generator is a child of the identity."""
         if self._tree is None:
             mul = self.mul
             reached = [self.identity]
             seen = bytearray(self.order)
             seen[self.identity] = 1
-            generators: list[int] = []
             edges: list[tuple[int, int, int]] = []
-            for a in range(self.order):
-                if seen[a]:
-                    continue
-                generators.append(a)
-                # Elements reached before a are closed under the earlier
-                # generators already; later ones need every generator.
-                known = len(reached)
+
+            def close(generators: list[int], known: int) -> None:
+                # Elements reached before index known are closed under all
+                # generators but the last already; later ones need every one.
                 i = 0
                 while i < len(reached):
                     parent = reached[i]
@@ -139,6 +148,17 @@ class FiniteGroup:
                             reached.append(child)
                             edges.append((child, s, parent))
                     i += 1
+
+            presentation = self.presentation()
+            if presentation is not None:
+                generators = list(presentation[0])
+                close(generators, 0)
+            else:
+                generators = []
+                for a in range(self.order):
+                    if not seen[a]:
+                        generators.append(a)
+                        close(generators, len(reached))
             self._tree = (generators, edges)
         return self._tree
 
@@ -207,6 +227,12 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return (-a) % self.order
 
+    def presentation(self) -> _Presentation:
+        """One generator s = 1 and the relation s^k = e; none for k = 1."""
+        if self.order == 1:
+            return [], []
+        return [1], [((1,) * self.order, ())]
+
 
 class SymmetricGroup(FiniteGroup):
     """S_n: elements are permutations of {0..n-1}, indexed by lexicographic
@@ -271,6 +297,22 @@ class SymmetricGroup(FiniteGroup):
             return rank_of[tuple(out)]
         return lex_rank(Permutation(lex_unrank(self.n, a)).inverse().images)
 
+    def presentation(self) -> _Presentation:
+        """The adjacent transpositions t_i = (i-1 i) for i = 1..n-1, with
+        t_i t_i = e, the braid relations t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1},
+        and the far commutations t_i t_j = t_j t_i for j > i + 1 (Coxeter &
+        Moser, Generators and Relations for Discrete Groups, 1957, 6.2).
+        S6 has 5 generators, 15 relations and 58 letters."""
+        t = []
+        for i in range(self.n - 1):
+            images = list(range(self.n))
+            images[i], images[i + 1] = i + 1, i
+            t.append(lex_rank(tuple(images)))
+        relations = [((a, a), ()) for a in t]
+        relations += [((a, b, a), (b, a, b)) for a, b in zip(t, t[1:])]
+        relations += [((a, b), (b, a)) for i, a in enumerate(t) for b in t[i + 2 :]]
+        return t, relations
+
     def element_repr(self, a: int) -> str:
         return str(list(self.permutation_at(a).images))
 
@@ -296,6 +338,23 @@ class ProductGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         a1, a2 = self._split(a)
         return self.left.inv(a1) * self.right.order + self.right.inv(a2)
+
+    def presentation(self) -> _Presentation | None:
+        """Each factor's generators and relations, embedded, and a b = b a
+        for every generator a of the left factor and b of the right (Holt,
+        Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5);
+        None unless both factors have a presentation."""
+        left, right = self.left.presentation(), self.right.presentation()
+        if left is None or right is None:
+            return None
+        m = self.right.order
+        embed_left = {a: a * m + self.right.identity for a in left[0]}
+        embed_right = {b: self.left.identity * m + b for b in right[0]}
+        relations = []
+        for embed, (_, factor_relations) in ((embed_left, left), (embed_right, right)):
+            relations += [(tuple(embed[x] for x in u), tuple(embed[x] for x in v)) for u, v in factor_relations]
+        relations += [((a, b), (b, a)) for a in embed_left.values() for b in embed_right.values()]
+        return [*embed_left.values(), *embed_right.values()], relations
 
     def element_repr(self, a: int) -> str:
         a1, a2 = self._split(a)

@@ -17,9 +17,7 @@ block that holds a draw at or above 2^64 - b, b the largest bound it serves
 from the state before that block by calling `below(i + 1)` once per step,
 which consumes exactly the draws it needs, rejections included. Either way the
 images and the final state are those of calling `below(i + 1)` for i = n-1
-down to 1, on every platform and Python version. `SplitMix64.below_repeating`
-draws a run of values below a repeating pattern of bounds, such as the
-(g, h, s) triples of a sampled law check, by the same rule.
+down to 1, on every platform and Python version.
 """
 
 from __future__ import annotations
@@ -27,9 +25,6 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import cycle, islice
-from operator import mod
-from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -102,32 +97,6 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % bound
-
-    def below_repeating(self, bounds: Sequence[int], count: int) -> list[int]:
-        """The values of count calls below(bounds[i % len(bounds)]), i = 0, 1,
-        ..., with the same final state. Blocks hold a whole number of
-        patterns, so every block starts at bounds[0]; a block that might hold
-        a rejected draw is drawn again by calling below once per value. The
-        block's carry test needs every bound in 1..2^64."""
-        if not bounds or min(bounds) <= 0 or max(bounds) > _TWO64:
-            raise ValueError(f"bounds must lie in 1..2^64, got {list(bounds)}")
-        period = len(bounds)
-        per_block = (_LANES_MAX // period or 1) * period
-        top = max(bounds)
-        out: list[int] = []
-        state = self._state
-        while len(out) < count:
-            lanes = min(count - len(out), per_block)
-            draws = _lane_draws(state, lanes, top)
-            if draws is None:
-                self._state = state
-                out.extend([self.below(b) for b in islice(cycle(bounds), lanes)])
-                state = self._state
-            else:
-                out.extend(map(mod, draws, cycle(bounds)))
-                state = (state + lanes * _GAMMA) & _MASK64
-        self._state = state
-        return out
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates in place, decreasing index, one unbiased draw per step:

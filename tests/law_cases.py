@@ -2,13 +2,14 @@
 
 Groups are built by name, fresh, so that their lazily built tables follow the
 table cap in force where the test builds them (`table_cap`); `law_caps` moves
-the law checks between exhaustive and sampled mode."""
+the check cap above which law checks refuse."""
 
 import contextlib
 import random
 from unittest import mock
 
 from groupoid_card import groupoids, groups
+from groupoid_card.permutations import CapExceededError
 
 
 def relabelled_cayley(group, seed=7):
@@ -43,11 +44,20 @@ def table_cap(tables):
     return contextlib.nullcontext() if tables else mock.patch.object(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
 
 
-def law_caps(check_cap, sample_budget=groupoids.DEFAULT_SAMPLE_BUDGET):
+def law_caps(check_cap):
     """A context in which action and functor law checks read this check cap
-    and sample budget in place of the groupoids constants. A validation
-    caches its first report, so the check to be moved must run inside."""
-    return mock.patch.multiple(groupoids, DEFAULT_CHECK_CAP=check_cap, DEFAULT_SAMPLE_BUDGET=sample_budget)
+    in place of groupoids.DEFAULT_CHECK_CAP. A validation caches its first
+    report, so the check to be refused must run inside."""
+    return mock.patch.object(groupoids, "DEFAULT_CHECK_CAP", check_cap)
+
+
+def validation_or_refusal(validate):
+    """The report, or "refused" when the check raises CapExceededError."""
+    try:
+        return validate()
+    except CapExceededError as exc:
+        assert "check cap" in str(exc)
+        return "refused"
 
 
 def last_generator_coset(group):

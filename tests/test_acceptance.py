@@ -50,7 +50,7 @@ from groupoid_card.groupoids import (
     skeletons_equivalent,
     weak_quotient,
 )
-from groupoid_card.permutations import Permutation, iter_pvectors
+from groupoid_card.permutations import Permutation, iter_pvectors, weight
 
 PUBLISHED_SEED = 20260810
 
@@ -420,6 +420,44 @@ def test_criterion_10_property_suites(
             ok = False
 
     _line(10, ok, f"additivity/multiplicativity on {pair_count} random pairs; orbit-stabilizer and out-degree checks on {orbit_total} orbits")
+    assert ok
+
+
+# Criteria 7 and 9 at n = 7, on a named subset of the quotient-suite
+# p-vectors that keeps the suite's wall time down: p = 0 and p = e_1 (the
+# largest carriers, 5 040 points each) and the nine p-vectors of weight 7
+# (every point on a chosen cycle, so the Perm_0 factor is trivial and the
+# product of deloopings carries the whole skeleton).
+DEGREE_SEVEN_PVECTORS = [p for p in iter_pvectors(7, max_entry=2, max_weight=7) if weight(p) in (0, 1, 7)]
+
+
+@pytest.fixture(scope="module")
+def degree_seven_reports():
+    return {
+        p: (verify_categorified(7, p), verify_general_theorem(make_cycle_tuple_functor(7, p)))
+        for p in DEGREE_SEVEN_PVECTORS
+    }
+
+
+def test_criterion_07_categorified_lemma_at_degree_7(degree_seven_reports):
+    assert len(degree_seven_reports) == 11
+    failures = [p for p, (report, _) in degree_seven_reports.items()
+                if not report.ok or report.lhs_card != cll_rhs(7, p)]
+    ok = not failures
+    _line(7, ok, f"quotient and product skeletons agree on {len(degree_seven_reports)} cases at n = 7, failures: {failures[:3]}")
+    assert ok
+
+
+def test_criterion_09_general_theorem_at_degree_7(degree_seven_reports):
+    failures = []
+    for p, (partner, report) in degree_seven_reports.items():
+        if not report.equal or report.expected != cll_rhs(7, p) or report.fiber_total != partner.q_size:
+            failures.append(p)
+        if not skeletons_equivalent(report.skeleton, partner.lhs_skeleton):
+            failures.append(p)
+    fixed_points = verify_general_theorem(make_fixed_point_functor(7))
+    ok = not failures and fixed_points.equal and fixed_points.expected == 1
+    _line(9, ok, f"{len(degree_seven_reports)} cycle-tuple functors and the fixed-point functor at n = 7, failures: {failures[:3]}")
     assert ok
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupoid_card import groupoids
 from groupoid_card.cli import main
 from groupoid_card.functors import make_fixed_point_functor
 from groupoid_card.groups import to_cayley_json, make_cyclic
@@ -237,6 +238,36 @@ def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
 
     code, _, err = run_cli(["theorem-general"], capsys)
     assert code == 2
+
+
+def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
+    """Nothing is sampled: a law check that would read more than the check
+    cap is refused with exit code 2, a message naming the cap, and no
+    traceback. A JSON functor on the Cayley table of Z/4 (one greedy
+    generator) with 2-point fibers takes the row compare, which reads
+    (k + 1) |G| (1 + total) = 2 * 4 * 9 = 72 values; the built-in Q-action
+    of S4 on 6 points reads (3 + 22) * 6 = 150 for the relator check."""
+    parity = {
+        "group": to_cayley_json(make_cyclic(4)),
+        "fibers": {str(g): 2 for g in range(4)},
+        "transports": {str(h): {str(g): [1, 0] if h % 2 else [0, 1] for g in range(4)} for h in range(4)},
+        "name": "parity-json",
+    }
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(parity))
+    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 71)
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: law check of 'parity-json' needs 72 reads, above the check cap 71\n"
+    code, out, err = run_cli(["verify-categorified", "--n", "4", "--p", "0,2,0,0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: law check of 'S4 on Q[0, 2, 0, 0]' needs 150 reads, above the check cap 71\n"
+    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 150)
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equal"] is True
+    code, _, err = run_cli(["verify-categorified", "--n", "4", "--p", "0,2,0,0"], capsys)
+    assert (code, err) == (0, "")
 
 
 def _base_functors():

@@ -25,7 +25,7 @@ from groupoid_card.cycle_stats import (
     uncorrelated_check,
     verify_cll,
 )
-from groupoid_card.groupoids import DEFAULT_VALIDATION_SEED, cardinality, perm_groupoid_skeleton
+from groupoid_card.groupoids import cardinality, perm_groupoid_skeleton
 from groupoid_card.permutations import (
     CapExceededError,
     CycleType,
@@ -383,53 +383,6 @@ def test_shuffle_matches_reference_on_a_rejected_draw(n, m):
         rng = SplitMix64(seed)
         rng.shuffle(list(range(n)))
         assert rng._state == (seed + (n - 1 + extra) * GAMMA) & MASK64
-
-
-def reference_below_repeating(rng, bounds, count):
-    return [rng.below(bounds[i % len(bounds)]) for i in range(count)]
-
-
-BOUND_PATTERNS = [(720, 720, 300), (120, 120, 1), (7,), (1,), (8, 3), (2**63 + 1, 5), (2**64,)]
-
-
-@pytest.mark.parametrize("bounds", BOUND_PATTERNS)
-@pytest.mark.parametrize("count", [0, 1, 2, 5, rng_module._LANES_MAX - 1, rng_module._LANES_MAX,
-                                   rng_module._LANES_MAX + 1, 3 * rng_module._LANES_MAX + 2])
-def test_below_repeating_matches_sequential_below(bounds, count):
-    for seed in EDGE_SEEDS[:6] + [0, 0xC0FFEE, DEFAULT_VALIDATION_SEED]:
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
-        assert rng.below_repeating(bounds, count) == reference_below_repeating(ref, bounds, count)
-        assert rng._state == ref._state
-
-
-# (bounds, m): draw m of the run is made 2^64 - 1. It falls in the first lane,
-# a middle lane or the last lane of the first block (1 023 lanes for a period
-# of 3), or in a later block. Every bound but a power of two rejects it, so
-# the run takes one extra draw; either way the block holding it is drawn
-# again by sequential below calls.
-REPEATING_REJECTION_CASES = [((720, 720, 7), 0), ((720, 720, 7), 500), ((720, 720, 7), 1022),
-                             ((720, 720, 7), 1023 + 5), ((5, 8), 1), ((5, 8), 2 * rng_module._LANES_MAX + 3)]
-
-
-@pytest.mark.parametrize("bounds, m", REPEATING_REJECTION_CASES)
-def test_below_repeating_on_a_rejected_draw(bounds, m):
-    count = 3 * rng_module._LANES_MAX + 10
-    seed = (unmix(MASK64) - (m + 1) * GAMMA) & MASK64
-    probe = SplitMix64(seed)
-    for _ in range(m):
-        probe.next_u64()
-    assert probe.next_u64() == MASK64
-    rng, ref = SplitMix64(seed), SplitMix64(seed)
-    assert rng.below_repeating(bounds, count) == reference_below_repeating(ref, bounds, count)
-    bound = bounds[m % len(bounds)]
-    extra = 0 if bound & (bound - 1) == 0 else 1
-    assert rng._state == ref._state == (seed + (count + extra) * GAMMA) & MASK64
-
-
-def test_below_repeating_rejects_bad_bounds():
-    for bounds in [(), (5, 0), (-1,), (3, 2**64 + 1)]:
-        with pytest.raises(ValueError):
-            SplitMix64(1).below_repeating(bounds, 3)
 
 
 def test_below_refuses_bounds_above_two_to_the_64_before_drawing():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from groupoid_card import groups
 from groupoid_card.categorified import build_Q, c_groupoid_skeleton
 from groupoid_card.functors import (
-    DEFAULT_FUNCTOR_VALIDATION_SEED,
     EquivariantFunctor,
     FunctorValidation,
     FunctorValidationError,
@@ -23,7 +22,7 @@ from groupoid_card.functors import (
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric, to_cayley_json
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
-    DEFAULT_SAMPLE_BUDGET,
+    ActionValidation,
     GroupAction,
     cardinality,
     orbit_decomposition,
@@ -31,8 +30,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from groupoid_card.rng import SplitMix64
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap, validation_or_refusal
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -166,39 +164,54 @@ def test_malformed_bijection_is_caught():
         )
 
 
-def test_sampled_validation_mode():
-    functor = make_fixed_point_functor(4)
-    with law_caps(10, sample_budget=300):
-        report = validate_functor(functor)
-    assert report.ok
-    assert report.mode == "sampled validation"
-
-
 def test_law_caps_switch_both_validators():
     """Both validators read the check cap from groupoids at call time, so
-    one patch moves both to sampling, and it ends with the context."""
+    one patch makes both refuse a row compare above it, and it ends with the
+    context. The row compare reads (k + 1) |G| (1 + total fiber size)
+    values for the functor and |S| + (k + 1) |G| |S| images for its action."""
+    group = make_symmetric(4)
+    _, table = functor_tables(group)[1]
+    sizes = tuple(len(table[(group.identity, g)]) for g in range(group.order))
 
-    def reports():
-        functor = make_fixed_point_functor(4)
-        return validate_functor(functor).mode, category_of_elements(functor).validate().mode
+    def build():
+        return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)], name="centralizers(S4)")
 
-    with law_caps(10, sample_budget=300):
-        assert reports() == ("sampled validation", "sampled validation")
-    assert reports() == ("exhaustive", "exhaustive")
+    functor_cost = 4 * 24 * (1 + sum(sizes))
+    with law_caps(functor_cost - 1):
+        with pytest.raises(CapExceededError, match=rf"'centralizers\(S4\)' needs {functor_cost} reads, above the check cap {functor_cost - 1}"):
+            validate_functor(build())
+    functor = build()
+    with law_caps(functor_cost):
+        assert validate_functor(functor).ok
+        action_cost = sum(sizes) + 4 * 24 * sum(sizes)
+        assert action_cost > functor_cost
+        with pytest.raises(CapExceededError, match="above the check cap"):
+            category_of_elements(functor).validate()
+    assert category_of_elements(functor).validate().ok
 
 
-def test_n6_fixed_point_functor_stays_sampled():
-    # Over the 5 generators of S6 the exhaustive count would be 2.6 M, under
-    # the 10^7 cap; the gate reads the per-pair count, 373 M, so it samples.
-    report = validate_functor(make_fixed_point_functor(6))
-    assert report.ok
-    assert report.mode == "sampled validation"
+def test_n6_fixed_point_functor_is_exhaustive():
+    """Over the 5 adjacent transpositions of S6, with its 15 relations of 58
+    letters, the check reads 5 * 720 fiber sizes and (5 + 58) * 1 * 720
+    points of the category of elements, where sampling once drew 5 000
+    triples; its action checks the relations again and walks the tree."""
+    functor = make_fixed_point_functor(6)
+    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 5 * 720 + (5 + 58) * 720)
+    action = category_of_elements(functor)
+    assert action.validate() == ActionValidation(True, "exhaustive", (5 + 58) * 720)
+    assert [row is not None for row in action._rows].count(True) == 5
+    # One orbit per conjugacy class of S5, the stabilizer of a point.
+    orbits = orbit_decomposition(action)
+    assert len(orbits) == 7 and sum(o.size for o in orbits) == 720
+    assert all(o.size * o.stabilizer_order == 720 for o in orbits)
 
 
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
-    """Fiber sizes are compared under the k generators' conjugation rows,
-    and composition over their multiplication rows; the row build places
-    points through conjugator(), so no other row is read."""
+    """A table-built functor is checked by the row compare: fiber sizes
+    under the k generators' conjugation rows, and composition over their
+    multiplication rows only; the row build then reads every conjugation
+    row. The built-in fixed-point functor reads the generators' conjugation
+    rows only, and no multiplication row."""
     group = make_symmetric(5)
     generators = group.spanning_tree()[0]
     assert len(generators) == 4
@@ -206,12 +219,17 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     for method in read:
         original = getattr(group, method)
         monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
-    functor = make_fixed_point_functor(5)
+    builtin = make_fixed_point_functor(5)
+    functor = EquivariantFunctor(group, builtin.fiber_sizes, builtin.transport)
     total = functor.total_size
     assert total == 120
     assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 4 * 120 + 120 + 4 * 120 * total)
     assert read["multiplication_row"] == generators
-    assert read["conjugation_row"] == generators
+    assert read["conjugation_row"] == generators + list(range(120))
+    read["conjugation_row"].clear()
+    # 10 relations of 38 letters
+    assert validate_functor(builtin) == FunctorValidation(True, "exhaustive", 4 * 120 + (4 + 38) * total)
+    assert read == {"multiplication_row": generators, "conjugation_row": generators}
 
 
 def test_validation_result_is_cached():
@@ -289,10 +307,10 @@ def test_fiber_sizes_must_cover_group():
         EquivariantFunctor(make_cyclic(3), (1, 1), lambda h, g: (0,))
 
 
-def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
-                                 sample_budget=DEFAULT_SAMPLE_BUDGET, seed=DEFAULT_FUNCTOR_VALIDATION_SEED):
+def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
     """Literal per-triple validator: fiber sizes, identities, then every
-    (h2, h1, g) in lexicographic order (or the seeded sample beyond check_cap)."""
+    (h2, h1, g) in lexicographic order; CapExceededError when the row compare
+    would read more than check_cap values."""
     group, sizes = functor.group, functor.fiber_sizes
     order = group.order
     checks = 0
@@ -313,7 +331,7 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
     for g in range(order):
         checks += 1
         try:
-            arr = functor.transport_cached(e, g)
+            arr = checked_transport(functor, e, g)
         except ValueError as exc:
             return failed("exhaustive", "bijection", (e, g), str(exc))
         if arr != tuple(range(sizes[g])):
@@ -321,9 +339,9 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
 
     def composition(h2, h1, g):
         try:
-            first = functor.transport_cached(h1, g)
-            second = functor.transport_cached(h2, group.conjugate(g, h1))
-            combined = functor.transport_cached(group.mul(h2, h1), g)
+            first = checked_transport(functor, h1, g)
+            second = checked_transport(functor, h2, group.conjugate(g, h1))
+            combined = checked_transport(functor, group.mul(h2, h1), g)
         except ValueError as exc:
             return "bijection", (h2, h1, g), str(exc)
         for x in range(sizes[g]):
@@ -335,20 +353,27 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP,
     nonempty = [g for g in range(order) if sizes[g] > 0]
     if not nonempty:
         return FunctorValidation(True, "exhaustive", checks)
-    if order * order + order + order * order * sum(sizes) <= check_cap:
-        mode = "exhaustive"
-        triples = [(h2, h1, g) for h2 in range(order) for h1 in range(order) for g in nonempty]
-    else:
-        mode = "sampled validation"
-        rng = SplitMix64(seed)
-        triples = [(rng.below(order), rng.below(order), nonempty[rng.below(len(nonempty))])
-                   for _ in range(sample_budget)]
-    for h2, h1, g in triples:
-        checks += sizes[g]
-        failure = composition(h2, h1, g)
-        if failure:
-            return failed(mode, *failure)
-    return FunctorValidation(True, mode, checks if mode != "exhaustive" else k * order + order + k * order * sum(sizes))
+    if (k + 1) * order * (1 + sum(sizes)) > check_cap:
+        raise CapExceededError(f"above the check cap {check_cap}")
+    for h2 in range(order):
+        for h1 in range(order):
+            for g in nonempty:
+                checks += sizes[g]
+                failure = composition(h2, h1, g)
+                if failure:
+                    return failed("exhaustive", *failure)
+    return FunctorValidation(True, "exhaustive", k * order + order + k * order * sum(sizes))
+
+
+def checked_transport(functor, h, g):
+    """transport(h, g), or ValueError unless it is a bijection F(g) -> F(h g h^-1)."""
+    arr = tuple(functor.transport(h, g))
+    sizes = functor.fiber_sizes
+    target = functor.group.conjugate(g, h)
+    if sorted(arr) != list(range(sizes[target])) or len(arr) != sizes[g]:
+        raise ValueError(f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
+                         f"{sizes[g]} onto one of size {sizes[target]}")
+    return arr
 
 
 def centralizer_transports(group):
@@ -403,8 +428,8 @@ def test_functor_validation_matches_reference(name, tables, data):
     fiber size changed, fiber sizes raised on one conjugacy class of the
     subgroup H of all generators but the last, or transports twisted so that
     composition breaks only at the last generator; with and without the
-    group tables, and with a check cap at the generator count, which must
-    still sample."""
+    group tables, and with a check cap at the generator count, below what
+    the check reads, which must refuse unless an earlier law fails."""
     with table_cap(tables):
         group = LAW_GROUPS[name]()
         order = group.order
@@ -443,9 +468,9 @@ def test_functor_validation_matches_reference(name, tables, data):
         def build():
             return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
 
-        expected = reference_functor_validation(build(), check_cap=check_cap)
         with law_caps(check_cap):
-            assert validate_functor(build()) == expected
+            assert validation_or_refusal(lambda: validate_functor(build())) == validation_or_refusal(
+                lambda: reference_functor_validation(build(), check_cap=check_cap))
         assert (group._conjugation_table() is not None) == tables
 
 
@@ -522,22 +547,28 @@ def exhaustively_validated_functors():
 
 
 def test_elements_action_reuses_exhaustive_rows():
-    """After an exhaustive validate_functor, the category of elements starts
-    from the rows that check built: each row entry is the action's own act,
-    and validating and quotienting it evaluate act no more, with the same
-    report and orbits as an action that evaluates every image itself."""
+    """The category of elements starts from the rows validate_functor built:
+    every row for a table-built functor, the generators' rows only for a
+    built-in one over a presented group. Each kept row is the action's own
+    act, and validating and quotienting the action evaluate act no more,
+    with the same report and orbits as an action that evaluates every image
+    it needs itself."""
     count = 0
     for functor in exhaustively_validated_functors():
         assert validate_functor(functor).mode == "exhaustive", functor.name
         action = category_of_elements(functor)
-        act, order, size = action.act, action.group.order, action.carrier_size
-        assert action._rows == [[act(h, s) for s in range(size)] for h in range(order)], functor.name
+        act, group, size = action.act, action.group, action.carrier_size
+        kept = [g for g, row in enumerate(action._rows) if row is not None]
+        presented = functor._presented and group.presentation() is not None
+        assert kept == (sorted(group.presentation()[0]) if presented else list(range(group.order))), functor.name
+        for g in kept:
+            assert action._rows[g] == [act(g, s) for s in range(size)], functor.name
 
         def forbidden(h, s):
             raise AssertionError("act evaluated although the rows exist")
 
         action.act = forbidden
-        fresh = GroupAction(group=action.group, carrier_size=size, act=act, name=action.name)
+        fresh = GroupAction(group=group, carrier_size=size, act=act, name=action.name, _presented=functor._presented)
         report = action.validate()
         assert report == fresh.validate()
         assert report.ok and report.mode == "exhaustive"
@@ -545,17 +576,3 @@ def test_elements_action_reuses_exhaustive_rows():
         count += 1
     # trivial, fixed points, twelve p-vectors, and 3, 3, 2, 2 table functors
     assert count == 1 + 5 + 12 + 10
-
-
-def test_elements_action_after_sampled_validation_has_no_rows():
-    functor = make_cycle_tuple_functor(4, (0, 1, 0, 0))
-    with law_caps(1000):
-        report = validate_functor(functor)
-    assert report.ok and report.mode == "sampled validation"
-    action = category_of_elements(functor)
-    assert action._rows is None
-    fresh = GroupAction(group=action.group, carrier_size=action.carrier_size, act=action.act)
-    orbits = orbit_decomposition(action)
-    assert orbits == orbit_decomposition(fresh)
-    exhaustive = make_cycle_tuple_functor(4, (0, 1, 0, 0))
-    assert orbit_decomposition(category_of_elements(exhaustive)) == orbits

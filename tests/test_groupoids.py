@@ -8,8 +8,6 @@ from groupoid_card import groups
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
-    DEFAULT_SAMPLE_BUDGET,
-    DEFAULT_VALIDATION_SEED,
     EMPTY_SKELETON,
     ActionValidation,
     ActionValidationError,
@@ -33,8 +31,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError
-from groupoid_card.rng import SplitMix64
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap, validation_or_refusal
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -160,31 +157,6 @@ def test_action_validation_compatibility_failure():
     assert "compatibility" in report.failure
 
 
-def test_action_validation_sampled_mode():
-    action = GroupAction(make_cyclic(4), 4, lambda g, s: (g + s) % 4)
-    with law_caps(10, sample_budget=200):
-        report = action.validate()
-    assert report.ok
-    assert report.mode == "sampled validation"
-    assert report.checks <= 10 + 200 + 4
-
-
-def test_orbit_decomposition_rejects_images_outside_the_carrier():
-    # Trivial S4 action on many points with one image sent to -1. A small
-    # check cap forces sampling, which misses the broken pair; the quotient
-    # must still refuse it instead of writing seen[-1].
-    def act(g, s):
-        return -1 if (g, s) == (5, 0) else s
-
-    action = GroupAction(make_symmetric(4), 2_000, act, name="one-bad-image")
-    with law_caps(1_000, sample_budget=200):
-        report = action.validate()
-    assert report.ok
-    assert report.mode == "sampled validation"
-    with pytest.raises(ActionValidationError, match=r"act\(5, 0\) = -1 is outside the carrier"):
-        orbit_decomposition(action)
-
-
 def test_weak_quotient_trivial_group():
     quotient = weak_quotient(trivial_action(4))
     assert quotient.aut_orders() == (1, 1, 1, 1)
@@ -301,10 +273,10 @@ def test_skeleton_json():
     assert label_to_json((("a", 1), None)) == [["a", 1], None]
 
 
-def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP,
-                                sample_budget=DEFAULT_SAMPLE_BUDGET, seed=DEFAULT_VALIDATION_SEED):
+def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
     """Literal per-triple validator: the identity law, then every (g, h, s)
-    in lexicographic order (or the seeded sample beyond check_cap)."""
+    in lexicographic order; CapExceededError when the row compare would read
+    more than check_cap images."""
     order = group.order
     checks = 0
     for s in range(size):
@@ -312,16 +284,8 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP,
         t = act(group.identity, s)
         if t != s:
             return ActionValidation(False, "exhaustive", checks, f"identity law fails at s={s}: act(e, s) = {t}")
-    if checks + order * order * size > check_cap:
-        rng = SplitMix64(seed)
-        for _ in range(sample_budget):
-            g, h, s = rng.below(order), rng.below(order), rng.below(size)
-            checks += 1
-            t = act(h, s)
-            if not 0 <= t < size or act(g, t) != act(group.mul(g, h), s):
-                return ActionValidation(False, "sampled validation", checks,
-                                        f"compatibility fails at sampled (g={g}, h={h}, s={s})")
-        return ActionValidation(True, "sampled validation", checks)
+    if size + (len(group.spanning_tree()[0]) + 1) * order * size > check_cap:
+        raise CapExceededError(f"above the check cap {check_cap}")
     for g in range(order):
         for h in range(order):
             gh = group.mul(g, h)
@@ -372,7 +336,7 @@ def test_action_validation_matches_reference(name, tables, data):
     """One entry of a genuine action corrupted anywhere (out of the carrier
     too), or a coset twisted so that the law breaks only at the last
     generator; with and without the group tables, and with a check cap at
-    the generator count, which must still sample."""
+    the generator count, below what the check reads, which must refuse."""
     with table_cap(tables):
         group = LAW_GROUPS[name]()
         order = group.order
@@ -389,9 +353,9 @@ def test_action_validation_matches_reference(name, tables, data):
         generator_checks = size + len(group.spanning_tree()[0]) * order * size
         check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
         act = lambda g, s: table[g][s]
-        expected = reference_action_validation(group, size, act, check_cap=check_cap)
         with law_caps(check_cap):
-            assert GroupAction(group, size, act).validate() == expected
+            assert validation_or_refusal(GroupAction(group, size, act).validate) == validation_or_refusal(
+                lambda: reference_action_validation(group, size, act, check_cap=check_cap))
         assert (group._multiplication_table() is not None) == tables
 
 
