@@ -164,6 +164,18 @@ def test_malformed_bijection_is_caught():
         )
 
 
+def test_sampled_validation_mode():
+    """No sampled mode: the S4 fixed-point functor's relator check reads
+    k |G| + (k + L) * total = 3 * 24 + (3 + 22) * 24 = 672 values, 22 letters
+    in the Coxeter relations of S4 and one fixed-point pair per orbit and
+    element; one read fewer in the cap refuses it."""
+    with law_caps(671):
+        with pytest.raises(CapExceededError, match="needs 672 reads, above the check cap 671"):
+            validate_functor(make_fixed_point_functor(4))
+    with law_caps(672):
+        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, "exhaustive", 672)
+
+
 def test_law_caps_switch_both_validators():
     """Both validators read the check cap from groupoids at call time, so
     one patch makes both refuse a row compare above it, and it ends with the

@@ -157,6 +157,38 @@ def test_action_validation_compatibility_failure():
     assert "compatibility" in report.failure
 
 
+def test_action_validation_sampled_mode():
+    """No sampled mode: a check above the check cap is refused, not sampled.
+    The row compare of Z/4 acting on itself reads |S| + (k + 1) |G| |S| =
+    36 images and reports the |S| + k |G| |S| = 20 checks it makes."""
+
+    def build():
+        return GroupAction(make_cyclic(4), 4, lambda g, s: (g + s) % 4, name="z4")
+
+    with law_caps(10):
+        with pytest.raises(CapExceededError, match=r"'z4' needs 36 reads, above the check cap 10"):
+            build().validate()
+    with law_caps(36):
+        assert build().validate() == ActionValidation(True, "exhaustive", 20)
+
+
+def test_orbit_decomposition_rejects_images_outside_the_carrier():
+    # Trivial S4 action on many points with one image sent to -1. The quotient
+    # refuses it instead of writing seen[-1]: the row compare reads that image
+    # and names it, and under a small check cap the check is refused.
+    def act(g, s):
+        return -1 if (g, s) == (5, 0) else s
+
+    action = GroupAction(make_symmetric(4), 2_000, act, name="one-bad-image")
+    with law_caps(1_000):
+        with pytest.raises(CapExceededError, match="above the check cap 1000"):
+            orbit_decomposition(action)
+    assert action._validation is None
+    with pytest.raises(ActionValidationError, match=r"act\(5, 0\) = -1 is outside the carrier"):
+        orbit_decomposition(action)
+    assert not action.validate().ok and action.validate().mode == "exhaustive"
+
+
 def test_weak_quotient_trivial_group():
     quotient = weak_quotient(trivial_action(4))
     assert quotient.aut_orders() == (1, 1, 1, 1)
