@@ -26,14 +26,17 @@ from .cycle_stats import (
     MomentReport,
     cll_rhs,
     cycle_count_histogram,
+    decorated_permutation_counts,
     expected_product_brute,
     expected_product_by_type,
+    expected_products_by_type,
     expected_total_cycles,
     monte_carlo_moment,
     monte_carlo_moments,
     poisson_factorial_moment,
     uncorrelated_check,
     verify_cll,
+    verify_clls,
 )
 from .functors import (
     EquivariantFunctor,
@@ -89,6 +92,7 @@ from .groupoids import (
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PARTITION_CAP,
+    DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
     Cycle,
     CycleTupleChoice,

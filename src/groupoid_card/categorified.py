@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cycle_stats import expected_product_brute
+from .cycle_stats import decorated_permutation_counts, expected_product_brute
 from .groups import make_cyclic, make_symmetric
 from .groupoids import (
     GroupAction,
@@ -28,6 +28,7 @@ from .groupoids import (
     power,
     product,
     rational_str,
+    refuse_relator_check_above_cap,
     skeleton_from_orbits,
     skeletons_equivalent,
 )
@@ -36,6 +37,7 @@ from .permutations import (
     CycleTupleChoice,
     Permutation,
     canonical_cycle,
+    check_enumeration_cap,
     conjugate_permutation,
     cycle_decomposition,
     enumerate_permutations,
@@ -111,8 +113,16 @@ def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_
     tuple. No cycle is rebuilt or re-canonicalized, and no conjugation table
     is built. q_action and make_cycle_tuple_functor's transport relabel
     canonical cycles instead, so the routes the acceptance suite compares
-    stay independent."""
+    stay independent.
+
+    A carrier whose relator check the check cap would refuse is refused
+    before anything is enumerated, with the refusal validate would give:
+    its size is counted over cycle types (decorated_permutation_counts)."""
     pvec = validate_pvector(n, p)
+    check_enumeration_cap(n, cap)
+    group = make_symmetric(n)
+    name = f"S{n} on Q{list(p)}"
+    refuse_relator_check_above_cap(name, group.presentation(), decorated_permutation_counts(n, [pvec])[0])
     points: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     fibers: dict[tuple[int, ...], tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
     for sigma in enumerate_permutations(n, cap):
@@ -123,7 +133,6 @@ def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_
             points.append((sigma.images, marks))
         if local:
             fibers[sigma.images] = (_cycle_minima(sigma), local)
-    group = make_symmetric(n)
     taus = [group.images_at(g) for g in group.elements()]
     inverses = [taus[group.inv(g)] for g in group.elements()]
 
@@ -133,7 +142,7 @@ def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_
         minima, local = fibers[tuple([timg[simg[j]] for j in inverses[g]])]
         return local[tuple([minima[timg[a]] for a in marks])]
 
-    return GroupAction(group=group, carrier_size=len(points), act=act, name=f"S{n} on Q{list(p)}", _presented=True)
+    return GroupAction(group=group, carrier_size=len(points), act=act, name=name, _presented=True)
 
 
 def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:

@@ -22,10 +22,10 @@ from .cycle_stats import (
     METHOD_CYCLE_TYPE,
     check_monte_carlo_degree,
     cll_rhs,
-    expected_product_by_type,
+    expected_products_by_type,
     expected_total_cycles,
     monte_carlo_moments,
-    verify_cll,
+    verify_clls,
 )
 from .functors import (
     FunctorValidationError,
@@ -119,7 +119,7 @@ def _moment_row(report) -> dict:
 def cmd_verify_lemma(args) -> int:
     cap = _enumeration_cap(args)
     method = METHOD_CYCLE_TYPE if args.method == "cycle-type" else METHOD_BRUTE
-    reports = [verify_cll(args.n, p, method=method, cap=cap) for p in _selected_pvectors(args)]
+    reports = verify_clls(args.n, _selected_pvectors(args), method=method, cap=cap)
     failures = [r for r in reports if not r.equal]
     if len(reports) == 1 and not args.all_p:
         payload = {"command": "verify-lemma", **reports[0].to_json_dict()}
@@ -206,12 +206,11 @@ def cmd_skeleton(args) -> int:
 def cmd_stats(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    units = [tuple(1 if m == k else 0 for m in range(1, args.n + 1)) for k in range(1, args.n + 1)]
     per_k = []
     ok = True
     total = Fraction(0)
-    for k in range(1, args.n + 1):
-        e_k = tuple(1 if m == k else 0 for m in range(1, args.n + 1))
-        value = expected_product_by_type(args.n, e_k)
+    for k, value in enumerate(expected_products_by_type(args.n, units), start=1):
         target = Fraction(1, k)
         equal = value == target
         ok = ok and equal

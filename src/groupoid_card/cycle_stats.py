@@ -22,10 +22,13 @@ from .groupoids import rational_str
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PARTITION_CAP,
+    DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
+    check_enumeration_cap,
     cycle_type_table,
     falling_power,
     image_cycle_counts,
+    partition_counts,
     validate_pvector,
     weight,
 )
@@ -98,27 +101,80 @@ def expected_product_brute(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERAT
     """Exact expectation over every permutation of degree n, each one
     enumerated and counted into the degree's cycle-count histogram."""
     pvec = validate_pvector(n, p)
-    if n > cap:
-        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
+    check_enumeration_cap(n, cap)
     total = sum(count * _product_of_falling(counts, pvec) for counts, count in cycle_count_histogram(n))
     return Fraction(total, math.factorial(n))
 
 
-def expected_product_by_type(n: int, p: Sequence[int]) -> Fraction:
-    """Exact expectation by summing over cycle types: each type contributes
-    its falling-power product weighted by 1/centralizer_order. Independent of
-    the enumeration route. Degrees above DEFAULT_PARTITION_CAP raise
-    CapExceededError."""
-    pvec = validate_pvector(n, p)
+def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[int]:
+    """For each p-vector in ps, the number of permutations of degree n with an
+    ordered p_k-tuple of distinct k-cycles chosen for every k: the sum over
+    cycle types m of n!/z(m) * prod_k falling(m_k, p_k), with z(m) =
+    prod_k k^{m_k} m_k! the type's centralizer order.
+
+    Only the types with m_k >= p_k for every k contribute, and they are the
+    partitions of n - |p| with p_k k-cycles added. So the p-vectors are
+    grouped by weight, and each group reads cycle_type_table(n - |p|) once.
+    Each term is computed from the full type's own multiplicities and its own
+    centralizer order. The sum is read from no closed form, and no table is
+    kept after the call.
+
+    Raises CapExceededError, before any sum, for a degree above
+    DEFAULT_PARTITION_CAP or when the terms to read, the partitions of
+    n - |p| summed over ps, exceed DEFAULT_TYPE_TERM_CAP."""
+    pvecs = [validate_pvector(n, p) for p in ps]
     if n > DEFAULT_PARTITION_CAP:
         raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
+    weights = [weight(pvec) for pvec in pvecs]
+    partitions = partition_counts(n)
+    terms = sum(partitions[n - w] for w in weights if w <= n)
+    if terms > DEFAULT_TYPE_TERM_CAP:
+        raise CapExceededError(
+            f"{len(pvecs)} p-vectors at degree {n} read {terms} cycle-type terms, "
+            f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}"
+        )
     n_factorial = math.factorial(n)
-    total = 0
-    for mult, z, _ in cycle_type_table(n):
-        term = _product_of_falling(mult, pvec)
-        if term:
-            total += term * (n_factorial // z)
-    return Fraction(total, n_factorial)
+    # centralizer[k][m] = k^m m!, the factor of z for m cycles of length k.
+    centralizer = [[k**m * math.factorial(m) for m in range(n + 1)] for k in range(n + 1)]
+    by_weight: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for i, (pvec, w) in enumerate(zip(pvecs, weights)):
+        if w <= n:
+            by_weight.setdefault(w, []).append((i, {k: pk for k, pk in enumerate(pvec, start=1) if pk}))
+    totals = [0] * len(pvecs)
+    for w, needs in by_weight.items():
+        for rest, _, parts in cycle_type_table(n - w):
+            # rest[k-1] counts the k-cycles left unchosen.
+            unchosen = {k: rest[k - 1] for k in set(parts)}
+            for i, need in needs:
+                z = 1
+                for k, mk in unchosen.items():
+                    if k not in need:
+                        z *= centralizer[k][mk]
+                term = 1
+                for k, pk in need.items():
+                    mk = unchosen.get(k, 0) + pk
+                    z *= centralizer[k][mk]
+                    term *= falling_power(mk, pk)
+                totals[i] += term * (n_factorial // z)
+    return totals
+
+
+def expected_products_by_type(n: int, ps: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Exact expectation for each p-vector in ps by summing over cycle types:
+    each type contributes its falling-power product weighted by
+    1/centralizer_order (decorated_permutation_counts over n!). Independent of
+    the enumeration route. One walk of each partition table serves every p of
+    the same weight. Degrees above DEFAULT_PARTITION_CAP, and more terms than
+    DEFAULT_TYPE_TERM_CAP, raise CapExceededError before any sum."""
+    counts = decorated_permutation_counts(n, ps)
+    n_factorial = math.factorial(n)
+    return [Fraction(count, n_factorial) for count in counts]
+
+
+def expected_product_by_type(n: int, p: Sequence[int]) -> Fraction:
+    """The cycle-type expectation for one p-vector: `expected_products_by_type`
+    with ps = [p]."""
+    return expected_products_by_type(n, [p])[0]
 
 
 def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
@@ -133,17 +189,27 @@ def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
     return Fraction(1, denom)
 
 
-def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
-    """Compare one exact method against the closed form, as exact rationals."""
-    pvec = validate_pvector(n, p)
+def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> list[MomentReport]:
+    """Compare one exact method against the closed form, as exact rationals,
+    for every p-vector in ps; the cycle-type route sums them all in one
+    `expected_products_by_type` call."""
+    pvecs = [validate_pvector(n, p) for p in ps]
     if method == METHOD_BRUTE:
-        lhs = expected_product_brute(n, pvec, cap)
+        lhss = [expected_product_brute(n, pvec, cap) for pvec in pvecs]
     elif method == METHOD_CYCLE_TYPE:
-        lhs = expected_product_by_type(n, pvec)
+        lhss = expected_products_by_type(n, pvecs)
     else:
         raise ValueError(f"unknown exact method {method!r}")
-    rhs = cll_rhs(n, pvec)
-    return MomentReport(n=n, p=pvec, method=method, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    reports = []
+    for pvec, lhs in zip(pvecs, lhss):
+        rhs = cll_rhs(n, pvec)
+        reports.append(MomentReport(n=n, p=pvec, method=method, lhs=lhs, rhs=rhs, equal=lhs == rhs))
+    return reports
+
+
+def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
+    """The report for one p-vector: `verify_clls` with ps = [p]."""
+    return verify_clls(n, [p], method, cap)[0]
 
 
 def expected_total_cycles(n: int) -> Fraction:
@@ -173,8 +239,8 @@ def uncorrelated_check(n: int, j: int, k: int) -> MomentReport:
     pair = tuple(1 if m in (j, k) else 0 for m in range(1, n + 1))
     ej = tuple(1 if m == j else 0 for m in range(1, n + 1))
     ek = tuple(1 if m == k else 0 for m in range(1, n + 1))
-    lhs = expected_product_by_type(n, pair)
-    rhs = expected_product_by_type(n, ej) * expected_product_by_type(n, ek)
+    lhs, mean_j, mean_k = expected_products_by_type(n, [pair, ej, ek])
+    rhs = mean_j * mean_k
     return MomentReport(n=n, p=pair, method=METHOD_CYCLE_TYPE, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

@@ -36,7 +36,11 @@ def parse_rational(s: str) -> Fraction:
 
 
 def label_to_json(label: Any):
+    """A label as JSON data: tuples become lists, recursively. A flat tuple of
+    ints, such as a partition, is copied in one step."""
     if isinstance(label, tuple):
+        if all(type(x) is int for x in label):
+            return list(label)
         return [label_to_json(x) for x in label]
     return label
 
@@ -225,6 +229,16 @@ def _refuse_above_cap(what: str, cost: int) -> None:
         raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
 
 
+def refuse_relator_check_above_cap(name: str, presentation, size: int) -> None:
+    """Raise CapExceededError when the relator check of an action named name,
+    of a group with this presentation on size points, would read more than
+    DEFAULT_CHECK_CAP images: (k + L) * size for k generators and L letters.
+    A constructor that knows its carrier's size can call it before building
+    anything."""
+    generators, relations = presentation
+    _refuse_above_cap(repr(name), (len(generators) + _letter_count(relations)) * size)
+
+
 @dataclass(eq=False)
 class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
@@ -287,7 +301,7 @@ class GroupAction:
 
     def _check_relations(self, generators: list[int], relations: list) -> ActionValidation:
         size = self.carrier_size
-        _refuse_above_cap(repr(self.name), (len(generators) + _letter_count(relations)) * size)
+        refuse_relator_check_above_cap(self.name, (generators, relations), size)
         rows = [self._row(s) for s in generators]
         checks = len(generators) * size
         for s, row in zip(generators, rows):

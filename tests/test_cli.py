@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupoid_card import groupoids
+from groupoid_card import groupoids, permutations
+from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
+from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
 from groupoid_card.functors import make_fixed_point_functor
 from groupoid_card.groups import to_cayley_json, make_cyclic
 
@@ -268,6 +270,57 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["equal"] is True
     code, _, err = run_cli(["verify-categorified", "--n", "4", "--p", "0,2,0,0"], capsys)
     assert (code, err) == (0, "")
+
+
+def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid):
+    """S9 on Q for p = 0 has 9! points; its relator check would read
+    (8 + 142) * 362 880 = 54 432 000 values. The carrier is counted over
+    cycle types and refused, with the refusal its check would give, before
+    any permutation is enumerated."""
+    forbid(permutations.enumerate_permutations, permutations.list_cycle_tuples)
+    code, out, err = run_cli(["verify-categorified", "--n", "9", "--p", "0,0,0,0,0,0,0,0,0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 54432000 reads, above the check cap 10000000\n"
+
+
+def test_cycle_type_sweep_above_the_type_term_cap_exits_2():
+    """Degree 40 with entries up to 3 has 75 341 p-vectors, which read
+    4 857 052 type terms: the sweep is refused before any sum, with exit
+    code 2, a message naming the cap, and no traceback."""
+    args = [sys.executable, "-m", "groupoid_card", "verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "cycle-type"]
+    start = time.perf_counter()
+    result = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 30
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: 75341 p-vectors at degree 40 read 4857052 cycle-type terms, above the type-term cap {DEFAULT_TYPE_TERM_CAP}\n"
+    )
+
+
+def recursive_label_json(label):
+    if isinstance(label, tuple):
+        return [recursive_label_json(x) for x in label]
+    return label
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
+    code, out, _ = run_cli(["skeleton", "--n", str(n)], capsys)
+    assert code == 0
+    expected = [
+        {"aut_order": c.aut_order, "label": recursive_label_json(c.label)}
+        for c in groupoids.perm_groupoid_skeleton(n).components
+    ]
+    assert json.loads(out)["components"] == expected
+    assert out == json.dumps({"command": "skeleton", "n": n, "components": expected, "cardinality": "1/1"}) + "\n"
+
+
+def test_nested_labels_keep_the_recursive_route():
+    rhs = categorified_rhs_skeleton(5, (1, 1, 0, 0, 0))
+    assert rhs.to_json_dict()["components"] == [
+        {"aut_order": c.aut_order, "label": recursive_label_json(c.label)} for c in rhs.components
+    ]
+    assert groupoids.label_to_json(((2, 1), ("Z/2", (3,)))) == [[2, 1], ["Z/2", [3]]]
 
 
 def _base_functors():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from groupoid_card.cycle_stats import (
     METHOD_CYCLE_TYPE,
     cll_rhs,
     cycle_count_histogram,
+    decorated_permutation_counts,
     expected_product_brute,
     expected_product_by_type,
+    expected_products_by_type,
     expected_total_cycles,
     MONTE_CARLO_MAX_N,
     MomentReport,
@@ -24,6 +27,7 @@ from groupoid_card.cycle_stats import (
     sample_permutation,
     uncorrelated_check,
     verify_cll,
+    verify_clls,
 )
 from groupoid_card.groupoids import cardinality, perm_groupoid_skeleton
 from groupoid_card.permutations import (
@@ -31,9 +35,11 @@ from groupoid_card.permutations import (
     CycleType,
     Permutation,
     cycle_decomposition,
+    cycle_type_table,
     enumerate_permutations,
     falling_power,
     iter_pvectors,
+    partition_counts,
     weight,
 )
 from groupoid_card.rng import SplitMix64
@@ -470,3 +476,77 @@ def test_cycle_type_route_never_enumerates(monkeypatch, forbid):
         assert cardinality(perm_groupoid_skeleton(n)) == 1
     with pytest.raises(AssertionError):
         expected_product_brute(3, (1, 0, 0))
+
+
+def per_p_type_sum(n, p):
+    """The cycle-type sum of one p-vector, read literally: every type of
+    degree n, weighted by n!/z, whether it contributes or not."""
+    n_factorial = math.factorial(n)
+    total = 0
+    for mult, z, _ in cycle_type_table(n):
+        term = 1
+        for k0, pk in enumerate(p):
+            term *= falling_power(mult[k0], pk)
+        total += term * (n_factorial // z)
+    return Fraction(total, n_factorial)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_one_pass_sums_equal_the_per_p_sums(n):
+    # Entries up to n and weight up to n + 2: every p that reads a type, and
+    # some that read none.
+    ps = list(iter_pvectors(n, max_entry=n, max_weight=n + 2))
+    assert expected_products_by_type(n, ps) == [per_p_type_sum(n, p) for p in ps]
+    assert [expected_product_by_type(n, p) for p in ps] == [per_p_type_sum(n, p) for p in ps]
+
+
+def test_one_pass_sums_equal_the_per_p_sums_at_degree_20():
+    ps = random.Random(20).sample(list(iter_pvectors(20, max_entry=3, max_weight=22)), 40)
+    assert expected_products_by_type(20, ps) == [per_p_type_sum(20, p) for p in ps]
+    assert expected_products_by_type(20, []) == []
+
+
+def test_decorated_permutation_counts_are_the_type_sums_times_n_factorial():
+    ps = list(iter_pvectors(7, max_entry=2, max_weight=8))
+    counts = decorated_permutation_counts(7, ps)
+    assert [Fraction(c, 5040) for c in counts] == [per_p_type_sum(7, p) for p in ps]
+    assert decorated_permutation_counts(4, [(0, 2, 0, 0), (0, 0, 0, 0), (1, 0, 1, 0)]) == [6, 24, 8]
+
+
+def test_verify_clls_equals_the_one_p_reports():
+    ps = list(iter_pvectors(6, max_entry=2, max_weight=8))
+    for method in (METHOD_BRUTE, METHOD_CYCLE_TYPE):
+        assert verify_clls(6, ps, method=method) == [verify_cll(6, p, method=method) for p in ps]
+    with pytest.raises(ValueError):
+        verify_clls(3, [(0, 1, 0)], method="guess")
+
+
+def test_partition_counts():
+    assert partition_counts(0) == [1]
+    assert partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert partition_counts(40)[40] == 37338
+    assert all(partition_counts(n)[n] == sum(1 for _ in cycle_type_table(n)) for n in range(16))
+
+
+def test_type_term_cap_refuses_before_any_sum(monkeypatch, forbid):
+    """The terms a call reads, the partitions of n - |p| summed over its
+    p-vectors, are compared with the cap before any table is walked."""
+    ps = list(iter_pvectors(10))
+    terms = sum(partition_counts(10)[10 - weight(p)] for p in ps)
+    monkeypatch.setattr(cycle_stats, "DEFAULT_TYPE_TERM_CAP", terms)
+    assert expected_products_by_type(10, ps) == [cll_rhs(10, p) for p in ps]
+    monkeypatch.setattr(cycle_stats, "DEFAULT_TYPE_TERM_CAP", terms - 1)
+    forbid(permutations.cycle_type_table)
+    with pytest.raises(CapExceededError, match=f"{len(ps)} p-vectors at degree 10 read {terms} cycle-type terms, above the type-term cap {terms - 1}"):
+        expected_products_by_type(10, ps)
+
+
+def test_one_pass_route_never_enumerates(monkeypatch, forbid):
+    forbid(cycle_stats.cycle_count_histogram, permutations.enumerate_permutations,
+           permutations.image_cycle_counts, permutations.cycle_counts)
+    monkeypatch.setattr(itertools, "permutations", forbid())
+    monkeypatch.setattr(Permutation, "__post_init__", forbid())
+    for n in range(13):
+        ps = list(iter_pvectors(n, max_entry=2, max_weight=n + 1))
+        assert expected_products_by_type(n, ps) == [cll_rhs(n, p) for p in ps]
+        assert all(report.equal for report in verify_clls(n, ps, method=METHOD_CYCLE_TYPE))
