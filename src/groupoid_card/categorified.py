@@ -110,10 +110,10 @@ def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_
     point a to the smallest point of the cycle of sigma' through tau(a). Each
     sigma with a nonempty fiber keeps that "smallest point of my cycle" array
     and one dict from marks to carrier index; both are found by sigma's image
-    tuple. No cycle is rebuilt or re-canonicalized, and no conjugation table
-    is built. q_action and make_cycle_tuple_functor's transport relabel
-    canonical cycles instead, so the routes the acceptance suite compares
-    stay independent.
+    tuple. No cycle is rebuilt or re-canonicalized, and no conjugation row
+    of the group is read. q_action and make_cycle_tuple_functor's transport
+    relabel canonical cycles instead, so the routes the acceptance suite
+    compares stay independent.
 
     A carrier whose relator check the check cap would refuse is refused
     before anything is enumerated, with the refusal validate would give:

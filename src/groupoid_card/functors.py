@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .categorified import relabel_choice
+from .cycle_stats import decorated_permutation_counts
 from . import groupoids
 from .groups import FiniteGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
@@ -135,6 +136,17 @@ def _row_compare_cost(functor: EquivariantFunctor) -> int:
     return (len(group.spanning_tree()[0]) + 1) * group.order * (1 + functor.total_size)
 
 
+def _refuse_relator_check_above_cap(name: str, order: int, presentation, total: int) -> None:
+    """Raise CapExceededError when the relator check of a functor named name,
+    over a presentation with k generators and L letters, would read more
+    than DEFAULT_CHECK_CAP values: k |G| fiber sizes and (k + L) * total
+    points. A built-in constructor knows its total before it builds a
+    fiber, and calls it first."""
+    generators, relations = presentation
+    k = len(generators)
+    groupoids._refuse_above_cap(repr(name), k * order + (k + groupoids._letter_count(relations)) * total)
+
+
 def _check(functor: EquivariantFunctor, generators: list[int], relations: Optional[list]) -> FunctorValidation:
     """The relator check of the relations, or the row compare when they are None."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
@@ -177,7 +189,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         targets = {h: group.conjugation_row(h) for h in hs}
     else:
         letters = groupoids._letter_count(relations)
-        groupoids._refuse_above_cap(repr(functor.name), checks + (len(generators) + letters) * total)
+        _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
     transports = {(h, g): _transport(functor, h, g, targets[h][g]) for h in hs for g in nonempty}
     broken = [key for key, arr in transports.items() if isinstance(arr, ValueError)]
     if broken and relations is not None:
@@ -328,10 +340,16 @@ def make_trivial_functor(group: FiniteGroup) -> EquivariantFunctor:
 
 def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
     """F(sigma) = the fixed points of sigma, transported by relabeling.
-    Fiber elements are indices into the sorted fixed-point list."""
+    Fiber elements are indices into the sorted fixed-point list. A functor
+    whose relator check the check cap would refuse is refused, with the
+    refusal validate_functor would give, before any fiber is built."""
     if n > cap:
         raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
     group = make_symmetric(n)
+    name = f"fixed-points(S{n})"
+    # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
+    total = group.order if n else 0
+    _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
     fixed: list[tuple[int, ...]] = []
     for g in group.elements():
         images = group.images_at(g)
@@ -348,7 +366,7 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
         group=group,
         fiber_sizes=tuple(len(f) for f in fixed),
         transport=transport,
-        name=f"fixed-points(S{n})",
+        name=name,
         _presented=True,
     )
 
@@ -356,11 +374,17 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
 def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
     """F(sigma) = the ordered tuples of distinct cycles of sigma prescribed by
     the p-vector, transported by relabeling. The elements of the category of
-    elements correspond one to one with the decorated permutations."""
+    elements correspond one to one with the decorated permutations. They are
+    counted over cycle types (decorated_permutation_counts), and a functor
+    whose relator check the check cap would refuse is refused, with the
+    refusal validate_functor would give, before any fiber is built."""
     pvec = validate_pvector(n, p)
     if n > cap:
         raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
     group = make_symmetric(n)
+    name = f"cycle-tuples(S{n}, p={list(pvec)})"
+    total = decorated_permutation_counts(n, [pvec])[0]
+    _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
     index = [{choice: i for i, choice in enumerate(c)} for c in choices]
     conjugate = group.conjugator()
@@ -374,7 +398,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
         group=group,
         fiber_sizes=tuple(len(c) for c in choices),
         transport=transport,
-        name=f"cycle-tuples(S{n}, p={list(pvec)})",
+        name=name,
         _presented=True,
     )
 

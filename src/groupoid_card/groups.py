@@ -2,13 +2,15 @@
 
 Cyclic, symmetric and product groups multiply structurally; arbitrary groups
 come in through validated Cayley tables. All instances are immutable and all
-operations are pure.
+operations are pure. A conjugation row is computed from mul and inv when it
+is first read and kept; a multiplication row is computed on each read. No
+group keeps a full |G|^2 table: a passing law check reads only the rows of
+its generators.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -16,10 +18,6 @@ from typing import Callable, Sequence
 from .permutations import CapExceededError, Permutation, lex_rank, lex_unrank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
-# The flat h*order+g conjugation table and the flat g*order+x multiplication
-# table are each built lazily, from generator rows, when order^2 is at most
-# this. The cap keeps the order below 1096, so the tables are 16-bit arrays.
-_CONJ_TABLE_MAX_ENTRIES = 1_200_000
 # Symmetric groups cache their element tuples up to this order.
 _SYM_ELEMENT_CACHE_MAX_ORDER = 100_000
 # Generators, and relations as pairs of words in them (FiniteGroup.presentation).
@@ -43,10 +41,7 @@ class FiniteGroup:
     order = 1
 
     def __init__(self) -> None:
-        self._conj_table: Sequence[int] | None = None
-        self._conj_table_built = False
-        self._mul_table: Sequence[int] | None = None
-        self._mul_table_built = False
+        self._conj_rows: list[list[int] | None] | None = None
         self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
         self._conjugator: Callable[[int, int], int] | None = None
 
@@ -75,36 +70,34 @@ class FiniteGroup:
 
     def conjugator(self) -> Callable[[int, int], int]:
         """conjugate without the index checks, for callers that conjugate
-        valid indices many times: one read of the conjugation table when the
-        group has one, else two products."""
+        valid indices many times: one read of row h, filled on first use."""
         if self._conjugator is None:
-            table = self._conjugation_table()
-            if table is not None:
-                order = self.order
-                self._conjugator = lambda g, h: table[h * order + g]
-            else:
-                mul, inv = self.mul, self.inv
-                self._conjugator = lambda g, h: mul(mul(h, g), inv(h))
+            rows, fill = self._conjugation_table(), self._fill_conjugation_row
+            self._conjugator = lambda g, h: (rows[h] or fill(h))[g]
         return self._conjugator
 
-    def conjugation_row(self, h: int) -> Sequence[int]:
-        """h g h^-1 for g in 0..order-1: a slice of the conjugation table when
-        the group has one, else a list."""
+    def conjugation_row(self, h: int) -> list[int]:
+        """h g h^-1 for g in 0..order-1, computed on the first read and kept;
+        callers must not modify it."""
         h = self.check_element(h)
-        table = self._conjugation_table()
-        if table is not None:
-            return table[h * self.order : (h + 1) * self.order]
-        mul, hinv = self.mul, self.inv(h)
-        return [mul(mul(h, g), hinv) for g in range(self.order)]
+        return self._conjugation_table()[h] or self._fill_conjugation_row(h)
 
-    def multiplication_row(self, g: int) -> Sequence[int]:
-        """g x for x in 0..order-1: a slice of the multiplication table when
-        the group has one, else a list."""
+    def _conjugation_table(self) -> list[list[int] | None]:
+        """The conjugation rows by h, each None until its first read."""
+        if self._conj_rows is None:
+            self._conj_rows = [None] * self.order
+        return self._conj_rows
+
+    def _fill_conjugation_row(self, h: int) -> list[int]:
+        mul, hinv = self.mul, self.inv(h)
+        row = self._conjugation_table()[h] = [mul(mul(h, g), hinv) for g in range(self.order)]
+        return row
+
+    def multiplication_row(self, g: int) -> list[int]:
+        """g x for x in 0..order-1, computed with mul on each read."""
         g = self.check_element(g)
-        table = self._multiplication_table()
-        if table is not None:
-            return table[g * self.order : (g + 1) * self.order]
-        return [self.mul(g, x) for x in range(self.order)]
+        mul = self.mul
+        return [mul(g, x) for x in range(self.order)]
 
     def presentation(self) -> _Presentation | None:
         """Generators and defining relations, or None for a group known
@@ -162,44 +155,6 @@ class FiniteGroup:
             self._tree = (generators, edges)
         return self._tree
 
-    def _table_from_generator_rows(self, generator_row: Callable[[int], list[int]]) -> Sequence[int] | None:
-        """The flat 16-bit table of a homomorphism G -> Sym(G), given the row
-        of each generator, or None above the table cap. The row of s * x is the row
-        of s after the row of x, so every other row is composed along the
-        spanning tree."""
-        order = self.order
-        if order * order > _CONJ_TABLE_MAX_ENTRIES:
-            return None
-        generators, edges = self.spanning_tree()
-        rows = {s: generator_row(s) for s in generators}
-        table = array("H", [0]) * (order * order)
-        e = self.identity
-        table[e * order : (e + 1) * order] = array("H", range(order))
-        # Edges exist only for order >= 2, so itemgetter returns a tuple.
-        for child, s, parent in edges:
-            start = parent * order
-            table[child * order : (child + 1) * order] = array("H", itemgetter(*table[start : start + order])(rows[s]))
-        return table
-
-    def _conjugation_table(self) -> Sequence[int] | None:
-        if not self._conj_table_built:
-            self._conj_table_built = True
-            mul, inv, order = self.mul, self.inv, self.order
-
-            def generator_row(s: int) -> list[int]:
-                sinv = inv(s)
-                return [mul(mul(s, g), sinv) for g in range(order)]
-
-            self._conj_table = self._table_from_generator_rows(generator_row)
-        return self._conj_table
-
-    def _multiplication_table(self) -> Sequence[int] | None:
-        if not self._mul_table_built:
-            self._mul_table_built = True
-            mul, order = self.mul, self.order
-            self._mul_table = self._table_from_generator_rows(lambda s: [mul(s, x) for x in range(order)])
-        return self._mul_table
-
     def element_repr(self, a: int) -> str:
         return str(self.check_element(a))
 
@@ -250,6 +205,8 @@ class SymmetricGroup(FiniteGroup):
         self._rank_of: dict[tuple[int, ...], int] | None = None
 
     def _tables(self):
+        """The image tuple of every rank and the rank of every image tuple,
+        built on the first call up to the cache order; (None, None) above."""
         if self._images is None and self.order <= _SYM_ELEMENT_CACHE_MAX_ORDER:
             import itertools
 
@@ -257,13 +214,17 @@ class SymmetricGroup(FiniteGroup):
             self._rank_of = {images: i for i, images in enumerate(self._images)}
         return self._images, self._rank_of
 
+    def _images_of(self, a: int) -> tuple[int, ...]:
+        images = self._tables()[0]
+        return images[a] if images is not None else lex_unrank(self.n, a)
+
+    def _rank(self, images: tuple[int, ...]) -> int:
+        rank_of = self._tables()[1]
+        return rank_of[images] if rank_of is not None else lex_rank(images)
+
     def images_at(self, a: int) -> tuple[int, ...]:
         """The image tuple of element a, without building a Permutation."""
-        a = self.check_element(a)
-        images, _ = self._tables()
-        if images is not None:
-            return images[a]
-        return lex_unrank(self.n, a)
+        return self._images_of(self.check_element(a))
 
     def permutation_at(self, a: int) -> Permutation:
         return Permutation(self.images_at(a))
@@ -271,31 +232,19 @@ class SymmetricGroup(FiniteGroup):
     def index_of(self, perm: Permutation) -> int:
         if perm.degree != self.n:
             raise ValueError(f"degree mismatch: {perm.degree} vs {self.n}")
-        _, rank_of = self._tables()
-        if rank_of is not None:
-            return rank_of[perm.images]
-        return lex_rank(perm.images)
+        return self._rank(perm.images)
 
     def mul(self, a: int, b: int) -> int:
-        images, rank_of = self._tables()
-        if images is not None:
-            fa, fb = images[a], images[b]
-        else:
-            fa, fb = lex_unrank(self.n, a), lex_unrank(self.n, b)
+        fa, fb = self._images_of(a), self._images_of(b)
         # itemgetter of one index returns a bare item, not a tuple; below
         # degree 2 the only permutation is the identity, so fa is the product.
-        product = itemgetter(*fb)(fa) if self.n > 1 else fa
-        return rank_of[product] if rank_of is not None else lex_rank(product)
+        return self._rank(itemgetter(*fb)(fa) if self.n > 1 else fa)
 
     def inv(self, a: int) -> int:
-        images, rank_of = self._tables()
-        if images is not None:
-            fa = images[a]
-            out = [0] * self.n
-            for i, img in enumerate(fa):
-                out[img] = i
-            return rank_of[tuple(out)]
-        return lex_rank(Permutation(lex_unrank(self.n, a)).inverse().images)
+        out = [0] * self.n
+        for i, img in enumerate(self._images_of(a)):
+            out[img] = i
+        return self._rank(tuple(out))
 
     def presentation(self) -> _Presentation:
         """The adjacent transpositions t_i = (i-1 i) for i = 1..n-1, with

@@ -1,10 +1,9 @@
 """Groups and generator cosets shared by the law-check differential tests.
 
-Groups are built by name, fresh, so that their lazily built tables follow the
-table cap in force where the test builds them (`table_cap`); `law_caps` moves
-the check cap above which law checks refuse."""
+Groups are built by name, fresh, so that no conjugation row is filled
+before the test reads it; `law_caps` moves the check cap above which law
+checks refuse."""
 
-import contextlib
 import random
 from unittest import mock
 
@@ -36,12 +35,6 @@ LAW_GROUPS = {
     "Z2xS3": lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3)),
     "cayley(Z2xS3)": lambda: relabelled_cayley(groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))),
 }
-
-
-def table_cap(tables):
-    """A context in which new groups build their multiplication and
-    conjugation tables (tables=True) or compute every entry with mul."""
-    return contextlib.nullcontext() if tables else mock.patch.object(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
 
 
 def law_caps(check_cap):

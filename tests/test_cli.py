@@ -17,7 +17,7 @@ from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
 from groupoid_card.functors import make_fixed_point_functor
-from groupoid_card.groups import to_cayley_json, make_cyclic
+from groupoid_card.groups import SymmetricGroup, to_cayley_json, make_cyclic
 
 
 def run_cli(args, capsys):
@@ -281,6 +281,24 @@ def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(
     code, out, err = run_cli(["verify-categorified", "--n", "9", "--p", "0,0,0,0,0,0,0,0,0"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 54432000 reads, above the check cap 10000000\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--builtin", "fixed-points", "--n", "9"], "fixed-points(S9)"),
+    (["--builtin", "cycle-tuples", "--n", "9", "--p", "1,0,0,0,0,0,0,0,0"], "cycle-tuples(S9, p=[1, 0, 0, 0, 0, 0, 0, 0, 0])"),
+], ids=["fixed-points", "cycle-tuples"])
+def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch, argv, name):
+    """Both S9 functors have 9! fiber points in all; their relator check
+    would read 8 * 362 880 fiber sizes and (8 + 142) * 362 880 points,
+    57 335 040 values. The total is known before any fiber is built, so the
+    functor is refused first, with the refusal its check would give."""
+    refuse = forbid(permutations.list_cycle_tuples)
+    monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(["theorem-general", *argv], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: law check of {name!r} needs 57335040 reads, above the check cap 10000000\n"
 
 
 def test_cycle_type_sweep_above_the_type_term_cap_exits_2():

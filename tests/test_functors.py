@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_card import groups
+from groupoid_card import functors, groups
 from groupoid_card.categorified import build_Q, c_groupoid_skeleton
 from groupoid_card.functors import (
     EquivariantFunctor,
@@ -30,7 +30,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, table_cap, validation_or_refusal
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, validation_or_refusal
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -216,6 +216,41 @@ def test_n6_fixed_point_functor_is_exhaustive():
     orbits = orbit_decomposition(action)
     assert len(orbits) == 7 and sum(o.size for o in orbits) == 720
     assert all(o.size * o.stabilizer_order == 720 for o in orbits)
+
+
+def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
+    """The S6 fixed-point functor's relator check, its category of elements
+    and the orbit walk read the conjugation rows of the 5 generators only:
+    at most 5 of the 720 rows are filled, not a 720 x 720 table."""
+    group = groups.SymmetricGroup(6)  # fresh, so no row is filled yet
+    monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
+    functor = make_fixed_point_functor(6)
+    assert validate_functor(functor).ok
+    assert orbit_decomposition(category_of_elements(functor))
+    filled = [h for h, row in enumerate(group._conjugation_table()) if row is not None]
+    assert len(filled) <= 5
+    assert set(filled) <= set(group.presentation()[0])
+
+
+@pytest.mark.parametrize("build", [
+    make_fixed_point_functor,
+    lambda n: make_cycle_tuple_functor(n, [0, 1] + [0] * (n - 2)),
+], ids=["fixed-points", "cycle-tuples"])
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_builtin_functor_refusal_is_the_refusal_of_its_check(build, n):
+    """The built-in constructors count the relator check's reads before any
+    fiber is built: one read below what the built functor's check reads,
+    the constructor refuses with that check's message; at the check's reads
+    it builds, and the check passes."""
+    functor = build(n)
+    report = validate_functor(functor)
+    assert report.ok
+    with law_caps(report.checks - 1):
+        with pytest.raises(CapExceededError) as refused:
+            build(n)
+    assert str(refused.value) == f"law check of {functor.name!r} needs {report.checks} reads, above the check cap {report.checks - 1}"
+    with law_caps(report.checks):
+        assert validate_functor(build(n)) == report
 
 
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
@@ -433,64 +468,60 @@ def twist_last_coset(group, sizes, table, c):
 
 
 @settings(max_examples=200)
-@given(st.sampled_from(sorted(LAW_GROUPS)), st.booleans(), st.data())
-def test_functor_validation_matches_reference(name, tables, data):
+@given(st.sampled_from(sorted(LAW_GROUPS)), st.data())
+def test_functor_validation_matches_reference(name, data):
     """One transport of a genuine functor corrupted anywhere (swapped, or
     made non-bijective by an entry that repeats or leaves the fiber), one
     fiber size changed, fiber sizes raised on one conjugacy class of the
     subgroup H of all generators but the last, or transports twisted so that
-    composition breaks only at the last generator; with and without the
-    group tables, and with a check cap at the generator count, below what
-    the check reads, which must refuse unless an earlier law fails."""
-    with table_cap(tables):
-        group = LAW_GROUPS[name]()
-        order = group.order
-        sizes, table = data.draw(st.sampled_from(functor_tables(group)))
-        sizes, table = list(sizes), dict(table)
-        corruption = data.draw(st.sampled_from(["none", "swap", "entry", "fiber", "fiber_class", "twist"]))
-        populated = sorted(key for key, arr in table.items() if arr)
-        coset = last_generator_coset(group)
-        if corruption == "swap":
-            key = data.draw(st.sampled_from(populated))
-            arr = list(table[key])
-            i, j = data.draw(st.integers(0, len(arr) - 1)), data.draw(st.integers(0, len(arr) - 1))
-            arr[i], arr[j] = arr[j], arr[i]
-            table[key] = tuple(arr)
-        elif corruption == "entry":
-            key = data.draw(st.sampled_from(populated))
-            arr = list(table[key])
-            i = data.draw(st.integers(0, len(arr) - 1))
-            arr[i] = data.draw(st.integers(-1, len(arr)).filter(lambda t: t != arr[i]))
-            table[key] = tuple(arr)
-        elif corruption == "fiber":
-            g = data.draw(st.integers(0, order - 1))
-            sizes[g] = data.draw(st.integers(0, sizes[g] + 1).filter(lambda k: k != sizes[g]))
-        elif corruption == "fiber_class" and coset:
-            x = data.draw(st.integers(0, order - 1))
-            for y in {group.conjugate(x, h) for h in coset[0]}:
-                sizes[y] += 1
-        elif corruption == "twist" and coset and max(sizes) > 1:
-            c = data.draw(st.sampled_from([g for g in range(order) if sizes[g] > 1]))
-            table = twist_last_coset(group, sizes, table, c)
-        sizes = tuple(sizes)
-        k = len(group.spanning_tree()[0])
-        generator_checks = k * order + order + k * order * sum(sizes)
-        check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 200, generator_checks]))
+    composition breaks only at the last generator; with a check cap at the
+    generator count, below what the check reads, which must refuse unless an
+    earlier law fails."""
+    group = LAW_GROUPS[name]()
+    order = group.order
+    sizes, table = data.draw(st.sampled_from(functor_tables(group)))
+    sizes, table = list(sizes), dict(table)
+    corruption = data.draw(st.sampled_from(["none", "swap", "entry", "fiber", "fiber_class", "twist"]))
+    populated = sorted(key for key, arr in table.items() if arr)
+    coset = last_generator_coset(group)
+    if corruption == "swap":
+        key = data.draw(st.sampled_from(populated))
+        arr = list(table[key])
+        i, j = data.draw(st.integers(0, len(arr) - 1)), data.draw(st.integers(0, len(arr) - 1))
+        arr[i], arr[j] = arr[j], arr[i]
+        table[key] = tuple(arr)
+    elif corruption == "entry":
+        key = data.draw(st.sampled_from(populated))
+        arr = list(table[key])
+        i = data.draw(st.integers(0, len(arr) - 1))
+        arr[i] = data.draw(st.integers(-1, len(arr)).filter(lambda t: t != arr[i]))
+        table[key] = tuple(arr)
+    elif corruption == "fiber":
+        g = data.draw(st.integers(0, order - 1))
+        sizes[g] = data.draw(st.integers(0, sizes[g] + 1).filter(lambda k: k != sizes[g]))
+    elif corruption == "fiber_class" and coset:
+        x = data.draw(st.integers(0, order - 1))
+        for y in {group.conjugate(x, h) for h in coset[0]}:
+            sizes[y] += 1
+    elif corruption == "twist" and coset and max(sizes) > 1:
+        c = data.draw(st.sampled_from([g for g in range(order) if sizes[g] > 1]))
+        table = twist_last_coset(group, sizes, table, c)
+    sizes = tuple(sizes)
+    k = len(group.spanning_tree()[0])
+    generator_checks = k * order + order + k * order * sum(sizes)
+    check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 200, generator_checks]))
 
-        def build():
-            return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
+    def build():
+        return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])
 
-        with law_caps(check_cap):
-            assert validation_or_refusal(lambda: validate_functor(build())) == validation_or_refusal(
-                lambda: reference_functor_validation(build(), check_cap=check_cap))
-        assert (group._conjugation_table() is not None) == tables
+    with law_caps(check_cap):
+        assert validation_or_refusal(lambda: validate_functor(build())) == validation_or_refusal(
+            lambda: reference_functor_validation(build(), check_cap=check_cap))
 
 
-@pytest.mark.parametrize("with_table", [True, False])
-def test_fiber_size_check_same_with_or_without_conjugation_table(monkeypatch, with_table):
-    if not with_table:
-        monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
-    # Fresh instances: the make_* constructors hand out cached groups whose tables may exist.
+def test_fiber_size_check_matches_reference():
+    """One fiber size raised at each element in turn: the lowest (h, g) at
+    which a conjugation moves a fiber size is named, as the reference names it."""
     for group in (groups.SymmetricGroup(3), groups.SymmetricGroup(4),
                   groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))):
         sizes, table = functor_tables(group)[1]
@@ -502,48 +533,37 @@ def test_fiber_size_check_same_with_or_without_conjugation_table(monkeypatch, wi
                 return EquivariantFunctor(group, tuple(corrupted), lambda h, x: table[(h, x)])
 
             assert validate_functor(build()) == reference_functor_validation(build())
-        assert (group._conjugation_table() is not None) == with_table
 
 
-def test_functor_validation_same_with_or_without_group_tables(monkeypatch):
-    """The composition rows and the kernel's g*h come from the group tables
-    when they exist and from mul otherwise; the reports must not differ."""
+def test_functor_validation_matches_reference_on_s4_corruptions():
+    """Transports of genuine S4 functors with their first and last points
+    swapped, or their first point sent outside the fiber: each report equals
+    the literal reference's."""
+    group = groups.SymmetricGroup(4)
+    reports = []
+    for sizes, table in functor_tables(group):
+        populated = sorted(key for key, arr in table.items() if len(arr) > 1)
+        corruptions = [None] + [(key, kind) for key in populated[:: max(1, len(populated) // 4)]
+                                for kind in ("swap", "entry")]
+        for corruption in corruptions:
+            corrupted = dict(table)
+            if corruption:
+                key, kind = corruption
+                arr = list(corrupted[key])
+                if kind == "swap":
+                    arr[0], arr[-1] = arr[-1], arr[0]
+                else:
+                    arr[0] = len(arr)
+                corrupted[key] = tuple(arr)
 
-    def reports():
-        group = groups.SymmetricGroup(4)  # fresh, so its tables follow the cap in force
-        out = []
-        for sizes, table in functor_tables(group):
-            populated = sorted(key for key, arr in table.items() if len(arr) > 1)
-            corruptions = [None] + [(key, kind) for key in populated[:: max(1, len(populated) // 4)]
-                                    for kind in ("swap", "entry")]
-            for corruption in corruptions:
-                corrupted = dict(table)
-                if corruption:
-                    key, kind = corruption
-                    arr = list(corrupted[key])
-                    if kind == "swap":
-                        arr[0], arr[-1] = arr[-1], arr[0]
-                    else:
-                        arr[0] = len(arr)
-                    corrupted[key] = tuple(arr)
+            def build(corrupted=corrupted):
+                return EquivariantFunctor(group, sizes, lambda h, g: corrupted[(h, g)])
 
-                def build(corrupted=corrupted):
-                    return EquivariantFunctor(group, sizes, lambda h, g: corrupted[(h, g)])
-
-                report = validate_functor(build())
-                assert report == reference_functor_validation(build())
-                assert report.mode == "exhaustive"
-                out.append(report)
-        return group, out
-
-    with_tables, expected = reports()
-    assert with_tables._multiplication_table() is not None
-    monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
-    without_tables, got = reports()
-    assert without_tables._multiplication_table() is None
-    assert without_tables._conjugation_table() is None
-    assert got == expected
-    assert sum(report.failing_law == "composition" for report in got) >= 4
+            report = validate_functor(build())
+            assert report == reference_functor_validation(build())
+            assert report.mode == "exhaustive"
+            reports.append(report)
+    assert sum(report.failing_law == "composition" for report in reports) >= 4
 
 
 def exhaustively_validated_functors():

@@ -200,15 +200,20 @@ def test_conjugate_examples():
         s3.conjugate(0, -1)
 
 
-@pytest.mark.parametrize("with_table", [True, False])
-def test_conjugator_is_conjugate_without_the_checks(monkeypatch, with_table):
-    if not with_table:
-        monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 0)
-    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))  # fresh, so its table follows the cap
+@pytest.mark.parametrize("rows_first", [True, False])
+def test_conjugator_is_conjugate_without_the_checks(rows_first):
+    """Rows filled by conjugation_row and rows filled through the conjugator
+    are the same rows, and every read equals the literal products."""
+    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))  # fresh, so no row is filled yet
     conjugate = group.conjugator()
-    assert (group._conjugation_table() is not None) == with_table
+    assert group._conjugation_table() == [None] * group.order
     for h in group.elements():
-        assert [conjugate(g, h) for g in group.elements()] == list(group.conjugation_row(h))
+        if rows_first:
+            row = group.conjugation_row(h)
+            assert [conjugate(g, h) for g in group.elements()] == row
+        else:
+            row = [conjugate(g, h) for g in group.elements()]
+            assert group.conjugation_row(h) == row
         for g in group.elements():
             assert conjugate(g, h) == group.conjugate(g, h) == group.mul(group.mul(h, g), group.inv(h))
     assert group.conjugator() is conjugate
@@ -241,7 +246,7 @@ def test_cyclic_group_laws(k):
         assert g.mul(0, a) == a
 
 
-# Fresh instances: make_* hand out cached groups whose tables may already exist.
+# Fresh instances: make_* hand out cached groups whose rows may already be filled.
 def table_test_groups():
     symmetric = [SymmetricGroup(n) for n in range(7)]
     return symmetric + [
@@ -294,11 +299,12 @@ def table_cases():
 
 @pytest.mark.parametrize("make", table_cases())
 def test_tables_from_generator_rows_match_literal_products(make):
+    """Every conjugation and multiplication row, and every conjugate, equals
+    the literal products."""
     group = make()
     order = group.order
     literal_conj = [group.mul(group.mul(h, g), group.inv(h)) for h in range(order) for g in range(order)]
     literal_mul = group.multiplication_table()
-    assert list(group._conjugation_table()) == literal_conj
     for h in range(order):
         assert list(group.conjugation_row(h)) == literal_conj[h * order : (h + 1) * order]
     for g in range(order):
@@ -333,25 +339,29 @@ def test_spanning_tree_reaches_every_element_once(make):
         assert position[parent] < position[child]
     assert [parent for child, _, parent in edges if child in generators] == [group.identity] * k
 
-    # The tables add only the generator rows: s g s^-1 costs two products
-    # per entry, s x one.
+    # The generators' rows cost two products per entry for s g s^-1 and one
+    # for s x, and a kept conjugation row is not computed again.
     calls[0] = 0
-    group._conjugation_table()
-    assert calls[0] <= 2 * order * k
+    for s in generators:
+        group.conjugation_row(s)
+        group.conjugation_row(s)
+    assert calls[0] == 2 * order * k
     calls[0] = 0
-    group._multiplication_table()
-    assert calls[0] <= order * k
+    for s in generators:
+        group.multiplication_row(s)
+    assert calls[0] == order * k
 
 
-def test_tables_fall_back_to_mul_above_the_cap(monkeypatch):
-    monkeypatch.setattr(groups, "_CONJ_TABLE_MAX_ENTRIES", 23)
-    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))
-    assert group._conjugation_table() is None
-    assert group._multiplication_table() is None
-    order = group.order
-    assert [group.multiplication_row(g) for g in range(order)] == group.multiplication_table()
-    assert group.conjugation_row(5) == [group.mul(group.mul(5, g), group.inv(5)) for g in range(order)]
-    small = SymmetricGroup(3)  # 36 entries, still over the patched cap
-    assert small._conjugation_table() is None
-    with pytest.raises(ValueError):
-        group.multiplication_row(order)
+def test_rows_are_read_on_demand_and_checked():
+    """Reading a row fills that row only, and an index outside the group is
+    refused by every row reader."""
+    group = SymmetricGroup(4)
+    assert group._conjugation_table() == [None] * 24
+    group.conjugation_row(5)
+    group.conjugator()(3, 7)
+    assert [h for h, row in enumerate(group._conjugation_table()) if row is not None] == [5, 7]
+    for bad in (24, -1):
+        with pytest.raises(ValueError):
+            group.multiplication_row(bad)
+        with pytest.raises(ValueError):
+            group.conjugation_row(bad)
