@@ -519,11 +519,19 @@ def test_functor_validation_matches_reference(name, data):
             lambda: reference_functor_validation(build(), check_cap=check_cap))
 
 
-def test_fiber_size_check_matches_reference():
+@pytest.mark.parametrize("with_table", [True, False])
+def test_fiber_size_check_same_with_or_without_conjugation_table(with_table):
     """One fiber size raised at each element in turn: the lowest (h, g) at
-    which a conjugation moves a fiber size is named, as the reference names it."""
+    which a conjugation moves a fiber size is named, as the reference names
+    it, whether every conjugation row is filled beforehand or each is
+    computed on its first read."""
+    # Fresh instances: the make_* constructors hand out cached groups whose rows may be filled.
     for group in (groups.SymmetricGroup(3), groups.SymmetricGroup(4),
                   groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))):
+        if with_table:
+            for h in range(group.order):
+                group.conjugation_row(h)
+        assert (None not in group._conjugation_table()) == with_table
         sizes, table = functor_tables(group)[1]
         for g in range(group.order):
             corrupted = list(sizes)
