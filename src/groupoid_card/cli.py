@@ -35,7 +35,7 @@ from .functors import (
     verify_general_theorem,
 )
 from .groups import GroupValidationError
-from .groupoids import cardinality, perm_groupoid_skeleton, rational_str
+from .groupoids import cardinality, component_json, perm_groupoid_skeleton, rational_str
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -89,9 +89,10 @@ def _selected_pvectors(args) -> list[tuple[int, ...]]:
 
 def _emit(payload: dict, fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
     """Print payload as JSON, or build and print only the CSV rows or the
-    text lines that fmt asks for."""
+    text lines that fmt asks for. Skeleton components in the payload are
+    encoded as the encoder reaches them (component_json)."""
     if fmt == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=component_json))
     elif fmt == "csv":
         rows = rows() or [payload]
         fieldnames: list[str] = []
@@ -192,10 +193,11 @@ def cmd_skeleton(args) -> int:
     payload = {
         "command": "skeleton",
         "n": args.n,
-        **skeleton.to_json_dict(),
+        # The same JSON as skeleton.to_json_dict(), without a dict per component.
+        "components": skeleton.components,
         "cardinality": rational_str(card),
     }
-    rows = lambda: [{"n": args.n, "aut_order": c.aut_order, "label": json.dumps(list(c.label) if isinstance(c.label, tuple) else c.label)} for c in skeleton.components]
+    rows = lambda: [{"n": args.n, "aut_order": c.aut_order, "label": json.dumps(c.label)} for c in skeleton.components]
     text = lambda: [f"degree {args.n}: {len(skeleton.components)} components, cardinality {rational_str(card)}"] + [
         f"  partition {list(c.label)}: aut order {c.aut_order}" for c in skeleton.components
     ]

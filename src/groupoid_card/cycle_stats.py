@@ -24,6 +24,7 @@ from .permutations import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
+    centralizer_factors,
     check_enumeration_cap,
     cycle_type_table,
     falling_power,
@@ -134,8 +135,7 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
             f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}"
         )
     n_factorial = math.factorial(n)
-    # centralizer[k][m] = k^m m!, the factor of z for m cycles of length k.
-    centralizer = [[k**m * math.factorial(m) for m in range(n + 1)] for k in range(n + 1)]
+    centralizer = centralizer_factors(n)
     by_weight: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for i, (pvec, w) in enumerate(zip(pvecs, weights)):
         if w <= n:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -45,7 +46,7 @@ def label_to_json(label: Any):
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkeletonComponent:
     """One isomorphism class of objects with aut_order automorphisms each."""
 
@@ -57,21 +58,37 @@ class SkeletonComponent:
             raise ValueError(f"automorphism group order must be positive, got {self.aut_order}")
 
 
+def component_json(obj: Any, label_json: Optional[Callable[[Any], Any]] = None) -> dict:
+    """The JSON shape of a SkeletonComponent: its aut order and its label.
+
+    As json.dumps(default=component_json) it is called on each component as
+    the encoder reaches it, and hands the label over as it is (json writes
+    tuples as arrays); any other object raises TypeError, as json's default
+    hook must. label_json, when given, converts the label first."""
+    if not isinstance(obj, SkeletonComponent):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {"aut_order": obj.aut_order, "label": obj.label if label_json is None else label_json(obj.label)}
+
+
 @dataclass(frozen=True)
 class GroupoidSkeleton:
-    """Multiset of components, kept in a canonical sorted order."""
+    """Multiset of components, kept in a canonical sorted order: by aut
+    order, ties by repr(label), further ties in the order given."""
 
     components: tuple[SkeletonComponent, ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.components, key=lambda c: (c.aut_order, repr(c.label))))
-        object.__setattr__(self, "components", ordered)
+        # Two stable passes, the tie-break first, give the order of the key
+        # (aut_order, repr(label)) without building a key tuple per component.
+        ordered = sorted(self.components, key=lambda c: repr(c.label))
+        ordered.sort(key=operator.attrgetter("aut_order"))
+        object.__setattr__(self, "components", tuple(ordered))
 
     def aut_orders(self) -> tuple[int, ...]:
         return tuple(c.aut_order for c in self.components)
 
     def to_json_dict(self) -> dict:
-        return {"components": [{"aut_order": c.aut_order, "label": label_to_json(c.label)} for c in self.components]}
+        return {"components": [component_json(c, label_to_json) for c in self.components]}
 
 
 EMPTY_SKELETON = GroupoidSkeleton(())

@@ -235,16 +235,23 @@ class SymmetricGroup(FiniteGroup):
         return self._rank(perm.images)
 
     def mul(self, a: int, b: int) -> int:
-        fa, fb = self._images_of(a), self._images_of(b)
+        images, rank_of = self._tables()
+        if images is None:
+            fa, fb = lex_unrank(self.n, a), lex_unrank(self.n, b)
+        else:
+            fa, fb = images[a], images[b]
         # itemgetter of one index returns a bare item, not a tuple; below
         # degree 2 the only permutation is the identity, so fa is the product.
-        return self._rank(itemgetter(*fb)(fa) if self.n > 1 else fa)
+        product = itemgetter(*fb)(fa) if self.n > 1 else fa
+        return rank_of[product] if rank_of is not None else lex_rank(product)
 
     def inv(self, a: int) -> int:
+        images, rank_of = self._tables()
         out = [0] * self.n
-        for i, img in enumerate(self._images_of(a)):
+        for i, img in enumerate(images[a] if images is not None else lex_unrank(self.n, a)):
             out[img] = i
-        return self._rank(tuple(out))
+        inverse = tuple(out)
+        return rank_of[inverse] if rank_of is not None else lex_rank(inverse)
 
     def presentation(self) -> _Presentation:
         """The adjacent transpositions t_i = (i-1 i) for i = 1..n-1, with

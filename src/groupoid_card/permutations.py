@@ -174,6 +174,13 @@ def cycle_type(sigma: Permutation) -> CycleType:
     return CycleType(cycle_counts(sigma))
 
 
+def centralizer_factors(n: int) -> list[list[int]]:
+    """factors[k][m] = k^m m! for k, m in 0..n: the factor of a centralizer
+    order prod_k k^{m_k} m_k! that m cycles of length k contribute."""
+    factorials = [math.factorial(m) for m in range(n + 1)]
+    return [[k**m * factorials[m] for m in range(n + 1)] for k in range(n + 1)]
+
+
 def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Every cycle type of degree n as (multiplicities, centralizer order,
     partition), with multiplicities of length n and the partition's parts
@@ -186,7 +193,7 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
     if n == 0:
         yield (), 1, ()
         return
-    factorials = [math.factorial(m) for m in range(n + 1)]
+    factors = centralizer_factors(n)
 
     def entry(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
         mult = [0] * n
@@ -194,8 +201,7 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
             mult[k - 1] += 1
         z = 1
         for k in set(parts):
-            mk = mult[k - 1]
-            z *= k**mk * factorials[mk]
+            z *= factors[k][mult[k - 1]]
         return tuple(mult), z, parts
 
     # a[1..m] is the current partition; a[0] = 0 stops the scan for a 2, and

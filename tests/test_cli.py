@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -321,7 +322,7 @@ def recursive_label_json(label):
     return label
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", [*range(13), 20, 30, 40])
 def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
     code, out, _ = run_cli(["skeleton", "--n", str(n)], capsys)
     assert code == 0
@@ -331,6 +332,23 @@ def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
     ]
     assert json.loads(out)["components"] == expected
     assert out == json.dumps({"command": "skeleton", "n": n, "components": expected, "cardinality": "1/1"}) + "\n"
+
+
+def test_skeleton_peak_memory_stays_under_eight_times_its_output():
+    """Degree 40 prints 37 338 components, about 2.7 MB of JSON. They go to
+    the encoder as they are, with no dict or label copy per component, so
+    the traced peak of the whole command stays under 8 times its output
+    (about 5 times; a dict per component took it above 10 times)."""
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["skeleton", "--n", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * len(out.getvalue())
 
 
 def test_nested_labels_keep_the_recursive_route():

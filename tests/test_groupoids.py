@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from groupoid_card.groupoids import (
     SkeletonComponent,
     cardinality,
     cardinality_via_outdegrees,
+    component_json,
     conjugation_action,
     coproduct,
     delooping,
@@ -58,6 +60,26 @@ def test_component_validation():
 def test_skeleton_canonical_order():
     a = GroupoidSkeleton((SkeletonComponent(3), SkeletonComponent(2), SkeletonComponent(2)))
     assert a.aut_orders() == (2, 2, 3)
+
+
+mixed_labels = st.recursive(
+    st.one_of(st.none(), st.integers(-3, 12), st.text("ab1()", max_size=2)),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), mixed_labels), max_size=40))
+def test_skeleton_order_is_the_aut_order_then_repr_key(items):
+    """The canonical order is the one of the key (aut_order, repr(label)),
+    with ties in the order given: the components themselves, not only equal
+    ones, come out where that sort puts them. Three aut orders make most
+    components tie on the first key, and the labels mix kinds."""
+    components = [SkeletonComponent(order, label) for order, label in items]
+    expected = sorted(components, key=lambda c: (c.aut_order, repr(c.label)))
+    ordered = GroupoidSkeleton(tuple(components)).components
+    assert ordered == tuple(expected)
+    assert [id(c) for c in ordered] == [id(c) for c in expected]
 
 
 def test_cardinality_examples():
@@ -303,6 +325,22 @@ def test_skeleton_json():
         ]
     }
     assert label_to_json((("a", 1), None)) == [["a", 1], None]
+
+
+def test_component_json_is_the_encoders_hook_for_components_only():
+    """json.dumps(default=component_json) writes each component, labels as
+    they are, with the bytes of its to_json_dict form; any other object the
+    encoder cannot write still raises TypeError."""
+    skeleton = GroupoidSkeleton((
+        SkeletonComponent(2, ((2, 1), ("Z/2", (3,)))),
+        SkeletonComponent(1, None),
+        SkeletonComponent(6, (1, 1, 1)),
+    ))
+    assert json.dumps({"components": skeleton.components}, default=component_json) == json.dumps(skeleton.to_json_dict())
+    assert component_json(SkeletonComponent(6, (3,))) == {"aut_order": 6, "label": (3,)}
+    for other in (object(), {1, 2}, Fraction(1, 2)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps([SkeletonComponent(1), other], default=component_json)
 
 
 def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
