@@ -24,11 +24,12 @@ from .permutations import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
+    Permutation,
     centralizer_factors,
     check_enumeration_cap,
+    cycle_decomposition,
     cycle_type_table,
     falling_power,
-    image_cycle_counts,
     partition_counts,
     validate_pvector,
     weight,
@@ -41,6 +42,9 @@ METHOD_MONTE_CARLO = "monte_carlo"
 # Largest degree the Monte Carlo route samples: each sample holds an image
 # list and a mark list of this length.
 MONTE_CARLO_MAX_N = 100_000
+# cycle_count_histogram walks each prefix of n - 4 images once for the 4!
+# orders of the last four.
+_SHARED_TAIL = 4
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,62 @@ class MomentReport:
 @functools.cache
 def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(cycle-count vector, number of permutations with it) for every vector
-    that occurs at degree n. Each of the n! image tuples is enumerated and
-    its cycles walked; no count comes from a cycle-type formula. Cached per
-    degree; callers check the enumeration cap first."""
-    return tuple(Counter(map(image_cycle_counts, itertools.permutations(range(n)))).items())
+    that occurs at degree n, sorted by vector. No count comes from a
+    cycle-type formula: each of the n! permutations is enumerated as a
+    prefix, the images of points 0..n-k-1 with k = min(4, n), plus one of the
+    k! orders of the k values the prefix misses, given to the tail points
+    n-k..n-1, and its cycles are walked.
+
+    The walk is shared by the k! permutations of one prefix. Each missing
+    value starts an open chain that follows the prefix to the tail point it
+    ends at, and every other prefix point lies on a closed cycle. An order of
+    the missing values glues the chains: tail point t goes on to the chain
+    that starts at t's image, and each cycle of that gluing is one cycle
+    whose length is the sum of its chains' lengths. A count vector is coded
+    as the integer sum of (n+1)^(L-1) over its cycles of length L. So a
+    prefix is summed up by its closed cycles' code and its chain lengths;
+    prefixes with the same summary are counted together, and each summary
+    is glued in all k! ways once. Cached per degree; callers check the
+    enumeration cap first."""
+    k = min(_SHARED_TAIL, n)
+    m = n - k
+    base = n + 1
+    powers = [base**length for length in range(n)]
+    # With chain lengths indexed by the tail point each chain ends at, an
+    # order is a permutation of the tail indices: tail t goes on to the chain
+    # ending at order[t]. Its cycles are the same for every prefix.
+    gluings = [cycle_decomposition(Permutation(order)) for order in itertools.permutations(range(k))]
+    values = set(range(n))
+    # (closed cycles' code, chain lengths) -> number of prefixes walked to it.
+    walks: Counter = Counter()
+    for prefix in itertools.permutations(range(n), m):
+        on_chain = [False] * m
+        lengths = [0] * k
+        for point in values.difference(prefix):
+            length = 1
+            while point < m:
+                on_chain[point] = True
+                point = prefix[point]
+                length += 1
+            lengths[point - m] = length
+        closed = 0
+        for start in range(m):
+            if on_chain[start]:
+                continue
+            # Starts only move forward, so start itself need not be marked.
+            length = 1
+            point = prefix[start]
+            while point != start:
+                on_chain[point] = True
+                point = prefix[point]
+                length += 1
+            closed += powers[length - 1]
+        walks[closed, tuple(lengths)] += 1
+    histogram: Counter = Counter()
+    for (closed, lengths), count in walks.items():
+        for cycles in gluings:
+            histogram[closed + sum(powers[sum(lengths[t] for t in cycle) - 1] for cycle in cycles)] += count
+    return tuple(sorted((tuple(code // power % base for power in powers), count) for code, count in histogram.items()))
 
 
 def _product_of_falling(counts: Sequence[int], p: Sequence[int]) -> int:

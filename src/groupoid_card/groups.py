@@ -2,10 +2,11 @@
 
 Cyclic, symmetric and product groups multiply structurally; arbitrary groups
 come in through validated Cayley tables. All instances are immutable and all
-operations are pure. A conjugation row is computed from mul and inv when it
-is first read and kept; a multiplication row is computed on each read. No
-group keeps a full |G|^2 table: a passing law check reads only the rows of
-its generators.
+operations are pure. A conjugation row is computed when it is first read
+and kept: from mul and inv, or, once the spanning tree exists, composed from
+the rows of its tree parent and generator. A multiplication row is computed
+on each read. No group keeps a full |G|^2 table: a passing law check reads
+only the rows of its generators.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class FiniteGroup:
     def __init__(self) -> None:
         self._conj_rows: list[list[int] | None] | None = None
         self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
+        # The tree edge of each element whose parent is not the identity, by child.
+        self._tree_steps: list[tuple[int, int, int] | None] | None = None
         self._conjugator: Callable[[int, int], int] | None = None
 
     @property
@@ -89,8 +92,38 @@ class FiniteGroup:
         return self._conj_rows
 
     def _fill_conjugation_row(self, h: int) -> list[int]:
-        mul, hinv = self.mul, self.inv(h)
-        row = self._conjugation_table()[h] = [mul(mul(h, g), hinv) for g in range(self.order)]
+        """Fill and keep row h. Once the spanning tree exists, a row whose
+        tree edge (h, s, parent) has a parent other than the identity is
+        composed from rows s and parent, filled first the same way:
+        (s p) g (s p)^-1 = s (p g p^-1) s^-1. The identity's row is the
+        identity map; a generator's row, and every row read before the tree
+        exists, costs 2|G| products."""
+        rows = self._conjugation_table()
+        composed: list[int] = []
+        if self._tree is not None:
+            if self._tree_steps is None:
+                identity = self.identity
+                self._tree_steps = [None] * self.order
+                for edge in self._tree[1]:
+                    if edge[2] != identity:
+                        self._tree_steps[edge[0]] = edge
+            steps = self._tree_steps
+            while rows[h] is None and steps[h] is not None:
+                composed.append(h)
+                h = steps[h][2]
+        row = rows[h] or self._conjugate_by(h)
+        for child in reversed(composed):
+            s = steps[child][1]
+            row = rows[child] = list(map((rows[s] or self._conjugate_by(s)).__getitem__, row))
+        return row
+
+    def _conjugate_by(self, h: int) -> list[int]:
+        if h == self.identity:
+            row = list(range(self.order))
+        else:
+            mul, hinv = self.mul, self.inv(h)
+            row = [mul(mul(h, g), hinv) for g in range(self.order)]
+        self._conjugation_table()[h] = row
         return row
 
     def multiplication_row(self, g: int) -> list[int]:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupoid_card import groupoids, permutations
+from groupoid_card import cycle_stats, groupoids, permutations
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
@@ -61,6 +62,26 @@ def test_verify_lemma_sweep_walks_only_bounded_vectors(capsys):
     payload = json.loads(out)
     assert payload["count"] == 405
     assert payload["all_equal"] is True
+
+
+def test_verify_lemma_brute_at_the_enumeration_cap(capsys):
+    cycle_stats.cycle_count_histogram.cache_clear()  # so degree 10 is enumerated here
+    sweep = ["verify-lemma", "--n", "10", "--all-p"]
+    code, out, _ = run_cli(sweep + ["--method", "brute"], capsys)
+    assert code == 0
+    assert json.loads(out)["all_equal"] is True
+    rows = {}
+    for method in ("brute", "cycle-type"):
+        code, out, _ = run_cli(sweep + ["--method", method, "--format", "csv"], capsys)
+        assert code == 0
+        rows[method] = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows["brute"]) == len(rows["cycle-type"]) > 1
+    for brute, by_type in zip(rows["brute"], rows["cycle-type"]):
+        assert brute["equal"] == "True"
+        assert (brute["p"], brute["lhs"]) == (by_type["p"], by_type["lhs"])
+    code, out, err = run_cli(["verify-lemma", "--n", "11", "--all-p", "--method", "brute"], capsys)
+    assert (code, out) == (2, "")
+    assert "exceeds enumeration cap 10" in err
 
 
 @pytest.mark.parametrize("subcommand", ["verify-lemma", "verify-categorified"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from groupoid_card.permutations import (
     cycle_type_table,
     enumerate_permutations,
     falling_power,
+    image_cycle_counts,
     iter_pvectors,
     partition_counts,
     weight,
@@ -450,6 +452,14 @@ def test_cycle_count_histogram_counts_every_permutation(n):
     vectors = [counts for counts, _ in histogram]
     assert len(set(vectors)) == len(vectors)
     assert all(len(counts) == n and weight(counts) == n for counts in vectors)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_cycle_count_histogram_equals_the_literal_walk(n):
+    # n <= 4 has an empty shared prefix; n >= 5 glues four chains to one.
+    histogram = cycle_count_histogram(n)
+    assert dict(histogram) == Counter(map(image_cycle_counts, itertools.permutations(range(n))))
+    assert list(histogram) == sorted(histogram)
 
 
 def test_brute_never_reads_cycle_types(monkeypatch, forbid):

@@ -352,6 +352,46 @@ def test_spanning_tree_reaches_every_element_once(make):
     assert calls[0] == order * k
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: SymmetricGroup(5), id="S5"),
+        pytest.param(lambda: SymmetricGroup(6), id="S6"),
+        pytest.param(lambda: ProductGroup(CyclicGroup(4), SymmetricGroup(4)), id="Z4xS4"),
+        pytest.param(lambda: cayley_copy(ProductGroup(CyclicGroup(2), SymmetricGroup(4)), seed=1), id="relabelled(Z2xS4)"),
+    ],
+)
+def test_rows_composed_along_the_tree_match_literal_products(make):
+    """The tree is built before any row is read, so every row but the
+    identity's and the generators' is composed along it."""
+    group = make()
+    group.spanning_tree()
+    mul, inv = group.mul, group.inv
+    for h in group.elements():
+        hinv = inv(h)
+        assert group.conjugation_row(h) == [mul(mul(h, g), hinv) for g in group.elements()], h
+
+
+def test_rows_composed_along_the_tree_cost_no_products():
+    """Once the tree exists, only the generators' rows are computed with mul
+    (two products an entry); the identity's row and every other row cost
+    none, whichever order they are read in."""
+    group = SymmetricGroup(6)
+    k = len(group.spanning_tree()[0])
+    calls = [0]
+    mul = group.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    group.mul = counted
+    for h in reversed(range(group.order)):
+        group.conjugation_row(h)
+    assert calls[0] == 2 * 720 * k
+    assert None not in group._conjugation_table()
+
+
 def test_rows_are_read_on_demand_and_checked():
     """Reading a row fills that row only, and an index outside the group is
     refused by every row reader."""
