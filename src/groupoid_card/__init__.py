@@ -15,8 +15,10 @@ from .categorified import (
     c_groupoid_skeleton,
     categorified_rhs_skeleton,
     cycle_tuple_action,
+    cycle_tuple_actions,
     q_action,
     verify_categorified,
+    verify_categorifieds,
 )
 from .cycle_stats import (
     METHOD_BRUTE,

@@ -10,13 +10,14 @@ expectation of the falling-power product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cycle_stats import decorated_permutation_counts, expected_product_brute
-from .groups import make_cyclic, make_symmetric
+from .groups import SymmetricGroup, make_cyclic, make_symmetric
 from .groupoids import (
     GroupAction,
     GroupoidSkeleton,
@@ -39,7 +40,6 @@ from .permutations import (
     canonical_cycle,
     check_enumeration_cap,
     conjugate_permutation,
-    cycle_decomposition,
     enumerate_permutations,
     list_cycle_tuples,
     validate_pvector,
@@ -85,64 +85,123 @@ def q_action(tau: Permutation, d: DecoratedPermutation) -> DecoratedPermutation:
     return DecoratedPermutation(conjugate_permutation(d.sigma, tau), relabel_choice(tau.images, d.choice))
 
 
-def _cycle_minima(sigma: Permutation) -> tuple[int, ...]:
-    """Entry x is the smallest point of the cycle of sigma through x."""
-    minima = [0] * sigma.degree
-    for cyc in cycle_decomposition(sigma):
-        for x in cyc:
-            minima[x] = cyc[0]
-    return tuple(minima)
+class _Walk(NamedTuple):
+    """What one walk of S_n keeps: per element, its image tuple, its
+    inverse's once read, and its interned minima array; per interned minima
+    array, the smallest points of its k-cycles, ascending, at index k - 1."""
+
+    group: SymmetricGroup
+    taus: list[tuple[int, ...]]
+    inverses: list[tuple[int, ...] | None]
+    minima_of: list[tuple[int, ...]]
+    minima_by_length: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+    def inverse(self, g: int) -> tuple[int, ...]:
+        """The image tuple of g's inverse, looked up in the group and kept:
+        a law check reads the rows of the generators only."""
+        images = self.inverses[g] = self.taus[self.group.inv(g)]
+        return images
 
 
-def _marked_points(choice: CycleTupleChoice) -> tuple[int, ...]:
-    """The smallest point of each chosen cycle, in choice order."""
-    return tuple([cyc[0] for _, cycles in choice for cyc in cycles])
-
-
-def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:
-    """The symmetric group of degree n acting on the decorated permutations,
-    indexed in build_Q order, on marked points rather than cycle tuples.
-
-    A chosen cycle of sigma is fixed by sigma and any one point on it, so a
-    decorated permutation is stored as the image tuple of sigma and the
-    smallest point of each chosen cycle, in choice order. tau sends sigma to
-    sigma' = tau sigma tau^-1, computed from the S_n image table, and a marked
-    point a to the smallest point of the cycle of sigma' through tau(a). Each
-    sigma with a nonempty fiber keeps that "smallest point of my cycle" array
-    and one dict from marks to carrier index; both are found by sigma's image
-    tuple. No cycle is rebuilt or re-canonicalized, and no conjugation row
-    of the group is read. q_action and make_cycle_tuple_functor's transport
-    relabel canonical cycles instead, so the routes the acceptance suite
-    compares stay independent.
-
-    A carrier whose relator check the check cap would refuse is refused
-    before anything is enumerated, with the refusal validate would give:
-    its size is counted over cycle types (decorated_permutation_counts)."""
-    pvec = validate_pvector(n, p)
-    check_enumeration_cap(n, cap)
-    group = make_symmetric(n)
-    name = f"S{n} on Q{list(p)}"
-    refuse_relator_check_above_cap(name, group.presentation(), decorated_permutation_counts(n, [pvec])[0])
-    points: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    fibers: dict[tuple[int, ...], tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
-    for sigma in enumerate_permutations(n, cap):
-        local: dict[tuple[int, ...], int] = {}
-        for choice in list_cycle_tuples(sigma, pvec):
-            marks = _marked_points(choice)
-            local[marks] = len(points)
-            points.append((sigma.images, marks))
-        if local:
-            fibers[sigma.images] = (_cycle_minima(sigma), local)
+def _cycle_minima_walk(group: SymmetricGroup) -> _Walk:
+    """One walk of the symmetric group, in element order: the image tuple of
+    every element, read from the group, and each element's "smallest point
+    of my cycle" array. That array depends only on the cycles as point sets,
+    so it is interned: Bell(n) distinct tuples are kept (4 140 at n = 8), and
+    one reference per element."""
+    n = group.n
     taus = [group.images_at(g) for g in group.elements()]
-    inverses = [taus[group.inv(g)] for g in group.elements()]
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    minima_of = []
+    for images in taus:
+        minima = [-1] * n
+        for start in range(n):
+            x = start
+            while minima[x] < 0:
+                minima[x] = start
+                x = images[x]
+        key = tuple(minima)
+        minima_of.append(interned.setdefault(key, key))
+    by_length = {}
+    for minima in interned:
+        groups: list[list[int]] = [[] for _ in range(n)]
+        for x in range(n):
+            if minima[x] == x:
+                groups[minima.count(x) - 1].append(x)
+        by_length[minima] = tuple(map(tuple, groups))
+    return _Walk(group, taus, [None] * len(taus), minima_of, by_length)
+
+
+def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The marks of every decorated permutation over one set partition, in
+    list_cycle_tuples order, each with its offset in the fiber. A mark tuple
+    lists the smallest point of each chosen cycle, in choice order; the
+    k-cycles are taken by ascending smallest point, as cycle_decomposition
+    lists them."""
+    streams = [itertools.permutations(by_length[k - 1], pk) for k, pk in enumerate(pvec, start=1) if pk]
+    return {tuple(itertools.chain.from_iterable(combo)): i for i, combo in enumerate(itertools.product(*streams))}
+
+
+def _laid_out_action(name: str, pvec: tuple[int, ...], walk: _Walk) -> GroupAction:
+    """The decorated-permutation action for one p-vector, laid out from the
+    walk: one marks-to-offset dict per set partition, shared by every sigma
+    with those cycles, and per sigma its minima, its base index and that dict."""
+    taus, inverses, inverse = walk.taus, walk.inverses, walk.inverse
+    layouts = {minima: _mark_offsets(by_length, pvec) for minima, by_length in walk.minima_by_length.items()}
+    fibers: dict[tuple[int, ...], tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]] = {}
+    sigma_of: list[tuple[int, ...]] = []
+    marks_of: list[tuple[int, ...]] = []
+    for images, minima in zip(taus, walk.minima_of):
+        local = layouts[minima]
+        if local:
+            fibers[images] = (minima, len(marks_of), local)
+            sigma_of.extend([images] * len(local))
+            marks_of.extend(local)
 
     def act(g: int, s: int) -> int:
         timg = taus[g]
-        simg, marks = points[s]
-        minima, local = fibers[tuple([timg[simg[j]] for j in inverses[g]])]
-        return local[tuple([minima[timg[a]] for a in marks])]
+        simg = sigma_of[s]
+        minima, base, local = fibers[tuple([timg[simg[j]] for j in inverses[g] or inverse(g)])]
+        return base + local[tuple([minima[timg[a]] for a in marks_of[s]])]
 
-    return GroupAction(group=group, carrier_size=len(points), act=act, name=name, _presented=True)
+    return GroupAction(group=walk.group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
+
+
+def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[GroupAction]:
+    """The symmetric group of degree n acting on the decorated permutations
+    of each p-vector in ps, indexed in build_Q order, on marked points rather
+    than cycle tuples; the actions come lazily, in ps order, so each carrier
+    can be dropped before the next is built.
+
+    A chosen cycle of sigma is fixed by sigma and any one point on it, so a
+    decorated permutation is stored as sigma and the smallest point of each
+    chosen cycle, in choice order. tau sends sigma to sigma' = tau sigma
+    tau^-1, computed from the S_n image table, and a marked point a to the
+    smallest point of the cycle of sigma' through tau(a). S_n is walked once
+    for all of ps (_cycle_minima_walk), and each p-vector's marks are laid
+    out once per set partition. No Permutation is built, no cycle is listed
+    or re-canonicalized, and no conjugation row of the group is read.
+    q_action and make_cycle_tuple_functor's transport relabel canonical
+    cycles instead, so the routes the acceptance suite compares stay
+    independent.
+
+    Each p-vector is validated once, and a carrier whose relator check the
+    check cap would refuse is refused before the walk, with the refusal
+    validate would give: its size is counted over cycle types
+    (decorated_permutation_counts)."""
+    pvecs = [validate_pvector(n, p) for p in ps]
+    check_enumeration_cap(n, cap)
+    group = make_symmetric(n)
+    names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
+    for name, size in zip(names, decorated_permutation_counts(n, pvecs)):
+        refuse_relator_check_above_cap(name, group.presentation(), size)
+    walk = _cycle_minima_walk(group)
+    return (_laid_out_action(name, pvec, walk) for name, pvec in zip(names, pvecs))
+
+
+def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:
+    """The action for one p-vector: `cycle_tuple_actions` with ps = [p]."""
+    return next(cycle_tuple_actions(n, [p], cap))
 
 
 def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:
@@ -207,12 +266,8 @@ class CategorifiedReport:
         }
 
 
-def verify_categorified(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> CategorifiedReport:
-    """Build both skeletons, compare them as multisets of aut orders and as
-    exact cardinalities, and check |Q| / n! against the enumeration
-    expectation of the falling-power product."""
-    pvec = validate_pvector(n, p)
-    action = cycle_tuple_action(n, pvec, cap)
+def _categorified_report(pvec: tuple[int, ...], action: GroupAction, cap: int) -> CategorifiedReport:
+    n = len(pvec)
     orbits = orbit_decomposition(action)
     lhs = skeleton_from_orbits(orbits)
     rhs = categorified_rhs_skeleton(n, pvec)
@@ -232,3 +287,19 @@ def verify_categorified(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION
         group_order=action.group.order,
         orbits=tuple(orbits),
     )
+
+
+def verify_categorifieds(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_ENUMERATION_CAP) -> list[CategorifiedReport]:
+    """For every p-vector in ps, build both skeletons, compare them as
+    multisets of aut orders and as exact cardinalities, and check |Q| / n!
+    against the enumeration expectation of the falling-power product. The
+    actions come from one `cycle_tuple_actions` call, so S_n is walked once."""
+    pvecs = [validate_pvector(n, p) for p in ps]
+    actions = cycle_tuple_actions(n, pvecs, cap)
+    # map holds no action once its report is made, so one carrier is alive at a time.
+    return list(map(lambda pvec, action: _categorified_report(pvec, action, cap), pvecs, actions))
+
+
+def verify_categorified(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> CategorifiedReport:
+    """The report for one p-vector: `verify_categorifieds` with ps = [p]."""
+    return verify_categorifieds(n, [p], cap)[0]

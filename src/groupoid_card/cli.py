@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .categorified import verify_categorified
+from .categorified import verify_categorifieds
 from .cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
@@ -161,7 +161,7 @@ def _categorified_row(report) -> dict:
 
 def cmd_verify_categorified(args) -> int:
     cap = _enumeration_cap(args)
-    reports = [verify_categorified(args.n, p, cap=cap) for p in _selected_pvectors(args)]
+    reports = verify_categorifieds(args.n, _selected_pvectors(args), cap=cap)
     failures = [r for r in reports if not r.ok]
     if len(reports) == 1 and not args.all_p:
         report = reports[0]

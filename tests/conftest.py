@@ -30,3 +30,20 @@ def forbid(monkeypatch):
         return refuse
 
     return forbid_
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the walks of S_n the decorated-permutation builder makes: the
+    returned list gets the degree of each walk."""
+    from groupoid_card import categorified
+
+    walk = categorified._cycle_minima_walk
+    degrees = []
+
+    def counting(group):
+        degrees.append(group.n)
+        return walk(group)
+
+    monkeypatch.setattr(categorified, "_cycle_minima_walk", counting)
+    return degrees

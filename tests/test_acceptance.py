@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupoid_card.categorified import verify_categorified
+from groupoid_card.categorified import verify_categorifieds
 from groupoid_card.cycle_stats import (
     cll_rhs,
     expected_product_brute,
@@ -71,7 +71,12 @@ def quotient_suite():
 
 @pytest.fixture(scope="module")
 def categorified_reports(quotient_suite):
-    return {(n, p): verify_categorified(n, p) for n, p in quotient_suite}
+    # One sweep per degree, so S_n is walked once for all its p-vectors.
+    reports = {}
+    for n in sorted({n for n, _ in quotient_suite}):
+        ps = [p for m, p in quotient_suite if m == n]
+        reports.update(((n, p), report) for p, report in zip(ps, verify_categorifieds(n, ps)))
+    return reports
 
 
 @pytest.fixture(scope="module")
@@ -433,9 +438,10 @@ DEGREE_SEVEN_PVECTORS = [p for p in iter_pvectors(7, max_entry=2, max_weight=7) 
 
 @pytest.fixture(scope="module")
 def degree_seven_reports():
+    reports = verify_categorifieds(7, DEGREE_SEVEN_PVECTORS)
     return {
-        p: (verify_categorified(7, p), verify_general_theorem(make_cycle_tuple_functor(7, p)))
-        for p in DEGREE_SEVEN_PVECTORS
+        p: (report, verify_general_theorem(make_cycle_tuple_functor(7, p)))
+        for p, report in zip(DEGREE_SEVEN_PVECTORS, reports)
     }
 
 

@@ -10,6 +10,7 @@ from groupoid_card.categorified import (
     c_groupoid_skeleton,
     categorified_rhs_skeleton,
     cycle_tuple_action,
+    cycle_tuple_actions,
     q_action,
     verify_categorified,
 )
@@ -171,10 +172,11 @@ def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
     built = []
 
     def recording(*args):
-        built.append(cycle_tuple_action(*args))
-        return built[-1]
+        for action in cycle_tuple_actions(*args):
+            built.append(action)
+            yield action
 
-    monkeypatch.setattr(categorified, "cycle_tuple_action", recording)
+    monkeypatch.setattr(categorified, "cycle_tuple_actions", recording)
     assert verify_categorified(n, p).ok
     (action,) = built
     assert action._validation.ok
@@ -222,6 +224,23 @@ def test_cycle_tuple_action_rows_match_q_action(n, p):
         assert [action.act(g, s) for s in range(len(q))] == [index[q_action(tau, d)] for d in q]
 
 
+@pytest.mark.parametrize("n", sorted({n for n, _ in KERNEL_CASES}))
+def test_one_sweep_equals_its_single_calls(walks, n):
+    """One cycle_tuple_actions call over every KERNEL_CASES p-vector of a
+    degree walks S_n once, and gives each p-vector the carrier and the
+    generator rows that its own cycle_tuple_action call gives."""
+    ps = [p for m, p in KERNEL_CASES if m == n]
+    generators = make_symmetric(n).presentation()[0]
+    swept = [(a.carrier_size, [a._row(g) for g in generators]) for a in cycle_tuple_actions(n, ps)]
+    assert walks == [n]
+    single = []
+    for p in ps:
+        a = cycle_tuple_action(n, p)
+        single.append((a.carrier_size, [a._row(g) for g in generators]))
+    assert walks == [n] * (1 + len(ps))
+    assert swept == single
+
+
 INDEPENDENCE_CASES = [(3, (0, 1, 0)), (4, (1, 1, 0, 0)), (4, (0, 2, 0, 0)), (5, (2, 1, 0, 0, 0)), (5, (0, 1, 1, 0, 0))]
 
 
@@ -233,9 +252,16 @@ def test_q_action_route_never_relabels_cycles(forbid):
     assert [verify_categorified(n, p) for n, p in INDEPENDENCE_CASES] == expected
 
 
+def q_images(n, p):
+    tau = make_symmetric(n).permutation_at(1)
+    return [q_action(tau, d) for d in build_Q(n, p)]
+
+
 def test_elements_route_never_reads_the_kernel(forbid):
     expected = [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES]
-    forbid(categorified._cycle_minima, categorified._marked_points)
+    expected_q = [q_images(n, p) for n, p in INDEPENDENCE_CASES]
+    forbid(categorified._cycle_minima_walk)
     with pytest.raises(AssertionError):
         cycle_tuple_action(3, (0, 1, 0))
     assert [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES] == expected
+    assert [q_images(n, p) for n, p in INDEPENDENCE_CASES] == expected_q

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupoid_card import cycle_stats, groupoids, permutations
+from groupoid_card import categorified, cycle_stats, groupoids, permutations
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
@@ -119,6 +120,26 @@ def test_verify_categorified_sweep(capsys):
     code, out, _ = run_cli(["verify-categorified", "--n", "4", "--all-p"], capsys)
     assert code == 0
     assert json.loads(out)["all_ok"] is True
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "81c087c38875324d934d0198976870708a9a18cfdb5ed11766773ac4fc033f79"),
+    ("json", "23c6e6bca990bcf0925a0f14164d30035d9389ef56f21caf79dcd56c8dda6c18"),
+])
+def test_verify_categorified_sweep_bytes_are_pinned(capsys, fmt, digest):
+    """The 22 p-vectors at n = 6, from one walk of S6, print the bytes the
+    one-action-per-p-vector build printed; the CSV holds q_size, orbit_count
+    and both cardinalities of every p-vector."""
+    code, out, _ = run_cli(["verify-categorified", "--n", "6", "--all-p", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_categorified_sweep_walks_the_group_once(capsys, walks):
+    """--all-p makes one sweep call: S5 is walked once for its 15 p-vectors."""
+    code, out, _ = run_cli(["verify-categorified", "--n", "5", "--all-p"], capsys)
+    assert (code, json.loads(out)["count"]) == (0, 15)
+    assert walks == [5]
 
 
 def test_verify_categorified_cap_exceeded(capsys):
@@ -294,15 +315,18 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "")
 
 
-def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid):
+def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch):
     """S9 on Q for p = 0 has 9! points; its relator check would read
     (8 + 142) * 362 880 = 54 432 000 values. The carrier is counted over
     cycle types and refused, with the refusal its check would give, before
-    any permutation is enumerated."""
-    forbid(permutations.enumerate_permutations, permutations.list_cycle_tuples)
-    code, out, err = run_cli(["verify-categorified", "--n", "9", "--p", "0,0,0,0,0,0,0,0,0"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 54432000 reads, above the check cap 10000000\n"
+    any permutation is enumerated or S9 is walked. A sweep is refused the
+    same way, before its one walk, at its first p-vector over the cap."""
+    refuse = forbid(permutations.enumerate_permutations, permutations.list_cycle_tuples, categorified._cycle_minima_walk)
+    monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
+    expected = "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 54432000 reads, above the check cap 10000000\n"
+    for argv in (["--p", "0,0,0,0,0,0,0,0,0"], ["--all-p"]):
+        code, out, err = run_cli(["verify-categorified", "--n", "9", *argv], capsys)
+        assert (code, out, err) == (2, "", expected)
 
 
 @pytest.mark.parametrize("argv, name", [
