@@ -185,18 +185,24 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_
     cycles instead, so the routes the acceptance suite compares stay
     independent.
 
-    Each p-vector is validated once, and a carrier whose relator check the
-    check cap would refuse is refused before the walk, with the refusal
-    validate would give: its size is counted over cycle types
-    (decorated_permutation_counts)."""
+    Each p-vector is validated once, and its carrier is counted over cycle
+    types (decorated_permutation_counts) before the walk. A carrier whose
+    relator check the check cap would refuse is refused, with the refusal
+    validate would give. An empty carrier, weight(p) > n, is laid out without
+    the walk, and S_n is walked only when some carrier has points."""
     pvecs = [validate_pvector(n, p) for p in ps]
     check_enumeration_cap(n, cap)
     group = make_symmetric(n)
     names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
-    for name, size in zip(names, decorated_permutation_counts(n, pvecs)):
+    sizes = decorated_permutation_counts(n, pvecs)
+    for name, size in zip(names, sizes):
         refuse_relator_check_above_cap(name, group.presentation(), size)
-    walk = _cycle_minima_walk(group)
-    return (_laid_out_action(name, pvec, walk) for name, pvec in zip(names, pvecs))
+    walk = _cycle_minima_walk(group) if any(sizes) else None
+    # An empty carrier's act is never called: there is no point to act on.
+    return (
+        _laid_out_action(name, pvec, walk) if size else GroupAction(group, 0, lambda g, s: s, name, _presented=True)
+        for name, pvec, size in zip(names, pvecs, sizes)
+    )
 
 
 def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:

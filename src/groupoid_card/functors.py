@@ -10,6 +10,7 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .groupoids import (
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
+    check_enumeration_cap,
     list_cycle_tuples,
     validate_pvector,
 )
@@ -343,8 +345,7 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     Fiber elements are indices into the sorted fixed-point list. A functor
     whose relator check the check cap would refuse is refused, with the
     refusal validate_functor would give, before any fiber is built."""
-    if n > cap:
-        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
+    check_enumeration_cap(n, cap)
     group = make_symmetric(n)
     name = f"fixed-points(S{n})"
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
@@ -379,8 +380,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
     whose relator check the check cap would refuse is refused, with the
     refusal validate_functor would give, before any fiber is built."""
     pvec = validate_pvector(n, p)
-    if n > cap:
-        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
+    check_enumeration_cap(n, cap)
     group = make_symmetric(n)
     name = f"cycle-tuples(S{n}, p={list(pvec)})"
     total = decorated_permutation_counts(n, [pvec])[0]
@@ -444,16 +444,20 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
     transports = data["transports"]
     if not isinstance(transports, dict):
         raise ValueError('"transports" must be an object mapping h to {g: images}')
+    # Only the nonempty fibers and the listed entries are visited, in g
+    # order, so a file's first defect in (h, g) order is the one reported.
+    nonempty = [g for g in range(group.order) if sizes[g]]
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     for h in range(group.order):
         per_h = transports.get(str(h), {})
         if not isinstance(per_h, dict):
             raise ValueError(f"transports for h={h} must be an object mapping g to images")
-        for g in range(group.order):
+        listed = (_element_index(key, group.order) for key in per_h)
+        on_empty = sorted(g for g in listed if g is not None and not sizes[g])
+        for g in heapq.merge(nonempty, on_empty):
             entry = per_h.get(str(g))
             if entry is None:
                 if sizes[g] == 0:
-                    table[(h, g)] = ()
                     continue
                 raise ValueError(f"transport for (h={h}, g={g}) is omitted; transports may not be inferred")
             if not isinstance(entry, list):
@@ -463,6 +467,16 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
     return EquivariantFunctor(
         group=group,
         fiber_sizes=tuple(sizes),
-        transport=lambda h, g: table[(h, g)],
+        # An unlisted transport leaves an empty fiber: the empty bijection.
+        transport=lambda h, g: table.get((h, g), ()),
         name=str(data.get("name", "json-functor")),
     )
+
+
+def _element_index(key, order: int) -> int | None:
+    """The element below order that a JSON key names as str(g) writes it, or None."""
+    if isinstance(key, str) and key.isascii() and key.isdigit() and len(key) <= len(str(order)):
+        g = int(key)
+        if g < order and str(g) == key:
+            return g
+    return None

@@ -379,8 +379,11 @@ def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     image under child = s * parent is row s applied to the image under
     parent, |G| reads and no act call. The orbit size is the number of
     distinct images, and the stabilizer order a direct count of the images
-    equal to the representative."""
+    equal to the representative. An empty carrier has no orbit, and its
+    spanning tree is not read."""
     _require_valid(action)
+    if not action.carrier_size:
+        return []
     group = action.group
     rows = action._rows
     edges = [(child, rows[s], parent) for child, s, parent in group.spanning_tree()[1]]

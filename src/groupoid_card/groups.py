@@ -16,11 +16,9 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .permutations import CapExceededError, Permutation, lex_rank, lex_unrank
+from .permutations import CapExceededError, Permutation, lex_rank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
-# Symmetric groups cache their element tuples up to this order.
-_SYM_ELEMENT_CACHE_MAX_ORDER = 100_000
 # Generators, and relations as pairs of words in them (FiniteGroup.presentation).
 _Presentation = tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
@@ -225,7 +223,9 @@ class CyclicGroup(FiniteGroup):
 class SymmetricGroup(FiniteGroup):
     """S_n: elements are permutations of {0..n-1}, indexed by lexicographic
     rank of their image tuples. Multiplication is composition, right factor
-    first: (sigma * tau)(x) = sigma(tau(x))."""
+    first: (sigma * tau)(x) = sigma(tau(x)). Every element operation reads
+    one pair of tables, all n! image tuples and their ranks, built on first
+    use; presentation() builds none."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -237,27 +237,19 @@ class SymmetricGroup(FiniteGroup):
         self._images: list[tuple[int, ...]] | None = None
         self._rank_of: dict[tuple[int, ...], int] | None = None
 
-    def _tables(self):
+    def _tables(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
-        built on the first call up to the cache order; (None, None) above."""
-        if self._images is None and self.order <= _SYM_ELEMENT_CACHE_MAX_ORDER:
+        built on the first call and kept."""
+        if self._images is None:
             import itertools
 
             self._images = list(itertools.permutations(range(self.n)))
             self._rank_of = {images: i for i, images in enumerate(self._images)}
         return self._images, self._rank_of
 
-    def _images_of(self, a: int) -> tuple[int, ...]:
-        images = self._tables()[0]
-        return images[a] if images is not None else lex_unrank(self.n, a)
-
-    def _rank(self, images: tuple[int, ...]) -> int:
-        rank_of = self._tables()[1]
-        return rank_of[images] if rank_of is not None else lex_rank(images)
-
     def images_at(self, a: int) -> tuple[int, ...]:
         """The image tuple of element a, without building a Permutation."""
-        return self._images_of(self.check_element(a))
+        return self._tables()[0][self.check_element(a)]
 
     def permutation_at(self, a: int) -> Permutation:
         return Permutation(self.images_at(a))
@@ -265,26 +257,22 @@ class SymmetricGroup(FiniteGroup):
     def index_of(self, perm: Permutation) -> int:
         if perm.degree != self.n:
             raise ValueError(f"degree mismatch: {perm.degree} vs {self.n}")
-        return self._rank(perm.images)
+        return self._tables()[1][perm.images]
 
     def mul(self, a: int, b: int) -> int:
         images, rank_of = self._tables()
-        if images is None:
-            fa, fb = lex_unrank(self.n, a), lex_unrank(self.n, b)
-        else:
-            fa, fb = images[a], images[b]
+        fa, fb = images[a], images[b]
         # itemgetter of one index returns a bare item, not a tuple; below
         # degree 2 the only permutation is the identity, so fa is the product.
         product = itemgetter(*fb)(fa) if self.n > 1 else fa
-        return rank_of[product] if rank_of is not None else lex_rank(product)
+        return rank_of[product]
 
     def inv(self, a: int) -> int:
         images, rank_of = self._tables()
         out = [0] * self.n
-        for i, img in enumerate(images[a] if images is not None else lex_unrank(self.n, a)):
+        for i, img in enumerate(images[a]):
             out[img] = i
-        inverse = tuple(out)
-        return rank_of[inverse] if rank_of is not None else lex_rank(inverse)
+        return rank_of[tuple(out)]
 
     def presentation(self) -> _Presentation:
         """The adjacent transpositions t_i = (i-1 i) for i = 1..n-1, with

@@ -289,18 +289,6 @@ def lex_rank(images: Sequence[int]) -> int:
     return rank
 
 
-def lex_unrank(n: int, rank: int) -> tuple[int, ...]:
-    """Inverse of lex_rank for degree n."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError(f"rank {rank} out of range for degree {n}")
-    pool = list(range(n))
-    out = []
-    for i in range(n, 0, -1):
-        idx, rank = divmod(rank, math.factorial(i - 1))
-        out.append(pool.pop(idx))
-    return tuple(out)
-
-
 def falling_power(x: int, p: int) -> int:
     """x(x-1)...(x-p+1); the number of ordered p-tuples of distinct items
     chosen from x. Empty product for p = 0; zero when p > x."""

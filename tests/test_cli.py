@@ -347,6 +347,67 @@ def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsy
     assert err == f"error: law check of {name!r} needs 57335040 reads, above the check cap 10000000\n"
 
 
+def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
+    """S10 has 3 628 800 elements. An empty carrier, weight(p) > 10, is laid
+    out and reported without the element tables; a carrier with points and
+    both built-in functors are refused by the check cap before they are
+    built, so no CLI route at degree 10 but a functor file reads a table."""
+    tables = SymmetricGroup._tables
+
+    def refuse_at_ten(group):
+        assert group.n != 10, "the S10 element tables were built"
+        return tables(group)
+
+    monkeypatch.setattr(SymmetricGroup, "_tables", refuse_at_ten)
+    code, out, err = run_cli(["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,2"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["lhs_skeleton"] == payload["rhs_skeleton"] == {"components": []}
+    assert (payload["q_size"], payload["lhs_card"], payload["bridge_check"]) == (0, "0/1", True)
+    refusals = [
+        (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 67858560"),
+        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 711244800"),
+        (["theorem-general", "--builtin", "cycle-tuples", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"],
+         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 100517760"),
+    ]
+    for argv, needs in refusals:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: law check of {needs} reads, above the check cap 10000000\n"
+
+
+def test_empty_carrier_skips_the_walk_and_the_spanning_tree(capsys, forbid, monkeypatch):
+    """weight(p) = 18 > 9: the carrier is empty, so S9 is not walked and no
+    orbit is traced along its spanning tree."""
+    refuse = forbid(categorified._cycle_minima_walk)
+    monkeypatch.setattr(SymmetricGroup, "spanning_tree", refuse)
+    code, out, err = run_cli(["verify-categorified", "--n", "9", "--p", "0,0,0,0,0,0,0,0,2"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["q_size"], payload["orbit_count"], payload["equivalent"]) == (0, 0, True)
+    assert payload["lhs_card"] == payload["rhs_card"] == "0/1"
+
+
+def test_empty_functor_file_stores_no_transport():
+    """An S6 functor file with every fiber empty lists no transport, and
+    none is stored: the traced peak of the command stays under 4 MB (each
+    of the 720 * 720 pairs stored as () took it above 60 MB)."""
+    data = {"group": "S6", "fibers": {str(g): 0 for g in range(720)}, "transports": {}}
+    tracemalloc.start()
+    try:
+        code, out, err = _run_functor_file(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 4_000_000
+    assert out == (
+        '{"command": "theorem-general", "functor": "json-functor", "group": "S6", "group_order": 720, '
+        '"fiber_total": 0, "expected_size": "0/1", "elements_cardinality": "0/1", "outdegree_cardinality": "0/1", '
+        '"equal": true, "skeleton": {"components": []}, "orbits": []}\n'
+    )
+
+
 def test_cycle_type_sweep_above_the_type_term_cap_exits_2():
     """Degree 40 with entries up to 3 has 75 341 p-vectors, which read
     4 857 052 type terms: the sweep is refused before any sum, with exit

@@ -1,3 +1,5 @@
+import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -347,6 +349,72 @@ def test_functor_json_allows_empty_fiber_omission():
     functor = functor_from_json(data)
     assert validate_functor(functor).ok
     assert verify_general_theorem(functor).expected == 0
+
+
+def literal_first_defect(data):
+    """The message of the first transport defect in (h, g) order, read by
+    visiting every (h, g) pair of a four-element group; None when there is none."""
+    sizes = [data["fibers"][str(g)] for g in range(4)]
+    for h in range(4):
+        per_h = data["transports"].get(str(h), {})
+        if not isinstance(per_h, dict):
+            return f"transports for h={h} must be an object mapping g to images"
+        for g in range(4):
+            entry = per_h.get(str(g))
+            if entry is None:
+                if sizes[g]:
+                    return f"transport for (h={h}, g={g}) is omitted; transports may not be inferred"
+            elif not isinstance(entry, list):
+                return f"transport for (h={h}, g={g}) must be a list of indices"
+            elif any(type(x) is not int for x in entry):
+                x = next(x for x in entry if type(x) is not int)
+                return f"transport entry for (h={h}, g={g}) must be an integer, got {x!r}"
+    return None
+
+
+def test_functor_json_reports_its_first_defect_in_h_g_order():
+    """Only nonempty fibers and listed entries are visited, yet every pair of
+    defects, on empty fibers or not, is reported as a scan of every (h, g)
+    reports it. Keys that name no element are ignored."""
+    base = {
+        "group": to_cayley_json(make_cyclic(4)),
+        "fibers": {"0": 1, "1": 0, "2": 1, "3": 0},
+        "transports": {str(h): {"0": [0], "2": [0], "x": 5, "02": 5, "4": 5, "9" * 5000: 5} for h in range(4)},
+    }
+    defects = [None, "omit", 5, ["0"], [None], {}]
+    count = 0
+    for (h1, g1), (h2, g2) in itertools.combinations(itertools.product(range(4), repeat=2), 2):
+        for d1, d2 in itertools.product(defects[1:], defects):
+            data = copy.deepcopy(base)
+            for h, g, d in ((h1, g1, d1), (h2, g2, d2)):
+                per_h = data["transports"][str(h)]
+                if d is None or not isinstance(per_h, dict):
+                    continue
+                if d == "omit":
+                    per_h.pop(str(g), None)
+                elif d == {}:
+                    data["transports"][str(h)] = 5
+                else:
+                    per_h[str(g)] = d
+            expected = literal_first_defect(data)
+            if expected is None:
+                functor_from_json(data)
+                continue
+            with pytest.raises(ValueError) as raised:
+                functor_from_json(data)
+            assert str(raised.value) == expected
+            count += 1
+    assert count > 1000
+
+
+def test_functor_json_stores_only_the_transports_it_lists():
+    """An unlisted transport out of an empty fiber reads as the empty
+    bijection, and a listed one as listed, even when it is not one: the
+    laws never read a transport out of an empty fiber."""
+    data = {"group": "S3", "fibers": {str(g): 0 for g in range(6)}, "transports": {"1": {"2": [0]}}}
+    functor = functor_from_json(data)
+    assert [functor.transport(h, g) for h in range(6) for g in range(6)] == [()] * 8 + [(0,)] + [()] * 27
+    assert validate_functor(functor).ok
 
 
 def test_fiber_sizes_must_cover_group():

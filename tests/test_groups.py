@@ -69,8 +69,9 @@ def test_symmetric_index_round_trip():
 
 
 def test_symmetric_rank_paths_agree():
-    # Degree 9 is above the element-cache threshold, so multiplication goes
-    # through rank/unrank; permutation arithmetic is the independent oracle.
+    # At degree 9 the element tables hold all 362 880 image tuples, and
+    # multiplication, inversion and ranking read them; permutation
+    # arithmetic is the independent oracle.
     import random
 
     big = make_symmetric(9)

@@ -22,7 +22,6 @@ from groupoid_card.permutations import (
     falling_power,
     iter_pvectors,
     lex_rank,
-    lex_unrank,
     list_cycle_tuples,
     validate_pvector,
     weight,
@@ -156,9 +155,6 @@ def test_lex_rank_round_trip():
     for n in range(6):
         for rank, sigma in enumerate(enumerate_permutations(n)):
             assert lex_rank(sigma.images) == rank
-            assert lex_unrank(n, rank) == sigma.images
-    with pytest.raises(ValueError):
-        lex_unrank(3, 6)
 
 
 def test_falling_power():
