@@ -10,7 +10,6 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -444,17 +443,22 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
     transports = data["transports"]
     if not isinstance(transports, dict):
         raise ValueError('"transports" must be an object mapping h to {g: images}')
-    # Only the nonempty fibers and the listed entries are visited, in g
-    # order, so a file's first defect in (h, g) order is the one reported.
+    # Only the nonempty fibers and the entries listed on empty ones are
+    # visited, in g order, so a file's first defect in (h, g) order is the
+    # one reported. A file with no empty fiber visits every g, as it must.
     nonempty = [g for g in range(group.order) if sizes[g]]
+    empty_keys = {str(g): g for g in range(group.order) if not sizes[g]}
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     for h in range(group.order):
         per_h = transports.get(str(h), {})
         if not isinstance(per_h, dict):
             raise ValueError(f"transports for h={h} must be an object mapping g to images")
-        listed = (_element_index(key, group.order) for key in per_h)
-        on_empty = sorted(g for g in listed if g is not None and not sizes[g])
-        for g in heapq.merge(nonempty, on_empty):
+        visit = nonempty
+        if empty_keys:
+            on_empty = [empty_keys[key] for key in per_h if key in empty_keys]
+            if on_empty:
+                visit = sorted(nonempty + on_empty)
+        for g in visit:
             entry = per_h.get(str(g))
             if entry is None:
                 if sizes[g] == 0:
@@ -472,11 +476,3 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
         name=str(data.get("name", "json-functor")),
     )
 
-
-def _element_index(key, order: int) -> int | None:
-    """The element below order that a JSON key names as str(g) writes it, or None."""
-    if isinstance(key, str) and key.isascii() and key.isdigit() and len(key) <= len(str(order)):
-        g = int(key)
-        if g < order and str(g) == key:
-            return g
-    return None
