@@ -92,7 +92,7 @@ class _Walk(NamedTuple):
 
     group: SymmetricGroup
     taus: list[tuple[int, ...]]
-    inverses: list[tuple[int, ...] | None]
+    inverses: dict[int, tuple[int, ...]]
     minima_of: list[tuple[int, ...]]
     minima_by_length: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
@@ -129,7 +129,7 @@ def _cycle_minima_walk(group: SymmetricGroup) -> _Walk:
             if minima[x] == x:
                 groups[minima.count(x) - 1].append(x)
         by_length[minima] = tuple(map(tuple, groups))
-    return _Walk(group, taus, [None] * len(taus), minima_of, by_length)
+    return _Walk(group, taus, {}, minima_of, by_length)
 
 
 def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -161,7 +161,7 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], walk: _Walk) -> GroupActi
     def act(g: int, s: int) -> int:
         timg = taus[g]
         simg = sigma_of[s]
-        minima, base, local = fibers[tuple([timg[simg[j]] for j in inverses[g] or inverse(g)])]
+        minima, base, local = fibers[tuple([timg[simg[j]] for j in inverses.get(g) or inverse(g)])]
         return base + local[tuple([minima[timg[a]] for a in marks_of[s]])]
 
     return GroupAction(group=walk.group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
@@ -299,7 +299,9 @@ def verify_categorifieds(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT
     """For every p-vector in ps, build both skeletons, compare them as
     multisets of aut orders and as exact cardinalities, and check |Q| / n!
     against the enumeration expectation of the falling-power product. The
-    actions come from one `cycle_tuple_actions` call, so S_n is walked once."""
+    actions come from one `cycle_tuple_actions` call, so S_n is walked once;
+    the enumeration cap is read first, so a refused degree lists no ps."""
+    check_enumeration_cap(n, cap)
     pvecs = [validate_pvector(n, p) for p in ps]
     actions = cycle_tuple_actions(n, pvecs, cap)
     # map holds no action once its report is made, so one carrier is alive at a time.

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .categorified import verify_categorifieds
 from .cycle_stats import (
@@ -74,14 +74,14 @@ def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
     return p
 
 
-def _selected_pvectors(args) -> list[tuple[int, ...]]:
+def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:
     """The p-vectors a sweeping subcommand checks: every one within
-    --max-entry and --max-weight (default n) for --all-p, else the --p one."""
+    --max-entry and --max-weight (default n) for --all-p, unlisted, else the --p one."""
     for flag, bound in (("--max-entry", args.max_entry), ("--max-weight", args.max_weight)):
         if bound is not None and bound < 0:
             raise UsageError(f"{flag} must be nonnegative, got {bound}")
     if args.all_p:
-        return list(iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight))
+        return iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
     if args.p is None:
         raise UsageError("provide --p or --all-p")
     return [_parse_pvector(args.p, args.n)]

@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 from .groupoids import rational_str
 from .permutations import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_PARTITION_CAP,
     DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
     Permutation,
     centralizer_factors,
     check_enumeration_cap,
+    check_partition_cap,
     cycle_decomposition,
     cycle_type_table,
     falling_power,
@@ -180,8 +180,7 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     DEFAULT_PARTITION_CAP or when the terms to read, the partitions of
     n - |p| summed over ps, exceed DEFAULT_TYPE_TERM_CAP."""
     pvecs = [validate_pvector(n, p) for p in ps]
-    if n > DEFAULT_PARTITION_CAP:
-        raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
+    check_partition_cap(n)
     weights = [weight(pvec) for pvec in pvecs]
     partitions = partition_counts(n)
     terms = sum(partitions[n - w] for w in weights if w <= n)
@@ -248,14 +247,17 @@ def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
 def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> list[MomentReport]:
     """Compare one exact method against the closed form, as exact rationals,
     for every p-vector in ps; the cycle-type route sums them all in one
-    `expected_products_by_type` call."""
-    pvecs = [validate_pvector(n, p) for p in ps]
-    if method == METHOD_BRUTE:
-        lhss = [expected_product_brute(n, pvec, cap) for pvec in pvecs]
-    elif method == METHOD_CYCLE_TYPE:
-        lhss = expected_products_by_type(n, pvecs)
-    else:
+    `expected_products_by_type` call. The method's degree cap is read
+    first, so a refused degree lists no ps."""
+    if method not in (METHOD_BRUTE, METHOD_CYCLE_TYPE):
         raise ValueError(f"unknown exact method {method!r}")
+    brute = method == METHOD_BRUTE
+    if brute:
+        check_enumeration_cap(n, cap)
+    else:
+        check_partition_cap(n)
+    pvecs = [validate_pvector(n, p) for p in ps]
+    lhss = [expected_product_brute(n, pvec, cap) for pvec in pvecs] if brute else expected_products_by_type(n, pvecs)
     reports = []
     for pvec, lhs in zip(pvecs, lhss):
         rhs = cll_rhs(n, pvec)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .categorified import relabel_choice
 from .cycle_stats import decorated_permutation_counts
 from . import groupoids
-from .groups import FiniteGroup, from_cayley_json, json_int, make_symmetric
+from .groups import FiniteGroup, SymmetricGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
     GroupAction,
     GroupoidSkeleton,
@@ -34,6 +35,7 @@ from .permutations import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     check_enumeration_cap,
+    integer_entries,
     list_cycle_tuples,
     validate_pvector,
 )
@@ -55,10 +57,10 @@ class EquivariantFunctor:
     name: str = "functor"
     _presented: bool = field(default=False, repr=False)
     _validation: Optional["FunctorValidation"] = field(default=None, repr=False)
-    _rows: Optional[list] = field(default=None, repr=False)
+    _rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.fiber_sizes)
+        sizes = integer_entries(self.fiber_sizes, "fiber_sizes")
         if len(sizes) != self.group.order:
             raise ValueError(f"need one fiber size per element: got {len(sizes)} for order {self.group.order}")
         if any(s < 0 for s in sizes):
@@ -210,10 +212,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
 
     offsets = list(itertools.accumulate(sizes, initial=0))
-    rows: list = [None] * order
-    for h in hs:
-        rows[h] = [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]]
-    functor._rows = rows
+    rows = functor._rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
     if relations is not None:
         checks += len(generators) * total
         witness = groupoids.first_relation_failure(rows, relations, total)
@@ -224,7 +223,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         g = bisect.bisect_right(offsets, point) - 1
         return failed("relation", (*relations[i], g),
                       f"{groupoids._relation_str(relations[i])} fails at fiber element {point - offsets[g]} of F({g})")
-    witness = first_law_failure(rows, group.multiplication_row, generators)
+    witness = first_law_failure(list(rows.values()), group.multiplication_row, generators)
     if witness is None:
         return FunctorValidation(True, "exhaustive", checks + len(generators) * order * total)
     h2, h1, point = witness
@@ -350,25 +349,8 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
     total = group.order if n else 0
     _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
-    fixed: list[tuple[int, ...]] = []
-    for g in group.elements():
-        images = group.images_at(g)
-        fixed.append(tuple(i for i in range(n) if images[i] == i))
-    positions = [{v: i for i, v in enumerate(f)} for f in fixed]
-    conjugate = group.conjugator()
-
-    def transport(h: int, g: int) -> tuple[int, ...]:
-        himg = group.images_at(h)
-        position = positions[conjugate(g, h)]
-        return tuple(position[himg[v]] for v in fixed[g])
-
-    return EquivariantFunctor(
-        group=group,
-        fiber_sizes=tuple(len(f) for f in fixed),
-        transport=transport,
-        name=name,
-        _presented=True,
-    )
+    fixed = [tuple(i for i, x in enumerate(group.images_at(g)) if x == i) for g in group.elements()]
+    return _relabelling_functor(group, name, fixed, operator.getitem)
 
 
 def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
@@ -385,21 +367,22 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
     total = decorated_permutation_counts(n, [pvec])[0]
     _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
-    index = [{choice: i for i, choice in enumerate(c)} for c in choices]
+    return _relabelling_functor(group, name, choices, relabel_choice)
+
+
+def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel: Callable) -> EquivariantFunctor:
+    """The functor whose fiber at g lists fibers[g] in order, transported by
+    relabeling: h sends an item x of F(g) to relabel(images of h, x), found
+    in the fiber of h g h^-1."""
+    index = [{item: i for i, item in enumerate(fiber)} for fiber in fibers]
     conjugate = group.conjugator()
 
     def transport(h: int, g: int) -> tuple[int, ...]:
         timg = group.images_at(h)
         target = index[conjugate(g, h)]
-        return tuple(target[relabel_choice(timg, choice)] for choice in choices[g])
+        return tuple(target[relabel(timg, item)] for item in fibers[g])
 
-    return EquivariantFunctor(
-        group=group,
-        fiber_sizes=tuple(len(c) for c in choices),
-        transport=transport,
-        name=name,
-        _presented=True,
-    )
+    return EquivariantFunctor(group, tuple(map(len, fibers)), transport, name, _presented=True)
 
 
 def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:

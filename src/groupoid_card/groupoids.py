@@ -16,10 +16,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .groups import FiniteGroup
-from .permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table
+from .permutations import CapExceededError, check_partition_cap, cycle_type_table
 
 Rational = Fraction
 
@@ -204,7 +204,7 @@ def first_law_failure(
     return None
 
 
-def _word_row(rows: Sequence[Optional[Sequence[int]]], word: Sequence[int], size: int) -> list[int]:
+def _word_row(rows: Mapping[int, Sequence[int]], word: Sequence[int], size: int) -> list[int]:
     """The images of the product s_1 ... s_m of a word in the generators:
     row s_1 after ... after row s_m, for rows inside the carrier 0..size-1."""
     row: Sequence[int] = range(size)
@@ -214,7 +214,7 @@ def _word_row(rows: Sequence[Optional[Sequence[int]]], word: Sequence[int], size
 
 
 def first_relation_failure(
-    rows: Sequence[Optional[Sequence[int]]],
+    rows: Mapping[int, Sequence[int]],
     relations: Sequence[tuple[Sequence[int], Sequence[int]]],
     size: int,
 ) -> Optional[tuple[int, int]]:
@@ -260,8 +260,8 @@ def refuse_relator_check_above_cap(name: str, presentation, size: int) -> None:
 class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
 
-    Immutable once built. The images are kept as one row per group element,
-    rows[g][s] = act(g, s), or None for a row not read; a constructor may
+    Immutable once built. The images are kept as a dict of the rows read,
+    rows[g][s] = act(g, s), each filled on its first read; a constructor may
     pass rows in. A constructor whose act is a formula passes
     _presented=True, so that validate reads only the generators' rows when
     the group has a presentation.
@@ -271,15 +271,13 @@ class GroupAction:
     carrier_size: int
     act: Callable[[int, int], int]
     name: str = "action"
-    _rows: Optional[list] = field(default=None, repr=False)
+    _rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
     _presented: bool = field(default=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, repr=False)
 
     def _row(self, g: int) -> list:
         """Row g, read from the rows kept or else evaluated once and kept."""
-        if self._rows is None:
-            self._rows = [None] * self.group.order
-        row = self._rows[g]
+        row = self._rows.get(g)
         if row is None:
             act = self.act
             row = self._rows[g] = [act(g, s) for s in range(self.carrier_size)]
@@ -444,7 +442,6 @@ def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:
     above DEFAULT_PARTITION_CAP raise CapExceededError."""
     if n < 0:
         return EMPTY_SKELETON
-    if n > DEFAULT_PARTITION_CAP:
-        raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
+    check_partition_cap(n)
     comps = tuple(SkeletonComponent(z, label=partition) for _, z, partition in cycle_type_table(n))
     return GroupoidSkeleton(comps)

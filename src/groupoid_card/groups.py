@@ -40,10 +40,10 @@ class FiniteGroup:
     order = 1
 
     def __init__(self) -> None:
-        self._conj_rows: list[list[int] | None] | None = None
+        self._conj_rows: dict[int, list[int]] = {}
         self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
         # The tree edge of each element whose parent is not the identity, by child.
-        self._tree_steps: list[tuple[int, int, int] | None] | None = None
+        self._tree_steps: dict[int, tuple[int, int, int]] | None = None
         self._conjugator: Callable[[int, int], int] | None = None
 
     @property
@@ -74,19 +74,17 @@ class FiniteGroup:
         valid indices many times: one read of row h, filled on first use."""
         if self._conjugator is None:
             rows, fill = self._conjugation_table(), self._fill_conjugation_row
-            self._conjugator = lambda g, h: (rows[h] or fill(h))[g]
+            self._conjugator = lambda g, h: (rows.get(h) or fill(h))[g]
         return self._conjugator
 
     def conjugation_row(self, h: int) -> list[int]:
         """h g h^-1 for g in 0..order-1, computed on the first read and kept;
         callers must not modify it."""
         h = self.check_element(h)
-        return self._conjugation_table()[h] or self._fill_conjugation_row(h)
+        return self._conjugation_table().get(h) or self._fill_conjugation_row(h)
 
-    def _conjugation_table(self) -> list[list[int] | None]:
-        """The conjugation rows by h, each None until its first read."""
-        if self._conj_rows is None:
-            self._conj_rows = [None] * self.order
+    def _conjugation_table(self) -> dict[int, list[int]]:
+        """The conjugation rows read so far, by h."""
         return self._conj_rows
 
     def _fill_conjugation_row(self, h: int) -> list[int]:
@@ -96,23 +94,19 @@ class FiniteGroup:
         (s p) g (s p)^-1 = s (p g p^-1) s^-1. The identity's row is the
         identity map; a generator's row, and every row read before the tree
         exists, costs 2|G| products."""
-        rows = self._conjugation_table()
+        rows = self._conj_rows
         composed: list[int] = []
         if self._tree is not None:
             if self._tree_steps is None:
-                identity = self.identity
-                self._tree_steps = [None] * self.order
-                for edge in self._tree[1]:
-                    if edge[2] != identity:
-                        self._tree_steps[edge[0]] = edge
+                self._tree_steps = {edge[0]: edge for edge in self._tree[1] if edge[2] != self.identity}
             steps = self._tree_steps
-            while rows[h] is None and steps[h] is not None:
+            while h not in rows and h in steps:
                 composed.append(h)
                 h = steps[h][2]
-        row = rows[h] or self._conjugate_by(h)
+        row = rows.get(h) or self._conjugate_by(h)
         for child in reversed(composed):
             s = steps[child][1]
-            row = rows[child] = list(map((rows[s] or self._conjugate_by(s)).__getitem__, row))
+            row = rows[child] = list(map((rows.get(s) or self._conjugate_by(s)).__getitem__, row))
         return row
 
     def _conjugate_by(self, h: int) -> list[int]:
@@ -121,7 +115,7 @@ class FiniteGroup:
         else:
             mul, hinv = self.mul, self.inv(h)
             row = [mul(mul(h, g), hinv) for g in range(self.order)]
-        self._conjugation_table()[h] = row
+        self._conj_rows[h] = row
         return row
 
     def multiplication_row(self, g: int) -> list[int]:

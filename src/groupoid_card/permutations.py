@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_PARTITION_CAP = 40
@@ -25,6 +26,16 @@ class CapExceededError(ValueError):
     """A request would exceed a configured desk-scale cap."""
 
 
+def integer_entries(values: Iterable, what: str) -> tuple[int, ...]:
+    """The entries of values read with operator.index, so that an entry such
+    as 1.5 raises ValueError naming it, what[i], where int() would truncate it."""
+    entries = tuple(values)
+    for i, x in enumerate(entries):
+        if not hasattr(type(x), "__index__"):
+            raise ValueError(f"{what}[{i}] must be an integer, got {x!r}")
+    return tuple(map(operator.index, entries))
+
+
 Cycle = tuple[int, ...]
 
 
@@ -35,7 +46,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(x) for x in self.images)
+        images = integer_entries(self.images, "images")
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"images {images!r} are not a bijection of 0..{len(images) - 1}")
@@ -271,6 +282,12 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
 
 
+def check_partition_cap(n: int) -> None:
+    """Refuse a degree above DEFAULT_PARTITION_CAP, before any partition is listed."""
+    if n > DEFAULT_PARTITION_CAP:
+        raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
+
+
 def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
     """All n! permutations, lexicographic in the image tuple, each exactly once."""
     if n < 0:
@@ -304,7 +321,7 @@ def falling_power(x: int, p: int) -> int:
 
 def validate_pvector(n: int, p: Sequence[int]) -> tuple[int, ...]:
     """Check that p has length n and nonnegative integer entries."""
-    pvec = tuple(int(x) for x in p)
+    pvec = integer_entries(p, "p-vector")
     if len(pvec) != n:
         raise ValueError(f"p-vector has length {len(pvec)}, expected degree {n}")
     if any(x < 0 for x in pvec):

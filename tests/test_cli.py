@@ -376,6 +376,47 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
         assert err == f"error: law check of {needs} reads, above the check cap 10000000\n"
 
 
+def test_empty_carrier_at_degree_ten_keeps_no_row_per_element(capsys):
+    """The relator check of an empty carrier reads its 9 generator rows, each
+    empty: only the rows read are kept, not a list of 3 628 800 placeholders
+    (about 29 MB)."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,2"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["q_size"] == 0
+    assert peak < 4_000_000
+
+
+def _address_space_limit():
+    """Run in the child before exec: a sweep that lists its p-vectors before
+    it reads its degree cap fails its allocation instead of filling memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["verify-lemma", "--n", "50", "--all-p", "--method", "cycle-type"], "partition cap 40"),
+    (["verify-lemma", "--n", "100", "--all-p", "--method", "cycle-type"], "partition cap 40"),
+    (["verify-lemma", "--n", "100", "--all-p", "--method", "brute"], "enumeration cap 10"),
+    (["verify-categorified", "--n", "100", "--all-p"], "enumeration cap 10"),
+])
+def test_sweep_above_its_degree_cap_is_refused_before_listing(argv, cap):
+    """A sweep reads its degree cap before it lists a p-vector: degree 50
+    has 177 177 vectors within the default bounds, and degree 100 has
+    66 987 338, each of length n."""
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", *argv], capture_output=True, text=True,
+                            timeout=60, preexec_fn=_address_space_limit)
+    assert time.perf_counter() - start < 2
+    n = argv[2]
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: degree {n} exceeds {cap}\n")
+
+
 def test_empty_carrier_skips_the_walk_and_the_spanning_tree(capsys, forbid, monkeypatch):
     """weight(p) = 18 > 9: the carrier is empty, so S9 is not walked and no
     orbit is traced along its spanning tree."""

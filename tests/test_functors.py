@@ -229,7 +229,7 @@ def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
     functor = make_fixed_point_functor(6)
     assert validate_functor(functor).ok
     assert orbit_decomposition(category_of_elements(functor))
-    filled = [h for h, row in enumerate(group._conjugation_table()) if row is not None]
+    filled = list(group._conjugation_table())
     assert len(filled) <= 5
     assert set(filled) <= set(group.presentation()[0])
 
@@ -422,6 +422,11 @@ def test_fiber_sizes_must_cover_group():
         EquivariantFunctor(make_cyclic(3), (1, 1), lambda h, g: (0,))
 
 
+def test_non_integral_fiber_size_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=r"fiber_sizes\[1\] must be an integer, got 1.7"):
+        EquivariantFunctor(make_cyclic(2), (1, 1.7), lambda h, g: (0,))
+
+
 def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
     """Literal per-triple validator: fiber sizes, identities, then every
     (h2, h1, g) in lexicographic order; CapExceededError when the row compare
@@ -599,7 +604,7 @@ def test_fiber_size_check_same_with_or_without_conjugation_table(with_table):
         if with_table:
             for h in range(group.order):
                 group.conjugation_row(h)
-        assert (None not in group._conjugation_table()) == with_table
+        assert (len(group._conjugation_table()) == group.order) == with_table
         sizes, table = functor_tables(group)[1]
         for g in range(group.order):
             corrupted = list(sizes)
@@ -666,7 +671,7 @@ def test_elements_action_reuses_exhaustive_rows():
         assert validate_functor(functor).mode == "exhaustive", functor.name
         action = category_of_elements(functor)
         act, group, size = action.act, action.group, action.carrier_size
-        kept = [g for g, row in enumerate(action._rows) if row is not None]
+        kept = sorted(action._rows)
         presented = functor._presented and group.presentation() is not None
         assert kept == (sorted(group.presentation()[0]) if presented else list(range(group.order))), functor.name
         for g in kept:

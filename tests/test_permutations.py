@@ -26,6 +26,7 @@ from groupoid_card.permutations import (
     validate_pvector,
     weight,
 )
+from groupoid_card.cycle_stats import verify_cll
 
 perm_images = st.integers(0, 6).flatmap(lambda n: st.permutations(list(range(n))))
 
@@ -187,6 +188,22 @@ def test_validate_pvector():
         validate_pvector(3, (1, 1))
     with pytest.raises(ValueError):
         validate_pvector(2, (-1, 0))
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    """int() would read 0.5 as 0 and 1.9 as 1, so a p-vector or an image
+    that is not an integer once passed for another; each is now refused,
+    naming its entry. Integral values of other types are read as ints."""
+    with pytest.raises(ValueError, match=r"p-vector\[0\] must be an integer, got 0.5"):
+        validate_pvector(2, [0.5, 0])
+    with pytest.raises(ValueError, match=r"p-vector\[0\] must be an integer, got 1.9"):
+        verify_cll(3, [1.9, 0, 0])
+    with pytest.raises(ValueError, match=r"images\[1\] must be an integer, got '0'"):
+        Permutation((1, "0"))
+    with pytest.raises(ValueError, match=r"images\[0\] must be an integer, got 1.5"):
+        Permutation((1.5, 0))
+    assert validate_pvector(2, [True, 0]) == (1, 0)
+    assert Permutation((True, False)).images == (1, 0)
 
 
 def test_iter_pvectors():
