@@ -34,7 +34,6 @@ from .groupoids import (
     skeletons_equivalent,
 )
 from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
     CycleTupleChoice,
     Permutation,
     canonical_cycle,
@@ -56,14 +55,14 @@ class DecoratedPermutation:
     choice: CycleTupleChoice
 
 
-def build_Q(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> list[DecoratedPermutation]:
+def build_Q(n: int, p: Sequence[int]) -> list[DecoratedPermutation]:
     """All decorated permutations of degree n for the given p-vector, in
     deterministic order. Total count is sum over sigma of
     prod_k falling_power(c_k(sigma), p_k); empty when weight(p) > n."""
     pvec = validate_pvector(n, p)
     return [
         DecoratedPermutation(sigma, choice)
-        for sigma in enumerate_permutations(n, cap)
+        for sigma in enumerate_permutations(n)
         for choice in list_cycle_tuples(sigma, pvec)
     ]
 
@@ -167,7 +166,7 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], walk: _Walk) -> GroupActi
     return GroupAction(group=walk.group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
 
 
-def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[GroupAction]:
+def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
     """The symmetric group of degree n acting on the decorated permutations
     of each p-vector in ps, indexed in build_Q order, on marked points rather
     than cycle tuples; the actions come lazily, in ps order, so each carrier
@@ -191,7 +190,7 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_
     validate would give. An empty carrier, weight(p) > n, is laid out without
     the walk, and S_n is walked only when some carrier has points."""
     pvecs = [validate_pvector(n, p) for p in ps]
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     group = make_symmetric(n)
     names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
     sizes = decorated_permutation_counts(n, pvecs)
@@ -205,15 +204,15 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_
     )
 
 
-def cycle_tuple_action(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupAction:
+def cycle_tuple_action(n: int, p: Sequence[int]) -> GroupAction:
     """The action for one p-vector: `cycle_tuple_actions` with ps = [p]."""
-    return next(cycle_tuple_actions(n, [p], cap))
+    return next(cycle_tuple_actions(n, [p]))
 
 
-def c_groupoid_skeleton(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> GroupoidSkeleton:
+def c_groupoid_skeleton(n: int, p: Sequence[int]) -> GroupoidSkeleton:
     """Skeleton of the groupoid of cycle-decorated permutations, computed as
     the weak quotient of the decorated-permutation action."""
-    return skeleton_from_orbits(orbit_decomposition(cycle_tuple_action(n, p, cap)))
+    return skeleton_from_orbits(orbit_decomposition(cycle_tuple_action(n, p)))
 
 
 def categorified_rhs_skeleton(n: int, p: Sequence[int]) -> GroupoidSkeleton:
@@ -272,14 +271,14 @@ class CategorifiedReport:
         }
 
 
-def _categorified_report(pvec: tuple[int, ...], action: GroupAction, cap: int) -> CategorifiedReport:
+def _categorified_report(pvec: tuple[int, ...], action: GroupAction) -> CategorifiedReport:
     n = len(pvec)
     orbits = orbit_decomposition(action)
     lhs = skeleton_from_orbits(orbits)
     rhs = categorified_rhs_skeleton(n, pvec)
     lhs_card = cardinality(lhs)
     rhs_card = cardinality(rhs)
-    bridge = Fraction(action.carrier_size, math.factorial(n)) == expected_product_brute(n, pvec, cap)
+    bridge = Fraction(action.carrier_size, math.factorial(n)) == expected_product_brute(n, pvec)
     return CategorifiedReport(
         n=n,
         p=pvec,
@@ -295,19 +294,19 @@ def _categorified_report(pvec: tuple[int, ...], action: GroupAction, cap: int) -
     )
 
 
-def verify_categorifieds(n: int, ps: Sequence[Sequence[int]], cap: int = DEFAULT_ENUMERATION_CAP) -> list[CategorifiedReport]:
+def verify_categorifieds(n: int, ps: Sequence[Sequence[int]]) -> list[CategorifiedReport]:
     """For every p-vector in ps, build both skeletons, compare them as
     multisets of aut orders and as exact cardinalities, and check |Q| / n!
     against the enumeration expectation of the falling-power product. The
     actions come from one `cycle_tuple_actions` call, so S_n is walked once;
     the enumeration cap is read first, so a refused degree lists no ps."""
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     pvecs = [validate_pvector(n, p) for p in ps]
-    actions = cycle_tuple_actions(n, pvecs, cap)
+    actions = cycle_tuple_actions(n, pvecs)
     # map holds no action once its report is made, so one carrier is alive at a time.
-    return list(map(lambda pvec, action: _categorified_report(pvec, action, cap), pvecs, actions))
+    return list(map(_categorified_report, pvecs, actions))
 
 
-def verify_categorified(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> CategorifiedReport:
+def verify_categorified(n: int, p: Sequence[int]) -> CategorifiedReport:
     """The report for one p-vector: `verify_categorifieds` with ps = [p]."""
-    return verify_categorifieds(n, [p], cap)[0]
+    return verify_categorifieds(n, [p])[0]

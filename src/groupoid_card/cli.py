@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -21,7 +20,6 @@ from .cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
     check_monte_carlo_degree,
-    cll_rhs,
     expected_products_by_type,
     expected_total_cycles,
     monte_carlo_moments,
@@ -36,30 +34,11 @@ from .functors import (
 )
 from .groups import GroupValidationError
 from .groupoids import cardinality, component_json, perm_groupoid_skeleton, rational_str
-from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    iter_pvectors,
-    weight,
-)
-
-ENV_MAX_N = "GROUPOID_CARD_MAX_N"
+from .permutations import CapExceededError, iter_pvectors, weight
 
 
 class UsageError(ValueError):
     """Bad configuration detected after argument parsing."""
-
-
-def _enumeration_cap(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_MAX_N} must be an integer, got {env!r}")
-    return DEFAULT_ENUMERATION_CAP
 
 
 def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
@@ -118,9 +97,8 @@ def _moment_row(report) -> dict:
 
 
 def cmd_verify_lemma(args) -> int:
-    cap = _enumeration_cap(args)
     method = METHOD_CYCLE_TYPE if args.method == "cycle-type" else METHOD_BRUTE
-    reports = verify_clls(args.n, _selected_pvectors(args), method=method, cap=cap)
+    reports = verify_clls(args.n, _selected_pvectors(args), method=method)
     failures = [r for r in reports if not r.equal]
     if len(reports) == 1 and not args.all_p:
         payload = {"command": "verify-lemma", **reports[0].to_json_dict()}
@@ -160,8 +138,7 @@ def _categorified_row(report) -> dict:
 
 
 def cmd_verify_categorified(args) -> int:
-    cap = _enumeration_cap(args)
-    reports = verify_categorifieds(args.n, _selected_pvectors(args), cap=cap)
+    reports = verify_categorifieds(args.n, _selected_pvectors(args))
     failures = [r for r in reports if not r.ok]
     if len(reports) == 1 and not args.all_p:
         report = reports[0]
@@ -263,7 +240,7 @@ def cmd_montecarlo(args) -> int:
     reports = monte_carlo_moments(args.n, pvectors, args.samples, args.seed)
     rows, outputs = [], []
     for report in reports:
-        target = cll_rhs(args.n, report.p)
+        target = report.rhs
         if report.standard_error > 0:
             z = (report.estimate - float(target)) / report.standard_error
         else:
@@ -294,19 +271,21 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_theorem_general(args) -> int:
-    cap = _enumeration_cap(args)
     if args.functor is not None:
         with open(args.functor, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        functor = functor_from_json(data, cap=cap)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise UsageError(f"functor file {args.functor!r} is nested too deeply to parse")
+        functor = functor_from_json(data)
     elif args.builtin == "fixed-points":
         if args.n is None:
             raise UsageError("--builtin fixed-points requires --n")
-        functor = make_fixed_point_functor(args.n, cap=cap)
+        functor = make_fixed_point_functor(args.n)
     elif args.builtin == "cycle-tuples":
         if args.n is None or args.p is None:
             raise UsageError("--builtin cycle-tuples requires --n and --p")
-        functor = make_cycle_tuple_functor(args.n, _parse_pvector(args.p, args.n), cap=cap)
+        functor = make_cycle_tuple_functor(args.n, _parse_pvector(args.p, args.n))
     else:
         raise UsageError("provide --functor FILE or --builtin {fixed-points,cycle-tuples}")
     report = verify_general_theorem(functor)
@@ -343,31 +322,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-entry", type=int, default=2)
         p.add_argument("--max-weight", type=int, default=None, help="weight bound of the sweep (default n)")
 
-    def add_common(p, enumerates):
-        """--format everywhere; --max-n only where it caps an enumeration."""
+    def add_format(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        if enumerates:
-            p.add_argument("--max-n", type=int, default=None, help=f"enumeration cap override (or set {ENV_MAX_N})")
 
     p = sub.add_parser("verify-lemma", help="check the expectation of falling-power products against the closed form")
     add_sweep(p)
     p.add_argument("--method", choices=["brute", "cycle-type"], default="brute")
-    add_common(p, enumerates=True)
+    add_format(p)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("verify-categorified", help="compare the decorated-permutation quotient against the product skeleton")
     add_sweep(p)
-    add_common(p, enumerates=True)
+    add_format(p)
     p.set_defaults(func=cmd_verify_categorified)
 
     p = sub.add_parser("skeleton", help="print the permutation-groupoid skeleton for a degree")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, enumerates=False)
+    add_format(p)
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("stats", help="exact expected k-cycle counts and their harmonic total")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, enumerates=False)
+    add_format(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("montecarlo", help="seeded sampling estimates of falling-power moments, all from one stream")
@@ -377,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-one", dest="statistics", action="append", type=lambda text: ("--p-one", text), metavar="P_ONE", help='single cycle length, e.g. "k=2"; repeatable')
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, enumerates=False)
+    add_format(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("theorem-general", help="check average fiber size against the category-of-elements cardinality")
@@ -385,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=str, default=None)
     p.add_argument("--functor", type=str, default=None, help="path to a functor JSON file")
-    add_common(p, enumerates=True)
+    add_format(p)
     p.set_defaults(func=cmd_theorem_general)
 
     return parser

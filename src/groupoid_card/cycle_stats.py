@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .groupoids import rational_str
 from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
     DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
     Permutation,
@@ -154,11 +153,11 @@ def _product_of_falling(counts: Sequence[int], p: Sequence[int]) -> int:
     return term
 
 
-def expected_product_brute(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def expected_product_brute(n: int, p: Sequence[int]) -> Fraction:
     """Exact expectation over every permutation of degree n, each one
     enumerated and counted into the degree's cycle-count histogram."""
     pvec = validate_pvector(n, p)
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     total = sum(count * _product_of_falling(counts, pvec) for counts, count in cycle_count_histogram(n))
     return Fraction(total, math.factorial(n))
 
@@ -244,7 +243,7 @@ def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
     return Fraction(1, denom)
 
 
-def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> list[MomentReport]:
+def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE) -> list[MomentReport]:
     """Compare one exact method against the closed form, as exact rationals,
     for every p-vector in ps; the cycle-type route sums them all in one
     `expected_products_by_type` call. The method's degree cap is read
@@ -253,11 +252,11 @@ def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE,
         raise ValueError(f"unknown exact method {method!r}")
     brute = method == METHOD_BRUTE
     if brute:
-        check_enumeration_cap(n, cap)
+        check_enumeration_cap(n)
     else:
         check_partition_cap(n)
     pvecs = [validate_pvector(n, p) for p in ps]
-    lhss = [expected_product_brute(n, pvec, cap) for pvec in pvecs] if brute else expected_products_by_type(n, pvecs)
+    lhss = [expected_product_brute(n, pvec) for pvec in pvecs] if brute else expected_products_by_type(n, pvecs)
     reports = []
     for pvec, lhs in zip(pvecs, lhss):
         rhs = cll_rhs(n, pvec)
@@ -265,9 +264,9 @@ def verify_clls(n: int, ps: Sequence[Sequence[int]], method: str = METHOD_BRUTE,
     return reports
 
 
-def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE, cap: int = DEFAULT_ENUMERATION_CAP) -> MomentReport:
+def verify_cll(n: int, p: Sequence[int], method: str = METHOD_BRUTE) -> MomentReport:
     """The report for one p-vector: `verify_clls` with ps = [p]."""
-    return verify_clls(n, [p], method, cap)[0]
+    return verify_clls(n, [p], method)[0]
 
 
 def expected_total_cycles(n: int) -> Fraction:

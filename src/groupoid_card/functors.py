@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .categorified import relabel_choice
 from .cycle_stats import decorated_permutation_counts
-from . import groupoids
+from . import groupoids, permutations
 from .groups import FiniteGroup, SymmetricGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
     GroupAction,
@@ -32,7 +32,6 @@ from .groupoids import (
     skeleton_from_orbits,
 )
 from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     check_enumeration_cap,
     integer_entries,
@@ -338,12 +337,12 @@ def make_trivial_functor(group: FiniteGroup) -> EquivariantFunctor:
     )
 
 
-def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
+def make_fixed_point_functor(n: int) -> EquivariantFunctor:
     """F(sigma) = the fixed points of sigma, transported by relabeling.
     Fiber elements are indices into the sorted fixed-point list. A functor
     whose relator check the check cap would refuse is refused, with the
     refusal validate_functor would give, before any fiber is built."""
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     group = make_symmetric(n)
     name = f"fixed-points(S{n})"
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
@@ -353,7 +352,7 @@ def make_fixed_point_functor(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Equi
     return _relabelling_functor(group, name, fixed, operator.getitem)
 
 
-def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
+def make_cycle_tuple_functor(n: int, p: Sequence[int]) -> EquivariantFunctor:
     """F(sigma) = the ordered tuples of distinct cycles of sigma prescribed by
     the p-vector, transported by relabeling. The elements of the category of
     elements correspond one to one with the decorated permutations. They are
@@ -361,7 +360,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int], cap: int = DEFAULT_ENUMER
     whose relator check the check cap would refuse is refused, with the
     refusal validate_functor would give, before any fiber is built."""
     pvec = validate_pvector(n, p)
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     group = make_symmetric(n)
     name = f"cycle-tuples(S{n}, p={list(pvec)})"
     total = decorated_permutation_counts(n, [pvec])[0]
@@ -385,7 +384,7 @@ def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel
     return EquivariantFunctor(group, tuple(map(len, fibers)), transport, name, _presented=True)
 
 
-def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> EquivariantFunctor:
+def functor_from_json(data: dict) -> EquivariantFunctor:
     """Ingest {"group": <cayley json or "S<n>">, "fibers": {g: size},
     "transports": {h: {g: [images]}}}.
 
@@ -393,7 +392,8 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
     (h, g) with a nonempty fiber at g; the empty bijection out of an empty
     fiber is the only omission allowed (it is forced, not inferred). The
     shape is checked here, so malformed input raises ValueError; "S<n>" is
-    capped at degree cap like every enumeration."""
+    capped at DEFAULT_ENUMERATION_CAP, read at call time, like every
+    enumeration."""
     if not isinstance(data, dict):
         raise ValueError("functor JSON must be an object")
     for key in ("group", "fibers", "transports"):
@@ -405,8 +405,8 @@ def functor_from_json(data: dict, cap: int = DEFAULT_ENUMERATION_CAP) -> Equivar
         if not (spec.startswith("S") and spec[1:].isdigit()):
             raise ValueError(f'group spec {spec!r} is not "S<n>" or a Cayley table object')
         n = int(spec[1:])
-        if n > cap:
-            raise CapExceededError(f"group {spec} exceeds enumeration cap {cap}")
+        if n > permutations.DEFAULT_ENUMERATION_CAP:
+            raise CapExceededError(f"group {spec} exceeds enumeration cap {permutations.DEFAULT_ENUMERATION_CAP}")
         group: FiniteGroup = make_symmetric(n)
     else:
         group = from_cayley_json(spec)

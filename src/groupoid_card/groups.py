@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Sequence
 
-from .permutations import CapExceededError, Permutation, lex_rank
+from .permutations import CapExceededError, Permutation, integer_entries, lex_rank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
 # Generators, and relations as pairs of words in them (FiniteGroup.presentation).
@@ -60,7 +60,7 @@ class FiniteGroup:
         return range(self.order)
 
     def check_element(self, a: int) -> int:
-        a = int(a)
+        a = index(a)
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for {self.name} of order {self.order}")
         return a
@@ -385,7 +385,7 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
         raise CapExceededError(f"table order {m} exceeds associativity validation cap {DEFAULT_CAYLEY_ORDER_CAP}")
     rows: list[tuple[int, ...]] = []
     for i, row in enumerate(table):
-        entries = tuple(int(x) for x in row)
+        entries = integer_entries(row, f"table[{i}]")
         if len(entries) != m:
             raise GroupValidationError("shape", (i,), f"row {i} has length {len(entries)}, expected {m}")
         for j, x in enumerate(entries):

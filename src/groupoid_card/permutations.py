@@ -157,7 +157,7 @@ class CycleType:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mult = tuple(int(x) for x in self.multiplicities)
+        mult = integer_entries(self.multiplicities, "multiplicities")
         object.__setattr__(self, "multiplicities", mult)
         if any(x < 0 for x in mult):
             raise ValueError(f"negative multiplicity in {mult!r}")
@@ -276,10 +276,11 @@ def conjugate_permutation(sigma: Permutation, tau: Permutation) -> Permutation:
     return Permutation(tuple(out))
 
 
-def check_enumeration_cap(n: int, cap: int) -> None:
-    """Refuse a degree above the enumeration cap, before anything is enumerated."""
-    if n > cap:
-        raise CapExceededError(f"degree {n} exceeds enumeration cap {cap}")
+def check_enumeration_cap(n: int) -> None:
+    """Refuse a degree above DEFAULT_ENUMERATION_CAP, read at call time,
+    before anything is enumerated."""
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"degree {n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def check_partition_cap(n: int) -> None:
@@ -288,11 +289,11 @@ def check_partition_cap(n: int) -> None:
         raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
 
 
-def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations, lexicographic in the image tuple, each exactly once."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     return (Permutation(images) for images in itertools.permutations(range(n)))
 
 

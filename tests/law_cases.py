@@ -2,12 +2,13 @@
 
 Groups are built by name, fresh, so that no conjugation row is filled
 before the test reads it; `law_caps` moves the check cap above which law
-checks refuse."""
+checks refuse, and `enumeration_cap` the degree above which S_n is not
+enumerated."""
 
 import random
 from unittest import mock
 
-from groupoid_card import groupoids, groups
+from groupoid_card import groupoids, groups, permutations
 from groupoid_card.permutations import CapExceededError
 
 
@@ -42,6 +43,12 @@ def law_caps(check_cap):
     in place of groupoids.DEFAULT_CHECK_CAP. A validation caches its first
     report, so the check to be refused must run inside."""
     return mock.patch.object(groupoids, "DEFAULT_CHECK_CAP", check_cap)
+
+
+def enumeration_cap(cap):
+    """A context in which every enumeration of S_n, and every "S<n>" functor
+    file, reads this cap in place of permutations.DEFAULT_ENUMERATION_CAP."""
+    return mock.patch.object(permutations, "DEFAULT_ENUMERATION_CAP", cap)
 
 
 def validation_or_refusal(validate):

@@ -27,6 +27,7 @@ from groupoid_card.permutations import (
     iter_pvectors,
     weight,
 )
+from law_cases import enumeration_cap
 
 
 def test_build_q_examples():
@@ -58,8 +59,8 @@ def test_build_q_count_formula(n):
 
 
 def test_build_q_cap():
-    with pytest.raises(CapExceededError):
-        build_Q(6, (0,) * 6, cap=5)
+    with enumeration_cap(5), pytest.raises(CapExceededError):
+        build_Q(6, (0,) * 6)
 
 
 def test_q_action_examples():
@@ -143,8 +144,8 @@ def test_verify_categorified_reports():
 
 
 def test_verify_categorified_cap():
-    with pytest.raises(CapExceededError):
-        verify_categorified(7, (0,) * 7, cap=6)
+    with enumeration_cap(6), pytest.raises(CapExceededError):
+        verify_categorified(7, (0,) * 7)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -178,18 +178,17 @@ def test_skeleton_degree_cap_exits_2(capsys):
     assert "Traceback" not in err
 
 
-def test_max_n_only_on_enumerating_subcommands(capsys):
-    for argv in (["stats", "--n", "5"], ["skeleton", "--n", "5"],
-                 ["montecarlo", "--n", "5", "--p-one", "k=1", "--samples", "2"]):
-        code, out, err = run_cli(argv + ["--max-n", "2"], capsys)
-        assert code == 2, argv
-        assert out == ""
-        assert "--max-n" in err
-    code, _, _ = run_cli(["theorem-general", "--builtin", "fixed-points", "--n", "3", "--max-n", "3"], capsys)
-    assert code == 0
-    code, _, err = run_cli(["verify-categorified", "--n", "3", "--p", "0,1,0", "--max-n", "2"], capsys)
-    assert code == 2
-    assert "cap" in err
+def test_no_subcommand_takes_max_n(capsys):
+    """The enumeration cap has no override: --max-n is an unknown argument
+    to every subcommand, a usage error with exit 2."""
+    for argv in (["verify-lemma", "--n", "3", "--p", "0,1,0"], ["verify-categorified", "--n", "3", "--p", "0,1,0"],
+                 ["skeleton", "--n", "5"], ["stats", "--n", "5"],
+                 ["montecarlo", "--n", "5", "--p-one", "k=1", "--samples", "2"],
+                 ["theorem-general", "--builtin", "fixed-points", "--n", "3"]):
+        code, out, err = run_cli(argv + ["--max-n", "11"], capsys)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --max-n 11" in err
+        assert "Traceback" not in err
 
 
 def test_stats(capsys):
@@ -606,22 +605,24 @@ def test_malformed_functor_json_exits_2(data):
     assert "Traceback" not in err
 
 
-def test_enumeration_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GROUPOID_CARD_MAX_N", "3")
-    code, _, err = run_cli(["verify-lemma", "--n", "4", "--p", "0,0,0,1"], capsys)
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("GROUPOID_CARD_MAX_N", "4")
-    code, _, _ = run_cli(["verify-lemma", "--n", "4", "--p", "0,0,0,1"], capsys)
-    assert code == 0
-    monkeypatch.setenv("GROUPOID_CARD_MAX_N", "nope")
-    code, _, err = run_cli(["verify-lemma", "--n", "4", "--p", "0,0,0,1"], capsys)
-    assert code == 2
+def test_environment_does_not_move_the_enumeration_cap(capsys, monkeypatch):
+    """GROUPOID_CARD_MAX_N is not read: degree 11 is refused with the
+    default cap's message, before its 11! permutations are walked."""
+    monkeypatch.setenv("GROUPOID_CARD_MAX_N", "11")
+    code, out, err = run_cli(["verify-lemma", "--n", "11", "--p", "1,1,0,0,0,0,0,0,0,0,0"], capsys)
+    assert (code, out, err) == (2, "", "error: degree 11 exceeds enumeration cap 10\n")
 
-    # Explicit flag beats the environment.
-    monkeypatch.setenv("GROUPOID_CARD_MAX_N", "3")
-    code, _, _ = run_cli(["verify-lemma", "--n", "4", "--p", "0,0,0,1", "--max-n", "4"], capsys)
-    assert code == 0
+
+def test_deeply_nested_functor_file_exits_2(tmp_path):
+    """json.load raises RecursionError on deep nesting; that is malformed
+    input, so exit 2 with one line, not exit 1 with a traceback."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", "theorem-general", "--functor", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: functor file {str(path)!r} is nested too deeply to parse\n"
+    assert "Traceback" not in result.stderr
 
 
 def test_montecarlo_degree_cap_exits_2(capsys):

@@ -45,6 +45,7 @@ from groupoid_card.permutations import (
     weight,
 )
 from groupoid_card.rng import SplitMix64
+from law_cases import enumeration_cap
 
 
 def unit(n, k):
@@ -59,8 +60,8 @@ def test_brute_examples():
 
 
 def test_brute_cap():
-    with pytest.raises(CapExceededError):
-        expected_product_brute(6, (0,) * 6, cap=5)
+    with enumeration_cap(5), pytest.raises(CapExceededError):
+        expected_product_brute(6, (0,) * 6)
 
 
 def test_by_type_examples():

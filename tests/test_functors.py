@@ -32,7 +32,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, validation_or_refusal
+from law_cases import LAW_GROUPS, enumeration_cap, last_generator_coset, law_caps, validation_or_refusal
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -81,8 +81,8 @@ def test_fixed_point_functor_degenerate_degrees():
     assert theorem.equal
     assert theorem.expected == 0
 
-    with pytest.raises(CapExceededError):
-        make_fixed_point_functor(4, cap=3)
+    with enumeration_cap(3), pytest.raises(CapExceededError):
+        make_fixed_point_functor(4)
 
 
 def test_cycle_tuple_functor_matches_decorated_permutations():

@@ -156,6 +156,22 @@ def test_cayley_shape_and_closure_errors():
     assert exc.value.witness == (0, 1)
 
 
+def test_cayley_entry_is_refused_not_truncated():
+    """int() read 1.5 as 1, so this table built Z/2."""
+    with pytest.raises(ValueError, match=r"table\[0\]\[1\] must be an integer, got 1.5"):
+        from_cayley_table([[0, 1.5], [1, 0]])
+
+
+def test_element_index_is_refused_not_truncated():
+    """int() read 1.7 as 1, so conjugation_row(1.7) returned row 1."""
+    group = make_symmetric(3)
+    with pytest.raises(TypeError):
+        group.conjugation_row(1.7)
+    with pytest.raises(TypeError):
+        group.conjugate(0, 1.5)
+    assert group.conjugation_row(True) == group.conjugation_row(1)
+
+
 def test_cayley_order_cap_and_override(monkeypatch):
     z5_table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     monkeypatch.setattr(groups, "DEFAULT_CAYLEY_ORDER_CAP", 4)

@@ -26,7 +26,10 @@ from groupoid_card.permutations import (
     validate_pvector,
     weight,
 )
-from groupoid_card.cycle_stats import verify_cll
+from groupoid_card.categorified import build_Q, verify_categorifieds
+from groupoid_card.cycle_stats import METHOD_BRUTE, expected_product_brute, verify_cll, verify_clls
+from groupoid_card.functors import functor_from_json, make_cycle_tuple_functor, make_fixed_point_functor
+from law_cases import enumeration_cap
 
 perm_images = st.integers(0, 6).flatmap(lambda n: st.permutations(list(range(n))))
 
@@ -147,9 +150,34 @@ def test_enumeration_order_and_count():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_permutations(11)
-    with pytest.raises(CapExceededError):
-        enumerate_permutations(4, cap=3)
-    assert len(list(enumerate_permutations(4, cap=4))) == 24
+    with enumeration_cap(3), pytest.raises(CapExceededError):
+        enumerate_permutations(4)
+    with enumeration_cap(4):
+        assert len(list(enumerate_permutations(4))) == 24
+
+
+def test_every_enumeration_reads_the_cap_at_call_time():
+    """Every entry point that enumerates S_n, or builds it from an "S<n>"
+    file, reads permutations.DEFAULT_ENUMERATION_CAP when it is called: no
+    default argument or imported name holds a copy of it."""
+    s4_file = {"group": "S4", "fibers": {str(g): 0 for g in range(24)}, "transports": {}}
+    builds = {
+        "enumerate_permutations": lambda: len(list(enumerate_permutations(4))) == 24,
+        "build_Q": lambda: len(build_Q(4, (1, 0, 0, 0))) == 24,
+        "expected_product_brute": lambda: expected_product_brute(4, (1, 0, 0, 0)) == 1,
+        "verify_clls": lambda: verify_clls(4, [(1, 0, 0, 0)], method=METHOD_BRUTE)[0].equal,
+        "verify_categorifieds": lambda: verify_categorifieds(4, [(1, 0, 0, 0)])[0].ok,
+        "make_fixed_point_functor": lambda: make_fixed_point_functor(4).total_size == 24,
+        "make_cycle_tuple_functor": lambda: make_cycle_tuple_functor(4, (0, 1, 0, 0)).total_size == 12,
+        "functor_from_json": lambda: functor_from_json(s4_file).group.order == 24,
+    }
+    for name, build in builds.items():
+        message = "group S4" if name == "functor_from_json" else "degree 4"
+        with enumeration_cap(3), pytest.raises(CapExceededError) as refusal:
+            build()
+        assert str(refusal.value) == f"{message} exceeds enumeration cap 3", name
+        with enumeration_cap(4):
+            assert build(), name
 
 
 def test_lex_rank_round_trip():
@@ -202,8 +230,11 @@ def test_non_integral_entries_are_refused_not_truncated():
         Permutation((1, "0"))
     with pytest.raises(ValueError, match=r"images\[0\] must be an integer, got 1.5"):
         Permutation((1.5, 0))
+    with pytest.raises(ValueError, match=r"multiplicities\[0\] must be an integer, got 1.5"):
+        CycleType((1.5, 0))
     assert validate_pvector(2, [True, 0]) == (1, 0)
     assert Permutation((True, False)).images == (1, 0)
+    assert CycleType((True, 0)).multiplicities == (1, 0)
 
 
 def test_iter_pvectors():
