@@ -19,6 +19,7 @@ from .categorified import verify_categorifieds
 from .cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
+    check_cycle_type_sweep,
     check_monte_carlo_degree,
     expected_products_by_type,
     expected_total_cycles,
@@ -98,7 +99,10 @@ def _moment_row(report) -> dict:
 
 def cmd_verify_lemma(args) -> int:
     method = METHOD_CYCLE_TYPE if args.method == "cycle-type" else METHOD_BRUTE
-    reports = verify_clls(args.n, _selected_pvectors(args), method=method)
+    ps = _selected_pvectors(args)
+    if args.all_p and method == METHOD_CYCLE_TYPE:
+        check_cycle_type_sweep(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
+    reports = verify_clls(args.n, ps, method=method)
     failures = [r for r in reports if not r.equal]
     if len(reports) == 1 and not args.all_p:
         payload = {"command": "verify-lemma", **reports[0].to_json_dict()}

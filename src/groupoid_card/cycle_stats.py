@@ -20,16 +20,17 @@ from typing import Optional, Sequence
 
 from .groupoids import rational_str
 from .permutations import (
-    DEFAULT_TYPE_TERM_CAP,
     CapExceededError,
     Permutation,
     centralizer_factors,
     check_enumeration_cap,
     check_partition_cap,
+    check_type_term_cap,
     cycle_decomposition,
     cycle_type_table,
     falling_power,
     partition_counts,
+    pvector_weight_counts,
     validate_pvector,
     weight,
 )
@@ -172,8 +173,10 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     partitions of n - |p| with p_k k-cycles added. So the p-vectors are
     grouped by weight, and each group reads cycle_type_table(n - |p|) once.
     Each term is computed from the full type's own multiplicities and its own
-    centralizer order. The sum is read from no closed form, and no table is
-    kept after the call.
+    centralizer order: the table yields the unchosen type's order, and only
+    the chosen sizes' factors move, z // k^{m_k} m_k! * k^{m_k+p_k} (m_k+p_k)!
+    for each k with p_k > 0. The sum is read from no closed form, and no
+    table is kept after the call.
 
     Raises CapExceededError, before any sum, for a degree above
     DEFAULT_PARTITION_CAP or when the terms to read, the partitions of
@@ -182,35 +185,39 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     check_partition_cap(n)
     weights = [weight(pvec) for pvec in pvecs]
     partitions = partition_counts(n)
-    terms = sum(partitions[n - w] for w in weights if w <= n)
-    if terms > DEFAULT_TYPE_TERM_CAP:
-        raise CapExceededError(
-            f"{len(pvecs)} p-vectors at degree {n} read {terms} cycle-type terms, "
-            f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}"
-        )
+    check_type_term_cap(n, len(pvecs), sum(partitions[n - w] for w in weights if w <= n))
     n_factorial = math.factorial(n)
     centralizer = centralizer_factors(n)
-    by_weight: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    by_weight: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
     for i, (pvec, w) in enumerate(zip(pvecs, weights)):
         if w <= n:
-            by_weight.setdefault(w, []).append((i, {k: pk for k, pk in enumerate(pvec, start=1) if pk}))
+            by_weight.setdefault(w, []).append((i, [(k, pk) for k, pk in enumerate(pvec, start=1) if pk]))
     totals = [0] * len(pvecs)
     for w, needs in by_weight.items():
-        for rest, _, parts in cycle_type_table(n - w):
-            # rest[k-1] counts the k-cycles left unchosen.
-            unchosen = {k: rest[k - 1] for k in set(parts)}
+        size = n - w
+        for rest, z_rest, _ in cycle_type_table(size):
+            # rest[k-1] counts the k-cycles left unchosen, and z_rest is the
+            # centralizer order of their type.
             for i, need in needs:
-                z = 1
-                for k, mk in unchosen.items():
-                    if k not in need:
-                        z *= centralizer[k][mk]
+                z = z_rest
                 term = 1
-                for k, pk in need.items():
-                    mk = unchosen.get(k, 0) + pk
-                    z *= centralizer[k][mk]
-                    term *= falling_power(mk, pk)
+                for k, pk in need:
+                    mk = rest[k - 1] if k <= size else 0
+                    z = z // centralizer[k][mk] * centralizer[k][mk + pk]
+                    term *= falling_power(mk + pk, pk)
                 totals[i] += term * (n_factorial // z)
     return totals
+
+
+def check_cycle_type_sweep(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
+    """Refuse the sweep iter_pvectors(n, max_entry, max_weight) as
+    decorated_permutation_counts would, with the same message, before any
+    p-vector is listed: the partition cap first, then the type-term cap on
+    sum_w count[w] p(n - w) over the pvector_weight_counts."""
+    check_partition_cap(n)
+    counts = pvector_weight_counts(n, max_entry, max_weight)
+    partitions = partition_counts(n)
+    check_type_term_cap(n, sum(counts), sum(count * partitions[n - w] for w, count in enumerate(counts[: n + 1])))
 
 
 def expected_products_by_type(n: int, ps: Sequence[Sequence[int]]) -> list[Fraction]:

@@ -196,25 +196,26 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
     """Every cycle type of degree n as (multiplicities, centralizer order,
     partition), with multiplicities of length n and the partition's parts
     weakly decreasing. Partitions come in reverse lexicographic order, by
-    Knuth, TAOCP Vol. 4A, 7.2.1.4, Algorithm P. The centralizer order
-    prod_k k^{m_k} m_k! is taken over the distinct parts only. Nothing for
-    n < 0; one empty type for n = 0."""
+    Knuth, TAOCP Vol. 4A, 7.2.1.4, Algorithm P.
+
+    Each step of the walk rewrites only a suffix of the partition, so one
+    multiplicity list and the centralizer order z = prod_k k^{m_k} m_k! are
+    carried from visit to visit and moved only at the part sizes the step
+    changes: sizes 2 and 1 when a 2 becomes 1 + 1; otherwise the part x + 1
+    that drops to x, the 1s after it, x, and the last part left over. Each
+    move divides z exactly by k^m m! at the size's old count m and
+    multiplies it by the factor at the new count. Every visit yields fresh
+    tuples. Nothing for n < 0; one empty type for n = 0."""
     if n < 0:
         return
     if n == 0:
         yield (), 1, ()
         return
     factors = centralizer_factors(n)
-
-    def entry(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        mult = [0] * n
-        for k in parts:
-            mult[k - 1] += 1
-        z = 1
-        for k in set(parts):
-            z *= factors[k][mult[k - 1]]
-        return tuple(mult), z, parts
-
+    # mult[k-1] counts the parts of size k, and z is their centralizer order.
+    mult = [0] * n
+    mult[n - 1] = 1
+    z = n
     # a[1..m] is the current partition; a[0] = 0 stops the scan for a 2, and
     # q indexes the last part greater than 1.
     a = [0] * (n + 1)
@@ -223,23 +224,41 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
         a[m] = rest
         q = m - (rest == 1)
         while True:
-            yield entry(tuple(a[1 : m + 1]))
+            yield tuple(mult), z, tuple(a[1 : m + 1])
             if a[q] != 2:
                 break
+            twos, ones = mult[1], mult[0]
+            z = z // factors[2][twos] * factors[2][twos - 1] // factors[1][ones] * factors[1][ones + 2]
+            mult[1] = twos - 1
+            mult[0] = ones + 2
             a[q] = 1
             q -= 1
             m += 1
             a[m] = 1
         if q == 0:
             return
+        # a[q] = x + 1 > 2 drops to x; the 1s after it and the unit it lost,
+        # ones + 1 in all, are refilled as j more parts x and a last part
+        # rest <= x.
         x = a[q] - 1
+        ones = m - q
+        j, rest = divmod(ones, x)
+        rest += 1
+        c = mult[x]
+        z = z // factors[x + 1][c] * factors[x + 1][c - 1]
+        mult[x] = c - 1
+        c = mult[0]
+        z = z // factors[1][c] * factors[1][c - ones]
+        mult[0] = c - ones
+        c = mult[x - 1]
+        z = z // factors[x][c] * factors[x][c + j + 1]
+        mult[x - 1] = c + j + 1
+        c = mult[rest - 1]
+        z = z // factors[rest][c] * factors[rest][c + 1]
+        mult[rest - 1] = c + 1
         a[q] = x
-        rest = m - q + 1
-        m = q + 1
-        while rest > x:
-            a[m] = x
-            m += 1
-            rest -= x
+        a[q + 1 : q + 1 + j] = [x] * j
+        m = q + 1 + j
 
 
 def partition_counts(n: int) -> list[int]:
@@ -287,6 +306,17 @@ def check_partition_cap(n: int) -> None:
     """Refuse a degree above DEFAULT_PARTITION_CAP, before any partition is listed."""
     if n > DEFAULT_PARTITION_CAP:
         raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
+
+
+def check_type_term_cap(n: int, vectors: int, terms: int) -> None:
+    """Refuse an exact sum over cycle types for vectors p-vectors at degree n
+    that reads more than DEFAULT_TYPE_TERM_CAP terms, read at call time,
+    before any term is read."""
+    if terms > DEFAULT_TYPE_TERM_CAP:
+        raise CapExceededError(
+            f"{vectors} p-vectors at degree {n} read {terms} cycle-type terms, "
+            f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}"
+        )
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
@@ -356,6 +386,31 @@ def iter_pvectors(n: int, max_entry: int = 2, max_weight: int | None = None) -> 
             yield from walk(k + 1, left - k * pk)
 
     yield from walk(1, max_weight)
+
+
+def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = None) -> list[int]:
+    """counts[w] = the number of p-vectors of weight w that
+    iter_pvectors(n, max_entry, max_weight) yields, for w from 0 up to the
+    largest weight reached; nothing is listed. The coordinates are added one
+    at a time: with p_k free in 0..max_entry, the new count at w sums the old
+    counts at w, w - k, ..., w - max_entry k, a window slid along w."""
+    if n < 0:
+        raise ValueError(f"p-vector length must be nonnegative, got {n}")
+    if max_weight is None:
+        max_weight = n
+    if max_weight < 0 or (n and max_entry < 0):
+        return []
+    top = min(max_weight, max_entry * n * (n + 1) // 2)
+    counts = [1] + [0] * top
+    for k in range(1, n + 1):
+        span = (max_entry + 1) * k
+        added = counts[:]
+        for w in range(k, top + 1):
+            added[w] += added[w - k]
+            if w >= span:
+                added[w] -= counts[w - span]
+        counts = added
+    return counts
 
 
 # For each k with p_k > 0: (k, ordered tuple of p_k distinct canonical cycles).

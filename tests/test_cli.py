@@ -462,6 +462,28 @@ def test_cycle_type_sweep_above_the_type_term_cap_exits_2():
     )
 
 
+def test_cycle_type_sweep_above_the_type_term_cap_lists_no_pvector(capsys, forbid, monkeypatch):
+    """The type-term refusal is counted from the vectors of each weight: no
+    p-vector is listed or validated and no table is walked. The default
+    --max-entry is not refused by it, and the brute method keeps its own
+    refusal."""
+    from groupoid_card import cli
+
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the sweep was listed")
+        yield
+
+    monkeypatch.setattr(cli, "iter_pvectors", unlisted)
+    forbid(permutations.validate_pvector, permutations.cycle_type_table)
+    code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "cycle-type"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: 75341 p-vectors at degree 40 read 4857052 cycle-type terms, above the type-term cap {DEFAULT_TYPE_TERM_CAP}\n"
+    with pytest.raises(AssertionError, match="listed"):
+        main(["verify-lemma", "--n", "40", "--all-p", "--method", "cycle-type"])
+    code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "brute"], capsys)
+    assert (code, out, err) == (2, "", "error: degree 40 exceeds enumeration cap 10\n")
+
+
 def recursive_label_json(label):
     if isinstance(label, tuple):
         return [recursive_label_json(x) for x in label]

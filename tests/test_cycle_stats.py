@@ -13,6 +13,7 @@ from groupoid_card import rng as rng_module
 from groupoid_card.cycle_stats import (
     METHOD_BRUTE,
     METHOD_CYCLE_TYPE,
+    check_cycle_type_sweep,
     cll_rhs,
     cycle_count_histogram,
     decorated_permutation_counts,
@@ -544,12 +545,63 @@ def test_type_term_cap_refuses_before_any_sum(monkeypatch, forbid):
     p-vectors, are compared with the cap before any table is walked."""
     ps = list(iter_pvectors(10))
     terms = sum(partition_counts(10)[10 - weight(p)] for p in ps)
-    monkeypatch.setattr(cycle_stats, "DEFAULT_TYPE_TERM_CAP", terms)
+    monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", terms)
     assert expected_products_by_type(10, ps) == [cll_rhs(10, p) for p in ps]
-    monkeypatch.setattr(cycle_stats, "DEFAULT_TYPE_TERM_CAP", terms - 1)
+    monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", terms - 1)
     forbid(permutations.cycle_type_table)
     with pytest.raises(CapExceededError, match=f"{len(ps)} p-vectors at degree 10 read {terms} cycle-type terms, above the type-term cap {terms - 1}"):
         expected_products_by_type(10, ps)
+
+
+def test_type_term_cap_is_read_at_call_time(monkeypatch):
+    """The cap is read from permutations when a sum is asked for: patching
+    it there moves the refusal of every route that reads it."""
+    ones = (0,) * 10
+    assert expected_products_by_type(10, [ones]) == [1]
+    monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", 1)
+    message = "1 p-vectors at degree 10 read 42 cycle-type terms, above the type-term cap 1"
+    with pytest.raises(CapExceededError, match=message):
+        expected_products_by_type(10, [ones])
+    with pytest.raises(CapExceededError, match=message):
+        decorated_permutation_counts(10, [ones])
+    with pytest.raises(CapExceededError, match="above the type-term cap 1"):
+        check_cycle_type_sweep(10)
+    monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", 42)
+    assert expected_products_by_type(10, [ones]) == [1]
+
+
+def test_sweep_refusal_equals_the_listed_refusal(monkeypatch):
+    """check_cycle_type_sweep refuses exactly the sweeps that
+    decorated_permutation_counts refuses once they are listed, with the same
+    message, or passes them both; weights above n read no term."""
+    monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", 60)
+    outcomes = set()
+    for n in range(9):
+        for max_entry in range(4):
+            for max_weight in (None, 0, 2, n, n + 3):
+                ps = list(iter_pvectors(n, max_entry=max_entry, max_weight=max_weight))
+                try:
+                    decorated_permutation_counts(n, ps)
+                    listed = None
+                except CapExceededError as exc:
+                    listed = str(exc)
+                try:
+                    check_cycle_type_sweep(n, max_entry=max_entry, max_weight=max_weight)
+                    counted = None
+                except CapExceededError as exc:
+                    counted = str(exc)
+                assert counted == listed
+                outcomes.add(listed is None)
+    assert outcomes == {True, False}
+
+
+def test_sweep_refusal_lists_no_pvector(monkeypatch, forbid):
+    forbid(permutations.iter_pvectors, permutations.validate_pvector, permutations.cycle_type_table)
+    with pytest.raises(CapExceededError, match="75341 p-vectors at degree 40 read 4857052 cycle-type terms"):
+        check_cycle_type_sweep(40, max_entry=3)
+    with pytest.raises(CapExceededError, match="degree 41 exceeds partition cap 40"):
+        check_cycle_type_sweep(41, max_entry=3)
+    check_cycle_type_sweep(40)
 
 
 def test_one_pass_route_never_enumerates(monkeypatch, forbid):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from groupoid_card.permutations import (
     iter_pvectors,
     lex_rank,
     list_cycle_tuples,
+    pvector_weight_counts,
     validate_pvector,
     weight,
 )
@@ -260,6 +262,21 @@ def test_iter_pvectors_equals_the_filtered_box():
         list(iter_pvectors(-1))
 
 
+def test_pvector_weight_counts_equal_the_listed_vectors():
+    """The counts by weight equal those of the listed vectors on a grid with
+    entries bounded by 0 (and -1), and with weight bounds above n."""
+    for n in range(9):
+        for max_entry in range(-1, 4):
+            for max_weight in (None, -1, 0, 1, n, n + 2, 3 * n + 5):
+                listed = Counter(weight(p) for p in iter_pvectors(n, max_entry=max_entry, max_weight=max_weight))
+                counts = pvector_weight_counts(n, max_entry=max_entry, max_weight=max_weight)
+                assert {w: c for w, c in enumerate(counts) if c} == listed
+                assert sum(counts) == sum(listed.values())
+    assert sum(pvector_weight_counts(40, max_entry=3)) == 75341
+    with pytest.raises(ValueError, match="p-vector length must be nonnegative, got -1"):
+        pvector_weight_counts(-1)
+
+
 def test_canonical_cycle():
     assert canonical_cycle((2, 0, 1)) == (0, 1, 2)
     assert canonical_cycle((3,)) == (3,)
@@ -365,9 +382,28 @@ def recursive_cycle_types(n):
         yield tuple(mult), z, parts
 
 
-@pytest.mark.parametrize("n", range(26))
+@pytest.mark.parametrize("n", [*range(26), 30, 40])
 def test_cycle_type_table_matches_recursive_generator(n):
     assert list(cycle_type_table(n)) == list(recursive_cycle_types(n))
+
+
+def test_cycle_type_table_orders_are_the_literal_products_at_degree_40():
+    """Every z carried through the walk equals prod_k k^{m_k} m_k! of the
+    multiplicities it comes with, and of the partition it comes with."""
+    for mult, z, parts in cycle_type_table(40):
+        assert z == math.prod(k**mk * math.factorial(mk) for k, mk in enumerate(mult, start=1))
+        assert mult == tuple(parts.count(k) for k in range(1, 41))
+
+
+def test_cycle_type_table_yields_are_not_live_views():
+    """A triple held by the caller keeps its values while the walk goes on."""
+    held = []
+    for entry in cycle_type_table(12):
+        held.append((entry, tuple(entry[0]), entry[1], tuple(entry[2])))
+    for (mult, z, parts), mult_then, z_then, parts_then in held:
+        assert type(mult) is tuple and type(parts) is tuple
+        assert (mult, z, parts) == (mult_then, z_then, parts_then)
+    assert len({entry[0] for entry, *_ in held}) == len(held) == 77
 
 
 def test_cycle_type_table_negative_degree_is_empty():
