@@ -117,7 +117,9 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     conjugation by h, then by s. The relator check reads the generators'
     transports and checks every relation on their rows, k |G| + (k + L) *
     total reads for L letters and total fiber size; identity transports
-    hold by construction. The row compare reads the identity transports and
+    hold by construction. With points to check, it runs only over a
+    certified presentation (FiniteGroup.certified), else the row compare
+    runs. The row compare reads the identity transports and
     every transport and runs first_law_failure with h2 a generator,
     (k + 1) |G| (1 + total) reads; a pass reports k |G| + |G| + k |G| *
     total checks. A failure is witnessed by the lowest failing (h, g) or
@@ -149,8 +151,11 @@ def _refuse_relator_check_above_cap(name: str, order: int, presentation, total: 
     groupoids._refuse_above_cap(repr(name), k * order + (k + groupoids._letter_count(relations)) * total)
 
 
-def _check(functor: EquivariantFunctor, generators: list[int], relations: Optional[list]) -> FunctorValidation:
-    """The relator check of the relations, or the row compare when they are None."""
+def _check(functor: EquivariantFunctor, generators: list[int], relations: Optional[list]) -> Optional[FunctorValidation]:
+    """The relator check of the relations, or the row compare when they are
+    None. The relator check gives None, for the row compare to run, when
+    the category of elements has points and the presentation is not
+    certified."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
     order = group.order
     checks = len(generators) * order
@@ -192,6 +197,8 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     else:
         letters = groupoids._letter_count(relations)
         _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
+        if total and not group.certified():
+            return None
     transports = {(h, g): _transport(functor, h, g, targets[h][g]) for h in hs for g in nonempty}
     broken = [key for key, arr in transports.items() if isinstance(arr, ValueError)]
     if broken and relations is not None:

@@ -204,15 +204,6 @@ def first_law_failure(
     return None
 
 
-def _word_row(rows: Mapping[int, Sequence[int]], word: Sequence[int], size: int) -> list[int]:
-    """The images of the product s_1 ... s_m of a word in the generators:
-    row s_1 after ... after row s_m, for rows inside the carrier 0..size-1."""
-    row: Sequence[int] = range(size)
-    for s in reversed(word):
-        row = list(map(rows[s].__getitem__, row))
-    return list(row)
-
-
 def first_relation_failure(
     rows: Mapping[int, Sequence[int]],
     relations: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -223,9 +214,26 @@ def first_relation_failure(
     0..size-1), and the lowest point where they do; None when every relation
     holds. Then the generator rows extend to exactly one action of the
     presented group (von Dyck's theorem), so no other row needs reading: a
-    passing check reads (number of letters) * size images."""
+    passing check reads (number of letters) * size images. A word's row is
+    row s_1 after ... after row s_m, composed one run s^e of a generator at
+    a time: the power rows s^e = s after s^(e-1) are built once per call, so
+    S_n's runs of t cost one composition each."""
+    identity = list(range(size))
+    powers: dict[int, list[Sequence[int]]] = {}
+
+    def word_row(word: Sequence[int]) -> Sequence[int]:
+        row = identity
+        for s, run in itertools.groupby(reversed(word)):
+            built = powers.setdefault(s, [rows[s]])
+            e = len(list(run))
+            while len(built) < e:
+                built.append(list(map(rows[s].__getitem__, built[-1])))
+            power = built[e - 1]
+            row = power if row is identity else list(map(power.__getitem__, row))
+        return row
+
     for i, (lhs, rhs) in enumerate(relations):
-        left, right = _word_row(rows, lhs, size), _word_row(rows, rhs, size)
+        left, right = word_row(lhs), word_row(rhs)
         if left != right:
             return i, next(s for s in range(size) if left[s] != right[s])
     return None
@@ -291,7 +299,10 @@ class GroupAction:
         presentation: the k generators' rows lie in the carrier and satisfy
         every relation (first_relation_failure), (k + L) |S| reads for L
         letters. They then extend to exactly one action (von Dyck), the one
-        validated. The row compare, for every other action: the identity law,
+        validated, once the presentation is certified (FiniteGroup.certified,
+        read when a carrier with points is first checked); an uncertified
+        presentation takes the row compare. The row compare, for every other
+        action: the identity law,
         then every row, compared over the k generators of
         FiniteGroup.spanning_tree() (first_law_failure), |S| + (k + 1) |G| |S|
         reads; a pass reports the |S| + k |G| |S| checks made.
@@ -314,9 +325,11 @@ class GroupAction:
         size = self.carrier_size
         return size + (len(self.group.spanning_tree()[0]) + 1) * self.group.order * size
 
-    def _check_relations(self, generators: list[int], relations: list) -> ActionValidation:
+    def _check_relations(self, generators: list[int], relations: list) -> Optional[ActionValidation]:
         size = self.carrier_size
         refuse_relator_check_above_cap(self.name, (generators, relations), size)
+        if size and not self.group.certified():
+            return None
         rows = [self._row(s) for s in generators]
         checks = len(generators) * size
         for s, row in zip(generators, rows):

@@ -12,13 +12,17 @@ only the rows of its generators.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import index, itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .permutations import CapExceededError, Permutation, integer_entries, lex_rank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
+# Most cosets one coset enumeration may define. Certifying S9 defines
+# 117 839 (about 1.1 s on a 2-core x86 machine); no CLI route certifies S10,
+# whose every nonempty carrier is refused by the check cap first.
+DEFAULT_COSET_CAP = 250_000
 # Generators, and relations as pairs of words in them (FiniteGroup.presentation).
 _Presentation = tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
@@ -125,27 +129,38 @@ class FiniteGroup:
         return [mul(g, x) for x in range(self.order)]
 
     def presentation(self) -> _Presentation | None:
-        """Generators and defining relations, or None for a group known
-        only by its table. A relation is a pair of words in the generators
-        (element indices), the word s_1 ... s_m standing for that product;
-        the empty word is the identity. Any assignment of permutations to
-        the generators that satisfies every relation extends to exactly one
-        homomorphism from the group (von Dyck's theorem)."""
+        """Generators and relations, or None for a group known only by its
+        table. A relation is a pair of words in the generators (element
+        indices), the word s_1 ... s_m standing for that product; the empty
+        word is the identity. The relations hold in the group, and when
+        certified() is True they define it: any assignment of permutations
+        to the generators that satisfies every relation then extends to
+        exactly one homomorphism from the group (von Dyck's theorem). Reading
+        it certifies nothing, so a refusal that reads only its size costs no
+        enumeration."""
         return None
+
+    def certified(self) -> bool:
+        """Whether presentation() is shown to define this group exactly;
+        a relator check is a pass only when it is. False for a group with
+        no presentation."""
+        return False
 
     def spanning_tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """Generators and a breadth-first spanning tree of the group over them.
 
-        A group with a presentation takes its generators. A group known by
-        its table takes greedy ones: elements are taken in index order, each
-        one not yet reached becomes a generator, and the set reached from the
-        identity is closed again under left multiplication by the
-        generators. Each greedy generator at least doubles the reached
-        subgroup, so there are at most log2(order) of them. Either way each
-        element is multiplied once by each generator. Returns the generators
-        and the edges (child, generator, parent), child = generator * parent,
-        in the order reached; the identity is the root and has no edge, and
-        every generator is a child of the identity."""
+        A group with a presentation starts from its generators (both of S_n's
+        from degree 3), a group known by its table from none. Greedy ones
+        follow: elements are taken in index order, each one not yet reached
+        becomes a generator, and the set reached from the identity is closed
+        again under left multiplication by the generators. Generators that
+        generate the group leave no element for a greedy one, and each greedy
+        generator at least doubles the reached subgroup, so a table gets at
+        most log2(order) of them. Each element is multiplied once by each
+        generator. Returns the generators and the edges (child, generator,
+        parent), child = generator * parent, in the order reached; the
+        identity is the root and has no edge, and every generator is a
+        child of the identity."""
         if self._tree is None:
             mul = self.mul
             reached = [self.identity]
@@ -168,15 +183,11 @@ class FiniteGroup:
                     i += 1
 
             presentation = self.presentation()
-            if presentation is not None:
-                generators = list(presentation[0])
-                close(generators, 0)
-            else:
-                generators = []
-                for a in range(self.order):
-                    if not seen[a]:
-                        generators.append(a)
-                        close(generators, len(reached))
+            generators = [] if presentation is None else list(presentation[0])
+            close(generators, 0)
+            while len(reached) < self.order:
+                generators.append(seen.index(0))
+                close(generators, len(reached))
             self._tree = (generators, edges)
         return self._tree
 
@@ -213,6 +224,11 @@ class CyclicGroup(FiniteGroup):
             return [], []
         return [1], [((1,) * self.order, ())]
 
+    def certified(self) -> bool:
+        """True with no enumeration: s^k = e bounds the presented group's
+        order by k, and s = 1 has order k."""
+        return True
+
 
 class SymmetricGroup(FiniteGroup):
     """S_n: elements are permutations of {0..n-1}, indexed by lexicographic
@@ -230,6 +246,7 @@ class SymmetricGroup(FiniteGroup):
         self.name = f"S{n}"
         self._images: list[tuple[int, ...]] | None = None
         self._rank_of: dict[tuple[int, ...], int] | None = None
+        self._certified: bool | None = None
 
     def _tables(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
@@ -269,20 +286,31 @@ class SymmetricGroup(FiniteGroup):
         return rank_of[tuple(out)]
 
     def presentation(self) -> _Presentation:
-        """The adjacent transpositions t_i = (i-1 i) for i = 1..n-1, with
-        t_i t_i = e, the braid relations t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1},
-        and the far commutations t_i t_j = t_j t_i for j > i + 1 (Coxeter &
-        Moser, Generators and Relations for Discrete Groups, 1957, 6.2).
-        S6 has 5 generators, 15 relations and 58 letters."""
-        t = []
-        for i in range(self.n - 1):
-            images = list(range(self.n))
-            images[i], images[i + 1] = i + 1, i
-            t.append(lex_rank(tuple(images)))
-        relations = [((a, a), ()) for a in t]
-        relations += [((a, b, a), (b, a, b)) for a, b in zip(t, t[1:])]
-        relations += [((a, b), (b, a)) for i, a in enumerate(t) for b in t[i + 2 :]]
-        return t, relations
+        """s = (0 1) and t = (0 1 ... n-1), with s^2 = t^n = (s t)^(n-1) =
+        (s t^(n-1) s t)^3 = e and (s t^(n-j) s t^j)^2 = e for
+        2 <= j <= n/2 (Coxeter & Moser, Generators and Relations for
+        Discrete Groups, 1957, 6.2); words have no inverse letters, so
+        t^(n-1) stands for t^-1. S2 has s alone with s^2 = e, and S0 and S1
+        no generator. S6 has 2 generators, 6 relations and 74 letters.
+        The generators are ranked with lex_rank, so no element table is
+        built; certified() checks, once, that the relations define S_n."""
+        n = self.n
+        if n < 2:
+            return [], []
+        s = lex_rank((1, 0, *range(2, n)))
+        if n == 2:
+            return [s], [((s, s), ())]
+        t = lex_rank((*range(1, n), 0))
+        relations = [((s, s), ()), ((t,) * n, ()), ((s, t) * (n - 1), ()), ((s, *(t,) * (n - 1), s, t) * 3, ())]
+        relations += [((s, *(t,) * (n - j), s, *(t,) * j) * 2, ()) for j in range(2, n // 2 + 1)]
+        return [s, t], relations
+
+    def certified(self) -> bool:
+        """certify_presentation(self, self.presentation()), run on the
+        first call and kept."""
+        if self._certified is None:
+            self._certified = certify_presentation(self, self.presentation()) is not None
+        return self._certified
 
     def element_repr(self, a: int) -> str:
         return str(list(self.permutation_at(a).images))
@@ -327,6 +355,11 @@ class ProductGroup(FiniteGroup):
         relations += [((a, b), (b, a)) for a in embed_left.values() for b in embed_right.values()]
         return [*embed_left.values(), *embed_right.values()], relations
 
+    def certified(self) -> bool:
+        """Whether both factors' presentations are certified: theirs and the
+        commutators present the direct product of the presented factors."""
+        return self.left.certified() and self.right.certified()
+
     def element_repr(self, a: int) -> str:
         a1, a2 = self._split(a)
         return f"({self.left.element_repr(a1)},{self.right.element_repr(a2)})"
@@ -369,6 +402,160 @@ def make_symmetric(n: int) -> SymmetricGroup:
 def make_product(left: FiniteGroup, right: FiniteGroup) -> ProductGroup:
     """Direct product with componentwise operations."""
     return ProductGroup(left, right)
+
+
+class CosetEnumeration(NamedTuple):
+    """What one coset enumeration found: the index, or None when it stopped
+    at DEFAULT_COSET_CAP, and the cosets it defined on the way."""
+
+    index: Optional[int]
+    defined: int
+
+
+def enumerate_cosets(
+    generators: Sequence[int],
+    relations: Sequence[tuple[Sequence[int], Sequence[int]]],
+    subgroup: Sequence[Sequence[int]],
+) -> CosetEnumeration:
+    """The index, in the group presented by generators and relations, of
+    the subgroup generated by the words in subgroup: Todd-Coxeter coset
+    enumeration in the HLT strategy (Todd & Coxeter, Proc. Edinburgh Math.
+    Soc. 5, 1936; Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, 5.1). Letter 2i is generator i and 2i + 1 its inverse; a
+    relation u = v is the relator u v^-1. The subgroup's words are scanned
+    from coset 0; then each live coset in turn has every relator scanned
+    from it, filling the gaps with new cosets, and its undefined entries
+    defined. A scan that closes two different cosets makes them one
+    (coincidence), and the larger one dies with all its entries moved. The
+    index is the number of live cosets once every live coset is done, or
+    None when a definition would take the cosets defined past
+    DEFAULT_COSET_CAP, read at call time."""
+    cap = DEFAULT_COSET_CAP
+    letter = {g: 2 * i for i, g in enumerate(generators)}
+    relators = [w for w in ([letter[x] for x in u] + [letter[x] ^ 1 for x in reversed(v)] for u, v in relations) if w]
+    width = 2 * len(generators)
+    table = [[-1] * width]
+    parent = [0]  # parent[c] == c exactly while coset c lives
+
+    class Full(Exception):
+        pass
+
+    def define(c: int, x: int) -> None:
+        d = len(table)
+        if d >= cap:
+            raise Full
+        table.append([-1] * width)
+        parent.append(d)
+        table[c][x] = d
+        table[d][x ^ 1] = c
+
+    def rep(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def merge(a: int, b: int, dead: list[int]) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            dead.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        dead: list[int] = []
+        merge(a, b, dead)
+        for gamma in dead:  # grows while it is read
+            for x, delta in enumerate(table[gamma]):
+                if delta < 0:
+                    continue
+                table[delta][x ^ 1] = -1
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] >= 0:
+                    merge(nu, table[mu][x], dead)
+                elif table[nu][x ^ 1] >= 0:
+                    merge(mu, table[nu][x ^ 1], dead)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(c: int, word: list[int]) -> None:
+        f, i, b, j = c, 0, c, len(word) - 1
+        while True:
+            while i <= j:
+                d = table[f][word[i]]
+                if d < 0:
+                    break
+                f, i = d, i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                d = table[b][word[j] ^ 1]
+                if d < 0:
+                    break
+                b, j = d, j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][word[i]] = b
+                table[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    try:
+        for word in subgroup:
+            scan_and_fill(0, [letter[x] for x in word])
+        c = 0
+        while c < len(table):
+            for word in relators:
+                if parent[c] != c:
+                    break
+                scan_and_fill(c, word)
+            if parent[c] == c:
+                for x in range(width):
+                    if table[c][x] < 0:
+                        define(c, x)
+            c += 1
+    except Full:
+        return CosetEnumeration(None, len(table))
+    return CosetEnumeration(sum(1 for c, p in enumerate(parent) if c == p), len(table))
+
+
+def certify_presentation(group: FiniteGroup, presentation: _Presentation) -> Optional[CosetEnumeration]:
+    """The coset enumeration that shows presentation to define group
+    exactly, or None when it does not. The relations must hold in group
+    and the generators reach every element of spanning_tree(), so the
+    presented group maps onto group. The enumeration (enumerate_cosets)
+    takes the cosets of the subgroup generated by the last generator t,
+    whose order is at most m for the shortest relation t^m = e listed;
+    index times m then bounds the presented group's order, and a bound
+    equal to |group| makes the map an isomorphism. With no generator the
+    presented group is trivial. An enumeration stopped by the coset cap,
+    another index, or no relation t^m = e leaves it uncertified."""
+    generators, relations = presentation
+
+    def product(word: Sequence[int]) -> int:
+        return reduce(group.mul, word, group.identity)
+
+    if any(product(u) != product(v) for u, v in relations) or group.spanning_tree()[0] != list(generators):
+        return None
+    subgroup: list[tuple[int, ...]] = []
+    bound: Optional[int] = 1
+    if generators:
+        t = generators[-1]
+        subgroup = [(t,)]
+        bound = min((len(u) for u, v in relations if u and not v and set(u) == {t}), default=None)
+    if bound is None:
+        return None
+    enumeration = enumerate_cosets(generators, relations, subgroup)
+    if enumeration.index is None or enumeration.index * bound != group.order:
+        return None
+    return enumeration
 
 
 def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:

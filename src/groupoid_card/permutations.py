@@ -20,6 +20,9 @@ DEFAULT_PARTITION_CAP = 40
 # default --all-p sweep up to DEFAULT_PARTITION_CAP fits (degree 40 reads
 # 3 225 386 terms).
 DEFAULT_TYPE_TERM_CAP = 4_000_000
+# Most p-vectors one --all-p sweep may list. The largest default sweep that
+# the degree caps let run, degree 40, lists 39 636.
+DEFAULT_SWEEP_CAP = 1_000_000
 
 
 class CapExceededError(ValueError):
@@ -411,6 +414,25 @@ def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = N
                 added[w] -= counts[w - span]
         counts = added
     return counts
+
+
+def check_sweep_cap(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
+    """Refuse the sweep iter_pvectors(n, max_entry, max_weight) when it
+    lists more than DEFAULT_SWEEP_CAP p-vectors, read at call time, before
+    any is listed. Every p-vector with p_k <= max_weight // (k n) for each k
+    has weight at most max_weight, so the product of those ranges bounds the
+    count from below, and a bound over the cap refuses at once. Otherwise
+    the sweep is counted exactly by pvector_weight_counts, and the bound
+    keeps the weights it spans to about DEFAULT_SWEEP_CAP at most."""
+    if max_weight is None:
+        max_weight = n
+    count = 1
+    for k in range(1, n + 1):
+        count *= min(max_entry, max_weight // (k * n)) + 1
+    if count <= DEFAULT_SWEEP_CAP:
+        count = sum(pvector_weight_counts(n, max_entry, max_weight))
+    if count > DEFAULT_SWEEP_CAP:
+        raise CapExceededError(f"the sweep lists at least {count} p-vectors at degree {n}, above the sweep cap {DEFAULT_SWEEP_CAP}")
 
 
 # For each k with p_k > 0: (k, ordered tuple of p_k distinct canonical cycles).

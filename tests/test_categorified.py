@@ -167,10 +167,10 @@ def test_bridge_identity_small_sweep(n):
 @pytest.mark.parametrize("n, p, mode", [(5, (0, 1, 1, 0, 0), "exhaustive"),
                                          (6, (0, 0, 0, 0, 0, 1), "exhaustive")])
 def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
-    """The Q-action reads the rows of the n - 1 adjacent transpositions and
-    checks the Coxeter relations of S_n on them: (k + L) |Q| reads, with
-    L = 38 letters at n=5 and 58 at n=6. At n=6 that is 7 560 reads where a
-    sample of 5 000 triples was once drawn."""
+    """The Q-action reads the rows of the two generators s = (0 1) and
+    t = (0 1 ... n-1) and checks the relations of S_n on them: (k + L) |Q|
+    reads, with L = 50 letters at n=5 and 74 at n=6. At n=6 that is 9 120
+    reads where a sample of 5 000 triples was once drawn."""
     built = []
 
     def recording(*args):
@@ -183,8 +183,8 @@ def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
     (action,) = built
     assert action._validation.ok
     assert action._validation.mode == mode
-    letters = {5: 38, 6: 58}[n]
-    assert action._validation.checks == (n - 1 + letters) * action.carrier_size
+    letters = {5: 50, 6: 74}[n]
+    assert action._validation.checks == (2 + letters) * action.carrier_size
 
 
 def test_cycle_tuple_action_is_valid():

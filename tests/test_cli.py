@@ -290,7 +290,7 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     traceback. A JSON functor on the Cayley table of Z/4 (one greedy
     generator) with 2-point fibers takes the row compare, which reads
     (k + 1) |G| (1 + total) = 2 * 4 * 9 = 72 values; the built-in Q-action
-    of S4 on 6 points reads (3 + 22) * 6 = 150 for the relator check."""
+    of S4 on 6 points reads (2 + 42) * 6 = 264 for the relator check."""
     parity = {
         "group": to_cayley_json(make_cyclic(4)),
         "fibers": {str(g): 2 for g in range(4)},
@@ -305,8 +305,8 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error: law check of 'parity-json' needs 72 reads, above the check cap 71\n"
     code, out, err = run_cli(["verify-categorified", "--n", "4", "--p", "0,2,0,0"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: law check of 'S4 on Q[0, 2, 0, 0]' needs 150 reads, above the check cap 71\n"
-    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 150)
+    assert err == "error: law check of 'S4 on Q[0, 2, 0, 0]' needs 264 reads, above the check cap 71\n"
+    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 264)
     code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["equal"] is True
@@ -316,13 +316,13 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch):
     """S9 on Q for p = 0 has 9! points; its relator check would read
-    (8 + 142) * 362 880 = 54 432 000 values. The carrier is counted over
+    (2 + 126) * 362 880 = 46 448 640 values. The carrier is counted over
     cycle types and refused, with the refusal its check would give, before
     any permutation is enumerated or S9 is walked. A sweep is refused the
     same way, before its one walk, at its first p-vector over the cap."""
     refuse = forbid(permutations.enumerate_permutations, permutations.list_cycle_tuples, categorified._cycle_minima_walk)
     monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
-    expected = "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 54432000 reads, above the check cap 10000000\n"
+    expected = "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 46448640 reads, above the check cap 10000000\n"
     for argv in (["--p", "0,0,0,0,0,0,0,0,0"], ["--all-p"]):
         code, out, err = run_cli(["verify-categorified", "--n", "9", *argv], capsys)
         assert (code, out, err) == (2, "", expected)
@@ -334,8 +334,8 @@ def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(
 ], ids=["fixed-points", "cycle-tuples"])
 def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch, argv, name):
     """Both S9 functors have 9! fiber points in all; their relator check
-    would read 8 * 362 880 fiber sizes and (8 + 142) * 362 880 points,
-    57 335 040 values. The total is known before any fiber is built, so the
+    would read 2 * 362 880 fiber sizes and (2 + 126) * 362 880 points,
+    47 174 400 values. The total is known before any fiber is built, so the
     functor is refused first, with the refusal its check would give."""
     refuse = forbid(permutations.list_cycle_tuples)
     monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
@@ -343,7 +343,7 @@ def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsy
     code, out, err = run_cli(["theorem-general", *argv], capsys)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == f"error: law check of {name!r} needs 57335040 reads, above the check cap 10000000\n"
+    assert err == f"error: law check of {name!r} needs 47174400 reads, above the check cap 10000000\n"
 
 
 def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
@@ -364,10 +364,10 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
     assert payload["lhs_skeleton"] == payload["rhs_skeleton"] == {"components": []}
     assert (payload["q_size"], payload["lhs_card"], payload["bridge_check"]) == (0, "0/1", True)
     refusals = [
-        (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 67858560"),
-        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 711244800"),
+        (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 59512320"),
+        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 602380800"),
         (["theorem-general", "--builtin", "cycle-tuples", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"],
-         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 100517760"),
+         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 66769920"),
     ]
     for argv, needs in refusals:
         code, out, err = run_cli(argv, capsys)
@@ -376,7 +376,7 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
 
 
 def test_empty_carrier_at_degree_ten_keeps_no_row_per_element(capsys):
-    """The relator check of an empty carrier reads its 9 generator rows, each
+    """The relator check of an empty carrier reads its 2 generator rows, each
     empty: only the rows read are kept, not a list of 3 628 800 placeholders
     (about 29 MB)."""
     tracemalloc.start()
@@ -482,6 +482,60 @@ def test_cycle_type_sweep_above_the_type_term_cap_lists_no_pvector(capsys, forbi
         main(["verify-lemma", "--n", "40", "--all-p", "--method", "cycle-type"])
     code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "brute"], capsys)
     assert (code, out, err) == (2, "", "error: degree 40 exceeds enumeration cap 10\n")
+
+
+HUGE_SWEEP = ["--n", "10", "--all-p", "--max-entry", "1000", "--max-weight", "1000"]
+
+
+def test_sweep_above_the_sweep_cap_exits_2():
+    """Degree 10 with entries and weight up to 1 000 spans 99 956 279 219 002 873
+    p-vectors: the sweep is refused at once, with exit code 2, one line
+    naming the cap, and no traceback."""
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", "verify-lemma", *HUGE_SWEEP],
+                            capture_output=True, text=True, timeout=60, preexec_fn=_address_space_limit)
+    assert time.perf_counter() - start < 2
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: the sweep lists at least ") and result.stderr.count("\n") == 1
+    assert result.stderr.endswith(f" p-vectors at degree 10, above the sweep cap {permutations.DEFAULT_SWEEP_CAP}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", *HUGE_SWEEP],
+    ["verify-lemma", *HUGE_SWEEP, "--method", "cycle-type"],
+    ["verify-categorified", *HUGE_SWEEP],
+])
+def test_sweep_above_the_sweep_cap_lists_no_pvector(capsys, forbid, monkeypatch, argv):
+    from groupoid_card import cli
+
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the sweep was listed")
+        yield
+
+    monkeypatch.setattr(cli, "iter_pvectors", unlisted)
+    forbid(permutations.validate_pvector)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the sweep lists at least ") and err.endswith(f"above the sweep cap {permutations.DEFAULT_SWEEP_CAP}\n")
+
+
+def test_sweep_cap_counts_exactly_and_is_read_at_call_time(capsys, monkeypatch):
+    """One vector over the cap refuses a sweep, with its exact count; at the
+    cap it runs. The largest default sweep the degree caps let run,
+    degree 40, is not refused, and a degree cap still refuses first."""
+    count = sum(permutations.pvector_weight_counts(4))
+    monkeypatch.setattr(permutations, "DEFAULT_SWEEP_CAP", count - 1)
+    for argv in (["verify-lemma", "--n", "4", "--all-p"], ["verify-categorified", "--n", "4", "--all-p"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: the sweep lists at least {count} p-vectors at degree 4, above the sweep cap {count - 1}\n")
+    monkeypatch.setattr(permutations, "DEFAULT_SWEEP_CAP", count)
+    code, out, err = run_cli(["verify-lemma", "--n", "4", "--all-p"], capsys)
+    assert (code, err, json.loads(out)["count"]) == (0, "", count)
+    monkeypatch.undo()
+    assert sum(permutations.pvector_weight_counts(40)) == 39636
+    permutations.check_sweep_cap(40)
+    code, out, err = run_cli(["verify-lemma", "--n", "50", "--all-p", "--max-entry", "1000", "--max-weight", "1000", "--method", "cycle-type"], capsys)
+    assert (code, out, err) == (2, "", "error: degree 50 exceeds partition cap 40\n")
 
 
 def recursive_label_json(label):

@@ -168,14 +168,14 @@ def test_malformed_bijection_is_caught():
 
 def test_sampled_validation_mode():
     """No sampled mode: the S4 fixed-point functor's relator check reads
-    k |G| + (k + L) * total = 3 * 24 + (3 + 22) * 24 = 672 values, 22 letters
-    in the Coxeter relations of S4 and one fixed-point pair per orbit and
-    element; one read fewer in the cap refuses it."""
-    with law_caps(671):
-        with pytest.raises(CapExceededError, match="needs 672 reads, above the check cap 671"):
+    k |G| + (k + L) * total = 2 * 24 + (2 + 42) * 24 = 1 104 values, 42
+    letters in the two-generator relations of S4 and one fixed-point pair
+    per orbit and element; one read fewer in the cap refuses it."""
+    with law_caps(1103):
+        with pytest.raises(CapExceededError, match="needs 1104 reads, above the check cap 1103"):
             validate_functor(make_fixed_point_functor(4))
-    with law_caps(672):
-        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, "exhaustive", 672)
+    with law_caps(1104):
+        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, "exhaustive", 1104)
 
 
 def test_law_caps_switch_both_validators():
@@ -190,14 +190,14 @@ def test_law_caps_switch_both_validators():
     def build():
         return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)], name="centralizers(S4)")
 
-    functor_cost = 4 * 24 * (1 + sum(sizes))
+    functor_cost = 3 * 24 * (1 + sum(sizes))
     with law_caps(functor_cost - 1):
         with pytest.raises(CapExceededError, match=rf"'centralizers\(S4\)' needs {functor_cost} reads, above the check cap {functor_cost - 1}"):
             validate_functor(build())
     functor = build()
     with law_caps(functor_cost):
         assert validate_functor(functor).ok
-        action_cost = sum(sizes) + 4 * 24 * sum(sizes)
+        action_cost = sum(sizes) + 3 * 24 * sum(sizes)
         assert action_cost > functor_cost
         with pytest.raises(CapExceededError, match="above the check cap"):
             category_of_elements(functor).validate()
@@ -205,15 +205,15 @@ def test_law_caps_switch_both_validators():
 
 
 def test_n6_fixed_point_functor_is_exhaustive():
-    """Over the 5 adjacent transpositions of S6, with its 15 relations of 58
-    letters, the check reads 5 * 720 fiber sizes and (5 + 58) * 1 * 720
-    points of the category of elements, where sampling once drew 5 000
-    triples; its action checks the relations again and walks the tree."""
+    """Over the 2 generators of S6, with its 6 relations of 74 letters, the
+    check reads 2 * 720 fiber sizes and (2 + 74) * 1 * 720 points of the
+    category of elements, where sampling once drew 5 000 triples; its
+    action checks the relations again and walks the tree."""
     functor = make_fixed_point_functor(6)
-    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 5 * 720 + (5 + 58) * 720)
+    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 2 * 720 + (2 + 74) * 720)
     action = category_of_elements(functor)
-    assert action.validate() == ActionValidation(True, "exhaustive", (5 + 58) * 720)
-    assert [row is not None for row in action._rows].count(True) == 5
+    assert action.validate() == ActionValidation(True, "exhaustive", (2 + 74) * 720)
+    assert [row is not None for row in action._rows].count(True) == 2
     # One orbit per conjugacy class of S5, the stabilizer of a point.
     orbits = orbit_decomposition(action)
     assert len(orbits) == 7 and sum(o.size for o in orbits) == 720
@@ -222,15 +222,15 @@ def test_n6_fixed_point_functor_is_exhaustive():
 
 def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
     """The S6 fixed-point functor's relator check, its category of elements
-    and the orbit walk read the conjugation rows of the 5 generators only:
-    at most 5 of the 720 rows are filled, not a 720 x 720 table."""
+    and the orbit walk read the conjugation rows of the 2 generators only:
+    at most 2 of the 720 rows are filled, not a 720 x 720 table."""
     group = groups.SymmetricGroup(6)  # fresh, so no row is filled yet
     monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
     functor = make_fixed_point_functor(6)
     assert validate_functor(functor).ok
     assert orbit_decomposition(category_of_elements(functor))
     filled = list(group._conjugation_table())
-    assert len(filled) <= 5
+    assert len(filled) <= 2
     assert set(filled) <= set(group.presentation()[0])
 
 
@@ -263,7 +263,7 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     rows only, and no multiplication row."""
     group = make_symmetric(5)
     generators = group.spanning_tree()[0]
-    assert len(generators) == 4
+    assert len(generators) == 2
     read = {"multiplication_row": [], "conjugation_row": []}
     for method in read:
         original = getattr(group, method)
@@ -272,12 +272,12 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     functor = EquivariantFunctor(group, builtin.fiber_sizes, builtin.transport)
     total = functor.total_size
     assert total == 120
-    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 4 * 120 + 120 + 4 * 120 * total)
+    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 2 * 120 + 120 + 2 * 120 * total)
     assert read["multiplication_row"] == generators
     assert read["conjugation_row"] == generators + list(range(120))
     read["conjugation_row"].clear()
-    # 10 relations of 38 letters
-    assert validate_functor(builtin) == FunctorValidation(True, "exhaustive", 4 * 120 + (4 + 38) * total)
+    # 5 relations of 50 letters
+    assert validate_functor(builtin) == FunctorValidation(True, "exhaustive", 2 * 120 + (2 + 50) * total)
     assert read == {"multiplication_row": generators, "conjugation_row": generators}
 
 

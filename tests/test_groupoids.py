@@ -464,14 +464,14 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     for the k generators s only, and reports those |S| + k |G| |S| checks."""
     group = groups.SymmetricGroup(5)
     generators = group.spanning_tree()[0]
-    assert len(generators) == 4
+    assert len(generators) == 2
     read = {"multiplication_row": [], "conjugation_row": []}
     for method in read:
         original = getattr(group, method)
         monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
     action = conjugation_action(group)
     report = action.validate()
-    assert report == ActionValidation(True, "exhaustive", 120 + 4 * 120 * 120)
+    assert report == ActionValidation(True, "exhaustive", 120 + 2 * 120 * 120)
     assert read == {"multiplication_row": generators, "conjugation_row": []}
 
 

@@ -9,13 +9,15 @@ that does."""
 
 import functools
 import itertools
+import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import groups
-from groupoid_card.categorified import cycle_tuple_action, verify_categorified
+from groupoid_card.categorified import cycle_tuple_action, cycle_tuple_actions, verify_categorified
 from groupoid_card.functors import (
     EquivariantFunctor,
     category_of_elements,
@@ -26,7 +28,7 @@ from groupoid_card.functors import (
     verify_general_theorem,
 )
 from groupoid_card.groupoids import GroupAction, first_law_failure, first_relation_failure, orbit_decomposition
-from groupoid_card.permutations import iter_pvectors
+from groupoid_card.permutations import CapExceededError, iter_pvectors
 from law_cases import law_caps
 
 PRESENTED = {
@@ -81,27 +83,26 @@ def test_relations_hold_in_the_group(name):
 
 
 def test_presentation_sizes():
-    for n, (k, relations, letters) in {0: (0, 0, 0), 1: (0, 0, 0), 2: (1, 1, 2), 3: (2, 3, 10), 6: (5, 15, 58)}.items():
+    for n, (k, relations, letters) in {0: (0, 0, 0), 1: (0, 0, 0), 2: (1, 1, 2), 3: (2, 4, 24), 6: (2, 6, 74)}.items():
         generators, rels = groups.SymmetricGroup(n).presentation()
         assert (len(generators), len(rels), sum(len(a) + len(b) for a, b in rels)) == (k, relations, letters)
-    # s^5 = e; and the factors' 1 + 10 letters plus 2 * 2 commutators of 4 letters.
+    # s^5 = e; and the factors' 2 + 24 letters plus 2 commutators of 4 letters.
     assert groups.CyclicGroup(5).presentation() == ([1], [((1,) * 5, ())])
     z2_s3 = PRESENTED["Z2xS3"]().presentation()
-    assert (len(z2_s3[1]), sum(len(a) + len(b) for a, b in z2_s3[1])) == (1 + 3 + 2, 2 + 10 + 8)
+    assert (len(z2_s3[1]), sum(len(a) + len(b) for a, b in z2_s3[1])) == (1 + 4 + 2, 2 + 24 + 8)
     cayley = groups.from_cayley_table(groups.CyclicGroup(4).multiplication_table())
     assert cayley.presentation() is None
     assert groups.ProductGroup(cayley, groups.CyclicGroup(2)).presentation() is None
 
 
 # Every assignment of permutations of a small carrier to the generators.
-# Each relation family is needed by some assignment here: on three points,
-# t1 = t2 = a 3-cycle satisfies only the braid relation of S3; t1 = e,
-# t2 = (0 1) satisfies t_i^2 but not the braid; (0 1), (0 2), (1 2) for
-# t1, t2, t3 satisfy all of S4's relations but t1 t3 = t3 t1; a transposition
-# for the generator of Z3 breaks only s^3; and (0 1), (1 2) for Z2 x Z2 break
-# only the commutator.
+# Some assignments here break one relation alone, so the verdict rests on
+# it: s^2 of S2 and S3, (s t)^2 of S3, (s t)^3 of S4 on three points, and
+# s^2 and (s t)^3 of S4 on four; a transposition for the generator of Z3
+# breaks only s^3; and (0 1), (1 2) for Z2 x Z2 break only the commutator.
+# That the relations define S_n exactly is the certificate's to show (below).
 ASSIGNMENT_CASES = [("S2", 3), ("S3", 3), ("S4", 3), ("S5", 2), ("Z2", 3), ("Z3", 3), ("Z4", 3),
-                    ("Z2xZ2", 3), ("Z2xZ3", 3), ("Z2xS3", 3)]
+                    ("Z2xZ2", 3), ("Z2xZ3", 3), ("Z2xS3", 3), ("S4", 4), ("S5", 4)]
 
 
 @pytest.mark.parametrize("name, size", ASSIGNMENT_CASES)
@@ -189,10 +190,10 @@ def test_relator_route_reads_only_the_generator_rows():
     report = action.validate()
     generators, relations = group.presentation()
     assert report.ok and report.mode == "exhaustive"
-    assert report.checks == (3 + 22) * 6
-    assert sorted(set(reads)) == sorted(generators) and len(reads) == 3 * 6
+    assert report.checks == (2 + 42) * 6
+    assert sorted(set(reads)) == sorted(generators) and len(reads) == 2 * 6
     assert [o.size for o in orbit_decomposition(action)] == [6]
-    assert len(reads) == 3 * 6
+    assert len(reads) == 2 * 6
 
 
 def broken_q_action(n, p, point=0):
@@ -214,8 +215,8 @@ def test_a_failed_relation_is_reported_not_refused():
     relator check's reads and the row compare's, it names the relation:
     never a refusal."""
     group, size, act = broken_q_action(4, (1, 1, 0, 0))
-    relator_reads = (3 + 22) * size
-    row_reads = size + 4 * 24 * size
+    relator_reads = (2 + 42) * size
+    row_reads = size + 3 * 24 * size
     report = GroupAction(group, size, act, _presented=True).validate()
     assert not report.ok and report == GroupAction(group, size, act).validate()
     assert report.failure.startswith("compatibility fails at (g=1, h=6, s=0)")
@@ -240,7 +241,7 @@ def test_a_failed_functor_relation_is_reported_not_refused():
     report = validate_functor(build(True))
     assert not report.ok and report == validate_functor(build(False))
     assert report.failing_law == "composition"
-    k, letters, total = 3, 22, base.total_size
+    k, letters, total = 2, 42, base.total_size
     with law_caps(k * 24 + (k + letters) * total):
         narrow = validate_functor(build(True))
     assert narrow.failing_law == "relation" and narrow.witness == ((6, 6), (), 0)
@@ -286,3 +287,156 @@ def test_small_degrees_and_empty_carriers(n, p):
     assert theorem.equal
     if action.carrier_size == 0:
         assert orbit_decomposition(action) == [] and theorem.orbits == ()
+
+
+def test_coset_enumeration_on_known_groups(monkeypatch):
+    """A5 = <a, b | a^2 = b^3 = (a b)^5 = e> has order 60; a b = b^2 a and
+    b a = a^2 b present the trivial group, reached only through
+    coincidences; a free group never closes."""
+    a, b = 1, 2
+    a5 = [((a, a), ()), ((b, b, b), ()), ((a, b) * 5, ())]
+    assert [groups.enumerate_cosets([a, b], a5, subgroup).index for subgroup in ([], [(a,)], [(b,)], [(a, b)])] == [60, 30, 20, 12]
+    trivial = [((a, b), (b, b, a)), ((b, a), (a, a, b))]
+    assert groups.enumerate_cosets([a, b], trivial, []).index == 1
+    assert groups.enumerate_cosets([a, b], a5, []).defined == 82
+    monkeypatch.setattr(groups, "DEFAULT_COSET_CAP", 81)
+    assert groups.enumerate_cosets([a], [], []) == (None, 81)
+    assert groups.enumerate_cosets([a, b], a5, []) == (None, 81)
+
+
+def without(relations, drop):
+    return [relation for relation in relations if relation != drop]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_presentation_of_s_n_is_certified(n):
+    """The cosets of <t> close at index (n - 1)!, and t^n = e bounds <t> by
+    n, so the presented group has order at most n!; the relations hold in
+    S_n and s, t reach all of it, so it is S_n."""
+    group = groups.SymmetricGroup(n)
+    enumeration = groups.certify_presentation(group, group.presentation())
+    assert enumeration is not None and group.certified()
+    assert enumeration.index == math.factorial(max(n - 1, 0))
+    assert enumeration.defined <= groups.DEFAULT_COSET_CAP
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_dropping_a_load_bearing_relation_fails_the_certificate(monkeypatch, n):
+    """Without s^2 or (s t)^(n-1) the enumeration runs into the coset cap
+    (patched low here, well above the 1 947 cosets S7 needs); without t^n
+    the index is still (n - 1)!, but nothing bounds <t>."""
+    monkeypatch.setattr(groups, "DEFAULT_COSET_CAP", 20_000)
+    group = groups.SymmetricGroup(n)
+    generators, relations = group.presentation()
+    s, t = generators
+    assert groups.certify_presentation(group, (generators, relations)) is not None
+    for drop in [((s, s), ()), ((s, t) * (n - 1), ()), ((t,) * n, ())]:
+        assert drop in relations
+        assert groups.certify_presentation(group, (generators, without(relations, drop))) is None, drop
+    rest = without(relations, ((t,) * n, ()))
+    assert groups.enumerate_cosets(generators, rest, [(t,)]).index == math.factorial(n - 1)
+
+
+def test_a_presentation_that_fails_in_the_group_is_not_certified():
+    group = groups.SymmetricGroup(4)
+    generators, relations = group.presentation()
+    s, t = generators
+    assert groups.certify_presentation(group, (generators, relations + [((s, t), (t, s))])) is None
+    assert groups.certify_presentation(group, ([s], [((s, s), ())])) is None
+
+
+def test_cyclic_and_product_groups_are_certified_without_enumeration(forbid):
+    s3 = groups.SymmetricGroup(3)
+    assert s3.certified()
+    forbid(groups.enumerate_cosets, groups.certify_presentation)
+    assert all(groups.CyclicGroup(k).certified() for k in range(1, 7))
+    assert groups.ProductGroup(groups.CyclicGroup(2), groups.CyclicGroup(3)).certified()
+    assert groups.ProductGroup(groups.CyclicGroup(4), s3).certified()
+    cayley = groups.from_cayley_table(groups.CyclicGroup(4).multiplication_table())
+    assert not cayley.certified()
+    assert not groups.ProductGroup(cayley, groups.CyclicGroup(2)).certified()
+
+
+def test_refusals_empty_carriers_and_size_reads_certify_nothing(forbid, monkeypatch):
+    """A check-cap refusal reads the presentation's size only, and an empty
+    carrier has no point to check: neither runs an enumeration."""
+
+    def uncertifiable(group):
+        raise AssertionError("a presentation was certified")
+
+    forbid(groups.enumerate_cosets, groups.certify_presentation)
+    monkeypatch.setattr(groups.SymmetricGroup, "certified", uncertifiable)
+    for n in range(11):
+        groups.SymmetricGroup(n).presentation()
+    with pytest.raises(CapExceededError):
+        next(cycle_tuple_actions(9, [(0,) * 9]))
+    with pytest.raises(CapExceededError):
+        make_fixed_point_functor(9)
+    with law_caps(10):
+        with pytest.raises(CapExceededError):
+            cycle_tuple_action(4, (1, 1, 0, 0)).validate()
+        with pytest.raises(CapExceededError):
+            validate_functor(make_fixed_point_functor(3))
+    assert cycle_tuple_action(4, (0, 0, 0, 2)).validate().ok
+    assert validate_functor(make_cycle_tuple_functor(3, (0, 0, 2))).ok
+
+
+@pytest.mark.parametrize("name", ["S3", "S4"])
+def test_an_uncertified_presentation_is_never_a_pass(monkeypatch, name):
+    """With the coset cap patched to 1 no enumeration of S3 or S4 closes,
+    so the relator route gives the row compare's report, true action or
+    broken, also under a check cap that fits the relator check: there the
+    check is refused when the row compare does not fit."""
+    monkeypatch.setattr(groups, "DEFAULT_COSET_CAP", 1)
+    _, tables = true_actions(name)
+    for table in tables[-3:]:
+        size = len(table[0])
+        broken = [list(row) for row in table]
+        broken[PRESENTED[name]().presentation()[0][-1]][0] = (table[1][0] + 1) % size
+        for rows in (table, broken):
+            group = PRESENTED[name]()
+            act = lambda g, x, rows=rows: rows[g][x]
+            report = GroupAction(group, size, act, _presented=True).validate()
+            assert not group.certified()
+            assert report == GroupAction(group, size, act).validate()
+            generators, relations = group.presentation()
+            relator_reads = (len(generators) + sum(len(u) + len(v) for u, v in relations)) * size
+            row_reads = size + (len(generators) + 1) * group.order * size
+            with law_caps(relator_reads):
+                if row_reads > relator_reads:
+                    with pytest.raises(CapExceededError):
+                        GroupAction(group, size, act, _presented=True).validate()
+                else:
+                    assert GroupAction(group, size, act, _presented=True).validate() == report
+
+
+def test_an_uncertified_functor_presentation_is_never_a_pass(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_COSET_CAP", 1)
+    base = make_fixed_point_functor(4)
+    group = groups.SymmetricGroup(4)
+
+    def build(presented):
+        return EquivariantFunctor(group, base.fiber_sizes, base.transport, name="fixed", _presented=presented)
+
+    assert validate_functor(build(True)) == validate_functor(build(False))
+    assert not group.certified()
+    with law_caps(validate_functor(base).checks):
+        with pytest.raises(CapExceededError):
+            validate_functor(build(True))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sympy_orders_the_presented_group(n):
+    """An independent oracle, when sympy is installed: its coset
+    enumeration orders the presented group at n!."""
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    free_groups = pytest.importorskip("sympy.combinatorics.free_groups")
+    generators, relations = groups.SymmetricGroup(n).presentation()
+    free, *letters = free_groups.free_group("s t")
+    letter = dict(zip(generators, letters))
+
+    def word(w):
+        return functools.reduce(operator.mul, (letter[x] for x in w), free.identity)
+
+    presented = fp_groups.FpGroup(free, [word(u) * word(v) ** -1 for u, v in relations])
+    assert presented.order() == math.factorial(n)
