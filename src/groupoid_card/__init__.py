@@ -5,14 +5,16 @@ group orders) and weak quotients of finite group actions; all cardinalities
 are exact rationals. Cycle statistics of uniform random permutations are
 computed by two independent exact methods plus a seeded Monte Carlo route,
 and the equivalence between the decorated-permutation groupoid and its
-product form is verified at the skeleton level.
+product form is verified at the skeleton level. A conjugation-equivariant
+functor is checked as its category of elements: one law pass over that
+action validates both, and its weak quotient's cardinality must equal the
+functor's average fiber size.
 """
 
 from .categorified import (
     CategorifiedReport,
     DecoratedPermutation,
     build_Q,
-    c_groupoid_skeleton,
     categorified_rhs_skeleton,
     cycle_tuple_action,
     cycle_tuple_actions,
@@ -35,7 +37,6 @@ from .cycle_stats import (
     expected_total_cycles,
     monte_carlo_moment,
     monte_carlo_moments,
-    poisson_factorial_moment,
     uncorrelated_check,
     verify_cll,
     verify_clls,
@@ -75,7 +76,6 @@ from .groupoids import (
     GroupAction,
     GroupoidSkeleton,
     Orbit,
-    Rational,
     SkeletonComponent,
     cardinality,
     cardinality_via_outdegrees,
@@ -83,7 +83,6 @@ from .groupoids import (
     coproduct,
     delooping,
     orbit_decomposition,
-    parse_rational,
     perm_groupoid_skeleton,
     power,
     product,
@@ -103,11 +102,8 @@ from .permutations import (
     all_cycle_types,
     canonical_cycle,
     conjugate_permutation,
-    count_with_cycle_type,
-    cycle_count,
     cycle_counts,
     cycle_decomposition,
-    cycle_type,
     cycle_type_table,
     enumerate_permutations,
     falling_power,

@@ -209,12 +209,6 @@ def cycle_tuple_action(n: int, p: Sequence[int]) -> GroupAction:
     return next(cycle_tuple_actions(n, [p]))
 
 
-def c_groupoid_skeleton(n: int, p: Sequence[int]) -> GroupoidSkeleton:
-    """Skeleton of the groupoid of cycle-decorated permutations, computed as
-    the weak quotient of the decorated-permutation action."""
-    return skeleton_from_orbits(orbit_decomposition(cycle_tuple_action(n, p)))
-
-
 def categorified_rhs_skeleton(n: int, p: Sequence[int]) -> GroupoidSkeleton:
     """Skeleton of Perm_{n-|p|} x prod_k B(Z/k)^{p_k}, built from constructors.
     Empty whenever weight(p) > n, via the empty permutation groupoid."""

@@ -213,11 +213,21 @@ def check_cycle_type_sweep(n: int, max_entry: int = 2, max_weight: int | None = 
     """Refuse the sweep iter_pvectors(n, max_entry, max_weight) as
     decorated_permutation_counts would, with the same message, before any
     p-vector is listed: the partition cap first, then the type-term cap on
-    sum_w count[w] p(n - w) over the pvector_weight_counts."""
+    sum_w count[w] p(n - w) over the pvector_weight_counts. Only weights up
+    to n read terms. When max_weight does not bind, at or above the largest
+    weight max_entry n(n+1)/2, the sweep is every vector, (max_entry + 1)^n
+    of them, and no weight above n is counted."""
     check_partition_cap(n)
-    counts = pvector_weight_counts(n, max_entry, max_weight)
+    if max_weight is None:
+        max_weight = n
+    if 0 <= max_entry and max_entry * n * (n + 1) // 2 <= max_weight:
+        counts = pvector_weight_counts(n, max_entry, n)
+        vectors = (max_entry + 1) ** n
+    else:
+        counts = pvector_weight_counts(n, max_entry, max_weight)
+        vectors = sum(counts)
     partitions = partition_counts(n)
-    check_type_term_cap(n, sum(counts), sum(count * partitions[n - w] for w, count in enumerate(counts[: n + 1])))
+    check_type_term_cap(n, vectors, sum(count * partitions[n - w] for w, count in enumerate(counts[: n + 1])))
 
 
 def expected_products_by_type(n: int, ps: Sequence[Sequence[int]]) -> list[Fraction]:
@@ -284,13 +294,6 @@ def expected_total_cycles(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
-def poisson_factorial_moment(mu: Fraction, p: int) -> Fraction:
-    """p-th falling-factorial moment of a Poisson variable with mean mu: mu^p."""
-    if p < 0:
-        raise ValueError(f"moment order must be nonnegative, got {p}")
-    return Fraction(mu) ** p
-
-
 def uncorrelated_check(n: int, j: int, k: int) -> MomentReport:
     """Verify E(c_j c_k) = E(c_j) E(c_k) exactly, which requires j != k and
     j + k <= n (beyond that the left side vanishes while the right does not)."""
@@ -306,13 +309,6 @@ def uncorrelated_check(n: int, j: int, k: int) -> MomentReport:
     lhs, mean_j, mean_k = expected_products_by_type(n, [pair, ej, ek])
     rhs = mean_j * mean_k
     return MomentReport(n=n, p=pair, method=METHOD_CYCLE_TYPE, lhs=lhs, rhs=rhs, equal=lhs == rhs)
-
-
-def sample_permutation(n: int, rng: SplitMix64) -> list[int]:
-    """One uniform permutation as an image list, via the unbiased shuffle."""
-    images = list(range(n))
-    rng.shuffle(images)
-    return images
 
 
 def check_monte_carlo_degree(n: int) -> None:

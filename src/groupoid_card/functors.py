@@ -26,7 +26,6 @@ from .groupoids import (
     Orbit,
     cardinality,
     cardinality_via_outdegrees,
-    first_law_failure,
     orbit_decomposition,
     rational_str,
     skeleton_from_orbits,
@@ -56,7 +55,7 @@ class EquivariantFunctor:
     name: str = "functor"
     _presented: bool = field(default=False, repr=False)
     _validation: Optional["FunctorValidation"] = field(default=None, repr=False)
-    _rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _elements: Optional[GroupAction] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         sizes = integer_entries(self.fiber_sizes, "fiber_sizes")
@@ -110,22 +109,24 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     transport(h2 h1, g), from every transport the check rests on.
 
     Composition is the compatibility law of the category-of-elements action,
-    whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)), so the
-    routes of GroupAction.validate apply, with the same cap and the same
-    handling of a failed relation. Over the k generators s either way, fiber
-    sizes are compared under their conjugation rows: conjugation by s h is
-    conjugation by h, then by s. The relator check reads the generators'
-    transports and checks every relation on their rows, k |G| + (k + L) *
-    total reads for L letters and total fiber size; identity transports
-    hold by construction. With points to check, it runs only over a
-    certified presentation (FiniteGroup.certified), else the row compare
-    runs. The row compare reads the identity transports and
-    every transport and runs first_law_failure with h2 a generator,
-    (k + 1) |G| (1 + total) reads; a pass reports k |G| + |G| + k |G| *
-    total checks. A failure is witnessed by the lowest failing (h, g) or
-    (h2, h1, g) in lexicographic order, with the checks up to it. The result
-    is cached on the functor, and so are the rows the check built, which
-    category_of_elements hands to its action."""
+    whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)). So the check
+    reads what only a functor has, then runs the action's own route of
+    GroupAction.validate once on the rows read, under the functor's cap and
+    with the same handling of a failed relation. Over the k generators s
+    either way, fiber sizes are compared under their conjugation rows:
+    conjugation by s h is conjugation by h, then by s. The relator check
+    reads the generators' transports, each a bijection, and checks every
+    relation on their rows, k |G| + (k + L) * total reads for L letters and
+    total fiber size; identity transports hold by construction. With points
+    to check, it runs only over a certified presentation
+    (FiniteGroup.certified), else the row compare runs. The row compare
+    reads the identity transports and every transport, then compares every
+    row with h2 a generator (first_law_failure), (k + 1) |G| (1 + total)
+    reads; a pass reports k |G| + |G| + k |G| * total checks. A failure is
+    witnessed by the lowest failing (h, g) or (h2, h1, g) in lexicographic
+    order, or the first failing relation, with the checks up to it. The
+    result is cached on the functor, and so is the action the check ran,
+    with its report, which category_of_elements returns."""
     if functor._validation is None:
         presentation = functor.group.presentation() if functor._presented else None
         report = None if presentation is None else _check(functor, *presentation)
@@ -189,13 +190,11 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                 return failed("bijection", (group.identity, g), str(arr))
             if arr != tuple(range(sizes[g])):
                 return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
-        if not nonempty:
-            return FunctorValidation(True, "exhaustive", checks)
-        hs = range(order)
-        groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
-        targets = {h: group.conjugation_row(h) for h in hs}
+        if nonempty:
+            hs = range(order)
+            groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
+            targets = {h: group.conjugation_row(h) for h in hs}
     else:
-        letters = groupoids._letter_count(relations)
         _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
         if total and not group.certified():
             return None
@@ -217,22 +216,30 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                     return failed("composition", (h2, h1, g),
                                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
 
+    # The category of elements, fiber after fiber, from the transports read.
     offsets = list(itertools.accumulate(sizes, initial=0))
-    rows = functor._rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
+    rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
+    conjugate, transport = group.conjugator(), functor.transport
+
+    def act(h: int, s: int) -> int:
+        g = bisect.bisect_right(offsets, s) - 1
+        return offsets[conjugate(g, h)] + transport(h, g)[s - offsets[g]]
+
+    action = functor._elements = GroupAction(group, total, act, f"elements({functor.name})",
+                                             _rows=rows, _presented=functor._presented)
     if relations is not None:
-        checks += len(generators) * total
-        witness = groupoids.first_relation_failure(rows, relations, total)
-        if witness is None:
-            return FunctorValidation(True, "exhaustive", checks + letters * total)
-        i, point = witness
-        checks += groupoids._letter_count(relations[: i + 1]) * total
+        report = action._validation = action._check_relations(generators, relations)
+        checks += report.checks
+        if report.ok:
+            return FunctorValidation(True, "exhaustive", checks)
+        i, point = report.witness
         g = bisect.bisect_right(offsets, point) - 1
         return failed("relation", (*relations[i], g),
                       f"{groupoids._relation_str(relations[i])} fails at fiber element {point - offsets[g]} of F({g})")
-    witness = first_law_failure(list(rows.values()), group.multiplication_row, generators)
-    if witness is None:
+    report = action._validation = action._compare_rows()
+    if report.ok:
         return FunctorValidation(True, "exhaustive", checks + len(generators) * order * total)
-    h2, h1, point = witness
+    h2, h1, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
     checks += (h2 * order + h1) * total + offsets[g + 1]
     return failed("composition", (h2, h1, g),
@@ -254,26 +261,11 @@ def expected_size(functor: EquivariantFunctor) -> Fraction:
 def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
     """The group acting on all pairs (g, x in F(g)), fiber after fiber: h
     sends (g, x) to (h g h^-1, transport(h, g)(x)). Carrier size is the total
-    fiber size. The action starts from the rows validate_functor built, all
-    of them or the generators' only, and takes the functor's route; its own
-    validate still runs the laws over them."""
+    fiber size. It is the action validate_functor checked, with the rows it
+    read, all of them or the generators' only, and the report of its one law
+    pass, so its validate reads no image again."""
     _require_valid(functor)
-    offsets = list(itertools.accumulate(functor.fiber_sizes, initial=0))
-    conjugate = functor.group.conjugator()
-    transport = functor.transport
-
-    def act(h: int, s: int) -> int:
-        g = bisect.bisect_right(offsets, s) - 1
-        return offsets[conjugate(g, h)] + transport(h, g)[s - offsets[g]]
-
-    return GroupAction(
-        group=functor.group,
-        carrier_size=functor.total_size,
-        act=act,
-        name=f"elements({functor.name})",
-        _rows=functor._rows,
-        _presented=functor._presented,
-    )
+    return functor._elements
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,12 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .groups import FiniteGroup
 from .permutations import CapExceededError, check_partition_cap, cycle_type_table
 
-Rational = Fraction
-
 DEFAULT_CHECK_CAP = 10_000_000
 
 
 def rational_str(q: Fraction) -> str:
     """Serialize exactly, always as "num/den" (integers included: "1/1")."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den))
 
 
 def label_to_json(label: Any):
@@ -148,6 +141,9 @@ class ActionValidation:
     mode: str  # always "exhaustive": every image a report rests on is read
     checks: int
     failure: Optional[str] = None
+    # A failure's (relation index, s) or (g, h, s) from the law kernel; the
+    # failure message names it, so reports compare without it.
+    witness: Optional[tuple] = field(default=None, compare=False)
 
 
 class ActionValidationError(ValueError):
@@ -317,7 +313,10 @@ class GroupAction:
             presentation = self.group.presentation() if self._presented else None
             report = None if presentation is None else self._check_relations(*presentation)
             if report is None or not report.ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
-                report = self._compare_rows()
+                report = self._identity_failure()
+                if report is None:
+                    _refuse_above_cap(repr(self.name), self._row_compare_cost())
+                    report = self._compare_rows()
             self._validation = report
         return self._validation
 
@@ -341,15 +340,19 @@ class GroupAction:
             return ActionValidation(True, "exhaustive", checks + _letter_count(relations) * size)
         i, s = witness
         return ActionValidation(False, "exhaustive", checks + _letter_count(relations[: i + 1]) * size,
-                                f"{_relation_str(relations[i])} fails at s={s}")
+                                f"{_relation_str(relations[i])} fails at s={s}", witness)
 
-    def _compare_rows(self) -> ActionValidation:
-        group, size = self.group, self.carrier_size
-        order = group.order
-        for s, t in enumerate(self._row(group.identity)):
+    def _identity_failure(self) -> Optional[ActionValidation]:
+        for s, t in enumerate(self._row(self.group.identity)):
             if t != s:
                 return ActionValidation(False, "exhaustive", s + 1, f"identity law fails at s={s}: act(e, s) = {t}")
-        _refuse_above_cap(repr(self.name), self._row_compare_cost())
+        return None
+
+    def _compare_rows(self) -> ActionValidation:
+        """The row compare after a passing identity law, whose |S| checks it
+        counts; the caller has read the check cap."""
+        group, size = self.group, self.carrier_size
+        order = group.order
         rows = [self._row(g) for g in range(order)]
         generators = group.spanning_tree()[0]
         witness = first_law_failure(rows, group.multiplication_row, generators)
@@ -359,11 +362,12 @@ class GroupAction:
         checks = size + (g * order + h) * size + s + 1
         t = rows[h][s]
         if not 0 <= t < size:
-            return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier")
+            return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier", witness)
         return ActionValidation(
             False, "exhaustive", checks,
             f"compatibility fails at (g={g}, h={h}, s={s}): "
             f"act(g, act(h, s)) = {rows[g][t]} but act(g*h, s) = {rows[group.mul(g, h)][s]}",
+            witness,
         )
 
 

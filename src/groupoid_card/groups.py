@@ -265,11 +265,6 @@ class SymmetricGroup(FiniteGroup):
     def permutation_at(self, a: int) -> Permutation:
         return Permutation(self.images_at(a))
 
-    def index_of(self, perm: Permutation) -> int:
-        if perm.degree != self.n:
-            raise ValueError(f"degree mismatch: {perm.degree} vs {self.n}")
-        return self._tables()[1][perm.images]
-
     def mul(self, a: int, b: int) -> int:
         images, rank_of = self._tables()
         fa, fb = images[a], images[b]

@@ -117,13 +117,6 @@ def cycle_decomposition(sigma: Permutation) -> list[Cycle]:
     return cycles
 
 
-def cycle_count(sigma: Permutation, k: int) -> int:
-    """Number of k-cycles of sigma; k must lie in 1..degree."""
-    if not 1 <= k <= sigma.degree:
-        raise ValueError(f"cycle length {k} out of range 1..{sigma.degree}")
-    return sum(1 for cyc in cycle_decomposition(sigma) if len(cyc) == k)
-
-
 def cycle_counts(sigma: Permutation) -> tuple[int, ...]:
     """All cycle counts at once: entry k-1 is the number of k-cycles."""
     return image_cycle_counts(sigma.images)
@@ -182,10 +175,6 @@ class CycleType:
         for k, mk in enumerate(self.multiplicities, start=1):
             z *= k**mk * math.factorial(mk)
         return z
-
-
-def cycle_type(sigma: Permutation) -> CycleType:
-    return CycleType(cycle_counts(sigma))
 
 
 def centralizer_factors(n: int) -> list[list[int]]:
@@ -281,12 +270,6 @@ def all_cycle_types(n: int) -> Iterator[CycleType]:
         yield CycleType(mult)
 
 
-def count_with_cycle_type(lam: CycleType) -> int:
-    """Number of permutations with the given cycle type: n!/z where z is the
-    centralizer order. Cross-validated against enumeration in the test suite."""
-    return math.factorial(lam.degree) // lam.centralizer_order()
-
-
 def conjugate_permutation(sigma: Permutation, tau: Permutation) -> Permutation:
     """tau . sigma . tau^{-1}; relabels points, preserving cycle type."""
     if sigma.degree != tau.degree:
@@ -353,14 +336,23 @@ def falling_power(x: int, p: int) -> int:
     return result
 
 
+class _PVector(tuple):
+    """A p-vector validate_pvector has checked. Only it builds one."""
+
+
 def validate_pvector(n: int, p: Sequence[int]) -> tuple[int, ...]:
-    """Check that p has length n and nonnegative integer entries."""
+    """Check that p has length n and nonnegative integer entries. The tuple
+    returned is marked as checked and is handed back as it is when it comes
+    in again for degree n, so a call chain that passes it on checks each
+    p-vector once."""
+    if type(p) is _PVector and len(p) == n:
+        return p
     pvec = integer_entries(p, "p-vector")
     if len(pvec) != n:
         raise ValueError(f"p-vector has length {len(pvec)}, expected degree {n}")
     if any(x < 0 for x in pvec):
         raise ValueError(f"p-vector entries must be nonnegative: {pvec!r}")
-    return pvec
+    return _PVector(pvec)
 
 
 def weight(p: Sequence[int]) -> int:

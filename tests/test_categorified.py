@@ -7,7 +7,6 @@ from groupoid_card import categorified, permutations
 from groupoid_card.categorified import (
     DecoratedPermutation,
     build_Q,
-    c_groupoid_skeleton,
     categorified_rhs_skeleton,
     cycle_tuple_action,
     cycle_tuple_actions,
@@ -17,7 +16,7 @@ from groupoid_card.categorified import (
 from groupoid_card.cycle_stats import cll_rhs, expected_product_brute
 from groupoid_card.functors import make_cycle_tuple_functor, verify_general_theorem
 from groupoid_card.groups import make_symmetric
-from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, skeletons_equivalent
+from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, skeletons_equivalent, weak_quotient
 from groupoid_card.permutations import (
     CapExceededError,
     Permutation,
@@ -102,9 +101,9 @@ def test_orbit_is_transitive_for_single_transposition_choice():
 
 
 def test_c_groupoid_skeleton_examples():
-    assert c_groupoid_skeleton(3, (0, 1, 0)).aut_orders() == (2,)
-    assert c_groupoid_skeleton(4, (0, 2, 0, 0)).aut_orders() == (4,)
-    assert c_groupoid_skeleton(3, (1, 0, 1)) == EMPTY_SKELETON
+    assert weak_quotient(cycle_tuple_action(3, (0, 1, 0))).aut_orders() == (2,)
+    assert weak_quotient(cycle_tuple_action(4, (0, 2, 0, 0))).aut_orders() == (4,)
+    assert weak_quotient(cycle_tuple_action(3, (1, 0, 1))) == EMPTY_SKELETON
 
 
 def test_categorified_rhs_examples():
@@ -151,7 +150,7 @@ def test_verify_categorified_cap():
 @pytest.mark.parametrize("n", range(5))
 def test_skeleton_equivalence_small_sweep(n):
     for p in iter_pvectors(n, max_entry=2, max_weight=n):
-        lhs = c_groupoid_skeleton(n, p)
+        lhs = weak_quotient(cycle_tuple_action(n, p))
         rhs = categorified_rhs_skeleton(n, p)
         assert skeletons_equivalent(lhs, rhs), (n, p)
         assert cardinality(lhs) == cll_rhs(n, p)

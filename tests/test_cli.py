@@ -462,6 +462,23 @@ def test_cycle_type_sweep_above_the_type_term_cap_exits_2():
     )
 
 
+def test_unbounded_weight_type_term_refusal_counts_only_weights_up_to_n():
+    """With --max-weight at or above max_entry * n(n+1)/2 the weight bound
+    does not bind: the sweep is every one of the 1001^40 vectors, and only
+    weights up to 40 read type terms, so the refusal comes at once (counting
+    every weight up to 820 000 took 5 s and 148 MB) with the same message."""
+    args = ["verify-lemma", "--n", "40", "--all-p", "--method", "cycle-type", "--max-entry", "1000", "--max-weight", "10000000"]
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", *args], capture_output=True, text=True,
+                            timeout=60, preexec_fn=_address_space_limit)
+    assert time.perf_counter() - start < 2
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: {1001 ** 40} p-vectors at degree 40 read 9035539 cycle-type terms, "
+        f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}\n"
+    )
+
+
 def test_cycle_type_sweep_above_the_type_term_cap_lists_no_pvector(capsys, forbid, monkeypatch):
     """The type-term refusal is counted from the vectors of each weight: no
     p-vector is listed or validated and no table is walked. The default

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_card import functors, groups
-from groupoid_card.categorified import build_Q, c_groupoid_skeleton
+from groupoid_card import functors, groupoids, groups
+from groupoid_card.categorified import build_Q, cycle_tuple_action
 from groupoid_card.functors import (
     EquivariantFunctor,
     FunctorValidation,
@@ -90,7 +90,7 @@ def test_cycle_tuple_functor_matches_decorated_permutations():
     assert expected_size(functor) == Fraction(1, 2)
     action = category_of_elements(functor)
     assert action.carrier_size == len(build_Q(3, (0, 1, 0))) == 3
-    assert skeletons_equivalent(weak_quotient(action), c_groupoid_skeleton(3, (0, 1, 0)))
+    assert skeletons_equivalent(weak_quotient(action), weak_quotient(cycle_tuple_action(3, (0, 1, 0))))
     theorem = verify_general_theorem(functor)
     assert theorem.equal
 
@@ -182,7 +182,10 @@ def test_law_caps_switch_both_validators():
     """Both validators read the check cap from groupoids at call time, so
     one patch makes both refuse a row compare above it, and it ends with the
     context. The row compare reads (k + 1) |G| (1 + total fiber size)
-    values for the functor and |S| + (k + 1) |G| |S| images for its action."""
+    values for the functor and |S| + (k + 1) |G| |S| images for an action.
+    The category of elements keeps the report of the one law pass the
+    functor's check ran, under the functor's cap alone; the same action
+    checked afresh is refused."""
     group = make_symmetric(4)
     _, table = functor_tables(group)[1]
     sizes = tuple(len(table[(group.identity, g)]) for g in range(group.order))
@@ -197,11 +200,13 @@ def test_law_caps_switch_both_validators():
     functor = build()
     with law_caps(functor_cost):
         assert validate_functor(functor).ok
+        action = category_of_elements(functor)
         action_cost = sum(sizes) + 3 * 24 * sum(sizes)
         assert action_cost > functor_cost
-        with pytest.raises(CapExceededError, match="above the check cap"):
-            category_of_elements(functor).validate()
-    assert category_of_elements(functor).validate().ok
+        assert action.validate().ok
+        with pytest.raises(CapExceededError, match=rf"'elements\(centralizers\(S4\)\)' needs {action_cost} reads"):
+            GroupAction(group, action.carrier_size, action.act, action.name).validate()
+    assert GroupAction(group, action.carrier_size, action.act, action.name).validate().ok
 
 
 def test_n6_fixed_point_functor_is_exhaustive():
@@ -688,4 +693,28 @@ def test_elements_action_reuses_exhaustive_rows():
         assert orbit_decomposition(action) == orbit_decomposition(fresh)
         count += 1
     # trivial, fixed points, twelve p-vectors, and 3, 3, 2, 2 table functors
+    assert count == 1 + 5 + 12 + 10
+
+
+def test_general_theorem_runs_one_law_kernel_per_functor(monkeypatch):
+    """verify_general_theorem passes each functor's category-of-elements rows
+    through a law kernel once: the relator check for a built-in functor over
+    a presented group, the row compare for a table-built one. The functor's
+    check runs the action's route, and the action keeps that report."""
+    calls = []
+    for kernel in (groupoids.first_relation_failure, groupoids.first_law_failure):
+        def counting(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        for module in (groupoids, functors):
+            if getattr(module, kernel.__name__, None) is kernel:
+                monkeypatch.setattr(module, kernel.__name__, counting)
+    count = 0
+    for functor in exhaustively_validated_functors():
+        calls.clear()
+        assert verify_general_theorem(functor).equal
+        presented = functor._presented and functor.group.presentation() is not None
+        assert calls == ["first_relation_failure" if presented else "first_law_failure"], functor.name
+        count += 1
     assert count == 1 + 5 + 12 + 10

@@ -13,11 +13,8 @@ from groupoid_card.permutations import (
     all_cycle_types,
     canonical_cycle,
     conjugate_permutation,
-    count_with_cycle_type,
-    cycle_count,
     cycle_counts,
     cycle_decomposition,
-    cycle_type,
     cycle_type_table,
     enumerate_permutations,
     falling_power,
@@ -29,7 +26,8 @@ from groupoid_card.permutations import (
     weight,
 )
 from groupoid_card.categorified import build_Q, verify_categorifieds
-from groupoid_card.cycle_stats import METHOD_BRUTE, expected_product_brute, verify_cll, verify_clls
+from groupoid_card import permutations
+from groupoid_card.cycle_stats import METHOD_BRUTE, METHOD_CYCLE_TYPE, expected_product_brute, verify_cll, verify_clls
 from groupoid_card.functors import functor_from_json, make_cycle_tuple_functor, make_fixed_point_functor
 from law_cases import enumeration_cap
 
@@ -91,15 +89,10 @@ def test_decomposition_round_trip(n):
 
 
 def test_cycle_count_examples():
-    assert cycle_count(Permutation((0, 1, 2)), 1) == 3
-    assert cycle_count(Permutation((1, 0, 2)), 2) == 1
-    five_cycle = Permutation((1, 2, 3, 4, 0))
-    assert cycle_count(five_cycle, 5) == 1
-    assert cycle_count(five_cycle, 1) == 0
-    with pytest.raises(ValueError):
-        cycle_count(five_cycle, 6)
-    with pytest.raises(ValueError):
-        cycle_count(five_cycle, 0)
+    assert cycle_counts(Permutation((0, 1, 2))) == (3, 0, 0)
+    assert cycle_counts(Permutation((1, 0, 2))) == (1, 1, 0)
+    assert cycle_counts(Permutation((1, 2, 3, 4, 0))) == (0, 0, 0, 0, 1)
+    assert cycle_counts(Permutation(())) == ()
 
 
 @given(perm_images)
@@ -110,9 +103,9 @@ def test_cycle_counts_sum_to_degree(images):
 
 
 def test_cycle_type_examples():
-    assert cycle_type(Permutation((0, 1, 2, 3))).multiplicities == (4, 0, 0, 0)
-    assert cycle_type(Permutation((1, 0, 3, 2))).multiplicities == (0, 2, 0, 0)
-    assert cycle_type(Permutation((1, 2, 0, 4, 3))).multiplicities == (0, 1, 1, 0, 0)
+    assert CycleType(cycle_counts(Permutation((0, 1, 2, 3)))).partition() == (1, 1, 1, 1)
+    assert CycleType(cycle_counts(Permutation((1, 0, 3, 2)))).partition() == (2, 2)
+    assert CycleType(cycle_counts(Permutation((1, 2, 0, 4, 3)))).partition() == (3, 2)
 
 
 def test_conjugation_examples():
@@ -129,7 +122,7 @@ def test_conjugation_preserves_cycle_type_exhaustively(n):
     perms = list(enumerate_permutations(n))
     for sigma in perms:
         for tau in perms:
-            assert cycle_type(conjugate_permutation(sigma, tau)) == cycle_type(sigma)
+            assert cycle_counts(conjugate_permutation(sigma, tau)) == cycle_counts(sigma)
 
 
 def test_conjugation_matches_direct_composition():
@@ -218,6 +211,26 @@ def test_validate_pvector():
         validate_pvector(3, (1, 1))
     with pytest.raises(ValueError):
         validate_pvector(2, (-1, 0))
+
+
+def test_each_pvector_is_checked_once_per_call_chain(monkeypatch):
+    """A checked p-vector passed down a call chain is not checked again:
+    verify_clls reads each vector's entries once by either method, and the
+    cycle-tuple functor once for all its fibers. A checked vector is still
+    refused at another degree."""
+    read = []
+    entries = permutations.integer_entries
+    monkeypatch.setattr(permutations, "integer_entries", lambda values, what: read.append(what) or entries(values, what))
+    ps = list(iter_pvectors(6))
+    for method in (METHOD_BRUTE, METHOD_CYCLE_TYPE):
+        read.clear()
+        assert all(report.equal for report in verify_clls(6, ps, method=method))
+        assert read.count("p-vector") == len(ps)
+    read.clear()
+    make_cycle_tuple_functor(5, (1, 1, 0, 0, 0))
+    assert read.count("p-vector") == 1
+    with pytest.raises(ValueError, match="p-vector has length 3, expected degree 4"):
+        validate_pvector(4, validate_pvector(3, (1, 0, 0)))
 
 
 def test_non_integral_entries_are_refused_not_truncated():
@@ -334,6 +347,11 @@ def test_cycle_type_partition_and_centralizer():
     assert lam.centralizer_order() == 6  # 2 * 3
     identity_type = CycleType((4, 0, 0, 0))
     assert identity_type.centralizer_order() == 24
+
+
+def count_with_cycle_type(lam):
+    """The number of permutations of the type: n! over its centralizer order."""
+    return math.factorial(lam.degree) // lam.centralizer_order()
 
 
 def test_count_with_cycle_type_examples():
