@@ -325,6 +325,13 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
     Each sample re-shuffles the previous sample's images in place, and each
     report's sums are exact integers, so every report equals the one a run
     with its p-vector alone gives. Deterministic given (n, ps, samples, seed).
+
+    The samples are the passes of one `SplitMix64.shuffles` run: one lane
+    block holds the draws of ⌊1024/(n-1)⌋ whole passes (10 at n = 100), and
+    its rejection test adds a bound product cached per block size. A block
+    that holds a draw an unbiased `below` might reject is replayed with one
+    `below(i + 1)` call per step, so every sample equals the one a separate
+    `shuffle` call per sample gives.
     """
     check_monte_carlo_degree(n)
     pvecs = [validate_pvector(n, p) for p in ps]
@@ -332,15 +339,13 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         raise ValueError(f"need at least 2 samples, got {samples}")
     needs = [[(k, pk) for k, pk in enumerate(pvec, start=1) if pk] for pvec in pvecs]
     longest = max((k for need in needs for k, _ in need), default=0)
-    shuffle = SplitMix64(seed).shuffle
     images = list(range(n))
     # A point is visited in this sample when its mark holds the sample's stamp,
     # so one list serves every sample without clearing.
     mark = [0] * n
     totals = [0] * len(pvecs)
     totals_sq = [0] * len(pvecs)
-    for stamp in range(1, samples + 1):
-        shuffle(images)
+    for stamp, _ in enumerate(SplitMix64(seed).shuffles(images, samples), start=1):
         counts = [0] * (longest + 1)
         for start in range(n):
             if mark[start] == stamp:

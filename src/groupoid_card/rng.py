@@ -2,22 +2,26 @@
 
 SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based: after m draws
 the state is seed + m·γ mod 2^64, and each draw is a fixed mixing function of
-its state alone. `SplitMix64.shuffle` uses this to compute the draws of a
-Fisher-Yates pass together, in blocks of up to `_LANES_MAX`. A block's
-counters go into 128-bit slots of one Python int. The mixer's three xor-shifts
-and two 64-bit multiplies then run on all slots at once, with an AND by a
-repeated 64-bit mask around each multiply: a 64 x 64-bit product fills at most
-its own slot, so no slot spills into the next. The draws are unpacked with
-`int.to_bytes` and `array`.
+its state alone. `SplitMix64.shuffles` uses this to compute the draws of many
+Fisher-Yates passes together. A run of passes over n items is one stream of
+n - 1 steps per pass, cut into blocks: a block holds ⌊`_LANES_MAX`/(n-1)⌋
+whole passes, or `_LANES_MAX` steps when one pass is longer than that. A
+block's counters go into 128-bit slots of one Python int. The mixer's three
+xor-shifts and two 64-bit multiplies then run on all slots at once, with an
+AND by a repeated 64-bit mask around each multiply: a 64 x 64-bit product
+fills at most its own slot, so no slot spills into the next. The draws are
+unpacked with `int.to_bytes` and `array`.
 
 The unbiased draw below a bound rejects a draw only when it is at least
-2^64 - (2^64 mod bound), which is above 2^64 - b for every bound up to b. So a
-block that holds a draw at or above 2^64 - b, b the largest bound it serves
-(n for the first block of a pass over n items), is not used: the pass goes on
-from the state before that block by calling `below(i + 1)` once per step,
-which consumes exactly the draws it needs, rejections included. Either way the
-images and the final state are those of calling `below(i + 1)` for i = n-1
-down to 1, on every platform and Python version.
+2^64 - (2^64 mod bound), which is above 2^64 - n for every bound up to n, the
+largest bound of a pass over n items. A block is tested against n with one
+add of the bound in every slot, a product cached per block size and bound.
+A block that holds a draw at or above 2^64 - n is set aside: its steps are
+replayed from the state before it by calling `below(i + 1)` once per step,
+which consumes exactly the draws they need, rejections included, and the next
+block starts from the state that leaves. Either way the images after every
+pass and the state are those of calling `below(i + 1)` for i = n-1 down to 1
+in each pass, on every platform and Python version.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from itertools import chain, cycle, islice
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,8 +39,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # Bytes per lane: a 64-bit draw plus room for its 64 x 64-bit products.
 _SLOT_BYTES = 16
-# Longer passes run block after block of this many draws, so that transient
-# memory does not grow with the number of items.
+# Blocks hold at most this many draws, so that transient memory does not
+# grow with the number of items or passes.
 _LANES_MAX = 1024
 
 
@@ -46,6 +52,12 @@ def _lane_constants(lanes: int) -> tuple[int, int, int, int]:
     pad = bytes(_SLOT_BYTES - 8)
     offsets = b"".join(((m * _GAMMA) & _MASK64).to_bytes(8, "little") + pad for m in range(1, lanes + 1))
     return ones, ones * _MASK64, ones << 64, int.from_bytes(offsets, "little")
+
+
+@lru_cache(maxsize=8)
+def _lane_bound(lanes: int, bound: int) -> int:
+    """bound in every slot of a block of lanes draws."""
+    return bound * _lane_constants(lanes)[0]
 
 
 def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
@@ -61,7 +73,7 @@ def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
     # exactly when its draw is at least 2^64 - bound, and the unpacking below
     # reads the low 64 bits only.
     z ^= z >> 31
-    if (z + bound * ones) & carries:
+    if (z + _lane_bound(lanes, bound)) & carries:
         return None
     words = array("Q", z.to_bytes(_SLOT_BYTES * lanes, "little"))
     if sys.byteorder == "big":
@@ -102,19 +114,44 @@ class SplitMix64:
         """Fisher-Yates in place, decreasing index, one unbiased draw per step:
         the same images and final state as swapping items[i] with
         items[below(i + 1)] for i = len(items)-1 down to 1."""
-        state = self._state
-        top = len(items) - 1
-        while top > 0:
-            lanes = min(top, _LANES_MAX)
-            draws = _lane_draws(state, lanes, top + 1)
+        for _ in self.shuffles(items, 1):
+            pass
+
+    def shuffles(self, items: list, passes: int) -> Iterator[None]:
+        """Shuffle items in place passes times, yielding after each pass.
+
+        After every pass the images and the state are those of that many
+        `shuffle` calls. A block's draws are computed before its swaps, so
+        draw nothing else from this SplitMix64 until the run ends.
+        """
+        steps = len(items) - 1
+        if steps < 1:
+            for _ in range(passes):
+                yield
+            return
+        block = _LANES_MAX // steps * steps or _LANES_MAX
+        left = passes * steps
+        top = steps  # the index the next step swaps
+        while left > 0:
+            lanes = min(block, left)
+            left -= lanes
+            draws = _lane_draws(self._state, lanes, steps + 1)
             if draws is None:
-                break
-            for i, j in zip(range(top, top - lanes, -1), draws):
-                j %= i + 1
-                items[i], items[j] = items[j], items[i]
-            state = (state + lanes * _GAMMA) & _MASK64
-            top -= lanes
-        self._state = state
-        for i in range(top, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+                # Replay the block's steps from the state before it, one
+                # below(i + 1) call each, drawn as the swaps reach them.
+                bounds = chain(range(top + 1, 1, -1), cycle(range(steps + 1, 1, -1)))
+                js = map(self.below, islice(bounds, lanes))
+            else:
+                js = iter(draws)
+            while lanes:
+                run = min(top, lanes)
+                for i, j in zip(range(top, top - run, -1), js):
+                    j %= i + 1
+                    items[i], items[j] = items[j], items[i]
+                if draws is not None:
+                    self._state = (self._state + run * _GAMMA) & _MASK64
+                lanes -= run
+                top -= run
+                if not top:
+                    top = steps
+                    yield

@@ -217,6 +217,26 @@ def test_montecarlo_p_one(capsys):
     assert out2 == out  # identical bytes for identical configuration
 
 
+def test_montecarlo_n100_bytes_are_pinned(capsys):
+    """A seeded report at n = 100, three statistics from one stream of 1 000
+    shuffles, prints exactly these bytes."""
+    def line(ones, rhs, estimate, standard_error, z):
+        p = ", ".join("1" if k in ones else "0" for k in range(1, 101))
+        return ('{"command": "montecarlo", "n": 100, "p": [' + p + '], "method": "monte_carlo", '
+                f'"rhs": "{rhs}", "estimate": {estimate}, "standard_error": {standard_error}, '
+                f'"samples": 1000, "seed": 20260810, "generator": "splitmix64", "target": "{rhs}", '
+                f'"z": {z}, "within_4se": true}}\n')
+
+    pair = ",".join(["1", "1"] + ["0"] * 98)
+    args = ["montecarlo", "--n", "100", "--p-one", "k=1", "--p-one", "k=5", "--p", pair,
+            "--samples", "1000", "--seed", "20260810"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (line({1}, "1/1", "1.01", "0.031920509377497706", "0.3132782087446727")
+                   + line({5}, "1/5", "0.199", "0.013913755517206437", "-0.07187132178392466")
+                   + line({1, 2}, "1/2", "0.487", "0.03226254596078666", "-0.40294402108875077"))
+
+
 def test_montecarlo_rejects_bad_config(capsys):
     code, _, err = run_cli(["montecarlo", "--n", "10", "--p-one", "k=2", "--samples", "1"], capsys)
     assert code == 2

@@ -205,13 +205,13 @@ def test_monte_carlo_report_fields():
 
 def literal_monte_carlo(n, p, samples, seed):
     """The Monte Carlo report written out directly: each sample shuffles the
-    previous sample's images again, and its cycles are counted by
-    `cycle_decomposition`."""
+    previous sample's images again, one `below` draw per step, and its cycles
+    are counted by `cycle_decomposition`."""
     rng = SplitMix64(seed)
     images = list(range(n))
     total = total_sq = 0
     for _ in range(samples):
-        rng.shuffle(images)
+        reference_shuffle(rng, images)
         lengths = [len(c) for c in cycle_decomposition(Permutation(tuple(images)))]
         value = math.prod(falling_power(lengths.count(k), pk) for k, pk in enumerate(p, start=1))
         total += value
@@ -330,18 +330,78 @@ def test_shuffle_matches_reference_across_blocks(seed):
     assert_shuffle_matches_reference(2 * rng_module._LANES_MAX + 7, seed)
 
 
-@pytest.mark.parametrize("lanes", [1, 6, 99, rng_module._LANES_MAX])
+def passes_per_block(n):
+    """Whole passes over n items in one lane block, or 1 for a longer pass."""
+    return max(rng_module._LANES_MAX // (n - 1), 1) if n > 1 else 1
+
+
+def assert_shuffles_match_reference(n, seed, passes):
+    """`shuffles` leaves, after each pass, the images and state of that many
+    one-`below`-per-step passes, and yields exactly `passes` times."""
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    done = 0
+    for _ in rng.shuffles(items, passes):
+        reference_shuffle(ref, expected)
+        done += 1
+        assert items == expected, (n, seed, done)
+        assert rng._state == ref._state, (n, seed, done)
+    assert done == passes
+    assert rng._state == ref._state, (n, seed)
+
+
+@pytest.mark.parametrize("n", range(132))
+def test_shuffles_match_reference_at_edge_seeds(n):
+    # One pass more than a block holds, so the run crosses a block boundary.
+    for seed in EDGE_SEEDS:
+        assert_shuffles_match_reference(n, seed, passes_per_block(n) + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 99, 100, 101, 131, 342, 343, 513, 1025])
+def test_shuffles_match_reference_across_blocks(n):
+    # Two pass counts that cross block boundaries: per + 1 ends one pass into
+    # a second block, 2·per + 3 three passes into a third.
+    per = passes_per_block(n)
+    for seed in (0, 2**64 - 1, 0xC0FFEE):
+        for passes in (per + 1, 2 * per + 3):
+            assert_shuffles_match_reference(n, seed, passes)
+
+
+@pytest.mark.parametrize("n, passes", [(0, 0), (0, 1), (0, 2049), (1, 0), (1, 3), (1, 2049),
+                                       (2, 0), (100, 0), (rng_module._LANES_MAX + 2, 0)])
+def test_runs_that_swap_nothing_draw_nothing(n, passes):
+    # Zero passes, or too few items to swap: exactly `passes` yields, no draw.
+    rng, items = SplitMix64(0xC0FFEE), list(range(n))
+    assert sum(1 for _ in rng.shuffles(items, passes)) == passes
+    assert items == list(range(n)) and rng._state == 0xC0FFEE
+
+
+@pytest.mark.parametrize("n", [rng_module._LANES_MAX + 2, 2 * rng_module._LANES_MAX + 7])
+def test_shuffles_of_passes_longer_than_a_block(n):
+    # Each pass runs in several blocks, and blocks span pass boundaries.
+    for seed in (0, 2**64 - 1, 0xC0FFEE):
+        assert_shuffles_match_reference(n, seed, 3)
+
+
+@pytest.mark.parametrize("lanes", [1, 6, 99, 990, rng_module._LANES_MAX])
 def test_lane_draws_are_the_stream(lanes):
     # The lane-packed block is the next `lanes` outputs of next_u64, and is
-    # withheld exactly when one of them is at least 2^64 - bound.
+    # withheld exactly when one of them is at least 2^64 - bound. Each block
+    # size meets several bounds, and each bound several block sizes, so a
+    # bound product cached under the wrong key fails.
     for seed in EDGE_SEEDS:
         ref = SplitMix64(seed)
         expected = [ref.next_u64() for _ in range(lanes)]
         draws = rng_module._lane_draws(seed, lanes, 1)
         assert draws is not None and list(draws) == expected, seed
         bound = 2**64 - max(expected)
+        before = expected.index(max(expected))
+        if before:
+            assert list(rng_module._lane_draws(seed, before, bound)) == expected[:before]
         assert rng_module._lane_draws(seed, lanes, bound) is None
         assert list(rng_module._lane_draws(seed, lanes, bound - 1)) == expected
+        assert rng_module._lane_draws(seed, lanes, bound) is None
+        assert list(rng_module._lane_draws(seed, lanes, 1)) == expected
 
 
 def unxorshift(y, shift):
@@ -392,6 +452,37 @@ def test_shuffle_matches_reference_on_a_rejected_draw(n, m):
         rng = SplitMix64(seed)
         rng.shuffle(list(range(n)))
         assert rng._state == (seed + (n - 1 + extra) * GAMMA) & MASK64
+
+
+# (n, m): step m of a run of passes over n items, counted from the run's
+# start, is made 2^64 - 1 and, where its bound rejects anything, the smallest
+# draw it rejects. The steps lie in the second or a later pass of a
+# multi-pass block (n = 100: 10 passes per block; n = 3: 512), in a second
+# block, or on a power-of-two bound (n = 100, bound 64: nothing rejected, the
+# block still replayed).
+RUN_REJECTION_CASES = [(100, 99), (100, 99 * 4 + 13), (100, 99 * 9 + 98), (100, 99 * 2 + 36),
+                       (100, 99 * 12 + 50), (3, 2 * 300 + 1), (3, 2 * 511)]
+
+
+@pytest.mark.parametrize("n, m", RUN_REJECTION_CASES)
+def test_shuffles_replay_a_flagged_block_mid_run(n, m):
+    steps = n - 1
+    per = passes_per_block(n)
+    bound = n - m % steps
+    smallest_rejected = 2**64 - 2**64 % bound
+    passes = (m // (per * steps) + 1) * per + 2
+    for draw in {MASK64, min(smallest_rejected, MASK64)}:
+        seed = (unmix(draw) - (m + 1) * GAMMA) & MASK64
+        probe = SplitMix64((seed + m * GAMMA) & MASK64)
+        assert probe.next_u64() == draw
+        block_start = m // (per * steps) * per * steps
+        assert rng_module._lane_draws((seed + block_start * GAMMA) & MASK64, per * steps, n) is None
+        assert_shuffles_match_reference(n, seed, passes)
+        extra = 1 if draw >= smallest_rejected else 0
+        rng = SplitMix64(seed)
+        for _ in rng.shuffles(list(range(n)), passes):
+            pass
+        assert rng._state == (seed + (passes * steps + extra) * GAMMA) & MASK64
 
 
 def test_below_refuses_bounds_above_two_to_the_64_before_drawing():
