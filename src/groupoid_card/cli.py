@@ -34,8 +34,12 @@ from .functors import (
     verify_general_theorem,
 )
 from .groups import GroupValidationError
-from .groupoids import cardinality, component_json, perm_groupoid_skeleton, rational_str
+from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
 from .permutations import CapExceededError, check_sweep_cap, iter_pvectors, weight
+
+
+# Rows of the skeleton written at a time.
+_SKELETON_CHUNK = 1024
 
 
 class UsageError(ValueError):
@@ -75,10 +79,9 @@ def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:
 
 def _emit(payload: dict, fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
     """Print payload as JSON, or build and print only the CSV rows or the
-    text lines that fmt asks for. Skeleton components in the payload are
-    encoded as the encoder reaches them (component_json)."""
+    text lines that fmt asks for."""
     if fmt == "json":
-        print(json.dumps(payload, default=component_json))
+        print(json.dumps(payload))
     elif fmt == "csv":
         rows = rows() or [payload]
         fieldnames: list[str] = []
@@ -175,20 +178,33 @@ def cmd_verify_categorified(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    skeleton = perm_groupoid_skeleton(args.n)
-    card = cardinality(skeleton)
-    payload = {
-        "command": "skeleton",
-        "n": args.n,
-        # The same JSON as skeleton.to_json_dict(), without a dict per component.
-        "components": skeleton.components,
-        "cardinality": rational_str(card),
-    }
-    rows = lambda: [{"n": args.n, "aut_order": c.aut_order, "label": json.dumps(c.label)} for c in skeleton.components]
-    text = lambda: [f"degree {args.n}: {len(skeleton.components)} components, cardinality {rational_str(card)}"] + [
-        f"  partition {list(c.label)}: aut order {c.aut_order}" for c in skeleton.components
-    ]
-    _emit(payload, args.format, rows, text)
+    n = args.n
+    rows = perm_skeleton_rows(n)
+    card = rational_str(cardinality_of_orders([z for z, _ in rows]))
+    write = sys.stdout.write
+    if args.format == "csv" and not rows:
+        # With no component the payload is the one row, as _emit writes a
+        # payload without rows; its components are the empty tuple.
+        _emit({"command": "skeleton", "n": n, "components": (), "cardinality": card}, "csv", list, list)
+        return 0
+    # Each format is written a chunk of rows at a time, so no string of the
+    # whole output is built.
+    chunks = [rows[start : start + _SKELETON_CHUNK] for start in range(0, len(rows), _SKELETON_CHUNK)]
+    if args.format == "json":
+        # The bytes of json.dumps(payload), with its default separators.
+        write(f'{{"command": "skeleton", "n": {n}, "components": [')
+        for i, chunk in enumerate(chunks):
+            write((", " if i else "") + ", ".join([f'{{"aut_order": {z}, "label": [{text}]}}' for z, text in chunk]))
+        write(f'], "cardinality": "{card}"}}\n')
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(("n", "aut_order", "label"))
+        for chunk in chunks:
+            writer.writerows([(n, z, f"[{text}]") for z, text in chunk])
+    else:
+        write(f"degree {n}: {len(rows)} components, cardinality {card}\n")
+        for chunk in chunks:
+            write("".join([f"  partition [{text}]: aut order {z}\n" for z, text in chunk]))
     return 0
 
 

@@ -10,7 +10,6 @@ by construction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -88,11 +87,15 @@ EMPTY_SKELETON = GroupoidSkeleton(())
 
 
 def cardinality(skeleton: GroupoidSkeleton) -> Fraction:
-    """Sum of 1/aut_order over components; 0 for the empty groupoid.
-    The sum is taken over the common denominator, normalised once."""
-    components = skeleton.components
-    denominator = functools.reduce(math.lcm, (c.aut_order for c in components), 1)
-    return Fraction(sum(denominator // c.aut_order for c in components), denominator)
+    """Sum of 1/aut_order over components; 0 for the empty groupoid."""
+    return cardinality_of_orders(skeleton.aut_orders())
+
+
+def cardinality_of_orders(orders: Sequence[int]) -> Fraction:
+    """Sum of 1/z over the aut orders z, 0 for none. The sum is taken over
+    their least common multiple, normalised once."""
+    denominator = math.lcm(*orders)
+    return Fraction(sum(denominator // z for z in orders), denominator)
 
 
 def delooping(group: FiniteGroup, label: Any = None) -> GroupoidSkeleton:
@@ -462,3 +465,23 @@ def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:
     check_partition_cap(n)
     comps = tuple(SkeletonComponent(z, label=partition) for _, z, partition in cycle_type_table(n))
     return GroupoidSkeleton(comps)
+
+
+def perm_skeleton_rows(n: int) -> list[tuple[int, str]]:
+    """The components of perm_groupoid_skeleton(n), in its order, as rows
+    (aut order, label text). The text joins the partition's parts with
+    ", ", so "[" + text + "]" is the label both as a JSON array and as the
+    repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton does."""
+    if n < 0:
+        return []
+    check_partition_cap(n)
+    digits = [str(k) for k in range(n + 1)]
+    rows = [(z, ", ".join(map(digits.__getitem__, partition))) for _, z, partition in cycle_type_table(n)]
+    # Sorting by (z, text) gives the canonical order (z, repr(label)): no
+    # text is a proper prefix of another of the same degree, since the
+    # longer one would need an extra part or a larger part, so its parts
+    # would sum to more. Two texts therefore differ at a character inside
+    # both, and that character orders their reprs the same way, whatever
+    # follows it.
+    rows.sort()
+    return rows

@@ -581,23 +581,46 @@ def recursive_label_json(label):
     return label
 
 
-@pytest.mark.parametrize("n", [*range(13), 20, 30, 40])
+@pytest.mark.parametrize("n", [-1, *range(13), 20, 30, 40])
 def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
+    """The skeleton command prints, in every format, the bytes built here
+    from perm_groupoid_skeleton(n), the route its label texts bypass."""
+    skeleton = groupoids.perm_groupoid_skeleton(n)
+    card = "1/1" if n >= 0 else "0/1"
     code, out, _ = run_cli(["skeleton", "--n", str(n)], capsys)
     assert code == 0
     expected = [
         {"aut_order": c.aut_order, "label": recursive_label_json(c.label)}
-        for c in groupoids.perm_groupoid_skeleton(n).components
+        for c in skeleton.components
     ]
     assert json.loads(out)["components"] == expected
-    assert out == json.dumps({"command": "skeleton", "n": n, "components": expected, "cardinality": "1/1"}) + "\n"
+    assert out == json.dumps({"command": "skeleton", "n": n, "components": expected, "cardinality": card}) + "\n"
+
+    buf = io.StringIO()
+    if skeleton.components:
+        writer = csv.DictWriter(buf, fieldnames=["n", "aut_order", "label"])
+        writer.writeheader()
+        writer.writerows({"n": n, "aut_order": c.aut_order, "label": json.dumps(c.label)} for c in skeleton.components)
+    else:
+        # With no component the one row is the payload, its components the empty tuple.
+        writer = csv.DictWriter(buf, fieldnames=["command", "n", "components", "cardinality"])
+        writer.writeheader()
+        writer.writerow({"command": "skeleton", "n": n, "components": skeleton.components, "cardinality": card})
+    assert run_cli(["skeleton", "--n", str(n), "--format", "csv"], capsys) == (0, buf.getvalue(), "")
+
+    text = f"degree {n}: {len(skeleton.components)} components, cardinality {card}\n" + "".join(
+        f"  partition {list(c.label)}: aut order {c.aut_order}\n" for c in skeleton.components
+    )
+    assert run_cli(["skeleton", "--n", str(n), "--format", "text"], capsys) == (0, text, "")
 
 
 def test_skeleton_peak_memory_stays_under_eight_times_its_output():
-    """Degree 40 prints 37 338 components, about 2.7 MB of JSON. They go to
-    the encoder as they are, with no dict or label copy per component, so
-    the traced peak of the whole command stays under 8 times its output
-    (about 5 times; a dict per component took it above 10 times)."""
+    """Degree 40 prints 37 338 components, about 2.7 MB of JSON. The command
+    keeps one (aut order, label text) row per component, sorts the rows
+    once and writes them a chunk at a time, with no component object, dict
+    or whole-output string, so the traced peak of the whole command stays
+    under 8 times its output (about 4 times; a dict per component took it
+    above 10 times)."""
     out = io.StringIO()
     tracemalloc.start()
     try:
