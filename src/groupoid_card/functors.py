@@ -122,7 +122,9 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     (FiniteGroup.certified), else the row compare runs. The row compare
     reads the identity transports and every transport, then compares every
     row with h2 a generator (first_law_failure), (k + 1) |G| (1 + total)
-    reads; a pass reports k |G| + |G| + k |G| * total checks. A failure is
+    reads; a pass reports k |G| + |G| + k |G| * total checks. It conjugates
+    only the g of nonempty fibers, |G| conjugations per such g, with mul and
+    inv, and keeps no conjugation row but the generators'. A failure is
     witnessed by the lowest failing (h, g) or (h2, h1, g) in lexicographic
     order, or the first failing relation, with the checks up to it. The
     result is cached on the functor, and so is the action the check ran,
@@ -158,7 +160,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     the category of elements has points and the presentation is not
     certified."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
-    order = group.order
+    order, mul = group.order, group.mul
     checks = len(generators) * order
 
     def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
@@ -168,13 +170,13 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     listed = list(sizes)
     if any([sizes[t] for t in targets[s]] != listed for s in generators):
         # Some conjugation moves a fiber size: scan the generators, or for
-        # the lowest witness every (h, g), in lexicographic order.
+        # the lowest witness every (h, g), in lexicographic order, keeping no row.
         checks = 0
         for h in range(order) if relations is None else generators:
-            conj_row = group.conjugation_row(h)
+            hinv = group.inv(h)
             for g in range(order):
                 checks += 1
-                target = conj_row[g]
+                target = mul(mul(h, g), hinv)
                 if sizes[g] != sizes[target]:
                     return failed("fiber_size", (h, g),
                                   f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
@@ -193,7 +195,9 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         if nonempty:
             hs = range(order)
             groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
-            targets = {h: group.conjugation_row(h) for h in hs}
+            # h g h^-1 for the nonempty fibers g only, by h then g: no
+            # conjugation row is read or kept.
+            targets = {h: {g: mul(mul(h, g), hinv) for g in nonempty} for h, hinv in zip(hs, map(group.inv, hs))}
     else:
         _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
         if total and not group.certified():
@@ -219,11 +223,11 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     # The category of elements, fiber after fiber, from the transports read.
     offsets = list(itertools.accumulate(sizes, initial=0))
     rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
-    conjugate, transport = group.conjugator(), functor.transport
+    transport = functor.transport
 
     def act(h: int, s: int) -> int:
         g = bisect.bisect_right(offsets, s) - 1
-        return offsets[conjugate(g, h)] + transport(h, g)[s - offsets[g]]
+        return offsets[group.conjugate(g, h)] + transport(h, g)[s - offsets[g]]
 
     action = functor._elements = GroupAction(group, total, act, f"elements({functor.name})",
                                              _rows=rows, _presented=functor._presented)
@@ -373,11 +377,10 @@ def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel
     relabeling: h sends an item x of F(g) to relabel(images of h, x), found
     in the fiber of h g h^-1."""
     index = [{item: i for i, item in enumerate(fiber)} for fiber in fibers]
-    conjugate = group.conjugator()
 
     def transport(h: int, g: int) -> tuple[int, ...]:
         timg = group.images_at(h)
-        target = index[conjugate(g, h)]
+        target = index[group.conjugate(g, h)]
         return tuple(target[relabel(timg, item)] for item in fibers[g])
 
     return EquivariantFunctor(group, tuple(map(len, fibers)), transport, name, _presented=True)

@@ -50,18 +50,6 @@ class SkeletonComponent:
             raise ValueError(f"automorphism group order must be positive, got {self.aut_order}")
 
 
-def component_json(obj: Any, label_json: Optional[Callable[[Any], Any]] = None) -> dict:
-    """The JSON shape of a SkeletonComponent: its aut order and its label.
-
-    As json.dumps(default=component_json) it is called on each component as
-    the encoder reaches it, and hands the label over as it is (json writes
-    tuples as arrays); any other object raises TypeError, as json's default
-    hook must. label_json, when given, converts the label first."""
-    if not isinstance(obj, SkeletonComponent):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return {"aut_order": obj.aut_order, "label": obj.label if label_json is None else label_json(obj.label)}
-
-
 @dataclass(frozen=True)
 class GroupoidSkeleton:
     """Multiset of components, kept in a canonical sorted order: by aut
@@ -80,7 +68,8 @@ class GroupoidSkeleton:
         return tuple(c.aut_order for c in self.components)
 
     def to_json_dict(self) -> dict:
-        return {"components": [component_json(c, label_to_json) for c in self.components]}
+        """Each component as its aut order and its label as JSON data."""
+        return {"components": [{"aut_order": c.aut_order, "label": label_to_json(c.label)} for c in self.components]}
 
 
 EMPTY_SKELETON = GroupoidSkeleton(())

@@ -2,11 +2,11 @@
 
 Cyclic, symmetric and product groups multiply structurally; arbitrary groups
 come in through validated Cayley tables. All instances are immutable and all
-operations are pure. A conjugation row is computed when it is first read
-and kept: from mul and inv, or, once the spanning tree exists, composed from
-the rows of its tree parent and generator. A multiplication row is computed
-on each read. No group keeps a full |G|^2 table: a passing law check reads
-only the rows of its generators.
+operations are pure. A conjugation row is computed with mul and inv when it
+is first read, and kept; a multiplication row is computed on each read. No
+group keeps a full |G|^2 table: a functor's law check keeps only the
+conjugation rows of its generators, and its row compare conjugates only the
+elements of nonempty fibers, keeping no row.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from operator import index, itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .permutations import CapExceededError, Permutation, integer_entries, lex_rank
 
@@ -46,9 +46,6 @@ class FiniteGroup:
     def __init__(self) -> None:
         self._conj_rows: dict[int, list[int]] = {}
         self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
-        # The tree edge of each element whose parent is not the identity, by child.
-        self._tree_steps: dict[int, tuple[int, int, int]] | None = None
-        self._conjugator: Callable[[int, int], int] | None = None
 
     @property
     def identity(self) -> int:
@@ -70,57 +67,24 @@ class FiniteGroup:
         return a
 
     def conjugate(self, g: int, h: int) -> int:
-        """h g h^-1, the result of conjugating g by h."""
-        return self.conjugator()(self.check_element(g), self.check_element(h))
-
-    def conjugator(self) -> Callable[[int, int], int]:
-        """conjugate without the index checks, for callers that conjugate
-        valid indices many times: one read of row h, filled on first use."""
-        if self._conjugator is None:
-            rows, fill = self._conjugation_table(), self._fill_conjugation_row
-            self._conjugator = lambda g, h: (rows.get(h) or fill(h))[g]
-        return self._conjugator
+        """h g h^-1, the result of conjugating g by h, read from row h."""
+        g = self.check_element(g)
+        return self.conjugation_row(h)[g]
 
     def conjugation_row(self, h: int) -> list[int]:
-        """h g h^-1 for g in 0..order-1, computed on the first read and kept;
-        callers must not modify it."""
+        """h g h^-1 for g in 0..order-1, computed with mul and inv on the
+        first read (2|G| products) and kept; callers must not modify it."""
         h = self.check_element(h)
-        return self._conjugation_table().get(h) or self._fill_conjugation_row(h)
+        rows = self._conjugation_table()
+        row = rows.get(h)
+        if row is None:
+            mul, hinv = self.mul, self.inv(h)
+            row = rows[h] = [mul(mul(h, g), hinv) for g in range(self.order)]
+        return row
 
     def _conjugation_table(self) -> dict[int, list[int]]:
         """The conjugation rows read so far, by h."""
         return self._conj_rows
-
-    def _fill_conjugation_row(self, h: int) -> list[int]:
-        """Fill and keep row h. Once the spanning tree exists, a row whose
-        tree edge (h, s, parent) has a parent other than the identity is
-        composed from rows s and parent, filled first the same way:
-        (s p) g (s p)^-1 = s (p g p^-1) s^-1. The identity's row is the
-        identity map; a generator's row, and every row read before the tree
-        exists, costs 2|G| products."""
-        rows = self._conj_rows
-        composed: list[int] = []
-        if self._tree is not None:
-            if self._tree_steps is None:
-                self._tree_steps = {edge[0]: edge for edge in self._tree[1] if edge[2] != self.identity}
-            steps = self._tree_steps
-            while h not in rows and h in steps:
-                composed.append(h)
-                h = steps[h][2]
-        row = rows.get(h) or self._conjugate_by(h)
-        for child in reversed(composed):
-            s = steps[child][1]
-            row = rows[child] = list(map((rows.get(s) or self._conjugate_by(s)).__getitem__, row))
-        return row
-
-    def _conjugate_by(self, h: int) -> list[int]:
-        if h == self.identity:
-            row = list(range(self.order))
-        else:
-            mul, hinv = self.mul, self.inv(h)
-            row = [mul(mul(h, g), hinv) for g in range(self.order)]
-        self._conj_rows[h] = row
-        return row
 
     def multiplication_row(self, g: int) -> list[int]:
         """g x for x in 0..order-1, computed with mul on each read."""
@@ -190,9 +154,6 @@ class FiniteGroup:
                 close(generators, len(reached))
             self._tree = (generators, edges)
         return self._tree
-
-    def element_repr(self, a: int) -> str:
-        return str(self.check_element(a))
 
     def multiplication_table(self) -> list[list[int]]:
         """Full Cayley table; round-trips through from_cayley_table."""
@@ -307,9 +268,6 @@ class SymmetricGroup(FiniteGroup):
             self._certified = certify_presentation(self, self.presentation()) is not None
         return self._certified
 
-    def element_repr(self, a: int) -> str:
-        return str(list(self.permutation_at(a).images))
-
 
 class ProductGroup(FiniteGroup):
     """Direct product; the pair (a, b) is packed as a * |H| + b."""
@@ -354,10 +312,6 @@ class ProductGroup(FiniteGroup):
         """Whether both factors' presentations are certified: theirs and the
         commutators present the direct product of the presented factors."""
         return self.left.certified() and self.right.certified()
-
-    def element_repr(self, a: int) -> str:
-        a1, a2 = self._split(a)
-        return f"({self.left.element_repr(a1)},{self.right.element_repr(a2)})"
 
 
 class CayleyGroup(FiniteGroup):

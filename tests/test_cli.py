@@ -277,6 +277,35 @@ def test_theorem_general_functor_file(tmp_path, capsys):
     assert json.loads(out)["equal"] is True
 
 
+def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, capsys):
+    """An S7 functor with one point, in F(e), takes the row compare: it
+    conjugates e by each of the 5 040 elements, and keeps no conjugation row
+    but the generators'. Keeping every row, 5 040 x 5 040 entries, peaked
+    above 200 MiB."""
+    data = {
+        "group": "S7",
+        "fibers": {str(g): int(g == 0) for g in range(5040)},
+        "transports": {str(h): {"0": [0]} for h in range(5040)},
+    }
+    path = tmp_path / "one-point.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "theorem-general", "functor": "json-functor", "group": "S7", "group_order": 5040, '
+        '"fiber_total": 1, "expected_size": "1/5040", "elements_cardinality": "1/5040", '
+        '"outdegree_cardinality": "1/5040", "equal": true, '
+        '"skeleton": {"components": [{"aut_order": 5040, "label": 0}]}, '
+        '"orbits": [{"representative": 0, "size": 1, "stabilizer_order": 5040}]}\n'
+    )
+    assert peak <= 32 * 2**20
+
+
 def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
     group_json = to_cayley_json(make_cyclic(2))
     bad = {

@@ -263,27 +263,32 @@ def test_builtin_functor_refusal_is_the_refusal_of_its_check(build, n):
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     """A table-built functor is checked by the row compare: fiber sizes
     under the k generators' conjugation rows, and composition over their
-    multiplication rows only; the row build then reads every conjugation
-    row. The built-in fixed-point functor reads the generators' conjugation
-    rows only, and no multiplication row."""
-    group = make_symmetric(5)
+    multiplication rows only; the targets of its transports are conjugated
+    with mul and inv, so no other conjugation row is read. The built-in
+    fixed-point functor reads the generators' conjugation rows only, and no
+    multiplication row. The group keeps the generators' rows and no other."""
+    builtin = make_fixed_point_functor(5)
+    nonempty = [g for g in builtin.group.elements() if builtin.fiber_sizes[g]]
+    table = {(h, g): builtin.transport(h, g) for h in builtin.group.elements() for g in nonempty}
+    group = groups.SymmetricGroup(5)  # fresh, so no row is filled yet
+    monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
     generators = group.spanning_tree()[0]
     assert len(generators) == 2
     read = {"multiplication_row": [], "conjugation_row": []}
     for method in read:
         original = getattr(group, method)
         monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
-    builtin = make_fixed_point_functor(5)
-    functor = EquivariantFunctor(group, builtin.fiber_sizes, builtin.transport)
+    functor = EquivariantFunctor(group, builtin.fiber_sizes, lambda h, g: table.get((h, g), ()))
     total = functor.total_size
     assert total == 120
     assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 2 * 120 + 120 + 2 * 120 * total)
-    assert read["multiplication_row"] == generators
-    assert read["conjugation_row"] == generators + list(range(120))
-    read["conjugation_row"].clear()
-    # 5 relations of 50 letters
-    assert validate_functor(builtin) == FunctorValidation(True, "exhaustive", 2 * 120 + (2 + 50) * total)
     assert read == {"multiplication_row": generators, "conjugation_row": generators}
+    read["conjugation_row"].clear()
+    # 5 relations of 50 letters; each transport reads its generator's row.
+    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, "exhaustive", 2 * 120 + (2 + 50) * total)
+    assert read["multiplication_row"] == generators
+    assert set(read["conjugation_row"]) == set(generators)
+    assert sorted(group._conjugation_table()) == sorted(generators)
 
 
 def test_validation_result_is_cached():
@@ -523,6 +528,27 @@ def functor_tables(group):
         fixed = make_fixed_point_functor(int(group.name[1:]))
         tables.append({(h, g): tuple(fixed.transport(h, g)) for h in range(order) for g in range(order)})
     return [(tuple(len(table[(group.identity, g)]) for g in range(order)), table) for table in tables]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: groups.SymmetricGroup(4),
+    lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3)),
+    lambda: groups.from_cayley_table(make_product(make_cyclic(2), make_symmetric(3)).multiplication_table()),
+], ids=["S4", "Z2xS3", "cayley(Z2xS3)"])
+def test_row_compare_keeps_only_the_generators_conjugation_rows(make):
+    """Table-built functors, passing and with one fiber size raised: the
+    row compare and the fiber-size failure scan conjugate with mul and inv,
+    so the group keeps the k generators' conjugation rows and no other."""
+    tables = functor_tables(make())  # their conjugates fill the rows of another instance
+    group = make()
+    generators = group.spanning_tree()[0]
+    last = group.order - 1
+    for sizes, table in tables:
+        assert validate_functor(EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])).ok
+        raised = sizes[:last] + (sizes[last] + 1,)
+        report = validate_functor(EquivariantFunctor(group, raised, lambda h, g: table[(h, g)]))
+        assert report.failing_law == "fiber_size"
+    assert sorted(group._conjugation_table()) == sorted(generators)
 
 
 def twist_last_coset(group, sizes, table, c):

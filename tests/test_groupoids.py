@@ -17,7 +17,6 @@ from groupoid_card.groupoids import (
     SkeletonComponent,
     cardinality,
     cardinality_via_outdegrees,
-    component_json,
     conjugation_action,
     coproduct,
     delooping,
@@ -326,20 +325,19 @@ def test_skeleton_json():
     assert label_to_json((("a", 1), None)) == [["a", 1], None]
 
 
-def test_component_json_is_the_encoders_hook_for_components_only():
-    """json.dumps(default=component_json) writes each component, labels as
-    they are, with the bytes of its to_json_dict form; any other object the
-    encoder cannot write still raises TypeError."""
+def test_skeleton_json_bytes_with_mixed_labels():
+    """Components in canonical order, each as its aut order and its label,
+    nested tuples written as arrays and a missing label as null."""
     skeleton = GroupoidSkeleton((
         SkeletonComponent(2, ((2, 1), ("Z/2", (3,)))),
         SkeletonComponent(1, None),
         SkeletonComponent(6, (1, 1, 1)),
     ))
-    assert json.dumps({"components": skeleton.components}, default=component_json) == json.dumps(skeleton.to_json_dict())
-    assert component_json(SkeletonComponent(6, (3,))) == {"aut_order": 6, "label": (3,)}
-    for other in (object(), {1, 2}, Fraction(1, 2)):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            json.dumps([SkeletonComponent(1), other], default=component_json)
+    assert json.dumps(skeleton.to_json_dict()) == (
+        '{"components": [{"aut_order": 1, "label": null}, '
+        '{"aut_order": 2, "label": [[2, 1], ["Z/2", [3]]]}, '
+        '{"aut_order": 6, "label": [1, 1, 1]}]}'
+    )
 
 
 def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
@@ -471,7 +469,10 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     action = conjugation_action(group)
     report = action.validate()
     assert report == ActionValidation(True, "exhaustive", 120 + 2 * 120 * 120)
-    assert read == {"multiplication_row": generators, "conjugation_row": []}
+    assert read["multiplication_row"] == generators
+    # Each image h s h^-1 is one conjugate call, a read of row h; the rows
+    # are read in order, as the action's rows are filled.
+    assert read["conjugation_row"] == [h for h in range(120) for _ in range(120)]
 
 
 def test_action_validation_matches_reference_on_s4_corruptions():
