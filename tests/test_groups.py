@@ -216,6 +216,25 @@ def test_conjugate_examples():
         s3.conjugate(0, -1)
 
 
+@pytest.mark.parametrize("rows_first", [True, False])
+def test_conjugator_is_conjugate_without_the_checks(rows_first):
+    """conjugate, the one per-pair read (it replaced the unchecked conjugator),
+    and conjugation_row fill the same rows whichever reads first, and every
+    read equals the literal products."""
+    group = ProductGroup(CyclicGroup(2), SymmetricGroup(3))  # fresh, so no row is filled yet
+    assert group._conjugation_table() == {}
+    for h in group.elements():
+        if rows_first:
+            row = group.conjugation_row(h)
+            assert [group.conjugate(g, h) for g in group.elements()] == row
+        else:
+            row = [group.conjugate(g, h) for g in group.elements()]
+            assert group.conjugation_row(h) == row
+        for g in group.elements():
+            assert group.conjugate(g, h) == group.mul(group.mul(h, g), group.inv(h))
+    assert sorted(group._conjugation_table()) == list(group.elements())
+
+
 @pytest.mark.parametrize(
     "group",
     [make_cyclic(6), make_symmetric(3), make_product(make_cyclic(2), make_cyclic(2))],
@@ -353,8 +372,6 @@ def test_spanning_tree_reaches_every_element_once(make):
     "make",
     [
         pytest.param(lambda: SymmetricGroup(5), id="S5"),
-        pytest.param(lambda: SymmetricGroup(6), id="S6"),
-        pytest.param(lambda: ProductGroup(CyclicGroup(2), SymmetricGroup(3)), id="Z2xS3"),
         pytest.param(lambda: ProductGroup(CyclicGroup(4), SymmetricGroup(4)), id="Z4xS4"),
         pytest.param(lambda: cayley_copy(ProductGroup(CyclicGroup(2), SymmetricGroup(4)), seed=1), id="relabelled(Z2xS4)"),
     ],
@@ -382,6 +399,42 @@ def test_conjugation_rows_match_literal_products(make):
         assert [group.conjugate(g, h) for g in group.elements()] == literal[h], h
     assert calls[0] == 2 * order * order
     assert sorted(group._conjugation_table()) == list(range(order))
+
+
+@pytest.mark.parametrize("make", [pytest.param(lambda: SymmetricGroup(6), id="S6")])
+def test_rows_composed_along_the_tree_match_literal_products(make):
+    """Rows read along the spanning tree, each after its parent, equal the
+    literal products h g h^-1, though no row is composed from its parent's
+    any more."""
+    group = make()
+    generators, edges = group.spanning_tree()
+    mul, inv = group.mul, group.inv
+    for h in [group.identity] + [child for child, _, _ in edges]:
+        hinv = inv(h)
+        assert group.conjugation_row(h) == [mul(mul(h, g), hinv) for g in group.elements()], h
+
+
+def test_rows_composed_along_the_tree_cost_no_products():
+    """Once the tree exists, a row costs 2|G| products on its first read,
+    whatever its tree edge, the identity's included; read again, whichever
+    order, every row costs no products, and the rows kept are the rows read."""
+    group = SymmetricGroup(6)
+    group.spanning_tree()
+    calls = [0]
+    mul = group.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    group.mul = counted
+    for h in reversed(range(group.order)):
+        group.conjugation_row(h)
+    assert calls[0] == 2 * 720 * 720
+    for h in range(group.order):
+        group.conjugation_row(h)
+    assert calls[0] == 2 * 720 * 720
+    assert sorted(group._conjugation_table()) == list(range(720))
 
 
 def test_rows_are_read_on_demand_and_checked():
