@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import permutations
 from .groupoids import rational_str
 from .permutations import (
     CapExceededError,
@@ -31,6 +32,7 @@ from .permutations import (
     falling_power,
     partition_counts,
     pvector_weight_counts,
+    sweep_size,
     validate_pvector,
     weight,
 )
@@ -211,23 +213,27 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
 
 def check_cycle_type_sweep(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
     """Refuse the sweep iter_pvectors(n, max_entry, max_weight) as
-    decorated_permutation_counts would, with the same message, before any
-    p-vector is listed: the partition cap first, then the type-term cap on
+    decorated_permutation_counts would, before any p-vector is listed: the
+    partition cap first, then the type-term cap on
     sum_w count[w] p(n - w) over the pvector_weight_counts. Only weights up
-    to n read terms. When max_weight does not bind, at or above the largest
-    weight max_entry n(n+1)/2, the sweep is every vector, (max_entry + 1)^n
-    of them, and no weight above n is counted."""
+    to n read terms, so only they are counted. The refusal's message is the
+    one decorated_permutation_counts gives the listed sweep, naming all
+    (max_entry + 1)^n vectors when max_weight does not bind, at or above the
+    largest weight max_entry n(n+1)/2, else their sweep_size; where that is
+    only a lower bound, which needs a bound above n, it says "at least"
+    that many."""
     check_partition_cap(n)
     if max_weight is None:
         max_weight = n
-    if 0 <= max_entry and max_entry * n * (n + 1) // 2 <= max_weight:
-        counts = pvector_weight_counts(n, max_entry, n)
-        vectors = (max_entry + 1) ** n
-    else:
-        counts = pvector_weight_counts(n, max_entry, max_weight)
-        vectors = sum(counts)
+    counts = pvector_weight_counts(n, max_entry, min(max_weight, n))
     partitions = partition_counts(n)
-    check_type_term_cap(n, vectors, sum(count * partitions[n - w] for w, count in enumerate(counts[: n + 1])))
+    terms = sum(count * partitions[n - w] for w, count in enumerate(counts))
+    if terms > permutations.DEFAULT_TYPE_TERM_CAP:
+        if 0 <= max_entry and max_entry * n * (n + 1) // 2 <= max_weight:
+            vectors, exact = (max_entry + 1) ** n, True
+        else:
+            vectors, exact = sweep_size(n, max_entry, max_weight)
+        check_type_term_cap(n, vectors, terms, at_least=not exact)
 
 
 def expected_products_by_type(n: int, ps: Sequence[Sequence[int]]) -> list[Fraction]:

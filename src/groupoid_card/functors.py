@@ -416,14 +416,17 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     fibers = data["fibers"]
     if not isinstance(fibers, dict):
         raise ValueError('"fibers" must be an object mapping elements to sizes')
-    sizes = [0] * group.order
-    for g in range(group.order):
-        key = str(g)
-        if key not in fibers:
-            raise ValueError(f"fiber size for element {g} is missing")
-        sizes[g] = json_int(fibers[key], f"fiber size for element {g}")
-        if sizes[g] < 0:
-            raise ValueError(f"fiber size for element {g} is negative")
+    sizes = list(map(fibers.get, map(str, range(group.order))))
+    # The sizes are read one by one, for the first defect's message, only
+    # when one is missing, not an integer or negative.
+    if not set(map(type, sizes)) <= {int} or min(sizes) < 0:
+        for g in range(group.order):
+            key = str(g)
+            if key not in fibers:
+                raise ValueError(f"fiber size for element {g} is missing")
+            sizes[g] = json_int(fibers[key], f"fiber size for element {g}")
+            if sizes[g] < 0:
+                raise ValueError(f"fiber size for element {g} is negative")
 
     transports = data["transports"]
     if not isinstance(transports, dict):
@@ -451,7 +454,10 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
                 raise ValueError(f"transport for (h={h}, g={g}) is omitted; transports may not be inferred")
             if not isinstance(entry, list):
                 raise ValueError(f"transport for (h={h}, g={g}) must be a list of indices")
-            table[(h, g)] = tuple(json_int(x, f"transport entry for (h={h}, g={g})") for x in entry)
+            if not set(map(type, entry)) <= {int}:
+                for x in entry:
+                    json_int(x, f"transport entry for (h={h}, g={g})")
+            table[(h, g)] = tuple(entry)
 
     return EquivariantFunctor(
         group=group,

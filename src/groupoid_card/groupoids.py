@@ -435,13 +435,20 @@ def cardinality_via_outdegrees(action: GroupAction) -> Fraction:
 
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
-    """The group acting on its own elements by h . g = h g h^-1."""
-    return GroupAction(
-        group=group,
-        carrier_size=group.order,
-        act=lambda h, s: group.conjugate(s, h),
-        name=f"conjugation({group.name})",
-    )
+    """The group acting on its own elements by h . g = h g h^-1, computed
+    with mul and inv, so the group keeps no conjugation row: the action's
+    rows are the only |G|^2 images kept. Each h is inverted once."""
+    mul, inv, check = group.mul, group.inv, group.check_element
+    inverses: dict[int, int] = {}
+
+    def act(h: int, s: int) -> int:
+        s, h = check(s), check(h)
+        hinv = inverses.get(h)
+        if hinv is None:
+            hinv = inverses[h] = inv(h)
+        return mul(mul(h, s), hinv)
+
+    return GroupAction(group=group, carrier_size=group.order, act=act, name=f"conjugation({group.name})")
 
 
 def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:

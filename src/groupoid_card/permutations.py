@@ -294,13 +294,13 @@ def check_partition_cap(n: int) -> None:
         raise CapExceededError(f"degree {n} exceeds partition cap {DEFAULT_PARTITION_CAP}")
 
 
-def check_type_term_cap(n: int, vectors: int, terms: int) -> None:
+def check_type_term_cap(n: int, vectors: int, terms: int, at_least: bool = False) -> None:
     """Refuse an exact sum over cycle types for vectors p-vectors at degree n
-    that reads more than DEFAULT_TYPE_TERM_CAP terms, read at call time,
-    before any term is read."""
+    (at least that many, when at_least) that reads more than
+    DEFAULT_TYPE_TERM_CAP terms, read at call time, before any term is read."""
     if terms > DEFAULT_TYPE_TERM_CAP:
         raise CapExceededError(
-            f"{vectors} p-vectors at degree {n} read {terms} cycle-type terms, "
+            f"{'at least ' if at_least else ''}{vectors} p-vectors at degree {n} read {terms} cycle-type terms, "
             f"above the type-term cap {DEFAULT_TYPE_TERM_CAP}"
         )
 
@@ -408,21 +408,30 @@ def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = N
     return counts
 
 
-def check_sweep_cap(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
-    """Refuse the sweep iter_pvectors(n, max_entry, max_weight) when it
-    lists more than DEFAULT_SWEEP_CAP p-vectors, read at call time, before
-    any is listed. Every p-vector with p_k <= max_weight // (k n) for each k
-    has weight at most max_weight, so the product of those ranges bounds the
-    count from below, and a bound over the cap refuses at once. Otherwise
-    the sweep is counted exactly by pvector_weight_counts, and the bound
-    keeps the weights it spans to about DEFAULT_SWEEP_CAP at most."""
+def sweep_size(n: int, max_entry: int = 2, max_weight: int | None = None) -> tuple[int, bool]:
+    """The number of p-vectors iter_pvectors(n, max_entry, max_weight)
+    yields and True, or a lower bound above DEFAULT_SWEEP_CAP, read at call
+    time, and False; nothing is listed. Every p-vector with
+    p_k <= max_weight // (k n) for each k has weight at most max_weight, so
+    the product of those ranges bounds the count from below. Only a bound
+    at or under the cap is followed by the exact count, the sum of
+    pvector_weight_counts, and the bound keeps the weights it spans to about
+    DEFAULT_SWEEP_CAP at most."""
     if max_weight is None:
         max_weight = n
     count = 1
     for k in range(1, n + 1):
         count *= min(max_entry, max_weight // (k * n)) + 1
-    if count <= DEFAULT_SWEEP_CAP:
-        count = sum(pvector_weight_counts(n, max_entry, max_weight))
+    if count > DEFAULT_SWEEP_CAP:
+        return count, False
+    return sum(pvector_weight_counts(n, max_entry, max_weight)), True
+
+
+def check_sweep_cap(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
+    """Refuse the sweep iter_pvectors(n, max_entry, max_weight) when it
+    lists more than DEFAULT_SWEEP_CAP p-vectors, read at call time, before
+    any is listed, naming its sweep_size."""
+    count, _ = sweep_size(n, max_entry, max_weight)
     if count > DEFAULT_SWEEP_CAP:
         raise CapExceededError(f"the sweep lists at least {count} p-vectors at degree {n}, above the sweep cap {DEFAULT_SWEEP_CAP}")
 

@@ -693,6 +693,35 @@ def test_sweep_refusal_lists_no_pvector(monkeypatch, forbid):
     check_cycle_type_sweep(40)
 
 
+def test_sweep_refusal_counts_weights_only_up_to_n(monkeypatch):
+    """Only weights up to n read terms, and only they are counted. Where a
+    weight bound above n binds, the refusal names the sweep's sweep_size:
+    exact when its product bound is at most the sweep cap, else "at least"
+    that bound, which is no more than the sweep's vectors. It took 1.2 s
+    and 50 MB at --max-weight 200000 when every weight up to the bound was
+    counted."""
+    import time
+
+    spans = []
+    counts = permutations.pvector_weight_counts
+    monkeypatch.setattr(cycle_stats, "pvector_weight_counts", lambda n, e, w: spans.append(w) or counts(n, e, w))
+    terms = 9035539
+    for max_weight in (41, 50_000, 200_000, 8_000_000):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as exc:
+            check_cycle_type_sweep(40, max_entry=10_000, max_weight=max_weight)
+        assert time.perf_counter() - start < 0.2
+        bound, exact = permutations.sweep_size(40, 10_000, max_weight)
+        assert exact == (max_weight == 41)
+        assert str(exc.value) == (f"{'' if exact else 'at least '}{bound} p-vectors at degree 40 read {terms} "
+                                  f"cycle-type terms, above the type-term cap {permutations.DEFAULT_TYPE_TERM_CAP}")
+    assert spans == [40] * 4
+    with pytest.raises(CapExceededError, match=f"^{10001 ** 40} p-vectors at degree 40 read {terms} "):
+        check_cycle_type_sweep(40, max_entry=10_000, max_weight=10_000 * 820)
+    bound, exact = permutations.sweep_size(40, 3, 2000)
+    assert not exact and bound < sum(counts(40, 3, 2000))
+
+
 def test_one_pass_route_never_enumerates(monkeypatch, forbid):
     forbid(cycle_stats.cycle_count_histogram, permutations.enumerate_permutations,
            permutations.image_cycle_counts, permutations.cycle_counts)

@@ -417,6 +417,40 @@ def test_functor_json_reports_its_first_defect_in_h_g_order():
     assert count > 1000
 
 
+def literal_fiber_defect(fibers, order):
+    """The message of the first fiber-size defect, read size by size."""
+    for g in range(order):
+        if str(g) not in fibers:
+            return f"fiber size for element {g} is missing"
+        size = fibers[str(g)]
+        if type(size) is not int:
+            return f"fiber size for element {g} must be an integer, got {size!r}"
+        if size < 0:
+            return f"fiber size for element {g} is negative"
+    return None
+
+
+def test_functor_json_reports_its_first_fiber_size_defect():
+    """The sizes are read one by one only when one of them fails, and the
+    first defect in element order is reported as a size-by-size reading
+    reports it, whatever defect follows it."""
+    defects = ["omit", None, "2", 2.0, True, False, -1, [2], {}]
+    count = 0
+    for g1, g2 in itertools.combinations(range(4), 2):
+        for d1, d2 in itertools.product(defects, [2, *defects]):
+            data = rotation_json_functor()
+            for g, d in ((g1, d1), (g2, d2)):
+                if d == "omit":
+                    del data["fibers"][str(g)]
+                else:
+                    data["fibers"][str(g)] = d
+            with pytest.raises(ValueError) as raised:
+                functor_from_json(data)
+            assert str(raised.value) == literal_fiber_defect(data["fibers"], 4)
+            count += 1
+    assert count == 6 * 9 * 10
+
+
 def test_functor_json_stores_only_the_transports_it_lists():
     """An unlisted transport out of an empty fiber reads as the empty
     bijection, and a listed one as listed, even when it is not one: the

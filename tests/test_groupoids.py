@@ -470,9 +470,23 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     report = action.validate()
     assert report == ActionValidation(True, "exhaustive", 120 + 2 * 120 * 120)
     assert read["multiplication_row"] == generators
-    # Each image h s h^-1 is one conjugate call, a read of row h; the rows
-    # are read in order, as the action's rows are filled.
-    assert read["conjugation_row"] == [h for h in range(120) for _ in range(120)]
+    # Each image h s h^-1 is computed with mul and inv: no conjugation row
+    # of the group is read, and none is kept.
+    assert read["conjugation_row"] == []
+    assert group._conjugation_table() == {}
+
+
+def test_validated_conjugation_action_keeps_no_group_row():
+    """Validating the conjugation action of S6 keeps its own 720 rows, each
+    the literal products h s h^-1, and no conjugation row of the group."""
+    group = groups.SymmetricGroup(6)
+    action = conjugation_action(group)
+    assert action.validate().ok
+    assert group._conjugation_table() == {}
+    assert sorted(action._rows) == list(range(720))
+    mul, inv = group.mul, group.inv
+    for h in (0, 1, 359, 719):
+        assert action._rows[h] == [mul(mul(h, s), inv(h)) for s in range(720)]
 
 
 def test_action_validation_matches_reference_on_s4_corruptions():

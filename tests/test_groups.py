@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -273,9 +275,9 @@ def table_test_groups():
     ]
 
 
-def cayley_copy(group, seed=None):
-    """The group's Cayley table as a new group; with a seed, its elements are
-    relabelled by a seeded shuffle that moves the identity off index 0."""
+def relabelling(group, seed):
+    """A seeded shuffle of the group's elements that moves the identity off
+    index 0; the identity map for no seed."""
     import random
 
     order = group.order
@@ -284,15 +286,45 @@ def cayley_copy(group, seed=None):
         rnd = random.Random(seed)
         while relabel[group.identity] == 0 and order > 1:
             rnd.shuffle(relabel)
-    table = [[0] * order for _ in range(order)]
-    for a in range(order):
-        for b in range(order):
-            table[relabel[a]][relabel[b]] = relabel[group.mul(a, b)]
-    if order <= 48:
+    return relabel
+
+
+@functools.cache
+def literal_products(name, seed=None):
+    """The literal multiplication table of the table test group named name
+    and its conjugation rows, h g h^-1 for each h, as tuples, with the
+    elements relabelled by relabelling(group, seed). The table is computed
+    once per group with its own mul, the conjugates from the table, and each
+    relabelling once from those: every case of one group shares them."""
+    group = next(g for g in table_test_groups() if g.name == name)
+    if seed is not None:
+        relabel = relabelling(group, seed)
+        position = sorted(range(group.order), key=relabel.__getitem__)
+
+        def relabelled(rows):
+            return tuple(tuple(map(relabel.__getitem__, map(row.__getitem__, position)))
+                         for row in map(rows.__getitem__, position))
+
+        return tuple(map(relabelled, literal_products(name)))
+    table = tuple(map(tuple, group.multiplication_table()))
+    columns = list(zip(*table))
+    # h g h^-1 is column h^-1 read at row h's entry h g.
+    conj = tuple(tuple(map(columns[row.index(group.identity)].__getitem__, row)) for row in table)
+    return table, conj
+
+
+def cayley_copy(group, seed=None):
+    """The group's Cayley table as a new group; with a seed, its elements are
+    relabelled by relabelling(group, seed), which moves the identity off
+    index 0."""
+    order = group.order
+    relabel = relabelling(group, seed)
+    table = [list(row) for row in literal_products(group.name, seed)[0]]
+    if order <= groups.DEFAULT_CAYLEY_ORDER_CAP:
         copy = from_cayley_table(table)
     else:
-        # Above order 48 the O(m^3) associativity scan is too slow for a unit
-        # test; the table is a group by construction.
+        # Above the order cap from_cayley_table refuses the table; it is a
+        # group by construction.
         inverses = [0] * order
         for a in range(order):
             inverses[relabel[a]] = relabel[group.inv(a)]
@@ -302,14 +334,24 @@ def cayley_copy(group, seed=None):
     return copy
 
 
+class TableCase:
+    """A table test group, or its Cayley copy, made fresh by each call, with
+    the key of its literal products."""
+
+    def __init__(self, group, copied=False, seed=None):
+        self.group, self.copied, self.key = group, copied, (group.name, seed)
+
+    def __call__(self):
+        return cayley_copy(self.group, self.key[1]) if self.copied else self.group
+
+
 def table_cases():
     cases = []
     for group in table_test_groups():
-        cases.append(pytest.param(lambda group=group: group, id=group.name))
-        cases.append(pytest.param(lambda group=group: cayley_copy(group), id=f"cayley({group.name})"))
+        cases.append(pytest.param(TableCase(group), id=group.name))
+        cases.append(pytest.param(TableCase(group, copied=True), id=f"cayley({group.name})"))
         for seed in (1, 2):
-            cases.append(pytest.param(lambda group=group, seed=seed: cayley_copy(group, seed),
-                                      id=f"relabelled({group.name}#{seed})"))
+            cases.append(pytest.param(TableCase(group, copied=True, seed=seed), id=f"relabelled({group.name}#{seed})"))
     return cases
 
 
@@ -319,15 +361,14 @@ def test_tables_from_generator_rows_match_literal_products(make):
     the literal products."""
     group = make()
     order = group.order
-    literal_conj = [group.mul(group.mul(h, g), group.inv(h)) for h in range(order) for g in range(order)]
-    literal_mul = group.multiplication_table()
+    literal_mul, literal_conj = literal_products(*make.key)
     for h in range(order):
-        assert list(group.conjugation_row(h)) == literal_conj[h * order : (h + 1) * order]
+        assert tuple(group.conjugation_row(h)) == literal_conj[h]
     for g in range(order):
-        assert list(group.multiplication_row(g)) == literal_mul[g]
+        assert tuple(group.multiplication_row(g)) == literal_mul[g]
     for g in range(order):
         for h in range(order):
-            assert group.conjugate(g, h) == literal_conj[h * order + g]
+            assert group.conjugate(g, h) == literal_conj[h][g]
 
 
 @pytest.mark.parametrize("make", table_cases())
@@ -408,10 +449,9 @@ def test_rows_composed_along_the_tree_match_literal_products(make):
     any more."""
     group = make()
     generators, edges = group.spanning_tree()
-    mul, inv = group.mul, group.inv
+    literal_conj = literal_products(group.name)[1]
     for h in [group.identity] + [child for child, _, _ in edges]:
-        hinv = inv(h)
-        assert group.conjugation_row(h) == [mul(mul(h, g), hinv) for g in group.elements()], h
+        assert tuple(group.conjugation_row(h)) == literal_conj[h], h
 
 
 def test_rows_composed_along_the_tree_cost_no_products():
@@ -455,3 +495,171 @@ def test_rows_are_read_on_demand_and_checked():
         with pytest.raises(ValueError):
             group.conjugate(0, bad)
     assert list(group._conjugation_table()) == [5, 7]
+
+
+def literal_cayley_group(table):
+    """The reference for from_cayley_table: shape and closure row by row,
+    then associativity over all m^3 triples in lexicographic order, the
+    first two-sided identity and each element's first two-sided inverse.
+    Returns the table, identity and inverses, or raises the
+    GroupValidationError that from_cayley_table raises."""
+    m = len(table)
+    if m == 0:
+        raise GroupValidationError("shape", None, "a group table cannot be empty")
+    rows = []
+    for i, row in enumerate(table):
+        if len(row) != m:
+            raise GroupValidationError("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
+        for j, x in enumerate(row):
+            if not 0 <= x < m:
+                raise GroupValidationError("closure", (i, j), f"entry table[{i}][{j}] = {x} is outside 0..{m - 1}")
+        rows.append(tuple(row))
+    t = tuple(rows)
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise GroupValidationError(
+                        "associativity", (a, b, c),
+                        f"associativity fails at triple ({a}, {b}, {c}): ({a}*{b})*{c} = {t[t[a][b]][c]} but {a}*({b}*{c}) = {t[a][t[b][c]]}",
+                    )
+    identity = next((e for e in range(m) if all(t[e][g] == g and t[g][e] == g for g in range(m))), None)
+    if identity is None:
+        raise GroupValidationError("identity", None, "no two-sided identity element")
+    inverses = []
+    for g in range(m):
+        h = next((h for h in range(m) if t[g][h] == identity and t[h][g] == identity), None)
+        if h is None:
+            raise GroupValidationError("inverse", (g,), f"element {g} has no two-sided inverse")
+        inverses.append(h)
+    return t, identity, tuple(inverses)
+
+
+def cayley_outcome(build, table):
+    """What build makes of table: ("group", table, identity, inverses), or
+    ("error", exception class, axiom, witness, message)."""
+    try:
+        built = build(table)
+    except GroupValidationError as exc:
+        return "error", type(exc), exc.axiom, exc.witness, str(exc)
+    if isinstance(built, CayleyGroup):
+        built = built.table, built.identity, built._inverses
+    return ("group", *built)
+
+
+def single_entry_mutations(table):
+    """The table with one entry changed to another value in -1..m, each once."""
+    m = len(table)
+    for i in range(m):
+        for j in range(m):
+            for x in range(-1, m + 1):
+                if x != table[i][j]:
+                    mutated = [list(row) for row in table]
+                    mutated[i][j] = x
+                    yield mutated
+
+
+@pytest.mark.parametrize(
+    "group",
+    [make_product(make_cyclic(2), make_symmetric(3)), make_product(make_cyclic(4), make_cyclic(3))],
+    ids=lambda g: g.name,
+)
+def test_table_check_matches_the_literal_scan_on_every_single_entry_mutation(group):
+    """The check over a generating set gives the literal m^3 scan's verdict,
+    group or error, with the same class, axiom, witness and message, on the
+    table and on each of its 12 * 12 * 13 single-entry mutations."""
+    table = group.multiplication_table()
+    assert cayley_outcome(from_cayley_table, table)[0] == "group"
+    axioms = set()
+    for mutated in single_entry_mutations(table):
+        expected = cayley_outcome(literal_cayley_group, mutated)
+        assert cayley_outcome(from_cayley_table, mutated) == expected, mutated
+        axioms.add(expected[2])
+    assert axioms == {"closure", "associativity"}
+
+
+def test_table_check_matches_the_literal_scan_on_sampled_mutations():
+    """Forty seeded single-entry mutations of a relabelled Z2xS4 table,
+    whose identity is not 0, against the literal m^3 scan: each breaks
+    associativity, and the witness is the scan's."""
+    import random
+
+    table = [list(row) for row in literal_products("(Z/2xS4)", 1)[0]]
+    assert cayley_outcome(from_cayley_table, table) == cayley_outcome(literal_cayley_group, table)
+    rnd = random.Random(2611)
+    for _ in range(40):
+        mutated = [list(row) for row in table]
+        i, j = rnd.randrange(48), rnd.randrange(48)
+        mutated[i][j] = rnd.choice([x for x in range(48) if x != table[i][j]])
+        expected = cayley_outcome(literal_cayley_group, mutated)
+        assert expected[2] == "associativity"
+        assert cayley_outcome(from_cayley_table, mutated) == expected, (i, j, mutated[i][j])
+
+
+def test_table_check_matches_the_literal_scan_on_every_small_magma():
+    """Every binary operation on 1, 2 or 3 elements, associative or not,
+    with or without identity and inverses."""
+    import itertools
+
+    verdicts = set()
+    for m in (1, 2, 3):
+        for flat in itertools.product(range(m), repeat=m * m):
+            table = [list(flat[i * m : (i + 1) * m]) for i in range(m)]
+            expected = cayley_outcome(literal_cayley_group, table)
+            assert cayley_outcome(from_cayley_table, table) == expected, table
+            verdicts.add(expected[0] if expected[0] == "group" else expected[2])
+    assert verdicts == {"group", "associativity", "identity", "inverse"}
+
+
+def test_failing_table_reports_the_lowest_triple_not_the_first_generator_failure():
+    """Element 0 generates this table (0*0 = 1, 0*1 = 2), so the check over
+    a generating set compares (x*0)*y with x*(0*y) only; the lowest such
+    triple that fails is (1, 0, 1). The lowest failing triple, (0, 1, 1), has the
+    non-generator 1 in the middle: the witness comes from the m^3 scan
+    that follows a failure, so it is the lowest triple."""
+    table = [[1, 2, 0], [2, 0, 1], [0, 0, 0]]
+    assert groups._magma_generators(tuple(map(tuple, table))) == [0]
+    failing = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)
+               if table[table[a][b]][c] != table[a][table[b][c]]]
+    assert min(failing) == (0, 1, 1)
+    assert min(t for t in failing if t[1] == 0) == (1, 0, 1)
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_table(table)
+    assert (exc.value.axiom, exc.value.witness) == ("associativity", (0, 1, 1))
+    assert str(exc.value) == "associativity fails at triple (0, 1, 1): (0*1)*1 = 0 but 0*(1*1) = 1"
+
+
+def test_passing_table_at_the_order_cap_is_checked_over_a_generating_set():
+    """The greedy choice takes 0 (the identity), 1 and 16 from Z16xZ16,
+    of order 256, so its check compares 3 * 256 rows: it took about 1.4 s
+    over all 256^3 triples, and takes a few hundredths of a second now."""
+    import time
+
+    group = make_product(make_cyclic(16), make_cyclic(16))
+    table = group.multiplication_table()
+    assert groups._magma_generators(tuple(map(tuple, table))) == [0, 1, 16]
+    start = time.perf_counter()
+    built = from_cayley_table(table)
+    assert time.perf_counter() - start < 1.0
+    assert (built.identity, list(built._inverses)) == (0, [group.inv(g) for g in range(256)])
+
+
+def test_table_entries_are_read_one_by_one_only_for_a_message():
+    """A row of plain integers passes at once; the first row with another
+    entry is read entry by entry, for the same message as before: an
+    integer-like entry is read as its index, others are refused by name,
+    and an entry out of range names its place. JSON tables refuse a bool."""
+    assert from_cayley_table([[0, True], [True, 0]]).table == ((0, 1), (1, 0))
+    for bad, message in ((1.5, r"table\[1\]\[0\] must be an integer, got 1.5"),
+                         ("1", r"table\[1\]\[0\] must be an integer, got '1'"),
+                         (None, r"table\[1\]\[0\] must be an integer, got None")):
+        with pytest.raises(ValueError, match=message):
+            from_cayley_table([[0, 1], [bad, 2.5]])
+    with pytest.raises(GroupValidationError) as exc:
+        from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 3, -1]])
+    assert (exc.value.axiom, exc.value.witness, str(exc.value)) == (
+        "closure", (2, 1), "entry table[2][1] = 3 is outside 0..2")
+    for bad in (True, 1.0, "1", None, [1]):
+        with pytest.raises(ValueError) as exc:
+            from_cayley_json({"order": 2, "table": [[0, 1], [bad, 0.5]]})
+        assert str(exc.value) == f"Cayley table entry [1][0] must be an integer, got {bad!r}"
