@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -85,31 +86,38 @@ def q_action(tau: Permutation, d: DecoratedPermutation) -> DecoratedPermutation:
 
 
 class _Walk(NamedTuple):
-    """What one walk of S_n keeps: per element, its image tuple, its
-    inverse's once read, and its interned minima array; per interned minima
-    array, the smallest points of its k-cycles, ascending, at index k - 1."""
+    """What one walk of S_n keeps: the group's image table, each element's
+    interned minima array, and per interned minima array the smallest points
+    of its k-cycles, ascending, at index k - 1. It holds no reference to the
+    group, so the group's entry in _WALKS lives as long as the group."""
 
-    group: SymmetricGroup
-    taus: list[tuple[int, ...]]
-    inverses: dict[int, tuple[int, ...]]
+    taus: tuple[tuple[int, ...], ...]
     minima_of: list[tuple[int, ...]]
     minima_by_length: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    def inverse(self, g: int) -> tuple[int, ...]:
-        """The image tuple of g's inverse, looked up in the group and kept:
-        a law check reads the rows of the generators only."""
-        images = self.inverses[g] = self.taus[self.group.inv(g)]
-        return images
+
+# The walk of each symmetric group walked so far, kept for the group's life.
+_WALKS: weakref.WeakKeyDictionary[SymmetricGroup, _Walk] = weakref.WeakKeyDictionary()
 
 
 def _cycle_minima_walk(group: SymmetricGroup) -> _Walk:
-    """One walk of the symmetric group, in element order: the image tuple of
-    every element, read from the group, and each element's "smallest point
-    of my cycle" array. That array depends only on the cycles as point sets,
-    so it is interned: Bell(n) distinct tuples are kept (4 140 at n = 8), and
-    one reference per element."""
+    """The walk of the symmetric group, made on the group's first request and
+    kept with it, as its spanning tree and certificate are: every later
+    cycle_tuple_actions call at that degree reuses it."""
+    walk = _WALKS.get(group)
+    if walk is None:
+        walk = _WALKS[group] = _walk_cycle_minima(group)
+    return walk
+
+
+def _walk_cycle_minima(group: SymmetricGroup) -> _Walk:
+    """One walk of the symmetric group, in element order, over the group's own
+    image table: each element's "smallest point of my cycle" array. That
+    array depends only on the cycles as point sets, so it is interned:
+    Bell(n) distinct tuples are kept (4 140 at n = 8), and one reference per
+    element."""
     n = group.n
-    taus = [group.images_at(g) for g in group.elements()]
+    taus = group.image_table()
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     minima_of = []
     for images in taus:
@@ -128,7 +136,7 @@ def _cycle_minima_walk(group: SymmetricGroup) -> _Walk:
             if minima[x] == x:
                 groups[minima.count(x) - 1].append(x)
         by_length[minima] = tuple(map(tuple, groups))
-    return _Walk(group, taus, {}, minima_of, by_length)
+    return _Walk(taus, minima_of, by_length)
 
 
 def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -141,11 +149,19 @@ def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...])
     return {tuple(itertools.chain.from_iterable(combo)): i for i, combo in enumerate(itertools.product(*streams))}
 
 
-def _laid_out_action(name: str, pvec: tuple[int, ...], walk: _Walk) -> GroupAction:
+def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, walk: _Walk) -> GroupAction:
     """The decorated-permutation action for one p-vector, laid out from the
     walk: one marks-to-offset dict per set partition, shared by every sigma
     with those cycles, and per sigma its minima, its base index and that dict."""
-    taus, inverses, inverse = walk.taus, walk.inverses, walk.inverse
+    taus = walk.taus
+    inverses: dict[int, tuple[int, ...]] = {}
+
+    def inverse(g: int) -> tuple[int, ...]:
+        """The image tuple of g's inverse, looked up in the group and kept:
+        a law check reads the rows of the generators only."""
+        images = inverses[g] = taus[group.inv(g)]
+        return images
+
     layouts = {minima: _mark_offsets(by_length, pvec) for minima, by_length in walk.minima_by_length.items()}
     fibers: dict[tuple[int, ...], tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]] = {}
     sigma_of: list[tuple[int, ...]] = []
@@ -163,7 +179,7 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], walk: _Walk) -> GroupActi
         minima, base, local = fibers[tuple([timg[simg[j]] for j in inverses.get(g) or inverse(g)])]
         return base + local[tuple([minima[timg[a]] for a in marks_of[s]])]
 
-    return GroupAction(group=walk.group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
+    return GroupAction(group=group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
 
 
 def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
@@ -177,8 +193,8 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     chosen cycle, in choice order. tau sends sigma to sigma' = tau sigma
     tau^-1, computed from the S_n image table, and a marked point a to the
     smallest point of the cycle of sigma' through tau(a). S_n is walked once
-    for all of ps (_cycle_minima_walk), and each p-vector's marks are laid
-    out once per set partition. No Permutation is built, no cycle is listed
+    per process (_cycle_minima_walk keeps the walk with the group), and each
+    p-vector's marks are laid out once per set partition. No Permutation is built, no cycle is listed
     or re-canonicalized, and no conjugation row of the group is read.
     q_action and make_cycle_tuple_functor's transport relabel canonical
     cycles instead, so the routes the acceptance suite compares stay
@@ -199,7 +215,7 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     walk = _cycle_minima_walk(group) if any(sizes) else None
     # An empty carrier's act is never called: there is no point to act on.
     return (
-        _laid_out_action(name, pvec, walk) if size else GroupAction(group, 0, lambda g, s: s, name, _presented=True)
+        _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g, s: s, name, _presented=True)
         for name, pvec, size in zip(names, pvecs, sizes)
     )
 
@@ -292,8 +308,8 @@ def verify_categorifieds(n: int, ps: Sequence[Sequence[int]]) -> list[Categorifi
     """For every p-vector in ps, build both skeletons, compare them as
     multisets of aut orders and as exact cardinalities, and check |Q| / n!
     against the enumeration expectation of the falling-power product. The
-    actions come from one `cycle_tuple_actions` call, so S_n is walked once;
-    the enumeration cap is read first, so a refused degree lists no ps."""
+    actions come from one `cycle_tuple_actions` call, which asks for the walk
+    of S_n once; the enumeration cap is read first, so a refused degree lists no ps."""
     check_enumeration_cap(n)
     pvecs = [validate_pvector(n, p) for p in ps]
     actions = cycle_tuple_actions(n, pvecs)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -333,7 +334,11 @@ def cmd_theorem_general(args) -> int:
     return 0 if report.equal else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and returned
+    by every later one, so a process that runs main many times builds it
+    once. Parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="groupoid-card",
         description="Exact groupoid cardinality and random-permutation cycle statistics.",

@@ -205,23 +205,28 @@ class SymmetricGroup(FiniteGroup):
         self.n = n
         self.order = math.factorial(n)
         self.name = f"S{n}"
-        self._images: list[tuple[int, ...]] | None = None
+        self._images: tuple[tuple[int, ...], ...] | None = None
         self._rank_of: dict[tuple[int, ...], int] | None = None
         self._certified: bool | None = None
 
-    def _tables(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    def _tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
         built on the first call and kept."""
         if self._images is None:
             import itertools
 
-            self._images = list(itertools.permutations(range(self.n)))
+            self._images = tuple(itertools.permutations(range(self.n)))
             self._rank_of = {images: i for i, images in enumerate(self._images)}
         return self._images, self._rank_of
 
     def images_at(self, a: int) -> tuple[int, ...]:
         """The image tuple of element a, without building a Permutation."""
         return self._tables()[0][self.check_element(a)]
+
+    def image_table(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuple of every element, indexed by rank: the group's own
+        table, read-only, so a walk of all n! elements copies nothing."""
+        return self._tables()[0]
 
     def permutation_at(self, a: int) -> Permutation:
         return Permutation(self.images_at(a))

@@ -34,8 +34,8 @@ def forbid(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Count the walks of S_n the decorated-permutation builder makes: the
-    returned list gets the degree of each walk."""
+    """Count the walks of S_n the decorated-permutation builder asks for,
+    kept or new: the returned list gets the degree of each request."""
     from groupoid_card import categorified
 
     walk = categorified._cycle_minima_walk

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,8 @@ from groupoid_card.categorified import (
 )
 from groupoid_card.cycle_stats import cll_rhs, expected_product_brute
 from groupoid_card.functors import make_cycle_tuple_functor, verify_general_theorem
-from groupoid_card.groups import make_symmetric
-from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, skeletons_equivalent, weak_quotient
+from groupoid_card.groups import SymmetricGroup, make_symmetric
+from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, orbit_decomposition, skeletons_equivalent, weak_quotient
 from groupoid_card.permutations import (
     CapExceededError,
     Permutation,
@@ -267,3 +269,56 @@ def test_elements_route_never_reads_the_kernel(forbid):
         cycle_tuple_action(3, (0, 1, 0))
     assert [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES] == expected
     assert [q_images(n, p) for n, p in INDEPENDENCE_CASES] == expected_q
+
+
+# Two sweeps at one degree; the first has an empty carrier, weight 12 > 5.
+REPEATED_SWEEPS = ([(2, 1, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 3, 0)], [(1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (5, 0, 0, 0, 0)])
+
+
+def sweep_facts(n, ps):
+    """Per action of one cycle_tuple_actions call: its name, carrier size,
+    generator rows, validate() report and orbits."""
+    facts = []
+    for action in cycle_tuple_actions(n, ps):
+        generators = action.group.presentation()[0]
+        rows = [action._row(g) for g in generators]
+        facts.append((action.name, action.carrier_size, rows, action.validate(), orbit_decomposition(action)))
+    return facts
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["first-second", "second-first"])
+def test_sweeps_at_one_degree_share_one_walk(monkeypatch, order):
+    """Two cycle_tuple_actions calls at one degree walk S5 once, reading its
+    image table whole rather than element by element, and each gives what
+    it gives on a fresh S5 of its own, in either call order."""
+    walked = []
+    walk = categorified._walk_cycle_minima
+
+    def counting(group):
+        walked.append(group)
+        return walk(group)
+
+    def refuse(group, a):
+        raise AssertionError("the walk read the image table element by element")
+
+    monkeypatch.setattr(categorified, "_walk_cycle_minima", counting)
+    monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
+    group = SymmetricGroup(5)
+    monkeypatch.setattr(categorified, "make_symmetric", lambda n: group)
+    shared = [sweep_facts(5, REPEATED_SWEEPS[i]) for i in order]
+    assert walked == [group]
+    assert categorified._cycle_minima_walk(group).taus is group.image_table()
+    monkeypatch.setattr(categorified, "make_symmetric", SymmetricGroup)
+    fresh = [sweep_facts(5, REPEATED_SWEEPS[i]) for i in order]
+    assert len(walked) == 3 and group not in walked[1:]
+    assert shared == fresh
+
+
+def test_a_kept_walk_lives_as_long_as_its_group():
+    group = SymmetricGroup(4)
+    walk = categorified._cycle_minima_walk(group)
+    assert categorified._cycle_minima_walk(group) is walk
+    alive = weakref.ref(group)
+    del group
+    gc.collect()
+    assert alive() is None

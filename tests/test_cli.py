@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupoid_card import categorified, cycle_stats, groupoids, permutations
+from groupoid_card import categorified, cli, cycle_stats, groupoids, permutations
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
@@ -887,3 +888,47 @@ def test_subprocess_entry_point_deterministic():
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
     assert payload["target"] == "1/3"
+
+
+# One process's run of main: a pass, a usage error, an unknown subcommand,
+# --help, and the pass again.
+MIXED_RUN = [
+    ["verify-categorified", "--n", "4", "--p", "0,2,0,0"],
+    ["stats", "--n", "three"],
+    ["no-such-command"],
+    ["--help"],
+    ["verify-categorified", "--n", "4", "--p", "0,2,0,0"],
+]
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    """The first call builds the parser and its six subcommand parsers; no
+    later call, whatever its outcome, builds one."""
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    after = []
+    for argv in MIXED_RUN:
+        run_cli(argv, capsys)
+        after.append(len(built))
+    assert after == [7] * len(MIXED_RUN)
+
+
+def test_main_in_one_process_prints_what_fresh_processes_print(capsys, monkeypatch):
+    """Each call of the mixed run gives the exit code, stdout and stderr of
+    its own python -m groupoid_card process (help wrapped at 80 columns in
+    both)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in MIXED_RUN:
+        in_process = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "groupoid_card", *argv], capture_output=True, text=True, timeout=60)
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(in_process[0])
+    assert codes == [0, 2, 2, 0, 0]
