@@ -28,9 +28,9 @@ from .permutations import (
     check_partition_cap,
     check_type_term_cap,
     cycle_decomposition,
-    cycle_type_table,
     falling_power,
     partition_counts,
+    partition_walk,
     pvector_weight_counts,
     sweep_size,
     validate_pvector,
@@ -173,12 +173,13 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
 
     Only the types with m_k >= p_k for every k contribute, and they are the
     partitions of n - |p| with p_k k-cycles added. So the p-vectors are
-    grouped by weight, and each group reads cycle_type_table(n - |p|) once.
-    Each term is computed from the full type's own multiplicities and its own
-    centralizer order: the table yields the unchosen type's order, and only
-    the chosen sizes' factors move, z // k^{m_k} m_k! * k^{m_k+p_k} (m_k+p_k)!
-    for each k with p_k > 0. The sum is read from no closed form, and no
-    table is kept after the call.
+    grouped by weight, and each group walks the partitions of n - |p| once
+    (partition_walk), reading only the chosen sizes' counts from the walk's
+    live multiplicities. Each term is computed from the full type's own
+    multiplicities and its own centralizer order: the walk yields the
+    unchosen type's order, and only the chosen sizes' factors move,
+    z // k^{m_k} m_k! * k^{m_k+p_k} (m_k+p_k)! for each k with p_k > 0. The
+    sum is read from no closed form, and no table is kept after the call.
 
     Raises CapExceededError, before any sum, for a degree above
     DEFAULT_PARTITION_CAP or when the terms to read, the partitions of
@@ -197,7 +198,7 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     totals = [0] * len(pvecs)
     for w, needs in by_weight.items():
         size = n - w
-        for rest, z_rest, _ in cycle_type_table(size):
+        for rest, z_rest, _, _, _ in partition_walk(size):
             # rest[k-1] counts the k-cycles left unchosen, and z_rest is the
             # centralizer order of their type.
             for i, need in needs:

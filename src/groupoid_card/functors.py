@@ -351,7 +351,7 @@ def make_fixed_point_functor(n: int) -> EquivariantFunctor:
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
     total = group.order if n else 0
     _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
-    fixed = [tuple(i for i, x in enumerate(group.images_at(g)) if x == i) for g in group.elements()]
+    fixed = [tuple(i for i, x in enumerate(images) if x == i) for images in group.image_table()]
     return _relabelling_functor(group, name, fixed, operator.getitem)
 
 
@@ -377,9 +377,10 @@ def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel
     relabeling: h sends an item x of F(g) to relabel(images of h, x), found
     in the fiber of h g h^-1."""
     index = [{item: i for i, item in enumerate(fiber)} for fiber in fibers]
+    taus, check = group.image_table(), group.check_element
 
     def transport(h: int, g: int) -> tuple[int, ...]:
-        timg = group.images_at(h)
+        timg = taus[check(h)]
         target = index[group.conjugate(g, h)]
         return tuple(target[relabel(timg, item)] for item in fibers[g])
 

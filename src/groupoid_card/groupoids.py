@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .groups import FiniteGroup
-from .permutations import CapExceededError, check_partition_cap, cycle_type_table
+from .permutations import CapExceededError, check_partition_cap, cycle_type_table, partition_walk
 
 DEFAULT_CHECK_CAP = 10_000_000
 
@@ -467,17 +467,36 @@ def perm_skeleton_rows(n: int) -> list[tuple[int, str]]:
     """The components of perm_groupoid_skeleton(n), in its order, as rows
     (aut order, label text). The text joins the partition's parts with
     ", ", so "[" + text + "]" is the label both as a JSON array and as the
-    repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton does."""
+    repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton does.
+
+    The labels are read from partition_walk's live state: prefix[i] keeps
+    the text of the parts a[1..i] while they stand, so a visit writes the
+    text of only its rewritten parts above 1, and each label is that
+    prefix followed by a kept run of ", 1" for the partition's 1s."""
     if n < 0:
         return []
     check_partition_cap(n)
     digits = [str(k) for k in range(n + 1)]
-    rows = [(z, ", ".join(map(digits.__getitem__, partition))) for _, z, partition in cycle_type_table(n)]
+    parts = [", " + text for text in digits]
+    ones_runs = [", 1" * k for k in range(n + 1)]
+    prefix = [""] * (n + 1)
+    rows = []
+    append = rows.append
+    for _, z, a, m, low in partition_walk(n):
+        # a[1..low-1] stand and are above 1; last indexes the last part
+        # above 1, and the m - last parts after it are 1s.
+        last = low - 1
+        while last < m and a[last + 1] > 1:
+            last += 1
+            prefix[last] = prefix[last - 1] + parts[a[last]] if last > 1 else digits[a[1]]
+        append((z, prefix[last] + ones_runs[m - last] if last else ones_runs[m][2:]))
     # Sorting by (z, text) gives the canonical order (z, repr(label)): no
     # text is a proper prefix of another of the same degree, since the
     # longer one would need an extra part or a larger part, so its parts
     # would sum to more. Two texts therefore differ at a character inside
     # both, and that character orders their reprs the same way, whatever
-    # follows it.
-    rows.sort()
+    # follows it. Two stable passes, by text and then by z, give that order
+    # without comparing tuples.
+    rows.sort(key=operator.itemgetter(1))
+    rows.sort(key=operator.itemgetter(0))
     return rows

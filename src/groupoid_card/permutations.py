@@ -15,10 +15,10 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_PARTITION_CAP = 40
 # Most cycle-type terms one exact sum over cycle types may read: the
-# partitions of n - |p|, summed over its p-vectors. A term takes about 3 us on
-# a 2-core x86 machine, so a call stays under about 15 s there, and every
-# default --all-p sweep up to DEFAULT_PARTITION_CAP fits (degree 40 reads
-# 3 225 386 terms).
+# partitions of n - |p|, summed over its p-vectors. A term takes about 2.3 us
+# on a 2-core x86 machine (the degree-40 sweep below, 7.4 s in all), so a
+# call stays under about 10 s there, and every default --all-p sweep up to
+# DEFAULT_PARTITION_CAP fits (degree 40 reads 3 225 386 terms).
 DEFAULT_TYPE_TERM_CAP = 4_000_000
 # Most p-vectors one --all-p sweep may list. The largest default sweep that
 # the degree caps let run, degree 40, lists 39 636.
@@ -184,39 +184,45 @@ def centralizer_factors(n: int) -> list[list[int]]:
     return [[k**m * factorials[m] for m in range(n + 1)] for k in range(n + 1)]
 
 
-def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Every cycle type of degree n as (multiplicities, centralizer order,
-    partition), with multiplicities of length n and the partition's parts
-    weakly decreasing. Partitions come in reverse lexicographic order, by
-    Knuth, TAOCP Vol. 4A, 7.2.1.4, Algorithm P.
+def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int]]:
+    """Walk the partitions of n in reverse lexicographic order, by Knuth,
+    TAOCP Vol. 4A, 7.2.1.4, Algorithm P, yielding the walk's live state at
+    each visit as (mult, z, a, m, low):
 
-    Each step of the walk rewrites only a suffix of the partition, so one
-    multiplicity list and the centralizer order z = prod_k k^{m_k} m_k! are
-    carried from visit to visit and moved only at the part sizes the step
-    changes: sizes 2 and 1 when a 2 becomes 1 + 1; otherwise the part x + 1
-    that drops to x, the 1s after it, x, and the last part left over. Each
-    move divides z exactly by k^m m! at the size's old count m and
-    multiplies it by the factor at the new count. Every visit yields fresh
-    tuples. Nothing for n < 0; one empty type for n = 0."""
+    - mult[k-1] counts the parts of size k, for k in 1..n;
+    - z = prod_k k^{m_k} m_k! is their centralizer order;
+    - a[1..m] are the parts, weakly decreasing;
+    - a[1..low-1] is unchanged since the previous visit (low = 1 at the
+      first).
+
+    mult and a are the walk's own lists, rewritten by the next step: a
+    caller reads them and keeps nothing of them, and never writes to them.
+
+    Each step rewrites only a suffix of the partition, so mult and z are
+    moved only at the part sizes the step changes: sizes 2 and 1 when a 2
+    becomes 1 + 1; otherwise the part x + 1 that drops to x, the 1s after
+    it, x, and the last part left over. Each move divides z exactly by
+    k^m m! at the size's old count m and multiplies it by the factor at the
+    new count. Nothing for n < 0; for n = 0 one visit with no part, mult
+    empty and z = 1."""
     if n < 0:
         return
+    mult = [0] * n
+    # a[0] = 0 stops the scan for a 2, and q indexes the last part greater
+    # than 1.
+    a = [0] * (n + 1)
     if n == 0:
-        yield (), 1, ()
+        yield mult, 1, a, 0, 1
         return
     factors = centralizer_factors(n)
-    # mult[k-1] counts the parts of size k, and z is their centralizer order.
-    mult = [0] * n
     mult[n - 1] = 1
     z = n
-    # a[1..m] is the current partition; a[0] = 0 stops the scan for a 2, and
-    # q indexes the last part greater than 1.
-    a = [0] * (n + 1)
-    m, rest = 1, n
+    m, rest, low = 1, n, 1
     while True:
         a[m] = rest
         q = m - (rest == 1)
         while True:
-            yield tuple(mult), z, tuple(a[1 : m + 1])
+            yield mult, z, a, m, low
             if a[q] != 2:
                 break
             twos, ones = mult[1], mult[0]
@@ -224,6 +230,7 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
             mult[1] = twos - 1
             mult[0] = ones + 2
             a[q] = 1
+            low = q
             q -= 1
             m += 1
             a[m] = 1
@@ -251,6 +258,16 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
         a[q] = x
         a[q + 1 : q + 1 + j] = [x] * j
         m = q + 1 + j
+        low = q
+
+
+def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every cycle type of degree n as (multiplicities, centralizer order,
+    partition), with multiplicities of length n and the partition's parts
+    weakly decreasing, in partition_walk's order: fresh tuples of its live
+    state at each visit. Nothing for n < 0; one empty type for n = 0."""
+    for mult, z, a, m, _ in partition_walk(n):
+        yield tuple(mult), z, tuple(a[1 : m + 1])
 
 
 def partition_counts(n: int) -> list[int]:

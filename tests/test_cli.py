@@ -541,7 +541,7 @@ def test_cycle_type_sweep_above_the_type_term_cap_lists_no_pvector(capsys, forbi
         yield
 
     monkeypatch.setattr(cli, "iter_pvectors", unlisted)
-    forbid(permutations.validate_pvector, permutations.cycle_type_table)
+    forbid(permutations.validate_pvector, permutations.cycle_type_table, permutations.partition_walk)
     code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "cycle-type"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: 75341 p-vectors at degree 40 read 4857052 cycle-type terms, above the type-term cap {DEFAULT_TYPE_TERM_CAP}\n"

@@ -555,7 +555,7 @@ def test_cycle_count_histogram_equals_the_literal_walk(n):
 
 
 def test_brute_never_reads_cycle_types(monkeypatch, forbid):
-    refuse = forbid(permutations.cycle_type_table, permutations.all_cycle_types)
+    refuse = forbid(permutations.cycle_type_table, permutations.partition_walk, permutations.all_cycle_types)
     monkeypatch.setattr(CycleType, "centralizer_order", refuse)
     monkeypatch.setattr(CycleType, "partition", refuse)
     cycle_count_histogram.cache_clear()
@@ -637,7 +637,7 @@ def test_type_term_cap_refuses_before_any_sum(monkeypatch, forbid):
     monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", terms)
     assert expected_products_by_type(10, ps) == [cll_rhs(10, p) for p in ps]
     monkeypatch.setattr(permutations, "DEFAULT_TYPE_TERM_CAP", terms - 1)
-    forbid(permutations.cycle_type_table)
+    forbid(permutations.cycle_type_table, permutations.partition_walk)
     with pytest.raises(CapExceededError, match=f"{len(ps)} p-vectors at degree 10 read {terms} cycle-type terms, above the type-term cap {terms - 1}"):
         expected_products_by_type(10, ps)
 
@@ -685,7 +685,7 @@ def test_sweep_refusal_equals_the_listed_refusal(monkeypatch):
 
 
 def test_sweep_refusal_lists_no_pvector(monkeypatch, forbid):
-    forbid(permutations.iter_pvectors, permutations.validate_pvector, permutations.cycle_type_table)
+    forbid(permutations.iter_pvectors, permutations.validate_pvector, permutations.cycle_type_table, permutations.partition_walk)
     with pytest.raises(CapExceededError, match="75341 p-vectors at degree 40 read 4857052 cycle-type terms"):
         check_cycle_type_sweep(40, max_entry=3)
     with pytest.raises(CapExceededError, match="degree 41 exceeds partition cap 40"):

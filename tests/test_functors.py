@@ -225,6 +225,32 @@ def test_n6_fixed_point_functor_is_exhaustive():
     assert all(o.size * o.stabilizer_order == 720 for o in orbits)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_fixed_point_functor_reads_the_image_table_whole(monkeypatch, n):
+    """make_fixed_point_functor and its transports read S_n's image table
+    whole rather than element by element: with images_at made to raise, a
+    functor built on a fresh S_n has the fibers of one built before, the
+    points each element fixes, and gives the same transports, check and
+    theorem report."""
+    group = groups.SymmetricGroup(n)
+    monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
+    before = make_fixed_point_functor(n)
+    fixed = [sum(x == i for i, x in enumerate(group.images_at(g))) for g in group.elements()]
+    pairs = [(h, g) for h in group.presentation()[0] for g in group.elements()]
+    expected = ([before.transport(h, g) for h, g in pairs], validate_functor(before), verify_general_theorem(before).to_json_dict())
+
+    def refuse(group, a):
+        raise AssertionError("the functor read the image table element by element")
+
+    monkeypatch.setattr(groups.SymmetricGroup, "images_at", refuse)
+    fresh = groups.SymmetricGroup(n)
+    monkeypatch.setattr(functors, "make_symmetric", lambda n: fresh)
+    functor = make_fixed_point_functor(n)
+    assert functor.group is fresh
+    assert functor.fiber_sizes == before.fiber_sizes == tuple(fixed)
+    assert ([functor.transport(h, g) for h, g in pairs], validate_functor(functor), verify_general_theorem(functor).to_json_dict()) == expected
+
+
 def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
     """The S6 fixed-point functor's relator check, its category of elements
     and the orbit walk read the conjugation rows of the 2 generators only:

@@ -21,6 +21,7 @@ from groupoid_card.permutations import (
     iter_pvectors,
     lex_rank,
     list_cycle_tuples,
+    partition_walk,
     pvector_weight_counts,
     validate_pvector,
     weight,
@@ -422,6 +423,24 @@ def test_cycle_type_table_yields_are_not_live_views():
         assert type(mult) is tuple and type(parts) is tuple
         assert (mult, z, parts) == (mult_then, z_then, parts_then)
     assert len({entry[0] for entry, *_ in held}) == len(held) == 77
+
+
+@pytest.mark.parametrize("n", range(-1, 31))
+def test_partition_walk_live_state_is_the_table(n):
+    """At each visit the live state read as fresh tuples, a[1..m] with the
+    multiplicities and z, is cycle_type_table's triple; a[1..low-1] is the
+    previous visit's prefix, and a[low] is the first part that differs from
+    it (low = 1 at the first visit)."""
+    previous = None
+    for (mult, z, a, m, low), triple in zip(partition_walk(n), cycle_type_table(n), strict=True):
+        parts = tuple(a[1 : m + 1])
+        assert (tuple(mult), z, parts) == triple
+        if previous is None:
+            assert low == 1
+        else:
+            assert parts[: low - 1] == previous[: low - 1]
+            assert parts[low - 1] != previous[low - 1]
+        previous = parts
 
 
 def test_cycle_type_table_negative_degree_is_empty():
