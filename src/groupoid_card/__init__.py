@@ -13,12 +13,9 @@ functor's average fiber size.
 
 from .categorified import (
     CategorifiedReport,
-    DecoratedPermutation,
-    build_Q,
     categorified_rhs_skeleton,
     cycle_tuple_action,
     cycle_tuple_actions,
-    q_action,
     verify_categorified,
     verify_categorifieds,
 )
@@ -101,7 +98,6 @@ from .permutations import (
     Permutation,
     all_cycle_types,
     canonical_cycle,
-    conjugate_permutation,
     cycle_counts,
     cycle_decomposition,
     cycle_type_table,

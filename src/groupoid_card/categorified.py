@@ -34,55 +34,7 @@ from .groupoids import (
     skeleton_from_orbits,
     skeletons_equivalent,
 )
-from .permutations import (
-    CycleTupleChoice,
-    Permutation,
-    canonical_cycle,
-    check_enumeration_cap,
-    conjugate_permutation,
-    enumerate_permutations,
-    list_cycle_tuples,
-    validate_pvector,
-    weight,
-)
-
-
-@dataclass(frozen=True)
-class DecoratedPermutation:
-    """A permutation together with, for each k, an ordered tuple of distinct
-    k-cycles of that permutation (stored canonically, minimum entry first)."""
-
-    sigma: Permutation
-    choice: CycleTupleChoice
-
-
-def build_Q(n: int, p: Sequence[int]) -> list[DecoratedPermutation]:
-    """All decorated permutations of degree n for the given p-vector, in
-    deterministic order. Total count is sum over sigma of
-    prod_k falling_power(c_k(sigma), p_k); empty when weight(p) > n."""
-    pvec = validate_pvector(n, p)
-    return [
-        DecoratedPermutation(sigma, choice)
-        for sigma in enumerate_permutations(n)
-        for choice in list_cycle_tuples(sigma, pvec)
-    ]
-
-
-def relabel_choice(timg: Sequence[int], choice: CycleTupleChoice) -> CycleTupleChoice:
-    """Push every chosen cycle through the permutation with image tuple timg
-    and re-canonicalize."""
-    return tuple(
-        (k, tuple([canonical_cycle([timg[a] for a in cyc]) for cyc in cycles]))
-        for k, cycles in choice
-    )
-
-
-def q_action(tau: Permutation, d: DecoratedPermutation) -> DecoratedPermutation:
-    """Conjugate the underlying permutation by tau and map the chosen cycles
-    to the corresponding cycles of the conjugate."""
-    if tau.degree != d.sigma.degree:
-        raise ValueError(f"degree mismatch: {tau.degree} vs {d.sigma.degree}")
-    return DecoratedPermutation(conjugate_permutation(d.sigma, tau), relabel_choice(tau.images, d.choice))
+from .permutations import check_enumeration_cap, validate_pvector, weight
 
 
 class _Walk(NamedTuple):
@@ -184,9 +136,10 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, wa
 
 def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
     """The symmetric group of degree n acting on the decorated permutations
-    of each p-vector in ps, indexed in build_Q order, on marked points rather
-    than cycle tuples; the actions come lazily, in ps order, so each carrier
-    can be dropped before the next is built.
+    of each p-vector in ps, on marked points rather than cycle tuples, indexed
+    by sigma in element order and then by choice in list_cycle_tuples order;
+    the actions come lazily, in ps order, so each carrier can be dropped
+    before the next is built.
 
     A chosen cycle of sigma is fixed by sigma and any one point on it, so a
     decorated permutation is stored as sigma and the smallest point of each
@@ -194,11 +147,11 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     tau^-1, computed from the S_n image table, and a marked point a to the
     smallest point of the cycle of sigma' through tau(a). S_n is walked once
     per process (_cycle_minima_walk keeps the walk with the group), and each
-    p-vector's marks are laid out once per set partition. No Permutation is built, no cycle is listed
-    or re-canonicalized, and no conjugation row of the group is read.
-    q_action and make_cycle_tuple_functor's transport relabel canonical
-    cycles instead, so the routes the acceptance suite compares stay
-    independent.
+    p-vector's marks are laid out once per set partition. No Permutation is
+    built, no cycle is listed or re-canonicalized, and no conjugation row of
+    the group is read. The tests' literal oracle and make_cycle_tuple_functor's
+    transport relabel canonical cycles instead, so the routes the acceptance
+    suite compares stay independent.
 
     Each p-vector is validated once, and its carrier is counted over cycle
     types (decorated_permutation_counts) before the walk. A carrier whose

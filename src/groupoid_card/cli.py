@@ -34,9 +34,8 @@ from .functors import (
     make_fixed_point_functor,
     verify_general_theorem,
 )
-from .groups import GroupValidationError
 from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
-from .permutations import CapExceededError, check_sweep_cap, iter_pvectors, weight
+from .permutations import check_sweep_cap, iter_pvectors
 
 
 # Rows of the skeleton written at a time.
@@ -410,7 +409,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = exc.report
         print(f"functor validation failed ({report.failing_law} law, witness {report.witness}): {report.message}", file=sys.stderr)
         return 2
-    except (UsageError, CapExceededError, GroupValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # UsageError, CapExceededError, GroupValidationError and JSONDecodeError are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

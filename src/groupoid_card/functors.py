@@ -14,9 +14,8 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
-from .categorified import relabel_choice
 from .cycle_stats import decorated_permutation_counts
 from . import groupoids, permutations
 from .groups import FiniteGroup, SymmetricGroup, from_cayley_json, json_int, make_symmetric
@@ -32,6 +31,8 @@ from .groupoids import (
 )
 from .permutations import (
     CapExceededError,
+    CycleTupleChoice,
+    canonical_cycle,
     check_enumeration_cap,
     integer_entries,
     list_cycle_tuples,
@@ -46,7 +47,8 @@ class EquivariantFunctor:
     transport(h, g) must return the image array of a bijection
     F(g) -> F(h g h^-1); validate_functor checks each array it reads. A
     constructor whose transport is a formula passes _presented=True, as
-    GroupAction's constructors do.
+    GroupAction's constructors do. Only validate_functor sets the report
+    and the category of elements.
     """
 
     group: FiniteGroup
@@ -54,8 +56,8 @@ class EquivariantFunctor:
     transport: Callable[[int, int], tuple[int, ...]]
     name: str = "functor"
     _presented: bool = field(default=False, repr=False)
-    _validation: Optional["FunctorValidation"] = field(default=None, repr=False)
-    _elements: Optional[GroupAction] = field(default=None, repr=False)
+    _validation: Optional["FunctorValidation"] = field(default=None, init=False, repr=False)
+    _elements: Optional[GroupAction] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = integer_entries(self.fiber_sizes, "fiber_sizes")
@@ -88,11 +90,12 @@ class FunctorValidation:
     """Outcome of the functor law checks, with the first failure witnessed."""
 
     ok: bool
-    mode: str  # always "exhaustive": every transport a report rests on is read
     checks: int
     failing_law: Optional[str] = None
     witness: Optional[tuple] = None
     message: Optional[str] = None
+    # Every transport a report rests on is read: no law check samples.
+    mode: ClassVar[str] = "exhaustive"
 
 
 class FunctorValidationError(ValueError):
@@ -164,7 +167,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     checks = len(generators) * order
 
     def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
-        return FunctorValidation(False, "exhaustive", checks, law, witness, message)
+        return FunctorValidation(False, checks, law, witness, message)
 
     targets = {s: group.conjugation_row(s) for s in generators}
     listed = list(sizes)
@@ -235,14 +238,14 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         report = action._validation = action._check_relations(generators, relations)
         checks += report.checks
         if report.ok:
-            return FunctorValidation(True, "exhaustive", checks)
+            return FunctorValidation(True, checks)
         i, point = report.witness
         g = bisect.bisect_right(offsets, point) - 1
         return failed("relation", (*relations[i], g),
                       f"{groupoids._relation_str(relations[i])} fails at fiber element {point - offsets[g]} of F({g})")
     report = action._validation = action._compare_rows()
     if report.ok:
-        return FunctorValidation(True, "exhaustive", checks + len(generators) * order * total)
+        return FunctorValidation(True, checks + len(generators) * order * total)
     h2, h1, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
     checks += (h2 * order + h1) * total + offsets[g + 1]
@@ -370,6 +373,15 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int]) -> EquivariantFunctor:
     _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
     return _relabelling_functor(group, name, choices, relabel_choice)
+
+
+def relabel_choice(timg: Sequence[int], choice: CycleTupleChoice) -> CycleTupleChoice:
+    """Push every chosen cycle through the permutation with image tuple timg
+    and re-canonicalize."""
+    return tuple(
+        (k, tuple([canonical_cycle([timg[a] for a in cyc]) for cyc in cycles]))
+        for k, cycles in choice
+    )
 
 
 def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel: Callable) -> EquivariantFunctor:

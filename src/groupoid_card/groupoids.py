@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Optional, Sequence
 
 from .groups import FiniteGroup
 from .permutations import CapExceededError, check_partition_cap, cycle_type_table, partition_walk
@@ -130,12 +130,13 @@ class ActionValidation:
     """Outcome of checking the identity and compatibility laws of an action."""
 
     ok: bool
-    mode: str  # always "exhaustive": every image a report rests on is read
     checks: int
     failure: Optional[str] = None
     # A failure's (relation index, s) or (g, h, s) from the law kernel; the
     # failure message names it, so reports compare without it.
     witness: Optional[tuple] = field(default=None, compare=False)
+    # Every image a report rests on is read: no law check samples.
+    mode: ClassVar[str] = "exhaustive"
 
 
 class ActionValidationError(ValueError):
@@ -260,7 +261,8 @@ class GroupAction:
     rows[g][s] = act(g, s), each filled on its first read; a constructor may
     pass rows in. A constructor whose act is a formula passes
     _presented=True, so that validate reads only the generators' rows when
-    the group has a presentation.
+    the group has a presentation. The carrier size is read with
+    operator.index and must be nonnegative; only a law check sets the report.
     """
 
     group: FiniteGroup
@@ -269,7 +271,12 @@ class GroupAction:
     name: str = "action"
     _rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
     _presented: bool = field(default=False, repr=False)
-    _validation: Optional[ActionValidation] = field(default=None, repr=False)
+    _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.carrier_size = operator.index(self.carrier_size)
+        if self.carrier_size < 0:
+            raise ValueError(f"carrier size must be nonnegative, got {self.carrier_size}")
 
     def _row(self, g: int) -> list:
         """Row g, read from the rows kept or else evaluated once and kept."""
@@ -326,18 +333,18 @@ class GroupAction:
         for s, row in zip(generators, rows):
             t = next((t for t in row if not 0 <= t < size), None)
             if t is not None:
-                return ActionValidation(False, "exhaustive", checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
+                return ActionValidation(False, checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
         witness = first_relation_failure(self._rows, relations, size)
         if witness is None:
-            return ActionValidation(True, "exhaustive", checks + _letter_count(relations) * size)
+            return ActionValidation(True, checks + _letter_count(relations) * size)
         i, s = witness
-        return ActionValidation(False, "exhaustive", checks + _letter_count(relations[: i + 1]) * size,
+        return ActionValidation(False, checks + _letter_count(relations[: i + 1]) * size,
                                 f"{_relation_str(relations[i])} fails at s={s}", witness)
 
     def _identity_failure(self) -> Optional[ActionValidation]:
         for s, t in enumerate(self._row(self.group.identity)):
             if t != s:
-                return ActionValidation(False, "exhaustive", s + 1, f"identity law fails at s={s}: act(e, s) = {t}")
+                return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}")
         return None
 
     def _compare_rows(self) -> ActionValidation:
@@ -349,14 +356,14 @@ class GroupAction:
         generators = group.spanning_tree()[0]
         witness = first_law_failure(rows, group.multiplication_row, generators)
         if witness is None:
-            return ActionValidation(True, "exhaustive", size + len(generators) * order * size)
+            return ActionValidation(True, size + len(generators) * order * size)
         g, h, s = witness
         checks = size + (g * order + h) * size + s + 1
         t = rows[h][s]
         if not 0 <= t < size:
-            return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier", witness)
+            return ActionValidation(False, checks, f"act({h}, {s}) = {t} is outside the carrier", witness)
         return ActionValidation(
-            False, "exhaustive", checks,
+            False, checks,
             f"compatibility fails at (g={g}, h={h}, s={s}): "
             f"act(g, act(h, s)) = {rows[g][t]} but act(g*h, s) = {rows[group.mul(g, h)][s]}",
             witness,

@@ -322,13 +322,14 @@ class ProductGroup(FiniteGroup):
 class CayleyGroup(FiniteGroup):
     """Group given by an explicit multiplication table, validated on construction."""
 
-    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...], name: str = "cayley"):
+    name = "cayley"
+
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...]):
         super().__init__()
         self.order = len(table)
         self.table = table
         self._identity = identity
         self._inverses = inverses
-        self.name = name
 
     @property
     def identity(self) -> int:

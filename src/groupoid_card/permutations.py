@@ -287,17 +287,6 @@ def all_cycle_types(n: int) -> Iterator[CycleType]:
         yield CycleType(mult)
 
 
-def conjugate_permutation(sigma: Permutation, tau: Permutation) -> Permutation:
-    """tau . sigma . tau^{-1}; relabels points, preserving cycle type."""
-    if sigma.degree != tau.degree:
-        raise ValueError(f"degree mismatch: {sigma.degree} vs {tau.degree}")
-    simg, timg = sigma.images, tau.images
-    out = [0] * len(simg)
-    for i in range(len(simg)):
-        out[timg[i]] = timg[simg[i]]
-    return Permutation(tuple(out))
-
-
 def check_enumeration_cap(n: int) -> None:
     """Refuse a degree above DEFAULT_ENUMERATION_CAP, read at call time,
     before anything is enumerated."""

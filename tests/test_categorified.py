@@ -5,14 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from groupoid_card import categorified, permutations
+from groupoid_card import categorified, functors, permutations
 from groupoid_card.categorified import (
-    DecoratedPermutation,
-    build_Q,
     categorified_rhs_skeleton,
     cycle_tuple_action,
     cycle_tuple_actions,
-    q_action,
     verify_categorified,
 )
 from groupoid_card.cycle_stats import cll_rhs, expected_product_brute
@@ -28,6 +25,7 @@ from groupoid_card.permutations import (
     iter_pvectors,
     weight,
 )
+from decorated_permutations import DecoratedPermutation, build_Q, q_action
 from law_cases import enumeration_cap
 
 
@@ -250,7 +248,7 @@ INDEPENDENCE_CASES = [(3, (0, 1, 0)), (4, (1, 1, 0, 0)), (4, (0, 2, 0, 0)), (5, 
 
 def test_q_action_route_never_relabels_cycles(forbid):
     expected = [verify_categorified(n, p) for n, p in INDEPENDENCE_CASES]
-    forbid(categorified.relabel_choice, permutations.canonical_cycle)
+    forbid(functors.relabel_choice, permutations.canonical_cycle)
     with pytest.raises(AssertionError):
         q_action(Permutation.identity(3), build_Q(3, (0, 1, 0))[0])
     assert [verify_categorified(n, p) for n, p in INDEPENDENCE_CASES] == expected

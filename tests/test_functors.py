@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import functors, groupoids, groups
-from groupoid_card.categorified import build_Q, cycle_tuple_action
+from groupoid_card.categorified import cycle_tuple_action
 from groupoid_card.functors import (
     EquivariantFunctor,
     FunctorValidation,
@@ -32,6 +33,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
+from decorated_permutations import build_Q
 from law_cases import LAW_GROUPS, enumeration_cap, last_generator_coset, law_caps, validation_or_refusal
 
 
@@ -175,7 +177,7 @@ def test_sampled_validation_mode():
         with pytest.raises(CapExceededError, match="needs 1104 reads, above the check cap 1103"):
             validate_functor(make_fixed_point_functor(4))
     with law_caps(1104):
-        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, "exhaustive", 1104)
+        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 1104)
 
 
 def test_law_caps_switch_both_validators():
@@ -215,9 +217,9 @@ def test_n6_fixed_point_functor_is_exhaustive():
     category of elements, where sampling once drew 5 000 triples; its
     action checks the relations again and walks the tree."""
     functor = make_fixed_point_functor(6)
-    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 2 * 720 + (2 + 74) * 720)
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + (2 + 74) * 720)
     action = category_of_elements(functor)
-    assert action.validate() == ActionValidation(True, "exhaustive", (2 + 74) * 720)
+    assert action.validate() == ActionValidation(True, (2 + 74) * 720)
     assert [row is not None for row in action._rows].count(True) == 2
     # One orbit per conjugacy class of S5, the stabilizer of a point.
     orbits = orbit_decomposition(action)
@@ -307,11 +309,11 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     functor = EquivariantFunctor(group, builtin.fiber_sizes, lambda h, g: table.get((h, g), ()))
     total = functor.total_size
     assert total == 120
-    assert validate_functor(functor) == FunctorValidation(True, "exhaustive", 2 * 120 + 120 + 2 * 120 * total)
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 120 + 120 + 2 * 120 * total)
     assert read == {"multiplication_row": generators, "conjugation_row": generators}
     read["conjugation_row"].clear()
     # 5 relations of 50 letters; each transport reads its generator's row.
-    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, "exhaustive", 2 * 120 + (2 + 50) * total)
+    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * 120 + (2 + 50) * total)
     assert read["multiplication_row"] == generators
     assert set(read["conjugation_row"]) == set(generators)
     assert sorted(group._conjugation_table()) == sorted(generators)
@@ -492,6 +494,20 @@ def test_fiber_sizes_must_cover_group():
         EquivariantFunctor(make_cyclic(3), (1, 1), lambda h, g: (0,))
 
 
+def test_only_validate_functor_sets_the_report_and_the_elements():
+    """Neither the report nor the category of elements is a constructor
+    argument, so no functor is built valid; mode is a class constant."""
+    group = make_cyclic(2)
+    report = FunctorValidation(True, 0)
+    for bypass in ({"_validation": report}, {"_elements": GroupAction(group, 2, lambda h, s: s)}):
+        with pytest.raises(TypeError):
+            EquivariantFunctor(group, (1, 1), lambda h, g: (0,), **bypass)
+    assert "mode" not in {f.name for f in dataclasses.fields(FunctorValidation)}
+    assert report.mode == FunctorValidation.mode == "exhaustive"
+    functor = EquivariantFunctor(group, (1, 1), lambda h, g: (0,))
+    assert verify_general_theorem(functor).equal and validate_functor(functor).mode == "exhaustive"
+
+
 def test_non_integral_fiber_size_is_refused_not_truncated():
     with pytest.raises(ValueError, match=r"fiber_sizes\[1\] must be an integer, got 1.7"):
         EquivariantFunctor(make_cyclic(2), (1, 1.7), lambda h, g: (0,))
@@ -505,15 +521,15 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
     order = group.order
     checks = 0
 
-    def failed(mode, law, witness, message):
-        return FunctorValidation(False, mode, checks, failing_law=law, witness=witness, message=message)
+    def failed(law, witness, message):
+        return FunctorValidation(False, checks, failing_law=law, witness=witness, message=message)
 
     for h in range(order):
         for g in range(order):
             checks += 1
             target = group.conjugate(g, h)
             if sizes[g] != sizes[target]:
-                return failed("exhaustive", "fiber_size", (h, g),
+                return failed("fiber_size", (h, g),
                               f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
     k = len(group.spanning_tree()[0])
     checks = k * order
@@ -523,9 +539,9 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
         try:
             arr = checked_transport(functor, e, g)
         except ValueError as exc:
-            return failed("exhaustive", "bijection", (e, g), str(exc))
+            return failed("bijection", (e, g), str(exc))
         if arr != tuple(range(sizes[g])):
-            return failed("exhaustive", "identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
+            return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
 
     def composition(h2, h1, g):
         try:
@@ -542,7 +558,7 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
 
     nonempty = [g for g in range(order) if sizes[g] > 0]
     if not nonempty:
-        return FunctorValidation(True, "exhaustive", checks)
+        return FunctorValidation(True, checks)
     if (k + 1) * order * (1 + sum(sizes)) > check_cap:
         raise CapExceededError(f"above the check cap {check_cap}")
     for h2 in range(order):
@@ -551,8 +567,8 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
                 checks += sizes[g]
                 failure = composition(h2, h1, g)
                 if failure:
-                    return failed("exhaustive", *failure)
-    return FunctorValidation(True, "exhaustive", k * order + order + k * order * sum(sizes))
+                    return failed(*failure)
+    return FunctorValidation(True, k * order + order + k * order * sum(sizes))
 
 
 def checked_transport(functor, h, g):

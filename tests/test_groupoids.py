@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -152,6 +153,29 @@ def test_action_validation_passes_and_caches():
     assert action.validate() is report
 
 
+def test_only_a_law_check_sets_the_report():
+    """The report is no constructor argument, so no action is built valid;
+    every report is exhaustive, and mode is a class constant, no field."""
+    report = ActionValidation(True, 0)
+    with pytest.raises(TypeError):
+        GroupAction(make_cyclic(3), 2, lambda h, s: 5, _validation=report)
+    assert "mode" not in {f.name for f in dataclasses.fields(ActionValidation)}
+    assert report.mode == ActionValidation.mode == "exhaustive"
+    bad = GroupAction(make_cyclic(3), 2, lambda h, s: 5)
+    assert not bad.validate().ok and bad.validate().mode == "exhaustive"
+    with pytest.raises(ActionValidationError, match=r"identity law fails at s=0: act\(e, s\) = 5"):
+        orbit_decomposition(bad)
+
+
+def test_carrier_size_is_checked_at_entry():
+    with pytest.raises(ValueError, match="carrier size must be nonnegative, got -1"):
+        GroupAction(make_cyclic(3), -1, lambda h, s: s)
+    with pytest.raises(TypeError):
+        GroupAction(make_cyclic(3), 2.5, lambda h, s: s)
+    action = GroupAction(make_cyclic(3), True, lambda h, s: s)
+    assert type(action.carrier_size) is int and [o.size for o in orbit_decomposition(action)] == [1]
+
+
 def test_conjugation_action_checks_its_arguments():
     act = conjugation_action(make_symmetric(3)).act
     for h, s in ((0, 6), (6, 0), (-1, 0), (0, -1)):
@@ -190,7 +214,7 @@ def test_action_validation_sampled_mode():
         with pytest.raises(CapExceededError, match=r"'z4' needs 36 reads, above the check cap 10"):
             build().validate()
     with law_caps(36):
-        assert build().validate() == ActionValidation(True, "exhaustive", 20)
+        assert build().validate() == ActionValidation(True, 20)
 
 
 def test_orbit_decomposition_rejects_images_outside_the_carrier():
@@ -371,7 +395,7 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
         checks += 1
         t = act(group.identity, s)
         if t != s:
-            return ActionValidation(False, "exhaustive", checks, f"identity law fails at s={s}: act(e, s) = {t}")
+            return ActionValidation(False, checks, f"identity law fails at s={s}: act(e, s) = {t}")
     if size + (len(group.spanning_tree()[0]) + 1) * order * size > check_cap:
         raise CapExceededError(f"above the check cap {check_cap}")
     for g in range(order):
@@ -381,14 +405,14 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
                 checks += 1
                 t = act(h, s)
                 if not 0 <= t < size:
-                    return ActionValidation(False, "exhaustive", checks, f"act({h}, {s}) = {t} is outside the carrier")
+                    return ActionValidation(False, checks, f"act({h}, {s}) = {t} is outside the carrier")
                 if act(g, t) != act(gh, s):
                     return ActionValidation(
-                        False, "exhaustive", checks,
+                        False, checks,
                         f"compatibility fails at (g={g}, h={h}, s={s}): "
                         f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
                     )
-    return ActionValidation(True, "exhaustive", size + len(group.spanning_tree()[0]) * order * size)
+    return ActionValidation(True, size + len(group.spanning_tree()[0]) * order * size)
 
 
 def action_tables(group):
@@ -489,7 +513,7 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
         monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
     action = conjugation_action(group)
     report = action.validate()
-    assert report == ActionValidation(True, "exhaustive", 120 + 2 * 120 * 120)
+    assert report == ActionValidation(True, 120 + 2 * 120 * 120)
     assert read["multiplication_row"] == generators
     # Each image h s h^-1 is computed with mul and inv: no conjugation row
     # of the group is read, and none is kept.

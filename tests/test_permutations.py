@@ -12,7 +12,6 @@ from groupoid_card.permutations import (
     Permutation,
     all_cycle_types,
     canonical_cycle,
-    conjugate_permutation,
     cycle_counts,
     cycle_decomposition,
     cycle_type_table,
@@ -26,10 +25,11 @@ from groupoid_card.permutations import (
     validate_pvector,
     weight,
 )
-from groupoid_card.categorified import build_Q, verify_categorifieds
+from groupoid_card.categorified import verify_categorifieds
 from groupoid_card import permutations
 from groupoid_card.cycle_stats import METHOD_BRUTE, METHOD_CYCLE_TYPE, expected_product_brute, verify_cll, verify_clls
 from groupoid_card.functors import functor_from_json, make_cycle_tuple_functor, make_fixed_point_functor
+from decorated_permutations import build_Q, conjugate_permutation
 from law_cases import enumeration_cap
 
 perm_images = st.integers(0, 6).flatmap(lambda n: st.permutations(list(range(n))))
