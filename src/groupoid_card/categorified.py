@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .cycle_stats import decorated_permutation_counts, expected_product_brute
@@ -38,14 +40,20 @@ from .permutations import check_enumeration_cap, validate_pvector, weight
 
 
 class _Walk(NamedTuple):
-    """What one walk of S_n keeps: the group's image table, each element's
-    interned minima array, and per interned minima array the smallest points
-    of its k-cycles, ascending, at index k - 1. It holds no reference to the
-    group, so the group's entry in _WALKS lives as long as the group."""
+    """What one walk of S_n keeps: the group's image table; per element, the
+    index of its set partition (its interned minima array); per set
+    partition, that array and the smallest points of its k-cycles,
+    ascending, at index k - 1; and the set partitions listed under their
+    cycle-length counts (the bytes of the number of k-cycles, at index
+    k - 1), so a p-vector reads only the set partitions that can carry it.
+    It holds no reference to the group, so the group's entry in _WALKS
+    lives as long as the group."""
 
     taus: tuple[tuple[int, ...], ...]
-    minima_of: list[tuple[int, ...]]
-    minima_by_length: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+    partition_of: array
+    minima: list[tuple[int, ...]]
+    by_length: list[tuple[tuple[int, ...], ...]]
+    by_counts: dict[bytes, list[int]]
 
 
 # The walk of each symmetric group walked so far, kept for the group's life.
@@ -66,12 +74,16 @@ def _walk_cycle_minima(group: SymmetricGroup) -> _Walk:
     """One walk of the symmetric group, in element order, over the group's own
     image table: each element's "smallest point of my cycle" array. That
     array depends only on the cycles as point sets, so it is interned:
-    Bell(n) distinct tuples are kept (4 140 at n = 8), and one reference per
-    element."""
+    Bell(n) distinct tuples are kept (4 140 at n = 8), and per element the
+    index of its tuple, in 4 bytes. Each set partition is then listed under
+    its cycle-length counts, once per degree: p(n) lists (22 at n = 8). The
+    counts are bytes: the key made per partition is dropped unless its
+    counts are new, and dropped tuples stay on the tuple free list (0.3 MB
+    of peak RSS at n = 8)."""
     n = group.n
     taus = group.image_table()
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    minima_of = []
+    index: dict[tuple[int, ...], int] = {}
+    partition_of = array("I")
     for images in taus:
         minima = [-1] * n
         for start in range(n):
@@ -79,16 +91,17 @@ def _walk_cycle_minima(group: SymmetricGroup) -> _Walk:
             while minima[x] < 0:
                 minima[x] = start
                 x = images[x]
-        key = tuple(minima)
-        minima_of.append(interned.setdefault(key, key))
-    by_length = {}
-    for minima in interned:
+        partition_of.append(index.setdefault(tuple(minima), len(index)))
+    by_length = []
+    by_counts: dict[bytes, list[int]] = {}
+    for k, minima in enumerate(index):
         groups: list[list[int]] = [[] for _ in range(n)]
         for x in range(n):
             if minima[x] == x:
                 groups[minima.count(x) - 1].append(x)
-        by_length[minima] = tuple(map(tuple, groups))
-    return _Walk(taus, minima_of, by_length)
+        by_length.append(tuple(map(tuple, groups)))
+        by_counts.setdefault(bytes(map(len, groups)), []).append(k)
+    return _Walk(taus, partition_of, list(index), by_length, by_counts)
 
 
 def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -103,35 +116,56 @@ def _mark_offsets(by_length: tuple[tuple[int, ...], ...], pvec: tuple[int, ...])
 
 def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, walk: _Walk) -> GroupAction:
     """The decorated-permutation action for one p-vector, laid out from the
-    walk: one marks-to-offset dict per set partition, shared by every sigma
-    with those cycles, and per sigma its minima, its base index and that dict."""
+    walk. Only the set partitions with at least p_k k-cycles for every k
+    carry points, and only they are laid out: one layout (partition index,
+    minima, marks-to-offset dict) per such partition, shared by every sigma
+    with those cycles. Each carrying sigma j, in element order, keeps its
+    image tuple sigmas[j], its partition's layout and its first point
+    starts[j], so point s belongs to sigma j = bisect_right(starts, s) - 1,
+    and its marks are the key of offset s - starts[j] in that layout's dict.
+
+    tau sends sigma's partition P to tau(P), the partition of
+    tau sigma tau^-1, so the offsets its marks move to depend on (tau, P)
+    alone. On the first read of tau, act finds each carrying sigma's
+    conjugate, one image tuple each, maps the marks of each partition once,
+    and keeps that row of tau until another element is read: GroupAction
+    reads a row whole, one element at a time."""
     taus = walk.taus
-    inverses: dict[int, tuple[int, ...]] = {}
+    layouts: list = [None] * len(walk.minima)
+    for counts, partitions in walk.by_counts.items():
+        if all(map(ge, counts, pvec)):
+            for k in partitions:
+                layouts[k] = (k, walk.minima[k], _mark_offsets(walk.by_length[k], pvec))
+    # A layout is truthy and None is not: both lists keep the carrying sigmas only.
+    sigmas = list(itertools.compress(taus, map(layouts.__getitem__, walk.partition_of)))
+    layout_of = list(filter(None, map(layouts.__getitem__, walk.partition_of)))
+    starts = array("q", itertools.accumulate([len(local) for _, _, local in layout_of], initial=0))
+    index_of = dict(zip(sigmas, itertools.count()))
+    read: list = [None, []]  # the element last read and its row
 
-    def inverse(g: int) -> tuple[int, ...]:
-        """The image tuple of g's inverse, looked up in the group and kept:
-        a law check reads the rows of the generators only."""
-        images = inverses[g] = taus[group.inv(g)]
-        return images
-
-    layouts = {minima: _mark_offsets(by_length, pvec) for minima, by_length in walk.minima_by_length.items()}
-    fibers: dict[tuple[int, ...], tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]] = {}
-    sigma_of: list[tuple[int, ...]] = []
-    marks_of: list[tuple[int, ...]] = []
-    for images, minima in zip(taus, walk.minima_of):
-        local = layouts[minima]
-        if local:
-            fibers[images] = (minima, len(marks_of), local)
-            sigma_of.extend([images] * len(local))
-            marks_of.extend(local)
+    def row_of(g: int) -> list[int]:
+        timg = taus[g]
+        if len(timg) < 2:
+            # itemgetter of one index returns a bare item, not a tuple; below
+            # degree 2 the only element is the identity.
+            row = list(range(starts[-1]))
+        else:
+            # g sigma g^-1 reads sigma at the images of g^-1, then maps by g.
+            at_inverse = itemgetter(*taus[group.inv(g)])
+            conjugates = [index_of[itemgetter(*at_inverse(simg))(timg)] for simg in sigmas]
+            moved: list = [None] * len(layouts)  # per partition P, its marks' offsets in g(P)
+            for j, (k, _, local) in zip(conjugates, layout_of):
+                if moved[k] is None:
+                    _, image_minima, image_local = layout_of[j]
+                    moved[k] = [image_local[tuple([image_minima[timg[a]] for a in marks])] for marks in local]
+            row = [starts[j] + offset for j, (k, _, _) in zip(conjugates, layout_of) for offset in moved[k]]
+        read[:] = g, row
+        return row
 
     def act(g: int, s: int) -> int:
-        timg = taus[g]
-        simg = sigma_of[s]
-        minima, base, local = fibers[tuple([timg[simg[j]] for j in inverses.get(g) or inverse(g)])]
-        return base + local[tuple([minima[timg[a]] for a in marks_of[s]])]
+        return (read[1] if read[0] == g else row_of(g))[s]
 
-    return GroupAction(group=group, carrier_size=len(marks_of), act=act, name=name, _presented=True)
+    return GroupAction(group=group, carrier_size=starts[-1], act=act, name=name, _presented=True)
 
 
 def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
@@ -146,12 +180,15 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     chosen cycle, in choice order. tau sends sigma to sigma' = tau sigma
     tau^-1, computed from the S_n image table, and a marked point a to the
     smallest point of the cycle of sigma' through tau(a). S_n is walked once
-    per process (_cycle_minima_walk keeps the walk with the group), and each
-    p-vector's marks are laid out once per set partition. No Permutation is
-    built, no cycle is listed or re-canonicalized, and no conjugation row of
-    the group is read. The tests' literal oracle and make_cycle_tuple_functor's
-    transport relabel canonical cycles instead, so the routes the acceptance
-    suite compares stay independent.
+    per process (_cycle_minima_walk keeps the walk with the group). A
+    p-vector's marks are laid out only over the set partitions with at least
+    p_k k-cycles for every k, once per partition, and a row of tau computes
+    each carrying sigma's conjugate once and the moved marks once per
+    partition. No Permutation is built, no cycle is listed or
+    re-canonicalized, and no conjugation row of the group is read. The
+    tests' literal oracle and make_cycle_tuple_functor's transport relabel
+    canonical cycles instead, so the routes the acceptance suite compares
+    stay independent.
 
     Each p-vector is validated once, and its carrier is counted over cycle
     types (decorated_permutation_counts) before the walk. A carrier whose

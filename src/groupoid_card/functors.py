@@ -233,7 +233,8 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         return offsets[group.conjugate(g, h)] + transport(h, g)[s - offsets[g]]
 
     action = functor._elements = GroupAction(group, total, act, f"elements({functor.name})",
-                                             _rows=rows, _presented=functor._presented)
+                                             _presented=functor._presented)
+    action._rows = rows
     if relations is not None:
         report = action._validation = action._check_relations(generators, relations)
         checks += report.checks

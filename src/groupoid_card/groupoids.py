@@ -258,8 +258,10 @@ class GroupAction:
     """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
 
     Immutable once built. The images are kept as a dict of the rows read,
-    rows[g][s] = act(g, s), each filled on its first read; a constructor may
-    pass rows in. A constructor whose act is a formula passes
+    rows[g][s] = act(g, s), each filled on its first read; the rows are no
+    constructor argument, so a row a check reads is act's own, or one its
+    caller set after checking it (functors._check, from the transports it
+    has just checked). A constructor whose act is a formula passes
     _presented=True, so that validate reads only the generators' rows when
     the group has a presentation. The carrier size is read with
     operator.index and must be nonnegative; only a law check sets the report.
@@ -269,7 +271,7 @@ class GroupAction:
     carrier_size: int
     act: Callable[[int, int], int]
     name: str = "action"
-    _rows: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
     _presented: bool = field(default=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
 

@@ -320,3 +320,34 @@ def test_a_kept_walk_lives_as_long_as_its_group():
     del group
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("p, partitions", [((0, 0, 0, 0, 0, 1), 1), ((2, 2, 0, 0, 0, 0), 45)])
+def test_only_the_partitions_that_carry_p_are_laid_out(monkeypatch, p, partitions):
+    """Of S6's 203 set partitions, one is a 6-cycle's and 45 have two fixed
+    points and two 2-cycles; only they are laid out, and the carrier is
+    still the whole of Q."""
+    laid_out = []
+    mark_offsets = categorified._mark_offsets
+
+    def counting(by_length, pvec):
+        laid_out.append(by_length)
+        return mark_offsets(by_length, pvec)
+
+    monkeypatch.setattr(categorified, "_mark_offsets", counting)
+    action = cycle_tuple_action(6, p)
+    assert len(laid_out) == partitions
+    assert action.carrier_size == len(build_Q(6, p))
+
+
+@pytest.mark.parametrize("p", [(0, 0, 0, 0, 0, 1), (2, 2, 0, 0, 0, 0)])
+def test_generator_rows_at_n6_match_q_action(p):
+    """KERNEL_CASES stops at n = 5; at n = 6 most partitions carry no point
+    for these p and every generator moves each carrying sigma's fiber."""
+    q = build_Q(6, p)
+    index = {d: i for i, d in enumerate(q)}
+    action = cycle_tuple_action(6, p)
+    group = action.group
+    for g in group.presentation()[0]:
+        tau = group.permutation_at(g)
+        assert action._row(g) == [index[q_action(tau, d)] for d in q]

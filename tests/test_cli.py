@@ -20,7 +20,6 @@ from groupoid_card import categorified, cli, cycle_stats, groupoids, permutation
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
-from groupoid_card.functors import make_fixed_point_functor
 from groupoid_card.groups import SymmetricGroup, to_cayley_json, make_cyclic
 
 

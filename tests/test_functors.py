@@ -27,7 +27,6 @@ from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
     ActionValidation,
     GroupAction,
-    cardinality,
     orbit_decomposition,
     skeletons_equivalent,
     weak_quotient,

@@ -167,6 +167,15 @@ def test_only_a_law_check_sets_the_report():
         orbit_decomposition(bad)
 
 
+def test_rows_are_no_constructor_argument():
+    """Rows passed in were read by validate and orbit_decomposition without
+    a compare with act, so an act that leaves the carrier validated as ok."""
+    with pytest.raises(TypeError):
+        GroupAction(make_cyclic(3), 2, lambda h, s: 5, _rows={g: [0, 1] for g in range(3)})
+    bad = GroupAction(make_cyclic(3), 2, lambda h, s: 5)
+    assert bad._rows == {} and not bad.validate().ok
+
+
 def test_carrier_size_is_checked_at_entry():
     with pytest.raises(ValueError, match="carrier size must be nonnegative, got -1"):
         GroupAction(make_cyclic(3), -1, lambda h, s: s)
