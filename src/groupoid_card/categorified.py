@@ -126,10 +126,9 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, wa
 
     tau sends sigma's partition P to tau(P), the partition of
     tau sigma tau^-1, so the offsets its marks move to depend on (tau, P)
-    alone. On the first read of tau, act finds each carrying sigma's
-    conjugate, one image tuple each, maps the marks of each partition once,
-    and keeps that row of tau until another element is read: GroupAction
-    reads a row whole, one element at a time."""
+    alone. row_of(tau) finds each carrying sigma's conjugate, one image
+    tuple each, and maps the marks of each partition once; the action asks
+    it for each row it reads, once, and keeps the row."""
     taus = walk.taus
     layouts: list = [None] * len(walk.minima)
     for counts, partitions in walk.by_counts.items():
@@ -141,31 +140,24 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, wa
     layout_of = list(filter(None, map(layouts.__getitem__, walk.partition_of)))
     starts = array("q", itertools.accumulate([len(local) for _, _, local in layout_of], initial=0))
     index_of = dict(zip(sigmas, itertools.count()))
-    read: list = [None, []]  # the element last read and its row
 
     def row_of(g: int) -> list[int]:
         timg = taus[g]
         if len(timg) < 2:
             # itemgetter of one index returns a bare item, not a tuple; below
             # degree 2 the only element is the identity.
-            row = list(range(starts[-1]))
-        else:
-            # g sigma g^-1 reads sigma at the images of g^-1, then maps by g.
-            at_inverse = itemgetter(*taus[group.inv(g)])
-            conjugates = [index_of[itemgetter(*at_inverse(simg))(timg)] for simg in sigmas]
-            moved: list = [None] * len(layouts)  # per partition P, its marks' offsets in g(P)
-            for j, (k, _, local) in zip(conjugates, layout_of):
-                if moved[k] is None:
-                    _, image_minima, image_local = layout_of[j]
-                    moved[k] = [image_local[tuple([image_minima[timg[a]] for a in marks])] for marks in local]
-            row = [starts[j] + offset for j, (k, _, _) in zip(conjugates, layout_of) for offset in moved[k]]
-        read[:] = g, row
-        return row
+            return list(range(starts[-1]))
+        # g sigma g^-1 reads sigma at the images of g^-1, then maps by g.
+        at_inverse = itemgetter(*taus[group.inv(g)])
+        conjugates = [index_of[itemgetter(*at_inverse(simg))(timg)] for simg in sigmas]
+        moved: list = [None] * len(layouts)  # per partition P, its marks' offsets in g(P)
+        for j, (k, _, local) in zip(conjugates, layout_of):
+            if moved[k] is None:
+                _, image_minima, image_local = layout_of[j]
+                moved[k] = [image_local[tuple([image_minima[timg[a]] for a in marks])] for marks in local]
+        return [starts[j] + offset for j, (k, _, _) in zip(conjugates, layout_of) for offset in moved[k]]
 
-    def act(g: int, s: int) -> int:
-        return (read[1] if read[0] == g else row_of(g))[s]
-
-    return GroupAction(group=group, carrier_size=starts[-1], act=act, name=name, _presented=True)
+    return GroupAction(group=group, carrier_size=starts[-1], row=row_of, name=name, _presented=True)
 
 
 def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
@@ -203,9 +195,8 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     for name, size in zip(names, sizes):
         refuse_relator_check_above_cap(name, group.presentation(), size)
     walk = _cycle_minima_walk(group) if any(sizes) else None
-    # An empty carrier's act is never called: there is no point to act on.
     return (
-        _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g, s: s, name, _presented=True)
+        _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g: [], name, _presented=True)
         for name, pvec, size in zip(names, pvecs, sizes)
     )
 

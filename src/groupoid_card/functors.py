@@ -113,9 +113,9 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
 
     Composition is the compatibility law of the category-of-elements action,
     whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)). So the check
-    reads what only a functor has, then runs the action's own route of
-    GroupAction.validate once on the rows read, under the functor's cap and
-    with the same handling of a failed relation. Over the k generators s
+    reads what only a functor has, then hands the rows it read to the action,
+    whose one route (GroupAction._check) checks them under the functor's
+    cap, with the same handling of a failed relation. Over the k generators s
     either way, fiber sizes are compared under their conjugation rows:
     conjugation by s h is conjugation by h, then by s. The relator check
     reads the generators' transports, each a bijection, and checks every
@@ -223,32 +223,31 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                     return failed("composition", (h2, h1, g),
                                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
 
-    # The category of elements, fiber after fiber, from the transports read.
+    # The category of elements, fiber after fiber: the rows laid out from the
+    # transports read are handed over once, any other is read from transport.
     offsets = list(itertools.accumulate(sizes, initial=0))
     rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
-    transport = functor.transport
 
-    def act(h: int, s: int) -> int:
-        g = bisect.bisect_right(offsets, s) - 1
-        return offsets[group.conjugate(g, h)] + transport(h, g)[s - offsets[g]]
+    def row(h: int) -> list[int]:
+        built = rows.pop(h, None)
+        if built is None:
+            hinv = group.inv(h)
+            built = [offsets[mul(mul(h, g), hinv)] + y for g in nonempty for y in functor.transport(h, g)]
+        return built
 
-    action = functor._elements = GroupAction(group, total, act, f"elements({functor.name})",
+    action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})",
                                              _presented=functor._presented)
-    action._rows = rows
-    if relations is not None:
-        report = action._validation = action._check_relations(generators, relations)
-        checks += report.checks
-        if report.ok:
-            return FunctorValidation(True, checks)
-        i, point = report.witness
-        g = bisect.bisect_right(offsets, point) - 1
-        return failed("relation", (*relations[i], g),
-                      f"{groupoids._relation_str(relations[i])} fails at fiber element {point - offsets[g]} of F({g})")
-    report = action._validation = action._compare_rows()
+    report = action._check(None if relations is None else (generators, relations))
     if report.ok:
-        return FunctorValidation(True, checks + len(generators) * order * total)
-    h2, h1, point = report.witness
+        return FunctorValidation(True, checks + (len(generators) * order * total if relations is None else report.checks))
+    *head, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
+    if relations is not None:
+        checks += report.checks
+        relation = relations[head[0]]
+        return failed("relation", (*relation, g),
+                      f"{groupoids._relation_str(relation)} fails at fiber element {point - offsets[g]} of F({g})")
+    h2, h1 = head
     checks += (h2 * order + h1) * total + offsets[g + 1]
     return failed("composition", (h2, h1, g),
                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {point - offsets[g]}")
@@ -270,8 +269,8 @@ def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
     """The group acting on all pairs (g, x in F(g)), fiber after fiber: h
     sends (g, x) to (h g h^-1, transport(h, g)(x)). Carrier size is the total
     fiber size. It is the action validate_functor checked, with the rows it
-    read, all of them or the generators' only, and the report of its one law
-    pass, so its validate reads no image again."""
+    handed over (all, or the generators' only) and its one law report, so
+    validate reads no image again; other rows come from transport."""
     _require_valid(functor)
     return functor._elements
 

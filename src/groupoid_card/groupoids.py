@@ -255,21 +255,21 @@ def refuse_relator_check_above_cap(name: str, presentation, size: int) -> None:
 
 @dataclass(eq=False)
 class GroupAction:
-    """A finite group acting on the carrier {0..carrier_size-1} via act(g, s).
+    """A finite group acting on the carrier {0..carrier_size-1}; row(g)
+    lists the images of every point under g.
 
-    Immutable once built. The images are kept as a dict of the rows read,
-    rows[g][s] = act(g, s), each filled on its first read; the rows are no
-    constructor argument, so a row a check reads is act's own, or one its
-    caller set after checking it (functors._check, from the transports it
-    has just checked). A constructor whose act is a formula passes
-    _presented=True, so that validate reads only the generators' rows when
-    the group has a presentation. The carrier size is read with
-    operator.index and must be nonnegative; only a law check sets the report.
+    Immutable once built. The rows read are kept in a dict, each asked of
+    row on its first read and refused with ValueError unless it is a list
+    of carrier_size ints; the law checks read whether they lie in the
+    carrier. A constructor whose rows are a formula passes _presented=True,
+    so that validate reads only the generators' rows when the group has a
+    presentation. The carrier size is read with operator.index and must be
+    nonnegative; only a law check sets the report.
     """
 
     group: FiniteGroup
     carrier_size: int
-    act: Callable[[int, int], int]
+    row: Callable[[int], list[int]]
     name: str = "action"
     _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
     _presented: bool = field(default=False, repr=False)
@@ -280,12 +280,20 @@ class GroupAction:
         if self.carrier_size < 0:
             raise ValueError(f"carrier size must be nonnegative, got {self.carrier_size}")
 
-    def _row(self, g: int) -> list:
-        """Row g, read from the rows kept or else evaluated once and kept."""
+    def act(self, g: int, s: int) -> int:
+        """The image of s under g, read from row g; ValueError out of range."""
+        if not 0 <= s < self.carrier_size:
+            raise ValueError(f"point {s} is outside the carrier of {self.name!r}, of size {self.carrier_size}")
+        return self._row(self.group.check_element(g))[s]
+
+    def _row(self, g: int) -> list[int]:
+        """Row g, read from the rows kept or else asked of row, checked and kept."""
         row = self._rows.get(g)
         if row is None:
-            act = self.act
-            row = self._rows[g] = [act(g, s) for s in range(self.carrier_size)]
+            row = self.row(g)
+            if type(row) is not list or len(row) != self.carrier_size or not set(map(type, row)) <= {int}:
+                raise ValueError(f"row({g}) of {self.name!r} is not a list of {self.carrier_size} ints")
+            self._rows[g] = row
         return row
 
     def validate(self) -> ActionValidation:
@@ -299,10 +307,10 @@ class GroupAction:
         validated, once the presentation is certified (FiniteGroup.certified,
         read when a carrier with points is first checked); an uncertified
         presentation takes the row compare. The row compare, for every other
-        action: the identity law,
-        then every row, compared over the k generators of
-        FiniteGroup.spanning_tree() (first_law_failure), |S| + (k + 1) |G| |S|
-        reads; a pass reports the |S| + k |G| |S| checks made.
+        action: the identity law, then every row, compared over the k
+        generators of FiniteGroup.spanning_tree() (first_law_failure),
+        |S| + (k + 1) |G| |S| reads; a pass reports the |S| + k |G| |S|
+        checks made.
 
         A check of more reads than DEFAULT_CHECK_CAP, read at call time,
         raises CapExceededError (the row compare after its identity law). A
@@ -312,27 +320,35 @@ class GroupAction:
         """
         if self._validation is None:
             presentation = self.group.presentation() if self._presented else None
-            report = None if presentation is None else self._check_relations(*presentation)
+            report = None if presentation is None else self._check(presentation)
             if report is None or not report.ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
-                report = self._identity_failure()
-                if report is None:
+                # Above the cap a failing identity law is still reported.
+                if self._row_compare_cost() > DEFAULT_CHECK_CAP and self._identity_failure() is None:
                     _refuse_above_cap(repr(self.name), self._row_compare_cost())
-                    report = self._compare_rows()
-            self._validation = report
+                self._check(None)
+        return self._validation
+
+    def _check(self, presentation: Optional[tuple[list[int], list]]) -> Optional[ActionValidation]:
+        """Run one route, with no fallback, and keep its report: the relator
+        check of presentation, (generators, relations), or else the row
+        compare, identity law first, under a check cap its caller has read."""
+        if presentation is None:
+            self._validation = self._identity_failure() or self._compare_rows()
+        else:
+            self._validation = self._check_relations(*presentation)
         return self._validation
 
     def _row_compare_cost(self) -> int:
-        size = self.carrier_size
-        return size + (len(self.group.spanning_tree()[0]) + 1) * self.group.order * size
+        return self.carrier_size * (1 + (len(self.group.spanning_tree()[0]) + 1) * self.group.order)
 
     def _check_relations(self, generators: list[int], relations: list) -> Optional[ActionValidation]:
         size = self.carrier_size
         refuse_relator_check_above_cap(self.name, (generators, relations), size)
         if size and not self.group.certified():
             return None
-        rows = [self._row(s) for s in generators]
         checks = len(generators) * size
-        for s, row in zip(generators, rows):
+        for s in generators:
+            row = self._row(s)
             t = next((t for t in row if not 0 <= t < size), None)
             if t is not None:
                 return ActionValidation(False, checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
@@ -350,10 +366,8 @@ class GroupAction:
         return None
 
     def _compare_rows(self) -> ActionValidation:
-        """The row compare after a passing identity law, whose |S| checks it
-        counts; the caller has read the check cap."""
-        group, size = self.group, self.carrier_size
-        order = group.order
+        """The row compare after a passing identity law, whose |S| checks it counts."""
+        group, size, order = self.group, self.carrier_size, self.group.order
         rows = [self._row(g) for g in range(order)]
         generators = group.spanning_tree()[0]
         witness = first_law_failure(rows, group.multiplication_row, generators)
@@ -393,7 +407,7 @@ def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     The images of each representative under every group element are read
     along the group's spanning tree from the validated generator rows: the
     image under child = s * parent is row s applied to the image under
-    parent, |G| reads and no act call. The orbit size is the number of
+    parent, |G| reads and no other row. The orbit size is the number of
     distinct images, and the stabilizer order a direct count of the images
     equal to the representative. An empty carrier has no orbit, and its
     spanning tree is not read."""
@@ -446,18 +460,14 @@ def cardinality_via_outdegrees(action: GroupAction) -> Fraction:
 def conjugation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on its own elements by h . g = h g h^-1, computed
     with mul and inv, so the group keeps no conjugation row: the action's
-    rows are the only |G|^2 images kept. Each h is inverted once."""
-    mul, inv, check = group.mul, group.inv, group.check_element
-    inverses: dict[int, int] = {}
+    rows are the only |G|^2 images kept."""
+    mul, inv = group.mul, group.inv
 
-    def act(h: int, s: int) -> int:
-        s, h = check(s), check(h)
-        hinv = inverses.get(h)
-        if hinv is None:
-            hinv = inverses[h] = inv(h)
-        return mul(mul(h, s), hinv)
+    def row(h: int) -> list[int]:
+        hinv = inv(h)
+        return [mul(mul(h, s), hinv) for s in range(group.order)]
 
-    return GroupAction(group=group, carrier_size=group.order, act=act, name=f"conjugation({group.name})")
+    return GroupAction(group=group, carrier_size=group.order, row=row, name=f"conjugation({group.name})")
 
 
 def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:

@@ -3,7 +3,8 @@
 Groups are built by name, fresh, so that no conjugation row is filled
 before the test reads it; `law_caps` moves the check cap above which law
 checks refuse, and `enumeration_cap` the degree above which S_n is not
-enumerated."""
+enumerated; `rows_of` turns a per-point act into the row function a
+GroupAction is built from."""
 
 import random
 from unittest import mock
@@ -58,6 +59,12 @@ def validation_or_refusal(validate):
     except CapExceededError as exc:
         assert "check cap" in str(exc)
         return "refused"
+
+
+def rows_of(act, size):
+    """The row function of the action on 0..size-1 whose image of s under g
+    is act(g, s): row g asks act once per point."""
+    return lambda g: [act(g, s) for s in range(size)]
 
 
 def last_generator_coset(group):

@@ -33,7 +33,7 @@ from groupoid_card.groupoids import (
 )
 from groupoid_card.permutations import CapExceededError, iter_pvectors
 from decorated_permutations import build_Q
-from law_cases import LAW_GROUPS, enumeration_cap, last_generator_coset, law_caps, validation_or_refusal
+from law_cases import LAW_GROUPS, enumeration_cap, last_generator_coset, law_caps, rows_of, validation_or_refusal
 
 
 def test_trivial_functor_valid_and_unit_expectation():
@@ -206,8 +206,8 @@ def test_law_caps_switch_both_validators():
         assert action_cost > functor_cost
         assert action.validate().ok
         with pytest.raises(CapExceededError, match=rf"'elements\(centralizers\(S4\)\)' needs {action_cost} reads"):
-            GroupAction(group, action.carrier_size, action.act, action.name).validate()
-    assert GroupAction(group, action.carrier_size, action.act, action.name).validate().ok
+            GroupAction(group, action.carrier_size, action.row, action.name).validate()
+    assert GroupAction(group, action.carrier_size, action.row, action.name).validate().ok
 
 
 def test_n6_fixed_point_functor_is_exhaustive():
@@ -219,7 +219,7 @@ def test_n6_fixed_point_functor_is_exhaustive():
     assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + (2 + 74) * 720)
     action = category_of_elements(functor)
     assert action.validate() == ActionValidation(True, (2 + 74) * 720)
-    assert [row is not None for row in action._rows].count(True) == 2
+    assert sorted(action._rows) == sorted(action.group.presentation()[0]) and len(action._rows) == 2
     # One orbit per conjugacy class of S5, the stabilizer of a point.
     orbits = orbit_decomposition(action)
     assert len(orbits) == 7 and sum(o.size for o in orbits) == 720
@@ -498,7 +498,7 @@ def test_only_validate_functor_sets_the_report_and_the_elements():
     argument, so no functor is built valid; mode is a class constant."""
     group = make_cyclic(2)
     report = FunctorValidation(True, 0)
-    for bypass in ({"_validation": report}, {"_elements": GroupAction(group, 2, lambda h, s: s)}):
+    for bypass in ({"_validation": report}, {"_elements": GroupAction(group, 2, rows_of(lambda h, s: s, 2))}):
         with pytest.raises(TypeError):
             EquivariantFunctor(group, (1, 1), lambda h, g: (0,), **bypass)
     assert "mode" not in {f.name for f in dataclasses.fields(FunctorValidation)}
@@ -768,26 +768,26 @@ def exhaustively_validated_functors():
 def test_elements_action_reuses_exhaustive_rows():
     """The category of elements starts from the rows validate_functor built:
     every row for a table-built functor, the generators' rows only for a
-    built-in one over a presented group. Each kept row is the action's own
-    act, and validating and quotienting the action evaluate act no more,
-    with the same report and orbits as an action that evaluates every image
-    it needs itself."""
+    built-in one over a presented group. Each kept row is the row its row
+    function now reads from the transports, and validating and quotienting
+    the action ask row no more, with the same report and orbits as an
+    action that reads every row it needs from the transports itself."""
     count = 0
     for functor in exhaustively_validated_functors():
         assert validate_functor(functor).mode == "exhaustive", functor.name
         action = category_of_elements(functor)
-        act, group, size = action.act, action.group, action.carrier_size
+        row, group, size = action.row, action.group, action.carrier_size
         kept = sorted(action._rows)
         presented = functor._presented and group.presentation() is not None
         assert kept == (sorted(group.presentation()[0]) if presented else list(range(group.order))), functor.name
         for g in kept:
-            assert action._rows[g] == [act(g, s) for s in range(size)], functor.name
+            assert action._rows[g] == row(g), functor.name
 
-        def forbidden(h, s):
-            raise AssertionError("act evaluated although the rows exist")
+        def forbidden(h):
+            raise AssertionError("row asked for although the rows exist")
 
-        action.act = forbidden
-        fresh = GroupAction(group=group, carrier_size=size, act=act, name=action.name, _presented=functor._presented)
+        action.row = forbidden
+        fresh = GroupAction(group=group, carrier_size=size, row=row, name=action.name, _presented=functor._presented)
         report = action.validate()
         assert report == fresh.validate()
         assert report.ok and report.mode == "exhaustive"

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import groups
+from groupoid_card.categorified import cycle_tuple_action
+from groupoid_card.functors import category_of_elements, make_fixed_point_functor
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
@@ -33,7 +35,7 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, validation_or_refusal
+from law_cases import LAW_GROUPS, last_generator_coset, law_caps, rows_of, validation_or_refusal
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -142,7 +144,7 @@ def test_skeletons_equivalent():
 
 
 def trivial_action(points):
-    return GroupAction(make_cyclic(1), points, lambda g, s: s, name=f"trivial on {points}")
+    return GroupAction(make_cyclic(1), points, rows_of(lambda g, s: s, points), name=f"trivial on {points}")
 
 
 def test_action_validation_passes_and_caches():
@@ -158,10 +160,10 @@ def test_only_a_law_check_sets_the_report():
     every report is exhaustive, and mode is a class constant, no field."""
     report = ActionValidation(True, 0)
     with pytest.raises(TypeError):
-        GroupAction(make_cyclic(3), 2, lambda h, s: 5, _validation=report)
+        GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2), _validation=report)
     assert "mode" not in {f.name for f in dataclasses.fields(ActionValidation)}
     assert report.mode == ActionValidation.mode == "exhaustive"
-    bad = GroupAction(make_cyclic(3), 2, lambda h, s: 5)
+    bad = GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2))
     assert not bad.validate().ok and bad.validate().mode == "exhaustive"
     with pytest.raises(ActionValidationError, match=r"identity law fails at s=0: act\(e, s\) = 5"):
         orbit_decomposition(bad)
@@ -169,31 +171,73 @@ def test_only_a_law_check_sets_the_report():
 
 def test_rows_are_no_constructor_argument():
     """Rows passed in were read by validate and orbit_decomposition without
-    a compare with act, so an act that leaves the carrier validated as ok."""
+    a compare with the action's own rows, so rows that leave the carrier
+    validated as ok."""
     with pytest.raises(TypeError):
-        GroupAction(make_cyclic(3), 2, lambda h, s: 5, _rows={g: [0, 1] for g in range(3)})
-    bad = GroupAction(make_cyclic(3), 2, lambda h, s: 5)
+        GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2), _rows={g: [0, 1] for g in range(3)})
+    bad = GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2))
     assert bad._rows == {} and not bad.validate().ok
+
+
+def test_rows_of_the_wrong_shape_are_refused_and_never_pass():
+    """A row is checked when it is first read: a generator's row (Z/3 has
+    the one generator 1) of the wrong length, with an entry that is not an
+    int, or no list, raises ValueError on either route, and no report is
+    kept. Empty rows on a nonempty carrier are among them: first_law_failure
+    reads the size from rows[0], and would pass them. An int outside the
+    carrier fails the law check."""
+    group = make_cyclic(3)
+    empty = [[], [], []]
+    assert first_law_failure(empty, group.multiplication_row, group.spanning_tree()[0]) is None
+    wrong = [
+        empty,
+        [[0, 1, 2], [1, 2], [2, 0, 1]],
+        [[0, 1, 2, 0], [1, 2, 0, 1], [2, 0, 1, 2]],
+        [[0, 1, 2], [1, 2.0, 0], [2, 0, 1]],
+        [[0, 1, 2], [1, "2", 0], [2, 0, 1]],
+        [[0, 1, 2], (1, 2, 0), [2, 0, 1]],
+    ]
+    for rows in wrong:
+        for presented in (False, True):
+            action = GroupAction(group, 3, lambda g, rows=rows: rows[g], _presented=presented)
+            with pytest.raises(ValueError, match=r"row\(\d\) of 'action' is not a list of 3 ints"):
+                action.validate()
+            assert action._validation is None
+            with pytest.raises(ValueError, match="is not a list of 3 ints"):
+                orbit_decomposition(action)
+    outside = [[0, 1, 2], [1, 3, 0], [2, 0, 1]]
+    for presented in (False, True):
+        report = GroupAction(group, 3, outside.__getitem__, _presented=presented).validate()
+        assert not report.ok and report.failure == "act(1, 1) = 3 is outside the carrier"
 
 
 def test_carrier_size_is_checked_at_entry():
     with pytest.raises(ValueError, match="carrier size must be nonnegative, got -1"):
-        GroupAction(make_cyclic(3), -1, lambda h, s: s)
+        GroupAction(make_cyclic(3), -1, rows_of(lambda h, s: s, -1))
     with pytest.raises(TypeError):
-        GroupAction(make_cyclic(3), 2.5, lambda h, s: s)
-    action = GroupAction(make_cyclic(3), True, lambda h, s: s)
+        GroupAction(make_cyclic(3), 2.5, rows_of(lambda h, s: s, 2.5))
+    action = GroupAction(make_cyclic(3), True, rows_of(lambda h, s: s, 1))
     assert type(action.carrier_size) is int and [o.size for o in orbit_decomposition(action)] == [1]
 
 
 def test_conjugation_action_checks_its_arguments():
-    act = conjugation_action(make_symmetric(3)).act
-    for h, s in ((0, 6), (6, 0), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            act(h, s)
+    """act refuses an element or a point out of range, negative ones too,
+    which a row would read from its end (the decorated action once gave
+    act(1, -1) = 8 and act(-1, 0) = 3 at n = 4, p = (0,1,0,0))."""
+    for action in (
+        conjugation_action(make_symmetric(3)),
+        cycle_tuple_action(4, (0, 1, 0, 0)),
+        category_of_elements(make_fixed_point_functor(3)),
+    ):
+        order, size = action.group.order, action.carrier_size
+        for h, s in ((0, size), (order, 0), (-1, 0), (0, -1), (1, -1)):
+            with pytest.raises(ValueError):
+                action.act(h, s)
+        assert [action.act(1, s) for s in range(size)] == action._row(1)
 
 
 def test_action_validation_identity_failure():
-    bad = GroupAction(make_cyclic(2), 3, lambda g, s: (s + 1) % 3 if g == 0 else s)
+    bad = GroupAction(make_cyclic(2), 3, rows_of(lambda g, s: (s + 1) % 3 if g == 0 else s, 3))
     report = bad.validate()
     assert not report.ok
     assert "identity" in report.failure
@@ -205,7 +249,7 @@ def test_action_validation_compatibility_failure():
     # act(1, s) swaps 0 and 1 on a 3-point carrier; act(1, act(1, 2)) = 2 but
     # the group has order 3, so compatibility with g*h must fail somewhere.
     z3 = make_cyclic(3)
-    bad = GroupAction(z3, 3, lambda g, s: s if g == 0 else ((1, 0, 2)[s] if g == 1 else s))
+    bad = GroupAction(z3, 3, rows_of(lambda g, s: s if g == 0 else ((1, 0, 2)[s] if g == 1 else s), 3))
     report = bad.validate()
     assert not report.ok
     assert "compatibility" in report.failure
@@ -217,7 +261,7 @@ def test_action_validation_sampled_mode():
     36 images and reports the |S| + k |G| |S| = 20 checks it makes."""
 
     def build():
-        return GroupAction(make_cyclic(4), 4, lambda g, s: (g + s) % 4, name="z4")
+        return GroupAction(make_cyclic(4), 4, rows_of(lambda g, s: (g + s) % 4, 4), name="z4")
 
     with law_caps(10):
         with pytest.raises(CapExceededError, match=r"'z4' needs 36 reads, above the check cap 10"):
@@ -233,7 +277,7 @@ def test_orbit_decomposition_rejects_images_outside_the_carrier():
     def act(g, s):
         return -1 if (g, s) == (5, 0) else s
 
-    action = GroupAction(make_symmetric(4), 2_000, act, name="one-bad-image")
+    action = GroupAction(make_symmetric(4), 2_000, rows_of(act, 2_000), name="one-bad-image")
     with law_caps(1_000):
         with pytest.raises(CapExceededError, match="above the check cap 1000"):
             orbit_decomposition(action)
@@ -258,7 +302,7 @@ def test_weak_quotient_conjugation_s3():
 
 def test_weak_quotient_free_swap():
     z2 = make_cyclic(2)
-    action = GroupAction(z2, 2, lambda g, s: (s + g) % 2, name="swap")
+    action = GroupAction(z2, 2, rows_of(lambda g, s: (s + g) % 2, 2), name="swap")
     quotient = weak_quotient(action)
     assert quotient.aut_orders() == (1,)
     assert cardinality(quotient) == 1
@@ -312,7 +356,7 @@ def test_weak_quotient_cardinality_formula(k, divisor_picks):
                 return start + ((s - start) + g) % m
         raise AssertionError
 
-    action = GroupAction(make_cyclic(k), total, act)
+    action = GroupAction(make_cyclic(k), total, rows_of(act, total))
     assert action.validate().ok
     assert cardinality(weak_quotient(action)) == Fraction(total, k)
 
@@ -474,7 +518,7 @@ def test_action_validation_matches_reference(name, data):
     check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
     act = lambda g, s: table[g][s]
     with law_caps(check_cap):
-        assert validation_or_refusal(GroupAction(group, size, act).validate) == validation_or_refusal(
+        assert validation_or_refusal(GroupAction(group, size, rows_of(act, size)).validate) == validation_or_refusal(
             lambda: reference_action_validation(group, size, act, check_cap=check_cap))
 
 
@@ -559,7 +603,7 @@ def test_action_validation_matches_reference_on_s4_corruptions():
                 g, s, t = corruption
                 rows[g][s] = t
             act = lambda g, s, rows=rows: rows[g][s]
-            report = GroupAction(group, size, act).validate()
+            report = GroupAction(group, size, rows_of(act, size)).validate()
             assert report == reference_action_validation(group, size, act)
             assert report.mode == "exhaustive"
             reports.append(report)

@@ -29,7 +29,7 @@ from groupoid_card.functors import (
 )
 from groupoid_card.groupoids import GroupAction, first_law_failure, first_relation_failure, orbit_decomposition
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from law_cases import law_caps
+from law_cases import law_caps, rows_of
 
 PRESENTED = {
     **{f"S{n}": (lambda n=n: groups.SymmetricGroup(n)) for n in range(6)},
@@ -186,7 +186,7 @@ def test_relator_route_reads_only_the_generator_rows():
         reads.append(g)
         return table[g][s]
 
-    action = GroupAction(group, 6, act, _presented=True)
+    action = GroupAction(group, 6, rows_of(act, 6), _presented=True)
     report = action.validate()
     generators, relations = group.presentation()
     assert report.ok and report.mode == "exhaustive"
@@ -217,11 +217,11 @@ def test_a_failed_relation_is_reported_not_refused():
     group, size, act = broken_q_action(4, (1, 1, 0, 0))
     relator_reads = (2 + 42) * size
     row_reads = size + 3 * 24 * size
-    report = GroupAction(group, size, act, _presented=True).validate()
-    assert not report.ok and report == GroupAction(group, size, act).validate()
+    report = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
+    assert not report.ok and report == GroupAction(group, size, rows_of(act, size)).validate()
     assert report.failure.startswith("compatibility fails at (g=1, h=6, s=0)")
     with law_caps(relator_reads):
-        narrow = GroupAction(group, size, act, _presented=True).validate()
+        narrow = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
     assert row_reads > relator_reads
     assert not narrow.ok and narrow.mode == "exhaustive"
     assert narrow.failure.startswith("relation 6*6 = e fails at s=")
@@ -396,18 +396,18 @@ def test_an_uncertified_presentation_is_never_a_pass(monkeypatch, name):
         for rows in (table, broken):
             group = PRESENTED[name]()
             act = lambda g, x, rows=rows: rows[g][x]
-            report = GroupAction(group, size, act, _presented=True).validate()
+            report = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
             assert not group.certified()
-            assert report == GroupAction(group, size, act).validate()
+            assert report == GroupAction(group, size, rows_of(act, size)).validate()
             generators, relations = group.presentation()
             relator_reads = (len(generators) + sum(len(u) + len(v) for u, v in relations)) * size
             row_reads = size + (len(generators) + 1) * group.order * size
             with law_caps(relator_reads):
                 if row_reads > relator_reads:
                     with pytest.raises(CapExceededError):
-                        GroupAction(group, size, act, _presented=True).validate()
+                        GroupAction(group, size, rows_of(act, size), _presented=True).validate()
                 else:
-                    assert GroupAction(group, size, act, _presented=True).validate() == report
+                    assert GroupAction(group, size, rows_of(act, size), _presented=True).validate() == report
 
 
 def test_an_uncertified_functor_presentation_is_never_a_pass(monkeypatch):
