@@ -182,13 +182,14 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     canonical cycles instead, so the routes the acceptance suite compares
     stay independent.
 
-    Each p-vector is validated once, and its carrier is counted over cycle
-    types (decorated_permutation_counts) before the walk. A carrier whose
+    The enumeration cap is read before ps is listed. Each p-vector is
+    validated once, and its carrier is counted over cycle types
+    (decorated_permutation_counts) before the walk. A carrier whose
     relator check the check cap would refuse is refused, with the refusal
     validate would give. An empty carrier, weight(p) > n, is laid out without
     the walk, and S_n is walked only when some carrier has points."""
-    pvecs = [validate_pvector(n, p) for p in ps]
     check_enumeration_cap(n)
+    pvecs = [validate_pvector(n, p) for p in ps]
     group = make_symmetric(n)
     names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
     sizes = decorated_permutation_counts(n, pvecs)

@@ -35,7 +35,7 @@ from .functors import (
     verify_general_theorem,
 )
 from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
-from .permutations import check_sweep_cap, iter_pvectors
+from .permutations import iter_pvectors
 
 
 # Rows of the skeleton written at a time.
@@ -61,17 +61,14 @@ def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
 def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:
     """The p-vectors a sweeping subcommand checks: every one within
     --max-entry and --max-weight (default n) for --all-p, unlisted, else the
-    --p one. The sweep is counted against the sweep cap when it is first
-    read, after the command's degree caps, and before any vector is listed."""
+    --p one. iter_pvectors counts the sweep against the sweep cap when it is
+    first read, after the command's degree caps, and before any vector is
+    listed."""
     for flag, bound in (("--max-entry", args.max_entry), ("--max-weight", args.max_weight)):
         if bound is not None and bound < 0:
             raise UsageError(f"{flag} must be nonnegative, got {bound}")
     if args.all_p:
-        def sweep() -> Iterable[tuple[int, ...]]:
-            check_sweep_cap(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
-            yield from iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
-
-        return sweep()
+        return iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
     if args.p is None:
         raise UsageError("provide --p or --all-p")
     return [_parse_pvector(args.p, args.n)]

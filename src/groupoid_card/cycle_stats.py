@@ -181,11 +181,11 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     z // k^{m_k} m_k! * k^{m_k+p_k} (m_k+p_k)! for each k with p_k > 0. The
     sum is read from no closed form, and no table is kept after the call.
 
-    Raises CapExceededError, before any sum, for a degree above
-    DEFAULT_PARTITION_CAP or when the terms to read, the partitions of
-    n - |p| summed over ps, exceed DEFAULT_TYPE_TERM_CAP."""
-    pvecs = [validate_pvector(n, p) for p in ps]
+    Raises CapExceededError for a degree above DEFAULT_PARTITION_CAP,
+    before ps is listed, or when the terms to read, the partitions of
+    n - |p| summed over ps, exceed DEFAULT_TYPE_TERM_CAP, before any sum."""
     check_partition_cap(n)
+    pvecs = [validate_pvector(n, p) for p in ps]
     weights = [weight(pvec) for pvec in pvecs]
     partitions = partition_counts(n)
     check_type_term_cap(n, len(pvecs), sum(partitions[n - w] for w in weights if w <= n))
@@ -218,22 +218,15 @@ def check_cycle_type_sweep(n: int, max_entry: int = 2, max_weight: int | None = 
     partition cap first, then the type-term cap on
     sum_w count[w] p(n - w) over the pvector_weight_counts. Only weights up
     to n read terms, so only they are counted. The refusal's message is the
-    one decorated_permutation_counts gives the listed sweep, naming all
-    (max_entry + 1)^n vectors when max_weight does not bind, at or above the
-    largest weight max_entry n(n+1)/2, else their sweep_size; where that is
-    only a lower bound, which needs a bound above n, it says "at least"
-    that many."""
+    one decorated_permutation_counts gives the listed sweep, naming the
+    sweep's sweep_size; where that is only a lower bound, which needs a
+    weight bound above n, it says "at least" that many."""
     check_partition_cap(n)
-    if max_weight is None:
-        max_weight = n
-    counts = pvector_weight_counts(n, max_entry, min(max_weight, n))
+    counts = pvector_weight_counts(n, max_entry, n if max_weight is None else min(max_weight, n))
     partitions = partition_counts(n)
     terms = sum(count * partitions[n - w] for w, count in enumerate(counts))
     if terms > permutations.DEFAULT_TYPE_TERM_CAP:
-        if 0 <= max_entry and max_entry * n * (n + 1) // 2 <= max_weight:
-            vectors, exact = (max_entry + 1) ** n, True
-        else:
-            vectors, exact = sweep_size(n, max_entry, max_weight)
+        vectors, exact = sweep_size(n, max_entry, max_weight)
         check_type_term_cap(n, vectors, terms, at_least=not exact)
 
 

@@ -74,11 +74,17 @@ class EquivariantFunctor:
 
 def _transport(functor: EquivariantFunctor, h: int, g: int, target: int) -> tuple[int, ...] | ValueError:
     """transport(h, g), or a ValueError (returned) unless it lists each
-    index of F(target), target = h g h^-1, once and F(g) is that size."""
+    index of F(target), target = h g h^-1, once and F(g) is that size. The
+    entries are read with operator.index, as integer_entries reads them, so
+    an entry such as 0.0 is no index."""
     arr = tuple(functor.transport(h, g))
     sizes = functor.fiber_sizes
-    if len(arr) == sizes[g] and sorted(arr) == list(range(sizes[target])):
-        return arr
+    try:
+        images = tuple(map(operator.index, arr))
+        if len(images) == sizes[g] and sorted(images) == list(range(sizes[target])):
+            return images
+    except TypeError:
+        pass
     return ValueError(
         f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
         f"{sizes[g]} onto one of size {sizes[target]}"

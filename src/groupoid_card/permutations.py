@@ -20,8 +20,9 @@ DEFAULT_PARTITION_CAP = 40
 # call stays under about 10 s there, and every default --all-p sweep up to
 # DEFAULT_PARTITION_CAP fits (degree 40 reads 3 225 386 terms).
 DEFAULT_TYPE_TERM_CAP = 4_000_000
-# Most p-vectors one --all-p sweep may list. The largest default sweep that
-# the degree caps let run, degree 40, lists 39 636.
+# Most p-vectors one sweep may list, read by iter_pvectors when its first
+# vector is asked for. The largest default sweep that the degree caps let
+# run, degree 40, lists 39 636.
 DEFAULT_SWEEP_CAP = 1_000_000
 
 
@@ -343,7 +344,7 @@ def falling_power(x: int, p: int) -> int:
 
 
 class _PVector(tuple):
-    """A p-vector validate_pvector has checked. Only it builds one."""
+    """A checked p-vector. Only validate_pvector and iter_pvectors build one."""
 
 
 def validate_pvector(n: int, p: Sequence[int]) -> tuple[int, ...]:
@@ -368,25 +369,26 @@ def weight(p: Sequence[int]) -> int:
 
 def iter_pvectors(n: int, max_entry: int = 2, max_weight: int | None = None) -> Iterator[tuple[int, ...]]:
     """All p-vectors of length n with entries <= max_entry and weight <= max_weight
-    (default n), in lexicographic order. The coordinates are walked in order,
-    p_k bounded by the weight still left, so no vector over the weight is built."""
-    if n < 0:
-        raise ValueError(f"p-vector length must be nonnegative, got {n}")
-    if max_weight is None:
-        max_weight = n
-    if max_weight < 0:
-        return
+    (default n), in lexicographic order, each checked, so validate_pvector
+    hands it back as it is. At the first step a sweep whose sweep_size is
+    above DEFAULT_SWEEP_CAP, read then, is refused with CapExceededError.
+    The coordinates are walked in order, p_k bounded by the weight still
+    left, so no vector over the weight is built."""
+    count, _ = sweep_size(n, max_entry, max_weight)
+    if count > DEFAULT_SWEEP_CAP:
+        raise CapExceededError(f"the sweep lists at least {count} p-vectors at degree {n}, above the sweep cap {DEFAULT_SWEEP_CAP}")
     p = [0] * n
 
     def walk(k: int, left: int) -> Iterator[tuple[int, ...]]:
         if k > n:
-            yield tuple(p)
+            yield _PVector(p)
             return
         for pk in range(min(max_entry, left // k) + 1):
             p[k - 1] = pk
             yield from walk(k + 1, left - k * pk)
 
-    yield from walk(1, max_weight)
+    if count:
+        yield from walk(1, n if max_weight is None else max_weight)
 
 
 def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = None) -> list[int]:
@@ -417,29 +419,28 @@ def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = N
 def sweep_size(n: int, max_entry: int = 2, max_weight: int | None = None) -> tuple[int, bool]:
     """The number of p-vectors iter_pvectors(n, max_entry, max_weight)
     yields and True, or a lower bound above DEFAULT_SWEEP_CAP, read at call
-    time, and False; nothing is listed. Every p-vector with
-    p_k <= max_weight // (k n) for each k has weight at most max_weight, so
-    the product of those ranges bounds the count from below. Only a bound
-    at or under the cap is followed by the exact count, the sum of
-    pvector_weight_counts, and the bound keeps the weights it spans to about
-    DEFAULT_SWEEP_CAP at most."""
+    time, and False; nothing is listed. Both sweep refusals name it. A
+    negative bound lists none, and a weight bound at or above the largest
+    weight, max_entry n(n+1)/2, lists all (max_entry + 1)^n. Else every
+    p-vector with p_k <= max_weight // (k n) for each k has weight at most
+    max_weight, so the product of those ranges bounds the count from below.
+    Only a bound at or under the cap is followed by the exact count, the sum
+    of pvector_weight_counts, and the bound keeps the weights it spans to
+    about DEFAULT_SWEEP_CAP at most."""
+    if n < 0:
+        raise ValueError(f"p-vector length must be nonnegative, got {n}")
     if max_weight is None:
         max_weight = n
+    if max_weight < 0 or (n and max_entry < 0):
+        return 0, True
+    if max_entry * n * (n + 1) // 2 <= max_weight:
+        return (max_entry + 1) ** n, True
     count = 1
     for k in range(1, n + 1):
         count *= min(max_entry, max_weight // (k * n)) + 1
     if count > DEFAULT_SWEEP_CAP:
         return count, False
     return sum(pvector_weight_counts(n, max_entry, max_weight)), True
-
-
-def check_sweep_cap(n: int, max_entry: int = 2, max_weight: int | None = None) -> None:
-    """Refuse the sweep iter_pvectors(n, max_entry, max_weight) when it
-    lists more than DEFAULT_SWEEP_CAP p-vectors, read at call time, before
-    any is listed, naming its sweep_size."""
-    count, _ = sweep_size(n, max_entry, max_weight)
-    if count > DEFAULT_SWEEP_CAP:
-        raise CapExceededError(f"the sweep lists at least {count} p-vectors at degree {n}, above the sweep cap {DEFAULT_SWEEP_CAP}")
 
 
 # For each k with p_k > 0: (k, ordered tuple of p_k distinct canonical cycles).

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from groupoid_card import categorified, cli, cycle_stats, groupoids, permutations
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
+from groupoid_card.functors import functor_from_json
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
 from groupoid_card.groups import SymmetricGroup, to_cayley_json, make_cyclic
 
@@ -572,16 +573,22 @@ def test_sweep_above_the_sweep_cap_exits_2():
     ["verify-categorified", *HUGE_SWEEP],
 ])
 def test_sweep_above_the_sweep_cap_lists_no_pvector(capsys, forbid, monkeypatch, argv):
+    """The command asks iter_pvectors for the sweep, which refuses it at its
+    first step: no vector is yielded and none is validated."""
     from groupoid_card import cli
 
-    def unlisted(*args, **kwargs):
-        raise AssertionError("the sweep was listed")
-        yield
+    sweep, asked, yielded = cli.iter_pvectors, [], []
 
-    monkeypatch.setattr(cli, "iter_pvectors", unlisted)
+    def watched(*args, **kwargs):
+        asked.append(args)
+        for p in sweep(*args, **kwargs):
+            yielded.append(p)
+            yield p
+
+    monkeypatch.setattr(cli, "iter_pvectors", watched)
     forbid(permutations.validate_pvector)
     code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (2, "")
+    assert (code, out, asked, yielded) == (2, "", [(10,)], [])
     assert err.startswith("error: the sweep lists at least ") and err.endswith(f"above the sweep cap {permutations.DEFAULT_SWEEP_CAP}\n")
 
 
@@ -599,7 +606,7 @@ def test_sweep_cap_counts_exactly_and_is_read_at_call_time(capsys, monkeypatch):
     assert (code, err, json.loads(out)["count"]) == (0, "", count)
     monkeypatch.undo()
     assert sum(permutations.pvector_weight_counts(40)) == 39636
-    permutations.check_sweep_cap(40)
+    assert permutations.sweep_size(40) == (39636, True) and 39636 <= permutations.DEFAULT_SWEEP_CAP
     code, out, err = run_cli(["verify-lemma", "--n", "50", "--all-p", "--max-entry", "1000", "--max-weight", "1000", "--method", "cycle-type"], capsys)
     assert (code, out, err) == (2, "", "error: degree 50 exceeds partition cap 40\n")
 
@@ -751,14 +758,18 @@ def test_base_functor_files_are_valid():
         (("group", "table"), 5),
         (("transports", "1", "0"), 5),
         (("group",), "S99"),
+        (("group",), {"order": 0, "table": []}),
+        (("fibers",), []),
     ],
 )
 def test_reported_malformed_functor_files_exit_2(path, value):
-    code, out, err = _run_functor_file(_replaced(_base_functors()[0], path, value))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    """Each file is refused with exit 2 and one line, the refusal
+    functor_from_json gives the same data."""
+    data = _replaced(_base_functors()[0], path, value)
+    with pytest.raises(ValueError) as refusal:
+        functor_from_json(data)
+    code, out, err = _run_functor_file(data)
+    assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
 @given(malformed_functor_json())

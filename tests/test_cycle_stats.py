@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupoid_card import cycle_stats, permutations
+from groupoid_card.categorified import cycle_tuple_actions
 from groupoid_card import rng as rng_module
 from groupoid_card.cycle_stats import (
     METHOD_BRUTE,
@@ -691,6 +692,23 @@ def test_sweep_refusal_lists_no_pvector(monkeypatch, forbid):
     with pytest.raises(CapExceededError, match="degree 41 exceeds partition cap 40"):
         check_cycle_type_sweep(41, max_entry=3)
     check_cycle_type_sweep(40)
+
+
+@pytest.mark.parametrize("build, n, cap", [
+    (decorated_permutation_counts, 41, "partition cap 40"),
+    (expected_products_by_type, 41, "partition cap 40"),
+    (cycle_tuple_actions, 11, "enumeration cap 10"),
+], ids=["decorated_permutation_counts", "expected_products_by_type", "cycle_tuple_actions"])
+def test_degree_cap_is_read_before_ps_is_listed(build, n, cap):
+    """Each reads its degree cap before it lists ps, as verify_clls and
+    verify_categorifieds do: ps here fails when it is advanced."""
+
+    def unlisted():
+        raise AssertionError("ps was listed")
+        yield
+
+    with pytest.raises(CapExceededError, match=f"^degree {n} exceeds {cap}$"):
+        build(n, unlisted())
 
 
 def test_sweep_refusal_counts_weights_only_up_to_n(monkeypatch):

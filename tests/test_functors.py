@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -155,16 +156,59 @@ def test_fiber_size_invariance_violation():
 
 
 def test_malformed_bijection_is_caught():
-    # Repeated, out-of-range and negative indices, and wrong lengths.
+    # Repeated, out-of-range and negative indices, wrong lengths, and entries
+    # that are no index, on both routes. sorted() let 0.0 through, and the
+    # elements action's row check then raised a ValueError naming an action
+    # the caller never built; "1" made sorted() raise TypeError.
     group = make_cyclic(3)
-    for images in [(0, 0), (0, 2), (1, -1), (0,), (0, 1, 2)]:
-        functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed")
-        report = validate_functor(functor)
-        assert not report.ok
-        assert report.failing_law == "bijection"
-        assert report.message == (
-            f"transport(0, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
-        )
+    for images in [(0, 0), (0, 2), (1, -1), (0,), (0, 1, 2), (0.0, 1), (0, "1")]:
+        for presented in (False, True):
+            functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed", _presented=presented)
+            report = validate_functor(functor)
+            assert not report.ok
+            assert report.failing_law == "bijection"
+            assert report.message == (
+                f"transport(0, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
+            )
+            assert report == reference_functor_validation(functor)
+
+
+def test_relator_bijection_failure_stands_when_the_row_compare_is_above_the_cap():
+    """Z/3 over its certified presentation <x | x^3>, with the generator's
+    transport not a bijection: the relator check reads 3 + (1 + 3) * 3 = 15
+    values and the row compare (1 + 1) * 3 * (1 + 3) = 24, so under a cap
+    of 20 the relator check's bijection failure is the report."""
+    group = make_cyclic(3)
+    assert group.presentation() == ([1], [((1, 1, 1), ())]) and group.certified()
+    functor = EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,), _presented=True)
+    with law_caps(20):
+        assert validate_functor(functor) == FunctorValidation(
+            False, 3, "bijection", (1, 0), "transport(1, 0) = (1,) is not a bijection from a fiber of size 1 onto one of size 1")
+    with law_caps(23), pytest.raises(CapExceededError):
+        validate_functor(EquivariantFunctor(group, (1, 1, 1), functor.transport))
+
+
+def test_triple_scan_finds_composition_before_a_broken_transport():
+    """With identity 0 every transport is read as first at h2 = e, where
+    composition holds, so the scan meets a broken transport first. Z/3 with
+    the labels 0 and 1 swapped has identity 1: with (0, g) and (2, g) the
+    swap, (2, 1) the non-bijection (0, 0) and every other transport the
+    identity, composition fails at (0, 0, 0), before the scan reaches a
+    triple that reads (2, 1)."""
+    swap = [1, 0, 2]
+    table = [[0] * 3 for _ in range(3)]
+    for x in range(3):
+        for y in range(3):
+            table[swap[x]][swap[y]] = swap[(x + y) % 3]
+    group = groups.from_cayley_table(table)
+    assert group.identity == 1
+
+    def transport(h, g):
+        return (0, 0) if (h, g) == (2, 1) else (1, 0) if h in (0, 2) else (0, 1)
+
+    functor = EquivariantFunctor(group, (2, 2, 2), transport)
+    report = FunctorValidation(False, 8, "composition", (0, 0, 0), "composition law fails at (h2=0, h1=0, g=0), fiber element 0")
+    assert validate_functor(functor) == report == reference_functor_validation(functor)
 
 
 def test_sampled_validation_mode():
@@ -373,6 +417,10 @@ def test_functor_json_rejects_omissions():
 
     with pytest.raises(ValueError):
         functor_from_json({"group": "S2", "fibers": {}})
+    with pytest.raises(ValueError, match='^"fibers" must be an object mapping elements to sizes$'):
+        functor_from_json({"group": "S2", "fibers": [1, 1], "transports": {}})
+    with pytest.raises(ValueError, match="^a group table cannot be empty$"):
+        functor_from_json({"group": {"order": 0, "table": []}, "fibers": {}, "transports": {}})
     with pytest.raises(ValueError):
         functor_from_json({"group": "Q8", "fibers": {}, "transports": {}})
 
@@ -491,6 +539,8 @@ def test_functor_json_stores_only_the_transports_it_lists():
 def test_fiber_sizes_must_cover_group():
     with pytest.raises(ValueError):
         EquivariantFunctor(make_cyclic(3), (1, 1), lambda h, g: (0,))
+    with pytest.raises(ValueError, match="^fiber sizes must be nonnegative$"):
+        EquivariantFunctor(make_cyclic(2), (1, -1), lambda h, g: (0,))
 
 
 def test_only_validate_functor_sets_the_report_and_the_elements():
@@ -571,14 +621,16 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
 
 
 def checked_transport(functor, h, g):
-    """transport(h, g), or ValueError unless it is a bijection F(g) -> F(h g h^-1)."""
+    """transport(h, g), its entries read with operator.index, or ValueError
+    unless it is a bijection F(g) -> F(h g h^-1)."""
     arr = tuple(functor.transport(h, g))
     sizes = functor.fiber_sizes
     target = functor.group.conjugate(g, h)
-    if sorted(arr) != list(range(sizes[target])) or len(arr) != sizes[g]:
+    indices = all(hasattr(type(x), "__index__") for x in arr)
+    if not indices or sorted(map(operator.index, arr)) != list(range(sizes[target])) or len(arr) != sizes[g]:
         raise ValueError(f"transport({h}, {g}) = {arr!r} is not a bijection from a fiber of size "
                          f"{sizes[g]} onto one of size {sizes[target]}")
-    return arr
+    return tuple(map(operator.index, arr))
 
 
 def centralizer_transports(group):

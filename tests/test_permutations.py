@@ -22,6 +22,7 @@ from groupoid_card.permutations import (
     list_cycle_tuples,
     partition_walk,
     pvector_weight_counts,
+    sweep_size,
     validate_pvector,
     weight,
 )
@@ -107,6 +108,8 @@ def test_cycle_type_examples():
     assert CycleType(cycle_counts(Permutation((0, 1, 2, 3)))).partition() == (1, 1, 1, 1)
     assert CycleType(cycle_counts(Permutation((1, 0, 3, 2)))).partition() == (2, 2)
     assert CycleType(cycle_counts(Permutation((1, 2, 0, 4, 3)))).partition() == (3, 2)
+    with pytest.raises(ValueError, match=r"^negative multiplicity in \(1, -1\)$"):
+        CycleType((1, -1))
 
 
 def test_conjugation_examples():
@@ -146,6 +149,8 @@ def test_enumeration_order_and_count():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_permutations(11)
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        enumerate_permutations(-1)
     with enumeration_cap(3), pytest.raises(CapExceededError):
         enumerate_permutations(4)
     with enumeration_cap(4):
@@ -216,17 +221,19 @@ def test_validate_pvector():
 
 def test_each_pvector_is_checked_once_per_call_chain(monkeypatch):
     """A checked p-vector passed down a call chain is not checked again:
-    verify_clls reads each vector's entries once by either method, and the
-    cycle-tuple functor once for all its fibers. A checked vector is still
-    refused at another degree."""
+    verify_clls reads the entries of each plain tuple once by either method
+    and of no vector iter_pvectors yields, which comes checked, and the
+    cycle-tuple functor reads its vector once for all its fibers. A checked
+    vector is still refused at another degree."""
     read = []
     entries = permutations.integer_entries
     monkeypatch.setattr(permutations, "integer_entries", lambda values, what: read.append(what) or entries(values, what))
     ps = list(iter_pvectors(6))
     for method in (METHOD_BRUTE, METHOD_CYCLE_TYPE):
-        read.clear()
-        assert all(report.equal for report in verify_clls(6, ps, method=method))
-        assert read.count("p-vector") == len(ps)
+        for vectors, reads in ((ps, 0), ([tuple(p) for p in ps], len(ps))):
+            read.clear()
+            assert all(report.equal for report in verify_clls(6, vectors, method=method))
+            assert read.count("p-vector") == reads
     read.clear()
     make_cycle_tuple_functor(5, (1, 1, 0, 0, 0))
     assert read.count("p-vector") == 1
@@ -289,6 +296,37 @@ def test_pvector_weight_counts_equal_the_listed_vectors():
     assert sum(pvector_weight_counts(40, max_entry=3)) == 75341
     with pytest.raises(ValueError, match="p-vector length must be nonnegative, got -1"):
         pvector_weight_counts(-1)
+
+
+def test_sweep_size_is_the_listed_count():
+    """sweep_size counts exactly the vectors iter_pvectors lists, on a grid
+    with negative bounds and weight bounds that do not bind. A negative
+    bound counts none, where the product of the entry ranges once counted
+    (-4)^10 for entries up to -5, and a weight bound at or above the largest
+    weight counts all (max_entry + 1)^n."""
+    for n in range(8):
+        for max_entry in range(-1, 4):
+            for max_weight in (None, -1, 0, 1, n, n + 2, 3 * n * (n + 1) // 2):
+                listed = len(list(iter_pvectors(n, max_entry=max_entry, max_weight=max_weight)))
+                assert sweep_size(n, max_entry, max_weight) == (listed, True)
+    assert sweep_size(10, -5) == sweep_size(10, 2, -10**9) == (0, True)
+    assert sweep_size(10, 1000, 55000) == (1001**10, True)
+
+
+def test_iter_pvectors_refuses_a_sweep_above_the_sweep_cap_at_its_first_step(monkeypatch):
+    """iter_pvectors reads the sweep cap when its first vector is asked
+    for, and a sweep above it yields no vector: a library caller gets the
+    refusal the command line prints, naming the sweep's size. At the cap
+    the sweep runs."""
+    with pytest.raises(CapExceededError, match="^the sweep lists at least 41842784103120 p-vectors at degree 10, above the sweep cap 1000000$"):
+        next(iter_pvectors(10, max_entry=1000, max_weight=1000))
+    count = sum(pvector_weight_counts(4))
+    sweep = iter_pvectors(4)
+    monkeypatch.setattr(permutations, "DEFAULT_SWEEP_CAP", count - 1)
+    with pytest.raises(CapExceededError, match=f"at least {count} p-vectors at degree 4, above the sweep cap {count - 1}$"):
+        next(sweep)
+    monkeypatch.setattr(permutations, "DEFAULT_SWEEP_CAP", count)
+    assert len(list(iter_pvectors(4))) == count
 
 
 def test_canonical_cycle():
