@@ -256,10 +256,7 @@ class CategorifiedReport:
             "bridge_check": self.bridge_check,
             "q_size": self.q_size,
             "orbit_count": len(self.orbits),
-            "orbits": [
-                {"representative": o.representative, "size": o.size, "stabilizer_order": o.stabilizer_order}
-                for o in self.orbits
-            ],
+            "orbits": [o.to_json_dict() for o in self.orbits],
         }
 
 

@@ -35,7 +35,7 @@ from .functors import (
     verify_general_theorem,
 )
 from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
-from .permutations import iter_pvectors
+from .permutations import iter_pvectors, validate_pvector
 
 
 # Rows of the skeleton written at a time.
@@ -47,15 +47,12 @@ class UsageError(ValueError):
 
 
 def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
+    """The comma-separated integers of text, checked by validate_pvector."""
     try:
         p = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"could not parse p-vector {text!r}; expected comma-separated integers")
-    if len(p) != n:
-        raise UsageError(f"p-vector has length {len(p)}, expected {n}")
-    if any(x < 0 for x in p):
-        raise UsageError(f"p-vector entries must be nonnegative: {text!r}")
-    return p
+    return validate_pvector(n, p)
 
 
 def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:

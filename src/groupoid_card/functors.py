@@ -119,25 +119,27 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
 
     Composition is the compatibility law of the category-of-elements action,
     whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)). So the check
-    reads what only a functor has, then hands the rows it read to the action,
-    whose one route (GroupAction._check) checks them under the functor's
-    cap, with the same handling of a failed relation. Over the k generators s
-    either way, fiber sizes are compared under their conjugation rows:
-    conjugation by s h is conjugation by h, then by s. The relator check
-    reads the generators' transports, each a bijection, and checks every
-    relation on their rows, k |G| + (k + L) * total reads for L letters and
-    total fiber size; identity transports hold by construction. With points
-    to check, it runs only over a certified presentation
-    (FiniteGroup.certified), else the row compare runs. The row compare
-    reads the identity transports and every transport, then compares every
-    row with h2 a generator (first_law_failure), (k + 1) |G| (1 + total)
-    reads; a pass reports k |G| + |G| + k |G| * total checks. It conjugates
-    only the g of nonempty fibers, |G| conjugations per such g, with mul and
-    inv, and keeps no conjugation row but the generators'. A failure is
-    witnessed by the lowest failing (h, g) or (h2, h1, g) in lexicographic
-    order, or the first failing relation, with the checks up to it. The
-    result is cached on the functor, and so is the action the check ran,
-    with its report, which category_of_elements returns."""
+    reads what only a functor has, lays out the action's rows in one place,
+    where a transport that is no bijection fills its fiber's slots with a
+    mark of its own below the carrier, and runs the action's one route
+    (GroupAction._check) on them under the functor's cap, with the same
+    handling of a failed relation. Over the k generators s either way, fiber
+    sizes are compared under their conjugation rows: conjugation by s h is
+    conjugation by h, then by s. The relator check reads the generators'
+    transports and checks every relation on their rows, k |G| + (k + L) *
+    total reads for L letters and total fiber size; identity transports hold
+    by construction. With points to check, it runs only over a certified
+    presentation (FiniteGroup.certified), else the row compare runs. The row
+    compare reads the identity transports and every transport, then compares
+    every row with h2 a generator (first_law_failure), (k + 1) |G| (1 +
+    total) reads; a pass reports k |G| + |G| + k |G| * total checks. It
+    conjugates only the g of nonempty fibers, |G| conjugations per such g,
+    with mul and inv, and keeps no conjugation row but the generators'. A
+    failure is witnessed by the lowest failing (h, g) or (h2, h1, g) in
+    lexicographic order, a triple failing when it reads a broken transport,
+    or by the first broken generator transport or failing relation, with the
+    checks up to it. The result is cached on the functor, and so is the
+    action the check ran, with its report, which category_of_elements returns."""
     if functor._validation is None:
         presentation = functor.group.presentation() if functor._presented else None
         report = None if presentation is None else _check(functor, *presentation)
@@ -167,7 +169,9 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
     """The relator check of the relations, or the row compare when they are
     None. The relator check gives None, for the row compare to run, when
     the category of elements has points and the presentation is not
-    certified."""
+    certified. Every row of the category of elements, read by the check or
+    later, is laid out by the one row function here; after the check it
+    raises the ValueError of a broken transport in place of its mark."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
     order, mul = group.order, group.mul
     checks = len(generators) * order
@@ -192,7 +196,6 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
 
     # The composition law is vacuous on empty fibers, so only populated ones count.
     nonempty = [g for g in range(order) if sizes[g]]
-    hs = generators
     if relations is None:
         for g in range(order):
             checks += 1
@@ -202,50 +205,45 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
             if arr != tuple(range(sizes[g])):
                 return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
         if nonempty:
-            hs = range(order)
             groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
-            # h g h^-1 for the nonempty fibers g only, by h then g: no
-            # conjugation row is read or kept.
-            targets = {h: {g: mul(mul(h, g), hinv) for g in nonempty} for h, hinv in zip(hs, map(group.inv, hs))}
     else:
         _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
         if total and not group.certified():
             return None
-    transports = {(h, g): _transport(functor, h, g, targets[h][g]) for h in hs for g in nonempty}
-    broken = [key for key, arr in transports.items() if isinstance(arr, ValueError)]
-    if broken and relations is not None:
-        return failed("bijection", broken[0], str(transports[broken[0]]))
-    if broken:
-        # No rows exist: scan the triples in lexicographic order for the lowest witness.
-        for h2, h1, g in itertools.product(range(order), range(order), nonempty):
-            checks += sizes[g]
-            first, second = transports[h1, g], transports[h2, targets[h1][g]]
-            combined = transports[group.mul(h2, h1), g]
-            for arr in (first, second, combined):
-                if isinstance(arr, ValueError):
-                    return failed("bijection", (h2, h1, g), str(arr))
-            for x in range(sizes[g]):
-                if combined[x] != second[first[x]]:
-                    return failed("composition", (h2, h1, g),
-                                  f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
 
-    # The category of elements, fiber after fiber: the rows laid out from the
-    # transports read are handed over once, any other is read from transport.
+    # Row h, fiber after fiber. A broken transport (no bijection) is kept and
+    # its slots hold a mark of its own, -1, -2, ..., below the carrier, until
+    # validate_functor keeps its report; a later read raises its ValueError.
+    # h g h^-1 comes from the generators' conjugation rows, else mul and inv.
     offsets = list(itertools.accumulate(sizes, initial=0))
-    rows = {h: [offsets[targets[h][g]] + y for g in nonempty for y in transports[h, g]] for h in hs}
+    broken: dict[tuple[int, int], ValueError] = {}
 
     def row(h: int) -> list[int]:
-        built = rows.pop(h, None)
-        if built is None:
+        conj = targets.get(h)
+        if conj is None:
             hinv = group.inv(h)
-            built = [offsets[mul(mul(h, g), hinv)] + y for g in nonempty for y in functor.transport(h, g)]
-        return built
+            conj = {g: mul(mul(h, g), hinv) for g in nonempty}
+        laid: list[int] = []
+        for g in nonempty:
+            arr = _transport(functor, h, g, conj[g])
+            if isinstance(arr, ValueError):
+                if functor._validation is not None:
+                    raise arr
+                broken[h, g] = arr
+                laid += [-len(broken)] * sizes[g]
+            else:
+                laid += map(offsets[conj[g]].__add__, arr)
+        return laid
 
     action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})",
                                              _presented=functor._presented)
     report = action._check(None if relations is None else (generators, relations))
     if report.ok:
         return FunctorValidation(True, checks + (len(generators) * order * total if relations is None else report.checks))
+    if relations is not None and broken:
+        # The relator check stopped at the first generator row with a mark.
+        h, g = next(iter(broken))
+        return failed("bijection", (h, g), str(broken[h, g]))
     *head, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
     if relations is not None:
@@ -253,8 +251,15 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         relation = relations[head[0]]
         return failed("relation", (*relation, g),
                       f"{groupoids._relation_str(relation)} fails at fiber element {point - offsets[g]} of F({g})")
+    # The witness is the lowest failing triple: the marks flag every triple
+    # that reads a broken transport but (h2, e, g), whose second and combined
+    # transports are one, and it lies above the failing (0, h2, g), or
+    # (0, 0, g) when h2 = 0 != e. A broken one is named first, second, combined.
     h2, h1 = head
     checks += (h2 * order + h1) * total + offsets[g + 1]
+    for key in ((h1, g), (h2, mul(mul(h1, g), group.inv(h1))), (mul(h2, h1), g)):
+        if key in broken:
+            return failed("bijection", (h2, h1, g), str(broken[key]))
     return failed("composition", (h2, h1, g),
                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {point - offsets[g]}")
 
@@ -307,10 +312,7 @@ class GeneralTheoremReport:
             "outdegree_cardinality": rational_str(self.outdegree_cardinality),
             "equal": self.equal,
             "skeleton": self.skeleton.to_json_dict(),
-            "orbits": [
-                {"representative": o.representative, "size": o.size, "stabilizer_order": o.stabilizer_order}
-                for o in self.orbits
-            ],
+            "orbits": [o.to_json_dict() for o in self.orbits],
         }
 
 

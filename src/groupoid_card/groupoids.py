@@ -400,6 +400,9 @@ class Orbit:
     size: int
     stabilizer_order: int
 
+    def to_json_dict(self) -> dict:
+        return {"representative": self.representative, "size": self.size, "stabilizer_order": self.stabilizer_order}
+
 
 def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     """Orbits in order of their smallest carrier index.

@@ -46,6 +46,31 @@ def test_verify_lemma_length_mismatch_exits_2(capsys):
     assert "length" in err
 
 
+@pytest.mark.parametrize("argv, n, p", [
+    (["verify-lemma", "--n", "2", "--p", "1"], 2, (1,)),
+    (["verify-lemma", "--n", "2", "--p", "1,-1"], 2, (1, -1)),
+    (["theorem-general", "--builtin", "cycle-tuples", "--n", "3", "--p", "1,1"], 3, (1, 1)),
+    (["montecarlo", "--n", "3", "--p", "0,-1,0", "--samples", "10"], 3, (0, -1, 0)),
+])
+def test_pvector_refusal_is_the_librarys(capsys, argv, n, p):
+    """--p is parsed into integers and checked by validate_pvector, so a
+    p-vector of the wrong length or with a negative entry is refused with
+    the library's message."""
+    with pytest.raises(ValueError) as refusal:
+        permutations.validate_pvector(n, p)
+    assert run_cli(argv, capsys) == (2, "", f"error: {refusal.value}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-lemma", "--n", "2", "--p", "1,x"], "could not parse p-vector '1,x'; expected comma-separated integers"),
+    (["montecarlo", "--n", "3", "--p-one", "k=x", "--samples", "10"], "--p-one expects \"k=<cycle length>\", got 'k=x'"),
+    (["theorem-general", "--builtin", "fixed-points"], "--builtin fixed-points requires --n"),
+    (["theorem-general", "--builtin", "cycle-tuples", "--n", "3"], "--builtin cycle-tuples requires --n and --p"),
+])
+def test_usage_refusals_exit_2_with_their_message(capsys, argv, message):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_verify_lemma_sweep(capsys):
     code, out, _ = run_cli(["verify-lemma", "--n", "5", "--all-p", "--max-entry", "2"], capsys)
     assert code == 0

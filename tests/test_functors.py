@@ -436,6 +436,18 @@ def test_functor_json_allows_empty_fiber_omission():
     assert verify_general_theorem(functor).expected == 0
 
 
+def test_functor_json_null_transport_is_an_omitted_one():
+    """A JSON null transport is read as an omitted one: the empty bijection
+    on an empty fiber, and refused on a nonempty one."""
+    data = {"group": "S2", "fibers": {"0": 1, "1": 0}, "transports": {h: {"0": [0], "1": None} for h in "01"}}
+    functor = functor_from_json(data)
+    assert [functor.transport(h, 1) for h in range(2)] == [(), ()]
+    assert verify_general_theorem(functor).expected == Fraction(1, 2)
+    data["transports"]["1"]["0"] = None
+    with pytest.raises(ValueError, match=r"^transport for \(h=1, g=0\) is omitted; transports may not be inferred$"):
+        functor_from_json(data)
+
+
 def literal_first_defect(data):
     """The message of the first transport defect in (h, g) order, read by
     visiting every (h, g) pair of a four-element group; None when there is none."""
@@ -871,3 +883,66 @@ def test_general_theorem_runs_one_law_kernel_per_functor(monkeypatch):
         assert calls == ["first_relation_failure" if presented else "first_law_failure"], functor.name
         count += 1
     assert count == 1 + 5 + 12 + 10
+
+
+def kernel_calls(monkeypatch):
+    """The names of the law kernels run, in order, patched in groupoids and
+    functors as test_general_theorem_runs_one_law_kernel_per_functor patches them."""
+    calls = []
+    for kernel in (groupoids.first_relation_failure, groupoids.first_law_failure):
+        def counting(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        for module in (groupoids, functors):
+            if getattr(module, kernel.__name__, None) is kernel:
+                monkeypatch.setattr(module, kernel.__name__, counting)
+    return calls
+
+
+def test_broken_transports_are_found_by_the_one_law_kernel(monkeypatch):
+    """Table-built functors on Z/3, on Z/3 relabelled to have identity 1 and
+    on S3, with one transport at a time sent outside its fiber, and the
+    functor of test_triple_scan_finds_composition_before_a_broken_transport:
+    the row compare lays the broken transport out as marks and runs
+    first_law_failure once, unless the identity check refuses the transport
+    first, and the report is the literal reference's."""
+    swap = [1, 0, 2]
+    relabelled = groups.from_cayley_table([[swap[(swap[x] + swap[y]) % 3] for y in range(3)] for x in range(3)])
+    assert relabelled.identity == 1
+
+    def triple_scan_transport(h, g):
+        return (0, 0) if (h, g) == (2, 1) else (1, 0) if h in (0, 2) else (0, 1)
+
+    cases = [EquivariantFunctor(relabelled, (2, 2, 2), triple_scan_transport)]
+    for group in (make_cyclic(3), relabelled, groups.SymmetricGroup(3)):
+        for sizes, table in functor_tables(group):
+            for key, arr in table.items():
+                if arr:
+                    broken = {**table, key: (len(arr),) + arr[1:]}
+                    cases.append(EquivariantFunctor(group, sizes, lambda h, g, broken=broken: broken[(h, g)]))
+    calls = kernel_calls(monkeypatch)
+    laws, kernel_runs = set(), 0
+    for functor in cases:
+        calls.clear()
+        report = validate_functor(functor)
+        assert report == reference_functor_validation(functor)
+        # A witness (e, g) is the identity check's.
+        assert calls == ([] if len(report.witness) == 2 else ["first_law_failure"])
+        kernel_runs += len(calls)
+        laws.add(report.failing_law)
+    assert laws == {"bijection", "composition"}
+    assert (len(cases), kernel_runs) == (133, 105)
+
+
+def test_a_row_read_after_a_passing_check_refuses_a_broken_transport():
+    """The relator check of S3 reads only its generators' transports, so a
+    broken transport at h = 1 passes it; reading row 1 of the category of
+    elements later raises that transport's ValueError, not a refusal of the
+    row by an action the caller never built."""
+    group = make_symmetric(3)
+    assert 1 not in group.presentation()[0]
+    functor = EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,), _presented=True)
+    assert validate_functor(functor) == FunctorValidation(True, 168)
+    with pytest.raises(ValueError, match=r"^transport\(1, 0\) = \(0\.0,\) is not a bijection from a fiber of size 1 onto one of size 1$"):
+        category_of_elements(functor).act(1, 0)
