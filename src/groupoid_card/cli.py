@@ -35,11 +35,13 @@ from .functors import (
     verify_general_theorem,
 )
 from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
-from .permutations import iter_pvectors, validate_pvector
+from .permutations import iter_pvectors, parse_integer, validate_pvector
 
 
 # Rows of the skeleton written at a time.
 _SKELETON_CHUNK = 1024
+# The sweep's entry bound when --all-p is given without --max-entry.
+_DEFAULT_MAX_ENTRY = 2
 
 
 class UsageError(ValueError):
@@ -49,7 +51,7 @@ class UsageError(ValueError):
 def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
     """The comma-separated integers of text, checked by validate_pvector."""
     try:
-        p = tuple(int(x) for x in text.split(","))
+        p = tuple(map(parse_integer, text.split(",")))
     except ValueError:
         raise UsageError(f"could not parse p-vector {text!r}; expected comma-separated integers")
     return validate_pvector(n, p)
@@ -57,15 +59,24 @@ def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
 
 def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:
     """The p-vectors a sweeping subcommand checks: every one within
-    --max-entry and --max-weight (default n) for --all-p, unlisted, else the
-    --p one. iter_pvectors counts the sweep against the sweep cap when it is
-    first read, after the command's degree caps, and before any vector is
-    listed."""
-    for flag, bound in (("--max-entry", args.max_entry), ("--max-weight", args.max_weight)):
+    --max-entry (default 2, filled in on args) and --max-weight (default n)
+    for --all-p, unlisted, else the --p one. --p with --all-p, and a sweep
+    bound without it, are refused. iter_pvectors counts the sweep against
+    the sweep cap when it is first read, after the command's degree caps,
+    and before any vector is listed."""
+    bounds = (("--max-entry", args.max_entry), ("--max-weight", args.max_weight))
+    for flag, bound in bounds:
         if bound is not None and bound < 0:
             raise UsageError(f"{flag} must be nonnegative, got {bound}")
     if args.all_p:
+        if args.p is not None:
+            raise UsageError("--p and --all-p cannot both be given")
+        if args.max_entry is None:
+            args.max_entry = _DEFAULT_MAX_ENTRY
         return iter_pvectors(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
+    for flag, bound in bounds:
+        if bound is not None:
+            raise UsageError(f"{flag} bounds only the --all-p sweep; give --all-p or drop {flag}")
     if args.p is None:
         raise UsageError("provide --p or --all-p")
     return [_parse_pvector(args.p, args.n)]
@@ -242,7 +253,7 @@ def _montecarlo_pvector(flag: str, text: str, n: int) -> tuple[int, ...]:
     if not text.startswith("k="):
         raise UsageError(f'--p-one expects "k=<cycle length>", got {text!r}')
     try:
-        k = int(text[2:])
+        k = parse_integer(text[2:])
     except ValueError:
         raise UsageError(f'--p-one expects "k=<cycle length>", got {text!r}')
     if not 1 <= k <= n:
@@ -327,6 +338,15 @@ def cmd_theorem_general(args) -> int:
     return 0 if report.equal else 1
 
 
+def _int_flag(text: str) -> int:
+    """The argparse type of every integer flag: parse_integer, refused with
+    argparse's own "invalid int value" message."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and returned
@@ -340,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep(p):
         """The p-vector selection shared by the sweeping subcommands."""
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_int_flag, required=True)
         p.add_argument("--p", type=str, default=None, help="comma-separated p-vector of length n")
         p.add_argument("--all-p", action="store_true", help="sweep all bounded p-vectors")
-        p.add_argument("--max-entry", type=int, default=2)
-        p.add_argument("--max-weight", type=int, default=None, help="weight bound of the sweep (default n)")
+        p.add_argument("--max-entry", type=_int_flag, default=None)
+        p.add_argument("--max-weight", type=_int_flag, default=None, help="weight bound of the sweep (default n)")
 
     def add_format(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -361,28 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_categorified)
 
     p = sub.add_parser("skeleton", help="print the permutation-groupoid skeleton for a degree")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     add_format(p)
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("stats", help="exact expected k-cycle counts and their harmonic total")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     add_format(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("montecarlo", help="seeded sampling estimates of falling-power moments, all from one stream")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     # Both flags append to one list, so the reports follow command-line order.
     p.add_argument("--p", dest="statistics", action="append", type=lambda text: ("--p", text), metavar="P", help="comma-separated p-vector of length n; repeatable")
     p.add_argument("--p-one", dest="statistics", action="append", type=lambda text: ("--p-one", text), metavar="P_ONE", help='single cycle length, e.g. "k=2"; repeatable')
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_flag, required=True)
+    p.add_argument("--seed", type=_int_flag, default=0)
     add_format(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("theorem-general", help="check average fiber size against the category-of-elements cardinality")
     p.add_argument("--builtin", choices=["fixed-points", "cycle-tuples"], default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_flag, default=None)
     p.add_argument("--p", type=str, default=None)
     p.add_argument("--functor", type=str, default=None, help="path to a functor JSON file")
     add_format(p)

@@ -44,9 +44,6 @@ METHOD_MONTE_CARLO = "monte_carlo"
 # Largest degree the Monte Carlo route samples: each sample holds an image
 # list and a mark list of this length.
 MONTE_CARLO_MAX_N = 100_000
-# cycle_count_histogram walks each prefix of n - 4 images once for the 4!
-# orders of the last four.
-_SHARED_TAIL = 4
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,14 @@ def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(cycle-count vector, number of permutations with it) for every vector
     that occurs at degree n, sorted by vector. No count comes from a
     cycle-type formula: each of the n! permutations is enumerated as a
-    prefix, the images of points 0..n-k-1 with k = min(4, n), plus one of the
-    k! orders of the k values the prefix misses, given to the tail points
-    n-k..n-1, and its cycles are walked.
+    prefix, the images of points 0..n-k-1, plus one of the k! orders of the
+    k values the prefix misses, given to the tail points n-k..n-1, and its
+    cycles are walked.
+
+    The tail k is the largest one up to n with (k!)^2 <= n!, so the k!
+    gluings made per multiset of chain lengths never outnumber the n!/k!
+    prefixes walked: k = 4 at n = 6, 7, k = 5 at n = 8, 9 and k = 6 at
+    n = 10.
 
     The walk is shared by the k! permutations of one prefix. Each missing
     value starts an open chain that follows the prefix to the tail point it
@@ -102,30 +104,36 @@ def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     whose length is the sum of its chains' lengths. A count vector is coded
     as the integer sum of (n+1)^(L-1) over its cycles of length L. So a
     prefix is summed up by its closed cycles' code and its chain lengths;
-    prefixes with the same summary are counted together, and each summary
-    is glued in all k! ways once. Cached per degree; callers check the
-    enumeration cap first."""
-    k = min(_SHARED_TAIL, n)
+    prefixes with the same summary are counted together.
+
+    The k! orders run over all of S_k, so relabelling the chains by a
+    permutation of the tail only permutes the orders: the codes the gluings
+    give, with their multiplicities, depend on the multiset of chain
+    lengths alone. So the lengths are kept sorted, each distinct sorted
+    tuple is glued in all k! ways once into a count of codes, and that
+    count is added at every closed code walked with it. Cached per degree;
+    callers check the enumeration cap first."""
+    n_factorial = math.factorial(n)
+    k = max(j for j in range(n + 1) if math.factorial(j) ** 2 <= n_factorial)
     m = n - k
     base = n + 1
     powers = [base**length for length in range(n)]
-    # With chain lengths indexed by the tail point each chain ends at, an
-    # order is a permutation of the tail indices: tail t goes on to the chain
-    # ending at order[t]. Its cycles are the same for every prefix.
+    # An order is a permutation of the chain indices: chain t goes on to
+    # chain order[t]. Its cycles are the same for every prefix.
     gluings = [cycle_decomposition(Permutation(order)) for order in itertools.permutations(range(k))]
     values = set(range(n))
-    # (closed cycles' code, chain lengths) -> number of prefixes walked to it.
+    # (closed cycles' code, sorted chain lengths) -> number of prefixes walked to it.
     walks: Counter = Counter()
     for prefix in itertools.permutations(range(n), m):
         on_chain = [False] * m
-        lengths = [0] * k
+        lengths = []
         for point in values.difference(prefix):
             length = 1
             while point < m:
                 on_chain[point] = True
                 point = prefix[point]
                 length += 1
-            lengths[point - m] = length
+            lengths.append(length)
         closed = 0
         for start in range(m):
             if on_chain[start]:
@@ -138,11 +146,17 @@ def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                 point = prefix[point]
                 length += 1
             closed += powers[length - 1]
+        lengths.sort()
         walks[closed, tuple(lengths)] += 1
-    histogram: Counter = Counter()
+    by_lengths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (closed, lengths), count in walks.items():
-        for cycles in gluings:
-            histogram[closed + sum(powers[sum(lengths[t] for t in cycle) - 1] for cycle in cycles)] += count
+        by_lengths.setdefault(lengths, []).append((closed, count))
+    histogram: Counter = Counter()
+    for lengths, summaries in by_lengths.items():
+        glued = Counter(sum(powers[sum(lengths[t] for t in cycle) - 1] for cycle in cycles) for cycles in gluings)
+        for closed, count in summaries:
+            for code, ways in glued.items():
+                histogram[closed + code] += count * ways
     return tuple(sorted((tuple(code // power % base for power in powers), count) for code, count in histogram.items()))
 
 

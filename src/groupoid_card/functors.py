@@ -36,6 +36,7 @@ from .permutations import (
     check_enumeration_cap,
     integer_entries,
     list_cycle_tuples,
+    parse_integer,
     validate_pvector,
 )
 
@@ -425,9 +426,12 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
 
     spec = data["group"]
     if isinstance(spec, str):
-        if not (spec.startswith("S") and spec[1:].isdigit()):
-            raise ValueError(f'group spec {spec!r} is not "S<n>" or a Cayley table object')
-        n = int(spec[1:])
+        # <n> is read by parse_integer and carries no sign.
+        digits = spec[1:] if spec.startswith("S") and spec[1:2] not in ("+", "-") else ""
+        try:
+            n = parse_integer(digits)
+        except ValueError:
+            raise ValueError(f'group spec {spec!r} is not "S<n>" or a Cayley table object') from None
         if n > permutations.DEFAULT_ENUMERATION_CAP:
             raise CapExceededError(f"group {spec} exceeds enumeration cap {permutations.DEFAULT_ENUMERATION_CAP}")
         group: FiniteGroup = make_symmetric(n)

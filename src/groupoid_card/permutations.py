@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +39,19 @@ def integer_entries(values: Iterable, what: str) -> tuple[int, ...]:
         if not hasattr(type(x), "__index__"):
             raise ValueError(f"{what}[{i}] must be an integer, got {x!r}")
     return tuple(map(operator.index, entries))
+
+
+# The one integer grammar of text input: an optional sign and ASCII digits,
+# with no blank, underscore or other digit around or between them.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """The integer text spells in the grammar above, or a ValueError naming
+    text. int() alone would also take "1_0", " 1" and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer: expected an optional sign and ASCII digits")
+    return int(text)
 
 
 Cycle = tuple[int, ...]

@@ -71,6 +71,96 @@ def test_usage_refusals_exit_2_with_their_message(capsys, argv, message):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("subcommand", ["verify-lemma", "verify-categorified"])
+@pytest.mark.parametrize("extra, message", [
+    (["--p", "garbage", "--all-p"], "--p and --all-p cannot both be given"),
+    (["--p", "1,0,0", "--all-p"], "--p and --all-p cannot both be given"),
+    (["--p", "1,0,0", "--max-entry", "7"], "--max-entry bounds only the --all-p sweep; give --all-p or drop --max-entry"),
+    (["--p", "1,0,0", "--max-weight", "3"], "--max-weight bounds only the --all-p sweep; give --all-p or drop --max-weight"),
+    (["--max-entry", "2"], "--max-entry bounds only the --all-p sweep; give --all-p or drop --max-entry"),
+])
+def test_contradictory_selections_exit_2(capsys, subcommand, extra, message):
+    """--p is not read past --all-p, and a sweep bound is not dropped
+    without one: each is refused before any vector is checked."""
+    assert run_cli([subcommand, "--n", "3", *extra], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_max_entry_defaults_to_2_for_the_sweep_only(capsys):
+    outs = [run_cli(["verify-lemma", "--n", "6", "--all-p", *bound], capsys) for bound in ([], ["--max-entry", "2"])]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert json.loads(outs[0][1])["count"] == len(list(permutations.iter_pvectors(6, max_entry=2)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-lemma", "--n", "2", "--p", "1_0, 0"], "could not parse p-vector '1_0, 0'; expected comma-separated integers"),
+    (["verify-lemma", "--n", "2", "--p", "1, 0"], "could not parse p-vector '1, 0'; expected comma-separated integers"),
+    (["montecarlo", "--n", "3", "--p-one", "k=0_1", "--samples", "10"], "--p-one expects \"k=<cycle length>\", got 'k=0_1'"),
+    (["montecarlo", "--n", "3", "--p-one", "k= 1", "--samples", "10"], "--p-one expects \"k=<cycle length>\", got 'k= 1'"),
+])
+def test_integers_outside_the_grammar_exit_2(capsys, argv, message):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, text", [("--n", "1_0"), ("--n", "\u0663"), ("--samples", "1_000"), ("--seed", " 5")])
+def test_integer_flags_outside_the_grammar_exit_2(capsys, flag, text):
+    flags = {"--n": "3", "--p-one": "k=1", "--samples": "10", "--seed": "0", flag: text}
+    code, out, err = run_cli(["montecarlo", *[word for pair in flags.items() for word in pair]], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"groupoid-card montecarlo: error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def _is_integer_text(text):
+    """An optional sign and one or more ASCII digits, checked here without
+    the library's reader."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits != "" and all(c in "0123456789" for c in digits)
+
+
+# Every integer each subcommand reads from its command line: the argv of an
+# accepted run, with X where the integer goes.
+_INTEGER_SLOTS = [
+    [subcommand, *argv]
+    for subcommand in ("verify-lemma", "verify-categorified")
+    for argv in (["--n", "X", "--p", "1,0,0"], ["--n", "3", "--p", "1,X,0"],
+                 ["--n", "3", "--all-p", "--max-entry", "X"], ["--n", "3", "--all-p", "--max-weight", "X"])
+] + [
+    ["skeleton", "--n", "X"],
+    ["stats", "--n", "X"],
+    ["montecarlo", "--n", "X", "--p-one", "k=1", "--samples", "10"],
+    ["montecarlo", "--n", "3", "--p-one", "k=X", "--samples", "10"],
+    ["montecarlo", "--n", "3", "--p", "1,X,0", "--samples", "10"],
+    ["montecarlo", "--n", "3", "--p-one", "k=1", "--samples", "X"],
+    ["montecarlo", "--n", "3", "--p-one", "k=1", "--samples", "10", "--seed", "X"],
+    ["theorem-general", "--builtin", "fixed-points", "--n", "X"],
+    ["theorem-general", "--builtin", "cycle-tuples", "--n", "X", "--p", "1,0,0"],
+    ["theorem-general", "--builtin", "cycle-tuples", "--n", "3", "--p", "1,X,0"],
+]
+# Text near the grammar (digits with a blank, an underscore, a point or a
+# non-ASCII digit), and any text at all.
+_NOT_INTEGERS = st.one_of(
+    st.text(alphabet="0123456789+-_ ,.ex\t\u0663\u00b2\uff11", max_size=6),
+    st.text(max_size=6),
+).filter(lambda text: not _is_integer_text(text))
+
+
+def test_every_integer_slot_is_accepted_with_an_integer(capsys):
+    for argv in _INTEGER_SLOTS:
+        code, _, err = run_cli([word.replace("X", "3") for word in argv], capsys)
+        assert (code, err) == (0, ""), argv
+
+
+@given(st.sampled_from(_INTEGER_SLOTS), _NOT_INTEGERS)
+def test_every_integer_outside_the_grammar_exits_2(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([word.replace("X", text) for word in argv])
+    lines = err.getvalue().splitlines()
+    assert (code, out.getvalue()) == (2, "")
+    assert "Traceback" not in err.getvalue()
+    assert [line for line in lines if "error: " in line] == lines[-1:]
+
+
 def test_verify_lemma_sweep(capsys):
     code, out, _ = run_cli(["verify-lemma", "--n", "5", "--all-p", "--max-entry", "2"], capsys)
     assert code == 0

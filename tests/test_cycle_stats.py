@@ -538,7 +538,7 @@ def test_brute_matches_literal_permutation_sum(n):
         assert expected_product_brute(n, p) == reference_brute(n, p), p
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_cycle_count_histogram_counts_every_permutation(n):
     histogram = cycle_count_histogram(n)
     assert sum(count for _, count in histogram) == math.factorial(n)
@@ -549,7 +549,8 @@ def test_cycle_count_histogram_counts_every_permutation(n):
 
 @pytest.mark.parametrize("n", range(10))
 def test_cycle_count_histogram_equals_the_literal_walk(n):
-    # n <= 4 has an empty shared prefix; n >= 5 glues four chains to one.
+    # The tail is the largest k with (k!)^2 <= n!: 0, 1, 1, 2, 2, 3, 4, 4, 5
+    # and 5 points for n = 0..9, so n <= 1 has an empty prefix.
     histogram = cycle_count_histogram(n)
     assert dict(histogram) == Counter(map(image_cycle_counts, itertools.permutations(range(n))))
     assert list(histogram) == sorted(histogram)
@@ -565,6 +566,19 @@ def test_brute_never_reads_cycle_types(monkeypatch, forbid):
             assert expected_product_brute(n, p) == cll_rhs(n, p)
     with pytest.raises(AssertionError):
         expected_product_by_type(3, (1, 0, 0))
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_brute_never_reads_cycle_types_at_the_larger_tails(monkeypatch, forbid, n):
+    """Degrees 7..10 glue tails of 4, 5, 5 and 6 chains, and still read no
+    cycle type; p asks for a 2-cycle and an (n-2)-cycle, so the chains
+    glued into long cycles are counted."""
+    refuse = forbid(permutations.cycle_type_table, permutations.partition_walk, permutations.all_cycle_types)
+    monkeypatch.setattr(CycleType, "centralizer_order", refuse)
+    monkeypatch.setattr(CycleType, "partition", refuse)
+    cycle_count_histogram.cache_clear()
+    p = tuple(1 if k in (2, n - 2) else 0 for k in range(1, n + 1))
+    assert expected_product_brute(n, p) == cll_rhs(n, p) == Fraction(1, 2 * (n - 2))
 
 
 def test_cycle_type_route_never_enumerates(monkeypatch, forbid):

@@ -425,6 +425,15 @@ def test_functor_json_rejects_omissions():
         functor_from_json({"group": "Q8", "fibers": {}, "transports": {}})
 
 
+@pytest.mark.parametrize("spec", ["S\u0663", "S\u00b2", "S+3", "S-0", "S 3", "S3 ", "S1_0", "s3", "S"])
+def test_functor_json_group_spec_is_S_and_ascii_digits(spec):
+    """The degree of "S<n>" is read by parse_integer with no sign, so an
+    Arabic-Indic 3 or a superscript 2 gets the spec's own refusal."""
+    with pytest.raises(ValueError) as refusal:
+        functor_from_json({"group": spec, "fibers": {}, "transports": {}})
+    assert str(refusal.value) == f'group spec {spec!r} is not "S<n>" or a Cayley table object'
+
+
 def test_functor_json_allows_empty_fiber_omission():
     data = {
         "group": "S2",

@@ -20,6 +20,7 @@ from groupoid_card.permutations import (
     iter_pvectors,
     lex_rank,
     list_cycle_tuples,
+    parse_integer,
     partition_walk,
     pvector_weight_counts,
     sweep_size,
@@ -217,6 +218,20 @@ def test_validate_pvector():
         validate_pvector(3, (1, 1))
     with pytest.raises(ValueError):
         validate_pvector(2, (-1, 0))
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3), ("+12", 12), ("007", 7)])
+def test_parse_integer_reads_a_sign_and_ascii_digits(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "+", "-", "+-1", "1_0", " 1", "1 ", "1\n", "1.0", "1e3", "0x1", "\u0663", "\u00b2", "\uff11"])
+def test_parse_integer_refuses_every_other_text(text):
+    """Python's int() takes the underscore, the blanks and the non-ASCII
+    digits here; parse_integer takes none of them."""
+    with pytest.raises(ValueError) as refusal:
+        parse_integer(text)
+    assert str(refusal.value) == f"{text!r} is not an integer: expected an optional sign and ASCII digits"
 
 
 def test_each_pvector_is_checked_once_per_call_chain(monkeypatch):
