@@ -32,11 +32,11 @@ from .groupoids import (
     power,
     product,
     rational_str,
-    refuse_relator_check_above_cap,
+    refuse_walk_above_cap,
     skeleton_from_orbits,
     skeletons_equivalent,
 )
-from .permutations import check_enumeration_cap, validate_pvector, weight
+from .permutations import check_enumeration_cap, partition_counts, validate_pvector, weight
 
 
 class _Walk(NamedTuple):
@@ -62,7 +62,7 @@ _WALKS: weakref.WeakKeyDictionary[SymmetricGroup, _Walk] = weakref.WeakKeyDictio
 
 def _cycle_minima_walk(group: SymmetricGroup) -> _Walk:
     """The walk of the symmetric group, made on the group's first request and
-    kept with it, as its spanning tree and certificate are: every later
+    kept with it, as its element tables and spanning tree are: every later
     cycle_tuple_actions call at that degree reuses it."""
     walk = _WALKS.get(group)
     if walk is None:
@@ -184,17 +184,21 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
 
     The enumeration cap is read before ps is listed. Each p-vector is
     validated once, and its carrier is counted over cycle types
-    (decorated_permutation_counts) before the walk. A carrier whose
-    relator check the check cap would refuse is refused, with the refusal
-    validate would give. An empty carrier, weight(p) > n, is laid out without
-    the walk, and S_n is walked only when some carrier has points."""
+    (decorated_permutation_counts) before the walk. A carrier whose walk
+    check the check cap would refuse is refused, with the refusal validate
+    would give: conjugation keeps the cycle type of sigma, so each type that
+    carries points, one per partition of the n - weight(p) unchosen points,
+    is at least one orbit. An empty carrier, weight(p) > n, is laid out
+    without the walk, and S_n is walked only when some carrier has points."""
     check_enumeration_cap(n)
     pvecs = [validate_pvector(n, p) for p in ps]
     group = make_symmetric(n)
     names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
     sizes = decorated_permutation_counts(n, pvecs)
-    for name, size in zip(names, sizes):
-        refuse_relator_check_above_cap(name, group.presentation(), size)
+    # S_n's named generators are its spanning tree's, and reading them builds no table.
+    types, k = partition_counts(n), len(group.generators())
+    for name, pvec, size in zip(names, pvecs, sizes):
+        refuse_walk_above_cap(name, k, size, group.order, types[n - weight(pvec)] if size else 0)
     walk = _cycle_minima_walk(group) if any(sizes) else None
     return (
         _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g: [], name, _presented=True)

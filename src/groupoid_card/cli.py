@@ -302,6 +302,13 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_theorem_general(args) -> int:
+    # A flag the chosen functor does not read is refused, not ignored.
+    if args.functor is not None:
+        ignored = [flag for flag, value in (("--builtin", args.builtin), ("--n", args.n), ("--p", args.p)) if value is not None]
+        if ignored:
+            raise UsageError(f"{', '.join(ignored)} cannot be given with --functor")
+    elif args.p is not None and args.builtin != "cycle-tuples":
+        raise UsageError("--p applies only to --builtin cycle-tuples")
     if args.functor is not None:
         with open(args.functor, "r", encoding="utf-8") as fh:
             try:

@@ -10,6 +10,7 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -37,7 +38,9 @@ from .permutations import (
     integer_entries,
     list_cycle_tuples,
     parse_integer,
+    partition_counts,
     validate_pvector,
+    weight,
 )
 
 
@@ -48,8 +51,9 @@ class EquivariantFunctor:
     transport(h, g) must return the image array of a bijection
     F(g) -> F(h g h^-1); validate_functor checks each array it reads. A
     constructor whose transport is a formula passes _presented=True, as
-    GroupAction's constructors do. Only validate_functor sets the report
-    and the category of elements.
+    GroupAction's constructors do, so that its check reads only the
+    generators' transports. Only validate_functor sets the report and the
+    category of elements.
     """
 
     group: FiniteGroup
@@ -122,59 +126,61 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)). So the check
     reads what only a functor has, lays out the action's rows in one place,
     where a transport that is no bijection fills its fiber's slots with a
-    mark of its own below the carrier, and runs the action's one route
+    mark of its own below the carrier, and runs the action's route
     (GroupAction._check) on them under the functor's cap, with the same
-    handling of a failed relation. Over the k generators s either way, fiber
-    sizes are compared under their conjugation rows: conjugation by s h is
-    conjugation by h, then by s. The relator check reads the generators'
-    transports and checks every relation on their rows, k |G| + (k + L) *
-    total reads for L letters and total fiber size; identity transports hold
-    by construction. With points to check, it runs only over a certified
-    presentation (FiniteGroup.certified), else the row compare runs. The row
-    compare reads the identity transports and every transport, then compares
-    every row with h2 a generator (first_law_failure), (k + 1) |G| (1 +
-    total) reads; a pass reports k |G| + |G| + k |G| * total checks. It
+    handling of a failed walk. Over the k generators s of
+    FiniteGroup.spanning_tree() either way, fiber sizes are compared under
+    their conjugation rows: conjugation by s h is conjugation by h, then by
+    s. The walk check, for a _presented functor, reads the generators'
+    transports and walks each orbit of the category of elements, k |G| +
+    k * total + (k + 1) |G| reads an orbit for total fiber size; identity
+    transports hold by construction. The row compare, for every other
+    functor, reads the identity transports and every transport, then
+    compares every row with h2 a generator (first_law_failure), (k + 1) |G|
+    (1 + total) reads; a pass reports k |G| + |G| + k |G| * total checks. It
     conjugates only the g of nonempty fibers, |G| conjugations per such g,
     with mul and inv, and keeps no conjugation row but the generators'. A
     failure is witnessed by the lowest failing (h, g) or (h2, h1, g) in
     lexicographic order, a triple failing when it reads a broken transport,
-    or by the first broken generator transport or failing relation, with the
-    checks up to it. The result is cached on the functor, and so is the
-    action the check ran, with its report, which category_of_elements returns."""
+    or by the first broken generator transport or broken edge of the walk,
+    with the checks up to it. The result is cached on the functor, and so is
+    the action the check ran, with its report and the orbits its walk found,
+    which category_of_elements returns."""
     if functor._validation is None:
-        presentation = functor.group.presentation() if functor._presented else None
-        report = None if presentation is None else _check(functor, *presentation)
-        if report is None or not report.ok and _row_compare_cost(functor) <= groupoids.DEFAULT_CHECK_CAP:
-            report = _check(functor, functor.group.spanning_tree()[0], None)
+        report = _check(functor, functor._presented)
+        if functor._presented and not report.ok and _row_compare_cost(functor) <= groupoids.DEFAULT_CHECK_CAP:
+            report = _check(functor, False)
         functor._validation = report
     return functor._validation
 
 
 def _row_compare_cost(functor: EquivariantFunctor) -> int:
     group = functor.group
-    return (len(group.spanning_tree()[0]) + 1) * group.order * (1 + functor.total_size)
+    return (len(group.spanning_tree().generators) + 1) * group.order * (1 + functor.total_size)
 
 
-def _refuse_relator_check_above_cap(name: str, order: int, presentation, total: int) -> None:
-    """Raise CapExceededError when the relator check of a functor named name,
-    over a presentation with k generators and L letters, would read more
-    than DEFAULT_CHECK_CAP values: k |G| fiber sizes and (k + L) * total
-    points. A built-in constructor knows its total before it builds a
-    fiber, and calls it first."""
-    generators, relations = presentation
-    k = len(generators)
-    groupoids._refuse_above_cap(repr(name), k * order + (k + groupoids._letter_count(relations)) * total)
+def _refuse_walk_above_cap(name: str, k: int, order: int, total: int, orbits: int) -> None:
+    """Raise CapExceededError when the walk check of a functor named name,
+    over k generators of a group of this order, of total fiber size, would
+    read more than DEFAULT_CHECK_CAP values through its orbits-th orbit:
+    k |G| fiber sizes, then the walk of its category of elements. A built-in
+    constructor knows its total and a lower bound on its orbits before it
+    builds a fiber, and calls it first, with S_n's named generators, which
+    are its spanning tree's."""
+    groupoids.refuse_walk_above_cap(name, k, total, order, orbits, spent=k * order)
 
 
-def _check(functor: EquivariantFunctor, generators: list[int], relations: Optional[list]) -> Optional[FunctorValidation]:
-    """The relator check of the relations, or the row compare when they are
-    None. The relator check gives None, for the row compare to run, when
-    the category of elements has points and the presentation is not
-    certified. Every row of the category of elements, read by the check or
-    later, is laid out by the one row function here; after the check it
-    raises the ValueError of a broken transport in place of its mark."""
+def _check(functor: EquivariantFunctor, walk: bool) -> FunctorValidation:
+    """The walk check, or the row compare when walk is False. Every row of
+    the category of elements, read by the check or later, is laid out by the
+    one row function here; after the check it raises the ValueError of a
+    broken transport in place of its mark."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
     order, mul = group.order, group.mul
+    # An empty category of elements is not walked, so no spanning tree is
+    # built for it: its fiber sizes, all 0, are compared under the named
+    # generators, which are S_n's tree's.
+    generators = group.spanning_tree().generators if total or not walk else group.generators()
     checks = len(generators) * order
 
     def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
@@ -186,7 +192,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
         # Some conjugation moves a fiber size: scan the generators, or for
         # the lowest witness every (h, g), in lexicographic order, keeping no row.
         checks = 0
-        for h in range(order) if relations is None else generators:
+        for h in generators if walk else range(order):
             hinv = group.inv(h)
             for g in range(order):
                 checks += 1
@@ -197,7 +203,7 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
 
     # The composition law is vacuous on empty fibers, so only populated ones count.
     nonempty = [g for g in range(order) if sizes[g]]
-    if relations is None:
+    if not walk:
         for g in range(order):
             checks += 1
             arr = _transport(functor, group.identity, g, g)
@@ -207,10 +213,6 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                 return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
         if nonempty:
             groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
-    else:
-        _refuse_relator_check_above_cap(functor.name, order, (generators, relations), total)
-        if total and not group.certified():
-            return None
 
     # Row h, fiber after fiber. A broken transport (no bijection) is kept and
     # its slots hold a mark of its own, -1, -2, ..., below the carrier, until
@@ -236,27 +238,27 @@ def _check(functor: EquivariantFunctor, generators: list[int], relations: Option
                 laid += map(offsets[conj[g]].__add__, arr)
         return laid
 
-    action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})",
-                                             _presented=functor._presented)
-    report = action._check(None if relations is None else (generators, relations))
+    afford = functools.partial(_refuse_walk_above_cap, functor.name, len(generators), order, total)
+    action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})", _presented=functor._presented)
+    report = action._check(afford if walk else None)
     if report.ok:
-        return FunctorValidation(True, checks + (len(generators) * order * total if relations is None else report.checks))
-    if relations is not None and broken:
-        # The relator check stopped at the first generator row with a mark.
+        return FunctorValidation(True, checks + (report.checks if walk else len(generators) * order * total))
+    if walk and broken:
+        # The walk stopped at the first generator row with a mark.
         h, g = next(iter(broken))
         return failed("bijection", (h, g), str(broken[h, g]))
-    *head, point = report.witness
-    g = bisect.bisect_right(offsets, point) - 1
-    if relations is not None:
+    if walk:
+        point, s, h = report.witness
+        g = bisect.bisect_right(offsets, point) - 1
         checks += report.checks
-        relation = relations[head[0]]
-        return failed("relation", (*relation, g),
-                      f"{groupoids._relation_str(relation)} fails at fiber element {point - offsets[g]} of F({g})")
+        return failed("walk", (s, h, g),
+                      f"walk from fiber element {point - offsets[g]} of F({g}) breaks at generator {s}, h={h}")
+    h2, h1, point = report.witness
+    g = bisect.bisect_right(offsets, point) - 1
     # The witness is the lowest failing triple: the marks flag every triple
     # that reads a broken transport but (h2, e, g), whose second and combined
     # transports are one, and it lies above the failing (0, h2, g), or
     # (0, 0, g) when h2 = 0 != e. A broken one is named first, second, combined.
-    h2, h1 = head
     checks += (h2 * order + h1) * total + offsets[g + 1]
     for key in ((h1, g), (h2, mul(mul(h1, g), group.inv(h1))), (mul(h2, h1), g)):
         if key in broken:
@@ -355,14 +357,18 @@ def make_trivial_functor(group: FiniteGroup) -> EquivariantFunctor:
 def make_fixed_point_functor(n: int) -> EquivariantFunctor:
     """F(sigma) = the fixed points of sigma, transported by relabeling.
     Fiber elements are indices into the sorted fixed-point list. A functor
-    whose relator check the check cap would refuse is refused, with the
-    refusal validate_functor would give, before any fiber is built."""
+    whose walk check the check cap would refuse is refused, with the refusal
+    validate_functor would give, before any fiber is built: conjugation
+    keeps cycle type, so each type with a fixed point, one per partition of
+    the other n - 1 points, is at least one orbit of its category of
+    elements."""
     check_enumeration_cap(n)
     group = make_symmetric(n)
     name = f"fixed-points(S{n})"
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
     total = group.order if n else 0
-    _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
+    types = partition_counts(n - 1)[-1] if n else 0
+    _refuse_walk_above_cap(name, len(group.generators()), group.order, total, types)
     fixed = [tuple(i for i, x in enumerate(images) if x == i) for images in group.image_table()]
     return _relabelling_functor(group, name, fixed, operator.getitem)
 
@@ -372,14 +378,17 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int]) -> EquivariantFunctor:
     the p-vector, transported by relabeling. The elements of the category of
     elements correspond one to one with the decorated permutations. They are
     counted over cycle types (decorated_permutation_counts), and a functor
-    whose relator check the check cap would refuse is refused, with the
-    refusal validate_functor would give, before any fiber is built."""
+    whose walk check the check cap would refuse is refused, with the refusal
+    validate_functor would give, before any fiber is built: each cycle type
+    that carries points, one per partition of the n - weight(p) unchosen
+    points, is at least one orbit, as in cycle_tuple_actions."""
     pvec = validate_pvector(n, p)
     check_enumeration_cap(n)
     group = make_symmetric(n)
     name = f"cycle-tuples(S{n}, p={list(pvec)})"
     total = decorated_permutation_counts(n, [pvec])[0]
-    _refuse_relator_check_above_cap(name, group.order, group.presentation(), total)
+    types = partition_counts(n - weight(pvec))[-1] if total else 0
+    _refuse_walk_above_cap(name, len(group.generators()), group.order, total, types)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
     return _relabelling_functor(group, name, choices, relabel_choice)
 

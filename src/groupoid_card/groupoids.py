@@ -15,9 +15,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, ClassVar, Mapping, Optional, Sequence
+from typing import Any, Callable, ClassVar, Optional, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, SpanningTree
 from .permutations import CapExceededError, check_partition_cap, cycle_type_table, partition_walk
 
 DEFAULT_CHECK_CAP = 10_000_000
@@ -132,8 +132,8 @@ class ActionValidation:
     ok: bool
     checks: int
     failure: Optional[str] = None
-    # A failure's (relation index, s) or (g, h, s) from the law kernel; the
-    # failure message names it, so reports compare without it.
+    # A failure's (x, s, g) from the walk or (g, h, s) from the row compare;
+    # the failure message names it, so reports compare without it.
     witness: Optional[tuple] = field(default=None, compare=False)
     # Every image a report rests on is read: no law check samples.
     mode: ClassVar[str] = "exhaustive"
@@ -151,7 +151,10 @@ def first_law_failure(
     """The lowest (g, h, s), in lexicographic order, at which the images
     rows[g][s] of g acting on s break compatibility: rows[h][s] falls outside
     the carrier, or rows[g][rows[h][s]] != rows[g h][s], where g h is
-    multiplication_row(g)[h]; None when there is none.
+    multiplication_row(g)[h]; None when there is none. It is the law check
+    of every action built from data, and it names the lowest failing triple
+    of a formula action whose walk check (walk_orbits) failed, when it fits
+    under the check cap.
 
     The generators must generate the group (FiniteGroup.spanning_tree()
     gives them), and the caller has checked that the identity's row is the
@@ -193,49 +196,6 @@ def first_law_failure(
     return None
 
 
-def first_relation_failure(
-    rows: Mapping[int, Sequence[int]],
-    relations: Sequence[tuple[Sequence[int], Sequence[int]]],
-    size: int,
-) -> Optional[tuple[int, int]]:
-    """The first relation, in presentation order, whose two sides differ
-    when composed from the generators' rows rows[s] (each inside the carrier
-    0..size-1), and the lowest point where they do; None when every relation
-    holds. Then the generator rows extend to exactly one action of the
-    presented group (von Dyck's theorem), so no other row needs reading: a
-    passing check reads (number of letters) * size images. A word's row is
-    row s_1 after ... after row s_m, composed one run s^e of a generator at
-    a time: the power rows s^e = s after s^(e-1) are built once per call, so
-    S_n's runs of t cost one composition each."""
-    identity = list(range(size))
-    powers: dict[int, list[Sequence[int]]] = {}
-
-    def word_row(word: Sequence[int]) -> Sequence[int]:
-        row = identity
-        for s, run in itertools.groupby(reversed(word)):
-            built = powers.setdefault(s, [rows[s]])
-            e = len(list(run))
-            while len(built) < e:
-                built.append(list(map(rows[s].__getitem__, built[-1])))
-            power = built[e - 1]
-            row = power if row is identity else list(map(power.__getitem__, row))
-        return row
-
-    for i, (lhs, rhs) in enumerate(relations):
-        left, right = word_row(lhs), word_row(rhs)
-        if left != right:
-            return i, next(s for s in range(size) if left[s] != right[s])
-    return None
-
-
-def _relation_str(relation: tuple[Sequence[int], Sequence[int]]) -> str:
-    return "relation " + " = ".join("*".join(map(str, word)) or "e" for word in relation)
-
-
-def _letter_count(relations: Sequence[tuple[Sequence[int], Sequence[int]]]) -> int:
-    return sum(len(lhs) + len(rhs) for lhs, rhs in relations)
-
-
 def _refuse_above_cap(what: str, cost: int) -> None:
     """Raise CapExceededError when a law check would read more than
     DEFAULT_CHECK_CAP images, read at call time."""
@@ -243,14 +203,14 @@ def _refuse_above_cap(what: str, cost: int) -> None:
         raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
 
 
-def refuse_relator_check_above_cap(name: str, presentation, size: int) -> None:
-    """Raise CapExceededError when the relator check of an action named name,
-    of a group with this presentation on size points, would read more than
-    DEFAULT_CHECK_CAP images: (k + L) * size for k generators and L letters.
-    A constructor that knows its carrier's size can call it before building
-    anything."""
-    generators, relations = presentation
-    _refuse_above_cap(repr(name), (len(generators) + _letter_count(relations)) * size)
+def refuse_walk_above_cap(name: str, k: int, size: int, order: int, orbits: int, spent: int = 0) -> None:
+    """Raise CapExceededError when the walk check of an action named name,
+    of a group of this order with k generators on size points, would read
+    more than DEFAULT_CHECK_CAP values through its orbits-th orbit, its
+    caller's spent reads included: spent + k * size + (k + 1) * order *
+    orbits. A constructor that knows its carrier's size and a lower bound
+    on its orbits can call it before building anything."""
+    _refuse_above_cap(repr(name), spent + k * size + (k + 1) * order * orbits)
 
 
 @dataclass(eq=False)
@@ -262,9 +222,9 @@ class GroupAction:
     row on its first read and refused with ValueError unless it is a list
     of carrier_size ints; the law checks read whether they lie in the
     carrier. A constructor whose rows are a formula passes _presented=True,
-    so that validate reads only the generators' rows when the group has a
-    presentation. The carrier size is read with operator.index and must be
-    nonnegative; only a law check sets the report.
+    so that validate reads only the generators' rows, and keeps the orbits
+    its walk finds. The carrier size is read with operator.index and must be
+    nonnegative; only a law check sets the report and the orbits.
     """
 
     group: FiniteGroup
@@ -274,6 +234,7 @@ class GroupAction:
     _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
     _presented: bool = field(default=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
+    _orbits: Optional[list[Orbit]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.carrier_size = operator.index(self.carrier_size)
@@ -300,64 +261,72 @@ class GroupAction:
         """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s),
         from every image the check rests on; the first result is cached.
 
-        The relator check, for a _presented action of a group with a
-        presentation: the k generators' rows lie in the carrier and satisfy
-        every relation (first_relation_failure), (k + L) |S| reads for L
-        letters. They then extend to exactly one action (von Dyck), the one
-        validated, once the presentation is certified (FiniteGroup.certified,
-        read when a carrier with points is first checked); an uncertified
-        presentation takes the row compare. The row compare, for every other
-        action: the identity law, then every row, compared over the k
-        generators of FiniteGroup.spanning_tree() (first_law_failure),
+        The walk check, for a _presented action: the rows of the k
+        generators of FiniteGroup.spanning_tree() lie in the carrier, and
+        walk_orbits finds no broken edge from any orbit's smallest point,
+        k |S| + (k + 1) |G| reads an orbit. They then extend to exactly one
+        action, the one validated, and the orbits the walk found are kept.
+        The row compare, for every other action: the identity law, then
+        every row, compared over the same k generators (first_law_failure),
         |S| + (k + 1) |G| |S| reads; a pass reports the |S| + k |G| |S|
         checks made.
 
         A check of more reads than DEFAULT_CHECK_CAP, read at call time,
-        raises CapExceededError (the row compare after its identity law). A
-        failed relation is never refused: the row compare then names the
-        lowest failing triple when it fits under the cap, else the relation
-        is named.
+        raises CapExceededError: the walk as soon as its next orbit would
+        pass it, the row compare after its identity law. A failed walk is
+        never refused: the row compare then names the lowest failing triple
+        when it fits under the cap, else the walk's broken edge is named.
         """
         if self._validation is None:
-            presentation = self.group.presentation() if self._presented else None
-            report = None if presentation is None else self._check(presentation)
-            if report is None or not report.ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
+            if not self._presented or not self._check(self._afford).ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
                 # Above the cap a failing identity law is still reported.
                 if self._row_compare_cost() > DEFAULT_CHECK_CAP and self._identity_failure() is None:
                     _refuse_above_cap(repr(self.name), self._row_compare_cost())
                 self._check(None)
         return self._validation
 
-    def _check(self, presentation: Optional[tuple[list[int], list]]) -> Optional[ActionValidation]:
-        """Run one route, with no fallback, and keep its report: the relator
-        check of presentation, (generators, relations), or else the row
-        compare, identity law first, under a check cap its caller has read."""
-        if presentation is None:
+    def _check(self, afford: Optional[Callable[[int], None]]) -> ActionValidation:
+        """Run one route, with no fallback, and keep its report: the walk
+        check, which calls afford(m) before its m-th orbit (walk_orbits), or
+        else, with None, the row compare, identity law first, under a check
+        cap its caller has read."""
+        if afford is None:
             self._validation = self._identity_failure() or self._compare_rows()
         else:
-            self._validation = self._check_relations(*presentation)
+            self._validation = self._walk(afford)
         return self._validation
 
-    def _row_compare_cost(self) -> int:
-        return self.carrier_size * (1 + (len(self.group.spanning_tree()[0]) + 1) * self.group.order)
+    def _afford(self, orbits: int) -> None:
+        k = len(self.group.spanning_tree().generators)
+        refuse_walk_above_cap(self.name, k, self.carrier_size, self.group.order, orbits)
 
-    def _check_relations(self, generators: list[int], relations: list) -> Optional[ActionValidation]:
+    def _row_compare_cost(self) -> int:
+        return self.carrier_size * (1 + (len(self.group.spanning_tree().generators) + 1) * self.group.order)
+
+    def _walk(self, afford: Callable[[int], None]) -> ActionValidation:
         size = self.carrier_size
-        refuse_relator_check_above_cap(self.name, (generators, relations), size)
-        if size and not self.group.certified():
-            return None
+        if not size:
+            self._orbits = []
+            return ActionValidation(True, 0)
+        afford(1)
+        tree = self.group.spanning_tree()
+        generators, order = tree.generators, self.group.order
+        rows = [self._row(s) for s in generators]
         checks = len(generators) * size
-        for s in generators:
-            row = self._row(s)
-            t = next((t for t in row if not 0 <= t < size), None)
-            if t is not None:
+        for s, row in zip(generators, rows):
+            if min(row) < 0 or max(row) >= size:
+                t = next(t for t in row if not 0 <= t < size)
                 return ActionValidation(False, checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
-        witness = first_relation_failure(self._rows, relations, size)
+        orbits, witness = walk_orbits(tree, rows, size, afford)
+        checks += (len(generators) + 1) * order * len(orbits)
         if witness is None:
-            return ActionValidation(True, checks + _letter_count(relations) * size)
-        i, s = witness
-        return ActionValidation(False, checks + _letter_count(relations[: i + 1]) * size,
-                                f"{_relation_str(relations[i])} fails at s={s}", witness)
+            self._orbits = orbits
+            return ActionValidation(True, checks)
+        x, s, g = witness
+        # The failing orbit's tree images, and its compares through s's.
+        checks += (2 + generators.index(s)) * order
+        return ActionValidation(False, checks, f"walk from s={x} breaks at generator {s}, g={g}: "
+                                               f"act({s}, act({g}, {x})) != act({s}*{g}, {x})", witness)
 
     def _identity_failure(self) -> Optional[ActionValidation]:
         for s, t in enumerate(self._row(self.group.identity)):
@@ -369,7 +338,7 @@ class GroupAction:
         """The row compare after a passing identity law, whose |S| checks it counts."""
         group, size, order = self.group, self.carrier_size, self.group.order
         rows = [self._row(g) for g in range(order)]
-        generators = group.spanning_tree()[0]
+        generators = group.spanning_tree().generators
         witness = first_law_failure(rows, group.multiplication_row, generators)
         if witness is None:
             return ActionValidation(True, size + len(generators) * order * size)
@@ -404,37 +373,77 @@ class Orbit:
         return {"representative": self.representative, "size": self.size, "stabilizer_order": self.stabilizer_order}
 
 
-def orbit_decomposition(action: GroupAction) -> list[Orbit]:
-    """Orbits in order of their smallest carrier index.
+def walk_orbits(
+    tree: SpanningTree,
+    rows: Sequence[Sequence[int]],
+    size: int,
+    afford: Optional[Callable[[int], None]] = None,
+) -> tuple[list[Orbit], Optional[tuple[int, int, int]]]:
+    """The orbits of the carrier 0..size-1 under the generator rows, rows[i]
+    the row of tree.generators[i], each inside the carrier, in order of
+    their smallest point; and the first broken edge, or None.
 
-    The images of each representative under every group element are read
-    along the group's spanning tree from the validated generator rows: the
-    image under child = s * parent is row s applied to the image under
-    parent, |G| reads and no other row. The orbit size is the number of
-    distinct images, and the stabilizer order a direct count of the images
-    equal to the representative. An empty carrier has no orbit, and its
-    spanning tree is not read."""
-    _require_valid(action)
-    if not action.carrier_size:
-        return []
-    group = action.group
-    rows = action._rows
-    edges = [(child, rows[s], parent) for child, s, parent in group.spanning_tree()[1]]
-    images = [0] * group.order
-    e = group.identity
-    seen = bytearray(action.carrier_size)
+    From each smallest point x not yet seen, the images v(g) of x are filled
+    along the tree, v(e) = x and v(s g) = row s at v(g), by one map per
+    step: |G| reads and no product. The orbit is the set of the images, and
+    its stabilizer order a direct count of the images equal to x.
+
+    With afford, the walk is the law check: afford(m), called before the
+    m-th orbit, may raise to stop it, and every edge of the Cayley graph is
+    compared, v(s g) with row s at v(g) for each generator s and every g,
+    over the tree's products in two maps per generator, k |G| reads. The
+    first orbit and generator at which they differ, and the first g in the
+    tree's order, give the witness (x, s, g). With no broken edge the rows
+    extend to exactly one action (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4, Schreier graphs): induction on
+    a word s_1 ... s_m for g gives v_x(g h) = row s_1 after ... after row
+    s_m at v_x(h) for every h, so rho(g) y = v_x(g h), for y = v_x(h),
+    depends neither on the word nor on h; rho(e) is the identity,
+    rho(g h) = rho(g) rho(h), and rho(s) is row s. An orbit met again would
+    hold the smallest point of the later one, so orbits never meet."""
+    generators, steps, products = tree.generators, tree.steps, tree.products
+    images = [0] * len(tree.elements)
+    seen = bytearray(size)
     orbits: list[Orbit] = []
-    for s in range(action.carrier_size):
-        if seen[s]:
-            continue
-        images[e] = s
-        for child, row, parent in edges:
-            images[child] = row[images[parent]]
+    x = seen.find(0)
+    while x >= 0:
+        if afford is not None:
+            afford(len(orbits) + 1)
+        images[0] = x
+        end = 1
+        for i, parents in steps:
+            start, end = end, end + len(parents)
+            images[start:end] = map(rows[i].__getitem__, map(images.__getitem__, parents))
+        if afford is not None:
+            for i, moved in enumerate(products):
+                heads, tails = list(map(images.__getitem__, moved)), list(map(rows[i].__getitem__, images))
+                if heads != tails:
+                    j = next(j for j, (a, b) in enumerate(zip(heads, tails)) if a != b)
+                    return orbits, (x, generators[i], tree.elements[j])
         members = set(images)
         for t in members:
             seen[t] = 1
-        orbits.append(Orbit(representative=s, size=len(members), stabilizer_order=images.count(s)))
-    return orbits
+        orbits.append(Orbit(representative=x, size=len(members), stabilizer_order=images.count(x)))
+        x = seen.find(0, x + 1)
+    return orbits, None
+
+
+def orbit_decomposition(action: GroupAction) -> list[Orbit]:
+    """Orbits in order of their smallest carrier index (walk_orbits).
+
+    A _presented action keeps the orbits its walk check found, so nothing is
+    walked again. Any other action walks the spanning tree from its
+    validated generator rows, |G| reads an orbit and no compare; its row
+    compare read (k + 1) |G| |S| images, so this walk is bounded by the
+    check cap too. An empty carrier has no orbit, and its spanning tree is
+    not read."""
+    _require_valid(action)
+    if not action.carrier_size:
+        return []
+    if action._orbits is None:
+        tree = action.group.spanning_tree()
+        action._orbits = walk_orbits(tree, [action._rows[s] for s in tree.generators], action.carrier_size)[0]
+    return list(action._orbits)
 
 
 def skeleton_from_orbits(orbits: list[Orbit]) -> GroupoidSkeleton:

@@ -12,19 +12,31 @@ elements of nonempty fibers, keeping no row.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import index, itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .permutations import CapExceededError, Permutation, integer_entries, lex_rank
 
 DEFAULT_CAYLEY_ORDER_CAP = 256
-# Most cosets one coset enumeration may define. Certifying S9 defines
-# 117 839 (about 1.1 s on a 2-core x86 machine); no CLI route certifies S10,
-# whose every nonempty carrier is refused by the check cap first.
-DEFAULT_COSET_CAP = 250_000
-# Generators, and relations as pairs of words in them (FiniteGroup.presentation).
-_Presentation = tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...]]]]
+
+
+class SpanningTree(NamedTuple):
+    """A breadth-first spanning tree of a group over its generators, in
+    positions: position j stands for elements[j], the identity at 0.
+
+    products[i][j] is the position of generators[i] * elements[j], so each
+    generator's products are a permutation of the positions. steps lists
+    the tree's edges a block at a time, in the order reached: step
+    (i, parents) reaches the next len(parents) positions, the m-th of them
+    being generators[i] * elements[parents[m]]. A value v_j kept per
+    position is therefore filled along the tree, from v_0, by one map per
+    step."""
+
+    generators: list[int]
+    elements: list[int]
+    products: list[list[int]]
+    steps: list[tuple[int, list[int]]]
 
 
 class GroupValidationError(ValueError):
@@ -45,7 +57,7 @@ class FiniteGroup:
 
     def __init__(self) -> None:
         self._conj_rows: dict[int, list[int]] = {}
-        self._tree: tuple[list[int], list[tuple[int, int, int]]] | None = None
+        self._tree: SpanningTree | None = None
 
     @property
     def identity(self) -> int:
@@ -92,67 +104,58 @@ class FiniteGroup:
         mul = self.mul
         return [mul(g, x) for x in range(self.order)]
 
-    def presentation(self) -> _Presentation | None:
-        """Generators and relations, or None for a group known only by its
-        table. A relation is a pair of words in the generators (element
-        indices), the word s_1 ... s_m standing for that product; the empty
-        word is the identity. The relations hold in the group, and when
-        certified() is True they define it: any assignment of permutations
-        to the generators that satisfies every relation then extends to
-        exactly one homomorphism from the group (von Dyck's theorem). Reading
-        it certifies nothing, so a refusal that reads only its size costs no
-        enumeration."""
-        return None
+    def generators(self) -> list[int]:
+        """The generators this group names, which seed spanning_tree(): none
+        for a group known only by its table."""
+        return []
 
-    def certified(self) -> bool:
-        """Whether presentation() is shown to define this group exactly;
-        a relator check is a pass only when it is. False for a group with
-        no presentation."""
-        return False
+    def spanning_tree(self) -> SpanningTree:
+        """A breadth-first spanning tree of the group, built on the first
+        call and kept.
 
-    def spanning_tree(self) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """Generators and a breadth-first spanning tree of the group over them.
-
-        A group with a presentation starts from its generators (both of S_n's
-        from degree 3), a group known by its table from none. Greedy ones
-        follow: elements are taken in index order, each one not yet reached
-        becomes a generator, and the set reached from the identity is closed
-        again under left multiplication by the generators. Generators that
-        generate the group leave no element for a greedy one, and each greedy
-        generator at least doubles the reached subgroup, so a table gets at
-        most log2(order) of them. Each element is multiplied once by each
-        generator. Returns the generators and the edges (child, generator,
-        parent), child = generator * parent, in the order reached; the
-        identity is the root and has no edge, and every generator is a
-        child of the identity."""
+        The tree starts from generators() (both of S_n's from degree 3).
+        Greedy ones follow: elements are taken in index order, each one not
+        yet reached becomes a generator, and the set reached from the
+        identity is closed again under left multiplication by the
+        generators. Generators that generate the group leave no element for
+        a greedy one, and each greedy generator at least doubles the reached
+        subgroup, so a table gets at most log2(order) of them. The reached
+        set is closed a level at a time, one generator after another, so
+        the children of one generator in one level take consecutive
+        positions (one step); each element is multiplied once by each
+        generator, and every product is kept."""
         if self._tree is None:
-            mul = self.mul
-            reached = [self.identity]
-            seen = bytearray(self.order)
-            seen[self.identity] = 1
-            edges: list[tuple[int, int, int]] = []
+            mul, order = self.mul, self.order
+            generators = list(self.generators())
+            elements = [self.identity]
+            position = [-1] * order
+            position[self.identity] = 0
+            products = [[0] * order for _ in generators]
+            steps: list[tuple[int, list[int]]] = []
 
-            def close(generators: list[int], known: int) -> None:
-                # Elements reached before index known are closed under all
-                # generators but the last already; later ones need every one.
-                i = 0
-                while i < len(reached):
-                    parent = reached[i]
-                    for s in generators[-1:] if i < known else generators:
-                        child = mul(s, parent)
-                        if not seen[child]:
-                            seen[child] = 1
-                            reached.append(child)
-                            edges.append((child, s, parent))
-                    i += 1
+            def close(frontier: range, indices: range) -> None:
+                # The positions before the frontier are closed under every
+                # generator but those indexed by indices.
+                while frontier:
+                    for i in indices:
+                        s, moved, parents = generators[i], products[i], []
+                        for j in frontier:
+                            child = mul(s, elements[j])
+                            if position[child] < 0:
+                                position[child] = len(elements)
+                                elements.append(child)
+                                parents.append(j)
+                            moved[j] = position[child]
+                        if parents:
+                            steps.append((i, parents))
+                    frontier, indices = range(frontier.stop, len(elements)), range(len(generators))
 
-            presentation = self.presentation()
-            generators = [] if presentation is None else list(presentation[0])
-            close(generators, 0)
-            while len(reached) < self.order:
-                generators.append(seen.index(0))
-                close(generators, len(reached))
-            self._tree = (generators, edges)
+            close(range(1), range(len(generators)))
+            while len(elements) < order:
+                generators.append(position.index(-1))
+                products.append([0] * order)
+                close(range(len(elements)), range(len(generators) - 1, len(generators)))
+            self._tree = SpanningTree(generators, elements, products, steps)
         return self._tree
 
     def multiplication_table(self) -> list[list[int]]:
@@ -179,16 +182,9 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return (-a) % self.order
 
-    def presentation(self) -> _Presentation:
-        """One generator s = 1 and the relation s^k = e; none for k = 1."""
-        if self.order == 1:
-            return [], []
-        return [1], [((1,) * self.order, ())]
-
-    def certified(self) -> bool:
-        """True with no enumeration: s^k = e bounds the presented group's
-        order by k, and s = 1 has order k."""
-        return True
+    def generators(self) -> list[int]:
+        """The element 1; none for k = 1."""
+        return [1] if self.order > 1 else []
 
 
 class SymmetricGroup(FiniteGroup):
@@ -196,7 +192,7 @@ class SymmetricGroup(FiniteGroup):
     rank of their image tuples. Multiplication is composition, right factor
     first: (sigma * tau)(x) = sigma(tau(x)). Every element operation reads
     one pair of tables, all n! image tuples and their ranks, built on first
-    use; presentation() builds none."""
+    use; generators() builds none."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -207,7 +203,6 @@ class SymmetricGroup(FiniteGroup):
         self.name = f"S{n}"
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._rank_of: dict[tuple[int, ...], int] | None = None
-        self._certified: bool | None = None
 
     def _tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
@@ -246,32 +241,14 @@ class SymmetricGroup(FiniteGroup):
             out[img] = i
         return rank_of[tuple(out)]
 
-    def presentation(self) -> _Presentation:
-        """s = (0 1) and t = (0 1 ... n-1), with s^2 = t^n = (s t)^(n-1) =
-        (s t^(n-1) s t)^3 = e and (s t^(n-j) s t^j)^2 = e for
-        2 <= j <= n/2 (Coxeter & Moser, Generators and Relations for
-        Discrete Groups, 1957, 6.2); words have no inverse letters, so
-        t^(n-1) stands for t^-1. S2 has s alone with s^2 = e, and S0 and S1
-        no generator. S6 has 2 generators, 6 relations and 74 letters.
-        The generators are ranked with lex_rank, so no element table is
-        built; certified() checks, once, that the relations define S_n."""
+    def generators(self) -> list[int]:
+        """s = (0 1) and t = (0 1 ... n-1), ranked with lex_rank, so no
+        element table is built; S2 has s alone, and S0 and S1 none."""
         n = self.n
         if n < 2:
-            return [], []
+            return []
         s = lex_rank((1, 0, *range(2, n)))
-        if n == 2:
-            return [s], [((s, s), ())]
-        t = lex_rank((*range(1, n), 0))
-        relations = [((s, s), ()), ((t,) * n, ()), ((s, t) * (n - 1), ()), ((s, *(t,) * (n - 1), s, t) * 3, ())]
-        relations += [((s, *(t,) * (n - j), s, *(t,) * j) * 2, ()) for j in range(2, n // 2 + 1)]
-        return [s, t], relations
-
-    def certified(self) -> bool:
-        """certify_presentation(self, self.presentation()), run on the
-        first call and kept."""
-        if self._certified is None:
-            self._certified = certify_presentation(self, self.presentation()) is not None
-        return self._certified
+        return [s] if n == 2 else [s, lex_rank((*range(1, n), 0))]
 
 
 class ProductGroup(FiniteGroup):
@@ -296,27 +273,11 @@ class ProductGroup(FiniteGroup):
         a1, a2 = self._split(a)
         return self.left.inv(a1) * self.right.order + self.right.inv(a2)
 
-    def presentation(self) -> _Presentation | None:
-        """Each factor's generators and relations, embedded, and a b = b a
-        for every generator a of the left factor and b of the right (Holt,
-        Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5);
-        None unless both factors have a presentation."""
-        left, right = self.left.presentation(), self.right.presentation()
-        if left is None or right is None:
-            return None
+    def generators(self) -> list[int]:
+        """Each factor's generators, embedded: the left factor's first."""
         m = self.right.order
-        embed_left = {a: a * m + self.right.identity for a in left[0]}
-        embed_right = {b: self.left.identity * m + b for b in right[0]}
-        relations = []
-        for embed, (_, factor_relations) in ((embed_left, left), (embed_right, right)):
-            relations += [(tuple(embed[x] for x in u), tuple(embed[x] for x in v)) for u, v in factor_relations]
-        relations += [((a, b), (b, a)) for a in embed_left.values() for b in embed_right.values()]
-        return [*embed_left.values(), *embed_right.values()], relations
-
-    def certified(self) -> bool:
-        """Whether both factors' presentations are certified: theirs and the
-        commutators present the direct product of the presented factors."""
-        return self.left.certified() and self.right.certified()
+        return [a * m + self.right.identity for a in self.left.generators()] + [
+            self.left.identity * m + b for b in self.right.generators()]
 
 
 class CayleyGroup(FiniteGroup):
@@ -357,160 +318,6 @@ def make_symmetric(n: int) -> SymmetricGroup:
 def make_product(left: FiniteGroup, right: FiniteGroup) -> ProductGroup:
     """Direct product with componentwise operations."""
     return ProductGroup(left, right)
-
-
-class CosetEnumeration(NamedTuple):
-    """What one coset enumeration found: the index, or None when it stopped
-    at DEFAULT_COSET_CAP, and the cosets it defined on the way."""
-
-    index: Optional[int]
-    defined: int
-
-
-def enumerate_cosets(
-    generators: Sequence[int],
-    relations: Sequence[tuple[Sequence[int], Sequence[int]]],
-    subgroup: Sequence[Sequence[int]],
-) -> CosetEnumeration:
-    """The index, in the group presented by generators and relations, of
-    the subgroup generated by the words in subgroup: Todd-Coxeter coset
-    enumeration in the HLT strategy (Todd & Coxeter, Proc. Edinburgh Math.
-    Soc. 5, 1936; Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, 2005, 5.1). Letter 2i is generator i and 2i + 1 its inverse; a
-    relation u = v is the relator u v^-1. The subgroup's words are scanned
-    from coset 0; then each live coset in turn has every relator scanned
-    from it, filling the gaps with new cosets, and its undefined entries
-    defined. A scan that closes two different cosets makes them one
-    (coincidence), and the larger one dies with all its entries moved. The
-    index is the number of live cosets once every live coset is done, or
-    None when a definition would take the cosets defined past
-    DEFAULT_COSET_CAP, read at call time."""
-    cap = DEFAULT_COSET_CAP
-    letter = {g: 2 * i for i, g in enumerate(generators)}
-    relators = [w for w in ([letter[x] for x in u] + [letter[x] ^ 1 for x in reversed(v)] for u, v in relations) if w]
-    width = 2 * len(generators)
-    table = [[-1] * width]
-    parent = [0]  # parent[c] == c exactly while coset c lives
-
-    class Full(Exception):
-        pass
-
-    def define(c: int, x: int) -> None:
-        d = len(table)
-        if d >= cap:
-            raise Full
-        table.append([-1] * width)
-        parent.append(d)
-        table[c][x] = d
-        table[d][x ^ 1] = c
-
-    def rep(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def merge(a: int, b: int, dead: list[int]) -> None:
-        a, b = rep(a), rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            parent[b] = a
-            dead.append(b)
-
-    def coincidence(a: int, b: int) -> None:
-        dead: list[int] = []
-        merge(a, b, dead)
-        for gamma in dead:  # grows while it is read
-            for x, delta in enumerate(table[gamma]):
-                if delta < 0:
-                    continue
-                table[delta][x ^ 1] = -1
-                mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] >= 0:
-                    merge(nu, table[mu][x], dead)
-                elif table[nu][x ^ 1] >= 0:
-                    merge(mu, table[nu][x ^ 1], dead)
-                else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
-
-    def scan_and_fill(c: int, word: list[int]) -> None:
-        f, i, b, j = c, 0, c, len(word) - 1
-        while True:
-            while i <= j:
-                d = table[f][word[i]]
-                if d < 0:
-                    break
-                f, i = d, i + 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i:
-                d = table[b][word[j] ^ 1]
-                if d < 0:
-                    break
-                b, j = d, j - 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            define(f, word[i])
-
-    try:
-        for word in subgroup:
-            scan_and_fill(0, [letter[x] for x in word])
-        c = 0
-        while c < len(table):
-            for word in relators:
-                if parent[c] != c:
-                    break
-                scan_and_fill(c, word)
-            if parent[c] == c:
-                for x in range(width):
-                    if table[c][x] < 0:
-                        define(c, x)
-            c += 1
-    except Full:
-        return CosetEnumeration(None, len(table))
-    return CosetEnumeration(sum(1 for c, p in enumerate(parent) if c == p), len(table))
-
-
-def certify_presentation(group: FiniteGroup, presentation: _Presentation) -> Optional[CosetEnumeration]:
-    """The coset enumeration that shows presentation to define group
-    exactly, or None when it does not. The relations must hold in group
-    and the generators reach every element of spanning_tree(), so the
-    presented group maps onto group. The enumeration (enumerate_cosets)
-    takes the cosets of the subgroup generated by the last generator t,
-    whose order is at most m for the shortest relation t^m = e listed;
-    index times m then bounds the presented group's order, and a bound
-    equal to |group| makes the map an isomorphism. With no generator the
-    presented group is trivial. An enumeration stopped by the coset cap,
-    another index, or no relation t^m = e leaves it uncertified."""
-    generators, relations = presentation
-
-    def product(word: Sequence[int]) -> int:
-        return reduce(group.mul, word, group.identity)
-
-    if any(product(u) != product(v) for u, v in relations) or group.spanning_tree()[0] != list(generators):
-        return None
-    subgroup: list[tuple[int, ...]] = []
-    bound: Optional[int] = 1
-    if generators:
-        t = generators[-1]
-        subgroup = [(t,)]
-        bound = min((len(u) for u, v in relations if u and not v and set(u) == {t}), default=None)
-    if bound is None:
-        return None
-    enumeration = enumerate_cosets(generators, relations, subgroup)
-    if enumeration.index is None or enumeration.index * bound != group.order:
-        return None
-    return enumeration
 
 
 def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:

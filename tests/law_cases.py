@@ -4,7 +4,7 @@ Groups are built by name, fresh, so that no conjugation row is filled
 before the test reads it; `law_caps` moves the check cap above which law
 checks refuse, and `enumeration_cap` the degree above which S_n is not
 enumerated; `rows_of` turns a per-point act into the row function a
-GroupAction is built from."""
+GroupAction is built from; `tree_edges` lists a spanning tree's edges."""
 
 import random
 from unittest import mock
@@ -67,11 +67,22 @@ def rows_of(act, size):
     return lambda g: [act(g, s) for s in range(size)]
 
 
+def tree_edges(tree):
+    """The edges (child, generator, parent) of a FiniteGroup.spanning_tree(),
+    as elements, in the order reached."""
+    edges, end = [], 1
+    for i, parents in tree.steps:
+        for m, parent in enumerate(parents):
+            edges.append((tree.elements[end + m], tree.generators[i], tree.elements[parent]))
+        end += len(parents)
+    return edges
+
+
 def last_generator_coset(group):
     """(H, r): the subgroup H generated by every greedy generator of
     FiniteGroup.spanning_tree() but the last, as a set, and that last
     generator r, which lies outside H; None below two generators."""
-    generators = group.spanning_tree()[0]
+    generators = group.spanning_tree().generators
     if len(generators) < 2:
         return None
     subgroup = {group.identity}

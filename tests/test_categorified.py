@@ -167,9 +167,9 @@ def test_bridge_identity_small_sweep(n):
                                          (6, (0, 0, 0, 0, 0, 1), "exhaustive")])
 def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
     """The Q-action reads the rows of the two generators s = (0 1) and
-    t = (0 1 ... n-1) and checks the relations of S_n on them: (k + L) |Q|
-    reads, with L = 50 letters at n=5 and 74 at n=6. At n=6 that is 9 120
-    reads where a sample of 5 000 triples was once drawn."""
+    t = (0 1 ... n-1) and walks its one orbit, one per partition of the
+    n - weight(p) = 0 unchosen points: 2 |Q| + 3 n! reads. At n=6 that is
+    2 400 reads where a sample of 5 000 triples was once drawn."""
     built = []
 
     def recording(*args):
@@ -182,8 +182,8 @@ def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
     (action,) = built
     assert action._validation.ok
     assert action._validation.mode == mode
-    letters = {5: 50, 6: 74}[n]
-    assert action._validation.checks == (2 + letters) * action.carrier_size
+    assert len(action._orbits) == 1
+    assert action._validation.checks == 2 * action.carrier_size + 3 * math.factorial(n)
 
 
 def test_cycle_tuple_action_is_valid():
@@ -232,7 +232,7 @@ def test_one_sweep_equals_its_single_calls(walks, n):
     generator rows that its own cycle_tuple_action call gives. A single call
     walks S_n only for a carrier with points, weight(p) <= n."""
     ps = [p for m, p in KERNEL_CASES if m == n]
-    generators = make_symmetric(n).presentation()[0]
+    generators = make_symmetric(n).generators()
     swept = [(a.carrier_size, [a._row(g) for g in generators]) for a in cycle_tuple_actions(n, ps)]
     assert walks == [n]
     single = []
@@ -278,7 +278,7 @@ def sweep_facts(n, ps):
     generator rows, validate() report and orbits."""
     facts = []
     for action in cycle_tuple_actions(n, ps):
-        generators = action.group.presentation()[0]
+        generators = action.group.generators()
         rows = [action._row(g) for g in generators]
         facts.append((action.name, action.carrier_size, rows, action.validate(), orbit_decomposition(action)))
     return facts
@@ -348,6 +348,6 @@ def test_generator_rows_at_n6_match_q_action(p):
     index = {d: i for i, d in enumerate(q)}
     action = cycle_tuple_action(6, p)
     group = action.group
-    for g in group.presentation()[0]:
+    for g in group.generators():
         tau = group.permutation_at(g)
         assert action._row(g) == [index[q_action(tau, d)] for d in q]

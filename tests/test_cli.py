@@ -71,6 +71,26 @@ def test_usage_refusals_exit_2_with_their_message(capsys, argv, message):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--builtin", "fixed-points", "--n", "3", "--p", "garbage"], "--p applies only to --builtin cycle-tuples"),
+    (["--builtin", "fixed-points", "--n", "3", "--p", "1,0,0"], "--p applies only to --builtin cycle-tuples"),
+    (["--p", "1,0,0"], "--p applies only to --builtin cycle-tuples"),
+    (["--functor", "FILE", "--builtin", "cycle-tuples", "--n", "7", "--p", "x"], "--builtin, --n, --p cannot be given with --functor"),
+    (["--functor", "FILE", "--builtin", "fixed-points"], "--builtin cannot be given with --functor"),
+    (["--functor", "FILE", "--n", "3"], "--n cannot be given with --functor"),
+    (["--functor", "FILE", "--p", "1"], "--p cannot be given with --functor"),
+])
+def test_theorem_general_refuses_flags_it_would_ignore(tmp_path, capsys, argv, message):
+    """A flag the chosen functor does not read exits 2 with a one-line
+    message and no traceback, before any functor is read or built; the
+    functor file here is valid on its own."""
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps({"group": "S1", "fibers": {"0": 1}, "transports": {"0": {"0": [0]}}}))
+    assert run_cli(["theorem-general", "--functor", str(path)], capsys)[0] == 0
+    argv = [str(path) if word == "FILE" else word for word in argv]
+    assert run_cli(["theorem-general", *argv], capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("subcommand", ["verify-lemma", "verify-categorified"])
 @pytest.mark.parametrize("extra, message", [
     (["--p", "garbage", "--all-p"], "--p and --all-p cannot both be given"),
@@ -455,7 +475,8 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     traceback. A JSON functor on the Cayley table of Z/4 (one greedy
     generator) with 2-point fibers takes the row compare, which reads
     (k + 1) |G| (1 + total) = 2 * 4 * 9 = 72 values; the built-in Q-action
-    of S4 on 6 points reads (2 + 42) * 6 = 264 for the relator check."""
+    of S4 on 6 points reads 2 * 6 + 3 * 24 = 84 for the walk check of its
+    one orbit."""
     parity = {
         "group": to_cayley_json(make_cyclic(4)),
         "fibers": {str(g): 2 for g in range(4)},
@@ -470,8 +491,8 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error: law check of 'parity-json' needs 72 reads, above the check cap 71\n"
     code, out, err = run_cli(["verify-categorified", "--n", "4", "--p", "0,2,0,0"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: law check of 'S4 on Q[0, 2, 0, 0]' needs 264 reads, above the check cap 71\n"
-    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 264)
+    assert err == "error: law check of 'S4 on Q[0, 2, 0, 0]' needs 84 reads, above the check cap 71\n"
+    monkeypatch.setattr(groupoids, "DEFAULT_CHECK_CAP", 84)
     code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["equal"] is True
@@ -480,14 +501,15 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch):
-    """S9 on Q for p = 0 has 9! points; its relator check would read
-    (2 + 126) * 362 880 = 46 448 640 values. The carrier is counted over
+    """S9 on Q for p = 0 has 9! points and at least one orbit per cycle
+    type, 30; its walk check would read 2 * 362 880 + 3 * 362 880 * 30 =
+    33 384 960 values. The carrier is counted over
     cycle types and refused, with the refusal its check would give, before
     any permutation is enumerated or S9 is walked. A sweep is refused the
     same way, before its one walk, at its first p-vector over the cap."""
     refuse = forbid(permutations.enumerate_permutations, permutations.list_cycle_tuples, categorified._cycle_minima_walk)
     monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
-    expected = "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 46448640 reads, above the check cap 10000000\n"
+    expected = "error: law check of 'S9 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0]' needs 33384960 reads, above the check cap 10000000\n"
     for argv in (["--p", "0,0,0,0,0,0,0,0,0"], ["--all-p"]):
         code, out, err = run_cli(["verify-categorified", "--n", "9", *argv], capsys)
         assert (code, out, err) == (2, "", expected)
@@ -498,17 +520,19 @@ def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(
     (["--builtin", "cycle-tuples", "--n", "9", "--p", "1,0,0,0,0,0,0,0,0"], "cycle-tuples(S9, p=[1, 0, 0, 0, 0, 0, 0, 0, 0])"),
 ], ids=["fixed-points", "cycle-tuples"])
 def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch, argv, name):
-    """Both S9 functors have 9! fiber points in all; their relator check
-    would read 2 * 362 880 fiber sizes and (2 + 126) * 362 880 points,
-    47 174 400 values. The total is known before any fiber is built, so the
-    functor is refused first, with the refusal its check would give."""
+    """Both S9 functors have 9! fiber points in all, and at least one orbit
+    per cycle type with a point to carry, one per partition of 8; their
+    walk check would read 2 * 362 880 fiber sizes, 2 * 362 880 generator
+    images and 3 * 362 880 for each of 22 orbits, 25 401 600 values. The
+    total is known before any fiber is built, so the functor is refused
+    first, with the refusal its check would give."""
     refuse = forbid(permutations.list_cycle_tuples)
     monkeypatch.setattr(SymmetricGroup, "images_at", refuse)
     start = time.perf_counter()
     code, out, err = run_cli(["theorem-general", *argv], capsys)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == f"error: law check of {name!r} needs 47174400 reads, above the check cap 10000000\n"
+    assert err == f"error: law check of {name!r} needs 25401600 reads, above the check cap 10000000\n"
 
 
 def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
@@ -529,10 +553,10 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
     assert payload["lhs_skeleton"] == payload["rhs_skeleton"] == {"components": []}
     assert (payload["q_size"], payload["lhs_card"], payload["bridge_check"]) == (0, "0/1", True)
     refusals = [
-        (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 59512320"),
-        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 602380800"),
+        (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 11612160"),
+        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 341107200"),
         (["theorem-general", "--builtin", "cycle-tuples", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"],
-         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 66769920"),
+         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 18869760"),
     ]
     for argv, needs in refusals:
         code, out, err = run_cli(argv, capsys)
@@ -541,9 +565,8 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
 
 
 def test_empty_carrier_at_degree_ten_keeps_no_row_per_element(capsys):
-    """The relator check of an empty carrier reads its 2 generator rows, each
-    empty: only the rows read are kept, not a list of 3 628 800 placeholders
-    (about 29 MB)."""
+    """The walk check of an empty carrier reads no row and no spanning tree:
+    no list of 3 628 800 placeholders (about 29 MB) is kept."""
     tracemalloc.start()
     try:
         code, out, err = run_cli(["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,2"], capsys)

@@ -174,12 +174,12 @@ def test_malformed_bijection_is_caught():
 
 
 def test_relator_bijection_failure_stands_when_the_row_compare_is_above_the_cap():
-    """Z/3 over its certified presentation <x | x^3>, with the generator's
-    transport not a bijection: the relator check reads 3 + (1 + 3) * 3 = 15
-    values and the row compare (1 + 1) * 3 * (1 + 3) = 24, so under a cap
-    of 20 the relator check's bijection failure is the report."""
+    """Z/3 over its one generator 1, with the generator's transport not a
+    bijection: the walk check would read 3 + 3 + (1 + 1) * 3 = 12 values
+    through its first orbit, and the row compare (1 + 1) * 3 * (1 + 3) = 24,
+    so under a cap of 20 the walk's bijection failure is the report."""
     group = make_cyclic(3)
-    assert group.presentation() == ([1], [((1, 1, 1), ())]) and group.certified()
+    assert group.spanning_tree().generators == [1]
     functor = EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,), _presented=True)
     with law_caps(20):
         assert validate_functor(functor) == FunctorValidation(
@@ -212,15 +212,15 @@ def test_triple_scan_finds_composition_before_a_broken_transport():
 
 
 def test_sampled_validation_mode():
-    """No sampled mode: the S4 fixed-point functor's relator check reads
-    k |G| + (k + L) * total = 2 * 24 + (2 + 42) * 24 = 1 104 values, 42
-    letters in the two-generator relations of S4 and one fixed-point pair
-    per orbit and element; one read fewer in the cap refuses it."""
-    with law_caps(1103):
-        with pytest.raises(CapExceededError, match="needs 1104 reads, above the check cap 1103"):
+    """No sampled mode: the S4 fixed-point functor's walk check reads
+    k |G| + k * total + (k + 1) |G| * orbits = 2 * 24 + 2 * 24 + 3 * 24 * 3
+    = 312 values, one orbit per partition of the 3 points a fixed point
+    leaves; one read fewer in the cap refuses it."""
+    with law_caps(311):
+        with pytest.raises(CapExceededError, match="needs 312 reads, above the check cap 311"):
             validate_functor(make_fixed_point_functor(4))
-    with law_caps(1104):
-        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 1104)
+    with law_caps(312):
+        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 312)
 
 
 def test_law_caps_switch_both_validators():
@@ -255,15 +255,15 @@ def test_law_caps_switch_both_validators():
 
 
 def test_n6_fixed_point_functor_is_exhaustive():
-    """Over the 2 generators of S6, with its 6 relations of 74 letters, the
-    check reads 2 * 720 fiber sizes and (2 + 74) * 1 * 720 points of the
-    category of elements, where sampling once drew 5 000 triples; its
-    action checks the relations again and walks the tree."""
+    """Over the 2 generators of S6 the check reads 2 * 720 fiber sizes, the
+    2 * 720 generator images of the category of elements, and 3 * 720 tree
+    images and edge compares for each of its 7 orbits, where sampling once
+    drew 5 000 triples; its action keeps that report and those orbits."""
     functor = make_fixed_point_functor(6)
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + (2 + 74) * 720)
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + 2 * 720 + 3 * 720 * 7)
     action = category_of_elements(functor)
-    assert action.validate() == ActionValidation(True, (2 + 74) * 720)
-    assert sorted(action._rows) == sorted(action.group.presentation()[0]) and len(action._rows) == 2
+    assert action.validate() == ActionValidation(True, 2 * 720 + 3 * 720 * 7)
+    assert sorted(action._rows) == sorted(action.group.generators()) and len(action._rows) == 2
     # One orbit per conjugacy class of S5, the stabilizer of a point.
     orbits = orbit_decomposition(action)
     assert len(orbits) == 7 and sum(o.size for o in orbits) == 720
@@ -281,7 +281,7 @@ def test_fixed_point_functor_reads_the_image_table_whole(monkeypatch, n):
     monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
     before = make_fixed_point_functor(n)
     fixed = [sum(x == i for i, x in enumerate(group.images_at(g))) for g in group.elements()]
-    pairs = [(h, g) for h in group.presentation()[0] for g in group.elements()]
+    pairs = [(h, g) for h in group.generators() for g in group.elements()]
     expected = ([before.transport(h, g) for h, g in pairs], validate_functor(before), verify_general_theorem(before).to_json_dict())
 
     def refuse(group, a):
@@ -297,8 +297,8 @@ def test_fixed_point_functor_reads_the_image_table_whole(monkeypatch, n):
 
 
 def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
-    """The S6 fixed-point functor's relator check, its category of elements
-    and the orbit walk read the conjugation rows of the 2 generators only:
+    """The S6 fixed-point functor's walk check, its category of elements
+    and its orbits read the conjugation rows of the 2 generators only:
     at most 2 of the 720 rows are filled, not a 720 x 720 table."""
     group = groups.SymmetricGroup(6)  # fresh, so no row is filled yet
     monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
@@ -307,7 +307,7 @@ def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
     assert orbit_decomposition(category_of_elements(functor))
     filled = list(group._conjugation_table())
     assert len(filled) <= 2
-    assert set(filled) <= set(group.presentation()[0])
+    assert set(filled) <= set(group.generators())
 
 
 @pytest.mark.parametrize("build", [
@@ -316,8 +316,9 @@ def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
 ], ids=["fixed-points", "cycle-tuples"])
 @pytest.mark.parametrize("n", [2, 4, 5])
 def test_builtin_functor_refusal_is_the_refusal_of_its_check(build, n):
-    """The built-in constructors count the relator check's reads before any
-    fiber is built: one read below what the built functor's check reads,
+    """The built-in constructors count the walk check's reads before any
+    fiber is built, one orbit per carrying cycle type, which is each type's
+    one orbit: one read below what the built functor's check reads,
     the constructor refuses with that check's message; at the check's reads
     it builds, and the check passes."""
     functor = build(n)
@@ -343,7 +344,7 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     table = {(h, g): builtin.transport(h, g) for h in builtin.group.elements() for g in nonempty}
     group = groups.SymmetricGroup(5)  # fresh, so no row is filled yet
     monkeypatch.setattr(functors, "make_symmetric", lambda n: group)
-    generators = group.spanning_tree()[0]
+    generators = group.spanning_tree().generators
     assert len(generators) == 2
     read = {"multiplication_row": [], "conjugation_row": []}
     for method in read:
@@ -355,8 +356,8 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     assert validate_functor(functor) == FunctorValidation(True, 2 * 120 + 120 + 2 * 120 * total)
     assert read == {"multiplication_row": generators, "conjugation_row": generators}
     read["conjugation_row"].clear()
-    # 5 relations of 50 letters; each transport reads its generator's row.
-    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * 120 + (2 + 50) * total)
+    # The walk reads the 2 generator rows and 5 orbits; each transport reads its generator's row.
+    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * 120 + 2 * total + 3 * 120 * 5)
     assert read["multiplication_row"] == generators
     assert set(read["conjugation_row"]) == set(generators)
     assert sorted(group._conjugation_table()) == sorted(generators)
@@ -601,7 +602,7 @@ def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
             if sizes[g] != sizes[target]:
                 return failed("fiber_size", (h, g),
                               f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
-    k = len(group.spanning_tree()[0])
+    k = len(group.spanning_tree().generators)
     checks = k * order
     e = group.identity
     for g in range(order):
@@ -689,7 +690,7 @@ def test_row_compare_keeps_only_the_generators_conjugation_rows(make):
     so the group keeps the k generators' conjugation rows and no other."""
     tables = functor_tables(make())  # their conjugates fill the rows of another instance
     group = make()
-    generators = group.spanning_tree()[0]
+    generators = group.spanning_tree().generators
     last = group.order - 1
     for sizes, table in tables:
         assert validate_functor(EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])).ok
@@ -759,7 +760,7 @@ def test_functor_validation_matches_reference(name, data):
         c = data.draw(st.sampled_from([g for g in range(order) if sizes[g] > 1]))
         table = twist_last_coset(group, sizes, table, c)
     sizes = tuple(sizes)
-    k = len(group.spanning_tree()[0])
+    k = len(group.spanning_tree().generators)
     generator_checks = k * order + order + k * order * sum(sizes)
     check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 200, generator_checks]))
 
@@ -841,7 +842,7 @@ def exhaustively_validated_functors():
 def test_elements_action_reuses_exhaustive_rows():
     """The category of elements starts from the rows validate_functor built:
     every row for a table-built functor, the generators' rows only for a
-    built-in one over a presented group. Each kept row is the row its row
+    built-in one. Each kept row is the row its row
     function now reads from the transports, and validating and quotienting
     the action ask row no more, with the same report and orbits as an
     action that reads every row it needs from the transports itself."""
@@ -851,8 +852,8 @@ def test_elements_action_reuses_exhaustive_rows():
         action = category_of_elements(functor)
         row, group, size = action.row, action.group, action.carrier_size
         kept = sorted(action._rows)
-        presented = functor._presented and group.presentation() is not None
-        assert kept == (sorted(group.presentation()[0]) if presented else list(range(group.order))), functor.name
+        generators = group.spanning_tree().generators
+        assert kept == (sorted(generators) if functor._presented else list(range(group.order))), functor.name
         for g in kept:
             assert action._rows[g] == row(g), functor.name
 
@@ -872,24 +873,17 @@ def test_elements_action_reuses_exhaustive_rows():
 
 def test_general_theorem_runs_one_law_kernel_per_functor(monkeypatch):
     """verify_general_theorem passes each functor's category-of-elements rows
-    through a law kernel once: the relator check for a built-in functor over
-    a presented group, the row compare for a table-built one. The functor's
-    check runs the action's route, and the action keeps that report."""
-    calls = []
-    for kernel in (groupoids.first_relation_failure, groupoids.first_law_failure):
-        def counting(*args, kernel=kernel):
-            calls.append(kernel.__name__)
-            return kernel(*args)
-
-        for module in (groupoids, functors):
-            if getattr(module, kernel.__name__, None) is kernel:
-                monkeypatch.setattr(module, kernel.__name__, counting)
+    through a law kernel once: the walk check for a built-in functor, whose
+    orbits are kept, so the quotient walks nothing again; the row compare
+    for a table-built one, whose quotient then walks the orbits. The
+    functor's check runs the action's route, and the action keeps that
+    report."""
+    calls = kernel_calls(monkeypatch)
     count = 0
     for functor in exhaustively_validated_functors():
         calls.clear()
         assert verify_general_theorem(functor).equal
-        presented = functor._presented and functor.group.presentation() is not None
-        assert calls == ["first_relation_failure" if presented else "first_law_failure"], functor.name
+        assert calls == (["walk_orbits"] if functor._presented else ["first_law_failure", "walk_orbits"]), functor.name
         count += 1
     assert count == 1 + 5 + 12 + 10
 
@@ -898,7 +892,7 @@ def kernel_calls(monkeypatch):
     """The names of the law kernels run, in order, patched in groupoids and
     functors as test_general_theorem_runs_one_law_kernel_per_functor patches them."""
     calls = []
-    for kernel in (groupoids.first_relation_failure, groupoids.first_law_failure):
+    for kernel in (groupoids.walk_orbits, groupoids.first_law_failure):
         def counting(*args, kernel=kernel):
             calls.append(kernel.__name__)
             return kernel(*args)
@@ -945,13 +939,15 @@ def test_broken_transports_are_found_by_the_one_law_kernel(monkeypatch):
 
 
 def test_a_row_read_after_a_passing_check_refuses_a_broken_transport():
-    """The relator check of S3 reads only its generators' transports, so a
+    """The walk check of S3 reads only its generators' transports, so a
     broken transport at h = 1 passes it; reading row 1 of the category of
     elements later raises that transport's ValueError, not a refusal of the
     row by an action the caller never built."""
     group = make_symmetric(3)
-    assert 1 not in group.presentation()[0]
+    assert 1 not in group.generators()
     functor = EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,), _presented=True)
-    assert validate_functor(functor) == FunctorValidation(True, 168)
+    # 2 * 6 fiber sizes and generator images, then 3 * 6 reads for each of
+    # the 3 conjugacy classes.
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 6 + 2 * 6 + 3 * 6 * 3)
     with pytest.raises(ValueError, match=r"^transport\(1, 0\) = \(0\.0,\) is not a bijection from a fiber of size 1 onto one of size 1$"):
         category_of_elements(functor).act(1, 0)

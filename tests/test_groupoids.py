@@ -188,7 +188,7 @@ def test_rows_of_the_wrong_shape_are_refused_and_never_pass():
     carrier fails the law check."""
     group = make_cyclic(3)
     empty = [[], [], []]
-    assert first_law_failure(empty, group.multiplication_row, group.spanning_tree()[0]) is None
+    assert first_law_failure(empty, group.multiplication_row, group.spanning_tree().generators) is None
     wrong = [
         empty,
         [[0, 1, 2], [1, 2], [2, 0, 1]],
@@ -449,7 +449,7 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
         t = act(group.identity, s)
         if t != s:
             return ActionValidation(False, checks, f"identity law fails at s={s}: act(e, s) = {t}")
-    if size + (len(group.spanning_tree()[0]) + 1) * order * size > check_cap:
+    if size + (len(group.spanning_tree().generators) + 1) * order * size > check_cap:
         raise CapExceededError(f"above the check cap {check_cap}")
     for g in range(order):
         for h in range(order):
@@ -465,7 +465,7 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
                         f"compatibility fails at (g={g}, h={h}, s={s}): "
                         f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
                     )
-    return ActionValidation(True, size + len(group.spanning_tree()[0]) * order * size)
+    return ActionValidation(True, size + len(group.spanning_tree().generators) * order * size)
 
 
 def action_tables(group):
@@ -514,7 +514,7 @@ def test_action_validation_matches_reference(name, data):
     elif corruption == "twist" and last_generator_coset(group):
         a, b = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
         table = twist_last_coset(group, table, a, b)
-    generator_checks = size + len(group.spanning_tree()[0]) * order * size
+    generator_checks = size + len(group.spanning_tree().generators) * order * size
     check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
     act = lambda g, s: table[g][s]
     with law_caps(check_cap):
@@ -550,7 +550,7 @@ def test_first_law_failure_names_the_lowest_witness_for_any_generators(name, dat
         s = data.draw(st.integers(0, size - 1))
         rows[g][s] = data.draw(st.integers(-1, size).filter(lambda t: t != rows[g][s]))
     extra = data.draw(st.lists(st.integers(0, order - 1), max_size=3))
-    generators = data.draw(st.permutations(group.spanning_tree()[0] + extra))
+    generators = data.draw(st.permutations(group.spanning_tree().generators + extra))
     assert first_law_failure(rows, group.multiplication_row, generators) == lowest_law_witness(group, rows)
 
 
@@ -558,7 +558,7 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     """A passing exhaustive check compares row s after row h with row s h
     for the k generators s only, and reports those |S| + k |G| |S| checks."""
     group = groups.SymmetricGroup(5)
-    generators = group.spanning_tree()[0]
+    generators = group.spanning_tree().generators
     assert len(generators) == 2
     read = {"multiplication_row": [], "conjugation_row": []}
     for method in read:

@@ -19,6 +19,7 @@ from groupoid_card.groups import (
     to_cayley_json,
 )
 from groupoid_card.permutations import CapExceededError, Permutation, lex_rank
+from law_cases import tree_edges
 
 
 def element_order(group, g):
@@ -383,13 +384,17 @@ def test_spanning_tree_reaches_every_element_once(make):
         return mul(a, b)
 
     group.mul = counted
-    generators, edges = group.spanning_tree()
+    tree = group.spanning_tree()
+    generators = tree.generators
     k = len(generators)
     assert k <= order.bit_length() - 1  # floor(log2 |G|)
-    assert calls[0] <= order * k
-    children = [child for child, _, _ in edges]
-    assert sorted([group.identity] + children) == list(range(order))
-    position = {group.identity: 0, **{child: i + 1 for i, child in enumerate(children)}}
+    assert calls[0] == order * k
+    assert tree.elements[0] == group.identity and sorted(tree.elements) == list(range(order))
+    position = {g: j for j, g in enumerate(tree.elements)}
+    for s, moved in zip(generators, tree.products):
+        assert moved == [position[mul(s, g)] for g in tree.elements]
+    edges = tree_edges(tree)
+    assert [child for child, _, _ in edges] == tree.elements[1:]
     for child, s, parent in edges:
         assert s in generators
         assert mul(s, parent) == child
@@ -448,9 +453,8 @@ def test_rows_composed_along_the_tree_match_literal_products(make):
     literal products h g h^-1, though no row is composed from its parent's
     any more."""
     group = make()
-    generators, edges = group.spanning_tree()
     literal_conj = literal_products(group.name)[1]
-    for h in [group.identity] + [child for child, _, _ in edges]:
+    for h in group.spanning_tree().elements:
         assert tuple(group.conjugation_row(h)) == literal_conj[h], h
 
 
