@@ -195,10 +195,9 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
     group = make_symmetric(n)
     names = [f"S{n} on Q{list(pvec)}" for pvec in pvecs]
     sizes = decorated_permutation_counts(n, pvecs)
-    # S_n's named generators are its spanning tree's, and reading them builds no table.
-    types, k = partition_counts(n), len(group.generators())
+    types = partition_counts(n)
     for name, pvec, size in zip(names, pvecs, sizes):
-        refuse_walk_above_cap(name, k, size, group.order, types[n - weight(pvec)] if size else 0)
+        refuse_walk_above_cap(name, group, size, types[n - weight(pvec)] if size else 0)
     walk = _cycle_minima_walk(group) if any(sizes) else None
     return (
         _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g: [], name, _presented=True)

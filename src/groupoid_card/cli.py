@@ -49,9 +49,10 @@ class UsageError(ValueError):
 
 
 def _parse_pvector(text: str, n: int) -> tuple[int, ...]:
-    """The comma-separated integers of text, checked by validate_pvector."""
+    """The comma-separated integers of text, checked by validate_pvector;
+    the empty text is the empty p-vector."""
     try:
-        p = tuple(map(parse_integer, text.split(",")))
+        p = tuple(map(parse_integer, text.split(","))) if text else ()
     except ValueError:
         raise UsageError(f"could not parse p-vector {text!r}; expected comma-separated integers")
     return validate_pvector(n, p)

@@ -129,7 +129,7 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     mark of its own below the carrier, and runs the action's route
     (GroupAction._check) on them under the functor's cap, with the same
     handling of a failed walk. Over the k generators s of
-    FiniteGroup.spanning_tree() either way, fiber sizes are compared under
+    FiniteGroup.generators() either way, fiber sizes are compared under
     their conjugation rows: conjugation by s h is conjugation by h, then by
     s. The walk check, for a _presented functor, reads the generators'
     transports and walks each orbit of the category of elements, k |G| +
@@ -156,18 +156,17 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
 
 def _row_compare_cost(functor: EquivariantFunctor) -> int:
     group = functor.group
-    return (len(group.spanning_tree().generators) + 1) * group.order * (1 + functor.total_size)
+    return (len(group.generators()) + 1) * group.order * (1 + functor.total_size)
 
 
-def _refuse_walk_above_cap(name: str, k: int, order: int, total: int, orbits: int) -> None:
+def _refuse_walk_above_cap(name: str, group: FiniteGroup, total: int, orbits: int) -> None:
     """Raise CapExceededError when the walk check of a functor named name,
-    over k generators of a group of this order, of total fiber size, would
-    read more than DEFAULT_CHECK_CAP values through its orbits-th orbit:
-    k |G| fiber sizes, then the walk of its category of elements. A built-in
+    over the k generators of group, of total fiber size, would read more
+    than DEFAULT_CHECK_CAP values through its orbits-th orbit: k |G| fiber
+    sizes, then the walk of its category of elements. A built-in
     constructor knows its total and a lower bound on its orbits before it
-    builds a fiber, and calls it first, with S_n's named generators, which
-    are its spanning tree's."""
-    groupoids.refuse_walk_above_cap(name, k, total, order, orbits, spent=k * order)
+    builds a fiber, and calls it first."""
+    groupoids.refuse_walk_above_cap(name, group, total, orbits, spent=len(group.generators()) * group.order)
 
 
 def _check(functor: EquivariantFunctor, walk: bool) -> FunctorValidation:
@@ -176,11 +175,7 @@ def _check(functor: EquivariantFunctor, walk: bool) -> FunctorValidation:
     one row function here; after the check it raises the ValueError of a
     broken transport in place of its mark."""
     group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
-    order, mul = group.order, group.mul
-    # An empty category of elements is not walked, so no spanning tree is
-    # built for it: its fiber sizes, all 0, are compared under the named
-    # generators, which are S_n's tree's.
-    generators = group.spanning_tree().generators if total or not walk else group.generators()
+    order, mul, generators = group.order, group.mul, group.generators()
     checks = len(generators) * order
 
     def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
@@ -238,7 +233,7 @@ def _check(functor: EquivariantFunctor, walk: bool) -> FunctorValidation:
                 laid += map(offsets[conj[g]].__add__, arr)
         return laid
 
-    afford = functools.partial(_refuse_walk_above_cap, functor.name, len(generators), order, total)
+    afford = functools.partial(_refuse_walk_above_cap, functor.name, group, total)
     action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})", _presented=functor._presented)
     report = action._check(afford if walk else None)
     if report.ok:
@@ -368,7 +363,7 @@ def make_fixed_point_functor(n: int) -> EquivariantFunctor:
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
     total = group.order if n else 0
     types = partition_counts(n - 1)[-1] if n else 0
-    _refuse_walk_above_cap(name, len(group.generators()), group.order, total, types)
+    _refuse_walk_above_cap(name, group, total, types)
     fixed = [tuple(i for i, x in enumerate(images) if x == i) for images in group.image_table()]
     return _relabelling_functor(group, name, fixed, operator.getitem)
 
@@ -388,7 +383,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int]) -> EquivariantFunctor:
     name = f"cycle-tuples(S{n}, p={list(pvec)})"
     total = decorated_permutation_counts(n, [pvec])[0]
     types = partition_counts(n - weight(pvec))[-1] if total else 0
-    _refuse_walk_above_cap(name, len(group.generators()), group.order, total, types)
+    _refuse_walk_above_cap(name, group, total, types)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
     return _relabelling_functor(group, name, choices, relabel_choice)
 

@@ -156,8 +156,8 @@ def first_law_failure(
     of a formula action whose walk check (walk_orbits) failed, when it fits
     under the check cap.
 
-    The generators must generate the group (FiniteGroup.spanning_tree()
-    gives them), and the caller has checked that the identity's row is the
+    The generators must generate the group (FiniteGroup.generators() does),
+    and the caller has checked that the identity's row is the
     identity map. Then, once every row lies inside the carrier, it is enough
     that row s after row h is row s h for each generator s and every h.
     Write g = s_1 ... s_m in the generators; induction on m gives row g h =
@@ -203,14 +203,16 @@ def _refuse_above_cap(what: str, cost: int) -> None:
         raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
 
 
-def refuse_walk_above_cap(name: str, k: int, size: int, order: int, orbits: int, spent: int = 0) -> None:
+def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int, spent: int = 0) -> None:
     """Raise CapExceededError when the walk check of an action named name,
-    of a group of this order with k generators on size points, would read
-    more than DEFAULT_CHECK_CAP values through its orbits-th orbit, its
-    caller's spent reads included: spent + k * size + (k + 1) * order *
-    orbits. A constructor that knows its carrier's size and a lower bound
-    on its orbits can call it before building anything."""
-    _refuse_above_cap(repr(name), spent + k * size + (k + 1) * order * orbits)
+    of group over its k generators() on size points, would read more than
+    DEFAULT_CHECK_CAP values through its orbits-th orbit, its caller's spent
+    reads included: spent + k * size + (k + 1) * |G| * orbits. A constructor
+    that knows its carrier's size and a lower bound on its orbits can call
+    it before building anything: the generators are read, and no spanning
+    tree is built."""
+    k = len(group.generators())
+    _refuse_above_cap(repr(name), spent + k * size + (k + 1) * group.order * orbits)
 
 
 @dataclass(eq=False)
@@ -262,7 +264,7 @@ class GroupAction:
         from every image the check rests on; the first result is cached.
 
         The walk check, for a _presented action: the rows of the k
-        generators of FiniteGroup.spanning_tree() lie in the carrier, and
+        generators of FiniteGroup.generators() lie in the carrier, and
         walk_orbits finds no broken edge from any orbit's smallest point,
         k |S| + (k + 1) |G| reads an orbit. They then extend to exactly one
         action, the one validated, and the orbits the walk found are kept.
@@ -297,11 +299,10 @@ class GroupAction:
         return self._validation
 
     def _afford(self, orbits: int) -> None:
-        k = len(self.group.spanning_tree().generators)
-        refuse_walk_above_cap(self.name, k, self.carrier_size, self.group.order, orbits)
+        refuse_walk_above_cap(self.name, self.group, self.carrier_size, orbits)
 
     def _row_compare_cost(self) -> int:
-        return self.carrier_size * (1 + (len(self.group.spanning_tree().generators) + 1) * self.group.order)
+        return self.carrier_size * (1 + (len(self.group.generators()) + 1) * self.group.order)
 
     def _walk(self, afford: Callable[[int], None]) -> ActionValidation:
         size = self.carrier_size
@@ -338,7 +339,7 @@ class GroupAction:
         """The row compare after a passing identity law, whose |S| checks it counts."""
         group, size, order = self.group, self.carrier_size, self.group.order
         rows = [self._row(g) for g in range(order)]
-        generators = group.spanning_tree().generators
+        generators = group.generators()
         witness = first_law_failure(rows, group.multiplication_row, generators)
         if witness is None:
             return ActionValidation(True, size + len(generators) * order * size)

@@ -58,6 +58,7 @@ class FiniteGroup:
     def __init__(self) -> None:
         self._conj_rows: dict[int, list[int]] = {}
         self._tree: SpanningTree | None = None
+        self._generators: list[int] = []
 
     @property
     def identity(self) -> int:
@@ -105,56 +106,43 @@ class FiniteGroup:
         return [mul(g, x) for x in range(self.order)]
 
     def generators(self) -> list[int]:
-        """The generators this group names, which seed spanning_tree(): none
-        for a group known only by its table."""
-        return []
+        """The group's one generating set, chosen when it is built: every
+        law check compares over it, and spanning_tree() closes over it.
+        The list is kept; callers must not modify it."""
+        return self._generators
 
     def spanning_tree(self) -> SpanningTree:
-        """A breadth-first spanning tree of the group, built on the first
-        call and kept.
+        """A breadth-first spanning tree of the group over generators(),
+        built on the first call and kept; ValueError if they miss an
+        element.
 
-        The tree starts from generators() (both of S_n's from degree 3).
-        Greedy ones follow: elements are taken in index order, each one not
-        yet reached becomes a generator, and the set reached from the
-        identity is closed again under left multiplication by the
-        generators. Generators that generate the group leave no element for
-        a greedy one, and each greedy generator at least doubles the reached
-        subgroup, so a table gets at most log2(order) of them. The reached
-        set is closed a level at a time, one generator after another, so
-        the children of one generator in one level take consecutive
-        positions (one step); each element is multiplied once by each
-        generator, and every product is kept."""
+        The reached set is closed a level at a time, one generator after
+        another, so the children of one generator in one level take
+        consecutive positions (one step); each element is multiplied once by
+        each generator, and every product is kept."""
         if self._tree is None:
-            mul, order = self.mul, self.order
-            generators = list(self.generators())
+            mul, order, generators = self.mul, self.order, self.generators()
             elements = [self.identity]
             position = [-1] * order
             position[self.identity] = 0
             products = [[0] * order for _ in generators]
             steps: list[tuple[int, list[int]]] = []
-
-            def close(frontier: range, indices: range) -> None:
-                # The positions before the frontier are closed under every
-                # generator but those indexed by indices.
-                while frontier:
-                    for i in indices:
-                        s, moved, parents = generators[i], products[i], []
-                        for j in frontier:
-                            child = mul(s, elements[j])
-                            if position[child] < 0:
-                                position[child] = len(elements)
-                                elements.append(child)
-                                parents.append(j)
-                            moved[j] = position[child]
-                        if parents:
-                            steps.append((i, parents))
-                    frontier, indices = range(frontier.stop, len(elements)), range(len(generators))
-
-            close(range(1), range(len(generators)))
-            while len(elements) < order:
-                generators.append(position.index(-1))
-                products.append([0] * order)
-                close(range(len(elements)), range(len(generators) - 1, len(generators)))
+            frontier = range(1)
+            while frontier:
+                for i, s in enumerate(generators):
+                    moved, parents = products[i], []
+                    for j in frontier:
+                        child = mul(s, elements[j])
+                        if position[child] < 0:
+                            position[child] = len(elements)
+                            elements.append(child)
+                            parents.append(j)
+                        moved[j] = position[child]
+                    if parents:
+                        steps.append((i, parents))
+                frontier = range(frontier.stop, len(elements))
+            if len(elements) < order:
+                raise ValueError(f"the generators {generators} of {self.name} reach {len(elements)} of its {order} elements")
             self._tree = SpanningTree(generators, elements, products, steps)
         return self._tree
 
@@ -175,6 +163,7 @@ class CyclicGroup(FiniteGroup):
             raise ValueError(f"cyclic group order must be at least 1, got {k}")
         self.order = k
         self.name = f"Z/{k}"
+        self._generators = [1] if k > 1 else []
 
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.order
@@ -182,17 +171,13 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return (-a) % self.order
 
-    def generators(self) -> list[int]:
-        """The element 1; none for k = 1."""
-        return [1] if self.order > 1 else []
-
 
 class SymmetricGroup(FiniteGroup):
     """S_n: elements are permutations of {0..n-1}, indexed by lexicographic
     rank of their image tuples. Multiplication is composition, right factor
     first: (sigma * tau)(x) = sigma(tau(x)). Every element operation reads
     one pair of tables, all n! image tuples and their ranks, built on first
-    use; generators() builds none."""
+    use; the generators, ranked when the group is built, build none."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -203,6 +188,11 @@ class SymmetricGroup(FiniteGroup):
         self.name = f"S{n}"
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._rank_of: dict[tuple[int, ...], int] | None = None
+        # s = (0 1) and t = (0 1 ... n-1), ranked with lex_rank, so no
+        # element table is built; S2 has s alone, and S0 and S1 none.
+        if n >= 2:
+            s = lex_rank((1, 0, *range(2, n)))
+            self._generators = [s] if n == 2 else [s, lex_rank((*range(1, n), 0))]
 
     def _tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
@@ -241,15 +231,6 @@ class SymmetricGroup(FiniteGroup):
             out[img] = i
         return rank_of[tuple(out)]
 
-    def generators(self) -> list[int]:
-        """s = (0 1) and t = (0 1 ... n-1), ranked with lex_rank, so no
-        element table is built; S2 has s alone, and S0 and S1 none."""
-        n = self.n
-        if n < 2:
-            return []
-        s = lex_rank((1, 0, *range(2, n)))
-        return [s] if n == 2 else [s, lex_rank((*range(1, n), 0))]
-
 
 class ProductGroup(FiniteGroup):
     """Direct product; the pair (a, b) is packed as a * |H| + b."""
@@ -260,6 +241,10 @@ class ProductGroup(FiniteGroup):
         self.right = right
         self.order = left.order * right.order
         self.name = f"({left.name}x{right.name})"
+        # Each factor's generators, embedded: the left factor's first.
+        m = right.order
+        self._generators = [a * m + right.identity for a in left.generators()] + [
+            left.identity * m + b for b in right.generators()]
 
     def _split(self, a: int) -> tuple[int, int]:
         return divmod(a, self.right.order)
@@ -273,24 +258,23 @@ class ProductGroup(FiniteGroup):
         a1, a2 = self._split(a)
         return self.left.inv(a1) * self.right.order + self.right.inv(a2)
 
-    def generators(self) -> list[int]:
-        """Each factor's generators, embedded: the left factor's first."""
-        m = self.right.order
-        return [a * m + self.right.identity for a in self.left.generators()] + [
-            self.left.identity * m + b for b in self.right.generators()]
-
 
 class CayleyGroup(FiniteGroup):
-    """Group given by an explicit multiplication table, validated on construction."""
+    """Group given by an explicit multiplication table, validated by
+    from_cayley_table. Its generators are the set that the table's
+    associativity check compared over, less the identity: each index not
+    in the subgroup generated so far, in index order."""
 
     name = "cayley"
 
-    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...]):
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...],
+                 generators: list[int]):
         super().__init__()
         self.order = len(table)
         self.table = table
         self._identity = identity
         self._inverses = inverses
+        self._generators = generators
 
     @property
     def identity(self) -> int:
@@ -333,9 +317,10 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
     generates the table under the product makes A everything: the table is
     associative. S is chosen greedily (_magma_generators) and no group axiom
     is assumed; a group table gets at most floor(log2 m) + 1 of them, so a
-    passing table costs about m^2 |S| lookups, not m^3. A table that fails
-    is scanned over all m^3 triples in lexicographic order, so the witness
-    is always the lowest failing triple.
+    passing table costs about m^2 |S| lookups, not m^3, and S less the
+    identity is the group's generators(). A table that fails is scanned
+    over all m^3 triples in lexicographic order, so the witness is always
+    the lowest failing triple.
 
     Raises GroupValidationError naming the first failing axiom and a witness.
     Orders above DEFAULT_CAYLEY_ORDER_CAP, which bounds that m^3 scan, are
@@ -361,7 +346,9 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
         rows.append(entries)
     tbl = tuple(rows)
 
-    if not _associative_over_generators(tbl):
+    generators = _magma_generators(tbl)
+    # Each (s, x) is one row compare: row (x s) against x read along row s.
+    if any(tbl[row_x[s]] != tuple(map(row_x.__getitem__, tbl[s])) for s in generators for row_x in tbl):
         for a in range(m):
             for b in range(m):
                 for c in range(m):
@@ -386,7 +373,7 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
             raise GroupValidationError("inverse", (g,), f"element {g} has no two-sided inverse")
         inverses.append(h)
 
-    return CayleyGroup(tbl, identity, tuple(inverses))
+    return CayleyGroup(tbl, identity, tuple(inverses), [s for s in generators if s != identity])
 
 
 def _magma_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -416,18 +403,6 @@ def _magma_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
             reached |= new
             members.extend(new)
     return generators
-
-
-def _associative_over_generators(table: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether (x s) y = x (s y) for every x and y and every s of
-    _magma_generators(table), which holds exactly when the table is
-    associative (from_cayley_table). Each (s, x) is one row compare."""
-    for s in _magma_generators(table):
-        row_s = table[s]
-        for row_x in table:
-            if table[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
-                return False
-    return True
 
 
 def json_int(value, what: str) -> int:

@@ -16,8 +16,9 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_PARTITION_CAP = 40
 # Most cycle-type terms one exact sum over cycle types may read: the
-# partitions of n - |p|, summed over its p-vectors. A term takes about 2.3 us
-# on a 2-core x86 machine (the degree-40 sweep below, 7.4 s in all), so a
+# partitions of n - |p|, summed over its p-vectors. A term takes about 1.9 us
+# on a shared 2-core x86-64 host under Python 3.11 (the degree-40 sweep
+# below as a subprocess, 6.1 s in all, median of 5 runs of 5.6-8.3 s), so a
 # call stays under about 10 s there, and every default --all-p sweep up to
 # DEFAULT_PARTITION_CAP fits (degree 40 reads 3 225 386 terms).
 DEFAULT_TYPE_TERM_CAP = 4_000_000

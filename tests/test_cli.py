@@ -61,6 +61,39 @@ def test_pvector_refusal_is_the_librarys(capsys, argv, n, p):
     assert run_cli(argv, capsys) == (2, "", f"error: {refusal.value}\n")
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["verify-lemma"], "p", []),
+    (["verify-categorified"], "p", []),
+    (["theorem-general", "--builtin", "cycle-tuples"], "functor", "cycle-tuples(S0, p=[])"),
+    (["montecarlo", "--samples", "10"], "p", []),
+])
+def test_empty_pvector_is_the_empty_vector(capsys, argv, key, value):
+    """--p "" is the empty p-vector: at degree 0 it is checked, as --all-p
+    checks it, and at degree 2 validate_pvector refuses its length."""
+    code, out, err = run_cli([*argv, "--n", "0", "--p", ""], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == value
+    assert run_cli([*argv, "--n", "2", "--p", ""], capsys) == (2, "", "error: p-vector has length 0, expected degree 2\n")
+
+
+def test_empty_pvector_reports_as_the_degree_0_sweep(capsys):
+    """At degree 0, --all-p checks one vector, the empty one, and its CSV
+    row is the row of --p ""."""
+    swept = run_cli(["verify-categorified", "--n", "0", "--all-p", "--format", "csv"], capsys)
+    assert swept[0] == 0
+    assert run_cli(["verify-categorified", "--n", "0", "--p", "", "--format", "csv"], capsys) == swept
+
+
+def test_functor_file_nested_too_deeply_exits_2(tmp_path, capsys):
+    """A functor file nested 100 000 deep stops the JSON parser with a
+    RecursionError, which exits 2 with one line and no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: functor file {str(path)!r} is nested too deeply to parse\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-lemma", "--n", "2", "--p", "1,x"], "could not parse p-vector '1,x'; expected comma-separated integers"),
     (["montecarlo", "--n", "3", "--p-one", "k=x", "--samples", "10"], "--p-one expects \"k=<cycle length>\", got 'k=x'"),

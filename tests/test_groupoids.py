@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groupoid_card import groups
 from groupoid_card.categorified import cycle_tuple_action
-from groupoid_card.functors import category_of_elements, make_fixed_point_functor
+from groupoid_card.functors import EquivariantFunctor, category_of_elements, make_fixed_point_functor, validate_functor
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
@@ -572,6 +572,25 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     # of the group is read, and none is kept.
     assert read["conjugation_row"] == []
     assert group._conjugation_table() == {}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: groups.SymmetricGroup(4), id="S4"),
+    pytest.param(lambda: groups.from_cayley_table(make_product(make_cyclic(2), make_symmetric(3)).multiplication_table()),
+                 id="cayley(Z2xS3)"),
+])
+def test_only_a_walk_builds_the_spanning_tree(make):
+    """The row compare, of an action and of a functor, reads generators()
+    and builds no spanning tree; the walk of the quotient builds it."""
+    group = make()
+    action = conjugation_action(group)
+    assert action.validate().ok
+    functor = EquivariantFunctor(group, (1,) * group.order, lambda h, g: (0,), "one point")
+    assert validate_functor(functor).ok
+    assert group._tree is None
+    classes = {frozenset(row[x] for row in action._rows.values()) for x in range(group.order)}
+    assert len(orbit_decomposition(action)) == len(classes)
+    assert group._tree is not None
 
 
 def test_validated_conjugation_action_keeps_no_group_row():

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import given
@@ -329,7 +330,9 @@ def cayley_copy(group, seed=None):
         inverses = [0] * order
         for a in range(order):
             inverses[relabel[a]] = relabel[group.inv(a)]
-        copy = CayleyGroup(tuple(map(tuple, table)), relabel[group.identity], tuple(inverses))
+        rows = tuple(map(tuple, table))
+        generators = [s for s in groups._magma_generators(rows) if s != relabel[group.identity]]
+        copy = CayleyGroup(rows, relabel[group.identity], tuple(inverses), generators)
     assert copy.identity == relabel[group.identity]
     assert seed is None or order == 1 or copy.identity != 0
     return copy
@@ -412,6 +415,62 @@ def test_spanning_tree_reaches_every_element_once(make):
     for s in generators:
         group.multiplication_row(s)
     assert calls[0] == order * k
+
+
+def literal_greedy_generators(group):
+    """Each index not yet in the subgroup generated so far, in index order,
+    the identity skipped; the subgroup is closed afresh after each one."""
+    generators, subgroup = [], {group.identity}
+    for g in group.elements():
+        if g in subgroup:
+            continue
+        generators.append(g)
+        subgroup, frontier = {group.identity}, [group.identity]
+        while frontier:
+            x = frontier.pop()
+            for s in generators:
+                y = group.mul(s, x)
+                if y not in subgroup:
+                    subgroup.add(y)
+                    frontier.append(y)
+    return generators
+
+
+@pytest.mark.parametrize("make", table_cases())
+def test_the_tree_closes_over_the_one_generating_set(make):
+    """generators() is the one generating set: the tree's, kept, so that a
+    second read builds nothing; a table's is the greedy set of the literal
+    oracle, the one its associativity check compared over, less the identity."""
+    group = make()
+    generators = group.generators()
+    assert group.generators() is generators
+    assert generators == group.spanning_tree().generators
+    if isinstance(group, CayleyGroup):
+        assert generators == literal_greedy_generators(group)
+
+
+class _NamedGenerators(CyclicGroup):
+    """Z/6, whose generators() are the ones given, whatever they generate."""
+
+    def __init__(self, generators):
+        super().__init__(6)
+        self.named = generators
+
+    def generators(self):
+        return self.named
+
+
+@pytest.mark.parametrize("generators, reached", [([2], 3), ([3], 2), ([2, 4], 3), ([], 1)])
+def test_spanning_tree_refuses_generators_that_miss_an_element(generators, reached):
+    """spanning_tree() closes over generators() alone: when they generate a
+    proper subgroup it raises ValueError, and keeps no tree; nothing fills
+    the gap."""
+    group = _NamedGenerators(generators)
+    message = f"the generators {generators} of Z/6 reach {reached} of its 6 elements"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        group.spanning_tree()
+    assert group._tree is None
+    assert _NamedGenerators([2, 3]).spanning_tree().generators == [2, 3]
 
 
 @pytest.mark.parametrize(

@@ -39,9 +39,17 @@ GROUPS = {
     "Z2xS3": lambda: groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3)),
     "S3xZ2xZ2": lambda: groups.ProductGroup(
         groups.SymmetricGroup(3), groups.ProductGroup(groups.CyclicGroup(2), groups.CyclicGroup(2))),
-    # Known only by its table: every generator of its tree is greedy.
+    # Known only by its table: its generators are the greedy set that its
+    # associativity check compared over, less the identity.
     "cayley(Z2xS3)": lambda: relabelled_cayley(groups.ProductGroup(groups.CyclicGroup(2), groups.SymmetricGroup(3))),
 }
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_the_tree_is_built_over_the_named_generators(name):
+    """Every group's spanning tree closes over generators() and no other."""
+    group = GROUPS[name]()
+    assert group.generators() == group.spanning_tree().generators
 
 
 def tree_rows(group, generator_rows, size):
@@ -90,7 +98,7 @@ def literal_orbits(rows, size):
 # on it: s^2 of S2 and S3, (s t)^2 of S3, (s t)^3 of S4 on three points, and
 # s^2 and (s t)^3 of S4 on four; a transposition for the generator of Z3
 # breaks only s^3; (0 1), (1 2) for Z2 x Z2 break only the commutator; and
-# the table group has three greedy generators and no named one.
+# the table group has the three greedy generators its table check chose.
 ASSIGNMENT_CASES = [("S2", 3), ("S3", 3), ("S4", 3), ("S5", 2), ("Z2", 3), ("Z3", 3), ("Z4", 3),
                     ("Z2xZ2", 3), ("Z2xZ3", 3), ("Z2xS3", 3), ("S4", 4), ("S5", 4), ("cayley(Z2xS3)", 3)]
 
