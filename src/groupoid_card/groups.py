@@ -54,11 +54,13 @@ class FiniteGroup:
 
     name = "group"
     order = 1
+    # Set by every subclass when it is built; none is assumed, so a
+    # subclass that sets none fails on the first read.
+    _generators: list[int]
 
     def __init__(self) -> None:
         self._conj_rows: dict[int, list[int]] = {}
         self._tree: SpanningTree | None = None
-        self._generators: list[int] = []
 
     @property
     def identity(self) -> int:
@@ -190,9 +192,9 @@ class SymmetricGroup(FiniteGroup):
         self._rank_of: dict[tuple[int, ...], int] | None = None
         # s = (0 1) and t = (0 1 ... n-1), ranked with lex_rank, so no
         # element table is built; S2 has s alone, and S0 and S1 none.
-        if n >= 2:
-            s = lex_rank((1, 0, *range(2, n)))
-            self._generators = [s] if n == 2 else [s, lex_rank((*range(1, n), 0))]
+        self._generators = [lex_rank((1, 0, *range(2, n)))] if n >= 2 else []
+        if n > 2:
+            self._generators.append(lex_rank((*range(1, n), 0)))
 
     def _tables(self) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
         """The image tuple of every rank and the rank of every image tuple,
@@ -261,20 +263,20 @@ class ProductGroup(FiniteGroup):
 
 class CayleyGroup(FiniteGroup):
     """Group given by an explicit multiplication table, validated by
-    from_cayley_table. Its generators are the set that the table's
-    associativity check compared over, less the identity: each index not
-    in the subgroup generated so far, in index order."""
+    from_cayley_table. Its generators are read off the table when it is
+    built: the set that the table's associativity check compares over
+    (_magma_generators), less the identity, so each index not in the
+    subgroup generated so far, in index order."""
 
     name = "cayley"
 
-    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...],
-                 generators: list[int]):
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...]):
         super().__init__()
         self.order = len(table)
         self.table = table
         self._identity = identity
         self._inverses = inverses
-        self._generators = generators
+        self._generators = [s for s in _magma_generators(table) if s != identity]
 
     @property
     def identity(self) -> int:
@@ -373,7 +375,7 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
             raise GroupValidationError("inverse", (g,), f"element {g} has no two-sided inverse")
         inverses.append(h)
 
-    return CayleyGroup(tbl, identity, tuple(inverses), [s for s in generators if s != identity])
+    return CayleyGroup(tbl, identity, tuple(inverses))
 
 
 def _magma_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupoid_card import groups
+from groupoid_card.groupoids import GroupAction
 from groupoid_card.groups import (
     CayleyGroup,
     CyclicGroup,
@@ -330,9 +331,7 @@ def cayley_copy(group, seed=None):
         inverses = [0] * order
         for a in range(order):
             inverses[relabel[a]] = relabel[group.inv(a)]
-        rows = tuple(map(tuple, table))
-        generators = [s for s in groups._magma_generators(rows) if s != relabel[group.identity]]
-        copy = CayleyGroup(rows, relabel[group.identity], tuple(inverses), generators)
+        copy = CayleyGroup(tuple(map(tuple, table)), relabel[group.identity], tuple(inverses))
     assert copy.identity == relabel[group.identity]
     assert seed is None or order == 1 or copy.identity != 0
     return copy
@@ -471,6 +470,35 @@ def test_spanning_tree_refuses_generators_that_miss_an_element(generators, reach
         group.spanning_tree()
     assert group._tree is None
     assert _NamedGenerators([2, 3]).spanning_tree().generators == [2, 3]
+
+
+class _NoGenerators(groups.FiniteGroup):
+    """Z/2 as a bare subclass that sets no generating set."""
+
+    order = 2
+
+    def mul(self, a, b):
+        return a ^ b
+
+    def inv(self, a):
+        return a
+
+
+def test_every_group_names_a_generating_set_that_generates():
+    """No generating set is assumed: a subclass that sets none fails on the
+    first read, and so does a row compare over it. A table group built
+    directly reads its set off its own table, so an action on S3's table
+    whose only correct row is the identity row is refused."""
+    with pytest.raises(AttributeError):
+        _NoGenerators().generators()
+    with pytest.raises(AttributeError):
+        GroupAction(_NoGenerators(), 2, lambda g: [g, 1 - g]).validate()
+    s3 = make_symmetric(3)
+    group = CayleyGroup(tuple(map(tuple, s3.multiplication_table())), 0, tuple(map(s3.inv, s3.elements())))
+    assert group.generators() == literal_greedy_generators(group) == [1, 2]
+    report = GroupAction(group, 2, lambda g: [0, 1] if g == 0 else [1, 0]).validate()
+    assert not report.ok
+    assert report.failure.startswith("compatibility fails")
 
 
 @pytest.mark.parametrize(
