@@ -108,9 +108,9 @@ class FiniteGroup:
         return [mul(g, x) for x in range(self.order)]
 
     def generators(self) -> list[int]:
-        """The group's one generating set, chosen when it is built: every
-        law check compares over it, and spanning_tree() closes over it.
-        The list is kept; callers must not modify it."""
+        """The group's one generating set, chosen by its class (none is
+        assumed): every law check compares over it, and spanning_tree()
+        closes over it. The list is kept; callers must not modify it."""
         return self._generators
 
     def spanning_tree(self) -> SpanningTree:
@@ -263,10 +263,11 @@ class ProductGroup(FiniteGroup):
 
 class CayleyGroup(FiniteGroup):
     """Group given by an explicit multiplication table, validated by
-    from_cayley_table. Its generators are read off the table when it is
-    built: the set that the table's associativity check compares over
-    (_magma_generators), less the identity, so each index not in the
-    subgroup generated so far, in index order."""
+    from_cayley_table. Its generators are the set that the table's
+    associativity check compares over (_magma_generators), less the
+    identity, so each index not in the subgroup generated so far, in index
+    order: read off the table on the first read, or kept by
+    from_cayley_table, which has chosen them already."""
 
     name = "cayley"
 
@@ -276,7 +277,12 @@ class CayleyGroup(FiniteGroup):
         self.table = table
         self._identity = identity
         self._inverses = inverses
-        self._generators = [s for s in _magma_generators(table) if s != identity]
+        self._generators: list[int] | None = None
+
+    def generators(self) -> list[int]:
+        if self._generators is None:
+            self._generators = [s for s in _magma_generators(self.table) if s != self._identity]
+        return self._generators
 
     @property
     def identity(self) -> int:
@@ -375,7 +381,9 @@ def from_cayley_table(table: Sequence[Sequence[int]]) -> CayleyGroup:
             raise GroupValidationError("inverse", (g,), f"element {g} has no two-sided inverse")
         inverses.append(h)
 
-    return CayleyGroup(tbl, identity, tuple(inverses))
+    group = CayleyGroup(tbl, identity, tuple(inverses))
+    group._generators = [s for s in generators if s != identity]
+    return group
 
 
 def _magma_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:

@@ -501,6 +501,23 @@ def test_every_group_names_a_generating_set_that_generates():
     assert report.failure.startswith("compatibility fails")
 
 
+def test_a_table_group_chooses_its_generating_set_once(monkeypatch):
+    """from_cayley_table keeps the set its associativity check chose; a
+    table group built directly chooses it on the first read, and keeps it."""
+    calls = []
+    choose = groups._magma_generators
+    monkeypatch.setattr(groups, "_magma_generators", lambda table: calls.append(1) or choose(table))
+    table = make_symmetric(4).multiplication_table()
+    group = from_cayley_table(table)
+    assert group.generators() == group.spanning_tree().generators == [1, 2, 6]
+    assert len(calls) == 1
+    direct = CayleyGroup(group.table, group.identity, tuple(map(group.inv, group.elements())))
+    assert len(calls) == 1
+    assert direct.generators() is direct.generators()
+    assert direct.generators() == [1, 2, 6]
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "make",
     [
