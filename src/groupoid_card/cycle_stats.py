@@ -23,7 +23,6 @@ from .groupoids import rational_str
 from .permutations import (
     CapExceededError,
     Permutation,
-    centralizer_factors,
     check_enumeration_cap,
     check_partition_cap,
     check_type_term_cap,
@@ -191,9 +190,14 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     (partition_walk), reading only the chosen sizes' counts from the walk's
     live multiplicities. Each term is computed from the full type's own
     multiplicities and its own centralizer order: the walk yields the
-    unchosen type's order, and only the chosen sizes' factors move,
-    z // k^{m_k} m_k! * k^{m_k+p_k} (m_k+p_k)! for each k with p_k > 0. The
-    sum is read from no closed form, and no table is kept after the call.
+    unchosen type's order z, and the full type's is z times, for each k
+    with p_k > 0, the move factor k^{p_k} (m_k + p_k)!/m_k! of its m_k
+    unchosen k-cycles; the term is the product of falling(m_k + p_k, p_k)
+    times n! // (that order). Both are read from one table per (k, p_k),
+    over the counts m_k up to (n - |p|) // k that the walk can reach; a
+    chosen size above n - |p| has m_k = 0 on every visit, so its factors
+    are folded into the vector's constants. The sum is read from no closed
+    form, and no table is kept after the call.
 
     Raises CapExceededError for a degree above DEFAULT_PARTITION_CAP,
     before ps is listed, or when the terms to read, the partitions of
@@ -204,25 +208,41 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
     partitions = partition_counts(n)
     check_type_term_cap(n, len(pvecs), sum(partitions[n - w] for w in weights if w <= n))
     n_factorial = math.factorial(n)
-    centralizer = centralizer_factors(n)
-    by_weight: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    by_weight: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for i, (pvec, w) in enumerate(zip(pvecs, weights)):
         if w <= n:
-            by_weight.setdefault(w, []).append((i, [(k, pk) for k, pk in enumerate(pvec, start=1) if pk]))
+            by_weight.setdefault(w, []).append((i, pvec))
     totals = [0] * len(pvecs)
-    for w, needs in by_weight.items():
+    for w, group in by_weight.items():
         size = n - w
+        # (k, p_k) -> (move factors, falling powers), indexed by m_k.
+        tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        needs = []
+        for i, pvec in group:
+            moved, fallen, reads = 1, 1, []
+            for k in itertools.compress(range(1, n + 1), pvec):
+                pk = pvec[k - 1]
+                if k > size:
+                    moved *= k**pk * math.factorial(pk)
+                    fallen *= math.factorial(pk)
+                    continue
+                table = tables.get((k, pk))
+                if table is None:
+                    fall = [falling_power(mk + pk, pk) for mk in range(size // k + 1)]
+                    table = tables[k, pk] = [k**pk * f for f in fall], fall
+                reads.append((k - 1, *table))
+            needs.append((i, moved, fallen, reads))
         for rest, z_rest, _, _, _ in partition_walk(size):
             # rest[k-1] counts the k-cycles left unchosen, and z_rest is the
             # centralizer order of their type.
-            for i, need in needs:
-                z = z_rest
-                term = 1
-                for k, pk in need:
-                    mk = rest[k - 1] if k <= size else 0
-                    z = z // centralizer[k][mk] * centralizer[k][mk + pk]
-                    term *= falling_power(mk + pk, pk)
-                totals[i] += term * (n_factorial // z)
+            for i, moved, fallen, reads in needs:
+                # moved and fallen start at the vector's constants and take
+                # the factors of each chosen size the walk reaches.
+                for k0, move, fall in reads:
+                    mk = rest[k0]
+                    moved *= move[mk]
+                    fallen *= fall[mk]
+                totals[i] += fallen * (n_factorial // (z_rest * moved))
     return totals
 
 
@@ -264,13 +284,15 @@ def expected_product_by_type(n: int, p: Sequence[int]) -> Fraction:
 
 def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
     """Closed form the expectation must equal: prod_k 1/k^{p_k} when the
-    weight p_1 + 2 p_2 + ... + n p_n is at most n, else exactly 0."""
+    weight p_1 + 2 p_2 + ... + n p_n is at most n, else exactly 0. Only
+    the nonzero entries are read."""
     pvec = validate_pvector(n, p)
-    if weight(pvec) > n:
+    sizes = list(itertools.compress(range(1, n + 1), pvec))
+    if sum(k * pvec[k - 1] for k in sizes) > n:
         return Fraction(0)
     denom = 1
-    for k, pk in enumerate(pvec, start=1):
-        denom *= k**pk
+    for k in sizes:
+        denom *= k ** pvec[k - 1]
     return Fraction(1, denom)
 
 

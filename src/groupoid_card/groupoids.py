@@ -82,9 +82,15 @@ def cardinality(skeleton: GroupoidSkeleton) -> Fraction:
 
 def cardinality_of_orders(orders: Sequence[int]) -> Fraction:
     """Sum of 1/z over the aut orders z, 0 for none. The sum is taken over
-    their least common multiple, normalised once."""
-    denominator = math.lcm(*orders)
-    return Fraction(sum(denominator // z for z in orders), denominator)
+    the least common multiple of the orders, normalised once. An order that
+    already divides the multiple so far, as every repeated order does, is
+    not folded in again, so each distinct order costs at most one lcm and
+    no set of them is built."""
+    denominator = 1
+    for z in orders:
+        if denominator % z:
+            denominator = math.lcm(denominator, z)
+    return Fraction(sum(map(denominator.__floordiv__, orders)), denominator)
 
 
 def delooping(group: FiniteGroup, label: Any = None) -> GroupoidSkeleton:

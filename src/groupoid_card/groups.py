@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -118,12 +119,15 @@ class FiniteGroup:
         built on the first call and kept; ValueError if they miss an
         element.
 
-        The reached set is closed a level at a time, one generator after
-        another, so the children of one generator in one level take
-        consecutive positions (one step); each element is multiplied once by
-        each generator, and every product is kept."""
+        Each element is multiplied once by each generator, in index order,
+        and the tree is laid out from those products. The reached set is
+        closed a level at a time, one generator after another, so the
+        children of one generator in one level take consecutive positions
+        (one step), and every product is kept by position."""
         if self._tree is None:
             mul, order, generators = self.mul, self.order, self.generators()
+            # moved_by[i][g] = generators[i] * g.
+            moved_by = [list(map(mul, repeat(s, order), range(order))) for s in generators]
             elements = [self.identity]
             position = [-1] * order
             position[self.identity] = 0
@@ -131,15 +135,18 @@ class FiniteGroup:
             steps: list[tuple[int, list[int]]] = []
             frontier = range(1)
             while frontier:
-                for i, s in enumerate(generators):
-                    moved, parents = products[i], []
+                for i, moved in enumerate(moved_by):
+                    row, parents = products[i], []
                     for j in frontier:
-                        child = mul(s, elements[j])
+                        parent = elements[j]
+                        child = moved[parent]
                         if position[child] < 0:
                             position[child] = len(elements)
                             elements.append(child)
-                            parents.append(j)
-                        moved[j] = position[child]
+                            # position[parent] is j, as the int the products
+                            # already hold, so the steps make none of their own.
+                            parents.append(position[parent])
+                        row[j] = position[child]
                     if parents:
                         steps.append((i, parents))
                 frontier = range(frontier.stop, len(elements))

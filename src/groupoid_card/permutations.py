@@ -16,10 +16,10 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_PARTITION_CAP = 40
 # Most cycle-type terms one exact sum over cycle types may read: the
-# partitions of n - |p|, summed over its p-vectors. A term takes about 1.9 us
+# partitions of n - |p|, summed over its p-vectors. A term takes about 0.8 us
 # on a shared 2-core x86-64 host under Python 3.11 (the degree-40 sweep
-# below as a subprocess, 6.1 s in all, median of 5 runs of 5.6-8.3 s), so a
-# call stays under about 10 s there, and every default --all-p sweep up to
+# below as a subprocess, 2.4 s in all, median of 5 runs of 2.3-2.6 s), so a
+# call stays under about 5 s there, and every default --all-p sweep up to
 # DEFAULT_PARTITION_CAP fits (degree 40 reads 3 225 386 terms).
 DEFAULT_TYPE_TERM_CAP = 4_000_000
 # Most p-vectors one sweep may list, read by iter_pvectors when its first
@@ -193,13 +193,6 @@ class CycleType:
         return z
 
 
-def centralizer_factors(n: int) -> list[list[int]]:
-    """factors[k][m] = k^m m! for k, m in 0..n: the factor of a centralizer
-    order prod_k k^{m_k} m_k! that m cycles of length k contribute."""
-    factorials = [math.factorial(m) for m in range(n + 1)]
-    return [[k**m * factorials[m] for m in range(n + 1)] for k in range(n + 1)]
-
-
 def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int]]:
     """Walk the partitions of n in reverse lexicographic order, by Knuth,
     TAOCP Vol. 4A, 7.2.1.4, Algorithm P, yielding the walk's live state at
@@ -214,13 +207,16 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
     mult and a are the walk's own lists, rewritten by the next step: a
     caller reads them and keeps nothing of them, and never writes to them.
 
-    Each step rewrites only a suffix of the partition, so mult and z are
-    moved only at the part sizes the step changes: sizes 2 and 1 when a 2
-    becomes 1 + 1; otherwise the part x + 1 that drops to x, the 1s after
-    it, x, and the last part left over. Each move divides z exactly by
-    k^m m! at the size's old count m and multiplies it by the factor at the
-    new count. Nothing for n < 0; for n = 0 one visit with no part, mult
-    empty and z = 1."""
+    Each step rewrites only a suffix of the partition, so mult is moved
+    only at the part sizes the step changes, and z by one multiply and one
+    exact division by small integers and the factorials up to n. When a 2
+    becomes 1 + 1, with t 2s and o 1s, that is (o + 1)(o + 2) / 2t.
+    Otherwise the last part above 1, x + 1, drops to x, and it and the o
+    1s after it are refilled as j more parts x and a last part r <= x:
+    x^{j+1} (d + j + 1)! r (e + 1) / ((x + 1) c o! d!), with c, d and e the
+    counts of parts x + 1, x and r just before each is moved, in that
+    order. Nothing for n < 0; for n = 0 one visit with no part, mult empty
+    and z = 1."""
     if n < 0:
         return
     mult = [0] * n
@@ -230,7 +226,7 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
     if n == 0:
         yield mult, 1, a, 0, 1
         return
-    factors = centralizer_factors(n)
+    factorials = [math.factorial(k) for k in range(n + 1)]
     mult[n - 1] = 1
     z = n
     m, rest, low = 1, n, 1
@@ -242,7 +238,7 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
             if a[q] != 2:
                 break
             twos, ones = mult[1], mult[0]
-            z = z // factors[2][twos] * factors[2][twos - 1] // factors[1][ones] * factors[1][ones + 2]
+            z = z * ((ones + 1) * (ones + 2)) // (2 * twos)
             mult[1] = twos - 1
             mult[0] = ones + 2
             a[q] = 1
@@ -252,25 +248,21 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
             a[m] = 1
         if q == 0:
             return
-        # a[q] = x + 1 > 2 drops to x; the 1s after it and the unit it lost,
-        # ones + 1 in all, are refilled as j more parts x and a last part
-        # rest <= x.
+        # a[q] = x + 1 > 2 drops to x; the 1s after it, all of mult[0], and
+        # the unit it lost, ones + 1 in all, are refilled as j more parts x
+        # and a last part rest <= x.
         x = a[q] - 1
         ones = m - q
         j, rest = divmod(ones, x)
         rest += 1
         c = mult[x]
-        z = z // factors[x + 1][c] * factors[x + 1][c - 1]
         mult[x] = c - 1
-        c = mult[0]
-        z = z // factors[1][c] * factors[1][c - ones]
-        mult[0] = c - ones
-        c = mult[x - 1]
-        z = z // factors[x][c] * factors[x][c + j + 1]
-        mult[x - 1] = c + j + 1
-        c = mult[rest - 1]
-        z = z // factors[rest][c] * factors[rest][c + 1]
-        mult[rest - 1] = c + 1
+        mult[0] = 0
+        d = mult[x - 1]
+        mult[x - 1] = d + j + 1
+        e = mult[rest - 1]
+        mult[rest - 1] = e + 1
+        z = z * (x ** (j + 1) * factorials[d + j + 1] * rest * (e + 1)) // ((x + 1) * c * factorials[ones] * factorials[d])
         a[q] = x
         a[q + 1 : q + 1 + j] = [x] * j
         m = q + 1 + j
@@ -379,7 +371,7 @@ def validate_pvector(n: int, p: Sequence[int]) -> tuple[int, ...]:
 
 def weight(p: Sequence[int]) -> int:
     """The weighted sum p_1 + 2 p_2 + ... + n p_n."""
-    return sum(k * pk for k, pk in enumerate(p, start=1))
+    return sum(map(operator.mul, itertools.count(1), p))
 
 
 def iter_pvectors(n: int, max_entry: int = 2, max_weight: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -387,23 +379,32 @@ def iter_pvectors(n: int, max_entry: int = 2, max_weight: int | None = None) -> 
     (default n), in lexicographic order, each checked, so validate_pvector
     hands it back as it is. At the first step a sweep whose sweep_size is
     above DEFAULT_SWEEP_CAP, read then, is refused with CapExceededError.
-    The coordinates are walked in order, p_k bounded by the weight still
-    left, so no vector over the weight is built."""
+
+    The vectors are counted like an odometer: each step raises the last
+    entry p_k that is below max_entry and whose k fits in the weight still
+    left, and sets the entries after it to 0, so no vector over the weight
+    is built."""
     count, _ = sweep_size(n, max_entry, max_weight)
     if count > DEFAULT_SWEEP_CAP:
         raise CapExceededError(f"the sweep lists at least {count} p-vectors at degree {n}, above the sweep cap {DEFAULT_SWEEP_CAP}")
+    if not count:
+        return
     p = [0] * n
-
-    def walk(k: int, left: int) -> Iterator[tuple[int, ...]]:
-        if k > n:
-            yield _PVector(p)
+    left = n if max_weight is None else max_weight
+    while True:
+        yield _PVector(p)
+        k = n
+        while k:
+            pk = p[k - 1]
+            if pk < max_entry and k <= left:
+                p[k - 1] = pk + 1
+                left -= k
+                break
+            left += k * pk
+            p[k - 1] = 0
+            k -= 1
+        else:
             return
-        for pk in range(min(max_entry, left // k) + 1):
-            p[k - 1] = pk
-            yield from walk(k + 1, left - k * pk)
-
-    if count:
-        yield from walk(1, n if max_weight is None else max_weight)
 
 
 def pvector_weight_counts(n: int, max_entry: int = 2, max_weight: int | None = None) -> list[int]:

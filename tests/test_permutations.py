@@ -496,6 +496,16 @@ def test_partition_walk_live_state_is_the_table(n):
         previous = parts
 
 
+@pytest.mark.parametrize("n", range(31))
+def test_partition_walk_z_is_the_literal_centralizer_order(n):
+    """At each visit z is prod_k k^{m_k} m_k!, with m_k counted from the
+    parts a[1..m] and the factorials taken by math.factorial, not from the
+    walk's multiplicities or its factors."""
+    for _, z, a, m, _ in partition_walk(n):
+        counts = Counter(a[1 : m + 1])
+        assert z == math.prod(k**mk * math.factorial(mk) for k, mk in counts.items())
+
+
 def test_cycle_type_table_negative_degree_is_empty():
     assert list(cycle_type_table(-1)) == []
     assert list(all_cycle_types(-3)) == []
