@@ -34,11 +34,11 @@ from .functors import (
     make_fixed_point_functor,
     verify_general_theorem,
 )
-from .groupoids import cardinality_of_orders, perm_skeleton_rows, rational_str
+from .groupoids import cardinality_of_orders, perm_skeleton_groups, rational_str
 from .permutations import iter_pvectors, parse_integer, validate_pvector
 
 
-# Rows of the skeleton written at a time.
+# About this many skeleton rows go to each write.
 _SKELETON_CHUNK = 1024
 # The sweep's entry bound when --all-p is given without --max-entry.
 _DEFAULT_MAX_ENTRY = 2
@@ -183,34 +183,47 @@ def cmd_verify_categorified(args) -> int:
     return 1 if failures else 0
 
 
+def _write_skeleton_groups(groups: list[tuple[int, list[str]]], ends: Callable[[int], tuple[str, str]], sep: str) -> None:
+    """Write every label text of groups as head + text + tail, with the
+    (head, tail) that ends gives its group's aut order, and sep between
+    rows. A group is one join, and about _SKELETON_CHUNK rows go to each
+    write, so no string of the whole output is built."""
+    write = sys.stdout.write
+    lead, pieces, rows = "", [], 0
+    for z, texts in groups:
+        head, tail = ends(z)
+        pieces.append(head + (tail + sep + head).join(texts) + tail)
+        rows += len(texts)
+        if rows >= _SKELETON_CHUNK:
+            write(lead + sep.join(pieces))
+            lead, pieces, rows = sep, [], 0
+    if pieces:
+        write(lead + sep.join(pieces))
+
+
 def cmd_skeleton(args) -> int:
     n = args.n
-    rows = perm_skeleton_rows(n)
-    card = rational_str(cardinality_of_orders([z for z, _ in rows]))
+    groups = perm_skeleton_groups(n)
+    card = rational_str(cardinality_of_orders((z, len(texts)) for z, texts in groups))
     write = sys.stdout.write
-    if args.format == "csv" and not rows:
+    if args.format == "csv" and not groups:
         # With no component the payload is the one row, as _emit writes a
         # payload without rows; its components are the empty tuple.
         _emit({"command": "skeleton", "n": n, "components": (), "cardinality": card}, "csv", list, list)
         return 0
-    # Each format is written a chunk of rows at a time, so no string of the
-    # whole output is built.
-    chunks = [rows[start : start + _SKELETON_CHUNK] for start in range(0, len(rows), _SKELETON_CHUNK)]
     if args.format == "json":
         # The bytes of json.dumps(payload), with its default separators.
         write(f'{{"command": "skeleton", "n": {n}, "components": [')
-        for i, chunk in enumerate(chunks):
-            write((", " if i else "") + ", ".join([f'{{"aut_order": {z}, "label": [{text}]}}' for z, text in chunk]))
+        _write_skeleton_groups(groups, lambda z: (f'{{"aut_order": {z}, "label": [', "]}"), ", ")
         write(f'], "cardinality": "{card}"}}\n')
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(("n", "aut_order", "label"))
-        for chunk in chunks:
-            writer.writerows([(n, z, f"[{text}]") for z, text in chunk])
+        for z, texts in groups:
+            writer.writerows([(n, z, f"[{text}]") for text in texts])
     else:
-        write(f"degree {n}: {len(rows)} components, cardinality {card}\n")
-        for chunk in chunks:
-            write("".join([f"  partition [{text}]: aut order {z}\n" for z, text in chunk]))
+        write(f"degree {n}: {sum(len(texts) for _, texts in groups)} components, cardinality {card}\n")
+        _write_skeleton_groups(groups, lambda z: ("  partition [", f"]: aut order {z}\n"), "")
     return 0
 
 

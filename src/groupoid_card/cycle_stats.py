@@ -368,11 +368,16 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
     that holds a draw an unbiased `below` might reject is replayed with one
     `below(i + 1)` call per step, so every sample equals the one a separate
     `shuffle` call per sample gives.
+
+    The seed must lie in 0..2^64-1, the states SplitMix64 has: any other
+    integer would be read mod 2^64 and reported as given, so it is refused.
     """
     check_monte_carlo_degree(n)
     pvecs = [validate_pvector(n, p) for p in ps]
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
     needs = [[(k, pk) for k, pk in enumerate(pvec, start=1) if pk] for pvec in pvecs]
     longest = max((k for need in needs for k, _ in need), default=0)
     images = list(range(n))

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, ClassVar, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, SpanningTree
 from .permutations import CapExceededError, check_partition_cap, cycle_type_table, partition_walk
@@ -77,20 +78,24 @@ EMPTY_SKELETON = GroupoidSkeleton(())
 
 def cardinality(skeleton: GroupoidSkeleton) -> Fraction:
     """Sum of 1/aut_order over components; 0 for the empty groupoid."""
-    return cardinality_of_orders(skeleton.aut_orders())
+    return cardinality_of_orders(zip(skeleton.aut_orders(), itertools.repeat(1)))
 
 
-def cardinality_of_orders(orders: Sequence[int]) -> Fraction:
-    """Sum of 1/z over the aut orders z, 0 for none. The sum is taken over
-    the least common multiple of the orders, normalised once. An order that
-    already divides the multiple so far, as every repeated order does, is
-    not folded in again, so each distinct order costs at most one lcm and
-    no set of them is built."""
-    denominator = 1
-    for z in orders:
+def cardinality_of_orders(counted: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of count/z over the (aut order z, count) pairs, 0 for none. The
+    sum is kept over the least common multiple of the orders so far and
+    normalised once. An order that already divides that multiple, as every
+    repeated order does, is not folded in again, so each pair costs one
+    remainder, one division and one multiply by its count, and a skeleton
+    grouped by order pays once per distinct order, not once per component."""
+    numerator, denominator = 0, 1
+    for z, count in counted:
         if denominator % z:
-            denominator = math.lcm(denominator, z)
-    return Fraction(sum(map(denominator.__floordiv__, orders)), denominator)
+            multiple = math.lcm(denominator, z)
+            numerator *= multiple // denominator
+            denominator = multiple
+        numerator += denominator // z * count
+    return Fraction(numerator, denominator)
 
 
 def delooping(group: FiniteGroup, label: Any = None) -> GroupoidSkeleton:
@@ -501,16 +506,27 @@ def perm_groupoid_skeleton(n: int) -> GroupoidSkeleton:
     return GroupoidSkeleton(comps)
 
 
-def perm_skeleton_rows(n: int) -> list[tuple[int, str]]:
-    """The components of perm_groupoid_skeleton(n), in its order, as rows
-    (aut order, label text). The text joins the partition's parts with
-    ", ", so "[" + text + "]" is the label both as a JSON array and as the
-    repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton does.
+def perm_skeleton_groups(n: int) -> list[tuple[int, list[str]]]:
+    """The components of perm_groupoid_skeleton(n), in its order, grouped
+    by aut order: a list of (aut order, label texts), orders ascending and
+    each group's texts in str order. A text joins the partition's parts
+    with ", ", so "[" + text + "]" is the label both as a JSON array and as
+    the repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton
+    does.
 
     The labels are read from partition_walk's live state: prefix[i] keeps
     the text of the parts a[1..i] while they stand, so a visit writes the
     text of only its rewritten parts above 1, and each label is that
-    prefix followed by a kept run of ", 1" for the partition's 1s."""
+    prefix followed by a kept run of ", 1" for the partition's 1s. Each
+    text is appended to its order's group as it is made.
+
+    The groups read in turn are the canonical order (z, repr(label)): no
+    text is a proper prefix of another of the same degree, since the
+    longer one would need an extra part or a larger part, so its parts
+    would sum to more. Two texts therefore differ at a character inside
+    both, and that character orders their reprs the same way, whatever
+    follows it. So one sort of the distinct orders and one sort per group
+    give that order, with no sort of the whole list."""
     if n < 0:
         return []
     check_partition_cap(n)
@@ -518,8 +534,7 @@ def perm_skeleton_rows(n: int) -> list[tuple[int, str]]:
     parts = [", " + text for text in digits]
     ones_runs = [", 1" * k for k in range(n + 1)]
     prefix = [""] * (n + 1)
-    rows = []
-    append = rows.append
+    groups: defaultdict[int, list[str]] = defaultdict(list)
     for _, z, a, m, low in partition_walk(n):
         # a[1..low-1] stand and are above 1; last indexes the last part
         # above 1, and the m - last parts after it are 1s.
@@ -527,14 +542,8 @@ def perm_skeleton_rows(n: int) -> list[tuple[int, str]]:
         while last < m and a[last + 1] > 1:
             last += 1
             prefix[last] = prefix[last - 1] + parts[a[last]] if last > 1 else digits[a[1]]
-        append((z, prefix[last] + ones_runs[m - last] if last else ones_runs[m][2:]))
-    # Sorting by (z, text) gives the canonical order (z, repr(label)): no
-    # text is a proper prefix of another of the same degree, since the
-    # longer one would need an extra part or a larger part, so its parts
-    # would sum to more. Two texts therefore differ at a character inside
-    # both, and that character orders their reprs the same way, whatever
-    # follows it. Two stable passes, by text and then by z, give that order
-    # without comparing tuples.
-    rows.sort(key=operator.itemgetter(1))
-    rows.sort(key=operator.itemgetter(0))
-    return rows
+        groups[z].append(prefix[last] + ones_runs[m - last] if last else ones_runs[m][2:])
+    ordered = sorted(groups.items(), key=operator.itemgetter(0))
+    for _, texts in ordered:
+        texts.sort()
+    return ordered

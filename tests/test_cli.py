@@ -406,6 +406,33 @@ def test_montecarlo_n100_bytes_are_pinned(capsys):
                    + line({1, 2}, "1/2", "0.487", "0.03226254596078666", "-0.40294402108875077"))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_montecarlo_seed_outside_the_stream_states_exits_2(capsys, seed):
+    """SplitMix64 has the states 0..2^64-1 and would read any other seed mod
+    2^64, so a report naming -1 would sample the stream of 2^64-1, and one
+    naming 2^64 that of 0: such a seed is refused before any sample."""
+    args = ["montecarlo", "--n", "20", "--p-one", "k=1", "--samples", "50", "--seed", str(seed)]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert f"seed must lie in 0..2^64-1, got {seed}" in err
+    with pytest.raises(ValueError, match="seed must lie in"):
+        cycle_stats.monte_carlo_moments(20, [(1,) + (0,) * 19], 50, seed)
+
+
+@pytest.mark.parametrize("seed, estimate, standard_error, z", [
+    (0, "1.1", "0.14069796859708722", "0.710742315593534"),
+    (2**64 - 1, "0.8", "0.1178030178747903", "-1.6977493752543305"),
+])
+def test_montecarlo_seeds_at_the_ends_of_the_range_keep_their_bytes(capsys, seed, estimate, standard_error, z):
+    args = ["montecarlo", "--n", "20", "--p-one", "k=1", "--samples", "50", "--seed", str(seed)]
+    p = ", ".join(["1"] + ["0"] * 19)
+    assert run_cli(args, capsys) == (0, (
+        '{"command": "montecarlo", "n": 20, "p": [' + p + '], "method": "monte_carlo", '
+        f'"rhs": "1/1", "estimate": {estimate}, "standard_error": {standard_error}, '
+        f'"samples": 50, "seed": {seed}, "generator": "splitmix64", "target": "1/1", '
+        f'"z": {z}, "within_4se": true}}\n'), "")
+
+
 def test_montecarlo_rejects_bad_config(capsys):
     code, _, err = run_cli(["montecarlo", "--n", "10", "--p-one", "k=2", "--samples", "1"], capsys)
     assert code == 2
@@ -823,11 +850,11 @@ def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
 
 def test_skeleton_peak_memory_stays_under_eight_times_its_output():
     """Degree 40 prints 37 338 components, about 2.7 MB of JSON. The command
-    keeps one (aut order, label text) row per component, sorts the rows
-    once and writes them a chunk at a time, with no component object, dict
-    or whole-output string, so the traced peak of the whole command stays
-    under 8 times its output (about 4 times; a dict per component took it
-    above 10 times)."""
+    keeps one label text per component, in one list per aut order, and
+    writes them a chunk at a time, with no component object, dict per
+    component or whole-output string, so the traced peak of the whole
+    command stays under 8 times its output (about 3.1 times; one row tuple
+    per component read 3.7 times, and a dict per component above 10)."""
     out = io.StringIO()
     tracemalloc.start()
     try:

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupoid_card import groups
@@ -19,6 +20,7 @@ from groupoid_card.groupoids import (
     GroupoidSkeleton,
     SkeletonComponent,
     cardinality,
+    cardinality_of_orders,
     cardinality_via_outdegrees,
     conjugation_action,
     coproduct,
@@ -27,14 +29,14 @@ from groupoid_card.groupoids import (
     label_to_json,
     orbit_decomposition,
     perm_groupoid_skeleton,
-    perm_skeleton_rows,
+    perm_skeleton_groups,
     power,
     product,
     rational_str,
     skeletons_equivalent,
     weak_quotient,
 )
-from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table
+from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table, partition_counts
 from law_cases import LAW_GROUPS, last_generator_coset, law_caps, rows_of, validation_or_refusal
 
 skeletons = st.lists(
@@ -89,6 +91,43 @@ def test_cardinality_examples():
     for k in (1, 2, 5, 12):
         assert cardinality(sk(k)) == Fraction(1, k)
     assert cardinality(sk(6, 2, 3)) == 1
+
+
+# Aut orders: small ones, which repeat, and ones near 40!, the largest
+# centralizer order under the partition cap, with its divisors 40!/k.
+FACTORIAL_40 = math.factorial(40)
+counted_orders = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(1, 12),
+            st.integers(FACTORIAL_40 - 64, FACTORIAL_40 + 64),
+            st.sampled_from([FACTORIAL_40 // k for k in range(1, 41)]),
+        ),
+        st.integers(1, 50),
+    ),
+    max_size=12,
+)
+
+
+@given(counted_orders)
+@example([])
+def test_counted_cardinality_is_the_naive_sum(pairs):
+    """Each (order, count) pair adds count/order, repeated orders included;
+    no pair gives 0."""
+    assert cardinality_of_orders(pairs) == sum((Fraction(count, z) for z, count in pairs), Fraction(0))
+    assert cardinality_of_orders(iter(pairs)) == cardinality_of_orders(pairs)
+
+
+def test_grouped_perm_skeleton_has_cardinality_one():
+    """At every degree up to the cap the groups' orders ascend, their sizes
+    sum to the partition count, and one term per order sums to 1."""
+    partitions = partition_counts(DEFAULT_PARTITION_CAP)
+    for n in range(DEFAULT_PARTITION_CAP + 1):
+        groups = perm_skeleton_groups(n)
+        orders = [z for z, _ in groups]
+        assert orders == sorted(set(orders))
+        assert sum(len(texts) for _, texts in groups) == partitions[n]
+        assert cardinality_of_orders((z, len(texts)) for z, texts in groups) == 1
 
 
 def test_delooping():
@@ -403,11 +442,12 @@ def joined_skeleton_rows(n):
 
 def test_perm_skeleton_rows_equal_the_joined_rows():
     """The label texts built from the live walk's kept prefixes and runs of
-    1s, and their two-pass order, are the joined rows at every degree from
-    -2 to the partition cap. It takes 1.4-1.5 s on a 2-core x86 machine,
-    and its budget there is 3 s: every degree up to the cap, and no more."""
+    1s, grouped by aut order and each group sorted, read in turn are the
+    joined rows at every degree from -2 to the partition cap. It takes
+    1.4-1.5 s on a 2-core x86 machine, and its budget there is 3 s: every
+    degree up to the cap, and no more."""
     for n in range(-2, DEFAULT_PARTITION_CAP + 1):
-        assert perm_skeleton_rows(n) == joined_skeleton_rows(n)
+        assert [(z, text) for z, texts in perm_skeleton_groups(n) for text in texts] == joined_skeleton_rows(n)
 
 
 def test_skeleton_json():
