@@ -7,6 +7,7 @@ validation error. JSON output is schema-stable; text output is for humans.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import functools
 import io
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .categorified import verify_categorifieds
@@ -186,11 +188,12 @@ def cmd_verify_categorified(args) -> int:
 def _write_skeleton_groups(groups: list[tuple[int, list[str]]], ends: Callable[[int], tuple[str, str]], sep: str) -> None:
     """Write every label text of groups as head + text + tail, with the
     (head, tail) that ends gives its group's aut order, and sep between
-    rows. A group is one join, and about _SKELETON_CHUNK rows go to each
-    write, so no string of the whole output is built."""
+    rows; an empty group writes nothing. A group is one join, and about
+    _SKELETON_CHUNK rows go to each write, so no string of the whole output
+    is built."""
     write = sys.stdout.write
     lead, pieces, rows = "", [], 0
-    for z, texts in groups:
+    for z, texts in filter(itemgetter(1), groups):
         head, tail = ends(z)
         pieces.append(head + (tail + sep + head).join(texts) + tail)
         rows += len(texts)
@@ -217,10 +220,17 @@ def cmd_skeleton(args) -> int:
         _write_skeleton_groups(groups, lambda z: (f'{{"aut_order": {z}, "label": [', "]}"), ", ")
         write(f'], "cardinality": "{card}"}}\n')
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("n", "aut_order", "label"))
-        for z, texts in groups:
-            writer.writerows([(n, z, f"[{text}]") for text in texts])
+        # The bytes of csv.writer's rows (n, z, "[text]"): it quotes a label
+        # only when it holds a comma, so every label is quoted but the
+        # one-part [n] ([] at degree 0), in the group of aut order max(n, 1).
+        g = bisect.bisect_left(groups, max(n, 1), key=itemgetter(0))
+        z, texts = groups[g]
+        i = texts.index(str(n) if n else "")
+        quoted = lambda z: (f'{n},{z},"[', f']"\r\n')
+        write("n,aut_order,label\r\n")
+        _write_skeleton_groups([*groups[:g], (z, texts[:i])], quoted, "")
+        write(f"{n},{z},[{texts[i]}]\r\n")
+        _write_skeleton_groups([(z, texts[i + 1:]), *groups[g + 1:]], quoted, "")
     else:
         write(f"degree {n}: {sum(len(texts) for _, texts in groups)} components, cardinality {card}\n")
         _write_skeleton_groups(groups, lambda z: ("  partition [", f"]: aut order {z}\n"), "")

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from groupoid_card.permutations import (
     enumerate_permutations,
     falling_power,
     iter_pvectors,
+    lex_rank,
     weight,
 )
 from decorated_permutations import DecoratedPermutation, build_Q, q_action
@@ -325,29 +328,70 @@ def test_a_kept_walk_lives_as_long_as_its_group():
 @pytest.mark.parametrize("p, partitions", [((0, 0, 0, 0, 0, 1), 1), ((2, 2, 0, 0, 0, 0), 45)])
 def test_only_the_partitions_that_carry_p_are_laid_out(monkeypatch, p, partitions):
     """Of S6's 203 set partitions, one is a 6-cycle's and 45 have two fixed
-    points and two 2-cycles; only they are laid out, and the carrier is
-    still the whole of Q."""
+    points and two 2-cycles; only they are laid out, only the elements with
+    one of them are read, and the carrier is still the whole of Q."""
     laid_out = []
-    mark_offsets = categorified._mark_offsets
+    carrying_layouts = categorified._carrying_layouts
 
-    def counting(by_length, pvec):
-        laid_out.append(by_length)
-        return mark_offsets(by_length, pvec)
+    def counting(walk, pvec):
+        layouts, elements = carrying_layouts(walk, pvec)
+        laid_out.append((len(layouts), sum(layout is not None for layout in layouts), list(elements)))
+        return layouts, elements
 
-    monkeypatch.setattr(categorified, "_mark_offsets", counting)
+    monkeypatch.setattr(categorified, "_carrying_layouts", counting)
     action = cycle_tuple_action(6, p)
-    assert len(laid_out) == partitions
-    assert action.carrier_size == len(build_Q(6, p))
+    q = build_Q(6, p)
+    assert laid_out == [(203, partitions, sorted({lex_rank(d.sigma.images) for d in q}))]
+    assert action.carrier_size == len(q)
 
 
-@pytest.mark.parametrize("p", [(0, 0, 0, 0, 0, 1), (2, 2, 0, 0, 0, 0)])
+@pytest.mark.parametrize("p", [p for p in iter_pvectors(6, max_entry=2) if weight(p) >= 4])
 def test_generator_rows_at_n6_match_q_action(p):
-    """KERNEL_CASES stops at n = 5; at n = 6 most partitions carry no point
-    for these p and every generator moves each carrying sigma's fiber."""
+    """KERNEL_CASES stops at n = 5; at n = 6, for every p-vector of weight at
+    least 4 with entries at most 2, most partitions carry no point and every
+    generator moves each carrying sigma's fiber, through one or two chosen
+    lengths."""
     q = build_Q(6, p)
     index = {d: i for i, d in enumerate(q)}
     action = cycle_tuple_action(6, p)
     group = action.group
+    assert action.carrier_size == len(q)
     for g in group.generators():
         tau = group.permutation_at(g)
         assert action._row(g) == [index[q_action(tau, d)] for d in q]
+
+
+@pytest.mark.parametrize("p", [(4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0)])
+def test_every_row_at_n4_matches_q_action(p):
+    """A law check reads the generators' rows only; every other row, which
+    act() and a failed walk's row compare read, moves the choices by index
+    permutations that are neither a swap nor a rotation: at p = 4e_1 by
+    every permutation of the identity's four fixed points."""
+    q = build_Q(4, p)
+    index = {d: i for i, d in enumerate(q)}
+    action = cycle_tuple_action(4, p)
+    group = action.group
+    for g in range(group.order):
+        tau = group.permutation_at(g)
+        assert action._row(g) == [index[q_action(tau, d)] for d in q]
+
+
+def literal_moved_ranks(pi, r):
+    """M(pi, r) read off a listing of itertools.permutations(range(m), r)."""
+    listing = list(itertools.permutations(range(len(pi)), r))
+    rank = {marks: i for i, marks in enumerate(listing)}
+    return [rank[tuple(pi[a] for a in marks)] for marks in listing]
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_moved_ranks_equal_the_literal_listing(m):
+    """Every r <= m, with pi the identity, the swap of 0 and 1, each rotation
+    and three seeded random permutations of range(m)."""
+    rng = random.Random(m)
+    pis = [tuple(range(m))] + [tuple((a + c) % m for a in range(m)) for c in range(1, m)]
+    if m >= 2:
+        pis.append((1, 0, *range(2, m)))
+    pis += [tuple(rng.sample(range(m), m)) for _ in range(3)]
+    for pi in pis:
+        for r in range(m + 1):
+            assert list(categorified._moved_ranks(pi, r)) == literal_moved_ranks(pi, r), (pi, r)

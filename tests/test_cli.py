@@ -848,6 +848,23 @@ def test_skeleton_json_labels_equal_the_recursive_route(capsys, n):
     assert run_cli(["skeleton", "--n", str(n), "--format", "text"], capsys) == (0, text, "")
 
 
+@pytest.mark.parametrize("n", range(-1, 41))
+def test_skeleton_csv_is_the_bytes_of_csv_writer(capsys, n):
+    """The csv format writes the groups by join, quoting each label as
+    csv.writer quotes it: every label but the one-part [n] ([] at degree 0),
+    which holds no comma. With no component the payload is the one row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    groups = groupoids.perm_skeleton_groups(n)
+    if groups:
+        writer.writerow(("n", "aut_order", "label"))
+        for z, texts in groups:
+            writer.writerows((n, z, f"[{text}]") for text in texts)
+    else:
+        writer.writerows([("command", "n", "components", "cardinality"), ("skeleton", n, (), "0/1")])
+    assert run_cli(["skeleton", "--n", str(n), "--format", "csv"], capsys) == (0, buf.getvalue(), "")
+
+
 def test_skeleton_peak_memory_stays_under_eight_times_its_output():
     """Degree 40 prints 37 338 components, about 2.7 MB of JSON. The command
     keeps one label text per component, in one list per aut order, and

@@ -1,11 +1,14 @@
 """Planted faults: a cross-check that cannot fail shows nothing, so each test
 here breaks one side of an independent pair with monkeypatch, runs the
 subcommand through cli.main, and asserts that the broken side exits 1 with
-its check false while the other side's report is the clean run's bytes."""
+its check false while the other side's report is the clean run's bytes. A
+fault in the rows of a built-in action is a defect of the program that its
+law check catches, and exits 2 instead."""
 
+import dataclasses
 import json
 
-from groupoid_card import cycle_stats
+from groupoid_card import categorified, cycle_stats
 from groupoid_card.cli import main
 
 
@@ -49,3 +52,71 @@ def test_cycle_type_fault_fails_stats(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_equal"] is False
     assert not any(row["equal"] for row in payload["per_k"])
+
+
+def plant_two_marks_on_one_offset(monkeypatch, pi, r):
+    """M(pi, r) sends its second r-permutation where it sends its first, so
+    a generator row that reads it is no permutation; the maps are built into
+    an empty dict, which is dropped with the patch. Returns the list of the
+    times the faulty map was read."""
+    moved_ranks = categorified._moved_ranks
+    reads = []
+
+    def faulty(p, k):
+        ranks = moved_ranks(p, k)
+        if (p, k) == (pi, r):
+            reads.append((p, k))
+            ranks = list(ranks)
+            ranks[1] = ranks[0]
+        return ranks
+
+    monkeypatch.setattr(categorified, "_MOVED", {})
+    monkeypatch.setattr(categorified, "_moved_ranks", faulty)
+    return reads
+
+
+CATEGORIFIED_FIXED = ["verify-categorified", "--n", "4", "--p", "2,0,0,0"]
+
+
+def test_a_non_injective_induced_map_is_an_invalid_action(capsys, monkeypatch):
+    """S4's transposition of 0 and 1 swaps the first two of the identity's
+    four fixed points, so its row reads M((1, 0, 2, 3), 2). Rows that come
+    from the program's own formula and break the laws are a defect of the
+    program, not a false claim: the command exits 2, not 1."""
+    assert run_cli(CATEGORIFIED_FIXED, capsys)[0] == 0
+
+    reads = plant_two_marks_on_one_offset(monkeypatch, (1, 0, 2, 3), 2)
+    code, out, err = run_cli(CATEGORIFIED_FIXED, capsys)
+    assert reads
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid action 'S4 on Q[2, 0, 0, 0]'")
+
+
+def plant_doubled_stabilizer(monkeypatch):
+    """The first orbit's stabilizer order doubled on its way into the
+    quotient skeleton."""
+    clean = categorified.skeleton_from_orbits
+
+    def doubled(orbits):
+        first, *rest = orbits
+        return clean([dataclasses.replace(first, stabilizer_order=2 * first.stabilizer_order), *rest])
+
+    monkeypatch.setattr(categorified, "skeleton_from_orbits", doubled)
+
+
+CATEGORIFIED_TWO_CYCLE = ["verify-categorified", "--n", "4", "--p", "0,1,0,0"]
+
+
+def test_quotient_skeleton_fault_fails_the_equivalence_and_spares_the_product(capsys, monkeypatch):
+    code, out, _ = run_cli(CATEGORIFIED_TWO_CYCLE, capsys)
+    assert code == 0
+    clean = json.loads(out)
+
+    plant_doubled_stabilizer(monkeypatch)
+    code, out, _ = run_cli(CATEGORIFIED_TWO_CYCLE, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equivalent"] is False
+    assert payload["lhs_card"] != clean["lhs_card"]
+    for field in ("bridge_check", "rhs_card", "rhs_skeleton", "q_size"):
+        assert payload[field] == clean[field]
