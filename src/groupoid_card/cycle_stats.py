@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import permutations
 from .groupoids import rational_str
@@ -43,6 +43,13 @@ METHOD_MONTE_CARLO = "monte_carlo"
 # Largest degree the Monte Carlo route samples: each sample holds an image
 # list and a mark list of this length.
 MONTE_CARLO_MAX_N = 100_000
+# The Monte Carlo route rule (see monte_carlo_moments), measured at
+# n = 10..256 on a 2-core x86-64 host, Python 3.11: a sample's power costs
+# about a walk of this many points, a divisor's fixed points three times that.
+_POWER_POINTS = 5
+# Key entries (samples times key length) tallied before the tally is folded
+# into the sums, so that it holds O(n) values.
+_TALLY_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -354,40 +361,27 @@ def check_monte_carlo_degree(n: int) -> None:
         raise CapExceededError(f"degree {n} exceeds Monte Carlo cap {MONTE_CARLO_MAX_N}")
 
 
-def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed: int) -> list[MomentReport]:
-    """Sample mean and standard error of prod_k c_k^(p_k falling), one report
-    per p-vector in ps, all read from one stream of uniform permutations.
+def _cycle_counts(lengths: list[int], divisors: list[int], fixes: Sequence[int]) -> list[int]:
+    """c_k for each k in lengths, from fix(σ^d) = sum_{j | d} j c_j for each d
+    in divisors, which holds every divisor of every k: solved for d c_d in
+    increasing d (Möbius inversion)."""
+    points: dict[int, int] = {}  # d -> d c_d, the points on d-cycles
+    for d, fix in zip(divisors, fixes):
+        points[d] = fix - sum(count for j, count in points.items() if d % j == 0)
+    return [points[k] // k for k in lengths]
 
-    Each sample re-shuffles the previous sample's images in place, and each
-    report's sums are exact integers, so every report equals the one a run
-    with its p-vector alone gives. Deterministic given (n, ps, samples, seed).
 
-    The samples are the passes of one `SplitMix64.shuffles` run: one lane
-    block holds the draws of ⌊1024/(n-1)⌋ whole passes (10 at n = 100), and
-    its rejection test adds a bound product cached per block size. A block
-    that holds a draw an unbiased `below` might reject is replayed with one
-    `below(i + 1)` call per step, so every sample equals the one a separate
-    `shuffle` call per sample gives.
-
-    The seed must lie in 0..2^64-1, the states SplitMix64 has: any other
-    integer would be read mod 2^64 and reported as given, so it is refused.
-    """
-    check_monte_carlo_degree(n)
-    pvecs = [validate_pvector(n, p) for p in ps]
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
-    needs = [[(k, pk) for k, pk in enumerate(pvec, start=1) if pk] for pvec in pvecs]
-    longest = max((k for need in needs for k, _ in need), default=0)
-    images = list(range(n))
-    # A point is visited in this sample when its mark holds the sample's stamp,
-    # so one list serves every sample without clearing.
+def _walked_counts(images: list[int], passes: Iterator[None], lengths: list[int]) -> Iterator[tuple[int, ...]]:
+    """After each pass, the number of cycles of each length in lengths, from
+    one walk of every cycle. A point is visited in this sample when its mark
+    holds the sample's stamp, so one mark list serves every sample. Keys are
+    (*map(...),): each tuple(map(...)) would be shrunk, and CPython would
+    keep 2 000 of them on a free list (0.1 MB at length 4)."""
+    n = len(images)
+    top = lengths[-1]
     mark = [0] * n
-    totals = [0] * len(pvecs)
-    totals_sq = [0] * len(pvecs)
-    for stamp, _ in enumerate(SplitMix64(seed).shuffles(images, samples), start=1):
-        counts = [0] * (longest + 1)
+    for stamp, _ in enumerate(passes, start=1):
+        counts = [0] * (top + 1)
         for start in range(n):
             if mark[start] == stamp:
                 continue
@@ -398,16 +392,94 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
                 mark[entry] = stamp
                 entry = images[entry]
                 length += 1
-            if length <= longest:
+            if length <= top:
                 counts[length] += 1
-        for i, need in enumerate(needs):
-            value = 1
-            for k, pk in need:
-                value *= falling_power(counts[k], pk)
-                if value == 0:
-                    break
-            totals[i] += value
-            totals_sq[i] += value * value
+        yield (*map(counts.__getitem__, lengths),)
+
+
+def _fixed_point_counts(images: list[int], passes: Iterator[None], divisors: list[int]) -> Iterator[tuple[int, ...]]:
+    """After each pass, fix(σ^d) for each d in divisors, 1 first, where σ is
+    the image list of at most 256 points: σ^d is σ^(d-1) translated through
+    σ's bytes, and i is fixed by σ^d when its byte in σ^d XOR the identity's
+    bytes is 0."""
+    n = len(images)
+    pad = bytes(256 - n)
+    identity = int.from_bytes(bytes(range(n)) * len(divisors), "little")
+    size = n * len(divisors)
+    steps = [d in divisors for d in range(2, divisors[-1] + 1)]
+    starts = range(0, size, n)
+    ends = range(n, size + 1, n)
+    zeros = [0] * len(divisors)
+    for _ in passes:
+        power = powers = bytearray(images)
+        table = powers + pad
+        for wanted in steps:
+            power = power.translate(table)
+            if wanted:
+                powers += power
+        moved = (int.from_bytes(powers, "little") ^ identity).to_bytes(size, "little")
+        yield (*map(moved.count, zeros, starts, ends),)
+
+
+def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed: int) -> list[MomentReport]:
+    """Sample mean and standard error of prod_k c_k^(p_k falling), one report
+    per p-vector in ps, all read from one stream of uniform permutations.
+
+    The samples are the passes of one `SplitMix64.shuffles` run over one
+    image list, so each equals the one a separate `shuffle` call per sample
+    gives; each report's sums are exact integers, so it equals the report of
+    a run with its p-vector alone. Deterministic given (n, ps, samples, seed).
+
+    Only the lengths k chosen by a p-vector of weight at most n are counted:
+    a heavier one reads 0 on every permutation. Let top be the longest and m
+    the number of their divisors. When n <= 256 and
+    _POWER_POINTS * (top + 3 m) <= n (at n = 100: k = 1, 2, 3, 5 and the four
+    together), a sample's key is fix(σ^d) for each divisor d, from
+    byte-translated powers (`_fixed_point_counts`), inverted to c_k by
+    `_cycle_counts`; else it is the counts of the chosen lengths, from a
+    walk of every cycle (`_walked_counts`). The keys are tallied in runs of
+    about _TALLY_ENTRIES counts, and the falling-power products and their
+    squares are added once per distinct key of a run.
+
+    The seed must lie in 0..2^64-1, the states SplitMix64 has: any other
+    integer would be read mod 2^64 and reported as given, so it is refused.
+    """
+    check_monte_carlo_degree(n)
+    pvecs = [validate_pvector(n, p) for p in ps]
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+    live = [(i, pvec) for i, pvec in enumerate(pvecs) if weight(pvec) <= n]
+    lengths = sorted({k for _, pvec in live for k in itertools.compress(range(1, n + 1), pvec)})
+    position = {k: j for j, k in enumerate(lengths)}
+    needs = [(i, [(position[k], pvec[k - 1]) for k in itertools.compress(range(1, n + 1), pvec)]) for i, pvec in live]
+    # Bytes name at most 256 points.
+    divisors = sorted({d for k in lengths for d in range(1, k + 1) if k % d == 0}) if n <= 256 else []
+    images = list(range(n))
+    passes = SplitMix64(seed).shuffles(images, samples)
+    # counts_of(key) lists c_k for the chosen lengths; a walk's key is that list.
+    counts_of = tuple
+    if not lengths:
+        keys = itertools.repeat((), samples)
+    elif divisors and _POWER_POINTS * (lengths[-1] + 3 * len(divisors)) <= n:
+        keys = _fixed_point_counts(images, passes, divisors)
+        counts_of = functools.partial(_cycle_counts, lengths, divisors)
+    else:
+        keys = _walked_counts(images, passes, lengths)
+    totals = [0] * len(pvecs)
+    totals_sq = [0] * len(pvecs)
+    # A key holds at most max(len(lengths), len(divisors)) counts.
+    fold = max(_TALLY_ENTRIES // max(len(lengths), len(divisors), 1), 1)
+    for _ in range(0, samples, fold):
+        for key, count in Counter(itertools.islice(keys, fold)).items():
+            counts = counts_of(key)
+            for i, need in needs:
+                value = 1
+                for j, pk in need:
+                    value *= falling_power(counts[j], pk)
+                totals[i] += count * value
+                totals_sq[i] += count * value * value
     reports = []
     for pvec, total, total_sq in zip(pvecs, totals, totals_sq):
         variance = (total_sq - total * total / samples) / (samples - 1)

@@ -418,7 +418,8 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
 
     Every fiber size must be listed, and a transport must be listed for every
     (h, g) with a nonempty fiber at g; the empty bijection out of an empty
-    fiber is the only omission allowed (it is forced, not inferred). The
+    fiber is the only omission allowed (it is forced, not inferred), and the
+    only entry such a fiber may list, for every h. The
     shape is checked here, so malformed input raises ValueError; "S<n>" is
     capped at DEFAULT_ENUMERATION_CAP, read at call time, like every
     enumeration."""
@@ -486,6 +487,8 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
             if not set(map(type, entry)) <= {int}:
                 for x in entry:
                     json_int(x, f"transport entry for (h={h}, g={g})")
+            if entry and not sizes[g]:
+                raise ValueError(f"transport for (h={h}, g={g}) must be empty: the fiber at g={g} is empty")
             table[(h, g)] = tuple(entry)
 
     return EquivariantFunctor(

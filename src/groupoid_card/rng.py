@@ -6,11 +6,13 @@ its state alone. `SplitMix64.shuffles` uses this to compute the draws of many
 Fisher-Yates passes together. A run of passes over n items is one stream of
 n - 1 steps per pass, cut into blocks: a block holds ⌊`_LANES_MAX`/(n-1)⌋
 whole passes, or `_LANES_MAX` steps when one pass is longer than that. A
-block's counters go into 128-bit slots of one Python int. The mixer's three
-xor-shifts and two 64-bit multiplies then run on all slots at once, with an
-AND by a repeated 64-bit mask around each multiply: a 64 x 64-bit product
-fills at most its own slot, so no slot spills into the next. The draws are
-unpacked with `int.to_bytes` and `array`.
+block's counters go into 128-bit slots of one Python int: built from the
+state with one multiply, or, after a full block drawn whole, carried on from
+that block's with one add of block·γ in every slot and one mask. The
+mixer's three xor-shifts and two 64-bit multiplies then run on all slots at
+once, with an AND by a repeated 64-bit mask around each multiply: a
+64 x 64-bit product fills at most its own slot, so no slot spills into the
+next. The draws are unpacked with `int.to_bytes` and `array`.
 
 The unbiased draw below a bound rejects a draw only when it is at least
 2^64 - (2^64 mod bound), which is above 2^64 - n for every bound up to n, the
@@ -60,12 +62,17 @@ def _lane_bound(lanes: int, bound: int) -> int:
     return bound * _lane_constants(lanes)[0]
 
 
-def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
-    """The lanes draws that follow state, or None when one of them is at least
+def _lane_counters(state: int, lanes: int) -> int:
+    """The counters of the lanes draws that follow state, one per slot."""
+    ones, mask, _, offsets = _lane_constants(lanes)
+    return (state * ones + offsets) & mask
+
+
+def _lane_mix(z: int, lanes: int, bound: int) -> array | None:
+    """The draws of the lane counters z, or None when one of them is at least
     2^64 - bound, so that an unbiased draw below some bound up to this one
     might reject it."""
-    ones, mask, carries, offsets = _lane_constants(lanes)
-    z = (state * ones + offsets) & mask
+    _, mask, carries, _ = _lane_constants(lanes)
     z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
     z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
     # The last shift leaves the next slot's low 31 bits in bits 97 to 127 of
@@ -79,6 +86,11 @@ def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
     if sys.byteorder == "big":
         words.byteswap()
     return words[:: _SLOT_BYTES // 8]
+
+
+def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
+    """The lanes draws that follow state, as `_lane_mix` gives them."""
+    return _lane_mix(_lane_counters(state, lanes), lanes, bound)
 
 
 class SplitMix64:
@@ -130,19 +142,28 @@ class SplitMix64:
                 yield
             return
         block = _LANES_MAX // steps * steps or _LANES_MAX
+        ones, mask, _, _ = _lane_constants(block)
+        advance = ((block * _GAMMA) & _MASK64) * ones
+        # A block's lane counters are the last block's plus block·γ in every
+        # slot when that block was full and drawn whole, else None.
+        counters = None
         left = passes * steps
         top = steps  # the index the next step swaps
         while left > 0:
             lanes = min(block, left)
             left -= lanes
-            draws = _lane_draws(self._state, lanes, steps + 1)
+            if counters is None or lanes < block:
+                counters = _lane_counters(self._state, lanes)
+            draws = _lane_mix(counters, lanes, steps + 1)
             if draws is None:
+                counters = None
                 # Replay the block's steps from the state before it, one
                 # below(i + 1) call each, drawn as the swaps reach them.
                 bounds = chain(range(top + 1, 1, -1), cycle(range(steps + 1, 1, -1)))
                 js = map(self.below, islice(bounds, lanes))
             else:
                 js = iter(draws)
+                counters = (counters + advance) & mask
             while lanes:
                 run = min(top, lanes)
                 for i, j in zip(range(top, top - run, -1), js):

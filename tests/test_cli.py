@@ -473,6 +473,23 @@ def test_theorem_general_functor_file(tmp_path, capsys):
     assert json.loads(out)["equal"] is True
 
 
+@pytest.mark.parametrize("h", ["0", "1"])
+def test_functor_file_listing_a_point_on_an_empty_fiber_exits_2(tmp_path, capsys, h):
+    """On Z2 with F(1) empty, a transport [5] listed out of F(1) is refused
+    under either h, not only under the identity, whose check reads it."""
+    data = {
+        "group": to_cayley_json(make_cyclic(2)),
+        "fibers": {"0": 1, "1": 0},
+        "transports": {"0": {"0": [0]}, "1": {"0": [0]}},
+    }
+    data["transports"][h]["1"] = [5]
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"transport for (h={h}, g=1) must be empty: the fiber at g=1 is empty" in err
+
+
 def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, capsys):
     """An S7 functor with one point, in F(e), takes the row compare: it
     conjugates e by each of the 5 040 elements, and keeps no conjugation row

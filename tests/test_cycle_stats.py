@@ -251,6 +251,65 @@ def test_monte_carlo_matches_literal_walk(seed):
     assert monte_carlo_moment(1, (1,), 2, seed) == literal_monte_carlo(1, (1,), 2, seed)
 
 
+def pvec(n, entries):
+    """The p-vector of degree n with p_k = entries[k]."""
+    return tuple(entries.get(k, 0) for k in range(1, n + 1))
+
+
+def route_cases():
+    """(n, ps, sampler) for the route rule: small degrees, the translate
+    limit n = 256 and one past it, each with a falling square (p_1 = 2), a
+    p-vector of weight above n and a mix of four statistics; and at n = 100
+    and 256 one chosen length whose powers cost, by the rule
+    5 (top + 3 m) <= n, just below, exactly at and above the limit."""
+    cases = [(0, [()], None), (1, [(1,), (2,), (0,)], "_walked_counts")]
+    for n, sampler in ((2, "_walked_counts"), (3, "_walked_counts"), (100, "_fixed_point_counts"),
+                       (256, "_fixed_point_counts"), (257, "_walked_counts")):
+        mix = [pvec(n, {1: 1}), pvec(n, {2: 1}), pvec(n, {1: 1, 2: 1}), pvec(n, {min(n, 5): 1})]
+        cases.append((n, [pvec(n, {1: 2}), pvec(n, {n: 1, 1: 1}), *mix], sampler))
+    for n, below, at, above in ((100, 13, 8, 10), (256, 39, None, 47)):
+        for k, sampler in ((below, "_fixed_point_counts"), (at, "_fixed_point_counts"), (above, "_walked_counts")):
+            if k is not None:
+                cases.append((n, [pvec(n, {k: 1}), pvec(n, {k: 1, 1: 1})], sampler))
+    return cases
+
+
+@pytest.mark.parametrize("n, ps, sampler", route_cases())
+def test_monte_carlo_routes_match_literal_walk(monkeypatch, n, ps, sampler):
+    """Each route gives the literal oracle's reports, and the rule picks the
+    route named."""
+    ran = []
+    for name in ("_fixed_point_counts", "_walked_counts"):
+        original = getattr(cycle_stats, name)
+        monkeypatch.setattr(cycle_stats, name, lambda *args, _f=original, _name=name: ran.append(_name) or _f(*args))
+    samples = 200 if n < 100 else 40
+    for seed in (3, 2**64 - 2):
+        ran.clear()
+        assert monte_carlo_moments(n, ps, samples, seed) == [literal_monte_carlo(n, p, samples, seed) for p in ps]
+        assert ran == ([sampler] if sampler else [])
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+def test_monte_carlo_tally_fold_size_leaves_reports_equal(monkeypatch, fold):
+    for n in (100, 257):
+        ps = [pvec(n, {1: 1}), pvec(n, {2: 1}), pvec(n, {1: 2, 3: 1}), pvec(n, {5: 1})]
+        clean = monte_carlo_moments(n, ps, 301, seed=11)
+        monkeypatch.setattr(cycle_stats, "_TALLY_ENTRIES", fold)
+        assert monte_carlo_moments(n, ps, 301, seed=11) == clean
+        monkeypatch.undo()
+
+
+@given(st.integers(1, 256).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.integers(1, min(n, 40)), min_size=1, max_size=4, unique=True).map(sorted))))
+def test_mobius_counts_equal_cycle_decomposition(case):
+    images, lengths = case
+    divisors = sorted({d for k in lengths for d in range(1, k + 1) if k % d == 0})
+    (fixes,) = cycle_stats._fixed_point_counts(list(images), iter([None]), divisors)
+    cycle_lengths = [len(c) for c in cycle_decomposition(Permutation(tuple(images)))]
+    assert list(fixes) == [sum(length for length in cycle_lengths if d % length == 0) for d in divisors]
+    assert cycle_stats._cycle_counts(lengths, divisors, fixes) == [cycle_lengths.count(k) for k in lengths]
+
+
 def test_monte_carlo_moments_edge_cases():
     assert monte_carlo_moments(30, [], 10, seed=1) == []
     assert monte_carlo_moments(0, [()], 2, seed=1)[0].estimate == 1.0

@@ -550,12 +550,22 @@ def test_functor_json_reports_its_first_fiber_size_defect():
 
 def test_functor_json_stores_only_the_transports_it_lists():
     """An unlisted transport out of an empty fiber reads as the empty
-    bijection, and a listed one as listed, even when it is not one: the
-    laws never read a transport out of an empty fiber."""
-    data = {"group": "S3", "fibers": {str(g): 0 for g in range(6)}, "transports": {"1": {"2": [0]}}}
+    bijection, and so does a listed empty one."""
+    data = {"group": "S3", "fibers": {str(g): 0 for g in range(6)}, "transports": {"1": {"2": []}}}
     functor = functor_from_json(data)
-    assert [functor.transport(h, g) for h in range(6) for g in range(6)] == [()] * 8 + [(0,)] + [()] * 27
+    assert [functor.transport(h, g) for h in range(6) for g in range(6)] == [()] * 36
     assert validate_functor(functor).ok
+
+
+@pytest.mark.parametrize("h", range(6))
+def test_functor_json_refuses_a_point_listed_on_an_empty_fiber(h):
+    """The laws never read a transport out of an empty fiber but at the
+    identity, so a nonempty entry there is refused as it is read, for every h."""
+    data = {"group": "S3", "fibers": {str(g): int(g == 0) for g in range(6)},
+            "transports": {str(x): {"0": [0]} for x in range(6)}}
+    data["transports"][str(h)]["2"] = [0]
+    with pytest.raises(ValueError, match=rf"^transport for \(h={h}, g=2\) must be empty: the fiber at g=2 is empty$"):
+        functor_from_json(data)
 
 
 def test_fiber_sizes_must_cover_group():

@@ -54,6 +54,33 @@ def test_cycle_type_fault_fails_stats(capsys, monkeypatch):
     assert not any(row["equal"] for row in payload["per_k"])
 
 
+def plant_one_permutation_moved(monkeypatch):
+    """One permutation moved in the brute histogram, from its last cycle-count
+    vector (at n = 5 the identity's, five fixed points) to its first (the
+    5-cycles', none): the total stays n!, the fixed points fall by 5."""
+    clean = cycle_stats.cycle_count_histogram
+
+    def moved(n):
+        (first, a), *middle, (last, b) = clean(n)
+        return ((first, a + 1), *middle, (last, b - 1))
+
+    monkeypatch.setattr(cycle_stats, "cycle_count_histogram", moved)
+
+
+def test_brute_fault_fails_the_lemma_and_spares_the_cycle_type_sum(capsys, monkeypatch):
+    clean_type = run_cli(LEMMA + ["cycle-type"], capsys)
+    assert clean_type[0] == 0
+    assert run_cli(LEMMA + ["brute"], capsys)[0] == 0
+
+    plant_one_permutation_moved(monkeypatch)
+    code, out, _ = run_cli(LEMMA + ["brute"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    assert (payload["lhs"], payload["rhs"]) == ("23/24", "1/1")
+    assert run_cli(LEMMA + ["cycle-type"], capsys) == clean_type
+
+
 def plant_two_marks_on_one_offset(monkeypatch, pi, r):
     """M(pi, r) sends its second r-permutation where it sends its first, so
     a generator row that reads it is no permutation; the maps are built into
