@@ -10,7 +10,6 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .cycle_stats import decorated_permutation_counts
-from . import groupoids, permutations
+from . import permutations
 from .groups import FiniteGroup, SymmetricGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
     GroupAction,
@@ -28,6 +27,7 @@ from .groupoids import (
     cardinality_via_outdegrees,
     orbit_decomposition,
     rational_str,
+    refuse_walk_above_cap,
     skeleton_from_orbits,
 )
 from .permutations import (
@@ -49,8 +49,9 @@ class EquivariantFunctor:
     """Extensional functor data: fiber sizes per element plus a transport map.
 
     transport(h, g) must return the image array of a bijection
-    F(g) -> F(h g h^-1); validate_functor checks each array it reads. A
-    constructor whose transport is a formula passes _presented=True, as
+    F(g) -> F(h g h^-1); validate_functor checks each array it reads, and
+    reads none out of an empty fiber, whose only bijection is the empty
+    one. A constructor whose transport is a formula passes _presented=True, as
     GroupAction's constructors do, so that its check reads only the
     generators' transports. Only validate_functor sets the report and the
     category of elements.
@@ -118,144 +119,116 @@ class FunctorValidationError(ValueError):
 
 
 def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
-    """Check fiber-size conjugation invariance, identity transports, and the
-    composition law transport(h2, h1 g h1^-1) o transport(h1, g) =
-    transport(h2 h1, g), from every transport the check rests on.
+    """Check the functor as its category of elements, from every transport
+    the check rests on.
 
-    Composition is the compatibility law of the category-of-elements action,
-    whose row h sends (g, x) to (h g h^-1, transport(h, g)(x)). So the check
-    reads what only a functor has, lays out the action's rows in one place,
-    where a transport that is no bijection fills its fiber's slots with a
-    mark of its own below the carrier, and runs the action's route
-    (GroupAction._check) on them under the functor's cap, with the same
-    handling of a failed walk. Over the k generators s of
-    FiniteGroup.generators() either way, fiber sizes are compared under
-    their conjugation rows: conjugation by s h is conjugation by h, then by
-    s. The walk check, for a _presented functor, reads the generators'
-    transports and walks each orbit of the category of elements, k |G| +
-    k * total + (k + 1) |G| reads an orbit for total fiber size; identity
-    transports hold by construction. The row compare, for every other
-    functor, reads the identity transports and every transport, then
-    compares every row with h2 a generator (first_law_failure), (k + 1) |G|
-    (1 + total) reads; a pass reports k |G| + |G| + k |G| * total checks. It
-    conjugates only the g of nonempty fibers, |G| conjugations per such g,
-    with mul and inv, and keeps no conjugation row but the generators'. A
-    failure is witnessed by the lowest failing (h, g) or (h2, h1, g) in
-    lexicographic order, a triple failing when it reads a broken transport,
-    or by the first broken generator transport or broken edge of the walk,
-    with the checks up to it. The result is cached on the functor, and so is
-    the action the check ran, with its report and the orbits its walk found,
-    which category_of_elements returns."""
+    The action laws of the category of elements, whose row h sends (g, x)
+    to (h g h^-1, transport(h, g)(x)), are the functor laws: transport(e, g)
+    is the identity, and transport(h2, h1 g h1^-1) o transport(h1, g) =
+    transport(h2 h1, g). A transport out of a nonempty fiber onto a fiber
+    of another size is no bijection, so the laws force conjugation-invariant
+    fiber sizes too. The check lays out the action's rows, where a
+    transport that is no bijection fills its fiber's slots with a mark of
+    its own below the carrier, runs GroupAction.validate on them, which
+    picks the route by the functor's kind, and maps that report, with its
+    check count, back to the functor.
+
+    A _presented functor takes the walk check: the k generators'
+    transports, then each orbit of the category of elements, k * total +
+    (k + 1) |G| reads an orbit for total fiber size. Every other functor
+    takes the row compare: the identity transports, then every transport,
+    each row compared with h2 a generator (first_law_failure),
+    total (1 + (k + 1) |G|) reads. Only transports out of nonempty fibers
+    are read. A failure is witnessed by the first broken generator transport
+    or broken edge of the walk, or by the lowest failing g or (h2, h1, g)
+    of the row compare in lexicographic order, a triple failing when it
+    reads a broken transport. The result is cached on the functor, and so
+    is the action the check ran, named after the functor so that a refusal
+    names it, with its report and the orbits its walk found, which
+    category_of_elements returns."""
     if functor._validation is None:
-        report = _check(functor, functor._presented)
-        if functor._presented and not report.ok and _row_compare_cost(functor) <= groupoids.DEFAULT_CHECK_CAP:
-            report = _check(functor, False)
-        functor._validation = report
+        functor._validation = _check(functor)
     return functor._validation
 
 
-def _row_compare_cost(functor: EquivariantFunctor) -> int:
-    group = functor.group
-    return (len(group.generators()) + 1) * group.order * (1 + functor.total_size)
-
-
-def _refuse_walk_above_cap(name: str, group: FiniteGroup, total: int, orbits: int) -> None:
-    """Raise CapExceededError when the walk check of a functor named name,
-    over the k generators of group, of total fiber size, would read more
-    than DEFAULT_CHECK_CAP values through its orbits-th orbit: k |G| fiber
-    sizes, then the walk of its category of elements. A built-in
-    constructor knows its total and a lower bound on its orbits before it
-    builds a fiber, and calls it first."""
-    groupoids.refuse_walk_above_cap(name, group, total, orbits, spent=len(group.generators()) * group.order)
-
-
-def _check(functor: EquivariantFunctor, walk: bool) -> FunctorValidation:
-    """The walk check, or the row compare when walk is False. Every row of
-    the category of elements, read by the check or later, is laid out by the
-    one row function here; after the check it raises the ValueError of a
-    broken transport in place of its mark."""
-    group, sizes, total = functor.group, functor.fiber_sizes, functor.total_size
-    order, mul, generators = group.order, group.mul, group.generators()
-    checks = len(generators) * order
-
-    def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
-        return FunctorValidation(False, checks, law, witness, message)
-
-    targets = {s: group.conjugation_row(s) for s in generators}
-    listed = list(sizes)
-    if any([sizes[t] for t in targets[s]] != listed for s in generators):
-        # Some conjugation moves a fiber size: scan the generators, or for
-        # the lowest witness every (h, g), in lexicographic order, keeping no row.
-        checks = 0
-        for h in generators if walk else range(order):
-            hinv = group.inv(h)
-            for g in range(order):
-                checks += 1
-                target = mul(mul(h, g), hinv)
-                if sizes[g] != sizes[target]:
-                    return failed("fiber_size", (h, g),
-                                  f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
-
-    # The composition law is vacuous on empty fibers, so only populated ones count.
-    nonempty = [g for g in range(order) if sizes[g]]
-    if not walk:
-        for g in range(order):
-            checks += 1
-            arr = _transport(functor, group.identity, g, g)
-            if isinstance(arr, ValueError):
-                return failed("bijection", (group.identity, g), str(arr))
-            if arr != tuple(range(sizes[g])):
-                return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
-        if nonempty:
-            groupoids._refuse_above_cap(repr(functor.name), _row_compare_cost(functor))
+def _check(functor: EquivariantFunctor) -> FunctorValidation:
+    """Lay out the category of elements, validate it and read its report as
+    the functor's. Every row of the category of elements, read by the check
+    or later, is laid out by the one row function here; after the check it
+    raises the ValueError of a broken transport in place of its mark."""
+    group, sizes = functor.group, functor.fiber_sizes
+    mul = group.mul
+    # The laws are vacuous on empty fibers, so only populated ones count.
+    nonempty = [g for g in range(group.order) if sizes[g]]
 
     # Row h, fiber after fiber. A broken transport (no bijection) is kept and
     # its slots hold a mark of its own, -1, -2, ..., below the carrier, until
     # validate_functor keeps its report; a later read raises its ValueError.
-    # h g h^-1 comes from the generators' conjugation rows, else mul and inv.
+    # h g h^-1 is read from the group's conjugation row h for a formula
+    # functor, whose transports read that row too and whose check reads the
+    # generators' rows only; a data functor's row compare reads every row, so
+    # it conjugates the g of nonempty fibers with mul and inv, keeping no row.
     offsets = list(itertools.accumulate(sizes, initial=0))
     broken: dict[tuple[int, int], ValueError] = {}
 
     def row(h: int) -> list[int]:
-        conj = targets.get(h)
-        if conj is None:
+        if functor._presented:
+            conj = group.conjugation_row(h)
+        else:
             hinv = group.inv(h)
             conj = {g: mul(mul(h, g), hinv) for g in nonempty}
         laid: list[int] = []
         for g in nonempty:
-            arr = _transport(functor, h, g, conj[g])
+            target = conj[g]
+            arr = _transport(functor, h, g, target)
             if isinstance(arr, ValueError):
                 if functor._validation is not None:
                     raise arr
                 broken[h, g] = arr
                 laid += [-len(broken)] * sizes[g]
             else:
-                laid += map(offsets[conj[g]].__add__, arr)
+                laid += map(offsets[target].__add__, arr)
         return laid
 
-    afford = functools.partial(_refuse_walk_above_cap, functor.name, group, total)
-    action = functor._elements = GroupAction(group, total, row, f"elements({functor.name})", _presented=functor._presented)
-    report = action._check(afford if walk else None)
+    action = functor._elements = GroupAction(group, functor.total_size, row, functor.name, _presented=functor._presented)
+    report = action.validate()
     if report.ok:
-        return FunctorValidation(True, checks + (report.checks if walk else len(generators) * order * total))
-    if walk and broken:
-        # The walk stopped at the first generator row with a mark.
-        h, g = next(iter(broken))
-        return failed("bijection", (h, g), str(broken[h, g]))
-    if walk:
+        return FunctorValidation(True, report.checks)
+
+    def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
+        return FunctorValidation(False, report.checks, law, witness, message)
+
+    if report.witness is None:
+        # Only a mark leaves the carrier: the walk stopped at the first
+        # generator row holding one.
+        (h, g), error = next(iter(broken.items()))
+        return failed("bijection", (h, g), str(error))
+    if len(report.witness) == 1:
+        # The identity law fails first in the lowest g whose transport(e, g)
+        # is broken or moves a point.
+        e, point = group.identity, report.witness[0]
+        g = bisect.bisect_right(offsets, point) - 1
+        if (e, g) in broken:
+            return failed("bijection", (e, g), str(broken[e, g]))
+        arr = tuple(t - offsets[g] for t in action._rows[e][offsets[g]:offsets[g + 1]])
+        return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
+    if action._presented:
         point, s, h = report.witness
         g = bisect.bisect_right(offsets, point) - 1
-        checks += report.checks
-        return failed("walk", (s, h, g),
-                      f"walk from fiber element {point - offsets[g]} of F({g}) breaks at generator {s}, h={h}")
+        return failed("walk", (s, h, g), f"walk from fiber element {point - offsets[g]} of F({g}) breaks at generator {s}, h={h}")
     h2, h1, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
     # The witness is the lowest failing triple: the marks flag every triple
     # that reads a broken transport but (h2, e, g), whose second and combined
     # transports are one, and it lies above the failing (0, h2, g), or
-    # (0, 0, g) when h2 = 0 != e. A broken one is named first, second, combined.
-    checks += (h2 * order + h1) * total + offsets[g + 1]
-    for key in ((h1, g), (h2, mul(mul(h1, g), group.inv(h1))), (mul(h2, h1), g)):
+    # (0, 0, g) when h2 = 0 != e. A broken one is named first, second,
+    # combined; a key is formed only when the ones before it are not broken.
+    def keys():
+        yield h1, g
+        yield h2, mul(mul(h1, g), group.inv(h1))
+        yield mul(h2, h1), g
+
+    for key in keys():
         if key in broken:
             return failed("bijection", (h2, h1, g), str(broken[key]))
     return failed("composition", (h2, h1, g),
@@ -276,10 +249,11 @@ def expected_size(functor: EquivariantFunctor) -> Fraction:
 
 def category_of_elements(functor: EquivariantFunctor) -> GroupAction:
     """The group acting on all pairs (g, x in F(g)), fiber after fiber: h
-    sends (g, x) to (h g h^-1, transport(h, g)(x)). Carrier size is the total
-    fiber size. It is the action validate_functor checked, with the rows it
-    handed over (all, or the generators' only) and its one law report, so
-    validate reads no image again; other rows come from transport."""
+    sends (g, x) to (h g h^-1, transport(h, g)(x)), named after the functor.
+    Carrier size is the total fiber size. It is the action validate_functor
+    checked, with the rows it handed over (all, or the generators' only) and
+    its one law report, so validate reads no image again; other rows come
+    from transport."""
     _require_valid(functor)
     return functor._elements
 
@@ -363,7 +337,7 @@ def make_fixed_point_functor(n: int) -> EquivariantFunctor:
     # Each of the n points is fixed by (n - 1)! permutations: n! in all, none for n = 0.
     total = group.order if n else 0
     types = partition_counts(n - 1)[-1] if n else 0
-    _refuse_walk_above_cap(name, group, total, types)
+    refuse_walk_above_cap(name, group, total, types)
     fixed = [tuple(i for i, x in enumerate(images) if x == i) for images in group.image_table()]
     return _relabelling_functor(group, name, fixed, operator.getitem)
 
@@ -383,7 +357,7 @@ def make_cycle_tuple_functor(n: int, p: Sequence[int]) -> EquivariantFunctor:
     name = f"cycle-tuples(S{n}, p={list(pvec)})"
     total = decorated_permutation_counts(n, [pvec])[0]
     types = partition_counts(n - weight(pvec))[-1] if total else 0
-    _refuse_walk_above_cap(name, group, total, types)
+    refuse_walk_above_cap(name, group, total, types)
     choices = [list(list_cycle_tuples(group.permutation_at(g), pvec)) for g in group.elements()]
     return _relabelling_functor(group, name, choices, relabel_choice)
 

@@ -10,6 +10,7 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -143,8 +144,9 @@ class ActionValidation:
     ok: bool
     checks: int
     failure: Optional[str] = None
-    # A failure's (x, s, g) from the walk or (g, h, s) from the row compare;
-    # the failure message names it, so reports compare without it.
+    # A failure's (x, s, g) from the walk, (s,) from the identity law or
+    # (g, h, s) from the row compare; the failure message names it, so
+    # reports compare without it.
     witness: Optional[tuple] = field(default=None, compare=False)
     # Every image a report rests on is read: no law check samples.
     mode: ClassVar[str] = "exhaustive"
@@ -163,9 +165,7 @@ def first_law_failure(
     rows[g][s] of g acting on s break compatibility: rows[h][s] falls outside
     the carrier, or rows[g][rows[h][s]] != rows[g h][s], where g h is
     multiplication_row(g)[h]; None when there is none. It is the law check
-    of every action built from data, and it names the lowest failing triple
-    of a formula action whose walk check (walk_orbits) failed, when it fits
-    under the check cap.
+    of every action built from data.
 
     The generators must generate the group (FiniteGroup.generators() does),
     and the caller has checked that the identity's row is the
@@ -214,16 +214,16 @@ def _refuse_above_cap(what: str, cost: int) -> None:
         raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
 
 
-def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int, spent: int = 0) -> None:
+def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int) -> None:
     """Raise CapExceededError when the walk check of an action named name,
     of group over its k generators() on size points, would read more than
-    DEFAULT_CHECK_CAP values through its orbits-th orbit, its caller's spent
-    reads included: spent + k * size + (k + 1) * |G| * orbits. A constructor
-    that knows its carrier's size and a lower bound on its orbits can call
-    it before building anything: the generators are read, and no spanning
-    tree is built."""
+    DEFAULT_CHECK_CAP values through its orbits-th orbit:
+    k * size + (k + 1) * |G| * orbits. A constructor that knows its
+    carrier's size and a lower bound on its orbits can call it before
+    building anything: the generators are read, and no spanning tree is
+    built."""
     k = len(group.generators())
-    _refuse_above_cap(repr(name), spent + k * size + (k + 1) * group.order * orbits)
+    _refuse_above_cap(repr(name), k * size + (k + 1) * group.order * orbits)
 
 
 @dataclass(eq=False)
@@ -274,52 +274,33 @@ class GroupAction:
         """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s),
         from every image the check rests on; the first result is cached.
 
-        The walk check, for a _presented action: the rows of the k
-        generators of FiniteGroup.generators() lie in the carrier, and
-        walk_orbits finds no broken edge from any orbit's smallest point,
-        k |S| + (k + 1) |G| reads an orbit. They then extend to exactly one
-        action, the one validated, and the orbits the walk found are kept.
-        The row compare, for every other action: the identity law, then
-        every row, compared over the same k generators (first_law_failure),
-        |S| + (k + 1) |G| |S| reads; a pass reports the |S| + k |G| |S|
-        checks made.
+        One route runs, chosen by the action's kind, with no fallback. The
+        walk check, for a _presented action: the rows of the k generators of
+        FiniteGroup.generators() lie in the carrier, and walk_orbits finds no
+        broken edge from any orbit's smallest point, k |S| + (k + 1) |G|
+        reads an orbit. They then extend to exactly one action, the one
+        validated, and the orbits the walk found are kept; a failed walk is
+        reported with its broken edge. The row compare, for every other
+        action: the identity law, then every row, compared over the same k
+        generators (first_law_failure), |S| + (k + 1) |G| |S| reads; a pass
+        reports the |S| + k |G| |S| checks made, a failure its lowest
+        failing triple.
 
         A check of more reads than DEFAULT_CHECK_CAP, read at call time,
         raises CapExceededError: the walk as soon as its next orbit would
-        pass it, the row compare after its identity law. A failed walk is
-        never refused: the row compare then names the lowest failing triple
-        when it fits under the cap, else the walk's broken edge is named.
+        pass it, the row compare after its identity law, so a failing
+        identity law is reported above the cap too.
         """
         if self._validation is None:
-            if not self._presented or not self._check(self._afford).ok and self._row_compare_cost() <= DEFAULT_CHECK_CAP:
-                # Above the cap a failing identity law is still reported.
-                if self._row_compare_cost() > DEFAULT_CHECK_CAP and self._identity_failure() is None:
-                    _refuse_above_cap(repr(self.name), self._row_compare_cost())
-                self._check(None)
+            self._validation = self._walk() if self._presented else self._compare_rows()
         return self._validation
 
-    def _check(self, afford: Optional[Callable[[int], None]]) -> ActionValidation:
-        """Run one route, with no fallback, and keep its report: the walk
-        check, which calls afford(m) before its m-th orbit (walk_orbits), or
-        else, with None, the row compare, identity law first, under a check
-        cap its caller has read."""
-        if afford is None:
-            self._validation = self._identity_failure() or self._compare_rows()
-        else:
-            self._validation = self._walk(afford)
-        return self._validation
-
-    def _afford(self, orbits: int) -> None:
-        refuse_walk_above_cap(self.name, self.group, self.carrier_size, orbits)
-
-    def _row_compare_cost(self) -> int:
-        return self.carrier_size * (1 + (len(self.group.generators()) + 1) * self.group.order)
-
-    def _walk(self, afford: Callable[[int], None]) -> ActionValidation:
+    def _walk(self) -> ActionValidation:
         size = self.carrier_size
         if not size:
             self._orbits = []
             return ActionValidation(True, 0)
+        afford = functools.partial(refuse_walk_above_cap, self.name, self.group, size)
         afford(1)
         tree = self.group.spanning_tree()
         generators, order = tree.generators, self.group.order
@@ -340,17 +321,16 @@ class GroupAction:
         return ActionValidation(False, checks, f"walk from s={x} breaks at generator {s}, g={g}: "
                                                f"act({s}, act({g}, {x})) != act({s}*{g}, {x})", witness)
 
-    def _identity_failure(self) -> Optional[ActionValidation]:
-        for s, t in enumerate(self._row(self.group.identity)):
-            if t != s:
-                return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}")
-        return None
-
     def _compare_rows(self) -> ActionValidation:
-        """The row compare after a passing identity law, whose |S| checks it counts."""
+        """The identity law, point by point, then the row compare under the
+        check cap."""
         group, size, order = self.group, self.carrier_size, self.group.order
-        rows = [self._row(g) for g in range(order)]
+        for s, t in enumerate(self._row(group.identity)):
+            if t != s:
+                return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}", (s,))
         generators = group.generators()
+        _refuse_above_cap(repr(self.name), size * (1 + (len(generators) + 1) * order))
+        rows = [self._row(g) for g in range(order)]
         witness = first_law_failure(rows, group.multiplication_row, generators)
         if witness is None:
             return ActionValidation(True, size + len(generators) * order * size)

@@ -21,7 +21,7 @@ from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.functors import functor_from_json
 from groupoid_card.permutations import DEFAULT_TYPE_TERM_CAP
-from groupoid_card.groups import SymmetricGroup, to_cayley_json, make_cyclic
+from groupoid_card.groups import SymmetricGroup, make_cyclic, make_symmetric, to_cayley_json
 
 
 def run_cli(args, capsys):
@@ -476,7 +476,7 @@ def test_theorem_general_functor_file(tmp_path, capsys):
 @pytest.mark.parametrize("h", ["0", "1"])
 def test_functor_file_listing_a_point_on_an_empty_fiber_exits_2(tmp_path, capsys, h):
     """On Z2 with F(1) empty, a transport [5] listed out of F(1) is refused
-    under either h, not only under the identity, whose check reads it."""
+    as it is read, under either h: no law check reads it."""
     data = {
         "group": to_cayley_json(make_cyclic(2)),
         "fibers": {"0": 1, "1": 0},
@@ -492,9 +492,8 @@ def test_functor_file_listing_a_point_on_an_empty_fiber_exits_2(tmp_path, capsys
 
 def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, capsys):
     """An S7 functor with one point, in F(e), takes the row compare: it
-    conjugates e by each of the 5 040 elements, and keeps no conjugation row
-    but the generators'. Keeping every row, 5 040 x 5 040 entries, peaked
-    above 200 MiB."""
+    conjugates e by each of the 5 040 elements, and keeps no conjugation
+    row. Keeping every row, 5 040 x 5 040 entries, peaked above 200 MiB."""
     data = {
         "group": "S7",
         "fibers": {str(g): int(g == 0) for g in range(5040)},
@@ -517,6 +516,36 @@ def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, c
         '"orbits": [{"representative": 0, "size": 1, "stabilizer_order": 5040}]}\n'
     )
     assert peak <= 32 * 2**20
+
+
+def test_misplaced_fiber_size_is_a_bijection_failure_within_the_row_compare_cap(tmp_path, capsys, monkeypatch):
+    """An S7 functor file whose one point sits in F((0 1)), rank 720, with
+    every transport out of it listed: the conjugates of the transposition
+    have empty fibers, so the first transport onto one, at h = 120, is no
+    bijection. The row compare names it with no more products than its cap
+    formula counts reads, total (1 + (k + 1) |G|) = 1 + 3 * 5 040: 2 a row
+    laid out and one multiplication row. A scan of every conjugation for a
+    moved fiber size made 1 231 202 products and took about 0.74 s on a
+    2-core machine, where this check takes about 0.05 s; an S8 file took
+    34 s."""
+    data = {
+        "group": "S7",
+        "fibers": {str(g): int(g == 720) for g in range(5040)},
+        "transports": {str(h): {"720": [0]} for h in range(5040)},
+    }
+    path = tmp_path / "misplaced.json"
+    path.write_text(json.dumps(data))
+    group, products = make_symmetric(7), []
+    mul = group.mul
+    monkeypatch.setattr(group, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    start = time.perf_counter()
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == ("functor validation failed (bijection law, witness (0, 120, 720)): transport(120, 720) = (0,) "
+                   "is not a bijection from a fiber of size 1 onto one of size 0\n")
+    assert len(products) <= 1 + 3 * 5040
+    assert elapsed < 0.4
 
 
 def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
@@ -550,8 +579,8 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     """Nothing is sampled: a law check that would read more than the check
     cap is refused with exit code 2, a message naming the cap, and no
     traceback. A JSON functor on the Cayley table of Z/4 (one greedy
-    generator) with 2-point fibers takes the row compare, which reads
-    (k + 1) |G| (1 + total) = 2 * 4 * 9 = 72 values; the built-in Q-action
+    generator) with 2-point fibers takes the row compare of its category of
+    elements, which reads total (1 + (k + 1) |G|) = 8 * 9 = 72 values; the built-in Q-action
     of S4 on 6 points reads 2 * 6 + 3 * 24 = 84 for the walk check of its
     one orbit."""
     parity = {
@@ -599,8 +628,8 @@ def test_categorified_carrier_above_the_check_cap_is_refused_before_it_is_built(
 def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsys, forbid, monkeypatch, argv, name):
     """Both S9 functors have 9! fiber points in all, and at least one orbit
     per cycle type with a point to carry, one per partition of 8; their
-    walk check would read 2 * 362 880 fiber sizes, 2 * 362 880 generator
-    images and 3 * 362 880 for each of 22 orbits, 25 401 600 values. The
+    walk check would read 2 * 362 880 generator images and 3 * 362 880 for
+    each of 22 orbits, 24 675 840 values. The
     total is known before any fiber is built, so the functor is refused
     first, with the refusal its check would give."""
     refuse = forbid(permutations.list_cycle_tuples)
@@ -609,7 +638,7 @@ def test_builtin_functor_above_the_check_cap_is_refused_before_it_is_built(capsy
     code, out, err = run_cli(["theorem-general", *argv], capsys)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == f"error: law check of {name!r} needs 25401600 reads, above the check cap 10000000\n"
+    assert err == f"error: law check of {name!r} needs 24675840 reads, above the check cap 10000000\n"
 
 
 def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
@@ -631,9 +660,9 @@ def test_degree_ten_builds_no_element_table(capsys, monkeypatch):
     assert (payload["q_size"], payload["lhs_card"], payload["bridge_check"]) == (0, "0/1", True)
     refusals = [
         (["verify-categorified", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"], "'S10 on Q[0, 0, 0, 0, 0, 0, 0, 0, 0, 1]' needs 11612160"),
-        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 341107200"),
+        (["theorem-general", "--builtin", "fixed-points", "--n", "10"], "'fixed-points(S10)' needs 333849600"),
         (["theorem-general", "--builtin", "cycle-tuples", "--n", "10", "--p", "0,0,0,0,0,0,0,0,0,1"],
-         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 18869760"),
+         "'cycle-tuples(S10, p=[0, 0, 0, 0, 0, 0, 0, 0, 0, 1])' needs 11612160"),
     ]
     for argv, needs in refusals:
         code, out, err = run_cli(argv, capsys)

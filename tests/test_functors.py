@@ -152,7 +152,7 @@ def test_fiber_size_invariance_violation():
     functor = EquivariantFunctor(group, tuple(sizes), lambda h, g: (0,), name="lopsided")
     report = validate_functor(functor)
     assert not report.ok
-    assert report.failing_law == "fiber_size"
+    assert report.failing_law == "bijection"
 
 
 def test_malformed_bijection_is_caught():
@@ -160,31 +160,35 @@ def test_malformed_bijection_is_caught():
     # that are no index, on both routes. sorted() let 0.0 through, and the
     # elements action's row check then raised a ValueError naming an action
     # the caller never built; "1" made sorted() raise TypeError.
+    # The row compare reads the identity transports first, the walk its one
+    # generator's, 1.
     group = make_cyclic(3)
     for images in [(0, 0), (0, 2), (1, -1), (0,), (0, 1, 2), (0.0, 1), (0, "1")]:
-        for presented in (False, True):
+        for presented, h in ((False, 0), (True, 1)):
             functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed", _presented=presented)
             report = validate_functor(functor)
             assert not report.ok
             assert report.failing_law == "bijection"
             assert report.message == (
-                f"transport(0, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
+                f"transport({h}, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
             )
-            assert report == reference_functor_validation(functor)
+            assert report == (FunctorValidation(False, 6, "bijection", (1, 0), report.message) if presented
+                              else reference_functor_validation(functor))
 
 
-def test_relator_bijection_failure_stands_when_the_row_compare_is_above_the_cap():
+def test_a_broken_generator_transport_fails_the_walk_under_a_cap_that_refuses_the_row_compare():
     """Z/3 over its one generator 1, with the generator's transport not a
-    bijection: the walk check would read 3 + 3 + (1 + 1) * 3 = 12 values
-    through its first orbit, and the row compare (1 + 1) * 3 * (1 + 3) = 24,
-    so under a cap of 20 the walk's bijection failure is the report."""
+    bijection: the walk check would read 3 + (1 + 1) * 3 = 9 values
+    through its first orbit, and the row compare 3 * (1 + (1 + 1) * 3) = 21,
+    so under a cap of 20 the walk's bijection failure is the report, after
+    its 3 generator images, and the row compare is refused."""
     group = make_cyclic(3)
     assert group.spanning_tree().generators == [1]
     functor = EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,), _presented=True)
     with law_caps(20):
         assert validate_functor(functor) == FunctorValidation(
             False, 3, "bijection", (1, 0), "transport(1, 0) = (1,) is not a bijection from a fiber of size 1 onto one of size 1")
-    with law_caps(23), pytest.raises(CapExceededError):
+    with law_caps(20), pytest.raises(CapExceededError):
         validate_functor(EquivariantFunctor(group, (1, 1, 1), functor.transport))
 
 
@@ -207,30 +211,29 @@ def test_triple_scan_finds_composition_before_a_broken_transport():
         return (0, 0) if (h, g) == (2, 1) else (1, 0) if h in (0, 2) else (0, 1)
 
     functor = EquivariantFunctor(group, (2, 2, 2), transport)
-    report = FunctorValidation(False, 8, "composition", (0, 0, 0), "composition law fails at (h2=0, h1=0, g=0), fiber element 0")
+    report = FunctorValidation(False, 7, "composition", (0, 0, 0), "composition law fails at (h2=0, h1=0, g=0), fiber element 0")
     assert validate_functor(functor) == report == reference_functor_validation(functor)
 
 
-def test_sampled_validation_mode():
+def test_the_fixed_point_walk_is_refused_one_read_below_its_count():
     """No sampled mode: the S4 fixed-point functor's walk check reads
-    k |G| + k * total + (k + 1) |G| * orbits = 2 * 24 + 2 * 24 + 3 * 24 * 3
-    = 312 values, one orbit per partition of the 3 points a fixed point
-    leaves; one read fewer in the cap refuses it."""
-    with law_caps(311):
-        with pytest.raises(CapExceededError, match="needs 312 reads, above the check cap 311"):
+    k * total + (k + 1) |G| * orbits = 2 * 24 + 3 * 24 * 3 = 264 values,
+    one orbit per partition of the 3 points a fixed point leaves; one read
+    fewer in the cap refuses it."""
+    with law_caps(263):
+        with pytest.raises(CapExceededError, match="needs 264 reads, above the check cap 263"):
             validate_functor(make_fixed_point_functor(4))
-    with law_caps(312):
-        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 312)
+    with law_caps(264):
+        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 264)
 
 
 def test_law_caps_switch_both_validators():
     """Both validators read the check cap from groupoids at call time, so
     one patch makes both refuse a row compare above it, and it ends with the
-    context. The row compare reads (k + 1) |G| (1 + total fiber size)
-    values for the functor and |S| + (k + 1) |G| |S| images for an action.
-    The category of elements keeps the report of the one law pass the
-    functor's check ran, under the functor's cap alone; the same action
-    checked afresh is refused."""
+    context. The functor's check is the row compare of its category of
+    elements, named after it, |S| + (k + 1) |G| |S| images for |S| its total
+    fiber size. The category of elements keeps the report of that one law
+    pass; the same action checked afresh is refused as the functor was."""
     group = make_symmetric(4)
     _, table = functor_tables(group)[1]
     sizes = tuple(len(table[(group.identity, g)]) for g in range(group.order))
@@ -238,7 +241,7 @@ def test_law_caps_switch_both_validators():
     def build():
         return EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)], name="centralizers(S4)")
 
-    functor_cost = 3 * 24 * (1 + sum(sizes))
+    functor_cost = sum(sizes) + 3 * 24 * sum(sizes)
     with law_caps(functor_cost - 1):
         with pytest.raises(CapExceededError, match=rf"'centralizers\(S4\)' needs {functor_cost} reads, above the check cap {functor_cost - 1}"):
             validate_functor(build())
@@ -246,21 +249,20 @@ def test_law_caps_switch_both_validators():
     with law_caps(functor_cost):
         assert validate_functor(functor).ok
         action = category_of_elements(functor)
-        action_cost = sum(sizes) + 3 * 24 * sum(sizes)
-        assert action_cost > functor_cost
+    with law_caps(functor_cost - 1):
         assert action.validate().ok
-        with pytest.raises(CapExceededError, match=rf"'elements\(centralizers\(S4\)\)' needs {action_cost} reads"):
+        with pytest.raises(CapExceededError, match=rf"'centralizers\(S4\)' needs {functor_cost} reads"):
             GroupAction(group, action.carrier_size, action.row, action.name).validate()
     assert GroupAction(group, action.carrier_size, action.row, action.name).validate().ok
 
 
 def test_n6_fixed_point_functor_is_exhaustive():
-    """Over the 2 generators of S6 the check reads 2 * 720 fiber sizes, the
-    2 * 720 generator images of the category of elements, and 3 * 720 tree
-    images and edge compares for each of its 7 orbits, where sampling once
-    drew 5 000 triples; its action keeps that report and those orbits."""
+    """Over the 2 generators of S6 the check reads the 2 * 720 generator
+    images of the category of elements, and 3 * 720 tree images and edge
+    compares for each of its 7 orbits, where sampling once drew 5 000
+    triples; its action keeps that report and those orbits."""
     functor = make_fixed_point_functor(6)
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + 2 * 720 + 3 * 720 * 7)
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + 3 * 720 * 7)
     action = category_of_elements(functor)
     assert action.validate() == ActionValidation(True, 2 * 720 + 3 * 720 * 7)
     assert sorted(action._rows) == sorted(action.group.generators()) and len(action._rows) == 2
@@ -333,12 +335,12 @@ def test_builtin_functor_refusal_is_the_refusal_of_its_check(build, n):
 
 
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
-    """A table-built functor is checked by the row compare: fiber sizes
-    under the k generators' conjugation rows, and composition over their
-    multiplication rows only; the targets of its transports are conjugated
-    with mul and inv, so no other conjugation row is read. The built-in
-    fixed-point functor reads the generators' conjugation rows only, and no
-    multiplication row. The group keeps the generators' rows and no other."""
+    """A table-built functor is checked by the row compare: composition
+    over the k generators' multiplication rows only; the targets of its
+    transports are conjugated with mul and inv, so no conjugation row is
+    read. The built-in fixed-point functor's transports read the
+    generators' conjugation rows only, and its walk no multiplication row.
+    The group keeps the generators' rows and no other."""
     builtin = make_fixed_point_functor(5)
     nonempty = [g for g in builtin.group.elements() if builtin.fiber_sizes[g]]
     table = {(h, g): builtin.transport(h, g) for h in builtin.group.elements() for g in nonempty}
@@ -353,11 +355,10 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     functor = EquivariantFunctor(group, builtin.fiber_sizes, lambda h, g: table.get((h, g), ()))
     total = functor.total_size
     assert total == 120
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 120 + 120 + 2 * 120 * total)
-    assert read == {"multiplication_row": generators, "conjugation_row": generators}
-    read["conjugation_row"].clear()
+    assert validate_functor(functor) == FunctorValidation(True, total + 2 * 120 * total)
+    assert read == {"multiplication_row": generators, "conjugation_row": []}
     # The walk reads the 2 generator rows and 5 orbits; each transport reads its generator's row.
-    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * 120 + 2 * total + 3 * 120 * 5)
+    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * total + 3 * 120 * 5)
     assert read["multiplication_row"] == generators
     assert set(read["conjugation_row"]) == set(generators)
     assert sorted(group._conjugation_table()) == sorted(generators)
@@ -559,8 +560,8 @@ def test_functor_json_stores_only_the_transports_it_lists():
 
 @pytest.mark.parametrize("h", range(6))
 def test_functor_json_refuses_a_point_listed_on_an_empty_fiber(h):
-    """The laws never read a transport out of an empty fiber but at the
-    identity, so a nonempty entry there is refused as it is read, for every h."""
+    """The laws never read a transport out of an empty fiber, so a nonempty
+    entry there is refused as it is read, for every h."""
     data = {"group": "S3", "fibers": {str(g): int(g == 0) for g in range(6)},
             "transports": {str(x): {"0": [0]} for x in range(6)}}
     data["transports"][str(h)]["2"] = [0]
@@ -595,61 +596,56 @@ def test_non_integral_fiber_size_is_refused_not_truncated():
 
 
 def reference_functor_validation(functor, check_cap=DEFAULT_CHECK_CAP):
-    """Literal per-triple validator: fiber sizes, identities, then every
-    (h2, h1, g) in lexicographic order; CapExceededError when the row compare
-    would read more than check_cap values."""
+    """Literal per-triple validator: the identity transports of the nonempty
+    fibers, then every (h2, h1, g) in lexicographic order, one check per
+    fiber element compared; CapExceededError when the row compare would
+    read more than check_cap values."""
     group, sizes = functor.group, functor.fiber_sizes
-    order = group.order
+    order, total = group.order, sum(sizes)
     checks = 0
 
     def failed(law, witness, message):
         return FunctorValidation(False, checks, failing_law=law, witness=witness, message=message)
 
-    for h in range(order):
-        for g in range(order):
-            checks += 1
-            target = group.conjugate(g, h)
-            if sizes[g] != sizes[target]:
-                return failed("fiber_size", (h, g),
-                              f"|F({g})| = {sizes[g]} but |F({target})| = {sizes[target]} after conjugating by {h}")
-    k = len(group.spanning_tree().generators)
-    checks = k * order
+    nonempty = [g for g in range(order) if sizes[g] > 0]
     e = group.identity
-    for g in range(order):
-        checks += 1
+    for g in nonempty:
         try:
             arr = checked_transport(functor, e, g)
         except ValueError as exc:
+            checks += 1
             return failed("bijection", (e, g), str(exc))
-        if arr != tuple(range(sizes[g])):
-            return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
+        for x in range(sizes[g]):
+            checks += 1
+            if arr[x] != x:
+                return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
 
     def composition(h2, h1, g):
+        nonlocal checks
         try:
             first = checked_transport(functor, h1, g)
             second = checked_transport(functor, h2, group.conjugate(g, h1))
             combined = checked_transport(functor, group.mul(h2, h1), g)
         except ValueError as exc:
+            checks += 1
             return "bijection", (h2, h1, g), str(exc)
         for x in range(sizes[g]):
+            checks += 1
             if combined[x] != second[first[x]]:
                 return ("composition", (h2, h1, g),
                         f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {x}")
         return None
 
-    nonempty = [g for g in range(order) if sizes[g] > 0]
-    if not nonempty:
-        return FunctorValidation(True, checks)
-    if (k + 1) * order * (1 + sum(sizes)) > check_cap:
+    k = len(group.spanning_tree().generators)
+    if total * (1 + (k + 1) * order) > check_cap:
         raise CapExceededError(f"above the check cap {check_cap}")
     for h2 in range(order):
         for h1 in range(order):
             for g in nonempty:
-                checks += sizes[g]
                 failure = composition(h2, h1, g)
                 if failure:
                     return failed(*failure)
-    return FunctorValidation(True, k * order + order + k * order * sum(sizes))
+    return FunctorValidation(True, total + k * order * total)
 
 
 def checked_transport(functor, h, g):
@@ -696,18 +692,17 @@ def functor_tables(group):
 ], ids=["S4", "Z2xS3", "cayley(Z2xS3)"])
 def test_row_compare_keeps_only_the_generators_conjugation_rows(make):
     """Table-built functors, passing and with one fiber size raised: the
-    row compare and the fiber-size failure scan conjugate with mul and inv,
-    so the group keeps the k generators' conjugation rows and no other."""
+    row compare conjugates with mul and inv, so the group keeps no
+    conjugation row, the k generators' included."""
     tables = functor_tables(make())  # their conjugates fill the rows of another instance
     group = make()
-    generators = group.spanning_tree().generators
     last = group.order - 1
     for sizes, table in tables:
         assert validate_functor(EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])).ok
         raised = sizes[:last] + (sizes[last] + 1,)
         report = validate_functor(EquivariantFunctor(group, raised, lambda h, g: table[(h, g)]))
-        assert report.failing_law == "fiber_size"
-    assert sorted(group._conjugation_table()) == sorted(generators)
+        assert report.failing_law == "bijection"
+    assert group._conjugation_table() == {}
 
 
 def twist_last_coset(group, sizes, table, c):
@@ -784,8 +779,8 @@ def test_functor_validation_matches_reference(name, data):
 
 @pytest.mark.parametrize("with_table", [True, False])
 def test_fiber_size_check_same_with_or_without_conjugation_table(with_table):
-    """One fiber size raised at each element in turn: the lowest (h, g) at
-    which a conjugation moves a fiber size is named, as the reference names
+    """One fiber size raised at each element in turn: the transport that
+    reads the moved size, no bijection, is named, as the reference names
     it, whether every conjugation row is filled beforehand or each is
     computed on its first read."""
     # Fresh instances: the make_* constructors hand out cached groups whose rows may be filled.
@@ -956,8 +951,7 @@ def test_a_row_read_after_a_passing_check_refuses_a_broken_transport():
     group = make_symmetric(3)
     assert 1 not in group.generators()
     functor = EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,), _presented=True)
-    # 2 * 6 fiber sizes and generator images, then 3 * 6 reads for each of
-    # the 3 conjugacy classes.
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 6 + 2 * 6 + 3 * 6 * 3)
+    # 2 * 6 generator images, then 3 * 6 reads for each of the 3 conjugacy classes.
+    assert validate_functor(functor) == FunctorValidation(True, 2 * 6 + 3 * 6 * 3)
     with pytest.raises(ValueError, match=r"^transport\(1, 0\) = \(0\.0,\) is not a bijection from a fiber of size 1 onto one of size 1$"):
         category_of_elements(functor).act(1, 0)

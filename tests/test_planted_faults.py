@@ -8,7 +8,7 @@ law check catches, and exits 2 instead."""
 import dataclasses
 import json
 
-from groupoid_card import categorified, cycle_stats
+from groupoid_card import categorified, cycle_stats, functors
 from groupoid_card.cli import main
 
 
@@ -119,16 +119,16 @@ def test_a_non_injective_induced_map_is_an_invalid_action(capsys, monkeypatch):
     assert err.startswith("error: invalid action 'S4 on Q[2, 0, 0, 0]'")
 
 
-def plant_doubled_stabilizer(monkeypatch):
+def plant_doubled_stabilizer(monkeypatch, module):
     """The first orbit's stabilizer order doubled on its way into the
-    quotient skeleton."""
-    clean = categorified.skeleton_from_orbits
+    quotient skeleton that module builds."""
+    clean = module.skeleton_from_orbits
 
     def doubled(orbits):
         first, *rest = orbits
         return clean([dataclasses.replace(first, stabilizer_order=2 * first.stabilizer_order), *rest])
 
-    monkeypatch.setattr(categorified, "skeleton_from_orbits", doubled)
+    monkeypatch.setattr(module, "skeleton_from_orbits", doubled)
 
 
 CATEGORIFIED_TWO_CYCLE = ["verify-categorified", "--n", "4", "--p", "0,1,0,0"]
@@ -139,7 +139,7 @@ def test_quotient_skeleton_fault_fails_the_equivalence_and_spares_the_product(ca
     assert code == 0
     clean = json.loads(out)
 
-    plant_doubled_stabilizer(monkeypatch)
+    plant_doubled_stabilizer(monkeypatch, categorified)
     code, out, _ = run_cli(CATEGORIFIED_TWO_CYCLE, capsys)
     assert code == 1
     payload = json.loads(out)
@@ -147,3 +147,41 @@ def test_quotient_skeleton_fault_fails_the_equivalence_and_spares_the_product(ca
     assert payload["lhs_card"] != clean["lhs_card"]
     for field in ("bridge_check", "rhs_card", "rhs_skeleton", "q_size"):
         assert payload[field] == clean[field]
+
+
+THEOREM = ["theorem-general", "--builtin", "cycle-tuples", "--n", "4", "--p", "0,1,0,0"]
+
+
+def assert_fields_unchanged(payload, clean, fields):
+    """Each field serializes to the clean run's bytes."""
+    for field in fields:
+        assert json.dumps(payload[field]) == json.dumps(clean[field]), field
+
+
+def test_average_fiber_size_fault_fails_the_theorem_and_spares_the_quotient(capsys, monkeypatch):
+    code, out, _ = run_cli(THEOREM, capsys)
+    assert code == 0
+    clean = json.loads(out)
+
+    expected_size = functors.expected_size
+    monkeypatch.setattr(functors, "expected_size", lambda functor: expected_size(functor) + 1)
+    code, out, _ = run_cli(THEOREM, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    assert (payload["expected_size"], clean["expected_size"]) == ("3/2", "1/2")
+    assert_fields_unchanged(payload, clean, ("elements_cardinality", "outdegree_cardinality", "skeleton", "orbits"))
+
+
+def test_elements_quotient_fault_fails_the_theorem_and_spares_the_average(capsys, monkeypatch):
+    code, out, _ = run_cli(THEOREM, capsys)
+    assert code == 0
+    clean = json.loads(out)
+
+    plant_doubled_stabilizer(monkeypatch, functors)
+    code, out, _ = run_cli(THEOREM, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    assert (payload["elements_cardinality"], clean["elements_cardinality"]) == ("3/8", "1/2")
+    assert_fields_unchanged(payload, clean, ("expected_size", "fiber_total", "outdegree_cardinality", "orbits"))

@@ -157,7 +157,7 @@ def true_actions(name):
 
 @settings(max_examples=150)
 @given(st.sampled_from(["S2", "S3", "S4", "Z2", "Z3", "Z4", "Z5", "Z2xZ2", "Z2xZ3", "Z2xS3", "cayley(Z2xS3)"]), st.data())
-def test_relator_check_matches_the_row_compare(name, data):
+def test_walk_check_matches_the_row_compare(name, data):
     """True actions (S_n on k-subsets, any group on the cosets of a cyclic
     subgroup and by conjugation, and the Q-action at n <= 4), unchanged, with
     one image of one generator row changed (inside the carrier or not), or
@@ -188,7 +188,7 @@ def test_relator_check_matches_the_row_compare(name, data):
             tree_rows(group, rows, size), size)
 
 
-def test_relator_route_reads_only_the_generator_rows():
+def test_walk_check_reads_only_the_generator_rows():
     """The walk check of S4 on its 6 two-point subsets reads the 2 generator
     rows and walks the one orbit, 2 * 6 + 3 * 24 reads; the quotient reads
     no row again."""
@@ -235,26 +235,31 @@ def broken_q_action(n, p, point=0):
     return base.group, size, act
 
 
-def test_a_failed_relation_is_reported_not_refused():
-    """Under the default cap a failed walk reads every row, so the report is
-    the row compare's, with its lowest witness. Under a cap between the
-    walk's reads and the row compare's, it names the broken edge: never a
-    refusal."""
+def test_a_failed_walk_is_reported_not_refused():
+    """A failed walk is reported with its broken edge, under the default cap
+    and under a cap at the walk's reads, below the row compare's, which
+    refuses the same rows taken as data. The row compare names its lowest
+    failing triple."""
     group, size, act = broken_q_action(4, (1, 1, 0, 0))
     walk_reads = 2 * size + 3 * 24
     row_reads = size + 3 * 24 * size
     report = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
-    assert not report.ok and report == GroupAction(group, size, rows_of(act, size)).validate()
-    assert report.failure.startswith("compatibility fails at (g=1, h=6, s=0)")
-    with law_caps(walk_reads):
-        narrow = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
-    assert row_reads > walk_reads
     # The generator rows, the first orbit's tree images and its first generator's edges.
-    assert not narrow.ok and narrow.mode == "exhaustive" and narrow.checks == 2 * size + 2 * 24
-    assert narrow.failure == "walk from s=0 breaks at generator 6, g=6: act(6, act(6, 0)) != act(6*6, 0)"
+    assert not report.ok and report.mode == "exhaustive" and report.checks == 2 * size + 2 * 24
+    assert report.failure == "walk from s=0 breaks at generator 6, g=6: act(6, act(6, 0)) != act(6*6, 0)"
+    assert row_reads > walk_reads
+    with law_caps(walk_reads):
+        assert GroupAction(group, size, rows_of(act, size), _presented=True).validate() == report
+        with pytest.raises(CapExceededError):
+            GroupAction(group, size, rows_of(act, size)).validate()
+    rows = GroupAction(group, size, rows_of(act, size)).validate()
+    assert not rows.ok and rows.failure.startswith("compatibility fails at (g=1, h=6, s=0)")
 
 
-def test_a_failed_functor_relation_is_reported_not_refused():
+def test_a_failed_functor_walk_is_reported_not_refused():
+    """A functor's failed walk names the broken edge, under the default cap
+    and under one at the walk's reads; the row compare of the same
+    transports names a composition triple."""
     base = make_fixed_point_functor(4)
     s = base.group.generators()[0]
 
@@ -266,14 +271,13 @@ def test_a_failed_functor_relation_is_reported_not_refused():
         return EquivariantFunctor(base.group, base.fiber_sizes, transport, name="flipped", _presented=presented)
 
     report = validate_functor(build(True))
-    assert not report.ok and report == validate_functor(build(False))
-    assert report.failing_law == "composition"
+    assert not report.ok and report.failing_law == "walk" and report.witness == (6, 6, 0)
+    assert report.message == "walk from fiber element 0 of F(0) breaks at generator 6, h=6"
+    assert validate_functor(build(False)).failing_law == "composition"
     k, total = 2, base.total_size
-    # The fiber sizes, the generator images and the 3 orbits of the true functor.
-    with law_caps(k * 24 + k * total + 3 * 24 * 3):
-        narrow = validate_functor(build(True))
-    assert narrow.failing_law == "walk" and narrow.witness == (6, 6, 0)
-    assert narrow.message == "walk from fiber element 0 of F(0) breaks at generator 6, h=6"
+    # The generator images and the 3 orbits of the true functor.
+    with law_caps(k * total + 3 * 24 * 3):
+        assert validate_functor(build(True)) == report
 
 
 def q_cases():
