@@ -129,23 +129,22 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     of another size is no bijection, so the laws force conjugation-invariant
     fiber sizes too. The check lays out the action's rows, where a
     transport that is no bijection fills its fiber's slots with a mark of
-    its own below the carrier, runs GroupAction.validate on them, which
-    picks the route by the functor's kind, and maps that report, with its
-    check count, back to the functor.
+    its own below the carrier, runs GroupAction.validate on them and maps
+    that report, with its check count, back to the functor.
 
-    A _presented functor takes the walk check: the k generators'
-    transports, then each orbit of the category of elements, k * total +
-    (k + 1) |G| reads an orbit for total fiber size. Every other functor
-    takes the row compare: the identity transports, then every transport,
-    each row compared with h2 a generator (first_law_failure),
-    total (1 + (k + 1) |G|) reads. Only transports out of nonempty fibers
-    are read. A failure is witnessed by the first broken generator transport
-    or broken edge of the walk, or by the lowest failing g or (h2, h1, g)
-    of the row compare in lexicographic order, a triple failing when it
-    reads a broken transport. The result is cached on the functor, and so
-    is the action the check ran, named after the functor so that a refusal
-    names it, with its report and the orbits its walk found, which
-    category_of_elements returns."""
+    The check is the walk: the k generators' transports, then each orbit of
+    the category of elements, k * total + (k + 1) |G| reads an orbit for
+    total fiber size. A functor built from data (not _presented) has its
+    identity transports checked first and, before the walk, every transport
+    of h = s h1 compared with transport(s, h1 g h1^-1) o transport(h1, g)
+    for h1 its parent and s its step's generator in the spanning tree,
+    |G| * total reads more. Only transports out of nonempty fibers are
+    read. A failure is witnessed by a broken transport (h, g) the check
+    met, the lowest g whose identity transport moves a point, the tree
+    compare's first failing (s, h1, g) or the walk's broken edge. The
+    result is cached on the functor, and so is the action the check ran,
+    named after the functor so that a refusal names it, with its report and
+    the orbits its walk found, which category_of_elements returns."""
     if functor._validation is None:
         functor._validation = _check(functor)
     return functor._validation
@@ -166,8 +165,8 @@ def _check(functor: EquivariantFunctor) -> FunctorValidation:
     # validate_functor keeps its report; a later read raises its ValueError.
     # h g h^-1 is read from the group's conjugation row h for a formula
     # functor, whose transports read that row too and whose check reads the
-    # generators' rows only; a data functor's row compare reads every row, so
-    # it conjugates the g of nonempty fibers with mul and inv, keeping no row.
+    # generators' rows only; a data functor's check reads every row, so it
+    # conjugates the g of nonempty fibers with mul and inv, keeping no row.
     offsets = list(itertools.accumulate(sizes, initial=0))
     broken: dict[tuple[int, int], ValueError] = {}
 
@@ -198,12 +197,12 @@ def _check(functor: EquivariantFunctor) -> FunctorValidation:
     def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
         return FunctorValidation(False, report.checks, law, witness, message)
 
-    if report.witness is None:
-        # Only a mark leaves the carrier: the walk stopped at the first
-        # generator row holding one.
-        (h, g), error = next(iter(broken.items()))
-        return failed("bijection", (h, g), str(error))
-    if len(report.witness) == 1:
+    if report.law == "carrier":
+        # Only a mark leaves the carrier: the slot of a broken transport of row h.
+        h, point = report.witness
+        g = bisect.bisect_right(offsets, point) - 1
+        return failed("bijection", (h, g), str(broken[h, g]))
+    if report.law == "identity":
         # The identity law fails first in the lowest g whose transport(e, g)
         # is broken or moves a point.
         e, point = group.identity, report.witness[0]
@@ -212,25 +211,12 @@ def _check(functor: EquivariantFunctor) -> FunctorValidation:
             return failed("bijection", (e, g), str(broken[e, g]))
         arr = tuple(t - offsets[g] for t in action._rows[e][offsets[g]:offsets[g + 1]])
         return failed("identity", (g,), f"transport(e, {g}) = {arr!r} is not the identity")
-    if action._presented:
+    if report.law == "walk":
         point, s, h = report.witness
         g = bisect.bisect_right(offsets, point) - 1
         return failed("walk", (s, h, g), f"walk from fiber element {point - offsets[g]} of F({g}) breaks at generator {s}, h={h}")
     h2, h1, point = report.witness
     g = bisect.bisect_right(offsets, point) - 1
-    # The witness is the lowest failing triple: the marks flag every triple
-    # that reads a broken transport but (h2, e, g), whose second and combined
-    # transports are one, and it lies above the failing (0, h2, g), or
-    # (0, 0, g) when h2 = 0 != e. A broken one is named first, second,
-    # combined; a key is formed only when the ones before it are not broken.
-    def keys():
-        yield h1, g
-        yield h2, mul(mul(h1, g), group.inv(h1))
-        yield mul(h2, h1), g
-
-    for key in keys():
-        if key in broken:
-            return failed("bijection", (h2, h1, g), str(broken[key]))
     return failed("composition", (h2, h1, g),
                   f"composition law fails at (h2={h2}, h1={h1}, g={g}), fiber element {point - offsets[g]}")
 
@@ -393,10 +379,12 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     Every fiber size must be listed, and a transport must be listed for every
     (h, g) with a nonempty fiber at g; the empty bijection out of an empty
     fiber is the only omission allowed (it is forced, not inferred), and the
-    only entry such a fiber may list, for every h. The
-    shape is checked here, so malformed input raises ValueError; "S<n>" is
-    capped at DEFAULT_ENUMERATION_CAP, read at call time, like every
-    enumeration."""
+    only entry such a fiber may list, for every h. A key of "fibers",
+    "transports" or a transport object that names no element, such as "7"
+    or "01" in a group of order 2, is refused, the first one named; only
+    when a count of keys shows one is there are the keys read. The shape is
+    checked here, so malformed input raises ValueError; "S<n>" is capped at
+    DEFAULT_ENUMERATION_CAP, read at call time, like every enumeration."""
     if not isinstance(data, dict):
         raise ValueError("functor JSON must be an object")
     for key in ("group", "fibers", "transports"):
@@ -431,6 +419,8 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
             sizes[g] = json_int(fibers[key], f"fiber size for element {g}")
             if sizes[g] < 0:
                 raise ValueError(f"fiber size for element {g} is negative")
+    if len(fibers) != group.order:
+        _refuse_stray_key(fibers, group.order, '"fibers"')
 
     transports = data["transports"]
     if not isinstance(transports, dict):
@@ -441,8 +431,10 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     nonempty = [g for g in range(group.order) if sizes[g]]
     empty_keys = {str(g): g for g in range(group.order) if not sizes[g]}
     table: dict[tuple[int, int], tuple[int, ...]] = {}
+    listed = 0
     for h in range(group.order):
         per_h = transports.get(str(h), {})
+        listed += str(h) in transports
         if not isinstance(per_h, dict):
             raise ValueError(f"transports for h={h} must be an object mapping g to images")
         visit = nonempty
@@ -464,6 +456,11 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
             if entry and not sizes[g]:
                 raise ValueError(f"transport for (h={h}, g={g}) must be empty: the fiber at g={g} is empty")
             table[(h, g)] = tuple(entry)
+        # Every key visited names an element, and every such key is visited.
+        if len(per_h) != len(visit):
+            _refuse_stray_key(per_h, group.order, f'"transports" for h={h}')
+    if len(transports) != listed:
+        _refuse_stray_key(transports, group.order, '"transports"')
 
     return EquivariantFunctor(
         group=group,
@@ -473,3 +470,10 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
         name=str(data.get("name", "json-functor")),
     )
 
+
+def _refuse_stray_key(mapping: dict, order: int, where: str) -> None:
+    """Raise ValueError naming the first key of mapping that names no
+    element 0..order-1."""
+    names = set(map(str, range(order)))
+    key = next(key for key in mapping if key not in names)
+    raise ValueError(f"{where} has the key {key!r}, which names no element 0..{order - 1}")

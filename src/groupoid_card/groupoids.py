@@ -144,9 +144,10 @@ class ActionValidation:
     ok: bool
     checks: int
     failure: Optional[str] = None
-    # A failure's (x, s, g) from the walk, (s,) from the identity law or
-    # (g, h, s) from the row compare; the failure message names it, so
-    # reports compare without it.
+    # A failure's law, "identity", "carrier", "composition" or "walk", and
+    # its witness (GroupAction.validate); the failure message names both, so
+    # reports compare without them.
+    law: Optional[str] = field(default=None, compare=False)
     witness: Optional[tuple] = field(default=None, compare=False)
     # Every image a report rests on is read: no law check samples.
     mode: ClassVar[str] = "exhaustive"
@@ -156,57 +157,6 @@ class ActionValidationError(ValueError):
     """An action failed its law checks and cannot be quotiented."""
 
 
-def first_law_failure(
-    rows: Sequence[Sequence[int]],
-    multiplication_row: Callable[[int], Sequence[int]],
-    generators: Sequence[int],
-) -> Optional[tuple[int, int, int]]:
-    """The lowest (g, h, s), in lexicographic order, at which the images
-    rows[g][s] of g acting on s break compatibility: rows[h][s] falls outside
-    the carrier, or rows[g][rows[h][s]] != rows[g h][s], where g h is
-    multiplication_row(g)[h]; None when there is none. It is the law check
-    of every action built from data.
-
-    The generators must generate the group (FiniteGroup.generators() does),
-    and the caller has checked that the identity's row is the
-    identity map. Then, once every row lies inside the carrier, it is enough
-    that row s after row h is row s h for each generator s and every h.
-    Write g = s_1 ... s_m in the generators; induction on m gives row g h =
-    row s_1 after ... after row s_m after row h for every h, and h = e gives
-    row g = row s_1 after ... after row s_m, so row g after row h is row g h
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
-    ch. 4). A passing check thus compares k |G| whole rows, not |G|^2. Only
-    when a row leaves the carrier or a generator compare fails is every
-    (g, h) pair compared in lexicographic order, and the first pair that
-    mismatches, or whose row h leaves the carrier, scanned point by point, so
-    the witness is the lowest failing triple whatever the generators."""
-    order = len(rows)
-    size = len(rows[0]) if order else 0
-    if not size:
-        return None
-    in_range = [0 <= min(row) and max(row) < size for row in rows]
-    if all(in_range):
-        for s in generators:
-            row_s = rows[s]
-            if any([row_s[t] for t in row_h] != rows[sh] for row_h, sh in zip(rows, multiplication_row(s))):
-                break
-        else:
-            return None
-    for g in range(order):
-        row_g = rows[g]
-        products = multiplication_row(g)
-        for h in range(order):
-            row_h = rows[h]
-            row_gh = rows[products[h]]
-            if in_range[h] and [row_g[t] for t in row_h] == row_gh:
-                continue
-            for s in range(size):
-                t = row_h[s]
-                if not 0 <= t < size or row_g[t] != row_gh[s]:
-                    return g, h, s
-    return None
-
-
 def _refuse_above_cap(what: str, cost: int) -> None:
     """Raise CapExceededError when a law check would read more than
     DEFAULT_CHECK_CAP images, read at call time."""
@@ -214,16 +164,18 @@ def _refuse_above_cap(what: str, cost: int) -> None:
         raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
 
 
-def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int) -> None:
+def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int, rows: int = 0) -> None:
     """Raise CapExceededError when the walk check of an action named name,
     of group over its k generators() on size points, would read more than
     DEFAULT_CHECK_CAP values through its orbits-th orbit:
-    k * size + (k + 1) * |G| * orbits. A constructor that knows its
-    carrier's size and a lower bound on its orbits can call it before
+    (rows + k) * size + (k + 1) * |G| * orbits, where rows is the number of
+    whole rows the check compares besides the generators' (|G| for an
+    action built from data, none for a formula). A constructor that knows
+    its carrier's size and a lower bound on its orbits can call it before
     building anything: the generators are read, and no spanning tree is
     built."""
     k = len(group.generators())
-    _refuse_above_cap(repr(name), k * size + (k + 1) * group.order * orbits)
+    _refuse_above_cap(repr(name), (rows + k) * size + (k + 1) * group.order * orbits)
 
 
 @dataclass(eq=False)
@@ -233,11 +185,11 @@ class GroupAction:
 
     Immutable once built. The rows read are kept in a dict, each asked of
     row on its first read and refused with ValueError unless it is a list
-    of carrier_size ints; the law checks read whether they lie in the
+    of carrier_size ints; the law check reads whether they lie in the
     carrier. A constructor whose rows are a formula passes _presented=True,
-    so that validate reads only the generators' rows, and keeps the orbits
-    its walk finds. The carrier size is read with operator.index and must be
-    nonnegative; only a law check sets the report and the orbits.
+    so that validate reads only the generators' rows. The carrier size is
+    read with operator.index and must be nonnegative; only the law check
+    sets the report and the orbits its walk finds.
     """
 
     group: FiniteGroup
@@ -274,77 +226,96 @@ class GroupAction:
         """Check act(e, s) = s for every s, and act(g, act(h, s)) = act(gh, s),
         from every image the check rests on; the first result is cached.
 
-        One route runs, chosen by the action's kind, with no fallback. The
-        walk check, for a _presented action: the rows of the k generators of
+        Every action takes the walk check: the rows of the k generators of
         FiniteGroup.generators() lie in the carrier, and walk_orbits finds no
         broken edge from any orbit's smallest point, k |S| + (k + 1) |G|
-        reads an orbit. They then extend to exactly one action, the one
-        validated, and the orbits the walk found are kept; a failed walk is
-        reported with its broken edge. The row compare, for every other
-        action: the identity law, then every row, compared over the same k
-        generators (first_law_failure), |S| + (k + 1) |G| |S| reads; a pass
-        reports the |S| + k |G| |S| checks made, a failure its lowest
-        failing triple.
+        reads an orbit. They then extend to exactly one action, and the
+        orbits the walk found are kept. A _presented action's other rows are
+        that action by construction. Every other action's rows are compared
+        with it: the identity row first, point by point, and before the walk
+        each other row, in the spanning tree's order, with its tree parent's
+        row moved by its step's generator row (_compare_along_tree), |G| |S|
+        reads more. So the walk runs on rows that are every row of the
+        action, and each witness it reports reads as a broken law of the
+        given rows.
+
+        A failure is reported with its law and witness: "identity" (s,),
+        "carrier" (g, s) for an image act(g, s) outside the carrier,
+        "composition" (g, h, s) for act(g, act(h, s)) != act(g h, s) with g
+        a generator and h a tree parent, and "walk" (x, s, g) for the first
+        broken edge, act(s, act(g, x)) != act(s g, x).
 
         A check of more reads than DEFAULT_CHECK_CAP, read at call time,
-        raises CapExceededError: the walk as soon as its next orbit would
-        pass it, the row compare after its identity law, so a failing
-        identity law is reported above the cap too.
+        raises CapExceededError before any row but the identity's is read,
+        and as soon as the walk's next orbit would pass it
+        (refuse_walk_above_cap); an identity row is checked first, so a
+        failing identity law is reported above the cap too.
         """
         if self._validation is None:
-            self._validation = self._walk() if self._presented else self._compare_rows()
+            self._validation = self._walk()
         return self._validation
 
     def _walk(self) -> ActionValidation:
-        size = self.carrier_size
+        group, size, order = self.group, self.carrier_size, self.group.order
         if not size:
             self._orbits = []
             return ActionValidation(True, 0)
-        afford = functools.partial(refuse_walk_above_cap, self.name, self.group, size)
+        checks = 0
+        if not self._presented:
+            for s, t in enumerate(self._row(group.identity)):
+                if t != s:
+                    return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}", "identity", (s,))
+            checks = size
+        afford = functools.partial(refuse_walk_above_cap, self.name, group, size, rows=0 if self._presented else order)
         afford(1)
-        tree = self.group.spanning_tree()
-        generators, order = tree.generators, self.group.order
+        tree = group.spanning_tree()
+        generators = tree.generators
         rows = [self._row(s) for s in generators]
-        checks = len(generators) * size
+        checks += len(generators) * size
         for s, row in zip(generators, rows):
             if min(row) < 0 or max(row) >= size:
-                t = next(t for t in row if not 0 <= t < size)
-                return ActionValidation(False, checks, f"act({s}, {row.index(t)}) = {t} is outside the carrier")
+                x = next(x for x, t in enumerate(row) if not 0 <= t < size)
+                return ActionValidation(False, checks, f"act({s}, {x}) = {row[x]} is outside the carrier", "carrier", (s, x))
+        if not self._presented:
+            failure = self._compare_along_tree(tree, rows, checks)
+            if failure is not None:
+                return failure
+            checks += (order - 1) * size
         orbits, witness = walk_orbits(tree, rows, size, afford)
         checks += (len(generators) + 1) * order * len(orbits)
-        if witness is None:
-            self._orbits = orbits
-            return ActionValidation(True, checks)
-        x, s, g = witness
-        # The failing orbit's tree images, and its compares through s's.
-        checks += (2 + generators.index(s)) * order
-        return ActionValidation(False, checks, f"walk from s={x} breaks at generator {s}, g={g}: "
-                                               f"act({s}, act({g}, {x})) != act({s}*{g}, {x})", witness)
+        if witness is not None:
+            x, s, g = witness
+            # The failing orbit's tree images, and its compares through s's.
+            checks += (2 + generators.index(s)) * order
+            return ActionValidation(False, checks, f"walk from s={x} breaks at generator {s}, g={g}: "
+                                                   f"act({s}, act({g}, {x})) != act({s}*{g}, {x})", "walk", witness)
+        self._orbits = orbits
+        return ActionValidation(True, checks)
 
-    def _compare_rows(self) -> ActionValidation:
-        """The identity law, point by point, then the row compare under the
-        check cap."""
-        group, size, order = self.group, self.carrier_size, self.group.order
-        for s, t in enumerate(self._row(group.identity)):
-            if t != s:
-                return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}", (s,))
-        generators = group.generators()
-        _refuse_above_cap(repr(self.name), size * (1 + (len(generators) + 1) * order))
-        rows = [self._row(g) for g in range(order)]
-        witness = first_law_failure(rows, group.multiplication_row, generators)
-        if witness is None:
-            return ActionValidation(True, size + len(generators) * order * size)
-        g, h, s = witness
-        checks = size + (g * order + h) * size + s + 1
-        t = rows[h][s]
-        if not 0 <= t < size:
-            return ActionValidation(False, checks, f"act({h}, {s}) = {t} is outside the carrier", witness)
-        return ActionValidation(
-            False, checks,
-            f"compatibility fails at (g={g}, h={h}, s={s}): "
-            f"act(g, act(h, s)) = {rows[g][t]} but act(g*h, s) = {rows[group.mul(g, h)][s]}",
-            witness,
-        )
+    def _compare_along_tree(self, tree: SpanningTree, rows: list[list[int]], checks: int) -> Optional[ActionValidation]:
+        """Compare every row but the identity's, in tree position order, with
+        its parent's row moved by its step's generator row, rows[i] for
+        generator i, one map a row; the report of the first that differs, at
+        its first differing point, after checks reads, or None. Each parent
+        row has passed first, so it lies in the carrier and indexes the
+        generator row; a row equal to its product is, by induction along the
+        tree, the row the generator rows give."""
+        size, elements, end = self.carrier_size, tree.elements, 1
+        for i, parents in tree.steps:
+            s, row_s = tree.generators[i], rows[i]
+            for j, parent in enumerate(parents, end):
+                g, h = elements[j], elements[parent]
+                row, moved = self._row(g), list(map(row_s.__getitem__, self._rows[h]))
+                if row != moved:
+                    x = next(x for x, (a, b) in enumerate(zip(row, moved)) if a != b)
+                    checks += (j - 1) * size + x + 1
+                    if not 0 <= row[x] < size:
+                        return ActionValidation(False, checks, f"act({g}, {x}) = {row[x]} is outside the carrier", "carrier", (g, x))
+                    return ActionValidation(False, checks, f"compatibility fails at (g={s}, h={h}, s={x}): "
+                                                           f"act(g, act(h, s)) = {moved[x]} but act(g*h, s) = {row[x]}",
+                                            "composition", (s, h, x))
+            end += len(parents)
+        return None
 
 
 def _require_valid(action: GroupAction) -> None:
@@ -369,7 +340,7 @@ def walk_orbits(
     tree: SpanningTree,
     rows: Sequence[Sequence[int]],
     size: int,
-    afford: Optional[Callable[[int], None]] = None,
+    afford: Callable[[int], None],
 ) -> tuple[list[Orbit], Optional[tuple[int, int, int]]]:
     """The orbits of the carrier 0..size-1 under the generator rows, rows[i]
     the row of tree.generators[i], each inside the carrier, in order of
@@ -380,9 +351,8 @@ def walk_orbits(
     step: |G| reads and no product. The orbit is the set of the images, and
     its stabilizer order a direct count of the images equal to x.
 
-    With afford, the walk is the law check: afford(m), called before the
-    m-th orbit, may raise to stop it, and every edge of the Cayley graph is
-    compared, v(s g) with row s at v(g) for each generator s and every g,
+    The walk is the law check: afford(m), called before the m-th orbit,
+    may raise to stop it, and every edge of the Cayley graph is compared, v(s g) with row s at v(g) for each generator s and every g,
     over the tree's products in two maps per generator, k |G| reads. The
     first orbit and generator at which they differ, and the first g in the
     tree's order, give the witness (x, s, g). With no broken edge the rows
@@ -399,19 +369,17 @@ def walk_orbits(
     orbits: list[Orbit] = []
     x = seen.find(0)
     while x >= 0:
-        if afford is not None:
-            afford(len(orbits) + 1)
+        afford(len(orbits) + 1)
         images[0] = x
         end = 1
         for i, parents in steps:
             start, end = end, end + len(parents)
             images[start:end] = map(rows[i].__getitem__, map(images.__getitem__, parents))
-        if afford is not None:
-            for i, moved in enumerate(products):
-                heads, tails = list(map(images.__getitem__, moved)), list(map(rows[i].__getitem__, images))
-                if heads != tails:
-                    j = next(j for j, (a, b) in enumerate(zip(heads, tails)) if a != b)
-                    return orbits, (x, generators[i], tree.elements[j])
+        for i, moved in enumerate(products):
+            heads, tails = list(map(images.__getitem__, moved)), list(map(rows[i].__getitem__, images))
+            if heads != tails:
+                j = next(j for j, (a, b) in enumerate(zip(heads, tails)) if a != b)
+                return orbits, (x, generators[i], tree.elements[j])
         members = set(images)
         for t in members:
             seen[t] = 1
@@ -421,20 +389,11 @@ def walk_orbits(
 
 
 def orbit_decomposition(action: GroupAction) -> list[Orbit]:
-    """Orbits in order of their smallest carrier index (walk_orbits).
-
-    A _presented action keeps the orbits its walk check found, so nothing is
-    walked again. Any other action walks the spanning tree from its
-    validated generator rows, |G| reads an orbit and no compare; its row
-    compare read (k + 1) |G| |S| images, so this walk is bounded by the
-    check cap too. An empty carrier has no orbit, and its spanning tree is
-    not read."""
+    """Orbits in order of their smallest carrier index: the ones the walk
+    check found (walk_orbits), kept with its report, so nothing is walked
+    again. An empty carrier has no orbit, and its spanning tree is not
+    read."""
     _require_valid(action)
-    if not action.carrier_size:
-        return []
-    if action._orbits is None:
-        tree = action.group.spanning_tree()
-        action._orbits = walk_orbits(tree, [action._rows[s] for s in tree.generators], action.carrier_size)[0]
     return list(action._orbits)
 
 

@@ -3,10 +3,10 @@
 Cyclic, symmetric and product groups multiply structurally; arbitrary groups
 come in through validated Cayley tables. All instances are immutable and all
 operations are pure. A conjugation row is computed with mul and inv when it
-is first read, and kept; a multiplication row is computed on each read. No
-group keeps a full |G|^2 table: a functor's law check keeps only the
-conjugation rows of its generators, and its row compare conjugates only the
-elements of nonempty fibers, keeping no row.
+is first read, and kept. No group keeps a full |G|^2 table: a formula
+functor's law check keeps only the conjugation rows of its generators, and
+a data functor's conjugates only the elements of nonempty fibers, keeping
+no row.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ class FiniteGroup:
     def _conjugation_table(self) -> dict[int, list[int]]:
         """The conjugation rows read so far, by h."""
         return self._conj_rows
-
-    def multiplication_row(self, g: int) -> list[int]:
-        """g x for x in 0..order-1, computed with mul on each read."""
-        g = self.check_element(g)
-        mul = self.mul
-        return [mul(g, x) for x in range(self.order)]
 
     def generators(self) -> list[int]:
         """The group's one generating set, chosen by its class (none is

@@ -4,7 +4,10 @@ Groups are built by name, fresh, so that no conjugation row is filled
 before the test reads it; `law_caps` moves the check cap above which law
 checks refuse, and `enumeration_cap` the degree above which S_n is not
 enumerated; `rows_of` turns a per-point act into the row function a
-GroupAction is built from; `tree_edges` lists a spanning tree's edges."""
+GroupAction is built from; `tree_edges` lists a spanning tree's edges;
+`lowest_law_witness` scans every triple of given rows, and
+`assert_agrees_with_reference` compares a law check of data with a literal
+validator's report."""
 
 import random
 from unittest import mock
@@ -61,6 +64,24 @@ def validation_or_refusal(validate):
         return "refused"
 
 
+def assert_agrees_with_reference(report, reference, identity_failed, check_cap, first_orbit, per_point):
+    """report, a data law check under check_cap or "refused"
+    (validation_or_refusal), against reference, the literal validator's
+    report with no cap. A failing identity law is reported whatever the cap,
+    as the reference reports it. Otherwise the check is refused when the
+    reads through its first orbit, first_orbit, are above the cap, and never
+    when the reads of a walk of one orbit per point, per_point, are within
+    it; a report that is made has the reference's ok."""
+    if identity_failed:
+        assert report == reference
+    elif check_cap < first_orbit:
+        assert report == "refused"
+    elif report == "refused":
+        assert check_cap < per_point
+    else:
+        assert report.ok == reference.ok
+
+
 def rows_of(act, size):
     """The row function of the action on 0..size-1 whose image of s under g
     is act(g, s): row g asks act once per point."""
@@ -95,3 +116,19 @@ def last_generator_coset(group):
                 subgroup.add(y)
                 frontier.append(y)
     return subgroup, generators[-1]
+
+
+def lowest_law_witness(group, rows):
+    """Literal scan of every triple: the lowest (g, h, s) whose image
+    rows[h][s] leaves the carrier or breaks rows[g][rows[h][s]] =
+    rows[g h][s]; None when every triple holds. It shares no code with the
+    walk check, so the walk is checked against it."""
+    size = len(rows[0])
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul(g, h)
+            for s in range(size):
+                t = rows[h][s]
+                if not 0 <= t < size or rows[g][t] != rows[gh][s]:
+                    return g, h, s
+    return None

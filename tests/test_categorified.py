@@ -364,7 +364,7 @@ def test_generator_rows_at_n6_match_q_action(p):
 @pytest.mark.parametrize("p", [(4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0)])
 def test_every_row_at_n4_matches_q_action(p):
     """A law check reads the generators' rows only; every other row, which
-    act() and a failed walk's row compare read, moves the choices by index
+    act() reads, moves the choices by index
     permutations that are neither a swap nor a rotation: at p = 4e_1 by
     every permutation of the identity's four fixed points."""
     q = build_Q(4, p)

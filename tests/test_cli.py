@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupoid_card import categorified, cli, cycle_stats, groupoids, permutations
+from groupoid_card import categorified, cli, cycle_stats, functors, groupoids, permutations
 from groupoid_card.categorified import categorified_rhs_skeleton
 from groupoid_card.cli import main
 from groupoid_card.functors import functor_from_json
@@ -491,9 +491,10 @@ def test_functor_file_listing_a_point_on_an_empty_fiber_exits_2(tmp_path, capsys
 
 
 def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, capsys):
-    """An S7 functor with one point, in F(e), takes the row compare: it
-    conjugates e by each of the 5 040 elements, and keeps no conjugation
-    row. Keeping every row, 5 040 x 5 040 entries, peaked above 200 MiB."""
+    """An S7 functor file with one point, in F(e): its check reads every
+    row, so it conjugates e by each of the 5 040 elements, and keeps no
+    conjugation row. Keeping every row, 5 040 x 5 040 entries, peaked above
+    200 MiB."""
     data = {
         "group": "S7",
         "fibers": {str(g): int(g == 0) for g in range(5040)},
@@ -521,13 +522,14 @@ def test_one_point_functor_file_keeps_no_conjugation_row_per_element(tmp_path, c
 def test_misplaced_fiber_size_is_a_bijection_failure_within_the_row_compare_cap(tmp_path, capsys, monkeypatch):
     """An S7 functor file whose one point sits in F((0 1)), rank 720, with
     every transport out of it listed: the conjugates of the transposition
-    have empty fibers, so the first transport onto one, at h = 120, is no
-    bijection. The row compare names it with no more products than its cap
-    formula counts reads, total (1 + (k + 1) |G|) = 1 + 3 * 5 040: 2 a row
-    laid out and one multiplication row. A scan of every conjugation for a
-    moved fiber size made 1 231 202 products and took about 0.74 s on a
-    2-core machine, where this check takes about 0.05 s; an S8 file took
-    34 s."""
+    have empty fibers, so the transport of the generator (0 1 2 3 4 5 6),
+    rank 873, onto one is no bijection. The check names it, in the
+    generator rows it reads before any other, with no more products than
+    its cap formula counts reads for one orbit, (|G| + k) total + (k + 1)
+    |G| = 5 042 + 3 * 5 040: 2 a row laid out and the spanning tree's k |G|.
+    A scan of every conjugation for a moved fiber size made 1 231 202
+    products and took about 0.74 s on a 2-core machine, where this check
+    takes about 0.05 s; an S8 file took 34 s."""
     data = {
         "group": "S7",
         "fibers": {str(g): int(g == 720) for g in range(5040)},
@@ -542,10 +544,73 @@ def test_misplaced_fiber_size_is_a_bijection_failure_within_the_row_compare_cap(
     code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     elapsed = time.perf_counter() - start
     assert (code, out) == (2, "")
-    assert err == ("functor validation failed (bijection law, witness (0, 120, 720)): transport(120, 720) = (0,) "
+    assert err == ("functor validation failed (bijection law, witness (873, 720)): transport(873, 720) = (0,) "
                    "is not a bijection from a fiber of size 1 onto one of size 0\n")
-    assert len(products) <= 1 + 3 * 5040
+    assert len(products) <= 5042 + 3 * 5040
     assert elapsed < 0.4
+
+
+def coset_functor_file(n):
+    """An S_n functor file with two points, in F(e), whose transport(h, e)
+    swaps them exactly when h^-1(0) = n - 1: it respects composition for h
+    in the stabilizer of 0 only."""
+    images = SymmetricGroup(n).image_table()
+    return {
+        "group": f"S{n}",
+        "fibers": {str(g): 2 * (g == 0) for g in range(len(images))},
+        "transports": {str(h): {"0": [1, 0] if tau[n - 1] == 0 else [0, 1]} for h, tau in enumerate(images)},
+    }
+
+
+def test_coset_functor_file_fails_within_its_cap(tmp_path, capsys, monkeypatch):
+    """The S7 coset file exits 2 with a law failure after at most 5 * 5 040
+    products, and its check count lies within the cap formula for the one
+    orbit its check reaches: |S| for the identity row, (|G| - 1) |S| along
+    the tree, k |S| for the generator rows and (k + 1) |G| for the walk.
+    The row compare that scanned every (g, h) pair after a failed
+    generator compare made 3 648 964 products and reported 7 257 909
+    checks."""
+    data = coset_functor_file(7)
+    path = tmp_path / "coset.json"
+    path.write_text(json.dumps(data))
+    group, products = make_symmetric(7), []
+    mul = group.mul
+    monkeypatch.setattr(group, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("functor validation failed (") and " law, witness " in err
+    assert len(products) <= 5 * 5040
+    report = functors.validate_functor(functor_from_json(data))
+    size, order, k = 2, 5040, 2
+    assert not report.ok and report.checks <= size + (order - 1) * size + k * size + (k + 1) * order
+
+
+def test_functor_file_keys_that_name_no_element_exit_2(tmp_path, capsys):
+    """Keys that name no element of S2, "7" and "01" among the fibers, "9"
+    under h = 1, and "5" and "x" among the transports, were ignored, and
+    the file exited 0. Each is refused, the first one named, as they are
+    taken out one at a time; the file without them passes."""
+    data = {
+        "group": "S2",
+        "fibers": {"0": 1, "1": 1, "7": 1, "01": 1},
+        "transports": {"0": {"0": [0], "1": [0]}, "1": {"0": [0], "1": [0], "9": [0]}, "5": {"0": [0]}, "x": 3},
+    }
+    strays = [
+        (data["fibers"], "7", '"fibers" has the key \'7\''),
+        (data["fibers"], "01", '"fibers" has the key \'01\''),
+        (data["transports"]["1"], "9", '"transports" for h=1 has the key \'9\''),
+        (data["transports"], "5", '"transports" has the key \'5\''),
+        (data["transports"], "x", '"transports" has the key \'x\''),
+    ]
+    path = tmp_path / "strays.json"
+    for mapping, key, named in strays:
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {named}, which names no element 0..1\n"
+        del mapping[key]
+    path.write_text(json.dumps(data))
+    assert run_cli(["theorem-general", "--functor", str(path)], capsys)[0] == 0
 
 
 def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
@@ -564,7 +629,8 @@ def test_theorem_general_bad_functor_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     assert code == 2
-    assert "composition" in err
+    # Z/2's one row besides e is its generator's, so the walk finds the break.
+    assert "walk law" in err
     assert "witness" in err
 
     missing = tmp_path / "absent.json"
@@ -579,8 +645,9 @@ def test_law_check_above_the_check_cap_exits_2(tmp_path, capsys, monkeypatch):
     """Nothing is sampled: a law check that would read more than the check
     cap is refused with exit code 2, a message naming the cap, and no
     traceback. A JSON functor on the Cayley table of Z/4 (one greedy
-    generator) with 2-point fibers takes the row compare of its category of
-    elements, which reads total (1 + (k + 1) |G|) = 8 * 9 = 72 values; the built-in Q-action
+    generator) with 2-point fibers is checked as its category of elements,
+    which reads (|G| + k) total + (k + 1) |G| a orbit = 5 * 8 + 8 * 4 = 72
+    values for its 4 orbits; the built-in Q-action
     of S4 on 6 points reads 2 * 6 + 3 * 24 = 84 for the walk check of its
     one orbit."""
     parity = {

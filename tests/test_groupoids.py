@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupoid_card import groups
+from groupoid_card import groupoids, groups
 from groupoid_card.categorified import cycle_tuple_action
 from groupoid_card.functors import EquivariantFunctor, category_of_elements, make_fixed_point_functor, validate_functor
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
@@ -25,7 +25,6 @@ from groupoid_card.groupoids import (
     conjugation_action,
     coproduct,
     delooping,
-    first_law_failure,
     label_to_json,
     orbit_decomposition,
     perm_groupoid_skeleton,
@@ -37,7 +36,16 @@ from groupoid_card.groupoids import (
     weak_quotient,
 )
 from groupoid_card.permutations import DEFAULT_PARTITION_CAP, CapExceededError, cycle_type_table, partition_counts
-from law_cases import LAW_GROUPS, last_generator_coset, law_caps, rows_of, validation_or_refusal
+from law_cases import (
+    LAW_GROUPS,
+    assert_agrees_with_reference,
+    last_generator_coset,
+    law_caps,
+    lowest_law_witness,
+    rows_of,
+    tree_edges,
+    validation_or_refusal,
+)
 
 skeletons = st.lists(
     st.tuples(st.integers(1, 30), st.one_of(st.none(), st.integers(0, 5))),
@@ -222,12 +230,12 @@ def test_rows_of_the_wrong_shape_are_refused_and_never_pass():
     """A row is checked when it is first read: a generator's row (Z/3 has
     the one generator 1) of the wrong length, with an entry that is not an
     int, or no list, raises ValueError on either route, and no report is
-    kept. Empty rows on a nonempty carrier are among them: first_law_failure
-    reads the size from rows[0], and would pass them. An int outside the
-    carrier fails the law check."""
+    kept. Empty rows on a nonempty carrier are among them: a scan of every
+    triple that reads the size from rows[0] would pass them. An int outside
+    the carrier fails the law check."""
     group = make_cyclic(3)
     empty = [[], [], []]
-    assert first_law_failure(empty, group.multiplication_row, group.spanning_tree().generators) is None
+    assert lowest_law_witness(group, empty) is None
     wrong = [
         empty,
         [[0, 1, 2], [1, 2], [2, 0, 1]],
@@ -286,33 +294,41 @@ def test_action_validation_identity_failure():
 
 def test_action_validation_compatibility_failure():
     # act(1, s) swaps 0 and 1 on a 3-point carrier; act(1, act(1, 2)) = 2 but
-    # the group has order 3, so compatibility with g*h must fail somewhere.
+    # the group has order 3, so compatibility with g*h must fail somewhere:
+    # the rows of Z/3's tree agree, so the walk finds the broken edge. With
+    # row 1 the rotation and row 2 the identity, row 2 = 1 * 1 differs from
+    # row 1 after row 1, its tree parent's, at s = 0.
     z3 = make_cyclic(3)
     bad = GroupAction(z3, 3, rows_of(lambda g, s: s if g == 0 else ((1, 0, 2)[s] if g == 1 else s), 3))
     report = bad.validate()
-    assert not report.ok
-    assert "compatibility" in report.failure
+    assert not report.ok and (report.law, report.witness) == ("walk", (0, 1, 2))
+    assert report.failure == "walk from s=0 breaks at generator 1, g=2: act(1, act(2, 0)) != act(1*2, 0)"
+    rotated = GroupAction(z3, 3, rows_of(lambda g, s: (s + 1) % 3 if g == 1 else s, 3))
+    assert rotated.validate() == ActionValidation(
+        False, 3 + 3 + 3 + 1, "compatibility fails at (g=1, h=1, s=0): act(g, act(h, s)) = 2 but act(g*h, s) = 0")
+    assert (rotated.validate().law, rotated.validate().witness) == ("composition", (1, 1, 0))
 
 
 def test_action_validation_sampled_mode():
     """No sampled mode: a check above the check cap is refused, not sampled.
-    The row compare of Z/4 acting on itself reads |S| + (k + 1) |G| |S| =
-    36 images and reports the |S| + k |G| |S| = 20 checks it makes."""
+    The check of Z/4 acting on itself reads its |G| |S| = 16 rows' images,
+    the k |S| = 4 of its generator and (k + 1) |G| = 8 for the walk of its
+    one orbit, 28 in all, and reports them."""
 
     def build():
         return GroupAction(make_cyclic(4), 4, rows_of(lambda g, s: (g + s) % 4, 4), name="z4")
 
     with law_caps(10):
-        with pytest.raises(CapExceededError, match=r"'z4' needs 36 reads, above the check cap 10"):
+        with pytest.raises(CapExceededError, match=r"'z4' needs 28 reads, above the check cap 10"):
             build().validate()
-    with law_caps(36):
-        assert build().validate() == ActionValidation(True, 20)
+    with law_caps(28):
+        assert build().validate() == ActionValidation(True, 28)
 
 
 def test_orbit_decomposition_rejects_images_outside_the_carrier():
     # Trivial S4 action on many points with one image sent to -1. The quotient
-    # refuses it instead of writing seen[-1]: the row compare reads that image
-    # and names it, and under a small check cap the check is refused.
+    # refuses it instead of writing seen[-1]: the compare along the tree reads
+    # that image and names it, and under a small check cap the check is refused.
     def act(g, s):
         return -1 if (g, s) == (5, 0) else s
 
@@ -478,10 +494,9 @@ def test_skeleton_json_bytes_with_mixed_labels():
     )
 
 
-def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
+def reference_action_validation(group, size, act):
     """Literal per-triple validator: the identity law, then every (g, h, s)
-    in lexicographic order; CapExceededError when the row compare would read
-    more than check_cap images."""
+    in lexicographic order."""
     order = group.order
     checks = 0
     for s in range(size):
@@ -489,8 +504,6 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
         t = act(group.identity, s)
         if t != s:
             return ActionValidation(False, checks, f"identity law fails at s={s}: act(e, s) = {t}")
-    if size + (len(group.spanning_tree().generators) + 1) * order * size > check_cap:
-        raise CapExceededError(f"above the check cap {check_cap}")
     for g in range(order):
         for h in range(order):
             gh = group.mul(g, h)
@@ -506,6 +519,23 @@ def reference_action_validation(group, size, act, check_cap=DEFAULT_CHECK_CAP):
                         f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
                     )
     return ActionValidation(True, size + len(group.spanning_tree().generators) * order * size)
+
+
+def witness_breaks_a_law(group, rows, report):
+    """Whether the report's witness, read literally on the rows, breaks the
+    law it names."""
+    size = len(rows[0])
+    law, witness = report.law, report.witness
+    if law == "identity":
+        (s,) = witness
+        return rows[group.identity][s] != s
+    if law == "carrier":
+        g, s = witness
+        return not 0 <= rows[g][s] < size
+    # The walk's (x, s, g) is the triple (s, g, x).
+    g, h, s = witness if law == "composition" else (witness[1], witness[2], witness[0])
+    t = rows[h][s]
+    return 0 <= t < size and rows[g][t] != rows[group.mul(g, h)][s]
 
 
 def action_tables(group):
@@ -554,64 +584,56 @@ def test_action_validation_matches_reference(name, data):
     elif corruption == "twist" and last_generator_coset(group):
         a, b = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
         table = twist_last_coset(group, table, a, b)
-    generator_checks = size + len(group.spanning_tree().generators) * order * size
+    k = len(group.spanning_tree().generators)
+    generator_checks = size + k * order * size
     check_cap = data.draw(st.sampled_from([DEFAULT_CHECK_CAP, 50, generator_checks]))
     act = lambda g, s: table[g][s]
     with law_caps(check_cap):
-        assert validation_or_refusal(GroupAction(group, size, rows_of(act, size)).validate) == validation_or_refusal(
-            lambda: reference_action_validation(group, size, act, check_cap=check_cap))
+        report = validation_or_refusal(GroupAction(group, size, rows_of(act, size)).validate)
+    reference = reference_action_validation(group, size, act)
+    reads = (order + k) * size
+    assert_agrees_with_reference(report, reference, reference.failure.startswith("identity") if reference.failure else False,
+                                 check_cap, reads + (k + 1) * order, reads + (k + 1) * order * size)
+    if report != "refused" and not report.ok:
+        assert witness_breaks_a_law(group, table, report)
 
 
-def lowest_law_witness(group, rows):
-    """Literal scan: the lowest (g, h, s) whose image rows[h][s] leaves the
-    carrier or breaks rows[g][rows[h][s]] = rows[g h][s]."""
-    size = len(rows[0])
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.mul(g, h)
-            for s in range(size):
-                t = rows[h][s]
-                if not 0 <= t < size or rows[g][t] != rows[gh][s]:
-                    return g, h, s
-    return None
+def random_rows(group, size, data):
+    """Rows of the group on size points: each generator's row any list of
+    images in -1..size (a permutation, the identity among them, half the
+    time), each other row its tree parent's after its step's generator
+    row where that stays in the carrier, then a few images anywhere set to
+    any value in -1..size."""
+    images = st.lists(st.integers(-1, size), min_size=size, max_size=size)
+    permutations = st.one_of(st.just(list(range(size))), st.permutations(range(size)))
+    rows = [None] * group.order
+    rows[group.identity] = list(range(size))
+    for s in group.generators():
+        rows[s] = list(data.draw(st.one_of(permutations, images)))
+    for child, s, parent in tree_edges(group.spanning_tree()):
+        if rows[child] is None:
+            rows[child] = [rows[s][t] if 0 <= t < size else t for t in rows[parent]]
+    for _ in range(data.draw(st.integers(0, 2))):
+        g, x = data.draw(st.integers(0, group.order - 1)), data.draw(st.integers(0, size - 1))
+        rows[g][x] = data.draw(st.integers(-1, size))
+    return rows
 
 
-@given(st.sampled_from(sorted(LAW_GROUPS)), st.data())
-def test_first_law_failure_names_the_lowest_witness_for_any_generators(name, data):
-    """Any generating set, in any order, gives the lowest witness. (With the
-    greedy generators in index order the first failing generator compare
-    already names it, so the callers cannot tell the full scan is run.)"""
+@settings(max_examples=300)
+@given(st.sampled_from(["S3", "S4", "Z2xZ3", "cayley(Z2xS3)"]), st.integers(1, 4), st.data())
+def test_data_check_matches_the_literal_scan(name, size, data):
+    """Rows built from data on at most 4 points, true actions and ones
+    broken at a relation, a row or an image: the check passes exactly when
+    a literal scan of the identity law and of every triple does, and a
+    failure's witness, read literally on the rows, breaks the law it
+    names."""
     group = LAW_GROUPS[name]()
-    order = group.order
-    rows = [list(row) for row in data.draw(st.sampled_from(action_tables(group)))]
-    size = len(rows[0])
-    if order > 1 and data.draw(st.booleans()):
-        g = data.draw(st.integers(0, order - 1).filter(lambda g: g != group.identity))
-        s = data.draw(st.integers(0, size - 1))
-        rows[g][s] = data.draw(st.integers(-1, size).filter(lambda t: t != rows[g][s]))
-    extra = data.draw(st.lists(st.integers(0, order - 1), max_size=3))
-    generators = data.draw(st.permutations(group.spanning_tree().generators + extra))
-    assert first_law_failure(rows, group.multiplication_row, generators) == lowest_law_witness(group, rows)
-
-
-def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
-    """A passing exhaustive check compares row s after row h with row s h
-    for the k generators s only, and reports those |S| + k |G| |S| checks."""
-    group = groups.SymmetricGroup(5)
-    generators = group.spanning_tree().generators
-    assert len(generators) == 2
-    read = {"multiplication_row": [], "conjugation_row": []}
-    for method in read:
-        original = getattr(group, method)
-        monkeypatch.setattr(group, method, lambda g, method=method, original=original: read[method].append(g) or original(g))
-    action = conjugation_action(group)
-    report = action.validate()
-    assert report == ActionValidation(True, 120 + 2 * 120 * 120)
-    assert read["multiplication_row"] == generators
-    # Each image h s h^-1 is computed with mul and inv: no conjugation row
-    # of the group is read, and none is kept.
-    assert read["conjugation_row"] == []
-    assert group._conjugation_table() == {}
+    rows = random_rows(group, size, data)
+    report = GroupAction(group, size, lambda g: rows[g]).validate()
+    literal = rows[group.identity] == list(range(size)) and lowest_law_witness(group, rows) is None
+    assert report.ok == literal
+    if not report.ok:
+        assert witness_breaks_a_law(group, rows, report)
 
 
 @pytest.mark.parametrize("make", [
@@ -619,26 +641,57 @@ def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
     pytest.param(lambda: groups.from_cayley_table(make_product(make_cyclic(2), make_symmetric(3)).multiplication_table()),
                  id="cayley(Z2xS3)"),
 ])
-def test_only_a_walk_builds_the_spanning_tree(make):
-    """The row compare, of an action and of a functor, reads generators()
-    and builds no spanning tree; the walk of the quotient builds it."""
+def test_only_a_walk_builds_the_spanning_tree(make, monkeypatch):
+    """An action on no point, and a functor with empty fibers, pass with no
+    spanning tree built; the law check of any other action, and of a
+    functor, is a walk, which builds it, and the quotient walks nothing
+    again."""
     group = make()
+    assert GroupAction(group, 0, lambda g: []).validate().ok
+    assert validate_functor(EquivariantFunctor(group, (0,) * group.order, lambda h, g: ())).ok
+    assert group._tree is None
     action = conjugation_action(group)
     assert action.validate().ok
+    assert group._tree is not None
     functor = EquivariantFunctor(group, (1,) * group.order, lambda h, g: (0,), "one point")
     assert validate_functor(functor).ok
-    assert group._tree is None
+    monkeypatch.setattr(groupoids, "walk_orbits", None)
     classes = {frozenset(row[x] for row in action._rows.values()) for x in range(group.order)}
     assert len(orbit_decomposition(action)) == len(classes)
-    assert group._tree is not None
+    assert len(orbit_decomposition(category_of_elements(functor))) == len(classes)
+
+
+def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
+    """A passing check of the conjugation action of S5 asks the action for
+    the identity row, then the rows of its k = 2 generators, then each other
+    row once, in tree order, and reports |S| + k |S| + (|G| - 1) |S| +
+    (k + 1) |G| reads an orbit, over the 7 conjugacy classes. No conjugation
+    row of the group is read, and none is kept."""
+    group = groups.SymmetricGroup(5)
+    tree = group.spanning_tree()
+    assert len(tree.generators) == 2
+    conjugation_rows = []
+    original = group.conjugation_row
+    monkeypatch.setattr(group, "conjugation_row", lambda h: conjugation_rows.append(h) or original(h))
+    action = conjugation_action(group)
+    asked, row = [], action.row
+    action.row = lambda g: asked.append(g) or row(g)
+    assert action.validate() == ActionValidation(True, 120 + 2 * 120 + 119 * 120 + 3 * 120 * 7)
+    others = [g for g in tree.elements[1:] if g not in tree.generators]
+    assert asked == [group.identity] + tree.generators + others
+    assert conjugation_rows == []
+    assert group._conjugation_table() == {}
 
 
 def test_validated_conjugation_action_keeps_no_group_row():
     """Validating the conjugation action of S6 keeps its own 720 rows, each
-    the literal products h s h^-1, and no conjugation row of the group."""
+    the literal products h s h^-1, and no conjugation row of the group. It
+    reports the reads it makes: the identity row, the k = 2 generator rows,
+    the 719 others compared along the tree and the walk of the 11
+    conjugacy classes."""
     group = groups.SymmetricGroup(6)
     action = conjugation_action(group)
-    assert action.validate().ok
+    assert action.validate() == ActionValidation(True, 720 + 2 * 720 + 719 * 720 + 3 * 720 * 11)
     assert group._conjugation_table() == {}
     assert sorted(action._rows) == list(range(720))
     mul, inv = group.mul, group.inv
@@ -648,8 +701,8 @@ def test_validated_conjugation_action_keeps_no_group_row():
 
 def test_action_validation_matches_reference_on_s4_corruptions():
     """Entries of genuine S4 actions set out of the carrier or moved, at the
-    identity, in the middle and at the last element: each report equals the
-    literal reference's."""
+    identity, in the middle and at the last element: each report has the
+    literal reference's ok, and a failure's witness breaks its law."""
     group = groups.SymmetricGroup(4)
     reports = []
     for table in action_tables(group):
@@ -663,7 +716,8 @@ def test_action_validation_matches_reference_on_s4_corruptions():
                 rows[g][s] = t
             act = lambda g, s, rows=rows: rows[g][s]
             report = GroupAction(group, size, rows_of(act, size)).validate()
-            assert report == reference_action_validation(group, size, act)
+            assert report.ok == reference_action_validation(group, size, act).ok
+            assert report.ok or witness_breaks_a_law(group, rows, report)
             assert report.mode == "exhaustive"
             reports.append(report)
     assert sum(not r.ok for r in reports) >= 30

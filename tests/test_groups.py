@@ -360,15 +360,13 @@ def table_cases():
 
 @pytest.mark.parametrize("make", table_cases())
 def test_tables_from_generator_rows_match_literal_products(make):
-    """Every conjugation and multiplication row, and every conjugate, equals
-    the literal products."""
+    """Every conjugation row, and every conjugate, equals the literal
+    products."""
     group = make()
     order = group.order
-    literal_mul, literal_conj = literal_products(*make.key)
+    literal_conj = literal_products(*make.key)[1]
     for h in range(order):
         assert tuple(group.conjugation_row(h)) == literal_conj[h]
-    for g in range(order):
-        assert tuple(group.multiplication_row(g)) == literal_mul[g]
     for g in range(order):
         for h in range(order):
             assert group.conjugate(g, h) == literal_conj[h][g]
@@ -403,17 +401,13 @@ def test_spanning_tree_reaches_every_element_once(make):
         assert position[parent] < position[child]
     assert [parent for child, _, parent in edges if child in generators] == [group.identity] * k
 
-    # The generators' rows cost two products per entry for s g s^-1 and one
-    # for s x, and a kept conjugation row is not computed again.
+    # The generators' rows cost two products per entry for s g s^-1, and a
+    # kept conjugation row is not computed again.
     calls[0] = 0
     for s in generators:
         group.conjugation_row(s)
         group.conjugation_row(s)
     assert calls[0] == 2 * order * k
-    calls[0] = 0
-    for s in generators:
-        group.multiplication_row(s)
-    assert calls[0] == order * k
 
 
 def literal_greedy_generators(group):
@@ -486,7 +480,7 @@ class _NoGenerators(groups.FiniteGroup):
 
 def test_every_group_names_a_generating_set_that_generates():
     """No generating set is assumed: a subclass that sets none fails on the
-    first read, and so does a row compare over it. A table group built
+    first read, and so does a law check over it. A table group built
     directly reads its set off its own table, so an action on S3's table
     whose only correct row is the identity row is refused."""
     with pytest.raises(AttributeError):
@@ -594,8 +588,6 @@ def test_rows_are_read_on_demand_and_checked():
     assert group.conjugate(3, 7) == group.mul(group.mul(7, 3), group.inv(7))
     assert list(group._conjugation_table()) == [5, 7]
     for bad in (24, -1):
-        with pytest.raises(ValueError):
-            group.multiplication_row(bad)
         with pytest.raises(ValueError):
             group.conjugation_row(bad)
         with pytest.raises(ValueError):

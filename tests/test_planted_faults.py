@@ -10,6 +10,7 @@ import json
 
 from groupoid_card import categorified, cycle_stats, functors
 from groupoid_card.cli import main
+from groupoid_card.groupoids import GroupoidSkeleton
 
 
 def run_cli(args, capsys):
@@ -147,6 +148,32 @@ def test_quotient_skeleton_fault_fails_the_equivalence_and_spares_the_product(ca
     assert payload["lhs_card"] != clean["lhs_card"]
     for field in ("bridge_check", "rhs_card", "rhs_skeleton", "q_size"):
         assert payload[field] == clean[field]
+
+
+def plant_doubled_product_order(monkeypatch):
+    """The first component's aut order doubled in the product skeleton
+    Perm_{n-|p|} x prod_k B(Z/k)^{p_k}."""
+    clean = categorified.categorified_rhs_skeleton
+
+    def doubled(n, p):
+        first, *rest = clean(n, p).components
+        return GroupoidSkeleton((dataclasses.replace(first, aut_order=2 * first.aut_order), *rest))
+
+    monkeypatch.setattr(categorified, "categorified_rhs_skeleton", doubled)
+
+
+def test_product_skeleton_fault_fails_the_equivalence_and_spares_the_quotient(capsys, monkeypatch):
+    code, out, _ = run_cli(CATEGORIFIED_TWO_CYCLE, capsys)
+    assert code == 0
+    clean = json.loads(out)
+
+    plant_doubled_product_order(monkeypatch)
+    code, out, _ = run_cli(CATEGORIFIED_TWO_CYCLE, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equivalent"] is False
+    assert payload["rhs_card"] != clean["rhs_card"]
+    assert_fields_unchanged(payload, clean, ("lhs_skeleton", "lhs_card", "orbits", "q_size", "bridge_check"))
 
 
 THEOREM = ["theorem-general", "--builtin", "cycle-tuples", "--n", "4", "--p", "0,1,0,0"]

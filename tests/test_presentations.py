@@ -4,10 +4,11 @@ A _presented action is checked from its generators' rows alone: from each
 orbit's smallest point the images are filled along the spanning tree and
 every Cayley-graph edge is compared (groupoids.walk_orbits). A missed edge
 would pass generator rows that extend to no action, and a wrong compare
-would refuse a true action. The oracle is the row compare: extend the
+would refuse a true action. The oracle is a literal scan: extend the
 generator rows along the spanning tree (the row of s * parent is row s
-after the row of parent) and run first_law_failure on every row. The walk
-must pass exactly when that does, with the orbits of the extended rows."""
+after the row of parent) and check every triple of the extended rows
+(law_cases.lowest_law_witness). The walk must pass exactly when that does,
+with the orbits of the extended rows."""
 
 import itertools
 import math
@@ -27,9 +28,9 @@ from groupoid_card.functors import (
     validate_functor,
     verify_general_theorem,
 )
-from groupoid_card.groupoids import GroupAction, first_law_failure, orbit_decomposition, walk_orbits
+from groupoid_card.groupoids import GroupAction, orbit_decomposition, walk_orbits
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from law_cases import law_caps, relabelled_cayley, rows_of, tree_edges
+from law_cases import law_caps, lowest_law_witness, relabelled_cayley, rows_of, tree_edges
 
 GROUPS = {
     **{f"S{n}": (lambda n=n: groups.SymmetricGroup(n)) for n in range(6)},
@@ -77,9 +78,8 @@ def walk_passes(group, generator_rows, size):
 
 
 def extends_to_an_action(group, generator_rows, size):
-    """The row compare's verdict on the tree-extended rows."""
-    return in_range(group, generator_rows, size) and first_law_failure(
-        tree_rows(group, generator_rows, size), group.multiplication_row, group.spanning_tree().generators) is None
+    """The literal scan's verdict on the tree-extended rows."""
+    return in_range(group, generator_rows, size) and lowest_law_witness(group, tree_rows(group, generator_rows, size)) is None
 
 
 def literal_orbits(rows, size):
@@ -162,7 +162,7 @@ def test_walk_check_matches_the_row_compare(name, data):
     subgroup and by conjugation, and the Q-action at n <= 4), unchanged, with
     one image of one generator row changed (inside the carrier or not), or
     with one generator row replaced by any permutation of the carrier: the
-    walk passes exactly when the row compare of the tree-extended rows does,
+    walk passes exactly when the literal scan of the tree-extended rows does,
     and then finds their orbits."""
     group, tables = true_actions(name)
     table = data.draw(st.sampled_from(tables))
@@ -237,12 +237,13 @@ def broken_q_action(n, p, point=0):
 
 def test_a_failed_walk_is_reported_not_refused():
     """A failed walk is reported with its broken edge, under the default cap
-    and under a cap at the walk's reads, below the row compare's, which
-    refuses the same rows taken as data. The row compare names its lowest
-    failing triple."""
+    and under a cap at the walk's reads, below the reads of the same rows
+    taken as data, whose check also compares every row along the tree and
+    is refused. That compare names the first row that differs from its
+    tree parent's after its generator's."""
     group, size, act = broken_q_action(4, (1, 1, 0, 0))
     walk_reads = 2 * size + 3 * 24
-    row_reads = size + 3 * 24 * size
+    row_reads = (24 + 2) * size + 3 * 24
     report = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
     # The generator rows, the first orbit's tree images and its first generator's edges.
     assert not report.ok and report.mode == "exhaustive" and report.checks == 2 * size + 2 * 24
@@ -253,13 +254,13 @@ def test_a_failed_walk_is_reported_not_refused():
         with pytest.raises(CapExceededError):
             GroupAction(group, size, rows_of(act, size)).validate()
     rows = GroupAction(group, size, rows_of(act, size)).validate()
-    assert not rows.ok and rows.failure.startswith("compatibility fails at (g=1, h=6, s=0)")
+    assert not rows.ok and rows.failure.startswith("compatibility fails at (g=6, h=9, s=3)")
 
 
 def test_a_failed_functor_walk_is_reported_not_refused():
     """A functor's failed walk names the broken edge, under the default cap
-    and under one at the walk's reads; the row compare of the same
-    transports names a composition triple."""
+    and under one at the walk's reads; the same transports taken as data
+    fail the compare along the tree first, at a composition triple."""
     base = make_fixed_point_functor(4)
     s = base.group.generators()[0]
 
