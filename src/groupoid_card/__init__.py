@@ -40,8 +40,6 @@ from .cycle_stats import (
 )
 from .functors import (
     EquivariantFunctor,
-    FunctorValidation,
-    FunctorValidationError,
     GeneralTheoremReport,
     category_of_elements,
     expected_size,

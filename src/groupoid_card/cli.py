@@ -30,7 +30,6 @@ from .cycle_stats import (
     verify_clls,
 )
 from .functors import (
-    FunctorValidationError,
     functor_from_json,
     make_cycle_tuple_functor,
     make_fixed_point_functor,
@@ -450,11 +449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FunctorValidationError as exc:
-        report = exc.report
-        print(f"functor validation failed ({report.failing_law} law, witness {report.witness}): {report.message}", file=sys.stderr)
-        return 2
-    # UsageError, CapExceededError, GroupValidationError and JSONDecodeError are ValueErrors.
+    # UsageError, CapExceededError, GroupValidationError, ActionValidationError
+    # and JSONDecodeError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

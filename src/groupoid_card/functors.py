@@ -14,12 +14,13 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cycle_stats import decorated_permutation_counts
 from . import permutations
 from .groups import FiniteGroup, SymmetricGroup, from_cayley_json, json_int, make_symmetric
 from .groupoids import (
+    ActionValidation,
     GroupAction,
     GroupoidSkeleton,
     Orbit,
@@ -28,6 +29,7 @@ from .groupoids import (
     orbit_decomposition,
     rational_str,
     refuse_walk_above_cap,
+    require_valid,
     skeleton_from_orbits,
 )
 from .permutations import (
@@ -62,7 +64,7 @@ class EquivariantFunctor:
     transport: Callable[[int, int], tuple[int, ...]]
     name: str = "functor"
     _presented: bool = field(default=False, repr=False)
-    _validation: Optional["FunctorValidation"] = field(default=None, init=False, repr=False)
+    _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
     _elements: Optional[GroupAction] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -97,28 +99,7 @@ def _transport(functor: EquivariantFunctor, h: int, g: int, target: int) -> tupl
     )
 
 
-@dataclass(frozen=True)
-class FunctorValidation:
-    """Outcome of the functor law checks, with the first failure witnessed."""
-
-    ok: bool
-    checks: int
-    failing_law: Optional[str] = None
-    witness: Optional[tuple] = None
-    message: Optional[str] = None
-    # Every transport a report rests on is read: no law check samples.
-    mode: ClassVar[str] = "exhaustive"
-
-
-class FunctorValidationError(ValueError):
-    """The functor data violates a law; carries the validation report."""
-
-    def __init__(self, report: FunctorValidation):
-        super().__init__(report.message or "functor validation failed")
-        self.report = report
-
-
-def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
+def validate_functor(functor: EquivariantFunctor) -> ActionValidation:
     """Check the functor as its category of elements, from every transport
     the check rests on.
 
@@ -129,8 +110,10 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     of another size is no bijection, so the laws force conjugation-invariant
     fiber sizes too. The check lays out the action's rows, where a
     transport that is no bijection fills its fiber's slots with a mark of
-    its own below the carrier, runs GroupAction.validate on them and maps
-    that report, with its check count, back to the functor.
+    its own below the carrier, and runs GroupAction.validate on them. A
+    passing report is returned as it is; a failing one keeps its check
+    count, and its law, witness and failure message are mapped back to the
+    functor's.
 
     The check is the walk: the k generators' transports, then each orbit of
     the category of elements, k * total + (k + 1) |G| reads an orbit for
@@ -140,8 +123,10 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     for h1 its parent and s its step's generator in the spanning tree,
     |G| * total reads more. Only transports out of nonempty fibers are
     read. A failure is witnessed by a broken transport (h, g) the check
-    met, the lowest g whose identity transport moves a point, the tree
-    compare's first failing (s, h1, g) or the walk's broken edge. The
+    met ("bijection"), the lowest g whose identity transport moves a point
+    ("identity"), the tree compare's first failing (s, h1, g)
+    ("composition") or the walk's broken edge (s, h, g) ("walk"). The
+    check cap is read before any transport. The
     result is cached on the functor, and so is the action the check ran,
     named after the functor so that a refusal names it, with its report and
     the orbits its walk found, which category_of_elements returns."""
@@ -150,7 +135,7 @@ def validate_functor(functor: EquivariantFunctor) -> FunctorValidation:
     return functor._validation
 
 
-def _check(functor: EquivariantFunctor) -> FunctorValidation:
+def _check(functor: EquivariantFunctor) -> ActionValidation:
     """Lay out the category of elements, validate it and read its report as
     the functor's. Every row of the category of elements, read by the check
     or later, is laid out by the one row function here; after the check it
@@ -192,10 +177,10 @@ def _check(functor: EquivariantFunctor) -> FunctorValidation:
     action = functor._elements = GroupAction(group, functor.total_size, row, functor.name, _presented=functor._presented)
     report = action.validate()
     if report.ok:
-        return FunctorValidation(True, report.checks)
+        return report
 
-    def failed(law: str, witness: tuple, message: str) -> FunctorValidation:
-        return FunctorValidation(False, report.checks, law, witness, message)
+    def failed(law: str, witness: tuple, message: str) -> ActionValidation:
+        return ActionValidation(False, report.checks, message, law, witness)
 
     if report.law == "carrier":
         # Only a mark leaves the carrier: the slot of a broken transport of row h.
@@ -222,9 +207,9 @@ def _check(functor: EquivariantFunctor) -> FunctorValidation:
 
 
 def _require_valid(functor: EquivariantFunctor) -> None:
+    """Raise ActionValidationError unless the functor passes its law check."""
     report = validate_functor(functor)
-    if not report.ok:
-        raise FunctorValidationError(report)
+    require_valid(report, f"functor validation failed ({report.law} law, witness {report.witness})")
 
 
 def expected_size(functor: EquivariantFunctor) -> Fraction:
@@ -278,7 +263,6 @@ def verify_general_theorem(functor: EquivariantFunctor) -> GeneralTheoremReport:
     """Check that the exact average fiber size equals the groupoid cardinality
     of the category of elements, computed via the weak quotient (and
     cross-checked via out-degrees)."""
-    _require_valid(functor)
     action = category_of_elements(functor)
     orbits = orbit_decomposition(action)
     skeleton = skeleton_from_orbits(orbits)

@@ -139,14 +139,16 @@ def skeletons_equivalent(a: GroupoidSkeleton, b: GroupoidSkeleton) -> bool:
 
 @dataclass(frozen=True)
 class ActionValidation:
-    """Outcome of checking the identity and compatibility laws of an action."""
+    """Outcome of checking the laws of an action, or of a functor as its
+    category of elements (functors.validate_functor)."""
 
     ok: bool
     checks: int
     failure: Optional[str] = None
-    # A failure's law, "identity", "carrier", "composition" or "walk", and
-    # its witness (GroupAction.validate); the failure message names both, so
-    # reports compare without them.
+    # A failure's law and witness: an action's "identity", "carrier",
+    # "composition" or "walk" (GroupAction.validate), a functor's
+    # "bijection", "identity", "composition" or "walk". The failure message
+    # names both, so reports compare without them.
     law: Optional[str] = field(default=None, compare=False)
     witness: Optional[tuple] = field(default=None, compare=False)
     # Every image a report rests on is read: no law check samples.
@@ -154,7 +156,19 @@ class ActionValidation:
 
 
 class ActionValidationError(ValueError):
-    """An action failed its law checks and cannot be quotiented."""
+    """A law check failed: an action cannot be quotiented, or a functor has
+    no category of elements. The failed report is .report."""
+
+    def __init__(self, message: str, report: ActionValidation):
+        super().__init__(message)
+        self.report = report
+
+
+def require_valid(report: ActionValidation, lead: str) -> None:
+    """Raise ActionValidationError, carrying report, as "<lead>: <failure>"
+    unless report is ok."""
+    if not report.ok:
+        raise ActionValidationError(f"{lead}: {report.failure}", report)
 
 
 def _refuse_above_cap(what: str, cost: int) -> None:
@@ -246,10 +260,8 @@ class GroupAction:
         broken edge, act(s, act(g, x)) != act(s g, x).
 
         A check of more reads than DEFAULT_CHECK_CAP, read at call time,
-        raises CapExceededError before any row but the identity's is read,
-        and as soon as the walk's next orbit would pass it
-        (refuse_walk_above_cap); an identity row is checked first, so a
-        failing identity law is reported above the cap too.
+        raises CapExceededError before any row is read, and as soon as the
+        walk's next orbit would pass it (refuse_walk_above_cap).
         """
         if self._validation is None:
             self._validation = self._walk()
@@ -260,14 +272,14 @@ class GroupAction:
         if not size:
             self._orbits = []
             return ActionValidation(True, 0)
+        afford = functools.partial(refuse_walk_above_cap, self.name, group, size, rows=0 if self._presented else order)
+        afford(1)
         checks = 0
         if not self._presented:
             for s, t in enumerate(self._row(group.identity)):
                 if t != s:
                     return ActionValidation(False, s + 1, f"identity law fails at s={s}: act(e, s) = {t}", "identity", (s,))
             checks = size
-        afford = functools.partial(refuse_walk_above_cap, self.name, group, size, rows=0 if self._presented else order)
-        afford(1)
         tree = group.spanning_tree()
         generators = tree.generators
         rows = [self._row(s) for s in generators]
@@ -316,12 +328,6 @@ class GroupAction:
                                             "composition", (s, h, x))
             end += len(parents)
         return None
-
-
-def _require_valid(action: GroupAction) -> None:
-    report = action.validate()
-    if not report.ok:
-        raise ActionValidationError(f"invalid action {action.name!r}: {report.failure}")
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,7 @@ def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     check found (walk_orbits), kept with its report, so nothing is walked
     again. An empty carrier has no orbit, and its spanning tree is not
     read."""
-    _require_valid(action)
+    require_valid(action.validate(), f"invalid action {action.name!r}")
     return list(action._orbits)
 
 
@@ -413,7 +419,7 @@ def cardinality_via_outdegrees(action: GroupAction) -> Fraction:
     exactly one morphism out of each object, so |out(s)| = |G| for all s;
     the count is taken by explicit iteration and must agree with the
     weak-quotient cardinality."""
-    _require_valid(action)
+    require_valid(action.validate(), f"invalid action {action.name!r}")
     out_degree = sum(1 for _ in action.group.elements())
     if action.carrier_size == 0:
         return Fraction(0)

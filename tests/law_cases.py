@@ -5,9 +5,11 @@ before the test reads it; `law_caps` moves the check cap above which law
 checks refuse, and `enumeration_cap` the degree above which S_n is not
 enumerated; `rows_of` turns a per-point act into the row function a
 GroupAction is built from; `tree_edges` lists a spanning tree's edges;
-`lowest_law_witness` scans every triple of given rows, and
-`assert_agrees_with_reference` compares a law check of data with a literal
-validator's report."""
+`lowest_law_witness` scans every triple of given rows,
+`first_row_difference` compares the generator rows of two actions,
+`assert_same_report` compares two law reports with their laws and
+witnesses, and `assert_agrees_with_reference` compares a law check of data
+with a literal validator's report."""
 
 import random
 from unittest import mock
@@ -64,18 +66,26 @@ def validation_or_refusal(validate):
         return "refused"
 
 
+def assert_same_report(report, expected):
+    """Two ActionValidation reports agree: equal, which compares ok, checks
+    and the failure message, and with the same law and witness, which
+    equality skips."""
+    assert report == expected
+    assert (report.law, report.witness) == (expected.law, expected.witness)
+
+
 def assert_agrees_with_reference(report, reference, identity_failed, check_cap, first_orbit, per_point):
     """report, a data law check under check_cap or "refused"
     (validation_or_refusal), against reference, the literal validator's
-    report with no cap. A failing identity law is reported whatever the cap,
-    as the reference reports it. Otherwise the check is refused when the
-    reads through its first orbit, first_orbit, are above the cap, and never
-    when the reads of a walk of one orbit per point, per_point, are within
-    it; a report that is made has the reference's ok."""
-    if identity_failed:
-        assert report == reference
-    elif check_cap < first_orbit:
+    report with no cap. The check is refused when the reads through its
+    first orbit, first_orbit, are above the cap, before any row is read,
+    and never when the reads of a walk of one orbit per point, per_point,
+    are within it. Within the cap a failing identity law is reported as the
+    reference reports it, and any other report has the reference's ok."""
+    if check_cap < first_orbit:
         assert report == "refused"
+    elif identity_failed:
+        assert_same_report(report, reference)
     elif report == "refused":
         assert check_cap < per_point
     else:
@@ -131,4 +141,18 @@ def lowest_law_witness(group, rows):
                 t = rows[h][s]
                 if not 0 <= t < size or rows[g][t] != rows[gh][s]:
                     return g, h, s
+    return None
+
+
+def first_row_difference(a, b):
+    """The first (generator, point), generators in generators() order, at
+    which the rows of two actions of one group on one carrier size differ;
+    None when every generator row is equal. Two actions that pass their law
+    checks are then one action, since a valid action is fixed by its
+    generator rows."""
+    assert a.group is b.group and a.carrier_size == b.carrier_size
+    for g in a.group.generators():
+        row_a, row_b = a._row(g), b._row(g)
+        if row_a != row_b:
+            return g, next(s for s, (x, y) in enumerate(zip(row_a, row_b)) if x != y)
     return None

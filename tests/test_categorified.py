@@ -15,7 +15,7 @@ from groupoid_card.categorified import (
     verify_categorified,
 )
 from groupoid_card.cycle_stats import cll_rhs, expected_product_brute
-from groupoid_card.functors import make_cycle_tuple_functor, verify_general_theorem
+from groupoid_card.functors import category_of_elements, make_cycle_tuple_functor, verify_general_theorem
 from groupoid_card.groups import SymmetricGroup, make_symmetric
 from groupoid_card.groupoids import EMPTY_SKELETON, cardinality, orbit_decomposition, skeletons_equivalent, weak_quotient
 from groupoid_card.permutations import (
@@ -29,7 +29,7 @@ from groupoid_card.permutations import (
     weight,
 )
 from decorated_permutations import DecoratedPermutation, build_Q, q_action
-from law_cases import enumeration_cap
+from law_cases import enumeration_cap, first_row_difference
 
 
 def test_build_q_examples():
@@ -270,6 +270,30 @@ def test_elements_route_never_reads_the_kernel(forbid):
         cycle_tuple_action(3, (0, 1, 0))
     assert [verify_general_theorem(make_cycle_tuple_functor(n, p)) for n, p in INDEPENDENCE_CASES] == expected
     assert [q_images(n, p) for n, p in INDEPENDENCE_CASES] == expected_q
+
+
+# At n = 7: the largest carrier, e_1; e_3 + e_4, whose chosen cycles cover every
+# point; and e_1 + e_2 + e_3, with three chosen lengths.
+ROWS_CASES = [(n, p) for n in range(7) for p in iter_pvectors(n, max_entry=2)]
+ROWS_CASES += [(7, (1, 0, 0, 0, 0, 0, 0)), (7, (0, 0, 1, 1, 0, 0, 0)), (7, (1, 1, 1, 0, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _ in ROWS_CASES}))
+def test_the_q_action_and_the_category_of_elements_have_the_same_rows(n):
+    """The Q-action and the category of elements of the cycle-tuple functor
+    lay out one carrier in one order, sigma in element order and then its
+    choices in list_cycle_tuples order, from independent routes. Both pass
+    their own walk check, and their carrier sizes and generator rows are
+    equal, so they are one action: the isomorphism of their groupoids is
+    the identity on points. Only the finished rows are read."""
+    ps = [p for m, p in ROWS_CASES if m == n]
+    assert len(ps) == {0: 1, 1: 2, 2: 4, 3: 6, 4: 10, 5: 15, 6: 22, 7: 3}[n]
+    for p in ps:
+        q_side, elements = cycle_tuple_action(n, p), category_of_elements(make_cycle_tuple_functor(n, p))
+        assert q_side.validate().ok, p
+        assert q_side.carrier_size == elements.carrier_size, p
+        difference = first_row_difference(q_side, elements)
+        assert difference is None, f"p={p}: rows differ at (generator, point) = {difference}"
 
 
 # Two sweeps at one degree; the first has an empty carrier, weight 12 > 5.

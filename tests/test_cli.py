@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -544,7 +545,7 @@ def test_misplaced_fiber_size_is_a_bijection_failure_within_the_row_compare_cap(
     code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     elapsed = time.perf_counter() - start
     assert (code, out) == (2, "")
-    assert err == ("functor validation failed (bijection law, witness (873, 720)): transport(873, 720) = (0,) "
+    assert err == ("error: functor validation failed (bijection law, witness (873, 720)): transport(873, 720) = (0,) "
                    "is not a bijection from a fiber of size 1 onto one of size 0\n")
     assert len(products) <= 5042 + 3 * 5040
     assert elapsed < 0.4
@@ -578,7 +579,7 @@ def test_coset_functor_file_fails_within_its_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(group, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
     code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("functor validation failed (") and " law, witness " in err
+    assert err.startswith("error: functor validation failed (") and " law, witness " in err
     assert len(products) <= 5 * 5040
     report = functors.validate_functor(functor_from_json(data))
     size, order, k = 2, 5040, 2
@@ -1105,7 +1106,7 @@ def test_malformed_functor_json_exits_2(data):
     code, out, err = _run_functor_file(data)
     assert code == 2
     assert out == ""
-    assert err.startswith(("error: ", "functor validation failed"))
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 
@@ -1127,6 +1128,25 @@ def test_deeply_nested_functor_file_exits_2(tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: functor file {str(path)!r} is nested too deeply to parse\n"
     assert "Traceback" not in result.stderr
+
+
+def test_a_declared_fiber_of_a_billion_points_is_refused_within_512_mb(tmp_path):
+    """A file of about 100 bytes declares a fiber of 10^9 points with
+    one-entry transports. The check cap is read before any row is laid out,
+    so the file exits 2 at the cap under a 512 MB address-space limit: its
+    broken identity transport is never laid out as 10^9 marks, which took
+    170 MB at 10^7 points. The limit is set in the child only."""
+    path = tmp_path / "billion.json"
+    path.write_text(json.dumps({"group": "S2", "fibers": {"0": 10**9, "1": 0},
+                                "transports": {"0": {"0": [0]}, "1": {"0": [0]}}}))
+    assert len(path.read_bytes()) < 200
+    limit = 512 * 2**20
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", "theorem-general", "--functor", str(path)],
+                            capture_output=True, text=True, timeout=60,
+                            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: law check of 'json-functor' needs 3000000004 reads, "
+                             f"above the check cap {groupoids.DEFAULT_CHECK_CAP}\n")
 
 
 def test_montecarlo_degree_cap_exits_2(capsys):

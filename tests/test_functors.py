@@ -12,8 +12,6 @@ from groupoid_card import functors, groupoids, groups
 from groupoid_card.categorified import cycle_tuple_action
 from groupoid_card.functors import (
     EquivariantFunctor,
-    FunctorValidation,
-    FunctorValidationError,
     category_of_elements,
     expected_size,
     functor_from_json,
@@ -27,6 +25,7 @@ from groupoid_card.groups import make_cyclic, make_product, make_symmetric, to_c
 from groupoid_card.groupoids import (
     DEFAULT_CHECK_CAP,
     ActionValidation,
+    ActionValidationError,
     GroupAction,
     orbit_decomposition,
     skeletons_equivalent,
@@ -37,6 +36,7 @@ from decorated_permutations import build_Q
 from law_cases import (
     LAW_GROUPS,
     assert_agrees_with_reference,
+    assert_same_report,
     enumeration_cap,
     last_generator_coset,
     law_caps,
@@ -138,11 +138,13 @@ def test_corrupted_transport_is_reported_with_triple():
     corrupted = EquivariantFunctor(group, (2, 2, 2, 2), bad, name="corrupted")
     report = validate_functor(corrupted)
     assert not report.ok
-    assert report.failing_law == "composition"
+    assert report.law == "composition"
     assert report.witness is not None
     assert len(report.witness) == 3
-    with pytest.raises(FunctorValidationError):
+    with pytest.raises(ActionValidationError) as refused:
         verify_general_theorem(corrupted)
+    assert refused.value.report is report
+    assert str(refused.value) == f"functor validation failed (composition law, witness {report.witness}): {report.failure}"
 
 
 def test_identity_transport_violation():
@@ -150,7 +152,7 @@ def test_identity_transport_violation():
     functor = EquivariantFunctor(group, (2, 2), lambda h, g: (1, 0), name="flip-identity")
     report = validate_functor(functor)
     assert not report.ok
-    assert report.failing_law == "identity"
+    assert report.law == "identity"
 
 
 def test_fiber_size_invariance_violation():
@@ -160,7 +162,7 @@ def test_fiber_size_invariance_violation():
     functor = EquivariantFunctor(group, tuple(sizes), lambda h, g: (0,), name="lopsided")
     report = validate_functor(functor)
     assert not report.ok
-    assert report.failing_law == "bijection"
+    assert report.law == "bijection"
 
 
 def test_malformed_bijection_is_caught():
@@ -176,12 +178,12 @@ def test_malformed_bijection_is_caught():
             functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed", _presented=presented)
             report = validate_functor(functor)
             assert not report.ok
-            assert report.failing_law == "bijection"
-            assert report.message == (
+            assert report.law == "bijection"
+            assert report.failure == (
                 f"transport({h}, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
             )
-            assert report == (FunctorValidation(False, 6, "bijection", (1, 0), report.message) if presented
-                              else reference_functor_validation(functor))
+            assert_same_report(report, ActionValidation(False, 6, report.failure, "bijection", (1, 0)) if presented
+                               else reference_functor_validation(functor))
 
 
 def test_a_broken_generator_transport_fails_the_walk_under_a_cap_that_refuses_the_row_compare():
@@ -197,12 +199,12 @@ def test_a_broken_generator_transport_fails_the_walk_under_a_cap_that_refuses_th
     functor = EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,), _presented=True)
     message = "transport(1, 0) = (1,) is not a bijection from a fiber of size 1 onto one of size 1"
     with law_caps(17):
-        assert validate_functor(functor) == FunctorValidation(False, 3, "bijection", (1, 0), message)
+        assert_same_report(validate_functor(functor), ActionValidation(False, 3, message, "bijection", (1, 0)))
     with law_caps(17), pytest.raises(CapExceededError, match="needs 18 reads, above the check cap 17"):
         validate_functor(EquivariantFunctor(group, (1, 1, 1), functor.transport))
     with law_caps(18):
-        assert validate_functor(EquivariantFunctor(group, (1, 1, 1), functor.transport)) == FunctorValidation(
-            False, 6, "bijection", (1, 0), message)
+        assert_same_report(validate_functor(EquivariantFunctor(group, (1, 1, 1), functor.transport)),
+                           ActionValidation(False, 6, message, "bijection", (1, 0)))
 
 
 def test_triple_scan_finds_composition_before_a_broken_transport():
@@ -228,8 +230,8 @@ def test_triple_scan_finds_composition_before_a_broken_transport():
 
     functor = EquivariantFunctor(group, (2, 2, 2), transport)
     message = "composition law fails at (h2=0, h1=0, g=0), fiber element 0"
-    assert validate_functor(functor) == FunctorValidation(False, 6 + 6 + 6 + 1, "composition", (0, 0, 0), message)
-    assert reference_functor_validation(functor) == FunctorValidation(False, 7, "composition", (0, 0, 0), message)
+    assert_same_report(validate_functor(functor), ActionValidation(False, 6 + 6 + 6 + 1, message, "composition", (0, 0, 0)))
+    assert_same_report(reference_functor_validation(functor), ActionValidation(False, 7, message, "composition", (0, 0, 0)))
 
 
 def test_the_fixed_point_walk_is_refused_one_read_below_its_count():
@@ -241,7 +243,7 @@ def test_the_fixed_point_walk_is_refused_one_read_below_its_count():
         with pytest.raises(CapExceededError, match="needs 264 reads, above the check cap 263"):
             validate_functor(make_fixed_point_functor(4))
     with law_caps(264):
-        assert validate_functor(make_fixed_point_functor(4)) == FunctorValidation(True, 264)
+        assert_same_report(validate_functor(make_fixed_point_functor(4)), ActionValidation(True, 264))
 
 
 def test_law_caps_switch_both_validators():
@@ -281,7 +283,7 @@ def test_n6_fixed_point_functor_is_exhaustive():
     compares for each of its 7 orbits, where sampling once drew 5 000
     triples; its action keeps that report and those orbits."""
     functor = make_fixed_point_functor(6)
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 720 + 3 * 720 * 7)
+    assert_same_report(validate_functor(functor), ActionValidation(True, 2 * 720 + 3 * 720 * 7))
     action = category_of_elements(functor)
     assert action.validate() == ActionValidation(True, 2 * 720 + 3 * 720 * 7)
     assert sorted(action._rows) == sorted(action.group.generators()) and len(action._rows) == 2
@@ -350,7 +352,7 @@ def test_builtin_functor_refusal_is_the_refusal_of_its_check(build, n):
             build(n)
     assert str(refused.value) == f"law check of {functor.name!r} needs {report.checks} reads, above the check cap {report.checks - 1}"
     with law_caps(report.checks):
-        assert validate_functor(build(n)) == report
+        assert_same_report(validate_functor(build(n)), report)
 
 
 def test_passing_functor_reads_one_row_per_generator(monkeypatch):
@@ -373,10 +375,10 @@ def test_passing_functor_reads_one_row_per_generator(monkeypatch):
     total = functor.total_size
     assert total == 120
     # The identity row, the 2 generator rows, the 119 others along the tree and 5 orbits.
-    assert validate_functor(functor) == FunctorValidation(True, (1 + 2 + 119) * total + 3 * 120 * 5)
+    assert_same_report(validate_functor(functor), ActionValidation(True, (1 + 2 + 119) * total + 3 * 120 * 5))
     assert read == []
     # The walk reads the 2 generator rows and 5 orbits; each transport reads its generator's row.
-    assert validate_functor(make_fixed_point_functor(5)) == FunctorValidation(True, 2 * total + 3 * 120 * 5)
+    assert_same_report(validate_functor(make_fixed_point_functor(5)), ActionValidation(True, 2 * total + 3 * 120 * 5))
     assert set(read) == set(generators)
     assert sorted(group._conjugation_table()) == sorted(generators)
 
@@ -597,12 +599,12 @@ def test_only_validate_functor_sets_the_report_and_the_elements():
     """Neither the report nor the category of elements is a constructor
     argument, so no functor is built valid; mode is a class constant."""
     group = make_cyclic(2)
-    report = FunctorValidation(True, 0)
+    report = ActionValidation(True, 0)
     for bypass in ({"_validation": report}, {"_elements": GroupAction(group, 2, rows_of(lambda h, s: s, 2))}):
         with pytest.raises(TypeError):
             EquivariantFunctor(group, (1, 1), lambda h, g: (0,), **bypass)
-    assert "mode" not in {f.name for f in dataclasses.fields(FunctorValidation)}
-    assert report.mode == FunctorValidation.mode == "exhaustive"
+    assert "mode" not in {f.name for f in dataclasses.fields(ActionValidation)}
+    assert report.mode == ActionValidation.mode == "exhaustive"
     functor = EquivariantFunctor(group, (1, 1), lambda h, g: (0,))
     assert verify_general_theorem(functor).equal and validate_functor(functor).mode == "exhaustive"
 
@@ -621,7 +623,7 @@ def reference_functor_validation(functor):
     checks = 0
 
     def failed(law, witness, message):
-        return FunctorValidation(False, checks, failing_law=law, witness=witness, message=message)
+        return ActionValidation(False, checks, message, law, witness)
 
     nonempty = [g for g in range(order) if sizes[g] > 0]
     e = group.identity
@@ -659,7 +661,7 @@ def reference_functor_validation(functor):
                 failure = composition(h2, h1, g)
                 if failure:
                     return failed(*failure)
-    return FunctorValidation(True, total + k * order * total)
+    return ActionValidation(True, total + k * order * total)
 
 
 def checked_transport(functor, h, g):
@@ -679,7 +681,7 @@ def witness_breaks_a_law(functor, report):
     """Whether the report's witness, read literally from the transports,
     breaks the law it names: a walk's (s, h, g) reads as a composition
     triple."""
-    group, law, witness = functor.group, report.failing_law, report.witness
+    group, law, witness = functor.group, report.law, report.witness
     try:
         if law == "bijection":
             checked_transport(functor, *witness)
@@ -736,7 +738,7 @@ def test_row_compare_keeps_only_the_generators_conjugation_rows(make):
         assert validate_functor(EquivariantFunctor(group, sizes, lambda h, g: table[(h, g)])).ok
         raised = sizes[:last] + (sizes[last] + 1,)
         report = validate_functor(EquivariantFunctor(group, raised, lambda h, g: table[(h, g)]))
-        assert report.failing_law == "bijection"
+        assert report.law == "bijection"
     assert group._conjugation_table() == {}
 
 
@@ -840,7 +842,7 @@ def test_fiber_size_check_same_with_or_without_conjugation_table(with_table):
             def build():
                 return EquivariantFunctor(group, tuple(corrupted), lambda h, x: table[(h, x)])
 
-            assert validate_functor(build()) == reference_functor_validation(build())
+            assert_same_report(validate_functor(build()), reference_functor_validation(build()))
 
 
 def test_functor_validation_matches_reference_on_s4_corruptions():
@@ -872,7 +874,7 @@ def test_functor_validation_matches_reference_on_s4_corruptions():
             assert report.ok or witness_breaks_a_law(build(), report)
             assert report.mode == "exhaustive"
             reports.append(report)
-    assert sum(report.failing_law == "composition" for report in reports) >= 4
+    assert sum(report.law == "composition" for report in reports) >= 4
 
 
 def exhaustively_validated_functors():
@@ -975,7 +977,7 @@ def test_broken_transports_are_found_by_the_one_law_kernel(monkeypatch):
         report = validate_functor(functor)
         assert not report.ok and not reference_functor_validation(functor).ok
         assert witness_breaks_a_law(functor, report)
-        laws.add(report.failing_law)
+        laws.add(report.law)
     assert calls == []
     assert laws == {"bijection", "composition"}
     assert len(cases) == 133
@@ -990,6 +992,6 @@ def test_a_row_read_after_a_passing_check_refuses_a_broken_transport():
     assert 1 not in group.generators()
     functor = EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,), _presented=True)
     # 2 * 6 generator images, then 3 * 6 reads for each of the 3 conjugacy classes.
-    assert validate_functor(functor) == FunctorValidation(True, 2 * 6 + 3 * 6 * 3)
+    assert_same_report(validate_functor(functor), ActionValidation(True, 2 * 6 + 3 * 6 * 3))
     with pytest.raises(ValueError, match=r"^transport\(1, 0\) = \(0\.0,\) is not a bijection from a fiber of size 1 onto one of size 1$"):
         category_of_elements(functor).act(1, 0)

@@ -212,8 +212,30 @@ def test_only_a_law_check_sets_the_report():
     assert report.mode == ActionValidation.mode == "exhaustive"
     bad = GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2))
     assert not bad.validate().ok and bad.validate().mode == "exhaustive"
-    with pytest.raises(ActionValidationError, match=r"identity law fails at s=0: act\(e, s\) = 5"):
+    with pytest.raises(ActionValidationError) as refused:
         orbit_decomposition(bad)
+    assert str(refused.value) == "invalid action 'action': identity law fails at s=0: act(e, s) = 5"
+    assert refused.value.report is bad.validate()
+
+
+def test_the_check_cap_is_read_before_the_identity_row():
+    """Z/3 on 2 points, from data, with a failing identity law: its check
+    would read (3 + 1) * 2 + 2 * 3 = 14 values through its first orbit, so
+    under a cap of 13 it is refused before any row is asked for, and under
+    14 the identity law's failure is reported after its first point."""
+    asked = []
+
+    def row(g):
+        asked.append(g)
+        return [5, 5]
+
+    with law_caps(13), pytest.raises(CapExceededError, match="needs 14 reads, above the check cap 13"):
+        GroupAction(make_cyclic(3), 2, row).validate()
+    assert asked == []
+    with law_caps(14):
+        report = GroupAction(make_cyclic(3), 2, row).validate()
+    assert (report.ok, report.checks, report.law, report.witness) == (False, 1, "identity", (0,))
+    assert asked == [0]
 
 
 def test_rows_are_no_constructor_argument():
@@ -503,7 +525,7 @@ def reference_action_validation(group, size, act):
         checks += 1
         t = act(group.identity, s)
         if t != s:
-            return ActionValidation(False, checks, f"identity law fails at s={s}: act(e, s) = {t}")
+            return ActionValidation(False, checks, f"identity law fails at s={s}: act(e, s) = {t}", "identity", (s,))
     for g in range(order):
         for h in range(order):
             gh = group.mul(g, h)
@@ -511,12 +533,13 @@ def reference_action_validation(group, size, act):
                 checks += 1
                 t = act(h, s)
                 if not 0 <= t < size:
-                    return ActionValidation(False, checks, f"act({h}, {s}) = {t} is outside the carrier")
+                    return ActionValidation(False, checks, f"act({h}, {s}) = {t} is outside the carrier", "carrier", (h, s))
                 if act(g, t) != act(gh, s):
                     return ActionValidation(
                         False, checks,
                         f"compatibility fails at (g={g}, h={h}, s={s}): "
                         f"act(g, act(h, s)) = {act(g, t)} but act(g*h, s) = {act(gh, s)}",
+                        "composition", (g, h, s),
                     )
     return ActionValidation(True, size + len(group.spanning_tree().generators) * order * size)
 
