@@ -28,6 +28,7 @@ from .permutations import (
     check_type_term_cap,
     cycle_decomposition,
     falling_power,
+    image_cycle_counts,
     partition_counts,
     partition_walk,
     pvector_weight_counts,
@@ -41,7 +42,7 @@ METHOD_BRUTE = "brute"
 METHOD_CYCLE_TYPE = "cycle_type"
 METHOD_MONTE_CARLO = "monte_carlo"
 # Largest degree the Monte Carlo route samples: each sample holds an image
-# list and a mark list of this length.
+# list of this length, and on the walk route a count and a seen list too.
 MONTE_CARLO_MAX_N = 100_000
 # The Monte Carlo route rule (see monte_carlo_moments), measured at
 # n = 10..256 on a 2-core x86-64 host, Python 3.11: a sample's power costs
@@ -291,14 +292,12 @@ def expected_product_by_type(n: int, p: Sequence[int]) -> Fraction:
 
 def cll_rhs(n: int, p: Sequence[int]) -> Fraction:
     """Closed form the expectation must equal: prod_k 1/k^{p_k} when the
-    weight p_1 + 2 p_2 + ... + n p_n is at most n, else exactly 0. Only
-    the nonzero entries are read."""
+    weight p_1 + 2 p_2 + ... + n p_n is at most n, else exactly 0."""
     pvec = validate_pvector(n, p)
-    sizes = list(itertools.compress(range(1, n + 1), pvec))
-    if sum(k * pvec[k - 1] for k in sizes) > n:
+    if weight(pvec) > n:
         return Fraction(0)
     denom = 1
-    for k in sizes:
+    for k in itertools.compress(range(1, n + 1), pvec):
         denom *= k ** pvec[k - 1]
     return Fraction(1, denom)
 
@@ -371,32 +370,6 @@ def _cycle_counts(lengths: list[int], divisors: list[int], fixes: Sequence[int])
     return [points[k] // k for k in lengths]
 
 
-def _walked_counts(images: list[int], passes: Iterator[None], lengths: list[int]) -> Iterator[tuple[int, ...]]:
-    """After each pass, the number of cycles of each length in lengths, from
-    one walk of every cycle. A point is visited in this sample when its mark
-    holds the sample's stamp, so one mark list serves every sample. Keys are
-    (*map(...),): each tuple(map(...)) would be shrunk, and CPython would
-    keep 2 000 of them on a free list (0.1 MB at length 4)."""
-    n = len(images)
-    top = lengths[-1]
-    mark = [0] * n
-    for stamp, _ in enumerate(passes, start=1):
-        counts = [0] * (top + 1)
-        for start in range(n):
-            if mark[start] == stamp:
-                continue
-            mark[start] = stamp
-            entry = images[start]
-            length = 1
-            while entry != start:
-                mark[entry] = stamp
-                entry = images[entry]
-                length += 1
-            if length <= top:
-                counts[length] += 1
-        yield (*map(counts.__getitem__, lengths),)
-
-
 def _fixed_point_counts(images: list[int], passes: Iterator[None], divisors: list[int]) -> Iterator[tuple[int, ...]]:
     """After each pass, fix(σ^d) for each d in divisors, 1 first, where σ is
     the image list of at most 256 points: σ^d is σ^(d-1) translated through
@@ -436,10 +409,10 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
     _POWER_POINTS * (top + 3 m) <= n (at n = 100: k = 1, 2, 3, 5 and the four
     together), a sample's key is fix(σ^d) for each divisor d, from
     byte-translated powers (`_fixed_point_counts`), inverted to c_k by
-    `_cycle_counts`; else it is the counts of the chosen lengths, from a
-    walk of every cycle (`_walked_counts`). The keys are tallied in runs of
-    about _TALLY_ENTRIES counts, and the falling-power products and their
-    squares are added once per distinct key of a run.
+    `_cycle_counts`; else it is the chosen lengths' entries of
+    `image_cycle_counts`. The keys are tallied in runs of about
+    _TALLY_ENTRIES counts, and the falling-power products and their squares
+    are added once per distinct key of a run.
 
     The seed must lie in 0..2^64-1, the states SplitMix64 has: any other
     integer would be read mod 2^64 and reported as given, so it is refused.
@@ -452,8 +425,7 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
     live = [(i, pvec) for i, pvec in enumerate(pvecs) if weight(pvec) <= n]
     lengths = sorted({k for _, pvec in live for k in itertools.compress(range(1, n + 1), pvec)})
-    position = {k: j for j, k in enumerate(lengths)}
-    needs = [(i, [(position[k], pvec[k - 1]) for k in itertools.compress(range(1, n + 1), pvec)]) for i, pvec in live]
+    needs = [(i, [pvec[k - 1] for k in lengths]) for i, pvec in live]
     # Bytes name at most 256 points.
     divisors = sorted({d for k in lengths for d in range(1, k + 1) if k % d == 0}) if n <= 256 else []
     images = list(range(n))
@@ -466,7 +438,10 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         keys = _fixed_point_counts(images, passes, divisors)
         counts_of = functools.partial(_cycle_counts, lengths, divisors)
     else:
-        keys = _walked_counts(images, passes, lengths)
+        # (*map(...),): each tuple(map(...)) would be shrunk, and CPython
+        # would keep 2 000 of them on a free list (0.1 MB at length 4).
+        at = [k - 1 for k in lengths]
+        keys = ((*map(image_cycle_counts(images).__getitem__, at),) for _ in passes)
     totals = [0] * len(pvecs)
     totals_sq = [0] * len(pvecs)
     # A key holds at most max(len(lengths), len(divisors)) counts.
@@ -475,9 +450,7 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         for key, count in Counter(itertools.islice(keys, fold)).items():
             counts = counts_of(key)
             for i, need in needs:
-                value = 1
-                for j, pk in need:
-                    value *= falling_power(counts[j], pk)
+                value = _product_of_falling(counts, need)
                 totals[i] += count * value
                 totals_sq[i] += count * value * value
     reports = []

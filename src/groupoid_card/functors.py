@@ -366,7 +366,9 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     only entry such a fiber may list, for every h. A key of "fibers",
     "transports" or a transport object that names no element, such as "7"
     or "01" in a group of order 2, is refused, the first one named; only
-    when a count of keys shows one is there are the keys read. The shape is
+    when a count of keys shows one is there are the keys read. A "fibers"
+    with fewer keys than elements is read only up to its first defect, at
+    most one read per key and one more. The shape is
     checked here, so malformed input raises ValueError; "S<n>" is capped at
     DEFAULT_ENUMERATION_CAP, read at call time, like every enumeration."""
     if not isinstance(data, dict):
@@ -392,16 +394,18 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     fibers = data["fibers"]
     if not isinstance(fibers, dict):
         raise ValueError('"fibers" must be an object mapping elements to sizes')
-    sizes = list(map(fibers.get, map(str, range(group.order))))
     # The sizes are read one by one, for the first defect's message, only
-    # when one is missing, not an integer or negative.
+    # when one is missing, not an integer or negative; the loop stops there.
+    # With fewer keys than elements one of "0" .. str(len(fibers)) is
+    # missing, so the loop runs at once and stops within len(fibers) + 1 reads.
+    sizes = list(map(fibers.get, map(str, range(group.order)))) if len(fibers) >= group.order else [None]
     if not set(map(type, sizes)) <= {int} or min(sizes) < 0:
+        missing = object()
         for g in range(group.order):
-            key = str(g)
-            if key not in fibers:
+            size = fibers.get(str(g), missing)
+            if size is missing:
                 raise ValueError(f"fiber size for element {g} is missing")
-            sizes[g] = json_int(fibers[key], f"fiber size for element {g}")
-            if sizes[g] < 0:
+            if json_int(size, f"fiber size for element {g}") < 0:
                 raise ValueError(f"fiber size for element {g} is negative")
     if len(fibers) != group.order:
         _refuse_stray_key(fibers, group.order, '"fibers"')

@@ -1149,6 +1149,24 @@ def test_a_declared_fiber_of_a_billion_points_is_refused_within_512_mb(tmp_path)
                              f"above the check cap {groupoids.DEFAULT_CHECK_CAP}\n")
 
 
+@pytest.mark.parametrize("fibers, message", [
+    ({}, "fiber size for element 0 is missing"),
+    ({"0": "x"}, "fiber size for element 0 must be an integer, got 'x'"),
+    ({"0": 1, "1": -1}, "fiber size for element 1 is negative"),
+    ({"0": 1}, "fiber size for element 1 is missing"),
+])
+def test_short_s10_fibers_file_exits_2_with_its_first_defect(tmp_path, fibers, message):
+    """An S10 file that lists fewer fiber sizes than its 10! elements is
+    refused at its first defect without a list of 10! sizes; the file with
+    no fibers, under 50 bytes, took 1.08 s and 45 MB when that list was
+    built."""
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps({"group": "S10", "fibers": fibers, "transports": {}}))
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", "theorem-general", "--functor", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_montecarlo_degree_cap_exits_2(capsys):
     # Refused before the --p-one vector of length n is built.
     code, out, err = run_cli(["montecarlo", "--n", "1000000000", "--p-one", "k=1", "--samples", "2"], capsys)

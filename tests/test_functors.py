@@ -568,6 +568,49 @@ def test_functor_json_reports_its_first_fiber_size_defect():
     assert count == 6 * 9 * 10
 
 
+class CountedReads(dict):
+    """A dict that counts the reads of its keys."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("fibers, message", [
+    ({}, "fiber size for element 0 is missing"),
+    ({"0": "x"}, "fiber size for element 0 must be an integer, got 'x'"),
+    ({"0": 1, "1": -1}, "fiber size for element 1 is negative"),
+    ({"0": 1}, "fiber size for element 1 is missing"),
+    ({str(g): 1 for g in range(1, 100)}, "fiber size for element 0 is missing"),
+    ({**{str(g): 1 for g in range(100)}, "x": 1}, "fiber size for element 100 is missing"),
+])
+def test_functor_json_reads_a_short_fibers_object_in_proportion_to_its_keys(fibers, message):
+    """With fewer fiber keys than the 10! elements of S10, one of the first
+    keys + 1 elements has no size, so the first defect is found within
+    keys + 1 reads."""
+    counted = CountedReads(fibers)
+    with pytest.raises(ValueError) as refusal:
+        functor_from_json({"group": "S10", "fibers": counted, "transports": {}})
+    assert str(refusal.value) == message
+    assert counted.reads <= len(fibers) + 1
+
+
+def test_functor_json_reads_a_full_fibers_object_once_per_element():
+    counted = CountedReads({str(g): int(g == 0) for g in range(6)})
+    functor_from_json({"group": "S3", "fibers": counted, "transports": {str(h): {"0": [0]} for h in range(6)}})
+    assert counted.reads == 6
+
+
 def test_functor_json_stores_only_the_transports_it_lists():
     """An unlisted transport out of an empty fiber reads as the empty
     bijection, and so does a listed empty one."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from groupoid_card.permutations import (
     cycle_type_table,
     enumerate_permutations,
     falling_power,
+    image_cycle_counts,
     iter_pvectors,
     lex_rank,
     list_cycle_tuples,
@@ -103,6 +105,25 @@ def test_cycle_counts_sum_to_degree(images):
     sigma = Permutation(tuple(images))
     counts = cycle_counts(sigma)
     assert sum(k * c for k, c in enumerate(counts, start=1)) == sigma.degree
+
+
+def large_degree_images():
+    """Seeded permutations at the degrees the Monte Carlo walk route counts,
+    and at 5 000 points the n-cycle, whose walk ends after its first cycle,
+    and the identity, whose walk starts at every point."""
+    rng = random.Random(20261020)
+    for n in (257, 1000, 5000):
+        images = list(range(n))
+        rng.shuffle(images)
+        yield images
+    yield [*range(1, 5000), 0]
+    yield list(range(5000))
+
+
+@pytest.mark.parametrize("images", large_degree_images(), ids=["257", "1000", "5000", "5000-cycle", "identity"])
+def test_image_cycle_counts_equal_cycle_decomposition_at_large_degrees(images):
+    lengths = Counter(map(len, cycle_decomposition(Permutation(tuple(images)))))
+    assert image_cycle_counts(images) == tuple(lengths[k] for k in range(1, len(images) + 1))
 
 
 def test_cycle_type_examples():

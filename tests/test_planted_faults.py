@@ -11,6 +11,7 @@ import json
 from groupoid_card import categorified, cycle_stats, functors
 from groupoid_card.cli import main
 from groupoid_card.groupoids import GroupoidSkeleton
+from test_cycle_stats import literal_monte_carlo
 
 
 def run_cli(args, capsys):
@@ -80,6 +81,36 @@ def test_brute_fault_fails_the_lemma_and_spares_the_cycle_type_sum(capsys, monke
     assert payload["equal"] is False
     assert (payload["lhs"], payload["rhs"]) == ("23/24", "1/1")
     assert run_cli(LEMMA + ["cycle-type"], capsys) == clean_type
+
+
+def plant_one_more_two_cycle(monkeypatch):
+    """One more 2-cycle in every count of the package's cycle counter, as
+    the Monte Carlo sampler reads it."""
+    clean = cycle_stats.image_cycle_counts
+    monkeypatch.setattr(cycle_stats, "image_cycle_counts",
+                        lambda images: tuple(count + (k == 1) for k, count in enumerate(clean(images))))
+
+
+MONTE_CARLO = ["montecarlo", "--p-one", "k=2", "--samples", "40", "--seed", "3", "--n"]
+
+
+def test_cycle_counter_fault_fails_the_walk_route_and_spares_the_translate_route(capsys, monkeypatch):
+    """The walk route (n = 257) has no counter of its own: a fault in
+    image_cycle_counts moves its report off the literal oracle, which counts
+    with cycle_decomposition, while the translate route (n = 100) reads no
+    walk and keeps its report."""
+    e2 = {n: tuple(int(k == 2) for k in range(1, n + 1)) for n in (100, 257)}
+    clean_translate = run_cli(MONTE_CARLO + ["100"], capsys)
+    assert clean_translate[0] == 0
+    assert run_cli(MONTE_CARLO + ["257"], capsys)[0] == 0
+
+    plant_one_more_two_cycle(monkeypatch)
+    code, out, _ = run_cli(MONTE_CARLO + ["257"], capsys)
+    assert code == 1
+    assert json.loads(out)["within_4se"] is False
+    assert cycle_stats.monte_carlo_moment(257, e2[257], 40, 3) != literal_monte_carlo(257, e2[257], 40, 3)
+    assert run_cli(MONTE_CARLO + ["100"], capsys) == clean_translate
+    assert cycle_stats.monte_carlo_moment(100, e2[100], 40, 3) == literal_monte_carlo(100, e2[100], 40, 3)
 
 
 def plant_two_marks_on_one_offset(monkeypatch, pi, r):
