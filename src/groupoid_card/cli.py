@@ -36,7 +36,7 @@ from .functors import (
     verify_general_theorem,
 )
 from .groupoids import cardinality_of_orders, perm_skeleton_groups, rational_str
-from .permutations import iter_pvectors, parse_integer, validate_pvector
+from .permutations import check_partition_cap, iter_pvectors, parse_integer, validate_pvector
 
 
 # About this many skeleton rows go to each write.
@@ -84,33 +84,48 @@ def _selected_pvectors(args) -> Iterable[tuple[int, ...]]:
     return [_parse_pvector(args.p, args.n)]
 
 
-def _emit(payload: dict, fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
-    """Print payload as JSON, or build and print only the CSV rows or the
-    text lines that fmt asks for."""
+def _emit(payloads: list[dict], fmt: str, rows: Callable[[], list[dict]], text_lines: Callable[[], list[str]]) -> None:
+    """Print each payload as one JSON line, or build and print only the CSV
+    rows, under the keys of all rows in first-seen order, or the text lines
+    that fmt asks for."""
     if fmt == "json":
-        print(json.dumps(payload))
+        for payload in payloads:
+            print(json.dumps(payload))
     elif fmt == "csv":
-        rows = rows() or [payload]
-        fieldnames: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in fieldnames:
-                    fieldnames.append(key)
+        rows = rows()
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(key for row in rows for key in row)))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     else:
         for line in text_lines():
             print(line)
 
 
-def _moment_row(report) -> dict:
-    row = report.to_json_dict()
-    row["p"] = ",".join(str(x) for x in report.p)
-    return row
+def _csv_row(fields: dict) -> dict:
+    """A report's JSON fields as one CSV row: p joined by commas, and the
+    nested fields (skeletons, orbits) left out."""
+    row = {**fields, "p": ",".join(map(str, fields["p"]))}
+    return {key: value for key, value in row.items() if not isinstance(value, (list, dict))}
+
+
+def _emit_reports(args, command: str, reports: list, verdict: str, text: Callable[[object], list[str]], **extra) -> int:
+    """Print the report that --p asks for, with its text lines, or the
+    --all-p sweep's summary: n, extra, the count, all_<verdict> and the
+    failing p-vectors, a report failing when its verdict field is false.
+    The CSV rows are every report's. Returns the exit code."""
+    failures = [list(r.p) for r in reports if not getattr(r, verdict)]
+    if args.all_p:
+        payload = {"command": command, "n": args.n, **extra, "count": len(reports),
+                   f"all_{verdict}": not failures, "failures": failures}
+        lines = lambda: [f"checked {len(reports)} p-vectors at n={args.n}: " + (f"{len(failures)} failures" if failures else f"all {verdict}")]
+    else:
+        report, = reports
+        payload = {"command": command, **report.to_json_dict()}
+        lines = lambda: text(report)
+    _emit([payload], args.format, lambda: [_csv_row(r.to_json_dict()) for r in reports], lines)
+    return 1 if failures else 0
 
 
 def cmd_verify_lemma(args) -> int:
@@ -118,70 +133,22 @@ def cmd_verify_lemma(args) -> int:
     ps = _selected_pvectors(args)
     if args.all_p and method == METHOD_CYCLE_TYPE:
         check_cycle_type_sweep(args.n, max_entry=args.max_entry, max_weight=args.max_weight)
-    reports = verify_clls(args.n, ps, method=method)
-    failures = [r for r in reports if not r.equal]
-    if len(reports) == 1 and not args.all_p:
-        payload = {"command": "verify-lemma", **reports[0].to_json_dict()}
-        rows = lambda: [_moment_row(reports[0])]
-        text = lambda: [
-            f"n={args.n} p={list(reports[0].p)} method={method}",
-            f"expectation = {rational_str(reports[0].lhs)}",
-            f"closed form = {rational_str(reports[0].rhs)}",
-            f"equal: {reports[0].equal}",
-        ]
-    else:
-        payload = {
-            "command": "verify-lemma",
-            "n": args.n,
-            "method": method,
-            "count": len(reports),
-            "all_equal": not failures,
-            "failures": [list(r.p) for r in failures],
-        }
-        rows = lambda: [_moment_row(r) for r in reports]
-        text = lambda: [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all equal" if not failures else f"{len(failures)} failures")]
-    _emit(payload, args.format, rows, text)
-    return 1 if failures else 0
-
-
-def _categorified_row(report) -> dict:
-    return {
-        "n": report.n,
-        "p": ",".join(str(x) for x in report.p),
-        "equivalent": report.equivalent,
-        "lhs_card": rational_str(report.lhs_card),
-        "rhs_card": rational_str(report.rhs_card),
-        "bridge_check": report.bridge_check,
-        "q_size": report.q_size,
-        "orbit_count": len(report.orbits),
-    }
+    return _emit_reports(args, "verify-lemma", verify_clls(args.n, ps, method=method), "equal", lambda report: [
+        f"n={args.n} p={list(report.p)} method={method}",
+        f"expectation = {rational_str(report.lhs)}",
+        f"closed form = {rational_str(report.rhs)}",
+        f"equal: {report.equal}",
+    ], method=method)
 
 
 def cmd_verify_categorified(args) -> int:
-    reports = verify_categorifieds(args.n, _selected_pvectors(args))
-    failures = [r for r in reports if not r.ok]
-    if len(reports) == 1 and not args.all_p:
-        report = reports[0]
-        payload = {"command": "verify-categorified", **report.to_json_dict()}
-        text = lambda: [
-            f"n={report.n} p={list(report.p)}",
-            f"quotient aut orders = {list(report.lhs_skeleton.aut_orders())}",
-            f"product aut orders  = {list(report.rhs_skeleton.aut_orders())}",
-            f"equivalent: {report.equivalent}  cardinalities: {rational_str(report.lhs_card)} vs {rational_str(report.rhs_card)}",
-            f"bridge |Q|/n! identity: {report.bridge_check}",
-        ]
-    else:
-        payload = {
-            "command": "verify-categorified",
-            "n": args.n,
-            "count": len(reports),
-            "all_ok": not failures,
-            "failures": [list(r.p) for r in failures],
-        }
-        text = lambda: [f"checked {len(reports)} p-vectors at n={args.n}: " + ("all ok" if not failures else f"{len(failures)} failures")]
-    rows = lambda: [_categorified_row(r) for r in reports]
-    _emit(payload, args.format, rows, text)
-    return 1 if failures else 0
+    return _emit_reports(args, "verify-categorified", verify_categorifieds(args.n, _selected_pvectors(args)), "ok", lambda report: [
+        f"n={report.n} p={list(report.p)}",
+        f"quotient aut orders = {list(report.lhs_skeleton.aut_orders())}",
+        f"product aut orders  = {list(report.rhs_skeleton.aut_orders())}",
+        f"equivalent: {report.equivalent}  cardinalities: {rational_str(report.lhs_card)} vs {rational_str(report.rhs_card)}",
+        f"bridge |Q|/n! identity: {report.bridge_check}",
+    ])
 
 
 def _write_skeleton_groups(groups: list[tuple[int, list[str]]], ends: Callable[[int], tuple[str, str]], sep: str) -> None:
@@ -209,9 +176,9 @@ def cmd_skeleton(args) -> int:
     card = rational_str(cardinality_of_orders((z, len(texts)) for z, texts in groups))
     write = sys.stdout.write
     if args.format == "csv" and not groups:
-        # With no component the payload is the one row, as _emit writes a
-        # payload without rows; its components are the empty tuple.
-        _emit({"command": "skeleton", "n": n, "components": (), "cardinality": card}, "csv", list, list)
+        # With no component the payload is the one row; its components are
+        # the empty tuple.
+        _emit([], "csv", lambda: [{"command": "skeleton", "n": n, "components": (), "cardinality": card}], list)
         return 0
     if args.format == "json":
         # The bytes of json.dumps(payload), with its default separators.
@@ -239,6 +206,7 @@ def cmd_skeleton(args) -> int:
 def cmd_stats(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    check_partition_cap(args.n)
     units = [tuple(1 if m == k else 0 for m in range(1, args.n + 1)) for k in range(1, args.n + 1)]
     per_k = []
     ok = True
@@ -266,7 +234,7 @@ def cmd_stats(args) -> int:
         + [f"  k={entry['k']}: {entry['expected']} (target {entry['target']})" for entry in per_k]
         + [f"total expected cycles: {rational_str(total)} (harmonic {rational_str(harmonic)})"]
     )
-    _emit(payload, args.format, rows, text)
+    _emit([payload], args.format, rows, text)
     return 0 if ok and total_ok else 1
 
 
@@ -292,7 +260,7 @@ def cmd_montecarlo(args) -> int:
         raise UsageError("provide --p or --p-one")
     pvectors = [_montecarlo_pvector(flag, text, args.n) for flag, text in args.statistics]
     reports = monte_carlo_moments(args.n, pvectors, args.samples, args.seed)
-    rows, outputs = [], []
+    payloads, rows, text = [], [], []
     for report in reports:
         target = report.rhs
         if report.standard_error > 0:
@@ -300,27 +268,18 @@ def cmd_montecarlo(args) -> int:
         else:
             z = 0.0 if report.estimate == float(target) else math.inf
         within = abs(z) <= 4.0
-        rows.append({**_moment_row(report), "target": rational_str(target), "z": z, "within_4se": within})
-        payload = {
-            "command": "montecarlo",
-            **report.to_json_dict(),
-            "target": rational_str(target),
-            # JSON has no infinity: a zero standard error off target reads null.
-            "z": z if math.isfinite(z) else None,
-            "within_4se": within,
-        }
-        text = [
+        fields = report.to_json_dict()
+        checked = {"target": rational_str(target), "z": z, "within_4se": within}
+        # JSON has no infinity: a zero standard error off target reads null.
+        payloads.append({"command": "montecarlo", **fields, **checked, "z": z if math.isfinite(z) else None})
+        rows.append({**_csv_row(fields), **checked})
+        text += [
             f"n={args.n} p={list(report.p)} samples={args.samples} seed={args.seed}",
             f"estimate = {report.estimate} +- {report.standard_error}",
             f"target   = {rational_str(target)}",
             f"z = {z} ({'within' if within else 'OUTSIDE'} 4 standard errors)",
         ]
-        outputs.append((payload, text))
-    if args.format == "csv":
-        _emit({}, "csv", lambda: rows, list)
-    else:
-        for payload, text in outputs:
-            _emit(payload, args.format, list, lambda: text)
+    _emit(payloads, args.format, lambda: rows, lambda: text)
     return 0 if all(row["within_4se"] for row in rows) else 1
 
 
@@ -364,7 +323,7 @@ def cmd_theorem_general(args) -> int:
         f"groupoid cardinality  = {rational_str(report.elements_cardinality)}",
         f"equal: {report.equal}",
     ]
-    _emit(payload, args.format, rows, text)
+    _emit([payload], args.format, rows, text)
     return 0 if report.equal else 1
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -303,6 +304,116 @@ def test_verify_categorified_sweep_bytes_are_pinned(capsys, fmt, digest):
     code, out, _ = run_cli(["verify-categorified", "--n", "6", "--all-p", "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def plant_one_more_count_with_a_fixed_point(monkeypatch):
+    """One more decorated permutation in the cycle-type count of every
+    p-vector that chooses a fixed point."""
+    clean = cycle_stats.decorated_permutation_counts
+    monkeypatch.setattr(cycle_stats, "decorated_permutation_counts",
+                        lambda n, ps: [count + (p[0] > 0) for count, p in zip(clean(n, ps), ps)])
+
+
+def plant_doubled_product_order_with_a_two_cycle(monkeypatch):
+    """The first component's aut order doubled in the product skeleton of
+    every p-vector that chooses a 2-cycle."""
+    clean = categorified.categorified_rhs_skeleton
+
+    def doubled(n, p):
+        skeleton = clean(n, p)
+        if not p[1]:
+            return skeleton
+        first, *rest = skeleton.components
+        return groupoids.GroupoidSkeleton((dataclasses.replace(first, aut_order=2 * first.aut_order), *rest))
+
+    monkeypatch.setattr(categorified, "categorified_rhs_skeleton", doubled)
+
+
+def plant_target_one_higher(monkeypatch):
+    """The closed form of every Monte Carlo statistic one too high."""
+    clean = cycle_stats.cll_rhs
+    monkeypatch.setattr(cycle_stats, "cll_rhs", lambda n, p: clean(n, p) + 1)
+
+
+def _pinned(argv, digest, code=0, fault=None):
+    return pytest.param(argv, digest, code, fault, id=argv + (f" [{fault.__name__}]" if fault else ""))
+
+
+@pytest.mark.parametrize("argv, digest, code, fault", [
+    _pinned(f"{case} --format {fmt}", digest, code, fault)
+    for case, fault, code, digests in [
+        ("verify-lemma --n 4 --p 1,1,0,0", None, 0, (
+            "6faa456a620351e35720ffaff062002012f392fb2159ae99277d94a1cc384107",
+            "5aae076aa32040a5dd0eb7b17a81d1f518a55ea87ca4cbe96a910e1ed8dece2d",
+            "a72a2027efb6422725dffb03c30d3aa93f868d55cdfa11199ab431688bfc8c2c",
+        )),
+        ("verify-lemma --n 6 --p 2,0,1,0,0,0 --method cycle-type", None, 0, (
+            "7215e919ba5361f976e9a950bf51701db87c08ed98b22fa127373fe234bbaea0",
+            "f2a3f175c7ad1edd189fd6bd8a3597be18f8dbf1a9a725d98ec05408158a381a",
+            "6fd63dd6e3d252dd5ea1ee01729066dc318baf36152c98c5977b878fff4eb95b",
+        )),
+        ("verify-lemma --n 4 --all-p", None, 0, (
+            "beb0440332f4c56c9353c6e04dcc0991ab648c294930e8b3874a0f8947d91ada",
+            "6d6f66e6dc6106a7e9ae1cec1c8d1c8e7d83fcd8da1fb55a8adff8aed5f0ae8c",
+            "5fa67ac857fe1c8d144e041a1214aa8ba283d50218ea5e3e005a847336804ac7",
+        )),
+        ("verify-lemma --n 6 --all-p --method cycle-type", None, 0, (
+            "ca588b6cb916a5d6ca075d4cec801adad59c243f4e14380b74c421be9b51c5ae",
+            "7d6255be9c460d847d4ffaf2dc54c028d0081bf2b5d9a811a114ae369f969ef2",
+            "d4c11f96b93abdce17fb2b0a876afad29d40e232e73751f2dcb41f9fe7cd8275",
+        )),
+        ("verify-categorified --n 4 --p 0,1,0,0", None, 0, (
+            "c074bf391e1ba152f278ac1936dd2f4f7be0641d11a7da71458c1bca6914cae6",
+            "49376f96b57d81301f77b02531b5e4281fdbdc24ce658e434217e1bef25493e4",
+            "63fe1986a66074fa9f07827cb12551601ffd09c0916840e1f6d0fd32bba0f0ac",
+        )),
+        ("verify-categorified --n 4 --all-p", None, 0, (
+            "83d3d23a028f546a81f09c6cf1de559a024bf7c816a052d413946311ace20247",
+            "5f9d8efa4ee02c0aa7bf140c62f36b6a36cc5fee87088de69522d1ec2c3d5324",
+            "ba6e42f23e118fa6663241129f46704f82e5603846203b3d72edc49fb5c27997",
+        )),
+        ("montecarlo --n 6 --p 1,1,0,0,0,0 --p-one k=3 --samples 200 --seed 5", None, 0, (
+            "f5dc011af3a23b97356426b53ac6a35a531e38eb3f3763bbc5d7ed39bdbb2a2a",
+            "a67c10a3fb6734bcafd1dbc80bbbd5067d2dbc2d5e0cf1f2592abd716ac99b90",
+            "61161e6a909586d54c667252ff7007571256e7dd18ffae686173e684d03267f1",
+        )),
+        # c_3 (c_3 - 1) is 0 on S3: a zero standard error on target.
+        ("montecarlo --n 3 --p 0,0,2 --p-one k=1 --samples 10", None, 0, (
+            "08471e313cb402c5304effb8d738afe0eacb5574df93c0b2cc17a6ffc770e105",
+            "f56131d5bb8e887884dbf27e8369881eb99ccd34e48de6f7b6ccfc79c5c1ee9a",
+            "55439d66141987999789f78910570f5ab993a1763ad8c5f8b2f05828784e74e0",
+        )),
+        ("verify-lemma --n 4 --all-p --method cycle-type", plant_one_more_count_with_a_fixed_point, 1, (
+            "4b3075c132e3785ca0f585a2ab9b37c08b4a7df483b726127b7c2cf420dcdcc6",
+            "9a6bc1716c94d70da3b87243ae46e8e656bf69a601cc1707dbfa26a706984bbb",
+            "26cf1ce8123617d6ec31877ccd899480d8ef40dd6caaa1f15f333804456da5de",
+        )),
+        ("verify-categorified --n 4 --all-p", plant_doubled_product_order_with_a_two_cycle, 1, (
+            "56407e4aab4ebaa7a6cd089e9f4f6c70dfe811822839da28b2e1f075c5af635a",
+            "a6114ce87e6def8b34de83d6f03ead8264771c31470414a7d8f8d99ae6058b61",
+            "b4ac6a9354a059cd92749b8e3201a1f3c2c273b55328c60693b6f11e037ee40b",
+        )),
+        # A zero standard error off target: z reads inf in CSV and text, null in JSON.
+        ("montecarlo --n 3 --p 0,0,2 --p-one k=1 --samples 10", plant_target_one_higher, 1, (
+            "f4c9f3588ec789ee07552ae24513dbaa772d3b3f2e3bd07d3cfa98bd11a8917d",
+            "f60072f89465486b7608fb0e20704756e0373fcf9401a70e6682849c74e6a949",
+            "5ace9dcb709f6707ac16c7e1a65ffa997c42567f121145d9d66c16a51bdc9efd",
+        )),
+    ]
+    for fmt, digest in zip(("json", "csv", "text"), digests)
+] + [
+    _pinned("verify-lemma --n 0 --all-p --format csv", "bfedceb282bc35f201b3044f107db17e1dde12902518a0bf794f9a1febfede1d"),
+    _pinned("skeleton --n -1 --format csv", "6a571283f36590059af7544c125c058081ccdb0b90bc7b973db3d880df63fe79"),
+])
+def test_every_report_shape_prints_its_pinned_bytes(capsys, monkeypatch, argv, digest, code, fault):
+    """A single report, a sweep, a failing sweep and a list of Monte Carlo
+    statistics print, in each format, the bytes that the writers of each
+    subcommand printed before the subcommands shared one writer. A failing
+    sweep lists only the p-vectors its planted fault moves."""
+    if fault:
+        fault(monkeypatch)
+    result = run_cli(argv.split(), capsys)
+    assert (hashlib.sha256(result[1].encode()).hexdigest(), result[0], result[2]) == (digest, code, "")
 
 
 def test_verify_categorified_sweep_walks_the_group_once(capsys, walks):
@@ -1147,6 +1258,19 @@ def test_a_declared_fiber_of_a_billion_points_is_refused_within_512_mb(tmp_path)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("error: law check of 'json-functor' needs 3000000004 reads, "
                              f"above the check cap {groupoids.DEFAULT_CHECK_CAP}\n")
+
+
+def test_stats_above_the_partition_cap_is_refused_before_its_unit_vectors_within_1_gib():
+    """stats reads the partition cap before it lists its n unit vectors of
+    length n: at degree 100 000 those are 10^10 entries, and listing them
+    first exited 1 under a 1 GiB address-space limit. The limit is set in
+    the child only."""
+    limit = 2**30
+    result = subprocess.run([sys.executable, "-m", "groupoid_card", "stats", "--n", "100000"],
+                            capture_output=True, text=True, timeout=60,
+                            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: degree 100000 exceeds partition cap {permutations.DEFAULT_PARTITION_CAP}\n"
 
 
 @pytest.mark.parametrize("fibers, message", [
