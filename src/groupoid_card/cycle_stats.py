@@ -167,22 +167,12 @@ def cycle_count_histogram(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted((tuple(code // power % base for power in powers), count) for code, count in histogram.items()))
 
 
-def _product_of_falling(counts: Sequence[int], p: Sequence[int]) -> int:
-    term = 1
-    for k0, pk in enumerate(p):
-        if pk:
-            term *= falling_power(counts[k0], pk)
-            if term == 0:
-                return 0
-    return term
-
-
 def expected_product_brute(n: int, p: Sequence[int]) -> Fraction:
     """Exact expectation over every permutation of degree n, each one
     enumerated and counted into the degree's cycle-count histogram."""
     pvec = validate_pvector(n, p)
     check_enumeration_cap(n)
-    total = sum(count * _product_of_falling(counts, pvec) for counts, count in cycle_count_histogram(n))
+    total = sum(count * math.prod(map(falling_power, counts, pvec)) for counts, count in cycle_count_histogram(n))
     return Fraction(total, math.factorial(n))
 
 
@@ -432,9 +422,7 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
     passes = SplitMix64(seed).shuffles(images, samples)
     # counts_of(key) lists c_k for the chosen lengths; a walk's key is that list.
     counts_of = tuple
-    if not lengths:
-        keys = itertools.repeat((), samples)
-    elif divisors and _POWER_POINTS * (lengths[-1] + 3 * len(divisors)) <= n:
+    if divisors and _POWER_POINTS * (lengths[-1] + 3 * len(divisors)) <= n:
         keys = _fixed_point_counts(images, passes, divisors)
         counts_of = functools.partial(_cycle_counts, lengths, divisors)
     else:
@@ -442,27 +430,33 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         # would keep 2 000 of them on a free list (0.1 MB at length 4).
         at = [k - 1 for k in lengths]
         keys = ((*map(image_cycle_counts(images).__getitem__, at),) for _ in passes)
+    # A key holds at most max(len(lengths), len(divisors)) counts. With no
+    # chosen length every sample has the one key (), and nothing is drawn.
+    fold = max(_TALLY_ENTRIES // max(len(lengths), len(divisors), 1), 1)
+    tallies = (Counter(itertools.islice(keys, fold)) for _ in range(0, samples, fold)) if lengths else [{(): samples}]
     totals = [0] * len(pvecs)
     totals_sq = [0] * len(pvecs)
-    # A key holds at most max(len(lengths), len(divisors)) counts.
-    fold = max(_TALLY_ENTRIES // max(len(lengths), len(divisors), 1), 1)
-    for _ in range(0, samples, fold):
-        for key, count in Counter(itertools.islice(keys, fold)).items():
+    for tally in tallies:
+        for key, count in tally.items():
             counts = counts_of(key)
             for i, need in needs:
-                value = _product_of_falling(counts, need)
+                value = math.prod(map(falling_power, counts, need))
                 totals[i] += count * value
                 totals_sq[i] += count * value * value
     reports = []
     for pvec, total, total_sq in zip(pvecs, totals, totals_sq):
-        variance = (total_sq - total * total / samples) / (samples - 1)
+        # A zero spread reads 0.0 exactly, with no float of samples.
+        standard_error = 0.0
+        if total_sq * samples != total * total:
+            variance = (total_sq - total * total / samples) / (samples - 1)
+            standard_error = math.sqrt(max(variance, 0.0) / samples)
         reports.append(MomentReport(
             n=n,
             p=pvec,
             method=METHOD_MONTE_CARLO,
             rhs=cll_rhs(n, pvec),
             estimate=total / samples,
-            standard_error=math.sqrt(max(variance, 0.0) / samples),
+            standard_error=standard_error,
             samples=samples,
             seed=seed,
         ))

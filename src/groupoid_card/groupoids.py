@@ -151,6 +151,9 @@ class ActionValidation:
     # names both, so reports compare without them.
     law: Optional[str] = field(default=None, compare=False)
     witness: Optional[tuple] = field(default=None, compare=False)
+    # A passing walk's orbits (walk_orbits), () for an empty carrier; None
+    # for a failure.
+    orbits: Optional[tuple[Orbit, ...]] = field(default=None, compare=False, repr=False)
     # Every image a report rests on is read: no law check samples.
     mode: ClassVar[str] = "exhaustive"
 
@@ -171,25 +174,22 @@ def require_valid(report: ActionValidation, lead: str) -> None:
         raise ActionValidationError(f"{lead}: {report.failure}", report)
 
 
-def _refuse_above_cap(what: str, cost: int) -> None:
-    """Raise CapExceededError when a law check would read more than
-    DEFAULT_CHECK_CAP images, read at call time."""
-    if cost > DEFAULT_CHECK_CAP:
-        raise CapExceededError(f"law check of {what} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
-
-
-def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int, rows: int = 0) -> None:
-    """Raise CapExceededError when the walk check of an action named name,
-    of group over its k generators() on size points, would read more than
-    DEFAULT_CHECK_CAP values through its orbits-th orbit:
+def refuse_walk_above_cap(name: str, group: FiniteGroup, size: int, orbits: int, rows: int = 0) -> int:
+    """The values the walk check of an action named name, of group over its
+    k generators() on size points, reads through its orbits-th orbit, and
+    so the checks of a passing report with that many orbits:
     (rows + k) * size + (k + 1) * |G| * orbits, where rows is the number of
     whole rows the check compares besides the generators' (|G| for an
-    action built from data, none for a formula). A constructor that knows
-    its carrier's size and a lower bound on its orbits can call it before
-    building anything: the generators are read, and no spanning tree is
-    built."""
+    action built from data, none for a formula). Raise CapExceededError
+    when that is more than DEFAULT_CHECK_CAP, read at call time. A
+    constructor that knows its carrier's size and a lower bound on its
+    orbits can call it before building anything: the generators are read,
+    and no spanning tree is built."""
     k = len(group.generators())
-    _refuse_above_cap(repr(name), (rows + k) * size + (k + 1) * group.order * orbits)
+    cost = (rows + k) * size + (k + 1) * group.order * orbits
+    if cost > DEFAULT_CHECK_CAP:
+        raise CapExceededError(f"law check of {name!r} needs {cost} reads, above the check cap {DEFAULT_CHECK_CAP}")
+    return cost
 
 
 @dataclass(eq=False)
@@ -203,7 +203,7 @@ class GroupAction:
     carrier. A constructor whose rows are a formula passes _presented=True,
     so that validate reads only the generators' rows. The carrier size is
     read with operator.index and must be nonnegative; only the law check
-    sets the report and the orbits its walk finds.
+    sets the report, which holds the orbits its walk finds.
     """
 
     group: FiniteGroup
@@ -213,7 +213,6 @@ class GroupAction:
     _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
     _presented: bool = field(default=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
-    _orbits: Optional[list[Orbit]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.carrier_size = operator.index(self.carrier_size)
@@ -244,12 +243,13 @@ class GroupAction:
         FiniteGroup.generators() lie in the carrier, and walk_orbits finds no
         broken edge from any orbit's smallest point, k |S| + (k + 1) |G|
         reads an orbit. They then extend to exactly one action, and the
-        orbits the walk found are kept. A _presented action's other rows are
-        that action by construction. Every other action's rows are compared
-        with it: the identity row first, point by point, and before the walk
-        each other row, in the spanning tree's order, with its tree parent's
-        row moved by its step's generator row (_compare_along_tree), |G| |S|
-        reads more. So the walk runs on rows that are every row of the
+        report holds the orbits the walk found. A _presented action's other
+        rows are that action by construction. Every other action's rows are
+        compared with it: the identity row first, point by point, and before
+        the walk each other row, in the spanning tree's order, with its tree
+        parent's row moved by its step's generator row (_compare_along_tree),
+        |G| |S| reads more. A passing report's checks is the count that
+        refuse_walk_above_cap gives for its orbits. So the walk runs on rows that are every row of the
         action, and each witness it reports reads as a broken law of the
         given rows.
 
@@ -270,8 +270,7 @@ class GroupAction:
     def _walk(self) -> ActionValidation:
         group, size, order = self.group, self.carrier_size, self.group.order
         if not size:
-            self._orbits = []
-            return ActionValidation(True, 0)
+            return ActionValidation(True, 0, orbits=())
         afford = functools.partial(refuse_walk_above_cap, self.name, group, size, rows=0 if self._presented else order)
         afford(1)
         checks = 0
@@ -292,17 +291,15 @@ class GroupAction:
             failure = self._compare_along_tree(tree, rows, checks)
             if failure is not None:
                 return failure
-            checks += (order - 1) * size
         orbits, witness = walk_orbits(tree, rows, size, afford)
-        checks += (len(generators) + 1) * order * len(orbits)
+        checks = afford(len(orbits))
         if witness is not None:
             x, s, g = witness
             # The failing orbit's tree images, and its compares through s's.
             checks += (2 + generators.index(s)) * order
             return ActionValidation(False, checks, f"walk from s={x} breaks at generator {s}, g={g}: "
                                                    f"act({s}, act({g}, {x})) != act({s}*{g}, {x})", "walk", witness)
-        self._orbits = orbits
-        return ActionValidation(True, checks)
+        return ActionValidation(True, checks, orbits=tuple(orbits))
 
     def _compare_along_tree(self, tree: SpanningTree, rows: list[list[int]], checks: int) -> Optional[ActionValidation]:
         """Compare every row but the identity's, in tree position order, with
@@ -396,11 +393,12 @@ def walk_orbits(
 
 def orbit_decomposition(action: GroupAction) -> list[Orbit]:
     """Orbits in order of their smallest carrier index: the ones the walk
-    check found (walk_orbits), kept with its report, so nothing is walked
+    check found (walk_orbits), held by its report, so nothing is walked
     again. An empty carrier has no orbit, and its spanning tree is not
     read."""
-    require_valid(action.validate(), f"invalid action {action.name!r}")
-    return list(action._orbits)
+    report = action.validate()
+    require_valid(report, f"invalid action {action.name!r}")
+    return list(report.orbits)
 
 
 def skeleton_from_orbits(orbits: list[Orbit]) -> GroupoidSkeleton:

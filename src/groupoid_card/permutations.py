@@ -337,17 +337,10 @@ def lex_rank(images: Sequence[int]) -> int:
     return rank
 
 
-def falling_power(x: int, p: int) -> int:
-    """x(x-1)...(x-p+1); the number of ordered p-tuples of distinct items
-    chosen from x. Empty product for p = 0; zero when p > x."""
-    if p < 0:
-        raise ValueError(f"exponent must be nonnegative, got {p}")
-    result = 1
-    for i in range(p):
-        result *= x - i
-        if result == 0:
-            return 0
-    return result
+# falling_power(x, p) = x(x-1)...(x-p+1); the number of ordered p-tuples of
+# distinct items chosen from x. Empty product for p = 0; zero when p > x;
+# ValueError for a negative p.
+falling_power = math.perm
 
 
 class _PVector(tuple):

@@ -185,7 +185,7 @@ def test_verify_categorified_validation_mode(monkeypatch, n, p, mode):
     (action,) = built
     assert action._validation.ok
     assert action._validation.mode == mode
-    assert len(action._orbits) == 1
+    assert len(action._validation.orbits) == 1
     assert action._validation.checks == 2 * action.carrier_size + 3 * math.factorial(n)
 
 

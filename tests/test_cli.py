@@ -399,6 +399,21 @@ def _pinned(argv, digest, code=0, fault=None):
             "f60072f89465486b7608fb0e20704756e0373fcf9401a70e6682849c74e6a949",
             "5ace9dcb709f6707ac16c7e1a65ffa997c42567f121145d9d66c16a51bdc9efd",
         )),
+        ("theorem-general --builtin fixed-points --n 4", None, 0, (
+            "5e883a3c15a29904665d759bd5c4fdad28497fd3e9214e999ab32dfe8ab16e77",
+            "f786f0596cdc94059d7da9fa62dba1b823072365aa1e7e96619178327211e409",
+            "8b3fc8cfde66393e6439d2dac50d8d33cc528a4b7fcb5826b8c0cd4b07783323",
+        )),
+        ("theorem-general --builtin cycle-tuples --n 4 --p 0,1,0,0", None, 0, (
+            "7e560698a1434593cf87456df783b7f9ff4be3439173f4804248465c1246aab9",
+            "352062345bab19a96ea1c14976d1546104b8e037cd59b479de9fce06aa208b76",
+            "a20c6b8011df063291727af762c10ec38e625d77c53e68730339e244ada27d98",
+        )),
+        ("stats --n 6", None, 0, (
+            "4f107bf9a9be26c220460f44f62b2eb3c37b07a4c53d46924f3413a147f2d87e",
+            "bdfd0df5bf8b4696fdf05209e852a32a83155ec9f43c2eb163c863285c4dd1e3",
+            "28d51ca551c266f15c97ed9a89d93ffebca60d7c5379a5cbe9069a68f3bdbb24",
+        )),
     ]
     for fmt, digest in zip(("json", "csv", "text"), digests)
 ] + [
@@ -409,7 +424,9 @@ def test_every_report_shape_prints_its_pinned_bytes(capsys, monkeypatch, argv, d
     """A single report, a sweep, a failing sweep and a list of Monte Carlo
     statistics print, in each format, the bytes that the writers of each
     subcommand printed before the subcommands shared one writer. A failing
-    sweep lists only the p-vectors its planted fault moves."""
+    sweep lists only the p-vectors its planted fault moves. The
+    theorem-general and stats cases pin the rows and lines of their own
+    writers, which no other test runs."""
     if fault:
         fault(monkeypatch)
     result = run_cli(argv.split(), capsys)
@@ -1337,6 +1354,24 @@ def test_montecarlo_statistics_share_one_pass(capsys, fmt):
         assert out.splitlines() == [header] + [o.splitlines()[1] for _, o, _ in single]
     else:
         assert out == "".join(o for _, o, _ in single)
+
+
+@pytest.mark.parametrize("p, estimate", [("0,0,0", 1.0), ("0,0,2", 0.0)])
+@pytest.mark.parametrize("samples", [10**23, 10**400], ids=["10^23", "10^400"])
+def test_montecarlo_choosing_no_length_reads_any_sample_count_without_drawing(capsys, monkeypatch, p, estimate, samples):
+    """A statistic that chooses no length (the empty product, or weight above
+    n) reads 1 or 0 on every permutation: its tally is one key counted
+    samples times, so no shuffle is drawn and a count above 2^63 - 1 exits 0
+    with a zero standard error."""
+    def no_draw(self, items, passes):
+        raise AssertionError("a shuffle was drawn")
+        yield
+
+    monkeypatch.setattr(cycle_stats.SplitMix64, "shuffles", no_draw)
+    code, out, err = run_cli(["montecarlo", "--n", "3", "--p", p, "--samples", str(samples)], capsys)
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (payload["estimate"], payload["standard_error"], payload["samples"]) == (estimate, 0.0, samples)
 
 
 def test_montecarlo_exits_1_if_any_statistic_is_outside(capsys):

@@ -319,7 +319,7 @@ def test_fixed_point_functor_reads_the_image_table_whole(monkeypatch, n):
     assert ([functor.transport(h, g) for h, g in pairs], validate_functor(functor), verify_general_theorem(functor).to_json_dict()) == expected
 
 
-def test_relator_check_fills_only_the_generators_conjugation_rows(monkeypatch):
+def test_walk_check_fills_only_the_generators_conjugation_rows(monkeypatch):
     """The S6 fixed-point functor's walk check, its category of elements
     and its orbits read the conjugation rows of the 2 generators only:
     at most 2 of the 720 rows are filled, not a 720 x 720 table."""

@@ -32,6 +32,7 @@ from groupoid_card.groupoids import (
     power,
     product,
     rational_str,
+    refuse_walk_above_cap,
     skeletons_equivalent,
     weak_quotient,
 )
@@ -202,6 +203,29 @@ def test_action_validation_passes_and_caches():
     assert action.validate() is report
 
 
+def test_a_walk_check_report_is_its_one_record():
+    """A passing report holds the orbits its walk found, the ones
+    orbit_decomposition returns, and its checks is the cost
+    refuse_walk_above_cap gives for that many orbits: no whole row compared
+    for a formula action, |G| for one built from data. A failing report
+    holds no orbits, and an empty carrier's holds the empty tuple."""
+    s3, s4 = make_symmetric(3), make_symmetric(4)
+    both = action_tables(s3)[3]
+    for action, rows in [
+        (cycle_tuple_action(4, (0, 1, 0, 0)), 0),
+        (conjugation_action(s4), s4.order),
+        (GroupAction(s3, len(both[0]), both.__getitem__, name="conjugation and left"), s3.order),
+    ]:
+        report = action.validate()
+        assert report.ok and report.orbits == tuple(orbit_decomposition(action))
+        assert report.checks == refuse_walk_above_cap(action.name, action.group, action.carrier_size, len(report.orbits), rows)
+    identity = GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2)).validate()
+    # A transposition for the generator of Z/3 breaks a walk edge.
+    walk = GroupAction(make_cyclic(3), 2, lambda g: [1, 0] if g else [0, 1], _presented=True).validate()
+    assert (identity.law, identity.orbits, walk.law, walk.orbits) == ("identity", None, "walk", None)
+    assert GroupAction(make_cyclic(3), 0, rows_of(lambda h, s: s, 0)).validate().orbits == ()
+
+
 def test_only_a_law_check_sets_the_report():
     """The report is no constructor argument, so no action is built valid;
     every report is exhaustive, and mode is a class constant, no field."""
@@ -331,7 +355,7 @@ def test_action_validation_compatibility_failure():
     assert (rotated.validate().law, rotated.validate().witness) == ("composition", (1, 1, 0))
 
 
-def test_action_validation_sampled_mode():
+def test_check_above_the_cap_is_refused_not_sampled():
     """No sampled mode: a check above the check cap is refused, not sampled.
     The check of Z/4 acting on itself reads its |G| |S| = 16 rows' images,
     the k |S| = 4 of its generator and (k + 1) |G| = 8 for the walk of its
@@ -684,7 +708,7 @@ def test_only_a_walk_builds_the_spanning_tree(make, monkeypatch):
     assert len(orbit_decomposition(category_of_elements(functor))) == len(classes)
 
 
-def test_passing_action_reads_one_multiplication_row_per_generator(monkeypatch):
+def test_passing_action_asks_for_each_row_once_in_tree_order(monkeypatch):
     """A passing check of the conjugation action of S5 asks the action for
     the identity row, then the rows of its k = 2 generators, then each other
     row once, in tree order, and reports |S| + k |S| + (|G| - 1) |S| +
