@@ -44,6 +44,12 @@ METHOD_MONTE_CARLO = "monte_carlo"
 # Largest degree the Monte Carlo route samples: each sample holds an image
 # list of this length, and on the walk route a count and a seen list too.
 MONTE_CARLO_MAX_N = 100_000
+# Most draws one Monte Carlo run that chooses a length may make: a sample
+# shuffles with n - 1 draws, counted as one at n = 1, where a pass draws
+# nothing but is still counted. Criterion 11, the largest run the tests and
+# the benchmark make, draws 9.9 * 10^6; 10^8 draws take about 20-25 s at
+# n = 100 and 1 000 on a 2-core x86-64 host, Python 3.11.
+MONTE_CARLO_DRAW_CAP = 10**8
 # The Monte Carlo route rule (see monte_carlo_moments), measured at
 # n = 10..256 on a 2-core x86-64 host, Python 3.11: a sample's power costs
 # about a walk of this many points, a divisor's fixed points three times that.
@@ -406,6 +412,8 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
 
     The seed must lie in 0..2^64-1, the states SplitMix64 has: any other
     integer would be read mod 2^64 and reported as given, so it is refused.
+    A run that chooses a length and would make more than
+    MONTE_CARLO_DRAW_CAP draws raises CapExceededError before any draw.
     """
     check_monte_carlo_degree(n)
     pvecs = [validate_pvector(n, p) for p in ps]
@@ -415,6 +423,10 @@ def monte_carlo_moments(n: int, ps: Sequence[Sequence[int]], samples: int, seed:
         raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
     live = [(i, pvec) for i, pvec in enumerate(pvecs) if weight(pvec) <= n]
     lengths = sorted({k for _, pvec in live for k in itertools.compress(range(1, n + 1), pvec)})
+    # A run that chooses no length draws nothing, so any sample count passes.
+    draws = samples * max(n - 1, 1)
+    if lengths and draws > MONTE_CARLO_DRAW_CAP:
+        raise CapExceededError(f"{samples} samples of degree {n} make {draws} draws, above the Monte Carlo draw cap {MONTE_CARLO_DRAW_CAP}")
     needs = [(i, [pvec[k - 1] for k in lengths]) for i, pvec in live]
     # Bytes name at most 256 points.
     divisors = sorted({d for k in lengths for d in range(1, k + 1) if k % d == 0}) if n <= 256 else []

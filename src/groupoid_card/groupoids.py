@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence
 
 from .groups import FiniteGroup, SpanningTree
-from .permutations import CapExceededError, check_partition_cap, cycle_type_table, partition_walk
+from .permutations import CapExceededError, check_partition_cap, cycle_type_table
 
 DEFAULT_CHECK_CAP = 10_000_000
 
@@ -457,11 +457,19 @@ def perm_skeleton_groups(n: int) -> list[tuple[int, list[str]]]:
     the repr of a list. Empty for n < 0; refuses as perm_groupoid_skeleton
     does.
 
-    The labels are read from partition_walk's live state: prefix[i] keeps
-    the text of the parts a[1..i] while they stand, so a visit writes the
-    text of only its rewritten parts above 1, and each label is that
-    prefix followed by a kept run of ", 1" for the partition's 1s. Each
-    text is appended to its order's group as it is made.
+    The partitions are built a part size at a time, from n down to 1, as
+    in the product form of the cycle index, prod_k sum_m x^(km) / (k^m m!),
+    with no walk of the partitions one at a time. After level k, table[r]
+    holds the aut orders and texts of the partitions of r >= 1 whose parts
+    are all at least k. Level k appends to table[r], for r descending and
+    each m >= 1 with mk <= r, the partition into m parts k alone when
+    mk = r, and otherwise the items of table[r - mk], their orders times
+    k^m m! and their texts followed by m parts k: one map and one list
+    comprehension per (k, r, m). Since r descends, table[r - mk] still
+    holds level k + 1 when it is read. The 1s come last: o of them extend
+    table[n - o], popped from the table's end, by o! and o parts 1 (all n
+    of them are the partition into 1s), and each text goes to its order's
+    group as it is made.
 
     The groups read in turn are the canonical order (z, repr(label)): no
     text is a proper prefix of another of the same degree, since the
@@ -473,19 +481,31 @@ def perm_skeleton_groups(n: int) -> list[tuple[int, list[str]]]:
     if n < 0:
         return []
     check_partition_cap(n)
-    digits = [str(k) for k in range(n + 1)]
-    parts = [", " + text for text in digits]
-    ones_runs = [", 1" * k for k in range(n + 1)]
-    prefix = [""] * (n + 1)
+    table: list[tuple[list[int], list[str]]] = [([], []) for _ in range(n + 1)]
+    for k in range(n, 1, -1):
+        part = f", {k}"
+        for r in range(n, k - 1, -1):
+            zs, texts = table[r]
+            f = 1
+            for m in range(1, r // k + 1):
+                f *= k * m
+                run = part * m
+                if r == m * k:
+                    zs.append(f)
+                    texts.append(run[2:])
+                else:
+                    rest_zs, rest_texts = table[r - m * k]
+                    zs += map(f.__mul__, rest_zs)
+                    texts += [text + run for text in rest_texts]
     groups: defaultdict[int, list[str]] = defaultdict(list)
-    for _, z, a, m, low in partition_walk(n):
-        # a[1..low-1] stand and are above 1; last indexes the last part
-        # above 1, and the m - last parts after it are 1s.
-        last = low - 1
-        while last < m and a[last + 1] > 1:
-            last += 1
-            prefix[last] = prefix[last - 1] + parts[a[last]] if last > 1 else digits[a[1]]
-        groups[z].append(prefix[last] + ones_runs[m - last] if last else ones_runs[m][2:])
+    f = 1
+    for o in range(n + 1):
+        f *= o or 1
+        run = ", 1" * o
+        zs, texts = table.pop()
+        for z, text in zip(map(f.__mul__, zs), texts):
+            groups[z].append(text + run)
+    groups[f].append(run[2:])
     ordered = sorted(groups.items(), key=operator.itemgetter(0))
     for _, texts in ordered:
         texts.sort()

@@ -1107,12 +1107,12 @@ def test_skeleton_csv_is_the_bytes_of_csv_writer(capsys, n):
     assert run_cli(["skeleton", "--n", str(n), "--format", "csv"], capsys) == (0, buf.getvalue(), "")
 
 
-def test_skeleton_peak_memory_stays_under_eight_times_its_output():
+def test_skeleton_peak_memory_stays_under_four_times_its_output():
     """Degree 40 prints 37 338 components, about 2.7 MB of JSON. The command
     keeps one label text per component, in one list per aut order, and
     writes them a chunk at a time, with no component object, dict per
     component or whole-output string, so the traced peak of the whole
-    command stays under 8 times its output (about 3.1 times; one row tuple
+    command stays under 4 times its output (about 3.1 times; one row tuple
     per component read 3.7 times, and a dict per component above 10)."""
     out = io.StringIO()
     tracemalloc.start()
@@ -1123,7 +1123,7 @@ def test_skeleton_peak_memory_stays_under_eight_times_its_output():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 8 * len(out.getvalue())
+    assert peak < 4 * len(out.getvalue())
 
 
 def test_nested_labels_keep_the_recursive_route():
@@ -1317,6 +1317,44 @@ def test_montecarlo_degree_cap_exits_2(capsys):
     code, _, err = run_cli(["montecarlo", "--n", "100001", "--p", "1", "--samples", "2"], capsys)
     assert code == 2
     assert "cap" in err
+
+
+def no_draw(self, items, passes):
+    raise AssertionError("a shuffle was drawn")
+    yield
+
+
+def test_montecarlo_draw_cap_refuses_before_any_draw(capsys, monkeypatch):
+    """10^23 samples of a chosen length would shuffle until killed; the draw
+    cap refuses them with exit 2 before the first draw."""
+    monkeypatch.setattr(cycle_stats.SplitMix64, "shuffles", no_draw)
+    start = time.perf_counter()
+    code, out, err = run_cli(["montecarlo", "--n", "3", "--p-one", "k=1", "--samples", str(10**23)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {10**23} samples of degree 3 make {2 * 10**23} draws, above the Monte Carlo draw cap 100000000\n"
+
+
+@pytest.mark.parametrize("n, samples, draws", [(10, 111, 999), (1, 999, 999)])
+def test_montecarlo_draw_cap_admits_a_run_at_or_under_it(capsys, monkeypatch, n, samples, draws):
+    """samples * (n - 1) draws, one per sample at n = 1, are compared with
+    the cap: one draw under it and at it a run is read, one above it is
+    refused. Every pass of the stand-in stream leaves the identity."""
+    def identity_passes(self, items, passes):
+        for _ in range(passes):
+            yield
+
+    monkeypatch.setattr(cycle_stats.SplitMix64, "shuffles", identity_passes)
+    args = ["montecarlo", "--n", str(n), "--p-one", "k=1", "--samples", str(samples)]
+    for cap in (draws + 1, draws):
+        monkeypatch.setattr(cycle_stats, "MONTE_CARLO_DRAW_CAP", cap)
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (1 if n > 1 else 0, "")
+        assert (json.loads(out)["estimate"], json.loads(out)["samples"]) == (n, samples)
+    monkeypatch.setattr(cycle_stats, "MONTE_CARLO_DRAW_CAP", draws - 1)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert "Monte Carlo draw cap" in err
 
 
 def test_montecarlo_infinite_z_is_null_in_json(capsys):

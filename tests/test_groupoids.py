@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupoid_card import groupoids, groups
+from groupoid_card import groupoids, groups, permutations
 from groupoid_card.categorified import cycle_tuple_action
 from groupoid_card.functors import EquivariantFunctor, category_of_elements, make_fixed_point_functor, validate_functor
 from groupoid_card.groups import make_cyclic, make_product, make_symmetric
@@ -503,13 +503,28 @@ def joined_skeleton_rows(n):
 
 
 def test_perm_skeleton_rows_equal_the_joined_rows():
-    """The label texts built from the live walk's kept prefixes and runs of
-    1s, grouped by aut order and each group sorted, read in turn are the
-    joined rows at every degree from -2 to the partition cap. It takes
-    1.4-1.5 s on a 2-core x86 machine, and its budget there is 3 s: every
+    """The label texts built a part size at a time, grouped by aut order and
+    each group sorted, read in turn are the rows joined from the partition
+    walk's tuples at every degree from -2 to the partition cap. It takes
+    0.9-1.3 s on a 2-core x86 machine, and its budget there is 3 s: every
     degree up to the cap, and no more."""
     for n in range(-2, DEFAULT_PARTITION_CAP + 1):
         assert [(z, text) for z, texts in perm_skeleton_groups(n) for text in texts] == joined_skeleton_rows(n)
+
+
+def test_perm_skeleton_groups_read_no_partition_walk(monkeypatch):
+    """The groups are built from part sizes alone, so the joined rows above,
+    which read the walk, are an independent oracle for them."""
+    def no_walk(n):
+        raise AssertionError("the partition walk was read")
+
+    rows = joined_skeleton_rows(12)
+    monkeypatch.setattr(permutations, "partition_walk", no_walk)
+    # Also any name for it that groupoids might import.
+    monkeypatch.setattr(groupoids, "partition_walk", no_walk, raising=False)
+    with pytest.raises(AssertionError):
+        joined_skeleton_rows(12)
+    assert [(z, text) for z, texts in perm_skeleton_groups(12) for text in texts] == rows
 
 
 def test_skeleton_json():
