@@ -1,7 +1,8 @@
 """Command-line front end: verification suites and batch sweeps.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-validation error. JSON output is schema-stable; text output is for humans.
+validation error, a refused cap or memory run out, 3 an internal error. JSON
+output is schema-stable; text output is for humans.
 """
 
 from __future__ import annotations
@@ -413,6 +414,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: memory ran out in {args.subcommand}", file=sys.stderr)
+        return 2
+    # Any other exception is a defect in the program, never a verdict, so it
+    # does not exit 1. KeyboardInterrupt is no Exception and still interrupts.
+    except Exception:
+        import traceback  # imported here, so that a run without a defect does not pay for it
+
+        traceback.print_exc()
+        return 3
 
 
 def run() -> None:

@@ -985,8 +985,11 @@ def test_cycle_type_sweep_above_the_type_term_cap_lists_no_pvector(capsys, forbi
     code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "cycle-type"], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: 75341 p-vectors at degree 40 read 4857052 cycle-type terms, above the type-term cap {DEFAULT_TYPE_TERM_CAP}\n"
-    with pytest.raises(AssertionError, match="listed"):
-        main(["verify-lemma", "--n", "40", "--all-p", "--method", "cycle-type"])
+    # The default sweep passes the cap and reaches the stand-in lister, whose
+    # AssertionError main reports as an internal error.
+    code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--method", "cycle-type"], capsys)
+    assert (code, out) == (3, "")
+    assert err.endswith("AssertionError: the sweep was listed\n")
     code, out, err = run_cli(["verify-lemma", "--n", "40", "--all-p", "--max-entry", "3", "--method", "brute"], capsys)
     assert (code, out, err) == (2, "", "error: degree 40 exceeds enumeration cap 10\n")
 
@@ -1505,3 +1508,54 @@ def test_main_in_one_process_prints_what_fresh_processes_print(capsys, monkeypat
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(in_process[0])
     assert codes == [0, 2, 2, 0, 0]
+
+
+def test_functor_file_extra_top_level_key_is_read_and_ignored(tmp_path, capsys):
+    """A top-level key other than group, fibers, transports and name leaves
+    the report as it is."""
+    data = {"group": "S2", "fibers": {"0": 1, "1": 0}, "transports": {"0": {"0": [0]}, "1": {"0": [0]}}}
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    plain.write_text(json.dumps(data))
+    extra.write_text(json.dumps({**data, "comment": ["not", "read"]}))
+    expected = run_cli(["theorem-general", "--functor", str(plain)], capsys)
+    assert expected[0] == 0
+    assert run_cli(["theorem-general", "--functor", str(extra)], capsys) == expected
+
+
+# One run of each subcommand, and the function of its work that a planted
+# exception replaces.
+PLANTED_RUNS = [
+    (["verify-lemma", "--n", "3", "--p", "0,1,0"], "verify_clls"),
+    (["verify-categorified", "--n", "3", "--p", "0,1,0"], "verify_categorifieds"),
+    (["skeleton", "--n", "3"], "perm_skeleton_groups"),
+    (["stats", "--n", "3"], "expected_products_by_type"),
+    (["montecarlo", "--n", "3", "--p-one", "k=1", "--samples", "10"], "monte_carlo_moments"),
+    (["theorem-general", "--builtin", "fixed-points", "--n", "3"], "verify_general_theorem"),
+]
+
+
+def raiser(exception):
+    def work(*args, **kwargs):
+        raise exception
+
+    return work
+
+
+def test_planted_runs_cover_every_subcommand():
+    assert sorted(argv[0] for argv, _ in PLANTED_RUNS) == sorted(cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("argv, name", PLANTED_RUNS, ids=[argv[0] for argv, _ in PLANTED_RUNS])
+def test_a_failure_that_is_no_verdict_does_not_exit_1(argv, name, monkeypatch, capsys):
+    """A MemoryError exits 2 with one line and no traceback, any other
+    exception exits 3 with its traceback, and KeyboardInterrupt is not
+    caught."""
+    monkeypatch.setattr(cli, name, raiser(MemoryError()))
+    assert run_cli(argv, capsys) == (2, "", f"error: memory ran out in {argv[0]}\n")
+    monkeypatch.setattr(cli, name, raiser(IndexError("planted")))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n") and err.endswith("IndexError: planted\n")
+    monkeypatch.setattr(cli, name, raiser(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
