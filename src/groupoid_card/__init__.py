@@ -44,6 +44,7 @@ from .functors import (
     category_of_elements,
     expected_size,
     functor_from_json,
+    load_functor_file,
     make_cycle_tuple_functor,
     make_fixed_point_functor,
     make_trivial_functor,

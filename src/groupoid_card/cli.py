@@ -31,7 +31,7 @@ from .cycle_stats import (
     verify_clls,
 )
 from .functors import (
-    functor_from_json,
+    load_functor_file,
     make_cycle_tuple_functor,
     make_fixed_point_functor,
     verify_general_theorem,
@@ -293,12 +293,7 @@ def cmd_theorem_general(args) -> int:
     elif args.p is not None and args.builtin != "cycle-tuples":
         raise UsageError("--p applies only to --builtin cycle-tuples")
     if args.functor is not None:
-        with open(args.functor, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise UsageError(f"functor file {args.functor!r} is nested too deeply to parse")
-        functor = functor_from_json(data)
+        functor = load_functor_file(args.functor)
     elif args.builtin == "fixed-points":
         if args.n is None:
             raise UsageError("--builtin fixed-points requires --n")

@@ -10,7 +10,9 @@ action. Fibers are dense index ranges so transports are plain index arrays.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
+import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,6 +46,14 @@ from .permutations import (
     validate_pvector,
     weight,
 )
+
+
+# A data functor's law check reads its |G| |S| transport entries and more
+# (groupoids.refuse_walk_above_cap), so a file that the check cap admits lists
+# fewer than DEFAULT_CHECK_CAP entries. json.dump writes each in at most 9
+# bytes, an index below 10^7 and ", ", so 10 bytes an entry leave room for
+# the keys, and a longer file is refused before it is parsed.
+DEFAULT_FILE_BYTE_CAP = 10**8
 
 
 @dataclass(eq=False)
@@ -356,6 +366,33 @@ def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel
     return EquivariantFunctor(group, tuple(map(len, fibers)), transport, name, _presented=True)
 
 
+def load_functor_file(path: str) -> EquivariantFunctor:
+    """`functor_from_json` of the UTF-8 JSON file at path. At most
+    DEFAULT_FILE_BYTE_CAP + 1 bytes are read, the cap read at call time, and
+    a longer file raises CapExceededError before it is parsed. A file nested
+    too deeply to parse raises ValueError."""
+    cap = DEFAULT_FILE_BYTE_CAP
+    chunks, left = [], cap + 1
+    # Read a MiB at a time: one read of cap + 1 bytes reserves them all.
+    with open(path, "rb") as fh:
+        while left and (chunk := fh.read(min(left, 1 << 20))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if not left:
+        raise CapExceededError(f"functor file {path!r} is longer than the file byte cap {cap}")
+    # Decoded as a text-mode open decodes it, newlines translated, and the
+    # bytes dropped before the parse.
+    raw = b"".join(chunks)
+    del chunks
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    del raw
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"functor file {path!r} is nested too deeply to parse") from None
+    return functor_from_json(data)
+
+
 def functor_from_json(data: dict) -> EquivariantFunctor:
     """Ingest {"group": <cayley json or "S<n>">, "fibers": {g: size},
     "transports": {h: {g: [images]}}}.
@@ -376,6 +413,10 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
     for key in ("group", "fibers", "transports"):
         if key not in data:
             raise ValueError(f'functor JSON is missing the "{key}" key')
+    name = data.get("name", "json-functor")
+    if not isinstance(name, str):
+        kind = {dict: "an object", list: "an array", bool: "a boolean", type(None): "null"}.get(type(name), "a number")
+        raise ValueError(f'"name" must be a JSON string, got {kind}')
 
     spec = data["group"]
     if isinstance(spec, str):
@@ -455,7 +496,7 @@ def functor_from_json(data: dict) -> EquivariantFunctor:
         fiber_sizes=tuple(sizes),
         # An unlisted transport leaves an empty fiber: the empty bijection.
         transport=lambda h, g: table.get((h, g), ()),
-        name=str(data.get("name", "json-functor")),
+        name=name,
     )
 
 

@@ -14,6 +14,17 @@ once, with an AND by a repeated 64-bit mask around each multiply: a
 64 x 64-bit product fills at most its own slot, so no slot spills into the
 next. The draws are unpacked with `int.to_bytes` and `array`.
 
+A block drawn whole is reduced with one C-level `map(operator.mod, draws,
+bounds)`. Its bound list holds i + 1 for each of its steps i in order, and is
+cached per (steps, lanes). A pass longer than a block reads its blocks' bounds
+as slices of one cached list of two passes' bounds. A block of whole passes is
+then swapped a pass at a time, over one index list steps..1 built once per
+run, and the state moves once per pass. Only a pass longer than a block keeps
+a loop over runs of steps, each ending at the end of a pass or of the block.
+The swap loop never reduces a draw: a replayed block (below) feeds it values
+that `below` has already reduced, and a drawn block values the map has, so
+both take the same loop, and a step does no arithmetic in bytecode.
+
 The unbiased draw below a bound rejects a draw only when it is at least
 2^64 - (2^64 mod bound), which is above 2^64 - n for every bound up to n, the
 largest bound of a pass over n items. A block is tested against n with one
@@ -31,7 +42,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
+from operator import mod
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -88,6 +100,13 @@ def _lane_mix(z: int, lanes: int, bound: int) -> array | None:
     return words[:: _SLOT_BYTES // 8]
 
 
+@lru_cache(maxsize=8)
+def _step_bounds(steps: int, lanes: int) -> list[int]:
+    """The bounds i + 1 of lanes Fisher-Yates steps over steps + 1 items from
+    the start of a pass: i runs from steps down to 1, and again."""
+    return list(islice(cycle(range(steps + 1, 1, -1)), lanes))
+
+
 def _lane_draws(state: int, lanes: int, bound: int) -> array | None:
     """The lanes draws that follow state, as `_lane_mix` gives them."""
     return _lane_mix(_lane_counters(state, lanes), lanes, bound)
@@ -141,9 +160,12 @@ class SplitMix64:
             for _ in range(passes):
                 yield
             return
-        block = _LANES_MAX // steps * steps or _LANES_MAX
+        per = _LANES_MAX // steps  # whole passes in a block, 0 when a pass is longer
+        block = per * steps or _LANES_MAX
         ones, mask, _, _ = _lane_constants(block)
         advance = ((block * _GAMMA) & _MASK64) * ones
+        whole = list(range(steps, 0, -1))  # the indices one pass swaps
+        step = (steps * _GAMMA) & _MASK64
         # A block's lane counters are the last block's plus block·γ in every
         # slot when that block was full and drawn whole, else None.
         counters = None
@@ -155,19 +177,32 @@ class SplitMix64:
             if counters is None or lanes < block:
                 counters = _lane_counters(self._state, lanes)
             draws = _lane_mix(counters, lanes, steps + 1)
+            if per:
+                bounds = _step_bounds(steps, lanes)
+            else:
+                # The block starts steps - top steps into a pass and ends
+                # before the end of the next one.
+                start = steps - top
+                bounds = _step_bounds(steps, 2 * steps)[start:start + lanes]
             if draws is None:
                 counters = None
                 # Replay the block's steps from the state before it, one
                 # below(i + 1) call each, drawn as the swaps reach them.
-                bounds = chain(range(top + 1, 1, -1), cycle(range(steps + 1, 1, -1)))
-                js = map(self.below, islice(bounds, lanes))
+                js = map(self.below, bounds)
             else:
-                js = iter(draws)
+                js = map(mod, draws, bounds)
                 counters = (counters + advance) & mask
+            if per:
+                for _ in range(lanes // steps):
+                    for i, j in zip(whole, js):
+                        items[i], items[j] = items[j], items[i]
+                    if draws is not None:
+                        self._state = (self._state + step) & _MASK64
+                    yield
+                continue
             while lanes:
                 run = min(top, lanes)
                 for i, j in zip(range(top, top - run, -1), js):
-                    j %= i + 1
                     items[i], items[j] = items[j], items[i]
                 if draws is not None:
                     self._state = (self._state + run * _GAMMA) & _MASK64

@@ -96,6 +96,67 @@ def test_functor_file_nested_too_deeply_exits_2(tmp_path, capsys):
     assert err == f"error: functor file {str(path)!r} is nested too deeply to parse\n"
 
 
+S2_TRIVIAL = {"group": "S2", "fibers": {"0": 1, "1": 1}, "transports": {str(h): {str(g): [0] for g in range(2)} for h in range(2)}}
+
+
+def test_functor_file_above_the_byte_cap_is_refused_before_it_is_parsed(tmp_path, capsys, monkeypatch):
+    """A functor file of exactly DEFAULT_FILE_BYTE_CAP bytes is parsed and
+    checked; one byte more exits 2 with one line naming the cap, and
+    json.load is never called."""
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(S2_TRIVIAL))
+    size = len(path.read_bytes())
+    monkeypatch.setattr(functors, "DEFAULT_FILE_BYTE_CAP", size)
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equal"] is True
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the file was parsed")
+
+    monkeypatch.setattr(functors.json, "load", no_parse)
+    monkeypatch.setattr(functors.json, "loads", no_parse)
+    monkeypatch.setattr(functors, "DEFAULT_FILE_BYTE_CAP", size - 1)
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: functor file {str(path)!r} is longer than the file byte cap {size - 1}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
+def test_functor_file_read_stops_one_byte_past_the_byte_cap(capsys, monkeypatch):
+    """An endless file is read to one byte past the cap, and refused."""
+    monkeypatch.setattr(functors, "DEFAULT_FILE_BYTE_CAP", 1000)
+    code, out, err = run_cli(["theorem-general", "--functor", "/dev/zero"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: functor file '/dev/zero' is longer than the file byte cap 1000\n"
+
+
+@pytest.mark.parametrize("name, kind", [({"a": [1, None]}, "an object"), (7, "a number")])
+def test_functor_name_that_is_no_string_exits_2(tmp_path, capsys, name, kind):
+    """A "name" that is present must be a JSON string: anything else is
+    refused, not written into the report as Python's text of it."""
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**S2_TRIVIAL, "name": name}))
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f'error: "name" must be a JSON string, got {kind}\n'
+
+
+@pytest.mark.parametrize("extra, functor", [({}, "json-functor"), ({"name": "trivial-s2"}, "trivial-s2")])
+def test_functor_name_string_or_missing_is_reported(tmp_path, capsys, extra, functor):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**S2_TRIVIAL, **extra}))
+    code, out, err = run_cli(["theorem-general", "--functor", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"command": "theorem-general", "functor": "{functor}", "group": "S2", "group_order": 2, "fiber_total": 2, '
+        '"expected_size": "1/1", "elements_cardinality": "1/1", "outdegree_cardinality": "1/1", "equal": true, '
+        '"skeleton": {"components": [{"aut_order": 2, "label": 0}, {"aut_order": 2, "label": 1}]}, '
+        '"orbits": [{"representative": 0, "size": 1, "stabilizer_order": 2}, '
+        '{"representative": 1, "size": 1, "stabilizer_order": 2}]}\n'
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-lemma", "--n", "2", "--p", "1,x"], "could not parse p-vector '1,x'; expected comma-separated integers"),
     (["montecarlo", "--n", "3", "--p-one", "k=x", "--samples", "10"], "--p-one expects \"k=<cycle length>\", got 'k=x'"),

@@ -444,6 +444,30 @@ def test_shuffles_of_passes_longer_than_a_block(n):
         assert_shuffles_match_reference(n, seed, 3)
 
 
+def test_interleaved_runs_of_three_degrees_match_reference():
+    # Three runs advanced a pass at a time in turn, from an empty cache, so
+    # each degree reads its bound lists between the other two's. At n = 100
+    # (10 passes a block) and n = 37 (28) the runs end in a short block of
+    # 396 steps each, and the longest degree's passes span blocks.
+    rng_module._step_bounds.cache_clear()
+    runs = []
+    for n, passes, seed in ((100, 14, 0xC0FFEE), (37, 39, 2**64 - 1), (rng_module._LANES_MAX + 21, 3, 0)):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        items, expected = list(range(n)), list(range(n))
+        runs.append((rng.shuffles(items, passes), rng, ref, items, expected, passes))
+    done = [0] * len(runs)
+    while any(done[r] < run[-1] for r, run in enumerate(runs)):
+        for r, (passing, rng, ref, items, expected, passes) in enumerate(runs):
+            if done[r] == passes:
+                assert next(passing, None) is None
+                continue
+            next(passing)
+            reference_shuffle(ref, expected)
+            done[r] += 1
+            assert items == expected, (len(items), done[r])
+            assert rng._state == ref._state, (len(items), done[r])
+
+
 @pytest.mark.parametrize("lanes", [1, 6, 99, 990, rng_module._LANES_MAX])
 def test_lane_draws_are_the_stream(lanes):
     # The lane-packed block is the next `lanes` outputs of next_u64, and is
