@@ -246,7 +246,9 @@ def _laid_out_action(name: str, pvec: tuple[int, ...], group: SymmetricGroup, wa
                 moved[part] = offsets
         return [starts[j] + offset for j, part in zip(conjugates, parts) for offset in moved[part]]
 
-    return GroupAction(group=group, carrier_size=starts[-1], row=row_of, name=name, _presented=True)
+    action = GroupAction(group=group, carrier_size=starts[-1], row=row_of, name=name)
+    action._presented = True
+    return action
 
 
 def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAction]:
@@ -292,7 +294,7 @@ def cycle_tuple_actions(n: int, ps: Sequence[Sequence[int]]) -> Iterator[GroupAc
         refuse_walk_above_cap(name, group, size, types[n - weight(pvec)] if size else 0)
     walk = _cycle_minima_walk(group) if any(sizes) else None
     return (
-        _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g: [], name, _presented=True)
+        _laid_out_action(name, pvec, group, walk) if size else GroupAction(group, 0, lambda g: [], name)
         for name, pvec, size in zip(names, pvecs, sizes)
     )
 

@@ -236,7 +236,7 @@ def decorated_permutation_counts(n: int, ps: Sequence[Sequence[int]]) -> list[in
                     table = tables[k, pk] = [k**pk * f for f in fall], fall
                 reads.append((k - 1, *table))
             needs.append((i, moved, fallen, reads))
-        for rest, z_rest, _, _, _ in partition_walk(size):
+        for rest, z_rest, _, _ in partition_walk(size):
             # rest[k-1] counts the k-cycles left unchosen, and z_rest is the
             # centralizer order of their type.
             for i, moved, fallen, reads in needs:

@@ -63,17 +63,17 @@ class EquivariantFunctor:
     transport(h, g) must return the image array of a bijection
     F(g) -> F(h g h^-1); validate_functor checks each array it reads, and
     reads none out of an empty fiber, whose only bijection is the empty
-    one. A constructor whose transport is a formula passes _presented=True, as
-    GroupAction's constructors do, so that its check reads only the
-    generators' transports. Only validate_functor sets the report and the
-    category of elements.
+    one. Only the package's builders whose transport is a formula set
+    _presented, after construction, so that the check reads only the
+    generators' transports; a functor a caller builds is data. Only
+    validate_functor sets the report and the category of elements.
     """
 
     group: FiniteGroup
     fiber_sizes: tuple[int, ...]
     transport: Callable[[int, int], tuple[int, ...]]
     name: str = "functor"
-    _presented: bool = field(default=False, repr=False)
+    _presented: bool = field(default=False, init=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
     _elements: Optional[GroupAction] = field(default=None, init=False, repr=False)
 
@@ -184,7 +184,8 @@ def _check(functor: EquivariantFunctor) -> ActionValidation:
                 laid += map(offsets[target].__add__, arr)
         return laid
 
-    action = functor._elements = GroupAction(group, functor.total_size, row, functor.name, _presented=functor._presented)
+    action = functor._elements = GroupAction(group, functor.total_size, row, functor.name)
+    action._presented = functor._presented
     report = action.validate()
     if report.ok:
         return report
@@ -294,13 +295,9 @@ def verify_general_theorem(functor: EquivariantFunctor) -> GeneralTheoremReport:
 
 def make_trivial_functor(group: FiniteGroup) -> EquivariantFunctor:
     """Every fiber a single point, every transport the identity."""
-    return EquivariantFunctor(
-        group=group,
-        fiber_sizes=(1,) * group.order,
-        transport=lambda h, g: (0,),
-        name=f"trivial({group.name})",
-        _presented=True,
-    )
+    functor = EquivariantFunctor(group, (1,) * group.order, lambda h, g: (0,), f"trivial({group.name})")
+    functor._presented = True
+    return functor
 
 
 def make_fixed_point_functor(n: int) -> EquivariantFunctor:
@@ -363,7 +360,9 @@ def _relabelling_functor(group: SymmetricGroup, name: str, fibers: list, relabel
         target = index[group.conjugate(g, h)]
         return tuple(target[relabel(timg, item)] for item in fibers[g])
 
-    return EquivariantFunctor(group, tuple(map(len, fibers)), transport, name, _presented=True)
+    functor = EquivariantFunctor(group, tuple(map(len, fibers)), transport, name)
+    functor._presented = True
+    return functor
 
 
 def load_functor_file(path: str) -> EquivariantFunctor:

@@ -200,9 +200,10 @@ class GroupAction:
     Immutable once built. The rows read are kept in a dict, each asked of
     row on its first read and refused with ValueError unless it is a list
     of carrier_size ints; the law check reads whether they lie in the
-    carrier. A constructor whose rows are a formula passes _presented=True,
-    so that validate reads only the generators' rows. The carrier size is
-    read with operator.index and must be nonnegative; only the law check
+    carrier. Only the package's builders whose rows are a formula set
+    _presented, after construction, so that validate reads only the
+    generators' rows; an action a caller builds is data. The carrier size
+    is read with operator.index and must be nonnegative; only the law check
     sets the report, which holds the orbits its walk finds.
     """
 
@@ -211,7 +212,7 @@ class GroupAction:
     row: Callable[[int], list[int]]
     name: str = "action"
     _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
-    _presented: bool = field(default=False, repr=False)
+    _presented: bool = field(default=False, init=False, repr=False)
     _validation: Optional[ActionValidation] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -193,16 +193,14 @@ class CycleType:
         return z
 
 
-def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int]]:
+def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int]]:
     """Walk the partitions of n in reverse lexicographic order, by Knuth,
     TAOCP Vol. 4A, 7.2.1.4, Algorithm P, yielding the walk's live state at
-    each visit as (mult, z, a, m, low):
+    each visit as (mult, z, a, m):
 
     - mult[k-1] counts the parts of size k, for k in 1..n;
     - z = prod_k k^{m_k} m_k! is their centralizer order;
-    - a[1..m] are the parts, weakly decreasing;
-    - a[1..low-1] is unchanged since the previous visit (low = 1 at the
-      first).
+    - a[1..m] are the parts, weakly decreasing.
 
     mult and a are the walk's own lists, rewritten by the next step: a
     caller reads them and keeps nothing of them, and never writes to them.
@@ -224,17 +222,17 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
     # than 1.
     a = [0] * (n + 1)
     if n == 0:
-        yield mult, 1, a, 0, 1
+        yield mult, 1, a, 0
         return
     factorials = [math.factorial(k) for k in range(n + 1)]
     mult[n - 1] = 1
     z = n
-    m, rest, low = 1, n, 1
+    m, rest = 1, n
     while True:
         a[m] = rest
         q = m - (rest == 1)
         while True:
-            yield mult, z, a, m, low
+            yield mult, z, a, m
             if a[q] != 2:
                 break
             twos, ones = mult[1], mult[0]
@@ -242,7 +240,6 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
             mult[1] = twos - 1
             mult[0] = ones + 2
             a[q] = 1
-            low = q
             q -= 1
             m += 1
             a[m] = 1
@@ -266,7 +263,6 @@ def partition_walk(n: int) -> Iterator[tuple[list[int], int, list[int], int, int
         a[q] = x
         a[q + 1 : q + 1 + j] = [x] * j
         m = q + 1 + j
-        low = q
 
 
 def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
@@ -274,7 +270,7 @@ def cycle_type_table(n: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, 
     partition), with multiplicities of length n and the partition's parts
     weakly decreasing, in partition_walk's order: fresh tuples of its live
     state at each visit. Nothing for n < 0; one empty type for n = 0."""
-    for mult, z, a, m, _ in partition_walk(n):
+    for mult, z, a, m in partition_walk(n):
         yield tuple(mult), z, tuple(a[1 : m + 1])
 
 

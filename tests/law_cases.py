@@ -4,8 +4,9 @@ Groups are built by name, fresh, so that no conjugation row is filled
 before the test reads it; `law_caps` moves the check cap above which law
 checks refuse, and `enumeration_cap` the degree above which S_n is not
 enumerated; `rows_of` turns a per-point act into the row function a
-GroupAction is built from; `tree_edges` lists a spanning tree's edges;
-`lowest_law_witness` scans every triple of given rows,
+GroupAction is built from; `presented` marks an action or functor a
+formula as the package's builders do; `tree_edges` lists a spanning
+tree's edges; `lowest_law_witness` scans every triple of given rows,
 `first_row_difference` compares the generator rows of two actions,
 `assert_same_report` compares two law reports with their laws and
 witnesses, and `assert_agrees_with_reference` compares a law check of data
@@ -90,6 +91,14 @@ def assert_agrees_with_reference(report, reference, identity_failed, check_cap, 
         assert check_cap < per_point
     else:
         assert report.ok == reference.ok
+
+
+def presented(built, flag=True):
+    """built, with its _presented mark set to flag after construction, as
+    the package's formula builders set theirs: a marked check reads only
+    the generators' rows."""
+    built._presented = flag
+    return built
 
 
 def rows_of(act, size):

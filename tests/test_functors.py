@@ -40,6 +40,7 @@ from law_cases import (
     enumeration_cap,
     last_generator_coset,
     law_caps,
+    presented,
     rows_of,
     validation_or_refusal,
 )
@@ -174,15 +175,15 @@ def test_malformed_bijection_is_caught():
     # functor's its one generator's, 1.
     group = make_cyclic(3)
     for images in [(0, 0), (0, 2), (1, -1), (0,), (0, 1, 2), (0.0, 1), (0, "1")]:
-        for presented, h in ((False, 0), (True, 1)):
-            functor = EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed", _presented=presented)
+        for formula, h in ((False, 0), (True, 1)):
+            functor = presented(EquivariantFunctor(group, (2, 2, 2), lambda h, g: images, name="malformed"), formula)
             report = validate_functor(functor)
             assert not report.ok
             assert report.law == "bijection"
             assert report.failure == (
                 f"transport({h}, 0) = {images!r} is not a bijection from a fiber of size 2 onto one of size 2"
             )
-            assert_same_report(report, ActionValidation(False, 6, report.failure, "bijection", (1, 0)) if presented
+            assert_same_report(report, ActionValidation(False, 6, report.failure, "bijection", (1, 0)) if formula
                                else reference_functor_validation(functor))
 
 
@@ -196,7 +197,7 @@ def test_a_broken_generator_transport_fails_the_walk_under_a_cap_that_refuses_th
     data check names the same transport, after the 3 identity images."""
     group = make_cyclic(3)
     assert group.spanning_tree().generators == [1]
-    functor = EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,), _presented=True)
+    functor = presented(EquivariantFunctor(group, (1, 1, 1), lambda h, g: (1,) if h == 1 else (0,)))
     message = "transport(1, 0) = (1,) is not a bijection from a fiber of size 1 onto one of size 1"
     with law_caps(17):
         assert_same_report(validate_functor(functor), ActionValidation(False, 3, message, "bijection", (1, 0)))
@@ -954,7 +955,7 @@ def test_elements_action_reuses_exhaustive_rows():
             raise AssertionError("row asked for although the rows exist")
 
         action.row = forbidden
-        fresh = GroupAction(group=group, carrier_size=size, row=row, name=action.name, _presented=functor._presented)
+        fresh = presented(GroupAction(group=group, carrier_size=size, row=row, name=action.name), functor._presented)
         report = action.validate()
         assert report == fresh.validate()
         assert report.ok and report.mode == "exhaustive"
@@ -1033,7 +1034,7 @@ def test_a_row_read_after_a_passing_check_refuses_a_broken_transport():
     row by an action the caller never built."""
     group = make_symmetric(3)
     assert 1 not in group.generators()
-    functor = EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,), _presented=True)
+    functor = presented(EquivariantFunctor(group, (1,) * 6, lambda h, g: (0.0,) if h == 1 else (0,)))
     # 2 * 6 generator images, then 3 * 6 reads for each of the 3 conjugacy classes.
     assert_same_report(validate_functor(functor), ActionValidation(True, 2 * 6 + 3 * 6 * 3))
     with pytest.raises(ValueError, match=r"^transport\(1, 0\) = \(0\.0,\) is not a bijection from a fiber of size 1 onto one of size 1$"):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -43,6 +44,7 @@ from law_cases import (
     last_generator_coset,
     law_caps,
     lowest_law_witness,
+    presented,
     rows_of,
     tree_edges,
     validation_or_refusal,
@@ -221,14 +223,19 @@ def test_a_walk_check_report_is_its_one_record():
         assert report.checks == refuse_walk_above_cap(action.name, action.group, action.carrier_size, len(report.orbits), rows)
     identity = GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2)).validate()
     # A transposition for the generator of Z/3 breaks a walk edge.
-    walk = GroupAction(make_cyclic(3), 2, lambda g: [1, 0] if g else [0, 1], _presented=True).validate()
+    walk = presented(GroupAction(make_cyclic(3), 2, lambda g: [1, 0] if g else [0, 1])).validate()
     assert (identity.law, identity.orbits, walk.law, walk.orbits) == ("identity", None, "walk", None)
     assert GroupAction(make_cyclic(3), 0, rows_of(lambda h, s: s, 0)).validate().orbits == ()
 
 
 def test_only_a_law_check_sets_the_report():
-    """The report is no constructor argument, so no action is built valid;
-    every report is exhaustive, and mode is a class constant, no field."""
+    """The report and the formula mark are no constructor arguments, so no
+    action or functor is built valid or built a formula: neither dataclass
+    has an init field or a parameter whose name starts with _. Every report
+    is exhaustive, and mode is a class constant, no field."""
+    for cls in (GroupAction, EquivariantFunctor):
+        assert [f.name for f in dataclasses.fields(cls) if f.init and f.name.startswith("_")] == [], cls
+        assert [p for p in inspect.signature(cls).parameters if p.startswith("_")] == [], cls
     report = ActionValidation(True, 0)
     with pytest.raises(TypeError):
         GroupAction(make_cyclic(3), 2, rows_of(lambda h, s: 5, 2), _validation=report)
@@ -240,6 +247,34 @@ def test_only_a_law_check_sets_the_report():
         orbit_decomposition(bad)
     assert str(refused.value) == "invalid action 'action': identity law fails at s=0: act(e, s) = 5"
     assert refused.value.report is bad.validate()
+
+
+def test_a_caller_cannot_mark_its_input_a_formula():
+    """Z/3 on 2 points with rows 0 and 1 the identity and row 2 a swap: the
+    generator's row extends to the identity action, so a check of the
+    generator rows alone passes them, though act(2, 0) = 1 and
+    act(1, act(1, 0)) = 0. No argument marks an input a formula, so the
+    action a caller builds is compared row by row and fails the composition
+    law, and so does the functor whose transport by 2 is the swap."""
+    group = make_cyclic(3)
+    rows = [[0, 1], [0, 1], [1, 0]]
+
+    def transport(h, g):
+        return (1, 0) if h == 2 else (0, 1)
+
+    with pytest.raises(TypeError):
+        GroupAction(group, 2, rows.__getitem__, _presented=True)
+    with pytest.raises(TypeError):
+        EquivariantFunctor(group, (2, 2, 2), transport, _presented=True)
+    assert GroupAction(group, 2, rows.__getitem__).validate() == ActionValidation(
+        False, 7, "compatibility fails at (g=1, h=1, s=0): act(g, act(h, s)) = 0 but act(g*h, s) = 1", "composition", (1, 1, 0)
+    )
+    assert validate_functor(EquivariantFunctor(group, (2, 2, 2), transport)) == ActionValidation(
+        False, 19, "composition law fails at (h2=1, h1=1, g=0), fiber element 0", "composition", (1, 1, 0)
+    )
+    # Marked as the package's formula builders mark theirs, both pass.
+    assert presented(GroupAction(group, 2, rows.__getitem__)).validate().ok
+    assert validate_functor(presented(EquivariantFunctor(group, (2, 2, 2), transport))).ok
 
 
 def test_the_check_cap_is_read_before_the_identity_row():
@@ -291,16 +326,16 @@ def test_rows_of_the_wrong_shape_are_refused_and_never_pass():
         [[0, 1, 2], (1, 2, 0), [2, 0, 1]],
     ]
     for rows in wrong:
-        for presented in (False, True):
-            action = GroupAction(group, 3, lambda g, rows=rows: rows[g], _presented=presented)
+        for formula in (False, True):
+            action = presented(GroupAction(group, 3, lambda g, rows=rows: rows[g]), formula)
             with pytest.raises(ValueError, match=r"row\(\d\) of 'action' is not a list of 3 ints"):
                 action.validate()
             assert action._validation is None
             with pytest.raises(ValueError, match="is not a list of 3 ints"):
                 orbit_decomposition(action)
     outside = [[0, 1, 2], [1, 3, 0], [2, 0, 1]]
-    for presented in (False, True):
-        report = GroupAction(group, 3, outside.__getitem__, _presented=presented).validate()
+    for formula in (False, True):
+        report = presented(GroupAction(group, 3, outside.__getitem__), formula).validate()
         assert not report.ok and report.failure == "act(1, 1) = 3 is outside the carrier"
 
 

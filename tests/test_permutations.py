@@ -502,19 +502,9 @@ def test_cycle_type_table_yields_are_not_live_views():
 @pytest.mark.parametrize("n", range(-1, 31))
 def test_partition_walk_live_state_is_the_table(n):
     """At each visit the live state read as fresh tuples, a[1..m] with the
-    multiplicities and z, is cycle_type_table's triple; a[1..low-1] is the
-    previous visit's prefix, and a[low] is the first part that differs from
-    it (low = 1 at the first visit)."""
-    previous = None
-    for (mult, z, a, m, low), triple in zip(partition_walk(n), cycle_type_table(n), strict=True):
-        parts = tuple(a[1 : m + 1])
-        assert (tuple(mult), z, parts) == triple
-        if previous is None:
-            assert low == 1
-        else:
-            assert parts[: low - 1] == previous[: low - 1]
-            assert parts[low - 1] != previous[low - 1]
-        previous = parts
+    multiplicities and z, is cycle_type_table's triple."""
+    for (mult, z, a, m), triple in zip(partition_walk(n), cycle_type_table(n), strict=True):
+        assert (tuple(mult), z, tuple(a[1 : m + 1])) == triple
 
 
 @pytest.mark.parametrize("n", range(31))
@@ -522,7 +512,7 @@ def test_partition_walk_z_is_the_literal_centralizer_order(n):
     """At each visit z is prod_k k^{m_k} m_k!, with m_k counted from the
     parts a[1..m] and the factorials taken by math.factorial, not from the
     walk's multiplicities or its factors."""
-    for _, z, a, m, _ in partition_walk(n):
+    for _, z, a, m in partition_walk(n):
         counts = Counter(a[1 : m + 1])
         assert z == math.prod(k**mk * math.factorial(mk) for k, mk in counts.items())
 

@@ -15,7 +15,7 @@ from groupoid_card.categorified import cycle_tuple_action, verify_categorified
 from groupoid_card.cli import main
 from groupoid_card.functors import category_of_elements, make_cycle_tuple_functor, verify_general_theorem
 from groupoid_card.groupoids import GroupAction, skeletons_equivalent
-from law_cases import first_row_difference
+from law_cases import first_row_difference, presented
 
 N, P = 4, (0, 1, 0, 0)
 
@@ -57,7 +57,7 @@ def plant_relabelled_q_points(monkeypatch, a, b):
             images = action.row(g)
             return [swap[images[t]] for t in swap]
 
-        return GroupAction(group, action.carrier_size, row, name, _presented=True)
+        return presented(GroupAction(group, action.carrier_size, row, name))
 
     monkeypatch.setattr(categorified, "_laid_out_action", relabelled)
 

@@ -1,14 +1,14 @@
 """The walk check of formula actions against the law check it must agree with.
 
-A _presented action is checked from its generators' rows alone: from each
-orbit's smallest point the images are filled along the spanning tree and
-every Cayley-graph edge is compared (groupoids.walk_orbits). A missed edge
-would pass generator rows that extend to no action, and a wrong compare
-would refuse a true action. The oracle is a literal scan: extend the
-generator rows along the spanning tree (the row of s * parent is row s
-after the row of parent) and check every triple of the extended rows
-(law_cases.lowest_law_witness). The walk must pass exactly when that does,
-with the orbits of the extended rows."""
+An action marked _presented is checked from its generators' rows alone:
+from each orbit's smallest point the images are filled along the spanning
+tree and every Cayley-graph edge is compared (groupoids.walk_orbits). A
+missed edge would pass generator rows that extend to no action, and a
+wrong compare would refuse a true action. The oracle is a literal scan:
+extend the generator rows along the spanning tree (the row of s * parent
+is row s after the row of parent) and check every triple of the extended
+rows (law_cases.lowest_law_witness). The walk must pass exactly when that
+does, with the orbits of the extended rows."""
 
 import itertools
 import math
@@ -30,7 +30,7 @@ from groupoid_card.functors import (
 )
 from groupoid_card.groupoids import GroupAction, orbit_decomposition, walk_orbits
 from groupoid_card.permutations import CapExceededError, iter_pvectors
-from law_cases import assert_same_report, law_caps, lowest_law_witness, relabelled_cayley, rows_of, tree_edges
+from law_cases import assert_same_report, law_caps, lowest_law_witness, presented, relabelled_cayley, rows_of, tree_edges
 
 GROUPS = {
     **{f"S{n}": (lambda n=n: groups.SymmetricGroup(n)) for n in range(6)},
@@ -200,7 +200,7 @@ def test_walk_check_reads_only_the_generator_rows():
         reads.append(g)
         return table[g][s]
 
-    action = GroupAction(group, 6, rows_of(act, 6), _presented=True)
+    action = presented(GroupAction(group, 6, rows_of(act, 6)))
     report = action.validate()
     assert report.ok and report.mode == "exhaustive"
     assert report.checks == 2 * 6 + 3 * 24
@@ -215,7 +215,7 @@ def test_the_check_cap_bounds_the_walk():
     all, so it is refused once its next orbit would pass the check cap, and
     no report, and so no orbit, is kept."""
     size = 20_000
-    action = GroupAction(groups.SymmetricGroup(6), size, lambda g: list(range(size)), _presented=True)
+    action = presented(GroupAction(groups.SymmetricGroup(6), size, lambda g: list(range(size))))
     affordable = (10_000_000 - 2 * size) // (3 * 720)
     with pytest.raises(CapExceededError, match=f"needs {2 * size + 3 * 720 * (affordable + 1)} reads, above the check cap"):
         action.validate()
@@ -244,13 +244,13 @@ def test_a_failed_walk_is_reported_not_refused():
     group, size, act = broken_q_action(4, (1, 1, 0, 0))
     walk_reads = 2 * size + 3 * 24
     row_reads = (24 + 2) * size + 3 * 24
-    report = GroupAction(group, size, rows_of(act, size), _presented=True).validate()
+    report = presented(GroupAction(group, size, rows_of(act, size))).validate()
     # The generator rows, the first orbit's tree images and its first generator's edges.
     assert not report.ok and report.mode == "exhaustive" and report.checks == 2 * size + 2 * 24
     assert report.failure == "walk from s=0 breaks at generator 6, g=6: act(6, act(6, 0)) != act(6*6, 0)"
     assert row_reads > walk_reads
     with law_caps(walk_reads):
-        assert GroupAction(group, size, rows_of(act, size), _presented=True).validate() == report
+        assert presented(GroupAction(group, size, rows_of(act, size))).validate() == report
         with pytest.raises(CapExceededError):
             GroupAction(group, size, rows_of(act, size)).validate()
     rows = GroupAction(group, size, rows_of(act, size)).validate()
@@ -268,8 +268,8 @@ def test_a_failed_functor_walk_is_reported_not_refused():
         arr = base.transport(h, g)
         return arr[::-1] if h == s and len(arr) == 4 else arr
 
-    def build(presented):
-        return EquivariantFunctor(base.group, base.fiber_sizes, transport, name="flipped", _presented=presented)
+    def build(flag):
+        return presented(EquivariantFunctor(base.group, base.fiber_sizes, transport, name="flipped"), flag)
 
     report = validate_functor(build(True))
     assert not report.ok and report.law == "walk" and report.witness == (6, 6, 0)
